@@ -17,12 +17,13 @@ type recvFlow struct {
 	got      []bool
 	gotBytes int64
 	done     bool
-	revPaths map[int][]*netsim.Link // cached ACK path per subflow
+	revPaths [][]*netsim.Link // cached ACK path, indexed by subflow
 }
 
 func newRecvFlow(ag *Agent, f workload.Flow, eng *sim.Sim) *recvFlow {
 	n := int((f.Size + netsim.MSS - 1) / netsim.MSS)
-	return &recvFlow{ag: ag, eng: eng, flow: f, numPkts: n, got: make([]bool, n), revPaths: map[int][]*netsim.Link{}}
+	return &recvFlow{ag: ag, eng: eng, flow: f, numPkts: n, got: make([]bool, n),
+		revPaths: make([][]*netsim.Link, ag.sys.Cfg.Subflows)}
 }
 
 func (r *recvFlow) payload(i int) int {
@@ -32,13 +33,15 @@ func (r *recvFlow) payload(i int) int {
 	return int(r.flow.Size - int64(r.numPkts-1)*netsim.MSS)
 }
 
-// onForward handles SYN, DATA, PROBE and TERM at the receiver: it copies
-// the scheduling header into the corresponding acknowledgment, lowering
-// R_H to the receiver's own capability (§3.2), and records delivered
-// bytes.
+// onForward handles SYN, DATA, PROBE and TERM at the receiver: it records
+// delivered bytes and sends the packet back as its own acknowledgment. A
+// TERM is not answered, so its life ends here.
+//
+//pdq:hotpath
 func (r *recvFlow) onForward(pkt *netsim.Packet) {
 	if pkt.Kind == netsim.TERM {
 		r.done = true
+		pkt.Release()
 		return
 	}
 	if pkt.Kind == netsim.DATA && !r.done {
@@ -55,33 +58,23 @@ func (r *recvFlow) onForward(pkt *netsim.Packet) {
 	r.ack(pkt)
 }
 
-// ack echoes the scheduling header back to the sender on the exact
-// reverse path of the data packet.
+// ack turns pkt around in place as its acknowledgment: the scheduling
+// header rides back to the sender on the exact reverse path of the data
+// packet, with R_H lowered to the receiver's own capability (§3.2).
+//
+//pdq:hotpath
 func (r *recvFlow) ack(pkt *netsim.Packet) {
 	rev := r.revPaths[pkt.Subflow]
 	if rev == nil {
 		rev = netsim.ReversePath(pkt.Path)
 		r.revPaths[pkt.Subflow] = rev
 	}
-	hdr := &netsim.SchedHeader{}
-	if h, ok := pkt.Hdr.(*netsim.SchedHeader); ok {
-		*hdr = *h
-		// Avoid overrunning the receiver: R_H may not exceed the rate
-		// the receiver can take in (its NIC rate here; §3.2).
-		if nic := r.ag.host.NICRate(); hdr.Rate > nic {
-			hdr.Rate = nic
-		}
+	// Avoid overrunning the receiver: R_H may not exceed the rate the
+	// receiver can take in (its NIC rate here; §3.2).
+	hdr := netsim.HeaderOf[netsim.SchedHeader](pkt)
+	if nic := r.ag.host.NICRate(); hdr.Rate > nic {
+		hdr.Rate = nic
 	}
-	r.ag.sys.net().Send(&netsim.Packet{
-		Flow:       pkt.Flow,
-		Subflow:    pkt.Subflow,
-		Kind:       pkt.Kind.Ack(),
-		Src:        pkt.Src,
-		Dst:        pkt.Dst,
-		Seq:        pkt.Seq,
-		Wire:       netsim.ControlWire,
-		Path:       rev,
-		Hdr:        hdr,
-		EchoSentAt: pkt.EchoSentAt,
-	})
+	pkt.TurnAround(rev)
+	r.ag.sys.net().Send(pkt)
 }

@@ -99,10 +99,13 @@ func (s *sender) rto() sim.Time {
 	return r
 }
 
-// header builds the scheduling header the sender attaches to every
-// outgoing packet: R_H = R^max (§3.1), the rest from sender state.
-func (s *sender) header() *netsim.SchedHeader {
-	return &netsim.SchedHeader{
+// header stamps the scheduling header the sender attaches to every
+// outgoing packet: R_H = R^max (§3.1), the rest from sender state. h is
+// the header riding with the packet, overwritten whole.
+//
+//pdq:hotpath
+func (s *sender) header(h *netsim.SchedHeader) {
+	*h = netsim.SchedHeader{
 		Rate:     s.sh.rmax,
 		PauseBy:  s.pauseBy,
 		Deadline: headerDeadline(s.absDeadline()),
@@ -118,21 +121,25 @@ func (s *sender) absDeadline() sim.Time {
 	return s.sh.flow.AbsDeadline()
 }
 
+// send takes a packet from the source host's pool, fills it and injects
+// it; the agent releases it when it comes back as an acknowledgment.
+//
+//pdq:hotpath
 func (s *sender) send(kind netsim.Kind, seq int64, payload, wire int) {
-	pkt := &netsim.Packet{
-		Flow:       netsim.FlowID(s.sh.flow.ID),
-		Subflow:    s.sub,
-		Kind:       kind,
-		Src:        s.ag.host.ID(),
-		Dst:        s.path[len(s.path)-1].To.ID(),
-		Seq:        seq,
-		Payload:    payload,
-		Wire:       wire,
-		Path:       s.path,
-		Hdr:        s.header(),
-		EchoSentAt: s.now(),
-	}
-	s.ag.sys.net().Send(pkt)
+	net, src := s.ag.sys.net(), s.ag.host.ID()
+	pkt := net.NewPacket(src)
+	pkt.Flow = netsim.FlowID(s.sh.flow.ID)
+	pkt.Subflow = s.sub
+	pkt.Kind = kind
+	pkt.Src = src
+	pkt.Dst = s.path[len(s.path)-1].To.ID()
+	pkt.Seq = seq
+	pkt.Payload = payload
+	pkt.Wire = wire
+	pkt.Path = s.path
+	pkt.EchoSentAt = s.now()
+	s.header(netsim.HeaderOf[netsim.SchedHeader](pkt))
+	net.Send(pkt)
 }
 
 // start kicks off the handshake.
@@ -144,10 +151,13 @@ func (s *sender) start() {
 	s.pauseBy = netsim.PauseNone
 	s.sendSYN()
 	if s.cfg().EarlyTermination && s.sub == 0 && s.sh.flow.HasDeadline() {
-		dl := s.sh.flow.AbsDeadline()
-		s.sim().At(dl+1, func() { s.checkEarlyTermination() })
+		s.sim().At(s.sh.flow.AbsDeadline()+1, s.onDeadline)
 	}
 }
+
+// onDeadline is the Early Termination timer, armed for just past the
+// deadline.
+func (s *sender) onDeadline() { s.checkEarlyTermination() }
 
 func (s *sender) sendSYN() {
 	if s.sh.over || s.synAcked {
@@ -164,7 +174,9 @@ func (s *sender) sendSYN() {
 
 // onAck handles SYNACK, ACK and PROBEACK feedback: it adopts the
 // path-wide rate decision, advances the acknowledgment state, and drives
-// the send/probe machinery (§3.1).
+// the send/probe machinery (§3.1). The agent releases pkt afterwards.
+//
+//pdq:hotpath
 func (s *sender) onAck(pkt *netsim.Packet) {
 	if s.sh.over {
 		return

@@ -33,6 +33,11 @@ type linkState struct {
 	link *netsim.Link
 
 	flows []*flowInfo // sorted most-critical first
+	// free holds entries that left the list (TERM, eviction, stale
+	// expiry), for admit to reuse: flows come and go at the rate packets
+	// of new flows arrive, so the list would otherwise cost one heap
+	// object per admission.
+	free []*flowInfo
 
 	// Rate controller (§3.3.3).
 	c           int64 // C: aggregate rate available to PDQ flows
@@ -77,10 +82,18 @@ func (st *linkState) find(key flowKey) int {
 	return -1
 }
 
-// remove deletes key from the list if present.
+// unlink takes the entry at index i out of the list and returns it.
+func (st *linkState) unlink(i int) *flowInfo {
+	f := st.flows[i]
+	st.flows = append(st.flows[:i], st.flows[i+1:]...)
+	return f
+}
+
+// remove deletes key from the list if present. The entry goes to the
+// free list, so callers must not hold on to it.
 func (st *linkState) remove(key flowKey) {
 	if i := st.find(key); i >= 0 {
-		st.flows = append(st.flows[:i], st.flows[i+1:]...)
+		st.free = append(st.free, st.unlink(i))
 	}
 }
 
@@ -118,6 +131,8 @@ func (st *linkState) expireStale(now sim.Time) {
 	for _, f := range st.flows {
 		if f.seen >= cutoff {
 			kept = append(kept, f)
+		} else {
+			st.free = append(st.free, f)
 		}
 	}
 	st.flows = kept
@@ -141,7 +156,7 @@ func (st *linkState) insert(f *flowInfo) {
 // reposition restores sorted order after f's criticality changed, and
 // returns f's new index.
 func (st *linkState) reposition(f *flowInfo) int {
-	st.remove(f.key)
+	st.unlink(st.find(f.key))
 	st.insert(f)
 	return st.find(f.key)
 }
@@ -157,7 +172,14 @@ func (st *linkState) admit(now sim.Time, key flowKey, c Criticality) *flowInfo {
 			return nil
 		}
 	}
-	f := &flowInfo{
+	var f *flowInfo
+	if n := len(st.free); n > 0 {
+		f = st.free[n-1]
+		st.free = st.free[:n-1]
+	} else {
+		f = new(flowInfo)
+	}
+	*f = flowInfo{
 		key:      key,
 		rate:     0,
 		pauseBy:  st.me, // not sending until acceptance commits (§3.3.2)
@@ -168,7 +190,7 @@ func (st *linkState) admit(now sim.Time, key flowKey, c Criticality) *flowInfo {
 	}
 	st.insert(f)
 	for len(st.flows) > cap {
-		st.flows = st.flows[:len(st.flows)-1]
+		st.free = append(st.free, st.unlink(len(st.flows)-1))
 	}
 	if st.find(key) < 0 {
 		return nil // evicted immediately: list was full of more critical flows
@@ -211,7 +233,7 @@ func (st *linkState) maybeUpdateC(now sim.Time) {
 	st.c = c
 	// Roll the RCP fallback flow count.
 	st.rcpPrevN = len(st.rcpSeen)
-	st.rcpSeen = map[flowKey]bool{}
+	clear(st.rcpSeen)
 	st.expireStale(now)
 }
 

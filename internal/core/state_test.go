@@ -257,7 +257,8 @@ func TestMinGrantRoundsDown(t *testing.T) {
 }
 
 // Property: after any sequence of admits, evictions and repositions, the
-// list stays sorted, within capacity, and duplicate-free.
+// list stays sorted, within capacity, and duplicate-free, and no entry is
+// both listed and on the free list, or free twice.
 func TestPropertyListInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
 		st := testState(t, Full())
@@ -291,6 +292,13 @@ func TestPropertyListInvariants(t *testing.T) {
 					return false
 				}
 				seen[fi.key] = true
+			}
+			owned := map[*flowInfo]bool{}
+			for _, fi := range append(append([]*flowInfo{}, st.flows...), st.free...) {
+				if owned[fi] {
+					return false
+				}
+				owned[fi] = true
 			}
 			if !sort.SliceIsSorted(st.flows, func(i, j int) bool {
 				return st.flows[i].crit().Less(st.flows[j].crit())

@@ -216,15 +216,18 @@ type Agent struct {
 	recvs map[netsim.FlowID]*recvFlow
 }
 
-// Receive implements netsim.Agent.
+// Receive implements netsim.Agent. A forward packet goes back out as its
+// own acknowledgment; everything else ends its life here — an
+// acknowledgment once the sender has digested it, and packets of flows
+// this host does not know.
 func (a *Agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
 	if pkt.Kind.Forward() {
 		if r := a.recvs[pkt.Flow]; r != nil {
 			r.onForward(pkt)
+			return
 		}
-		return
-	}
-	if sh := a.sends[pkt.Flow]; sh != nil && pkt.Subflow < len(sh.subs) {
+	} else if sh := a.sends[pkt.Flow]; sh != nil && pkt.Subflow < len(sh.subs) {
 		sh.subs[pkt.Subflow].onAck(pkt)
 	}
+	pkt.Release()
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -25,11 +26,15 @@ import (
 //   - any call into package fmt (formatting allocates; move diagnostics
 //     to a cold helper);
 //   - map construction (make(map...) or a map literal);
+//   - heap objects built per call: &T{...} and new(T) (take the object
+//     from a pool, or move the one-time allocation into a cold helper —
+//     the packet pool's grow and netsim.HeaderOf's attach are the model);
 //   - non-constant string concatenation.
 //
 // Amortized append growth is deliberately allowed: the pools and
 // free-lists the hot paths rely on grow that way to their high-water
-// mark.
+// mark. Plain value literals (T{...}) are allowed too: they live in
+// registers or on the stack.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid per-call allocation constructs in functions annotated //pdq:hotpath",
@@ -106,6 +111,11 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 
 		case *ast.CallExpr:
 			checkHotCall(pass, n)
+
+		case *ast.UnaryExpr:
+			if lit, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && n.Op == token.AND {
+				pass.Reportf(n.Pos(), "&%s{...} allocates; take the object from a pool or build it in a cold helper", exprString(lit.Type))
+			}
 
 		case *ast.CompositeLit:
 			t := typeOf(info, n)
@@ -208,6 +218,10 @@ func checkHotCall(pass *Pass, call *ast.CallExpr) {
 				pass.Reportf(call.Pos(), "make(map) allocates; hoist the map out of the hot path")
 			}
 		}
+		return
+	}
+	if isBuiltin(info, call, "new") {
+		pass.Reportf(call.Pos(), "new(%s) allocates; take the object from a pool or build it in a cold helper", exprString(call.Args[0]))
 		return
 	}
 	if isBuiltin(info, call, "append") && len(call.Args) > 1 && !call.Ellipsis.IsValid() {

@@ -24,8 +24,9 @@
 //     (//pdqlint:ordered-ok suppresses a justified site).
 //   - hotpath:   functions annotated //pdq:hotpath must not contain
 //     capturing closures, bound method values, interface boxing of
-//     non-pointer values, fmt calls, map construction, or string
-//     concatenation — the static mirror of the 0 allocs/op benches.
+//     non-pointer values, fmt calls, map construction, &T{...} or
+//     new(T), or string concatenation — the static mirror of the
+//     0 allocs/op benches.
 //   - registry:  Register* calls only from init functions (or test
 //     files), with statically constant names, so -list-* output stays
 //     enumerable and sorted-diffable.

@@ -56,3 +56,13 @@ func Format(n int) {
 func Bound(c *counter) func(int) {
 	return c.Add // want "bound method value c.Add allocates"
 }
+
+//pdq:hotpath
+func AddrLit(n int) *counter {
+	return &counter{n: n} // want "&counter{...} allocates"
+}
+
+//pdq:hotpath
+func New() *counter {
+	return new(counter) // want "new(counter) allocates"
+}

@@ -1,7 +1,8 @@
 // Package clean exercises constructs the hotpath analyzer must accept:
 // amortized append growth, concrete composite literals, capture-free
-// function literals, called methods, and unannotated functions doing
-// whatever they like.
+// function literals, called methods, a pool whose one-time allocation
+// sits in a cold helper, and unannotated functions doing whatever they
+// like.
 package clean
 
 import "sort"
@@ -34,6 +35,25 @@ func Apply(vals []float64) float64 {
 func Called(c *counter, d int) {
 	c.Add(d) // direct method call, not a bound method value
 }
+
+type pool struct{ free []*counter }
+
+// Get reuses a pooled object and re-initialises it through the pointer
+// (a value literal, not an allocation); the allocating side is grow.
+//
+//pdq:hotpath
+func (p *pool) Get() *counter {
+	n := len(p.free)
+	if n == 0 {
+		return grow()
+	}
+	c := p.free[n-1]
+	p.free = p.free[:n-1]
+	*c = counter{}
+	return c
+}
+
+func grow() *counter { return &counter{} }
 
 // Cold is unannotated: hot-path rules do not apply.
 func Cold(m map[string]int) map[string]int {

@@ -54,6 +54,8 @@ func (h *Host) Receive(pkt *Packet, ingress *Link) {
 	if pkt.Hop == len(pkt.Path)-1 {
 		if h.Agent != nil {
 			h.Agent.Receive(pkt, ingress)
+		} else {
+			pkt.Release()
 		}
 		return
 	}
@@ -62,6 +64,7 @@ func (h *Host) Receive(pkt *Packet, ingress *Link) {
 		panic("netsim: path link does not start at this relay host")
 	}
 	if h.Logic != nil && !h.Logic.Process(h, pkt, ingress, egress) {
+		pkt.Release()
 		return
 	}
 	pkt.Hop++

@@ -365,7 +365,8 @@ func (l *Link) String() string {
 
 // Enqueue places pkt into the link's queue under the installed
 // discipline (tail-drop FIFO by default): the qdisc decides admission
-// and may mark the packet; a rejected packet is dropped. A down link
+// and may mark the packet; a rejected packet is dropped, and every drop
+// releases the packet to the pool. A down link
 // drops first — deterministically, before any loss coin, so fault windows
 // never perturb the RNG stream of packets that would have been lost
 // anyway. Random loss injection (LossRate, then an installed
@@ -375,16 +376,22 @@ func (l *Link) String() string {
 //
 //pdq:hotpath
 func (l *Link) Enqueue(pkt *Packet) {
+	if pkt.free {
+		panic("netsim: Enqueue of a released packet")
+	}
 	if l.down {
 		l.faultDrops++
+		pkt.Release()
 		return
 	}
 	if l.LossRate > 0 && l.lossRand().Float64() < l.LossRate {
 		l.lossDrops++
+		pkt.Release()
 		return
 	}
 	if l.ge != nil && l.ge.Drop(l.lossRand()) {
 		l.lossDrops++
+		pkt.Release()
 		return
 	}
 	if l.sched != nil {
@@ -395,11 +402,13 @@ func (l *Link) Enqueue(pkt *Packet) {
 	if q := l.qdisc; q == nil {
 		if l.qBytes+pkt.Wire > l.QueueCap {
 			l.drops++
+			pkt.Release()
 			return
 		}
 	} else {
 		if !q.Admit(l, pkt, l.qBytes) {
 			l.drops++
+			pkt.Release()
 			return
 		}
 		q.OnEnqueue(l, pkt, l.qBytes)
@@ -471,6 +480,7 @@ func (l *Link) emitDelivery(pkt *Packet, now, done sim.Time) {
 func (l *Link) schedEnqueue(pkt *Packet) {
 	if !l.qdisc.Admit(l, pkt, l.qBytes) {
 		l.drops++
+		pkt.Release()
 		return
 	}
 	l.qdisc.OnEnqueue(l, pkt, l.qBytes)

@@ -96,7 +96,10 @@ const MSS = MTU - IPTCPHeader - SchedHdrWire
 
 // Packet is a simulated packet. Packets are passed by pointer and owned by
 // exactly one queue or node at a time; protocol endpoints must not retain
-// them after handing them to the network.
+// them after handing them to the network. Protocols take packets from
+// Network.NewPacket and whoever holds one when its life ends calls Release
+// (pool.go has the life cycle); a packet built by a struct literal is not
+// pool-owned and is simply left to the garbage collector.
 type Packet struct {
 	Flow    FlowID
 	Subflow int // subflow index for multipath flows, 0 otherwise
@@ -110,7 +113,10 @@ type Packet struct {
 	Path []*Link // directed links from this packet's source to destination
 	Hop  int     // index into Path of the link currently being traversed
 
-	Hdr any // protocol scheduling header (e.g. *core.Header), may be nil
+	// Hdr is the protocol scheduling header (*SchedHeader for PDQ,
+	// *rcp.Header, *d3.Header), nil for headerless protocols. It rides with
+	// a pooled packet across lives: see HeaderOf.
+	Hdr any
 
 	// ECN bits (RFC 3168 analogues, DESIGN.md §9): CE (congestion
 	// experienced) is set by a marking queue discipline when the packet
@@ -122,6 +128,12 @@ type Packet struct {
 	// Prio is the strict-priority band for Scheduler disciplines
 	// (0 = highest). pFabric stamps it from the flow's remaining size.
 	Prio uint8
+
+	// Pool state (pool.go): the free list the packet returns to — the pool
+	// of the engine currently holding it, nil for a literal packet — and
+	// whether it sits on that list now.
+	free bool
+	pool *packetPool
 
 	// EchoSentAt is the send timestamp of the forward packet, copied into
 	// its acknowledgment by the receiver (like a TCP timestamp option) so
@@ -161,8 +173,14 @@ func (p *Packet) RunEvent() {
 		// (advanceTo), so no From-owned state is touched here. The down
 		// check reads the immutable fault timeline instead of the
 		// From-owned flag, and the drop counter is the To-shard field.
+		// From here on the To shard holds the packet, so that shard's
+		// pool is where it will be released.
+		if p.pool != nil {
+			p.pool = ingress.net.pools[ingress.toShard]
+		}
 		if ingress.downAt(ingress.dstSim.Now()) {
 			ingress.remoteFaultDrops++
+			p.Release()
 			return
 		}
 		ingress.To.Receive(p, ingress)
@@ -171,6 +189,7 @@ func (p *Packet) RunEvent() {
 	ingress.advance()
 	if ingress.down {
 		ingress.faultDrops++
+		p.Release()
 		return
 	}
 	ingress.To.Receive(p, ingress)
@@ -190,6 +209,10 @@ type Network struct {
 	nodes []Node
 	links []*Link
 
+	// pools are the packet free lists (pool.go): one for the single
+	// engine, one per shard once EnableSharding has run.
+	pools []*packetPool
+
 	// Sharded-run state (DESIGN.md §12), set by EnableSharding: the shard
 	// group, the node→shard assignment, and the per-shard lists of links
 	// with unsettled serializer chains (each appended to and drained only
@@ -205,7 +228,7 @@ type Network struct {
 // on the seed and that link's own packet order — never on how draws from
 // other links interleave, and never on how the network is sharded.
 func NewNetwork(s *sim.Sim, seed int64) *Network {
-	return &Network{Sim: s, seed: seed}
+	return &Network{Sim: s, seed: seed, pools: []*packetPool{{}}}
 }
 
 // AddNode registers n. Nodes must be registered in NodeID order; the helper
@@ -251,6 +274,9 @@ func (n *Network) EnableSharding(g *sim.ShardGroup, shardOf []int32) {
 	n.shard = g
 	n.shardOf = shardOf
 	n.dirtyLinks = make([][]*Link, g.Shards())
+	for len(n.pools) < g.Shards() {
+		n.pools = append(n.pools, &packetPool{})
+	}
 	for _, l := range n.links {
 		l.shard = shardOf[l.From.ID()]
 		l.toShard = shardOf[l.To.ID()]
@@ -294,7 +320,8 @@ func (n *Network) settleDirty(shard int, windowStart sim.Time) {
 }
 
 // Send injects pkt at the head of its path. The caller must have set Path;
-// Hop is reset to 0.
+// Hop is reset to 0. A released packet has no path, so sending one panics
+// here.
 func (n *Network) Send(pkt *Packet) {
 	if len(pkt.Path) == 0 {
 		panic("netsim: Send with empty path")

@@ -8,7 +8,7 @@ type SwitchLogic interface {
 	// Process may mutate the packet's scheduling header. at is the
 	// forwarding node, ingress the link the packet arrived on, egress the
 	// link it is about to be enqueued on. Returning false drops the
-	// packet.
+	// packet: the forwarding node releases it, so Process must not.
 	Process(at Node, pkt *Packet, ingress, egress *Link) bool
 }
 
@@ -44,6 +44,7 @@ func (s *Switch) Receive(pkt *Packet, ingress *Link) {
 		panic("netsim: path link does not start at this switch")
 	}
 	if s.Logic != nil && !s.Logic.Process(s, pkt, ingress, egress) {
+		pkt.Release()
 		return
 	}
 	pkt.Hop++

@@ -139,18 +139,22 @@ type agent struct {
 	recvs map[netsim.FlowID]*tcp.Receiver
 }
 
+// Receive implements netsim.Agent. A data packet goes back out as its own
+// ACK; an ACK's life ends once the sender has digested it, as does any
+// packet no flow here takes.
 func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
-	if pkt.Kind == netsim.DATA {
+	switch pkt.Kind {
+	case netsim.DATA:
 		if r := a.recvs[pkt.Flow]; r != nil {
 			r.OnData(pkt)
+			return
 		}
-		return
-	}
-	if pkt.Kind == netsim.ACK {
+	case netsim.ACK:
 		if snd := a.sends[pkt.Flow]; snd != nil {
 			snd.onAck(pkt)
 		}
 	}
+	pkt.Release()
 }
 
 // sender is one DCTCP connection: the shared connection shell plus the

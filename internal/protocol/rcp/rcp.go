@@ -145,7 +145,7 @@ func (s *System) launch(f workload.Flow) {
 	var snd *xfer.Sender
 	nic := s.Topo.Hosts[f.Src].NICRate()
 	snd = xfer.New(s.Sim, s.Topo.Net, f, path, s.Cfg.Config, xfer.Callbacks{
-		Header: func() any { return &Header{Rate: nic} },
+		Header: func(pkt *netsim.Packet) { *netsim.HeaderOf[Header](pkt) = Header{Rate: nic} },
 		OnFeedback: func(hdr any) int64 {
 			if h, ok := hdr.(*Header); ok {
 				return h.Rate
@@ -215,14 +215,17 @@ type agent struct {
 	recvs map[netsim.FlowID]*xfer.Receiver
 }
 
+// Receive implements netsim.Agent. A forward packet goes back out as its
+// own acknowledgment; an acknowledgment's life ends once the sender has
+// digested it, as does a packet of a flow this host does not know.
 func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
 	if pkt.Kind.Forward() {
 		if r := a.recvs[pkt.Flow]; r != nil {
 			r.OnForward(pkt)
+			return
 		}
-		return
-	}
-	if snd := a.sends[pkt.Flow]; snd != nil {
+	} else if snd := a.sends[pkt.Flow]; snd != nil {
 		snd.HandleAck(pkt)
 	}
+	pkt.Release()
 }

@@ -243,26 +243,29 @@ type Conn struct {
 	PrioFn   func() uint8
 }
 
-// SendSeg composes and transmits segment idx; launch code passes it to
-// Init as the kernel's send callback.
+// SendSeg composes and transmits segment idx on a packet from the source
+// host's pool; launch code passes it to Init as the kernel's send
+// callback. The variant's agent releases the packet when it comes back
+// as an acknowledgment.
+//
+//pdq:hotpath
 func (c *Conn) SendSeg(idx int) {
 	pay := segPayload(idx, c.numPkts, c.Flow.Size)
-	var prio uint8
+	src := c.Path[0].From.ID()
+	pkt := c.Net.NewPacket(src)
+	pkt.Flow = netsim.FlowID(c.Flow.ID)
+	pkt.Kind = netsim.DATA
+	pkt.Src = src
+	pkt.Dst = c.Path[len(c.Path)-1].To.ID()
+	pkt.Seq = int64(idx) * netsim.MSS
+	pkt.Payload = pay
+	pkt.Wire = pay + netsim.IPTCPHeader + c.ExtraHdr
+	pkt.Path = c.Path
+	pkt.EchoSentAt = c.Sim.Now() // the kernel's engine: the owner shard's in sharded runs
 	if c.PrioFn != nil {
-		prio = c.PrioFn()
+		pkt.Prio = c.PrioFn()
 	}
-	c.Net.Send(&netsim.Packet{
-		Flow:       netsim.FlowID(c.Flow.ID),
-		Kind:       netsim.DATA,
-		Src:        c.Path[0].From.ID(),
-		Dst:        c.Path[len(c.Path)-1].To.ID(),
-		Seq:        int64(idx) * netsim.MSS,
-		Payload:    pay,
-		Wire:       pay + netsim.IPTCPHeader + c.ExtraHdr,
-		Path:       c.Path,
-		EchoSentAt: c.Sim.Now(), // the kernel's engine: the owner shard's in sharded runs
-		Prio:       prio,
-	})
+	c.Net.Send(pkt)
 }
 
 // Receiver is the shared cumulative-ACK receiver of the kernel-based
@@ -296,8 +299,10 @@ func NewReceiver(net *netsim.Network, coll *workload.Collector, f workload.Flow,
 	return &Receiver{Net: net, Coll: coll, Flow: f, NumPkts: numPkts, Sim: net.Sim, got: make([]bool, numPkts)}
 }
 
-// OnData registers a data packet and sends the cumulative ACK back
-// along the reverse path.
+// OnData registers a data packet and sends it back along the reverse
+// path as the cumulative ACK.
+//
+//pdq:hotpath
 func (r *Receiver) OnData(pkt *netsim.Packet) {
 	idx := int(pkt.Seq / netsim.MSS)
 	if idx >= 0 && idx < r.NumPkts && !r.got[idx] {
@@ -314,16 +319,10 @@ func (r *Receiver) OnData(pkt *netsim.Packet) {
 	if r.revPath == nil {
 		r.revPath = netsim.ReversePath(pkt.Path)
 	}
-	r.Net.Send(&netsim.Packet{
-		Flow:       pkt.Flow,
-		Kind:       netsim.ACK,
-		Src:        pkt.Src,
-		Dst:        pkt.Dst,
-		Seq:        int64(r.rcvNext) * netsim.MSS,
-		Wire:       netsim.ControlWire,
-		Path:       r.revPath,
-		EchoSentAt: pkt.EchoSentAt,
-		ECE:        r.EchoECN && pkt.CE,
-		Prio:       r.AckPrio,
-	})
+	ece := r.EchoECN && pkt.CE
+	pkt.TurnAround(r.revPath)
+	pkt.Seq = int64(r.rcvNext) * netsim.MSS
+	pkt.ECE = ece
+	pkt.Prio = r.AckPrio
+	r.Net.Send(pkt)
 }

@@ -138,16 +138,20 @@ type agent struct {
 	recvs map[netsim.FlowID]*Receiver
 }
 
+// Receive implements netsim.Agent. A data packet goes back out as its own
+// ACK; an ACK's life ends once the sender has digested it, as does any
+// packet no flow here takes.
 func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
-	if pkt.Kind == netsim.DATA {
+	switch pkt.Kind {
+	case netsim.DATA:
 		if r := a.recvs[pkt.Flow]; r != nil {
 			r.OnData(pkt)
+			return
 		}
-		return
-	}
-	if pkt.Kind == netsim.ACK {
+	case netsim.ACK:
 		if snd := a.sends[pkt.Flow]; snd != nil {
 			snd.ProcessAck(int(pkt.Seq/netsim.MSS), pkt.EchoSentAt)
 		}
 	}
+	pkt.Release()
 }

@@ -39,8 +39,10 @@ func (c Config) WithDefaults() Config {
 
 // Callbacks let a protocol customize the sender.
 type Callbacks struct {
-	// Header builds the scheduling header for an outgoing packet.
-	Header func() any
+	// Header stamps the protocol's scheduling header on an outgoing
+	// packet, in place on the header value riding with it
+	// (netsim.HeaderOf).
+	Header func(pkt *netsim.Packet)
 	// OnFeedback digests an acknowledgment header and returns the rate
 	// the sender should now use (0 pauses the sender, which then probes
 	// every RTT).
@@ -143,19 +145,25 @@ func (s *Sender) rto() sim.Time {
 	return r
 }
 
+// send takes a packet from the source host's pool, fills it and injects
+// it; the protocol's agent releases it when it comes back as an
+// acknowledgment.
+//
+//pdq:hotpath
 func (s *Sender) send(kind netsim.Kind, seq int64, payload, wire int) {
-	s.net.Send(&netsim.Packet{
-		Flow:       netsim.FlowID(s.Flow.ID),
-		Kind:       kind,
-		Src:        s.Path[0].From.ID(),
-		Dst:        s.Path[len(s.Path)-1].To.ID(),
-		Seq:        seq,
-		Payload:    payload,
-		Wire:       wire,
-		Path:       s.Path,
-		Hdr:        s.cb.Header(),
-		EchoSentAt: s.sim.Now(),
-	})
+	src := s.Path[0].From.ID()
+	pkt := s.net.NewPacket(src)
+	pkt.Flow = netsim.FlowID(s.Flow.ID)
+	pkt.Kind = kind
+	pkt.Src = src
+	pkt.Dst = s.Path[len(s.Path)-1].To.ID()
+	pkt.Seq = seq
+	pkt.Payload = payload
+	pkt.Wire = wire
+	pkt.Path = s.Path
+	pkt.EchoSentAt = s.sim.Now()
+	s.cb.Header(pkt)
+	s.net.Send(pkt)
 }
 
 // Start begins the SYN handshake.
@@ -193,7 +201,10 @@ func (s *Sender) Stop(kind netsim.Kind) {
 	s.send(kind, 0, 0, netsim.ControlWire)
 }
 
-// HandleAck processes SYNACK/ACK/PROBEACK feedback.
+// HandleAck processes SYNACK/ACK/PROBEACK feedback. The packet stays the
+// caller's: the agent releases it afterwards.
+//
+//pdq:hotpath
 func (s *Sender) HandleAck(pkt *netsim.Packet) {
 	if s.over {
 		return
@@ -406,10 +417,15 @@ func (r *Receiver) payload(i int) int {
 // Done reports whether all bytes have arrived.
 func (r *Receiver) Done() bool { return r.done }
 
-// OnForward processes a forward packet and sends the acknowledgment.
+// OnForward processes a forward packet and sends it back as its own
+// acknowledgment, header included. A TERM is not answered, so its life
+// ends here.
+//
+//pdq:hotpath
 func (r *Receiver) OnForward(pkt *netsim.Packet) {
 	if pkt.Kind == netsim.TERM {
 		r.done = true
+		pkt.Release()
 		return
 	}
 	if pkt.Kind == netsim.DATA && !r.done {
@@ -431,15 +447,6 @@ func (r *Receiver) OnForward(pkt *netsim.Packet) {
 	if r.CapRate != nil {
 		r.CapRate(pkt.Hdr)
 	}
-	r.net.Send(&netsim.Packet{
-		Flow:       pkt.Flow,
-		Kind:       pkt.Kind.Ack(),
-		Src:        pkt.Src,
-		Dst:        pkt.Dst,
-		Seq:        pkt.Seq,
-		Wire:       netsim.ControlWire,
-		Path:       r.revPath,
-		Hdr:        pkt.Hdr,
-		EchoSentAt: pkt.EchoSentAt,
-	})
+	pkt.TurnAround(r.revPath)
+	r.net.Send(pkt)
 }

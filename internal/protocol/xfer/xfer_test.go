@@ -22,7 +22,7 @@ func harness(t *testing.T, size int64, rate int64) (*topo.Topology, *Sender, *Re
 	recv := NewReceiver(tp.Sim(), tp.Net, f)
 	var snd *Sender
 	snd = New(tp.Sim(), tp.Net, f, path, Config{}.WithDefaults(), Callbacks{
-		Header: func() any { return &fixedRate{Rate: rate} },
+		Header: func(pkt *netsim.Packet) { netsim.HeaderOf[fixedRate](pkt).Rate = rate },
 		OnFeedback: func(hdr any) int64 {
 			if h, ok := hdr.(*fixedRate); ok {
 				return h.Rate
@@ -89,7 +89,7 @@ func TestZeroRatePausesAndProbes(t *testing.T) {
 	recv := NewReceiver(tp.Sim(), tp.Net, f)
 	var snd *Sender
 	snd = New(tp.Sim(), tp.Net, f, path, Config{}.WithDefaults(), Callbacks{
-		Header:     func() any { return &fixedRate{Rate: rate} },
+		Header:     func(pkt *netsim.Packet) { netsim.HeaderOf[fixedRate](pkt).Rate = rate },
 		OnFeedback: func(hdr any) int64 { return rate },
 	})
 	probes := 0

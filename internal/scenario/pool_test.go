@@ -1,0 +1,168 @@
+package scenario
+
+import (
+	"fmt"
+	"testing"
+
+	"pdq/internal/fault"
+	"pdq/internal/netsim"
+	"pdq/internal/params"
+	"pdq/internal/sim"
+	"pdq/internal/topo"
+	"pdq/internal/workload"
+)
+
+// poolFlows is a deterministic mixed bag: every host sends to three
+// others, sizes from one packet to 300 KB, every third flow with a
+// deadline tight enough that Early Termination and D3's quenching end
+// some of them by TERM instead of by completion.
+func poolFlows(hosts int) []workload.Flow {
+	var fs []workload.Flow
+	for i := 0; i < 3*hosts; i++ {
+		src := i % hosts
+		f := workload.Flow{
+			ID: uint64(i + 1), Src: src, Dst: (src + 1 + i/hosts*2) % hosts,
+			Size:  int64(1000 + (i*7919)%300_000),
+			Start: sim.Time(i%7) * 50 * sim.Microsecond,
+		}
+		if i%3 == 0 {
+			f.Deadline = sim.Time(1+i%5) * sim.Millisecond
+		}
+		fs = append(fs, f)
+	}
+	return fs
+}
+
+// checkPoolBalance runs one registered packet runner the way a sweep cell
+// does and requires the packet life cycle to close: every flow over, the
+// engines drained, and every packet taken from the network's pools
+// released exactly once — whatever mix of deliveries, drops and
+// turn-arounds the run went through.
+func checkPoolBalance(t *testing.T, runner string, given map[string]float64, build func() *topo.Topology, rc RunCtx) {
+	t.Helper()
+	e, ok := runners[runner]
+	if !ok {
+		t.Fatalf("no runner %q", runner)
+	}
+	p, err := params.Resolve("runner", runner, e.Params, given)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tp *topo.Topology
+	rc.Horizon = 5 * sim.Second
+	rs := e.Make(p, 1)(func() *topo.Topology { tp = build(); return tp }, poolFlows(len(build().Hosts)), rc)
+	for _, r := range rs {
+		if !r.Done() && !r.Terminated {
+			t.Fatalf("flow %d neither finished nor terminated by the horizon", r.ID)
+		}
+	}
+	pending := tp.Sim().Pending()
+	if g := tp.Net.ShardGroup(); g != nil {
+		pending = g.Pending()
+	} else if rc.Shards > 1 {
+		t.Fatalf("cell asked for %d shards and fell back to the single engine", rc.Shards)
+	}
+	if pending != 0 {
+		t.Fatalf("%d events still pending at the horizon: engine not drained", pending)
+	}
+	taken, released := tp.Net.PacketPoolStats()
+	if taken == 0 {
+		t.Fatal("run took no packets from the pool")
+	}
+	if taken != released {
+		t.Errorf("packets taken %d, released %d: %d leaked or released twice", taken, released, int64(taken)-int64(released))
+	}
+}
+
+func tree() *topo.Topology { return topo.SingleRootedTree(3, 3, 1) }
+
+// linkDownWindow fails the last host's access link while the first flows
+// have packets in flight on it, and restores it before they give up.
+var linkDownWindow = &fault.Schedule{Events: []fault.Event{{Kind: fault.LinkDown, Host: -1,
+	Down: 300 * sim.Microsecond, Up: 3 * sim.Millisecond}}}
+
+// TestPacketPoolBalance covers every registered packet-level runner on the
+// clean tree, then the paths on which netsim rather than an agent ends a
+// packet's life: relaying hosts (M-PDQ on BCube), Bernoulli and
+// Gilbert-Elliott loss, a link-down window with packets in flight, and
+// tail-drop queues a tenth of an incast deep.
+func TestPacketPoolBalance(t *testing.T) {
+	var packet []string
+	for _, e := range RunnerList() {
+		if e.Level == "packet" {
+			packet = append(packet, e.Name)
+		}
+	}
+	if len(packet) < 10 {
+		t.Fatalf("registry lists only %d packet runners: %v", len(packet), packet)
+	}
+	lossy := func() *topo.Topology {
+		tp := tree()
+		l := tp.Hosts[len(tp.Hosts)-1].Access
+		l.LossRate, l.Peer.LossRate = 0.03, 0.03
+		return tp
+	}
+	shallow := func() *topo.Topology {
+		tp := tree()
+		for _, l := range tp.Net.Links() {
+			l.QueueCap = 20 * netsim.MTU
+		}
+		return tp
+	}
+	ge := &fault.Schedule{Events: []fault.Event{{Kind: fault.GilbertLoss, Host: -1,
+		PGB: 0.05, PBG: 0.3, LossBad: 0.5}}}
+	for _, c := range []struct {
+		name    string
+		runners []string
+		params  map[string]float64
+		build   func() *topo.Topology
+		rc      RunCtx
+	}{
+		{"clean", packet, nil, tree, RunCtx{}},
+		{"mpdq-bcube", []string{"PDQ(Full)"}, map[string]float64{"subflows": 3},
+			func() *topo.Topology { return topo.BCube(3, 1, 1) }, RunCtx{}},
+		{"lossy", packet, nil, lossy, RunCtx{}},
+		{"gilbert", packet, nil, tree, RunCtx{Faults: ge}},
+		{"link-down", packet, nil, tree, RunCtx{Faults: linkDownWindow}},
+		{"shallow-queues", packet, nil, shallow, RunCtx{}},
+	} {
+		for _, r := range c.runners {
+			t.Run(c.name+"/"+r, func(t *testing.T) { checkPoolBalance(t, r, c.params, c.build, c.rc) })
+		}
+	}
+}
+
+// TestPacketPoolBalanceSharded repeats the balance over shard groups:
+// packets are taken on the sender's shard, turned around on the
+// receiver's and released on whichever shard holds them last, so the
+// per-shard pools only balance as a sum — and only the owner shard's
+// worker may touch each, which is what running this under -race checks.
+func TestPacketPoolBalanceSharded(t *testing.T) {
+	fat := func() *topo.Topology { return topo.FatTree(4, 1) }
+	lossy := func() *topo.Topology {
+		tp := fat()
+		for _, h := range tp.Hosts[:4] {
+			h.Access.LossRate, h.Access.Peer.LossRate = 0.03, 0.03
+		}
+		return tp
+	}
+	for _, c := range []struct {
+		name    string
+		runners []string
+		build   func() *topo.Topology
+		faults  *fault.Schedule
+	}{
+		{"clean", []string{"PDQ(Full)", "TCP", "DCTCP", "pFabric"}, fat, nil},
+		{"lossy", []string{"PDQ(Full)", "TCP"}, lossy, nil},
+		// PDQ reroutes on link-state changes, which pins it to one engine.
+		{"link-down", []string{"TCP", "pFabric"}, fat, linkDownWindow},
+	} {
+		for _, r := range c.runners {
+			for _, shards := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/%s/shards=%d", c.name, r, shards), func(t *testing.T) {
+					checkPoolBalance(t, r, nil, c.build, RunCtx{Shards: shards, Faults: c.faults})
+				})
+			}
+		}
+	}
+}
