@@ -8,13 +8,12 @@ import (
 
 // refEvent / refEngine form a trusted reference implementation of the event
 // queue on top of container/heap, mirroring the pre-pooling engine: one
-// heap-allocated record per event ordered by (time, seq). The differential
-// test below drives the pooled indexed 4-ary heap and this reference
-// through identical schedule/cancel/run interleavings and requires the
+// heap-allocated record per event ordered by the full (at, ta, tie, seq)
+// key. The differential tests below drive the engine and this reference
+// through identical schedule/cancel/run interleavings and require the
 // exact same execution order and Cancel outcomes.
 type refEvent struct {
-	at   Time
-	seq  uint64
+	key
 	id   int
 	idx  int
 	dead bool
@@ -24,10 +23,16 @@ type refHeap []*refEvent
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	a, b := h[i], h[j]
+	switch {
+	case a.at != b.at:
+		return a.at < b.at
+	case a.ta != b.ta:
+		return a.ta < b.ta
+	case a.tie != b.tie:
+		return a.tie < b.tie
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 func (h refHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -55,8 +60,8 @@ type refEngine struct {
 	events refHeap
 }
 
-func (r *refEngine) at(t Time, id int) *refEvent {
-	ev := &refEvent{at: t, seq: r.seq, id: id}
+func (r *refEngine) at(t, ta Time, tie uint64, id int) *refEvent {
+	ev := &refEvent{key: key{at: t, ta: ta, tie: tie, seq: r.seq}, id: id}
 	r.seq++
 	heap.Push(&r.events, ev)
 	return ev
@@ -120,7 +125,7 @@ func TestDifferentialAgainstContainerHeap(t *testing.T) {
 			id := nextID
 			nextID++
 			at := s.Now() + Time(rng.Intn(50))
-			rev := ref.at(at, id)
+			rev := ref.at(at, s.Now(), 0, id)
 			got := s.At(at, func() {
 				fired = append(fired, id)
 				if stopAfter > 0 && len(fired) >= stopAfter {
@@ -217,6 +222,217 @@ func TestDifferentialAgainstContainerHeap(t *testing.T) {
 			if s.Cancel(h.got) {
 				t.Fatalf("trial %d: Cancel of fired event %d succeeded after drain", trial, id)
 			}
+		}
+	}
+}
+
+// firedEvent is one pop as a lockstep run observed it.
+type firedEvent struct {
+	id int
+	key
+}
+
+// runnerFunc adapts a closure to Runner, for the AtRunner entry points.
+type runnerFunc func()
+
+func (f runnerFunc) RunEvent() { f() }
+
+// lockstep drives one engine (heap or wheel) and the reference through a
+// random history that holds about depth events pending, and returns the pop
+// sequence. The history is built to reach the tie fallback of the heap's
+// child selection: every time sits on a coarse grid, so sibling groups
+// mostly share at; ta differs by whole grid steps (and is backdated through
+// the barrier-injection entry point), tie is drawn from four values, and
+// seq decides what is left. Events enter through At, AtRunner,
+// AtRunnerKeyed and atRunnerStamped, from the driver and from inside
+// callbacks; callbacks also cancel, and runs are cut short by a horizon or
+// by Halt.
+//
+// The reference is stepped from inside the engine's callbacks: every pop
+// must be the reference's minimum, with Now, EventSeq, EventTa and EventTie
+// reading that event's key. Every Cancel verdict and Pending are compared
+// as they happen.
+func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
+	const grid = 1000
+	rng := rand.New(rand.NewSource(seed))
+	s := New()
+	if wheel {
+		s.UseWheel()
+	}
+	ref := &refEngine{}
+	type handle struct {
+		ev  *refEvent
+		ref EventRef
+	}
+	var handles []handle // every cancellable event scheduled so far, live or spent
+	var fired []firedEvent
+	nextID := 0
+	haltAfter := 0 // Halt once this many more events have fired, when > 0
+	halted := false
+	draining := false
+
+	cancelOne := func() {
+		if len(handles) == 0 {
+			return
+		}
+		// Recent handles are mostly live, old ones mostly spent.
+		recent := len(handles) - rng.Intn(min(len(handles), 2*depth+8)) - 1
+		h := handles[recent]
+		want := ref.cancel(h.ev)
+		if got := s.Cancel(h.ref); got != want {
+			t.Fatalf("depth %d: Cancel of event %d = %v, reference says %v", depth, h.ev.id, got, want)
+		}
+		if s.Cancel(h.ref) {
+			t.Fatalf("depth %d: second Cancel of event %d succeeded", depth, h.ev.id)
+		}
+	}
+	var schedule func()
+	onFire := func(id int) {
+		if len(ref.events) == 0 {
+			t.Fatalf("depth %d: engine fired event %d, reference is empty", depth, id)
+		}
+		want := heap.Pop(&ref.events).(*refEvent)
+		if want.id != id {
+			t.Fatalf("depth %d: pop %d fired event %d, reference pops %d %+v", depth, len(fired), id, want.id, want.key)
+		}
+		if got := (key{s.Now(), s.EventTa(), s.EventTie(), s.EventSeq()}); got != want.key {
+			t.Fatalf("depth %d: event %d sees key %+v inside its callback, scheduled with %+v", depth, id, got, want.key)
+		}
+		fired = append(fired, firedEvent{id, want.key})
+		if !draining {
+			for n := rng.Intn(3); n > 0 && s.Pending() < depth+2; n-- {
+				schedule()
+			}
+			if rng.Intn(8) == 0 {
+				cancelOne()
+			}
+		}
+		if haltAfter > 0 {
+			if haltAfter--; haltAfter == 0 {
+				s.Halt()
+				halted = true
+			}
+		}
+	}
+	schedule = func() {
+		id := nextID
+		nextID++
+		now := s.Now()
+		at := now + grid*Time(rng.Intn(4))
+		fn := func() { onFire(id) }
+		switch rng.Intn(4) {
+		case 0:
+			handles = append(handles, handle{ref.at(at, now, 0, id), s.At(at, fn)})
+		case 1:
+			handles = append(handles, handle{ref.at(at, now, 0, id), s.AtRunner(at, runnerFunc(fn))})
+		case 2:
+			tie := uint64(1 + rng.Intn(3))
+			handles = append(handles, handle{ref.at(at, now, tie, id), s.AtRunnerKeyed(at, tie, runnerFunc(fn))})
+		default:
+			ta := max(0, now-grid*Time(rng.Intn(3)))
+			tie := uint64(rng.Intn(4))
+			ref.at(at, ta, tie, id)
+			s.atRunnerStamped(at, ta, tie, runnerFunc(fn))
+		}
+	}
+
+	// Up to 300 driver steps, or until the queue has turned over ten times.
+	for op := 0; op < 300 && len(fired) < 10*depth+300; op++ {
+		for s.Pending() < depth {
+			schedule()
+		}
+		if rng.Intn(10) < 3 {
+			cancelOne()
+		} else {
+			// Most runs stop after a few events; a run to the horizon at
+			// full depth fires a quarter of the queue.
+			haltAfter, halted = 0, false
+			if rng.Intn(3) > 0 {
+				haltAfter = 1 + rng.Intn(4)
+			}
+			end := s.Now() + grid*Time(rng.Intn(2))
+			s.RunUntil(end)
+			// A run that was not halted leaves nothing at or before its
+			// horizon, and the clock on the horizon if anything is left.
+			if !halted && len(ref.events) > 0 {
+				if next := ref.events[0]; next.at <= end {
+					t.Fatalf("depth %d: RunUntil(%v) returned with event %d due at %v", depth, end, next.id, next.at)
+				}
+				if s.Now() != end {
+					t.Fatalf("depth %d: RunUntil(%v) left the clock at %v", depth, end, s.Now())
+				}
+			}
+		}
+		if s.Pending() != len(ref.events) {
+			t.Fatalf("depth %d op %d: Pending() = %d, reference holds %d", depth, op, s.Pending(), len(ref.events))
+		}
+	}
+	haltAfter, draining = 0, true
+	s.Run()
+	if s.Pending() != 0 || len(ref.events) != 0 {
+		t.Fatalf("depth %d: %d events left after the drain, reference holds %d", depth, s.Pending(), len(ref.events))
+	}
+	for _, h := range handles {
+		if s.Cancel(h.ref) {
+			t.Fatalf("depth %d: Cancel of event %d succeeded after the drain", depth, h.ev.id)
+		}
+	}
+	return fired
+}
+
+// tiedTimer re-arms itself one grid period later under its own tie, the
+// allocation-free shape of a netsim delivery.
+type tiedTimer struct {
+	s      *Sim
+	period Time
+	tie    uint64
+}
+
+func (r *tiedTimer) RunEvent() { r.s.AtRunnerKeyed(r.s.Now()+r.period, r.tie, r) }
+
+// TestDifferentialFullKeyForcedTies runs the lockstep history at the heap
+// shapes that matter — a lone event, a partial last sibling group, a few
+// levels, and the depth of a 1024-host cell — on the heap and on the wheel,
+// and requires one pop sequence from all three. It then checks that a heap
+// of that depth, with the same forced ties, pops and re-arms without
+// allocating.
+func TestDifferentialFullKeyForcedTies(t *testing.T) {
+	for _, depth := range []int{1, 5, 300, 20000} {
+		if depth > 300 && testing.Short() {
+			continue
+		}
+		onHeap := lockstep(t, depth, int64(depth), false)
+		onWheel := lockstep(t, depth, int64(depth), true)
+		if len(onHeap) != len(onWheel) {
+			t.Fatalf("depth %d: heap fired %d events, wheel %d", depth, len(onHeap), len(onWheel))
+		}
+		ties := 0
+		for i := range onHeap {
+			if onHeap[i] != onWheel[i] {
+				t.Fatalf("depth %d: pop %d is %+v on the heap, %+v on the wheel", depth, i, onHeap[i], onWheel[i])
+			}
+			if i > 0 && onHeap[i].at == onHeap[i-1].at {
+				ties++
+			}
+		}
+		if depth > 1 && ties < len(onHeap)/2 {
+			t.Errorf("depth %d: only %d of %d pops shared at with their predecessor; the history no longer forces ties", depth, ties, len(onHeap))
+		}
+
+		s := New()
+		for i := 0; i < depth; i++ {
+			r := &tiedTimer{s: s, period: Time(1+i%3) * 1000, tie: uint64(i % 4)}
+			s.AtRunnerKeyed(Time(i%5)*1000, r.tie, r)
+		}
+		for i := 0; i < 2*depth; i++ {
+			s.Step()
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 1000; i++ {
+				s.Step()
+			}
+		}); allocs != 0 {
+			t.Errorf("depth %d: 1000 steady-state pops allocate %.0f times, want 0", depth, allocs)
 		}
 	}
 }

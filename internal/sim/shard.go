@@ -249,17 +249,10 @@ func (g *ShardGroup) Pending() int {
 // PeekTime returns the earliest pending event time across the engine's
 // backends, or MaxTime when the queue is empty.
 func (s *Sim) PeekTime() Time {
-	if s.wheel != nil {
-		e, ok := s.wheel.peek(s.pool)
-		if !ok {
-			return MaxTime
-		}
-		return e.at
+	if next := s.head(); next != nil {
+		return next.at
 	}
-	if len(s.order) == 0 {
-		return MaxTime
-	}
-	return s.pool[s.order[0]].at
+	return MaxTime
 }
 
 // cmpHandoff orders a source outbox for barrier injection: destination

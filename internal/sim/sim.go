@@ -6,10 +6,11 @@
 // time, so simulations are fully deterministic: the same seed and the same
 // schedule produce the same execution, event for event (see DESIGN.md §1).
 //
-// Internally the queue is a slot-pooled indexed 4-ary min-heap: event
+// Internally the queue is a slot-pooled indexed 4-ary min-heap: callback
 // records live in a flat slice and are recycled through a free list on fire
-// or cancel, so a steady-state simulation schedules events without
-// allocating (DESIGN.md §2). EventRef is a (slot, generation) handle:
+// or cancel, heap entries carry the event key and the record's slot, so a
+// steady-state simulation schedules events without allocating (DESIGN.md
+// §2). EventRef is a (slot, generation) handle:
 // recycling a slot bumps its generation, so a stale handle held after its
 // event fired can never cancel the slot's next occupant.
 //
@@ -79,15 +80,15 @@ type Runner interface {
 	RunEvent()
 }
 
-// event is a pooled scheduled-callback record. Records are recycled through
-// Sim.free; gen distinguishes successive occupants of the same slot.
-// Exactly one of fn and runner is set.
+// key is the engine's event order: (at, ta, tie, seq), compared
+// lexicographically. It lives once per scheduled event, in the queue entry
+// of whichever backend holds it (heap or wheel), never in the pooled record.
 //
-// ta is the scheduling instant: the simulation time at which the event was
-// scheduled. tie is the structural tie-break key: 0 for locally scheduled
-// events (timers), and a nonzero channel key — (link+1)<<32 | per-link
-// counter for netsim deliveries — for channel events. The full event order
-// is (at, ta, tie, seq).
+// at is the firing time and ta the scheduling instant: the simulation time
+// at which the event was scheduled. tie is the structural tie-break key: 0
+// for locally scheduled events (timers), and a nonzero channel key —
+// (link+1)<<32 | per-link counter for netsim deliveries — for channel
+// events.
 //
 // ta and tie exist for the sharded engine (shard.go, DESIGN.md §14): the
 // order of two events must not depend on how the simulation is
@@ -100,11 +101,50 @@ type Runner interface {
 // partition-dependent for barrier-injected handoffs — is only reached by
 // events of one object's own making, whose relative seq order a shard
 // reproduces at any partitioning.
+//
+// key is four words on purpose: the compiler keeps a struct of at most
+// four fields in registers, so the entry being sifted never round-trips
+// through the stack.
+type key struct {
+	at  Time
+	ta  Time
+	tie uint64
+	seq uint64
+}
+
+// less reports whether k orders before o. Sequence numbers are unique, so
+// this is a strict total order and the pop sequence is independent of the
+// queue's internal layout. The receiver is the register side (the entry
+// being placed), o the memory side: its fields are loaded only as far as
+// the comparison reaches.
+func (k key) less(o *key) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	if k.ta != o.ta {
+		return k.ta < o.ta
+	}
+	if k.tie != o.tie {
+		return k.tie < o.tie
+	}
+	return k.seq < o.seq
+}
+
+// entry is one scheduled event in a queue backend: its key and the pool
+// slot holding its callback. gen is the slot's generation at schedule time;
+// only the wheel reads it (lazy cancellation, wheel.go) — the heap removes
+// canceled entries eagerly.
+type entry struct {
+	key
+	slot int32
+	gen  uint32
+}
+
+// event is a pooled scheduled-callback record. Records are recycled through
+// Sim.free; gen distinguishes successive occupants of the same slot.
+// Exactly one of fn and runner is set. The event's key lives in its queue
+// entry, which idx locates in the heap backend.
 type event struct {
-	at     Time
-	ta     Time // scheduling instant; orders same-at events before tie
-	tie    uint64
-	seq    uint64
 	fn     func()
 	runner Runner
 	idx    int32  // position in Sim.order, -1 while free or firing
@@ -137,7 +177,7 @@ type Sim struct {
 	firingTie uint64  // tie of the executing event, valid while firing != 0
 	pool      []event // slot-indexed event records
 	free      []int32 // recycled slots
-	order     []int32 // 4-ary min-heap of occupied slots, keyed by (at, seq)
+	order     []entry // 4-ary min-heap of scheduled events, keyed by (at, ta, tie, seq)
 	nRun      uint64
 	halted    bool
 
@@ -301,113 +341,132 @@ func (s *Sim) EventTie() uint64 {
 	return ^uint64(0)
 }
 
-// less orders slots by (time, scheduling instant, structural key,
-// sequence). Sequence numbers are unique, so this is a strict total order
-// and the pop sequence is independent of the heap's internal layout. The
-// ta and tie comparisons make the order partition-independent (see the
-// event doc): same-instant channel deliveries order by their canonical
-// channel key on the single engine exactly as barrier injection orders
-// them in sharded runs.
-func (s *Sim) less(a, b int32) bool {
-	ea, eb := &s.pool[a], &s.pool[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if ea.ta != eb.ta {
-		return ea.ta < eb.ta
-	}
-	if ea.tie != eb.tie {
-		return ea.tie < eb.tie
-	}
-	return ea.seq < eb.seq
-}
-
-// siftUp moves the slot at heap position i toward the root.
+// place writes the entry (k, slot) at heap position i, field by field: a
+// composite literal of five words would be assembled on the stack and
+// copied, and the heap never reads gen.
 //
 //pdq:hotpath
-func (s *Sim) siftUp(i int) {
-	slot := s.order[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !s.less(slot, s.order[p]) {
-			break
-		}
-		s.order[i] = s.order[p]
-		s.pool[s.order[i]].idx = int32(i)
-		i = p
-	}
-	s.order[i] = slot
+func (s *Sim) place(i int, k key, slot int32) {
+	e := &s.order[i]
+	e.key, e.slot = k, slot
 	s.pool[slot].idx = int32(i)
 }
 
-// siftDown moves the slot at heap position i toward the leaves and reports
-// whether it moved.
+// siftUp places the entry (k, slot) at heap position i or above: i is a
+// hole, and parents that order after k move down into it. The entry is
+// written once, at its final position.
 //
 //pdq:hotpath
-func (s *Sim) siftDown(i int) bool {
-	start := i
+func (s *Sim) siftUp(i int, k key, slot int32) {
+	for i > 0 {
+		p := (i - 1) / 4
+		pe := &s.order[p]
+		if !k.less(&pe.key) {
+			break
+		}
+		s.order[i] = *pe
+		s.pool[pe.slot].idx = int32(i)
+		i = p
+	}
+	s.place(i, k, slot)
+}
+
+// siftDown places the entry (k, slot) at heap position i or below: i is a
+// hole, and the least child moves up into it while it orders before k.
+//
+// Selecting the least of four children is where a pop spends its time, and
+// a four-field compare per child is four unpredictable branches. For a full
+// group the minimum is therefore taken on at alone, with conditional moves
+// instead of branches; only when two children share the least at (counted
+// the same way) does the full key decide among them.
+//
+//pdq:hotpath
+func (s *Sim) siftDown(i int, k key, slot int32) {
 	n := len(s.order)
-	slot := s.order[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if s.less(s.order[c], s.order[best]) {
-				best = c
+		if first+4 <= n {
+			c := s.order[first : first+4 : first+4]
+			a0, a1, a2, a3 := c[0].at, c[1].at, c[2].at, c[3].at
+			// Two semi-finals and a final; each flag is 1 when the later
+			// child is strictly earlier, so b is the first child at least.
+			m01, l01 := a0, 0
+			if a1 < a0 {
+				m01, l01 = a1, 1
+			}
+			m23, l23 := a2, 0
+			if a3 < a2 {
+				m23, l23 = a3, 1
+			}
+			least, l := m01, 0
+			if m23 < m01 {
+				least, l = m23, 1
+			}
+			b := l01 + l*(2+l23-l01)
+			same := 0
+			if a0 == least {
+				same++
+			}
+			if a1 == least {
+				same++
+			}
+			if a2 == least {
+				same++
+			}
+			if a3 == least {
+				same++
+			}
+			if same > 1 {
+				// b is the first child at least; the others sit behind it.
+				for j := b + 1; j < 4; j++ {
+					if c[j].at == least && c[j].less(&c[b].key) {
+						b = j
+					}
+				}
+			}
+			best = first + b
+		} else {
+			for c := first + 1; c < n; c++ {
+				if s.order[c].less(&s.order[best].key) {
+					best = c
+				}
 			}
 		}
-		if !s.less(s.order[best], slot) {
+		be := &s.order[best]
+		if k.less(&be.key) {
 			break
 		}
-		s.order[i] = s.order[best]
-		s.pool[s.order[i]].idx = int32(i)
+		s.order[i] = *be
+		s.pool[be.slot].idx = int32(i)
 		i = best
 	}
-	s.order[i] = slot
-	s.pool[slot].idx = int32(i)
-	return i > start
+	s.place(i, k, slot)
 }
 
-// heapRemove deletes heap position i, restoring the heap property.
+// heapRemove deletes heap position i, restoring the heap property: the last
+// leaf fills the hole, sifted up if it orders before the hole's parent and
+// down otherwise. Removing the last position (which is also how the heap
+// empties) touches no other entry.
 //
 //pdq:hotpath
 func (s *Sim) heapRemove(i int) {
 	n := len(s.order) - 1
-	last := s.order[n]
-	s.order = s.order[:n]
 	if i == n {
+		s.order = s.order[:n]
 		return
 	}
-	s.order[i] = last
-	s.pool[last].idx = int32(i)
-	if !s.siftDown(i) {
-		s.siftUp(i)
-	}
-}
-
-// popMin removes the earliest event from the heap and returns its slot.
-// The slot is NOT released; the caller still owns its fields.
-//
-//pdq:hotpath
-func (s *Sim) popMin() int32 {
-	top := s.order[0]
-	n := len(s.order) - 1
-	last := s.order[n]
+	last := &s.order[n]
+	k, slot := last.key, last.slot
 	s.order = s.order[:n]
-	if n > 0 {
-		s.order[0] = last
-		s.pool[last].idx = 0
-		s.siftDown(0)
+	if i > 0 && k.less(&s.order[(i-1)/4].key) {
+		s.siftUp(i, k, slot)
+	} else {
+		s.siftDown(i, k, slot)
 	}
-	s.pool[top].idx = -1
-	return top
 }
 
 // release recycles a slot: the callback is dropped (so it can be collected)
@@ -449,11 +508,11 @@ func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
 		slot = int32(len(s.pool) - 1)
 	}
 	ev := &s.pool[slot]
-	ev.at, ev.ta, ev.tie, ev.seq = t, ta, tie, s.seq
+	k := key{at: t, ta: ta, tie: tie, seq: s.seq}
 	s.seq++
 	if s.wheel != nil {
 		ev.idx = wheelIdx
-		s.wheel.insert(wheelEntry{at: t, ta: ta, tie: tie, seq: ev.seq, slot: slot, gen: ev.gen})
+		s.wheel.insert(entry{key: k, slot: slot, gen: ev.gen})
 		s.wheel.live++
 		if s.stats != nil {
 			s.stats.Scheduled.Inc()
@@ -461,12 +520,14 @@ func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
 		}
 		return slot
 	}
-	ev.idx = int32(len(s.order))
-	s.order = append(s.order, slot)
-	s.siftUp(len(s.order) - 1)
+	// Open a hole at the end and sift the new entry in from registers; it
+	// is written once, where it lands.
+	n := len(s.order)
+	s.order = append(s.order, entry{})
+	s.siftUp(n, k, slot)
 	if s.stats != nil {
 		s.stats.Scheduled.Inc()
-		s.stats.QueueHWM.Observe(int64(len(s.order)))
+		s.stats.QueueHWM.Observe(int64(n + 1))
 	}
 	return slot
 }
@@ -586,19 +647,21 @@ func (s *Sim) Run() { s.RunUntil(MaxTime) }
 //     bookkeeping; advancing to an arbitrary horizon would make MaxTime
 //     overflow-prone (Run is RunUntil(MaxTime)).
 func (s *Sim) RunUntil(end Time) {
-	if s.wheel != nil {
-		s.runWheel(end)
-		return
-	}
 	s.halted = false
-	for len(s.order) > 0 && !s.halted {
+	for !s.halted {
+		next := s.head()
+		if next == nil {
+			return
+		}
+		// The budget and the interrupt trip only while events remain, so
+		// the two backends panic (or not) at identical points of identical
+		// histories.
 		if s.maxEvents != 0 && s.nRun >= s.maxEvents {
 			panic(EventLimitError{Events: s.nRun, At: s.now})
 		}
 		if s.nRun&(interruptStride-1) == 0 && s.interrupted.Load() {
 			panic(InterruptError{Events: s.nRun, At: s.now})
 		}
-		next := &s.pool[s.order[0]]
 		if next.at > end {
 			s.now = end
 			return
@@ -607,73 +670,46 @@ func (s *Sim) RunUntil(end Time) {
 	}
 }
 
-// fire executes the event at the head of the queue, recycling its slot
+// head returns the earliest pending entry of the active backend without
+// consuming it, or nil when nothing is pending. The pointer is into the
+// backend's own storage and is good until the next schedule, cancel or
+// fire.
+//
+//pdq:hotpath
+func (s *Sim) head() *entry {
+	if s.wheel != nil {
+		return s.wheel.peek(s.pool)
+	}
+	if len(s.order) == 0 {
+		return nil
+	}
+	return &s.order[0]
+}
+
+// fire consumes and executes the entry head returned, recycling its slot
 // before the callback runs so the callback can immediately reschedule into
-// it. The event's seq is published through EventSeq for the duration.
+// it. The event's key is published through EventSeq, EventTa and EventTie
+// for the duration.
 //
 //pdq:hotpath
-func (s *Sim) fire(next *event) {
-	at, ta, tie, seq, fn, runner := next.at, next.ta, next.tie, next.seq, next.fn, next.runner
-	s.release(s.popMin())
-	s.now = at
-	s.nRun++
-	if s.stats != nil {
-		s.stats.Fired.Inc()
-	}
-	s.firing = seq + 1
-	s.firingTa = ta
-	s.firingTie = tie
-	if fn != nil {
-		fn()
-	} else {
-		runner.RunEvent()
-	}
-	s.firing = 0
-}
-
-// runWheel is RunUntil over the wheel backend: identical end-clock and
-// guard semantics, with peek/pop replacing the heap's root access.
-func (s *Sim) runWheel(end Time) {
-	s.halted = false
-	for !s.halted {
-		e, ok := s.wheel.peek(s.pool)
-		if !ok {
-			return
-		}
-		// Guard order matches the heap loop: budget and interrupt trip
-		// only while events remain, so the two backends panic (or not) at
-		// identical points of identical histories.
-		if s.maxEvents != 0 && s.nRun >= s.maxEvents {
-			panic(EventLimitError{Events: s.nRun, At: s.now})
-		}
-		if s.nRun&(interruptStride-1) == 0 && s.interrupted.Load() {
-			panic(InterruptError{Events: s.nRun, At: s.now})
-		}
-		if e.at > end {
-			s.now = end
-			return
-		}
-		s.fireWheel(e)
-	}
-}
-
-// fireWheel consumes and executes the entry peek returned, mirroring
-// fire's recycle-before-callback discipline.
-//
-//pdq:hotpath
-func (s *Sim) fireWheel(e wheelEntry) {
-	ev := &s.pool[e.slot]
+func (s *Sim) fire(head *entry) {
+	k, slot := head.key, head.slot
+	ev := &s.pool[slot]
 	fn, runner := ev.fn, ev.runner
-	s.wheel.pop()
-	s.release(e.slot)
-	s.now = e.at
+	if s.wheel != nil {
+		s.wheel.pop()
+	} else {
+		s.heapRemove(0)
+	}
+	s.release(slot)
+	s.now = k.at
 	s.nRun++
 	if s.stats != nil {
 		s.stats.Fired.Inc()
 	}
-	s.firing = e.seq + 1
-	s.firingTa = e.ta
-	s.firingTie = e.tie
+	s.firing = k.seq + 1
+	s.firingTa = k.ta
+	s.firingTie = k.tie
 	if fn != nil {
 		fn()
 	} else {
@@ -685,17 +721,10 @@ func (s *Sim) fireWheel(e wheelEntry) {
 // Step executes exactly one event if any is pending and reports whether an
 // event was executed.
 func (s *Sim) Step() bool {
-	if s.wheel != nil {
-		e, ok := s.wheel.peek(s.pool)
-		if !ok {
-			return false
-		}
-		s.fireWheel(e)
-		return true
-	}
-	if len(s.order) == 0 {
+	next := s.head()
+	if next == nil {
 		return false
 	}
-	s.fire(&s.pool[s.order[0]])
+	s.fire(next)
 	return true
 }

@@ -39,19 +39,6 @@ const (
 	wheelSlotMask = wheelSlots - 1
 )
 
-// wheelEntry is one scheduled event's position in a bucket: enough to
-// order it exactly ((at, ta, tie, seq), the heap's key) and to detect
-// lazy cancellation ((slot, gen) against the event pool, the EventRef
-// staleness rule).
-type wheelEntry struct {
-	at   Time
-	ta   Time   // scheduling instant; see event.ta
-	tie  uint64 // structural tie-break key; see event.tie
-	seq  uint64
-	slot int32
-	gen  uint32
-}
-
 // wheel is the hierarchical timer wheel state, owned by a Sim when the
 // wheel backend is selected.
 type wheel struct {
@@ -60,15 +47,15 @@ type wheel struct {
 	// level-0 slot width, and Sim.now <= cur at all times.
 	cur Time
 
-	bucket [wheelLevels][wheelSlots][]wheelEntry
+	bucket [wheelLevels][wheelSlots][]entry
 	occ    [wheelLevels][wheelSlots / 64]uint64 // occupancy bitmaps
 
 	// overflow holds entries beyond the top level's current page.
-	overflow []wheelEntry
+	overflow []entry
 
 	// buf is the sorted drain buffer for the level-0 slot the cursor last
 	// opened; entries are consumed from bufHead. Storage is recycled.
-	buf     []wheelEntry
+	buf     []entry
 	bufHead int
 
 	// live counts scheduled-and-not-canceled events. Only the Sim's
@@ -84,7 +71,7 @@ func levelShift(l int) uint { return uint(wheelShift0 + wheelBits*l) }
 // the past) merge into the sorted drain buffer.
 //
 //pdq:hotpath
-func (w *wheel) insert(e wheelEntry) {
+func (w *wheel) insert(e entry) {
 	if e.at < w.cur {
 		w.bufInsert(e)
 		return
@@ -104,17 +91,17 @@ func (w *wheel) insert(e wheelEntry) {
 // bufInsert merges e into the pending part of the sorted drain buffer.
 //
 //pdq:hotpath
-func (w *wheel) bufInsert(e wheelEntry) {
+func (w *wheel) bufInsert(e entry) {
 	lo, hi := w.bufHead, len(w.buf)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if entryLess(&w.buf[mid], &e) {
+		if w.buf[mid].less(&e.key) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	w.buf = append(w.buf, wheelEntry{})
+	w.buf = append(w.buf, entry{})
 	copy(w.buf[lo+1:], w.buf[lo:])
 	w.buf[lo] = e
 }
@@ -163,7 +150,7 @@ func trailingZeros64(v uint64) int {
 // takeBucket empties bucket (l, idx), clearing its occupancy bit, and
 // returns its entries. The returned slice aliases the bucket's storage;
 // the bucket keeps the capacity for reuse.
-func (w *wheel) takeBucket(l, idx int) []wheelEntry {
+func (w *wheel) takeBucket(l, idx int) []entry {
 	es := w.bucket[l][idx]
 	w.bucket[l][idx] = es[:0]
 	w.occ[l][idx/64] &^= 1 << (uint(idx) % 64)
@@ -274,12 +261,12 @@ func (w *wheel) spillOverflow() {
 
 // sortEntries orders entries by (at, ta, tie, seq) without allocating:
 // insertion sort below a small threshold, otherwise an in-place heapsort.
-func sortEntries(es []wheelEntry) {
+func sortEntries(es []entry) {
 	if len(es) <= 24 {
 		for i := 1; i < len(es); i++ {
 			e := es[i]
 			j := i - 1
-			for j >= 0 && entryLess(&e, &es[j]) {
+			for j >= 0 && e.less(&es[j].key) {
 				es[j+1] = es[j]
 				j--
 			}
@@ -297,16 +284,16 @@ func sortEntries(es []wheelEntry) {
 	}
 }
 
-func siftEntries(es []wheelEntry, i, n int) {
+func siftEntries(es []entry, i, n int) {
 	for {
 		c := 2*i + 1
 		if c >= n {
 			return
 		}
-		if c+1 < n && entryLess(&es[c], &es[c+1]) {
+		if c+1 < n && es[c].less(&es[c+1].key) {
 			c++
 		}
-		if !entryLess(&es[i], &es[c]) {
+		if !es[i].less(&es[c].key) {
 			return
 		}
 		es[i], es[c] = es[c], es[i]
@@ -314,31 +301,17 @@ func siftEntries(es []wheelEntry, i, n int) {
 	}
 }
 
-func entryLess(a, b *wheelEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.ta != b.ta {
-		return a.ta < b.ta
-	}
-	if a.tie != b.tie {
-		return a.tie < b.tie
-	}
-	return a.seq < b.seq
-}
-
-// peek returns the earliest pending entry without consuming it.
-func (w *wheel) peek(pool []event) (wheelEntry, bool) {
-	for {
-		if !w.ensure(pool) {
-			return wheelEntry{}, false
-		}
-		e := w.buf[w.bufHead]
+// peek returns the earliest pending entry without consuming it, or nil
+// when the wheel is empty.
+func (w *wheel) peek(pool []event) *entry {
+	for w.ensure(pool) {
+		e := &w.buf[w.bufHead]
 		if pool[e.slot].gen == e.gen && pool[e.slot].idx == wheelIdx {
-			return e, true
+			return e
 		}
 		w.bufHead++ // canceled after the buffer was built
 	}
+	return nil
 }
 
 // pop consumes the entry peek returned.

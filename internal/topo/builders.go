@@ -164,22 +164,82 @@ func Jellyfish(nSwitches, netDegree, hostsPerSwitch int, seed int64) *Topology {
 			t.connect(t.addHost(), sw)
 		}
 	}
-	// Random regular graph via the configuration model with restarts. At
-	// small sizes a single pairing is simple with probability only a few
-	// percent, so the retry budget must be generous.
-	for attempt := 0; ; attempt++ {
-		if attempt > 20000 {
+	for _, e := range regularGraph(nSwitches, netDegree, rng) {
+		t.connect(t.Switches[e[0]], t.Switches[e[1]])
+	}
+	return t
+}
+
+// The configuration model draws a simple d-regular graph with probability
+// about e^(-(d²-1)/4) per pairing: a few percent at d = 4, so regularGraph
+// allows pairingAttempts restarts (the budget the generator has always had)
+// — and below 10⁻⁸ over that whole budget past maxPairedDegree (10⁻²⁸ per
+// pairing at the paper's d = 16), where drawing pairings is wasted work.
+const (
+	pairingAttempts = 20001
+	maxPairedDegree = 10
+)
+
+// regularGraph draws a simple d-regular graph on n vertices. Up to
+// maxPairedDegree the pairings are drawn first, so every (n, d, seed) the
+// restart budget ever served keeps its edge list; higher degrees, and any
+// seed whose pairings all collide, are grown edge by edge.
+func regularGraph(n, d int, rng *rand.Rand) [][2]int {
+	if d <= maxPairedDegree {
+		for attempt := 0; attempt < pairingAttempts; attempt++ {
+			if edges, ok := pairRegular(n, d, rng); ok {
+				return edges
+			}
+		}
+	}
+	return growRegular(n, d, rng)
+}
+
+// growRegular builds a simple d-regular graph on n vertices the way the
+// Jellyfish paper does: join a random pair of non-adjacent vertices that
+// both have a free port until no such pair is left; if free ports remain
+// then (their owners are all adjacent to each other), remove a random edge,
+// which frees two more ports, and carry on.
+func growRegular(n, d int, rng *rand.Rand) [][2]int {
+	adjacent := make([]bool, n*n)
+	degree := make([]int, n)
+	set := func(e [2]int, on bool) {
+		adjacent[e[0]*n+e[1]] = on
+		delta := 1
+		if !on {
+			delta = -1
+		}
+		degree[e[0]] += delta
+		degree[e[1]] += delta
+	}
+	edges := make([][2]int, 0, n*d/2)
+	var open [][2]int // joinable pairs, u < v
+	for steps := 0; len(edges) < n*d/2; steps++ {
+		if steps > 1000*n*d {
 			panic("topo: jellyfish generation did not converge")
 		}
-		edges, ok := pairRegular(nSwitches, netDegree, rng)
-		if !ok {
+		open = open[:0]
+		for u := 0; u < n; u++ {
+			if degree[u] == d {
+				continue
+			}
+			for v := u + 1; v < n; v++ {
+				if degree[v] < d && !adjacent[u*n+v] {
+					open = append(open, [2]int{u, v})
+				}
+			}
+		}
+		if len(open) > 0 {
+			e := open[rng.Intn(len(open))]
+			set(e, true)
+			edges = append(edges, e)
 			continue
 		}
-		for _, e := range edges {
-			t.connect(t.Switches[e[0]], t.Switches[e[1]])
-		}
-		return t
+		i := rng.Intn(len(edges))
+		set(edges[i], false)
+		edges = append(edges[:i], edges[i+1:]...)
 	}
+	return edges
 }
 
 // pairRegular attempts to draw a simple d-regular graph on n vertices with

@@ -21,9 +21,10 @@ type Topology struct {
 	Switches []*netsim.Switch
 
 	adj  [][]*netsim.Link // outgoing links per NodeID
-	dist [][]int32        // BFS hop counts from each host's attachment, lazy
+	dist [][]int32        // BFS hop counts to each routed-to node, lazy (distTo)
 
-	candBuf []*netsim.Link // reusable equal-cost candidate buffer (pathVia)
+	candBuf  []*netsim.Link  // reusable equal-cost candidate buffer (pathVia)
+	queueBuf []netsim.NodeID // reusable BFS queue (distancesFrom)
 }
 
 // New creates an empty topology over a fresh network.
@@ -84,10 +85,9 @@ func (t *Topology) distancesFrom(src netsim.NodeID) []int32 {
 		d[i] = -1
 	}
 	d[src] = 0
-	queue := []netsim.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(t.queueBuf[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, l := range t.Adjacent(u) {
 			v := l.To.ID()
 			if d[v] < 0 {
@@ -96,6 +96,7 @@ func (t *Topology) distancesFrom(src netsim.NodeID) []int32 {
 			}
 		}
 	}
+	t.queueBuf = queue
 	return d
 }
 
@@ -127,17 +128,34 @@ func (t *Topology) Path(a, b *netsim.Host) []*netsim.Link {
 // candidate buffer is reused across calls — pick must not retain it — and
 // the returned path is sized exactly to the hop count, so building a path
 // costs one allocation.
+//
+// A destination with a single link is reached only through that link's far
+// end, so the walk descends the neighbour's distance field and the last hop
+// is appended: the single-homed hosts of a rack share one BFS instead of
+// running one each. The test is on the adjacency list, so multi-homed
+// servers (BCube, DCell) keep a field of their own. pick still sees the
+// last hop as a one-candidate choice, as it would at the end of a walk on
+// b's own field.
 func (t *Topology) pathVia(a, b netsim.NodeID, pick func([]*netsim.Link) *netsim.Link) []*netsim.Link {
 	if a == b {
 		return nil
 	}
-	d := t.distTo(b)
+	via := b
+	var last *netsim.Link
+	if out := t.Adjacent(b); len(out) == 1 && out[0].Peer != nil {
+		via, last = out[0].To.ID(), out[0].Peer
+	}
+	d := t.distTo(via)
 	if d[a] < 0 {
 		return nil
 	}
-	path := make([]*netsim.Link, 0, d[a])
+	hops := int(d[a])
+	if last != nil {
+		hops++
+	}
+	path := make([]*netsim.Link, 0, hops)
 	u := a
-	for u != b {
+	for u != via {
 		cands := t.candBuf[:0]
 		for _, l := range t.Adjacent(u) {
 			if d[l.To.ID()] == d[u]-1 {
@@ -151,6 +169,10 @@ func (t *Topology) pathVia(a, b netsim.NodeID, pick func([]*netsim.Link) *netsim
 		l := pick(cands)
 		path = append(path, l)
 		u = l.To.ID()
+	}
+	if last != nil {
+		t.candBuf = append(t.candBuf[:0], last)
+		path = append(path, pick(t.candBuf))
 	}
 	return path
 }

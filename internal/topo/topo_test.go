@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"pdq/internal/netsim"
@@ -166,6 +168,80 @@ func TestJellyfishDeterministic(t *testing.T) {
 	for i := range la {
 		if la[i].From.ID() != lb[i].From.ID() || la[i].To.ID() != lb[i].To.ID() {
 			t.Fatalf("link %d differs for same seed", i)
+		}
+	}
+}
+
+// linkDigest hashes the directed link list in creation order, which is what
+// link IDs, and so every tie-break downstream, depend on.
+func linkDigest(tp *Topology) uint64 {
+	h := fnv.New64a()
+	for _, l := range tp.Net.Links() {
+		fmt.Fprintf(h, "%d>%d,", l.From.ID(), l.To.ID())
+	}
+	return h.Sum64()
+}
+
+// TestJellyfishKeepsPairedGraphs pins the link lists of parameter sets the
+// restart-on-collision generator already built (digests recorded before it
+// learned to grow graphs): goldens and example scenarios hang off them.
+func TestJellyfishKeepsPairedGraphs(t *testing.T) {
+	for _, c := range []struct {
+		switches, degree, hostsPer int
+		seed                       int64
+		want                       uint64
+	}{
+		{8, 4, 2, 42, 0x1c7f156ebaa58c1},
+		{8, 4, 2, 1, 0xb66e0aee1d75dc6d},
+		{10, 4, 2, 7, 0xef3df297a4c29d89},
+		{12, 4, 1, 99, 0x94b0b52a9af76def},
+		{20, 5, 1, 3, 0x39af9ff8cbde8b},
+		{40, 3, 1, 11, 0xe2942900e10ae41b},
+	} {
+		if got := linkDigest(Jellyfish(c.switches, c.degree, c.hostsPer, c.seed)); got != c.want {
+			t.Errorf("Jellyfish(%d, %d, %d, %d): link digest %#x, want %#x", c.switches, c.degree, c.hostsPer, c.seed, got, c.want)
+		}
+	}
+}
+
+// TestJellyfishGrownGraphs covers the graphs the pairing model cannot
+// draw: the paper's degree 16 at every fig8d size (18 switches is the
+// tightest, one edge short of complete), and a low-degree seed whose
+// pairings all collide. Each must be simple, regular, connected and the
+// same graph again for the same seed.
+func TestJellyfishGrownGraphs(t *testing.T) {
+	for _, c := range []struct{ switches, degree int }{{18, 16}, {32, 16}, {64, 16}, {128, 16}, {16, 6}} {
+		tp := Jellyfish(c.switches, c.degree, 1, 5)
+		isSwitch := map[netsim.NodeID]bool{}
+		for _, sw := range tp.Switches {
+			isSwitch[sw.ID()] = true
+		}
+		for _, sw := range tp.Switches {
+			peers := map[netsim.NodeID]bool{}
+			for _, l := range tp.Adjacent(sw.ID()) {
+				to := l.To.ID()
+				if !isSwitch[to] {
+					continue
+				}
+				if to == sw.ID() || peers[to] {
+					t.Fatalf("%d switches: switch %d has a loop or parallel link to %d", c.switches, sw.ID(), to)
+				}
+				peers[to] = true
+			}
+			if len(peers) != c.degree {
+				t.Fatalf("%d switches: switch %d has network degree %d, want %d", c.switches, sw.ID(), len(peers), c.degree)
+			}
+		}
+		for _, d := range tp.distancesFrom(tp.Hosts[0].ID()) {
+			if d < 0 {
+				t.Fatalf("%d switches: graph is not connected", c.switches)
+			}
+		}
+		if linkDigest(tp) != linkDigest(Jellyfish(c.switches, c.degree, 1, 5)) {
+			t.Errorf("%d switches: same seed built a different graph", c.switches)
+		}
+		if linkDigest(tp) == linkDigest(Jellyfish(c.switches, c.degree, 1, 6)) {
+			t.Errorf("%d switches: seeds 5 and 6 built the same graph", c.switches)
 		}
 	}
 }
