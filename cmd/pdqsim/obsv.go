@@ -31,7 +31,7 @@ type obsvConfig struct {
 
 // wantsObserver reports whether any flag needs the metrics plane. When
 // none do, Opts.Obs stays nil and every instrumentation site reduces to
-// a nil check — the disabled path the benchdiff gate holds to ≤2%.
+// a nil check (BenchmarkObsvOverhead prices both sides).
 func (c obsvConfig) wantsObserver() bool {
 	return c.Progress || c.HTTPAddr != "" || c.MetricsOut != ""
 }

@@ -10,7 +10,10 @@
 // ones and pause the rest (§3.3). The package implements the complete
 // protocol:
 //
-//   - sender, receiver, and switch flow controller (Algorithms 1–3),
+//   - the switch flow controller (Algorithms 1–3) and the sender's and
+//     receiver's side of it — the scheduling header, T_S, the rate clamp —
+//     on the paced sender and receiver of internal/protocol/xfer, which
+//     PDQ shares with its RCP and D3 baselines,
 //   - the per-link rate controller (§3.3.3),
 //   - Early Start (seamless flow switching, §3.3.2),
 //   - Early Termination (§3.1),
@@ -114,7 +117,7 @@ func (c Config) withDefaults() Config {
 	if c.StaleTimeout == 0 {
 		c.StaleTimeout = 20 * sim.Millisecond
 	}
-	if c.Subflows == 0 {
+	if c.Subflows < 1 {
 		c.Subflows = 1
 	}
 	return c
@@ -173,23 +176,7 @@ func (a Criticality) Less(b Criticality) bool {
 	return a.Key.sub < b.Key.sub
 }
 
-// bytesToTime returns the time to push the given bytes at rate bps.
-func bytesToTime(bytes int64, bps int64) sim.Time {
-	if bps <= 0 {
-		return sim.MaxTime
-	}
-	return sim.Time(bytes * 8 * int64(sim.Second) / bps)
-}
-
-// headerDeadline converts an internal deadline to the header encoding
-// (0 = none) and back.
-func headerDeadline(d sim.Time) sim.Time {
-	if d == noDeadline {
-		return 0
-	}
-	return d
-}
-
+// internalDeadline decodes the header's deadline field (0 = none).
 func internalDeadline(d sim.Time) sim.Time {
 	if d == 0 {
 		return noDeadline

@@ -304,17 +304,10 @@ func TestConvergenceWithinBound(t *testing.T) {
 	}
 	tp.Sim().RunUntil(2 * sim.Millisecond) // >> Pmax+1 RTTs ≈ 450 µs
 	sending := 0
-	for _, sh := range sys.agents[0].sends {
-		for _, sub := range sh.subs {
-			if sub.rate > 0 {
-				sending++
-			}
-		}
-	}
-	for _, ag := range sys.agents[1:3] {
-		for _, sh := range ag.sends {
-			for _, sub := range sh.subs {
-				if sub.rate > 0 {
+	for _, ag := range sys.agents[:3] {
+		for _, w := range ag.sends {
+			for _, sub := range w.Pacers() {
+				if sub.Rate() > 0 {
 					sending++
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pdq/internal/netsim"
+	"pdq/internal/protocol/xfer"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
@@ -26,6 +27,7 @@ type System struct {
 	Logic     *SwitchLogic
 
 	agents []*Agent
+	xcfg   xfer.Config // the transport constants of Cfg, as the sender takes them
 }
 
 // Install attaches PDQ with the given configuration to every host and
@@ -37,14 +39,15 @@ func Install(t *topo.Topology, cfg Config) *System {
 		Sim:       t.Sim(),
 		Collector: workload.NewCollector(),
 	}
+	s.xcfg = xfer.Config{InitRTT: s.Cfg.InitRTT, RTOmin: s.Cfg.RTOmin, HdrBytes: netsim.SchedHdrWire}
 	s.Logic = NewSwitchLogic(&s.Cfg, len(t.Net.Links()))
 	for _, sw := range t.Switches {
 		sw.Logic = s.Logic
 	}
-	for i, h := range t.Hosts {
-		ag := &Agent{sys: s, host: h, index: i,
-			sends: map[netsim.FlowID]*flowShared{},
-			recvs: map[netsim.FlowID]*recvFlow{},
+	for _, h := range t.Hosts {
+		ag := &Agent{
+			sends: map[netsim.FlowID]*xfer.Window{},
+			recvs: map[netsim.FlowID]*xfer.Receiver{},
 		}
 		h.Agent = ag
 		h.Logic = s.Logic // hosts relay in server-centric topologies
@@ -75,9 +78,6 @@ func (s *System) Name() string {
 // sharded run the launch splits across the endpoints' owner engines
 // (startSharded); otherwise everything runs on the network's single Sim.
 func (s *System) Start(f workload.Flow) {
-	if f.Size <= 0 {
-		panic("core: flow size must be positive")
-	}
 	if f.Src == f.Dst {
 		panic("core: flow to self")
 	}
@@ -101,51 +101,46 @@ func (s *System) resolvePaths(f workload.Flow) [][]*netsim.Link {
 }
 
 func (s *System) launch(f workload.Flow) {
-	dst := s.agents[f.Dst]
-	dst.recvs[netsim.FlowID(f.ID)] = newRecvFlow(dst, f, s.Sim)
-	s.launchSender(f, s.resolvePaths(f), s.Sim)
+	s.launchReceiver(f)
+	s.launchSender(f, s.resolvePaths(f))
+}
+
+func (s *System) launchReceiver(f workload.Flow) {
+	s.agents[f.Dst].recvs[netsim.FlowID(f.ID)] = xfer.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f, s.Cfg.Subflows, capRate)
 }
 
 // startSharded schedules the receiver's creation on the destination
 // host's shard and the sender's on the source host's, both at f.Start.
 // The first SYN delivery is at least one lookahead after f.Start, so the
 // receiver exists before anything can reach it. All of a flow's sender
-// state (flowShared and its subflows) lives on the source shard; the
+// state (the window and its subflows) lives on the source shard; the
 // switch state its packets touch is per-link and shard-owned; the only
 // endpoint-shared structure, the collector, keeps per-endpoint fields
 // (DESIGN.md §14).
 func (s *System) startSharded(f workload.Flow) {
 	net := s.net()
 	paths := s.resolvePaths(f)
-	dst := s.agents[f.Dst]
-	dstSim := net.SimFor(s.Topo.Hosts[f.Dst].ID())
-	srcSim := net.SimFor(s.Topo.Hosts[f.Src].ID())
-	dstSim.At(f.Start, func() {
-		dst.recvs[netsim.FlowID(f.ID)] = newRecvFlow(dst, f, dstSim)
-	})
-	srcSim.At(f.Start, func() { s.launchSender(f, paths, srcSim) })
+	net.SimFor(s.Topo.Hosts[f.Dst].ID()).At(f.Start, func() { s.launchReceiver(f) })
+	net.SimFor(s.Topo.Hosts[f.Src].ID()).At(f.Start, func() { s.launchSender(f, paths) })
 }
 
-// launchSender builds the sender-side state of f on engine eng (the
-// source host's owner engine) and kicks off its subflows.
-func (s *System) launchSender(f workload.Flow, paths [][]*netsim.Link, eng *sim.Sim) {
-	src := s.agents[f.Src]
-	sh := &flowShared{flow: f, rmax: s.Topo.Hosts[f.Src].NICRate(), eng: eng}
-	sh.numPkts = int((f.Size + netsim.MSS - 1) / netsim.MSS)
-	sh.acked = make([]bool, sh.numPkts)
-	sh.sentAt = make([]sim.Time, sh.numPkts)
-	src.sends[netsim.FlowID(f.ID)] = sh
-
-	nsub := s.Cfg.Subflows
-	if nsub < 1 {
-		nsub = 1
+// launchSender builds the sender-side state of f — one window, one pacer
+// per subflow — on the source host's owner engine and kicks the subflows
+// off. The first subflow also carries the Early Termination timer.
+func (s *System) launchSender(f workload.Flow, paths [][]*netsim.Link) {
+	src := s.Topo.Hosts[f.Src]
+	w := xfer.NewWindow(src, s.Collector, &s.xcfg, f)
+	s.agents[f.Src].sends[netsim.FlowID(f.ID)] = w
+	subs := make([]subflow, s.Cfg.Subflows)
+	for i := range subs {
+		subs[i] = subflow{sys: s, rmax: src.NICRate(), pauseBy: netsim.PauseNone}
+		w.Attach(&subs[i].Pacer, paths[i%len(paths)], &subs[i])
 	}
-	for i := 0; i < nsub; i++ {
-		sub := &sender{ag: src, sh: sh, sub: i, path: paths[i%len(paths)]}
-		sh.subs = append(sh.subs, sub)
-	}
-	for _, sub := range sh.subs {
-		sub.start()
+	for i := range subs {
+		subs[i].Start()
+		if i == 0 && s.Cfg.EarlyTermination && f.HasDeadline() {
+			w.Sim().At(f.AbsDeadline()+1, subs[0].onDeadline)
+		}
 	}
 }
 
@@ -164,28 +159,28 @@ func (s *System) OnLinkState(l *netsim.Link, down bool) {
 		return
 	}
 	for _, ag := range s.agents {
-		for _, sh := range ag.sends {
-			s.failover(sh, l)
+		for _, w := range ag.sends {
+			s.failover(w, l)
 		}
 	}
 }
 
-// failover reroutes the subflows of sh that traverse either direction of
+// failover reroutes the subflows of w that traverse either direction of
 // the failed link l.
-func (s *System) failover(sh *flowShared, l *netsim.Link) {
+func (s *System) failover(w *xfer.Window, l *netsim.Link) {
 	var fresh []*netsim.Link
-	for _, sub := range sh.subs {
-		if !pathUses(sub.path, l) {
+	for _, sub := range w.Pacers() {
+		if !pathUses(sub.Path, l) {
 			continue
 		}
 		if fresh == nil {
-			src, dst := s.Topo.Hosts[sh.flow.Src], s.Topo.Hosts[sh.flow.Dst]
+			src, dst := s.Topo.Hosts[w.Flow.Src], s.Topo.Hosts[w.Flow.Dst]
 			fresh = s.Topo.PathExcluding(src, dst, (*netsim.Link).Down)
 			if fresh == nil {
 				return // no surviving route; stall and recover by RTO
 			}
 		}
-		sub.path = fresh
+		sub.Path = fresh
 	}
 }
 
@@ -209,11 +204,8 @@ func (s *System) FlowCollector() *workload.Collector { return s.Collector }
 // Agent is the per-host PDQ endpoint, demultiplexing packets to sender and
 // receiver flow state.
 type Agent struct {
-	sys   *System
-	host  *netsim.Host
-	index int
-	sends map[netsim.FlowID]*flowShared
-	recvs map[netsim.FlowID]*recvFlow
+	sends map[netsim.FlowID]*xfer.Window
+	recvs map[netsim.FlowID]*xfer.Receiver
 }
 
 // Receive implements netsim.Agent. A forward packet goes back out as its
@@ -223,11 +215,11 @@ type Agent struct {
 func (a *Agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
 	if pkt.Kind.Forward() {
 		if r := a.recvs[pkt.Flow]; r != nil {
-			r.onForward(pkt)
+			r.OnForward(pkt)
 			return
 		}
-	} else if sh := a.sends[pkt.Flow]; sh != nil && pkt.Subflow < len(sh.subs) {
-		sh.subs[pkt.Subflow].onAck(pkt)
+	} else if w := a.sends[pkt.Flow]; w != nil {
+		w.HandleAck(pkt)
 	}
 	pkt.Release()
 }

@@ -169,8 +169,8 @@ func Install(t *topo.Topology, cfg Config) *System {
 		sw.Logic = (*logic)(s)
 	}
 	for _, h := range t.Hosts {
-		ag := &agent{sys: s, host: h,
-			sends: map[netsim.FlowID]*sender{},
+		ag := &agent{
+			sends: map[netsim.FlowID]*xfer.Window{},
 			recvs: map[netsim.FlowID]*xfer.Receiver{},
 		}
 		h.Agent = ag
@@ -189,71 +189,76 @@ func (s *System) Start(f workload.Flow) {
 	s.Sim.At(f.Start, func() { s.launch(f) })
 }
 
-// sender wraps the shared transfer machinery with D3's demand computation
-// and quenching.
+// sender is D3's side of the shared transfer machinery: the demand
+// computation and quenching.
 type sender struct {
-	*xfer.Sender
+	xfer.Pacer
+	xfer.Plain
 	sys *System
+	nic int64
 }
 
 // desired is r = remaining / time-to-deadline for deadline flows.
 func (sd *sender) desired() int64 {
-	f := sd.Flow
-	if !f.HasDeadline() {
+	w := sd.Window()
+	if !w.Flow.HasDeadline() {
 		return 0
 	}
-	left := f.AbsDeadline() - sd.sys.Sim.Now()
+	left := w.Flow.AbsDeadline() - sd.sys.Sim.Now()
 	if left <= 0 {
 		return 0
 	}
-	return sd.Remaining() * 8 * int64(sim.Second) / int64(left)
+	return w.Remaining() * 8 * int64(sim.Second) / int64(left)
 }
 
 // quench terminates a flow that can no longer meet its deadline.
 func (sd *sender) quench() bool {
-	if sd.sys.Cfg.NoQuench || sd.Over() || !sd.Flow.HasDeadline() {
+	w := sd.Window()
+	if sd.sys.Cfg.NoQuench || w.Over() || !w.Flow.HasDeadline() {
 		return false
 	}
 	now := sd.sys.Sim.Now()
-	if now > sd.Flow.AbsDeadline() {
-		sd.sys.Collector.SetBytesAcked(sd.Flow.ID, sd.Flow.Size-sd.Remaining())
-		sd.sys.Collector.Terminate(sd.Flow.ID, now)
-		sd.Stop(netsim.TERM)
+	if now > w.Flow.AbsDeadline() {
+		sd.sys.Collector.SetBytesAcked(w.Flow.ID, w.Flow.Size-w.Remaining())
+		sd.sys.Collector.Terminate(w.Flow.ID, now)
+		w.Stop(netsim.TERM)
 		return true
 	}
 	return false
 }
 
-func (s *System) launch(f workload.Flow) {
-	src, dst := s.agents[f.Src], s.agents[f.Dst]
-	path := s.Topo.Path(s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst])
-	recv := xfer.NewReceiver(s.Sim, s.Topo.Net, f)
-	recv.OnDone = func() { s.Collector.Finish(f.ID, s.Sim.Now()) }
-	recv.CapRate = func(hdr any) {
-		if h, ok := hdr.(*Header); ok {
-			if nic := dst.host.NICRate(); h.Grant > nic {
-				h.Grant = nic
-			}
-		}
-	}
-	dst.recvs[netsim.FlowID(f.ID)] = recv
+// Stamp implements xfer.Hooks.
+func (sd *sender) Stamp(pkt *netsim.Packet) {
+	*netsim.HeaderOf[Header](pkt) = Header{Desired: sd.desired(), Grant: sd.nic}
+}
 
-	sd := &sender{sys: s}
-	nic := s.Topo.Hosts[f.Src].NICRate()
-	sd.Sender = xfer.New(s.Sim, s.Topo.Net, f, path, s.Cfg.Config, xfer.Callbacks{
-		Header: func(pkt *netsim.Packet) { *netsim.HeaderOf[Header](pkt) = Header{Desired: sd.desired(), Grant: nic} },
-		OnFeedback: func(hdr any) int64 {
-			if sd.quench() {
-				return 0
-			}
-			if h, ok := hdr.(*Header); ok {
-				return h.Grant
-			}
-			return 0
-		},
-	})
-	sd.Sender.Telemetry = s.Collector
-	src.sends[netsim.FlowID(f.ID)] = sd
+// Feedback implements xfer.Hooks. Quenching rides here, ahead of the
+// acknowledgment accounting.
+func (sd *sender) Feedback(pkt *netsim.Packet) int64 {
+	if sd.quench() {
+		return 0
+	}
+	if h, ok := pkt.Hdr.(*Header); ok {
+		return h.Grant
+	}
+	return 0
+}
+
+// capRate keeps the echoed grant within the receiver's NIC rate.
+func capRate(pkt *netsim.Packet, nic int64) {
+	if h, ok := pkt.Hdr.(*Header); ok && h.Grant > nic {
+		h.Grant = nic
+	}
+}
+
+func (s *System) launch(f workload.Flow) {
+	src, dst := s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]
+	s.agents[f.Dst].recvs[netsim.FlowID(f.ID)] = xfer.NewReceiver(dst, s.Collector, f, 1, capRate)
+
+	sd := &sender{sys: s, nic: src.NICRate()}
+	w := xfer.NewWindow(src, s.Collector, &s.Cfg.Config, f)
+	w.Attach(&sd.Pacer, s.Topo.Path(src, dst), sd)
+	s.agents[f.Src].sends[netsim.FlowID(f.ID)] = w
 	if !s.Cfg.NoQuench && f.HasDeadline() {
 		s.Sim.At(f.AbsDeadline()+1, func() { sd.quench() })
 	}
@@ -308,9 +313,7 @@ func (l *logic) Process(at netsim.Node, pkt *netsim.Packet, ingress, egress *net
 }
 
 type agent struct {
-	sys   *System
-	host  *netsim.Host
-	sends map[netsim.FlowID]*sender
+	sends map[netsim.FlowID]*xfer.Window
 	recvs map[netsim.FlowID]*xfer.Receiver
 }
 

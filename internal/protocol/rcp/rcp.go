@@ -108,8 +108,8 @@ func Install(t *topo.Topology, cfg Config) *System {
 		sw.Logic = (*logic)(s)
 	}
 	for _, h := range t.Hosts {
-		ag := &agent{sys: s, host: h,
-			sends: map[netsim.FlowID]*xfer.Sender{},
+		ag := &agent{
+			sends: map[netsim.FlowID]*xfer.Window{},
 			recvs: map[netsim.FlowID]*xfer.Receiver{},
 		}
 		h.Agent = ag
@@ -128,34 +128,41 @@ func (s *System) Start(f workload.Flow) {
 	s.Sim.At(f.Start, func() { s.launch(f) })
 }
 
-func (s *System) launch(f workload.Flow) {
-	src, dst := s.agents[f.Src], s.agents[f.Dst]
-	path := s.Topo.Path(s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst])
-	recv := xfer.NewReceiver(s.Sim, s.Topo.Net, f)
-	recv.OnDone = func() { s.Collector.Finish(f.ID, s.Sim.Now()) }
-	recv.CapRate = func(hdr any) {
-		if h, ok := hdr.(*Header); ok {
-			if nic := dst.host.NICRate(); h.Rate > nic {
-				h.Rate = nic
-			}
-		}
-	}
-	dst.recvs[netsim.FlowID(f.ID)] = recv
+// sender is RCP's side of the shared transfer machinery: every packet asks
+// for the NIC rate and the sender adopts what the switches left of it.
+type sender struct {
+	xfer.Pacer
+	xfer.Plain
+	nic int64
+}
 
-	var snd *xfer.Sender
-	nic := s.Topo.Hosts[f.Src].NICRate()
-	snd = xfer.New(s.Sim, s.Topo.Net, f, path, s.Cfg.Config, xfer.Callbacks{
-		Header: func(pkt *netsim.Packet) { *netsim.HeaderOf[Header](pkt) = Header{Rate: nic} },
-		OnFeedback: func(hdr any) int64 {
-			if h, ok := hdr.(*Header); ok {
-				return h.Rate
-			}
-			return 0
-		},
-	})
-	snd.Telemetry = s.Collector
-	src.sends[netsim.FlowID(f.ID)] = snd
-	snd.Start()
+// Stamp implements xfer.Hooks.
+func (sd *sender) Stamp(pkt *netsim.Packet) { *netsim.HeaderOf[Header](pkt) = Header{Rate: sd.nic} }
+
+// Feedback implements xfer.Hooks.
+func (sd *sender) Feedback(pkt *netsim.Packet) int64 {
+	if h, ok := pkt.Hdr.(*Header); ok {
+		return h.Rate
+	}
+	return 0
+}
+
+// capRate keeps the echoed rate within the receiver's NIC rate.
+func capRate(pkt *netsim.Packet, nic int64) {
+	if h, ok := pkt.Hdr.(*Header); ok && h.Rate > nic {
+		h.Rate = nic
+	}
+}
+
+func (s *System) launch(f workload.Flow) {
+	src, dst := s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]
+	s.agents[f.Dst].recvs[netsim.FlowID(f.ID)] = xfer.NewReceiver(dst, s.Collector, f, 1, capRate)
+
+	sd := &sender{nic: src.NICRate()}
+	w := xfer.NewWindow(src, s.Collector, &s.Cfg.Config, f)
+	w.Attach(&sd.Pacer, s.Topo.Path(src, dst), sd)
+	s.agents[f.Src].sends[netsim.FlowID(f.ID)] = w
+	sd.Start()
 }
 
 // Results returns a snapshot of all flow outcomes.
@@ -209,9 +216,7 @@ func (l *logic) Process(at netsim.Node, pkt *netsim.Packet, ingress, egress *net
 }
 
 type agent struct {
-	sys   *System
-	host  *netsim.Host
-	sends map[netsim.FlowID]*xfer.Sender
+	sends map[netsim.FlowID]*xfer.Window
 	recvs map[netsim.FlowID]*xfer.Receiver
 }
 

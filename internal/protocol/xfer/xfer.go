@@ -1,12 +1,18 @@
-// Package xfer provides the reliable explicit-rate transfer machinery
-// shared by the RCP and D3 baselines: packetization, a SYN handshake,
-// paced transmission at a switch-granted rate, probing while the granted
-// rate is zero, timeout-based retransmission, and TERM on completion.
+// Package xfer is the tree's one rate-paced, per-packet-acknowledged,
+// reliable sender and receiver: the paper's §3.1 machine — a SYN
+// handshake, data paced at the switch-granted rate, a probe every few
+// RTTs while the granted rate is zero, timeout and fast retransmission,
+// TERM on completion — which PDQ (internal/core) and its RCP and D3
+// baselines all run.
 //
-// It mirrors the sender machinery of the PDQ implementation
-// (internal/core) with the PDQ-specific scheduling state factored out into
-// callbacks, so each baseline defines only its header format and feedback
-// rule.
+// The sender comes in two halves. A Window is one flow: packetization,
+// the acknowledgment bitmap and the send window. A Pacer is one path of
+// that flow: granted rate, RTT estimate and the SYN, send, probe and RTO
+// timers. RCP and D3 attach one pacer to a window; Multipath PDQ attaches
+// one per subflow, all drawing unsent packets from the shared window,
+// which is what continuously shifts load from paused subflows to sending
+// ones (§6, DESIGN.md §5). A protocol defines only its header format and
+// feedback rule, as the Hooks of each pacer.
 package xfer
 
 import (
@@ -37,110 +43,161 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Callbacks let a protocol customize the sender.
-type Callbacks struct {
-	// Header stamps the protocol's scheduling header on an outgoing
-	// packet, in place on the header value riding with it
-	// (netsim.HeaderOf).
-	Header func(pkt *netsim.Packet)
-	// OnFeedback digests an acknowledgment header and returns the rate
-	// the sender should now use (0 pauses the sender, which then probes
-	// every RTT).
-	OnFeedback func(hdr any) int64
-	// OnComplete fires once when every byte has been acknowledged.
-	OnComplete func()
+// Hooks is a protocol's side of one pacer. The protocol's per-(sub)flow
+// object implements it and embeds the Pacer, so binding the hooks costs no
+// allocation.
+type Hooks interface {
+	// Stamp writes the protocol's scheduling header on an outgoing packet,
+	// in place on the header value riding with it (netsim.HeaderOf).
+	Stamp(pkt *netsim.Packet)
+	// Feedback digests an acknowledgment's header and returns the rate the
+	// pacer should now use; 0 pauses it, and it probes instead.
+	Feedback(pkt *netsim.Packet) int64
+	// ProbeRTTs is the probe interval of a paused pacer in RTTs (PDQ's
+	// I_S, §3.3.2); values below 1 mean one RTT.
+	ProbeRTTs() float64
+	// AfterAck runs once the acknowledgment is accounted for and the flow
+	// is still incomplete. It reports whether it stopped the flow (PDQ's
+	// Early Termination, which needs the updated byte count).
+	AfterAck() bool
 }
 
-// Sender drives one flow.
-type Sender struct {
+// Plain supplies the optional hooks for protocols that probe every RTT and
+// never stop a flow after an acknowledgment; embed it beside the Pacer.
+type Plain struct{}
+
+// ProbeRTTs implements Hooks.
+func (Plain) ProbeRTTs() float64 { return 1 }
+
+// AfterAck implements Hooks.
+func (Plain) AfterAck() bool { return false }
+
+// Window is the per-flow half of the sender, shared by the flow's pacers.
+type Window struct {
 	Flow workload.Flow
-	Path []*netsim.Link
 
-	// Telemetry, if non-nil, receives retransmit and preemption counts
-	// for the flow (set by the installing protocol system).
-	Telemetry *workload.Collector
-
-	sim *sim.Sim
+	eng *sim.Sim // source host's owner engine; every sender timer lives here
 	net *netsim.Network
-	cfg Config
-	cb  Callbacks
+	src netsim.NodeID
+	cfg *Config
+	tel *workload.Collector // retransmit and preemption counts
 
-	numPkts int
-	acked   []bool
-	sentAt  []sim.Time
+	acked   []bool     // per packet
+	sentAt  []sim.Time // last transmission time per packet; 0 = never
 	ackedN  int
 	ackedB  int64
-	nextPkt int
-	base    int
+	nextPkt int // lowest never-sent packet
+	base    int // lowest unacked packet (snd_una)
 	dup     int // acks beyond base while base is outstanding
-
-	rate     int64
-	rtt      sim.Time
-	synAcked bool
-	synTries int
-	sending  bool // had a positive rate; a drop back to 0 is a preemption
-	over     bool
-
-	sendPending  bool
-	lastSendAt   sim.Time
-	lastWire     int
-	probePending bool
-
-	synEv, sendEv, probeEv, rtoEv sim.EventRef
-
-	// Pre-bound callbacks, created once in New: the pacing loop schedules
-	// one event per data packet, and binding a method value at each
-	// scheduling site would allocate a closure per packet.
-	sendFn, probeFn, synFn, rtoWakeFn func()
+	pacers  []*Pacer
+	over    bool // completed or stopped; all activity has ceased
 }
 
-// New creates a sender for flow over path.
-func New(s *sim.Sim, net *netsim.Network, flow workload.Flow, path []*netsim.Link, cfg Config, cb Callbacks) *Sender {
+// NewWindow creates the send window of flow on host src. Outcome counters
+// go to tel.
+func NewWindow(src *netsim.Host, tel *workload.Collector, cfg *Config, flow workload.Flow) *Window {
 	if flow.Size <= 0 {
 		panic("xfer: flow size must be positive")
 	}
-	n := int((flow.Size + netsim.MSS - 1) / netsim.MSS)
-	snd := &Sender{
-		Flow: flow, Path: path, sim: s, net: net, cfg: cfg, cb: cb,
-		numPkts: n,
-		acked:   make([]bool, n),
-		sentAt:  make([]sim.Time, n),
+	n, net := numPackets(flow.Size), src.Network()
+	return &Window{
+		Flow: flow, eng: net.SimFor(src.ID()), net: net, src: src.ID(), cfg: cfg, tel: tel,
+		acked: make([]bool, n), sentAt: make([]sim.Time, n),
 	}
-	snd.sendFn = snd.sendOne
-	snd.probeFn = snd.sendProbe
-	snd.synFn = snd.sendSYN
-	snd.rtoWakeFn = snd.rtoWake
-	return snd
 }
 
-// Remaining returns the unacknowledged byte count.
-func (s *Sender) Remaining() int64 { return s.Flow.Size - s.ackedB }
+func numPackets(size int64) int { return int((size + netsim.MSS - 1) / netsim.MSS) }
 
-// Rate returns the current granted rate.
-func (s *Sender) Rate() int64 { return s.rate }
-
-// RTT returns the smoothed RTT estimate (InitRTT before the first sample).
-func (s *Sender) RTT() sim.Time {
-	if s.rtt > 0 {
-		return s.rtt
-	}
-	return s.cfg.InitRTT
-}
-
-// Over reports whether the sender has completed or been stopped.
-func (s *Sender) Over() bool { return s.over }
-
-func (s *Sender) payload(i int) int {
-	if i < s.numPkts-1 {
+// payload is the size of segment i of n carrying size bytes in total.
+func payload(size int64, n, i int) int {
+	if i < n-1 {
 		return netsim.MSS
 	}
-	return int(s.Flow.Size - int64(s.numPkts-1)*netsim.MSS)
+	return int(size - int64(n-1)*netsim.MSS)
 }
 
-func (s *Sender) rto() sim.Time {
-	r := 4 * s.RTT()
-	if r < s.cfg.RTOmin {
-		r = s.cfg.RTOmin
+// Sim returns the engine the window's timers run on.
+func (w *Window) Sim() *sim.Sim { return w.eng }
+
+// Remaining returns the unacknowledged byte count.
+func (w *Window) Remaining() int64 { return w.Flow.Size - w.ackedB }
+
+// Over reports whether the flow has completed or been stopped.
+func (w *Window) Over() bool { return w.over }
+
+// Pacers returns the attached pacers, indexed by subflow.
+func (w *Window) Pacers() []*Pacer { return w.pacers }
+
+// Attach initializes p as the window's next pacer — subflow len(Pacers())
+// — over path, driven by h.
+func (w *Window) Attach(p *Pacer, path []*netsim.Link, h Hooks) {
+	*p = Pacer{Path: path, w: w, hooks: h, sub: len(w.pacers)}
+	// Bound once: the pacing loop schedules one event per data packet, and
+	// a method value at each scheduling site would allocate per packet.
+	p.sendFn, p.probeFn, p.synFn, p.rtoWakeFn = p.sendOne, p.sendProbe, p.sendSYN, p.rtoWake
+	w.pacers = append(w.pacers, p)
+}
+
+// Stop halts every pacer and sends kind (normally TERM) along each path so
+// the switches release the flow's state.
+func (w *Window) Stop(kind netsim.Kind) {
+	if w.over {
+		return
+	}
+	w.over = true
+	for _, p := range w.pacers {
+		p.stopSending()
+		p.stopProbing()
+		w.eng.Cancel(p.synEv)
+		p.send(kind, 0, 0, netsim.ControlWire)
+	}
+}
+
+// Pacer is the per-path half of the sender. Path may be replaced while the
+// flow runs (failover); packets already in flight keep the old one.
+type Pacer struct {
+	Path []*netsim.Link
+
+	w     *Window
+	hooks Hooks
+	sub   int
+
+	rate       int64    // current granted rate
+	rtt        sim.Time // EWMA; 0 until the first sample
+	synTries   int
+	lastSendAt sim.Time // transmission time of the previous data packet
+	lastWire   int      // its wire size; pacing gap = lastWire at the current rate
+
+	synAcked     bool
+	sending      bool // had a positive rate; a drop back to 0 is a preemption
+	sendPending  bool
+	probePending bool
+
+	synEv, sendEv, probeEv, rtoEv     sim.EventRef
+	sendFn, probeFn, synFn, rtoWakeFn func()
+}
+
+// Window returns the flow state the pacer draws from.
+func (p *Pacer) Window() *Window { return p.w }
+
+// Rate returns the current granted rate.
+func (p *Pacer) Rate() int64 { return p.rate }
+
+// SRTT returns the smoothed RTT, 0 before the first sample.
+func (p *Pacer) SRTT() sim.Time { return p.rtt }
+
+// RTT returns the smoothed RTT estimate (InitRTT before the first sample).
+func (p *Pacer) RTT() sim.Time {
+	if p.rtt > 0 {
+		return p.rtt
+	}
+	return p.w.cfg.InitRTT
+}
+
+func (p *Pacer) rto() sim.Time {
+	r := 4 * p.RTT()
+	if r < p.w.cfg.RTOmin {
+		r = p.w.cfg.RTOmin
 	}
 	return r
 }
@@ -150,276 +207,286 @@ func (s *Sender) rto() sim.Time {
 // acknowledgment.
 //
 //pdq:hotpath
-func (s *Sender) send(kind netsim.Kind, seq int64, payload, wire int) {
-	src := s.Path[0].From.ID()
-	pkt := s.net.NewPacket(src)
-	pkt.Flow = netsim.FlowID(s.Flow.ID)
+func (p *Pacer) send(kind netsim.Kind, seq int64, payload, wire int) {
+	w := p.w
+	pkt := w.net.NewPacket(w.src)
+	pkt.Flow = netsim.FlowID(w.Flow.ID)
+	pkt.Subflow = p.sub
 	pkt.Kind = kind
-	pkt.Src = src
-	pkt.Dst = s.Path[len(s.Path)-1].To.ID()
+	pkt.Src = w.src
+	pkt.Dst = p.Path[len(p.Path)-1].To.ID()
 	pkt.Seq = seq
 	pkt.Payload = payload
 	pkt.Wire = wire
-	pkt.Path = s.Path
-	pkt.EchoSentAt = s.sim.Now()
-	s.cb.Header(pkt)
-	s.net.Send(pkt)
+	pkt.Path = p.Path
+	pkt.EchoSentAt = w.eng.Now()
+	p.hooks.Stamp(pkt)
+	w.net.Send(pkt)
+}
+
+// sendData (re)transmits segment idx.
+func (p *Pacer) sendData(idx int) int {
+	w := p.w
+	pay := payload(w.Flow.Size, len(w.acked), idx)
+	w.sentAt[idx] = w.eng.Now()
+	wire := pay + netsim.IPTCPHeader + w.cfg.HdrBytes
+	p.send(netsim.DATA, int64(idx)*netsim.MSS, pay, wire)
+	return wire
 }
 
 // Start begins the SYN handshake.
-func (s *Sender) Start() { s.sendSYN() }
+func (p *Pacer) Start() { p.sendSYN() }
 
-func (s *Sender) sendSYN() {
-	if s.over || s.synAcked {
+func (p *Pacer) sendSYN() {
+	if p.w.over || p.synAcked {
 		return
 	}
-	s.synTries++
-	if s.synTries > 10 {
-		return
+	p.synTries++
+	if p.synTries > 10 {
+		return // give up silently; the stale timeout cleans up switches
 	}
-	s.send(netsim.SYN, 0, 0, netsim.ControlWire)
-	s.synEv = s.sim.After(3*s.cfg.InitRTT*sim.Time(s.synTries), s.synFn)
+	p.send(netsim.SYN, 0, 0, netsim.ControlWire)
+	p.synEv = p.w.eng.After(3*p.w.cfg.InitRTT*sim.Time(p.synTries), p.synFn)
 }
 
-// Stop halts all activity and sends kind (normally TERM) to release switch
-// state.
-func (s *Sender) Stop(kind netsim.Kind) {
-	if s.over {
-		return
-	}
-	s.over = true
-	if s.sendPending {
-		s.sim.Cancel(s.sendEv)
-		s.sendPending = false
-	}
-	if s.probePending {
-		s.sim.Cancel(s.probeEv)
-		s.probePending = false
-	}
-	s.sim.Cancel(s.rtoEv)
-	s.sim.Cancel(s.synEv)
-	s.send(kind, 0, 0, netsim.ControlWire)
-}
-
-// HandleAck processes SYNACK/ACK/PROBEACK feedback. The packet stays the
-// caller's: the agent releases it afterwards.
+// HandleAck processes SYNACK, ACK and PROBEACK feedback on the pacer the
+// packet's subflow names: it adopts the path-wide rate decision, advances
+// the acknowledgment state and drives the send/probe machinery (§3.1).
+// The packet stays the caller's: the agent releases it afterwards.
 //
 //pdq:hotpath
-func (s *Sender) HandleAck(pkt *netsim.Packet) {
-	if s.over {
+func (w *Window) HandleAck(pkt *netsim.Packet) {
+	if w.over || pkt.Subflow >= len(w.pacers) {
 		return
 	}
+	p := w.pacers[pkt.Subflow]
 	if pkt.EchoSentAt > 0 {
-		sample := s.sim.Now() - pkt.EchoSentAt
-		if s.rtt == 0 {
-			s.rtt = sample
+		sample := w.eng.Now() - pkt.EchoSentAt
+		if p.rtt == 0 {
+			p.rtt = sample
 		} else {
-			s.rtt = (7*s.rtt + sample) / 8
+			p.rtt = (7*p.rtt + sample) / 8
 		}
 	}
-	s.rate = s.cb.OnFeedback(pkt.Hdr)
+	p.rate = p.hooks.Feedback(pkt)
 	switch pkt.Kind {
 	case netsim.SYNACK:
-		if !s.synAcked {
-			s.synAcked = true
-			s.sim.Cancel(s.synEv)
+		if !p.synAcked {
+			p.synAcked = true
+			w.eng.Cancel(p.synEv)
 		}
 	case netsim.ACK:
 		idx := int(pkt.Seq / netsim.MSS)
-		if idx >= 0 && idx < s.numPkts && !s.acked[idx] {
-			s.acked[idx] = true
-			s.ackedN++
-			s.ackedB += int64(s.payload(idx))
-			old := s.base
-			for s.base < s.numPkts && s.acked[s.base] {
-				s.base++
+		if idx >= 0 && idx < len(w.acked) && !w.acked[idx] {
+			w.acked[idx] = true
+			w.ackedN++
+			w.ackedB += int64(payload(w.Flow.Size, len(w.acked), idx))
+			old := w.base
+			for w.base < len(w.acked) && w.acked[w.base] {
+				w.base++
 			}
-			if s.base != old {
-				s.dup = 0
+			if w.base != old {
+				w.dup = 0
 			}
 		}
-		s.fastRetransmit(idx)
+		p.fastRetransmit(idx)
 	}
-	if s.ackedN == s.numPkts {
-		s.Stop(netsim.TERM)
-		if s.cb.OnComplete != nil {
-			s.cb.OnComplete()
-		}
+	if w.ackedN == len(w.acked) {
+		w.Stop(netsim.TERM)
 		return
 	}
-	if s.rate > 0 {
-		s.sending = true
-		if s.probePending {
-			s.sim.Cancel(s.probeEv)
-			s.probePending = false
+	if p.hooks.AfterAck() {
+		return
+	}
+	if p.rate > 0 {
+		p.sending = true
+		p.stopProbing()
+		// Re-arm the pacer at the new rate: a pending send scheduled under
+		// an older (slower) grant would otherwise stand.
+		if p.sendPending {
+			w.eng.Cancel(p.sendEv)
+			p.sendPending = false
 		}
-		if s.sendPending {
-			s.sim.Cancel(s.sendEv)
-			s.sendPending = false
-		}
-		s.ensureSending()
+		p.ensureSending()
 	} else {
-		if s.sending {
-			s.sending = false
-			if s.Telemetry != nil {
-				s.Telemetry.AddPreemption(s.Flow.ID)
-			}
+		if p.sending {
+			p.sending = false
+			w.tel.AddPreemption(w.Flow.ID)
 		}
-		if s.sendPending {
-			s.sim.Cancel(s.sendEv)
-			s.sendPending = false
-		}
-		s.sim.Cancel(s.rtoEv)
-		s.ensureProbing()
+		p.stopSending()
+		p.ensureProbing()
 	}
 }
 
-// fastRetransmit resends the oldest outstanding packet after three
-// acknowledgments for later packets (per-packet ACKs make this the
-// analogue of TCP's duplicate-ACK rule).
-func (s *Sender) fastRetransmit(ackedIdx int) {
-	if s.over || s.base >= s.numPkts || s.acked[s.base] || s.sentAt[s.base] == 0 {
+// fastRetransmit recovers lost packets without waiting for the RTO: three
+// acknowledgments for packets beyond the oldest outstanding one indicate a
+// hole (per-packet ACKs make this the analogue of TCP's duplicate-ACK
+// rule), so the oldest packet is resent immediately.
+func (p *Pacer) fastRetransmit(ackedIdx int) {
+	w := p.w
+	if w.over || w.base >= len(w.acked) || w.acked[w.base] || w.sentAt[w.base] == 0 {
 		return
 	}
-	if ackedIdx <= s.base || s.sim.Now()-s.sentAt[s.base] < s.RTT() {
+	// Ignore plain reordering across multipath subflows: only count acks
+	// once the hole is at least an RTT old.
+	if ackedIdx <= w.base || w.eng.Now()-w.sentAt[w.base] < p.RTT() {
 		return
 	}
-	s.dup++
-	if s.dup < 3 {
+	w.dup++
+	if w.dup < 3 {
 		return
 	}
-	s.dup = 0
-	idx := s.base
-	pay := s.payload(idx)
-	s.sentAt[idx] = s.sim.Now()
-	if s.Telemetry != nil {
-		s.Telemetry.AddRetransmit(s.Flow.ID)
-	}
-	wire := pay + netsim.IPTCPHeader + s.cfg.HdrBytes
-	s.send(netsim.DATA, int64(idx)*netsim.MSS, pay, wire)
+	w.dup = 0
+	w.tel.AddRetransmit(w.Flow.ID)
+	p.sendData(w.base)
 }
 
-func (s *Sender) ensureSending() {
-	if s.sendPending || s.over || !s.synAcked || s.rate <= 0 {
+// ensureSending schedules the paced send loop if it is not running. The
+// next transmission is one serialization time of the previous packet at
+// the *current* rate, so a rate increase immediately tightens the pacing
+// (and a decrease stretches it).
+func (p *Pacer) ensureSending() {
+	if p.sendPending || p.w.over || !p.synAcked {
 		return
 	}
-	now := s.sim.Now()
-	at := now
-	if s.lastWire > 0 {
-		if t := s.lastSendAt + rateTime(int64(s.lastWire), s.rate); t > at {
+	at := p.w.eng.Now()
+	if p.lastWire > 0 {
+		if t := p.lastSendAt + RateTime(int64(p.lastWire), p.rate); t > at {
 			at = t
 		}
 	}
-	s.sendPending = true
-	s.sendEv = s.sim.At(at, s.sendFn)
+	p.sendPending = true
+	p.sendEv = p.w.eng.At(at, p.sendFn)
 }
 
-func (s *Sender) sendOne() {
-	s.sendPending = false
-	if s.over || s.rate <= 0 {
+func (p *Pacer) stopSending() {
+	if p.sendPending {
+		p.w.eng.Cancel(p.sendEv)
+		p.sendPending = false
+	}
+	p.w.eng.Cancel(p.rtoEv)
+}
+
+// sendOne transmits the next packet: a timed-out retransmission first,
+// else the next unsent packet; then re-arms itself one serialization time
+// later at the current rate.
+func (p *Pacer) sendOne() {
+	p.sendPending = false
+	w := p.w
+	if w.over || p.rate <= 0 {
 		return
 	}
-	now := s.sim.Now()
-	idx := -1
+	now := w.eng.Now()
+	var idx int
 	switch {
-	case s.base < s.nextPkt && s.base < s.numPkts && !s.acked[s.base] &&
-		s.sentAt[s.base] > 0 && now-s.sentAt[s.base] > s.rto():
-		idx = s.base
-		if s.Telemetry != nil {
-			s.Telemetry.AddRetransmit(s.Flow.ID)
-		}
-	case s.nextPkt < s.numPkts:
-		idx = s.nextPkt
-		s.nextPkt++
-	case s.base < s.numPkts:
-		s.sim.Cancel(s.rtoEv)
-		wake := s.sentAt[s.base] + s.rto() + 1
+	case w.base < w.nextPkt && w.base < len(w.acked) && !w.acked[w.base] &&
+		w.sentAt[w.base] > 0 && now-w.sentAt[w.base] > p.rto():
+		idx = w.base // retransmit the oldest outstanding packet
+		w.tel.AddRetransmit(w.Flow.ID)
+	case w.nextPkt < len(w.acked):
+		idx = w.nextPkt
+		w.nextPkt++
+	case w.base < len(w.acked):
+		// Everything sent, waiting for acknowledgments: wake up when the
+		// oldest outstanding packet times out.
+		w.eng.Cancel(p.rtoEv)
+		wake := w.sentAt[w.base] + p.rto() + 1
 		if wake <= now {
 			wake = now + 1
 		}
-		s.rtoEv = s.sim.At(wake, s.rtoWakeFn)
+		p.rtoEv = w.eng.At(wake, p.rtoWakeFn)
 		return
 	default:
 		return
 	}
-	pay := s.payload(idx)
-	s.sentAt[idx] = now
-	wire := pay + netsim.IPTCPHeader + s.cfg.HdrBytes
-	s.send(netsim.DATA, int64(idx)*netsim.MSS, pay, wire)
-	s.lastSendAt = now
-	s.lastWire = wire
-	s.ensureSending()
+	p.lastWire = p.sendData(idx)
+	p.lastSendAt = now
+	p.ensureSending()
 }
 
-func (s *Sender) ensureProbing() {
-	if s.probePending || s.over {
+// ensureProbing arms the probe timer: a paused pacer sends a probe every
+// max(1, ProbeRTTs) RTTs to refresh its rate feedback (§3.1, §3.3.2).
+func (p *Pacer) ensureProbing() {
+	if p.probePending || p.w.over {
 		return
 	}
-	s.probePending = true
-	s.probeEv = s.sim.After(s.RTT(), s.probeFn)
+	mult := p.hooks.ProbeRTTs()
+	if mult < 1 {
+		mult = 1
+	}
+	p.probePending = true
+	p.probeEv = p.w.eng.After(sim.Time(mult*float64(p.RTT())), p.probeFn)
+}
+
+func (p *Pacer) stopProbing() {
+	if p.probePending {
+		p.w.eng.Cancel(p.probeEv)
+		p.probePending = false
+	}
 }
 
 // rtoWake resumes the send loop when the oldest outstanding packet's
 // retransmission timer expires.
-func (s *Sender) rtoWake() {
-	if !s.over && s.rate > 0 {
-		s.ensureSending()
+func (p *Pacer) rtoWake() {
+	if !p.w.over && p.rate > 0 {
+		p.ensureSending()
 	}
 }
 
-func (s *Sender) sendProbe() {
-	s.probePending = false
-	if s.over || s.rate > 0 {
+func (p *Pacer) sendProbe() {
+	p.probePending = false
+	if p.w.over || p.rate > 0 {
 		return
 	}
-	s.send(netsim.PROBE, 0, 0, netsim.ControlWire)
-	s.ensureProbing()
+	p.send(netsim.PROBE, 0, 0, netsim.ControlWire)
+	p.ensureProbing()
 }
 
-func rateTime(bytes, bps int64) sim.Time {
+// RateTime returns the time to push bytes at bps.
+func RateTime(bytes, bps int64) sim.Time {
 	if bps <= 0 {
 		return sim.MaxTime
 	}
 	return sim.Time(bytes * 8 * int64(sim.Second) / bps)
 }
 
-// Receiver is the shared receive-side state: it counts distinct delivered
-// bytes and echoes headers back on the reverse path.
+// Receiver is one flow's receive side: it counts distinct delivered bytes
+// and echoes every forward packet, header included, back on the reverse of
+// the path it came over. Multipath subflows share it — the paper's single
+// resequencing buffer (§6) — so completion is detected on the union of
+// bytes received over all paths.
 type Receiver struct {
-	Flow    workload.Flow
-	net     *netsim.Network
-	s       *sim.Sim
-	numPkts int
-	got     []bool
-	gotB    int64
-	done    bool
-	revPath []*netsim.Link
-	// CapRate, if non-nil, lets the receiver reduce the granted rate in
-	// the echoed header (receiver-capability clamp).
-	CapRate func(hdr any)
-	// OnDone fires when the last byte arrives.
-	OnDone func()
+	Flow workload.Flow
+
+	host  *netsim.Host
+	eng   *sim.Sim // destination host's owner engine
+	tel   *workload.Collector
+	clamp func(pkt *netsim.Packet, nic int64)
+
+	got      []bool // per packet
+	gotB     int64
+	done     bool
+	revPaths [][]*netsim.Link // cached ACK path, indexed by subflow
 }
 
-// NewReceiver creates receive state for flow.
-func NewReceiver(s *sim.Sim, net *netsim.Network, flow workload.Flow) *Receiver {
-	n := int((flow.Size + netsim.MSS - 1) / netsim.MSS)
-	return &Receiver{Flow: flow, net: net, s: s, numPkts: n, got: make([]bool, n)}
-}
-
-func (r *Receiver) payload(i int) int {
-	if i < r.numPkts-1 {
-		return netsim.MSS
+// NewReceiver creates the receive state of flow on host dst for the given
+// number of subflows. The last byte's arrival is reported to tel. clamp
+// lowers the rate granted in the echoed header to the receiver's own
+// capability, its NIC rate (§3.2).
+func NewReceiver(dst *netsim.Host, tel *workload.Collector, flow workload.Flow, subflows int, clamp func(pkt *netsim.Packet, nic int64)) *Receiver {
+	n := numPackets(flow.Size)
+	return &Receiver{
+		Flow: flow, host: dst, eng: dst.Network().SimFor(dst.ID()), tel: tel, clamp: clamp,
+		got: make([]bool, n), revPaths: make([][]*netsim.Link, subflows),
 	}
-	return int(r.Flow.Size - int64(r.numPkts-1)*netsim.MSS)
 }
 
 // Done reports whether all bytes have arrived.
 func (r *Receiver) Done() bool { return r.done }
 
-// OnForward processes a forward packet and sends it back as its own
-// acknowledgment, header included. A TERM is not answered, so its life
-// ends here.
+// OnForward handles SYN, DATA, PROBE and TERM: it records delivered bytes
+// and sends the packet back as its own acknowledgment, the scheduling
+// header riding along. A TERM is not answered, so its life ends here.
 //
 //pdq:hotpath
 func (r *Receiver) OnForward(pkt *netsim.Packet) {
@@ -430,23 +497,21 @@ func (r *Receiver) OnForward(pkt *netsim.Packet) {
 	}
 	if pkt.Kind == netsim.DATA && !r.done {
 		idx := int(pkt.Seq / netsim.MSS)
-		if idx >= 0 && idx < r.numPkts && !r.got[idx] {
+		if idx >= 0 && idx < len(r.got) && !r.got[idx] {
 			r.got[idx] = true
-			r.gotB += int64(r.payload(idx))
+			r.gotB += int64(payload(r.Flow.Size, len(r.got), idx))
 			if r.gotB >= r.Flow.Size {
 				r.done = true
-				if r.OnDone != nil {
-					r.OnDone()
-				}
+				r.tel.Finish(r.Flow.ID, r.eng.Now())
 			}
 		}
 	}
-	if r.revPath == nil {
-		r.revPath = netsim.ReversePath(pkt.Path)
+	rev := r.revPaths[pkt.Subflow]
+	if rev == nil {
+		rev = netsim.ReversePath(pkt.Path)
+		r.revPaths[pkt.Subflow] = rev
 	}
-	if r.CapRate != nil {
-		r.CapRate(pkt.Hdr)
-	}
-	pkt.TurnAround(r.revPath)
-	r.net.Send(pkt)
+	r.clamp(pkt, r.host.NICRate())
+	pkt.TurnAround(rev)
+	r.host.Network().Send(pkt)
 }

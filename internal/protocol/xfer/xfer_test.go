@@ -12,35 +12,81 @@ import (
 // fixedRate is a trivial rate header for tests.
 type fixedRate struct{ Rate int64 }
 
-// harness wires a sender and receiver over a single-bottleneck topology
-// with a constant granted rate.
-func harness(t *testing.T, size int64, rate int64) (*topo.Topology, *Sender, *Receiver) {
+// testHooks grants a constant (adjustable) rate. probeRTTs and stopAfter
+// exercise the two optional hooks.
+type testHooks struct {
+	Pacer
+	rate      int64
+	probeRTTs float64
+	stopAfter int64 // stop the flow from AfterAck once this many bytes are acked; 0 = never
+}
+
+func (h *testHooks) Stamp(pkt *netsim.Packet)          { netsim.HeaderOf[fixedRate](pkt).Rate = h.rate }
+func (h *testHooks) Feedback(pkt *netsim.Packet) int64 { return h.rate }
+func (h *testHooks) ProbeRTTs() float64                { return h.probeRTTs }
+func (h *testHooks) AfterAck() bool {
+	w := h.Window()
+	if h.stopAfter == 0 || w.Flow.Size-w.Remaining() < h.stopAfter {
+		return false
+	}
+	w.Stop(netsim.TERM)
+	return true
+}
+
+// rig is a window with one pacer per path and a receiver, wired to the
+// hosts of tp. kinds, segs and bySub count the forward packets arriving at
+// the receiver: by kind, and data packets by segment and by subflow.
+type rig struct {
+	tp    *topo.Topology
+	w     *Window
+	hooks []*testHooks
+	recv  *Receiver
+	kinds map[netsim.Kind]int
+	segs  map[int64]int
+	bySub map[int]int
+}
+
+func newRig(t *testing.T, tp *topo.Topology, src, dst int, size, rate int64, paths [][]*netsim.Link) *rig {
 	t.Helper()
-	tp := topo.SingleBottleneck(1, 1)
-	f := workload.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
-	path := tp.Path(tp.Hosts[0], tp.Hosts[1])
-	recv := NewReceiver(tp.Sim(), tp.Net, f)
-	var snd *Sender
-	snd = New(tp.Sim(), tp.Net, f, path, Config{}.WithDefaults(), Callbacks{
-		Header: func(pkt *netsim.Packet) { netsim.HeaderOf[fixedRate](pkt).Rate = rate },
-		OnFeedback: func(hdr any) int64 {
-			if h, ok := hdr.(*fixedRate); ok {
-				return h.Rate
-			}
-			return 0
-		},
-	})
-	tp.Hosts[0].Agent = agentFunc(func(pkt *netsim.Packet, _ *netsim.Link) {
+	f := workload.Flow{ID: 1, Src: src, Dst: dst, Size: size}
+	tel := workload.NewCollector()
+	tel.Register(f)
+	cfg := Config{}.WithDefaults()
+	r := &rig{tp: tp, kinds: map[netsim.Kind]int{}, segs: map[int64]int{}, bySub: map[int]int{}}
+	r.recv = NewReceiver(tp.Hosts[dst], tel, f, len(paths), func(*netsim.Packet, int64) {})
+	r.w = NewWindow(tp.Hosts[src], tel, &cfg, f)
+	for _, path := range paths {
+		h := &testHooks{rate: rate, probeRTTs: 1}
+		r.w.Attach(&h.Pacer, path, h)
+		r.hooks = append(r.hooks, h)
+	}
+	tp.Hosts[src].Agent = agentFunc(func(pkt *netsim.Packet, _ *netsim.Link) {
 		if !pkt.Kind.Forward() {
-			snd.HandleAck(pkt)
+			r.w.HandleAck(pkt)
 		}
+		pkt.Release()
 	})
-	tp.Hosts[1].Agent = agentFunc(func(pkt *netsim.Packet, _ *netsim.Link) {
-		if pkt.Kind.Forward() {
-			recv.OnForward(pkt)
+	tp.Hosts[dst].Agent = agentFunc(func(pkt *netsim.Packet, _ *netsim.Link) {
+		r.kinds[pkt.Kind]++
+		if pkt.Kind == netsim.DATA {
+			r.segs[pkt.Seq]++
+			r.bySub[pkt.Subflow]++
 		}
+		r.recv.OnForward(pkt)
 	})
-	return tp, snd, recv
+	return r
+}
+
+func (r *rig) start() {
+	for _, h := range r.hooks {
+		h.Start()
+	}
+}
+
+// harness is the one-path rig over a single-bottleneck star.
+func harness(t *testing.T, size, rate int64) *rig {
+	tp := topo.SingleBottleneck(1, 1)
+	return newRig(t, tp, 0, 1, size, rate, [][]*netsim.Link{tp.Path(tp.Hosts[0], tp.Hosts[1])})
 }
 
 type agentFunc func(*netsim.Packet, *netsim.Link)
@@ -48,108 +94,162 @@ type agentFunc func(*netsim.Packet, *netsim.Link)
 func (f agentFunc) Receive(pkt *netsim.Packet, l *netsim.Link) { f(pkt, l) }
 
 func TestTransferCompletes(t *testing.T) {
-	tp, snd, recv := harness(t, 300<<10, 1_000_000_000)
-	done := false
-	snd.cb.OnComplete = func() { done = true }
-	snd.Start()
-	tp.Sim().RunUntil(sim.Second)
-	if !recv.Done() {
+	r := harness(t, 300<<10, 1_000_000_000)
+	r.start()
+	r.tp.Sim().RunUntil(sim.Second)
+	if !r.recv.Done() {
 		t.Fatal("receiver incomplete")
 	}
-	if !done || !snd.Over() {
+	if !r.w.Over() {
 		t.Fatal("sender did not complete")
 	}
-	if snd.Remaining() != 0 {
-		t.Fatalf("remaining = %d", snd.Remaining())
+	if r.w.Remaining() != 0 {
+		t.Fatalf("remaining = %d", r.w.Remaining())
+	}
+	if r.kinds[netsim.TERM] != 1 {
+		t.Fatalf("receiver saw %d TERMs, want 1", r.kinds[netsim.TERM])
 	}
 }
 
 func TestPacingMatchesRate(t *testing.T) {
 	// At 100 Mbps, 100 KB should take ≈8.5 ms (plus handshake), not the
 	// ~1 ms it would at line rate.
-	tp, snd, recv := harness(t, 100<<10, 100_000_000)
-	snd.Start()
-	tp.Sim().RunUntil(sim.Second)
-	if !recv.Done() {
+	r := harness(t, 100<<10, 100_000_000)
+	r.start()
+	r.tp.Sim().RunUntil(sim.Second)
+	if !r.recv.Done() {
 		t.Fatal("incomplete")
 	}
-	now := tp.Sim().Now()
-	_ = now
 	// The last event time approximates completion.
-	if got := tp.Sim().Now(); got < 8*sim.Millisecond {
+	if got := r.tp.Sim().Now(); got < 8*sim.Millisecond {
 		t.Fatalf("completed too fast for 100 Mbps pacing: %v", got)
 	}
 }
 
 func TestZeroRatePausesAndProbes(t *testing.T) {
-	rate := int64(0)
-	tp := topo.SingleBottleneck(1, 1)
-	f := workload.Flow{ID: 1, Src: 0, Dst: 1, Size: 100 << 10}
-	path := tp.Path(tp.Hosts[0], tp.Hosts[1])
-	recv := NewReceiver(tp.Sim(), tp.Net, f)
-	var snd *Sender
-	snd = New(tp.Sim(), tp.Net, f, path, Config{}.WithDefaults(), Callbacks{
-		Header:     func(pkt *netsim.Packet) { netsim.HeaderOf[fixedRate](pkt).Rate = rate },
-		OnFeedback: func(hdr any) int64 { return rate },
-	})
-	probes := 0
-	tp.Hosts[0].Agent = agentFunc(func(pkt *netsim.Packet, _ *netsim.Link) {
-		if !pkt.Kind.Forward() {
-			snd.HandleAck(pkt)
-		}
-	})
-	tp.Hosts[1].Agent = agentFunc(func(pkt *netsim.Packet, _ *netsim.Link) {
-		if pkt.Kind == netsim.PROBE {
-			probes++
-		}
-		if pkt.Kind.Forward() {
-			recv.OnForward(pkt)
-		}
-	})
-	snd.Start()
-	tp.Sim().RunUntil(2 * sim.Millisecond)
-	if probes < 5 {
-		t.Fatalf("paused sender sent %d probes in 2 ms, want ~1/RTT", probes)
+	r := harness(t, 100<<10, 0)
+	r.start()
+	r.tp.Sim().RunUntil(2 * sim.Millisecond)
+	if r.kinds[netsim.PROBE] < 5 {
+		t.Fatalf("paused sender sent %d probes in 2 ms, want ~1/RTT", r.kinds[netsim.PROBE])
 	}
-	if recv.Done() {
+	if r.recv.Done() || r.kinds[netsim.DATA] != 0 {
 		t.Fatal("flow progressed despite zero rate")
 	}
 	// Unpause and let it finish.
-	rate = 1_000_000_000
-	tp.Sim().RunUntil(sim.Second)
-	if !recv.Done() {
+	r.hooks[0].rate = 1_000_000_000
+	r.tp.Sim().RunUntil(sim.Second)
+	if !r.recv.Done() {
 		t.Fatal("flow did not resume after unpause")
 	}
 }
 
+// TestProbeIntervalHonoursMultiplier pins the ProbeRTTs hook (PDQ's
+// Suppressed Probing): a paused pacer told to probe every 4 RTTs sends a
+// quarter of the probes, and a multiplier below 1 means one RTT.
+func TestProbeIntervalHonoursMultiplier(t *testing.T) {
+	probes := func(mult float64) int {
+		r := harness(t, 100<<10, 0)
+		r.hooks[0].probeRTTs = mult
+		r.start()
+		r.tp.Sim().RunUntil(4 * sim.Millisecond)
+		return r.kinds[netsim.PROBE]
+	}
+	every, floor, fourth := probes(1), probes(0.2), probes(4)
+	if floor != every {
+		t.Errorf("multiplier 0.2 sent %d probes, want the every-RTT count %d", floor, every)
+	}
+	if fourth < every/4-1 || fourth > every/4+1 {
+		t.Errorf("multiplier 4 sent %d probes, want about a quarter of %d", fourth, every)
+	}
+}
+
+// TestPacersShareOneWindow pins the multipath contract: N pacers drawing
+// from one window never send a segment twice, and the flow completes on
+// the union of their acknowledgments.
+func TestPacersShareOneWindow(t *testing.T) {
+	tp := topo.BCube(2, 3, 1)
+	paths := tp.Paths(tp.Hosts[0], tp.Hosts[15], 3)
+	if len(paths) < 2 {
+		t.Fatalf("BCube offered %d paths, need at least 2", len(paths))
+	}
+	r := newRig(t, tp, 0, 15, 2<<20, 1_000_000_000, paths)
+	r.start()
+	tp.Sim().RunUntil(sim.Second)
+	if !r.recv.Done() || !r.w.Over() {
+		t.Fatal("multipath transfer incomplete")
+	}
+	if want := numPackets(r.w.Flow.Size); len(r.segs) != want {
+		t.Fatalf("receiver saw %d distinct segments, want %d", len(r.segs), want)
+	}
+	for seq, n := range r.segs {
+		if n != 1 {
+			t.Fatalf("segment at %d sent %d times on a loss-free network", seq, n)
+		}
+	}
+	for i := range paths {
+		if r.bySub[i] == 0 {
+			t.Errorf("subflow %d carried no data", i)
+		}
+	}
+	if r.kinds[netsim.TERM] != len(paths) {
+		t.Errorf("receiver saw %d TERMs, want one per path (%d)", r.kinds[netsim.TERM], len(paths))
+	}
+}
+
+// TestAfterAckCanStopTheFlow pins the post-accounting hook (PDQ's Early
+// Termination): it sees the updated byte count, its stop ends the flow,
+// and nothing is scheduled afterwards.
+func TestAfterAckCanStopTheFlow(t *testing.T) {
+	r := harness(t, 10<<20, 1_000_000_000)
+	r.hooks[0].stopAfter = 100 << 10
+	r.start()
+	r.tp.Sim().RunUntil(sim.Second)
+	if !r.w.Over() {
+		t.Fatal("AfterAck's stop did not end the flow")
+	}
+	acked := r.w.Flow.Size - r.w.Remaining()
+	if acked < 100<<10 || acked >= 100<<10+netsim.MSS {
+		t.Errorf("stopped at %d acked bytes, want the first ack reaching %d", acked, 100<<10)
+	}
+	if r.kinds[netsim.TERM] != 1 {
+		t.Errorf("receiver saw %d TERMs, want 1", r.kinds[netsim.TERM])
+	}
+	if n := r.tp.Sim().Pending(); n != 0 {
+		t.Errorf("%d events still pending after the flow stopped and the network drained", n)
+	}
+}
+
 func TestLossRecovery(t *testing.T) {
-	tp, snd, recv := harness(t, 200<<10, 1_000_000_000)
-	l := tp.Hosts[1].Access.Peer
+	r := harness(t, 200<<10, 1_000_000_000)
+	l := r.tp.Hosts[1].Access.Peer
 	l.LossRate = 0.05
 	l.Peer.LossRate = 0.05
-	snd.Start()
-	tp.Sim().RunUntil(10 * sim.Second)
-	if !recv.Done() {
+	r.start()
+	r.tp.Sim().RunUntil(10 * sim.Second)
+	if !r.recv.Done() {
 		t.Fatal("transfer lost under 5% bidirectional loss")
 	}
 }
 
 func TestStopReleases(t *testing.T) {
-	tp, snd, _ := harness(t, 10<<20, 1_000_000_000)
-	snd.Start()
-	tp.Sim().RunUntil(2 * sim.Millisecond)
-	snd.Stop(netsim.TERM)
-	if !snd.Over() {
+	r := harness(t, 10<<20, 1_000_000_000)
+	r.start()
+	r.tp.Sim().RunUntil(2 * sim.Millisecond)
+	r.w.Stop(netsim.TERM)
+	if !r.w.Over() {
 		t.Fatal("Stop did not mark sender over")
 	}
-	before := tp.Sim().Processed()
-	tp.Sim().RunUntil(sim.Second)
+	before := r.tp.Sim().Processed()
+	r.tp.Sim().RunUntil(sim.Second)
 	// Only the in-flight tail should drain; no new sends after Stop.
-	if tp.Sim().Processed()-before > 200 {
-		t.Fatalf("too many events after Stop: %d", tp.Sim().Processed()-before)
+	if r.tp.Sim().Processed()-before > 200 {
+		t.Fatalf("too many events after Stop: %d", r.tp.Sim().Processed()-before)
 	}
 }
 
+// TestBadFlowSizePanics is the one answer to flow.Size <= 0 for every
+// protocol on this sender (PDQ, RCP, D3).
 func TestBadFlowSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -157,5 +257,6 @@ func TestBadFlowSizePanics(t *testing.T) {
 		}
 	}()
 	tp := topo.SingleBottleneck(1, 1)
-	New(tp.Sim(), tp.Net, workload.Flow{ID: 1, Src: 0, Dst: 1}, tp.Path(tp.Hosts[0], tp.Hosts[1]), Config{}.WithDefaults(), Callbacks{})
+	cfg := Config{}.WithDefaults()
+	NewWindow(tp.Hosts[0], workload.NewCollector(), &cfg, workload.Flow{ID: 1, Src: 0, Dst: 1})
 }

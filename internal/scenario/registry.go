@@ -77,6 +77,10 @@ type RunnerEntry struct {
 	// only these act on RunCtx.Shards. Informational here — the actual
 	// gate is baked into the RunnerFunc by mkPacketShardable.
 	ShardSafe bool
+	// Check, if set, validates the resolved parameter values at compile
+	// time, so a value Make cannot honor is an error before any cell
+	// runs rather than a failed cell.
+	Check func(p map[string]float64) error
 	// Make binds params and the cell's base seed into a RunnerFunc. The
 	// returned func may be invoked multiple times (replicate averaging)
 	// and must build fresh protocol state per invocation.
@@ -237,15 +241,11 @@ func namesOf[E any](reg map[string]E) []string {
 // MakeRunner resolves a runner name and binds validated params and the
 // base seed into a ready-to-call RunnerFunc.
 func MakeRunner(name string, given map[string]float64, seed int64) (RunnerFunc, error) {
-	e, ok := runners[name]
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown runner %q (available: %v)", name, RunnerNames())
-	}
-	p, err := params.Resolve("runner", name, e.Params, given)
+	bound, _, _, err := bindRunner(name, given)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	return e.Make(p, seed), nil
+	return bound(seed), nil
 }
 
 // bindMetric resolves a metric name into a closed-over evaluator; the

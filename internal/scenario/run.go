@@ -726,7 +726,7 @@ func compileRow(s *Spec, ps ProtoSpec, cols []column) (*row, error) {
 		}
 		bound, rp, level, err := bindRunner(ps.Runner, params)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("row %q: %w", r.label, err)
 		}
 		if level != "packet" && ps.Qdisc != nil {
 			return nil, fmt.Errorf("row %q: qdisc %q needs a packet-level runner, %q is %s-level",
@@ -752,6 +752,9 @@ func bindRunner(name string, given map[string]float64) (func(seed int64) RunnerF
 		return nil, nil, "", fmt.Errorf("unknown runner %q (available: %v)", name, RunnerNames())
 	}
 	p, err := params.Resolve("runner", name, e.Params, given)
+	if err == nil && e.Check != nil {
+		err = e.Check(p)
+	}
 	if err != nil {
 		return nil, nil, "", err
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"log/slog"
+	"math"
 
 	"pdq/internal/core"
 	"pdq/internal/flowsim"
@@ -310,6 +311,15 @@ func pdqParams() map[string]float64 {
 	return map[string]float64{"subflows": 0}
 }
 
+// pdqCheck rejects a subflow count pdqMake's int conversion would
+// truncate or core could not build.
+func pdqCheck(p map[string]float64) error {
+	if n := p["subflows"]; n < 0 || n != math.Trunc(n) {
+		return fmt.Errorf("parameter \"subflows\" = %v: want a non-negative integer", n)
+	}
+	return nil
+}
+
 // flowMake binds one flow-level allocator family into a Make function.
 // A fresh allocator is built per invocation, matching the packet-level
 // runners' fresh-state-per-run semantics. The flow-level simulator
@@ -338,19 +348,19 @@ func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator) fu
 func init() {
 	RegisterRunner(RunnerEntry{
 		Name: "PDQ(Full)", Doc: "PDQ with Early Start, Early Termination and Suppressed Probing", Level: "packet", ShardSafe: true,
-		Params: pdqParams(), Make: pdqMake(core.Full),
+		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.Full),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "PDQ(ES+ET)", Doc: "PDQ with Early Start and Early Termination", Level: "packet", ShardSafe: true,
-		Params: pdqParams(), Make: pdqMake(core.ESET),
+		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.ESET),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "PDQ(ES)", Doc: "PDQ with Early Start only", Level: "packet", ShardSafe: true,
-		Params: pdqParams(), Make: pdqMake(core.ES),
+		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.ES),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "PDQ(Basic)", Doc: "preemptive scheduling without the §4 optimizations", Level: "packet", ShardSafe: true,
-		Params: pdqParams(), Make: pdqMake(core.Basic),
+		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.Basic),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "D3", Doc: "Deadline-Driven Delivery (packet level)", Level: "packet",

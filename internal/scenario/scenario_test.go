@@ -47,6 +47,12 @@ func TestUnknownNamesError(t *testing.T) {
 		{"sizes", func(s *Spec) { s.Workload.Sizes.Name = "nope" }, `unknown size distribution "nope"`},
 		{"runner", func(s *Spec) { s.Protocols = []ProtoSpec{{Runner: "nope"}} }, `unknown runner "nope"`},
 		{"runner param", func(s *Spec) { s.Protocols = []ProtoSpec{{Runner: "flow:RCP", Params: map[string]float64{"nope": 1}}} }, `unknown parameter "nope"`},
+		{"negative subflows", func(s *Spec) {
+			s.Protocols = []ProtoSpec{{Label: "mp", Runner: "PDQ(Full)", Params: map[string]float64{"subflows": -1}}}
+		}, `row "mp": parameter "subflows" = -1`},
+		{"fractional subflows", func(s *Spec) {
+			s.Protocols = []ProtoSpec{{Runner: "PDQ(Basic)", Params: map[string]float64{"subflows": 2.5}}}
+		}, `row "PDQ(Basic)": parameter "subflows" = 2.5`},
 		{"analytic", func(s *Spec) { s.Protocols = []ProtoSpec{{Analytic: "nope"}} }, `unknown analytic "nope"`},
 		{"metric", func(s *Spec) { s.Metric.Name = "nope" }, `unknown metric "nope"`},
 		{"driver", func(s *Spec) { s.Driver = "nope" }, `unknown driver "nope"`},
