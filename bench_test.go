@@ -434,3 +434,43 @@ func BenchmarkFlowAllocators(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFlowSimRun measures the real mix BenchmarkFlowAllocators
+// leaves out: a whole flow-level run — 320 permutation flows on a k=8
+// fat-tree with staggered starts — so every Allocate sees a flow set that
+// differs from the last by an arrival or a completion, the order lists
+// are repaired rather than found sorted, and set-up (paths, flow states,
+// a fresh allocator) is on the clock as it is in a sweep cell.
+func BenchmarkFlowSimRun(b *testing.B) {
+	tp := topo.FatTree(8, 1)
+	g := workload.NewGen(3, workload.UniformMean(100<<10), workload.MeanDeadlineDflt)
+	flows := g.Batch(320, workload.Permutation{}, len(tp.Hosts), nil, 0)
+	for i := range flows {
+		flows[i].Start = sim.Time(i) * 20 * sim.Microsecond
+	}
+	for _, mk := range []func() flowsim.Allocator{
+		func() flowsim.Allocator { return flowsim.NewPDQ(flowsim.CritPerfect, 1) },
+		func() flowsim.Allocator { return flowsim.NewRCP() },
+		func() flowsim.Allocator { return flowsim.NewD3() },
+	} {
+		b.Run(mk().Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			done := 0
+			for i := 0; i < b.N; i++ {
+				s := flowsim.New(tp, mk())
+				for _, f := range flows {
+					s.Start(f)
+				}
+				s.Run(2 * sim.Second)
+				for _, r := range s.Results() {
+					if r.Done() {
+						done++
+					}
+				}
+			}
+			if done == 0 {
+				b.Fatal("no flow finished")
+			}
+		})
+	}
+}

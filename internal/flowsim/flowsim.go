@@ -13,12 +13,22 @@
 //     (Fig. 10), and flow aging (Fig. 12);
 //   - RCP: max-min fair sharing (also D3's behavior without deadlines);
 //   - D3: arrival-order greedy reservation plus fair share of the rest.
+//
+// A run makes a few hundred Allocate calls whose flow sets differ by a
+// completion or an arrival, so the allocators are built to cost what
+// changed rather than what exists: PDQ and D3 keep their service order
+// between calls and repair it, RCP's water-filling walks only the flows
+// and links not yet frozen, and per-flow constants are derived once per
+// call. None of it moves a bit of any rate: alloc_ref_test.go holds the
+// plain full-recompute allocators, and the differential and fuzz tests
+// compare every rate's float64 bits against them (DESIGN.md §4).
 package flowsim
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pdq/internal/netsim"
 	"pdq/internal/sim"
@@ -34,7 +44,9 @@ const goodput = float64(netsim.MSS) / float64(netsim.MTU)
 // handshake plus one RTT for the first data round trip (§5.4).
 const InitLatency = 300 * sim.Microsecond
 
-// FlowState is one flow during a flow-level run.
+// FlowState is one flow during a flow-level run. The exported fields are
+// the model's state and a literal-built FlowState is valid input to an
+// allocator; flow IDs must be unique within one Allocate call.
 type FlowState struct {
 	workload.Flow
 	Path      []*netsim.Link
@@ -44,10 +56,25 @@ type FlowState struct {
 	Waiting   sim.Time // cumulative paused time (for aging)
 	crit      float64  // cached criticality for inaccurate modes
 	sending   bool     // had a positive rate; a drop back to 0 is a preemption
+	mark      uint32   // membership stamp of the order list that saw the flow last (order.sync); in sending's padding
+}
+
+// nicFloor is the rate a flow's own NICs cap it at, in bits/s: the sender
+// NIC is the first path link, the receiver NIC the last. Allocators derive
+// it per call, where they walk the path anyway, and not per round or per
+// comparison; nothing is cached across calls, so a Path replaced between
+// two calls (failover) needs no invalidation.
+func nicFloor(path []*netsim.Link) float64 {
+	r := path[0].Rate
+	if last := path[len(path)-1].Rate; last < r {
+		r = last
+	}
+	return float64(r)
 }
 
 // Allocator assigns Rate to every active flow given per-link capacities.
-// Allocators carry reusable scratch state, so one instance belongs to one
+// Allocators carry reusable scratch and, PDQ and D3, the service order of
+// the flows they were last called with, so one instance belongs to one
 // Sim and must not be shared across concurrent simulations.
 type Allocator interface {
 	Name() string
@@ -56,99 +83,189 @@ type Allocator interface {
 	Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64)
 }
 
-// scratch is the dense per-link workspace the allocators reuse across
-// steps: links carry dense IDs, so per-link residual capacity and flow
-// counts live in flat slices indexed by Link.ID instead of per-step maps.
-// Entries are lazily initialized per allocation round via an epoch stamp —
-// no clearing, no rehashing, no steady-state allocation (DESIGN.md §4).
-type scratch struct {
-	epoch    uint32
-	stamp    []uint32       // stamp[id] == epoch ⇒ entry is live this round
-	residual []float64      // remaining capacity of link id, bits/s
-	count    []int32        // flows crossing link id (allocator-specific)
-	touched  []*netsim.Link // links initialized this round, in touch order
-	ordered  []*FlowState   // reusable sort buffer
-	frozen   []bool         // reusable per-flow flags
-	sorter   flowSorter     // reusable sort.Interface over ordered
+// linkSlot is one link's state during an allocation round. The fields an
+// allocator reads together sit together: links are visited in path order,
+// which is random in ID order, so a round costs one cache line per link
+// rather than one per field.
+type linkSlot struct {
+	residual float64 // remaining capacity, bits/s
+	floor    float64 // 1e-6 of the capacity: at or below it the link is exhausted (RCP)
+	count    int32   // flows still to be served on the link (RCP, D3)
+	stamp    uint32  // == scratch.epoch ⇒ the slot is live this round
 }
 
-// begin opens a new allocation round, invalidating every entry.
-func (sc *scratch) begin() {
+// scratch is the dense per-link workspace an allocator reuses across
+// calls: links carry dense IDs, so per-link state lives in a flat slice
+// indexed by Link.ID instead of a per-step map. Slots are lazily opened
+// per round via an epoch stamp — no clearing, no rehashing, no
+// steady-state allocation (DESIGN.md §4).
+type scratch struct {
+	epoch   uint32
+	slots   []linkSlot
+	touched []int32      // IDs of the links opened this round, in touch order
+	live    []liveFlow   // RCP: flows not yet frozen, in the caller's order
+	flows   []*FlowState // the round's flows, for fit
+}
+
+// liveFlow is a flow RCP's water-filling has not frozen yet, with its NIC
+// floor beside it: derived once per call, read once per round.
+type liveFlow struct {
+	f   *FlowState
+	nic float64
+}
+
+// begin opens a new allocation round over flows, invalidating every slot.
+func (sc *scratch) begin(flows []*FlowState) {
+	sc.flows = flows
 	sc.touched = sc.touched[:0]
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stamps from 2³² rounds ago could collide
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
+		for i := range sc.slots {
+			sc.slots[i].stamp = 0
 		}
 		sc.epoch = 1
 	}
 }
 
-// slot returns the dense index of l, initializing its residual from capFn
-// and zeroing its count on the first touch of the round.
-func (sc *scratch) slot(l *netsim.Link, capFn func(*netsim.Link) float64) int {
-	id := l.ID
-	if id >= len(sc.stamp) {
-		n := id + 1
-		if n < 2*len(sc.stamp) {
-			n = 2 * len(sc.stamp)
+// slot returns l's slot, opening it on the first touch of the round:
+// residual from capFn, count zero. The pointer is good until the next
+// slot call, which may grow the slice.
+func (sc *scratch) slot(l *netsim.Link, capFn func(*netsim.Link) float64) *linkSlot {
+	if l.ID >= len(sc.slots) {
+		sc.fit()
+	}
+	s := &sc.slots[l.ID]
+	if s.stamp != sc.epoch {
+		c := capFn(l)
+		*s = linkSlot{residual: c, floor: 1e-6 * c, stamp: sc.epoch}
+		sc.touched = append(sc.touched, int32(l.ID))
+	}
+	return s
+}
+
+// fit sizes the slots for every link of the round's flows in one
+// allocation: a run builds a fresh allocator per cell, and doubling up from
+// nothing would allocate twice what the round needs. Later rounds that
+// reach a higher link ID grow by at least a quarter so that a run of
+// ever-higher IDs stays linear.
+func (sc *scratch) fit() {
+	n := len(sc.slots) + len(sc.slots)/4
+	for _, f := range sc.flows {
+		for _, l := range f.Path {
+			if l.ID >= n {
+				n = l.ID + 1
+			}
 		}
-		stamp := make([]uint32, n)
-		copy(stamp, sc.stamp)
-		sc.stamp = stamp
-		residual := make([]float64, n)
-		copy(residual, sc.residual)
-		sc.residual = residual
-		count := make([]int32, n)
-		copy(count, sc.count)
-		sc.count = count
 	}
-	if sc.stamp[id] != sc.epoch {
-		sc.stamp[id] = sc.epoch
-		sc.residual[id] = capFn(l)
-		sc.count[id] = 0
-		sc.touched = append(sc.touched, l)
-	}
-	return id
+	sc.slots = append(make([]linkSlot, 0, n), sc.slots...)[:n]
+	sc.touched = append(make([]int32, 0, n), sc.touched...) // a round opens a link once
 }
 
-// orderedCopy fills the reusable sort buffer with flows.
-func (sc *scratch) orderedCopy(flows []*FlowState) []*FlowState {
-	sc.ordered = append(sc.ordered[:0], flows...)
-	return sc.ordered
+// ordEnt is one flow in an allocator's kept service order, its sort key
+// beside it so that ordering reads contiguous memory, not the flows.
+type ordEnt struct {
+	major sim.Time // PDQ: absolute deadline (0 in the inaccurate modes); D3: arrival time
+	minor float64  // PDQ: aged remaining size, or the cached criticality; D3: 0
+	f     *FlowState
 }
 
-// sortOrdered stably sorts the buffer with a pre-bound comparator. Using a
-// reusable sort.Interface instead of sort.SliceStable avoids the closure
-// and reflect-swapper allocations the slice helpers make per call.
-func (sc *scratch) sortOrdered(less func(a, b *FlowState) bool) {
-	sc.sorter.flows = sc.ordered
-	sc.sorter.less = less
-	sort.Stable(&sc.sorter)
-	sc.sorter.flows = nil
-	sc.sorter.less = nil
-}
-
-// flowSorter is scratch's reusable sort.Interface over []*FlowState.
-type flowSorter struct {
-	flows []*FlowState
-	less  func(a, b *FlowState) bool
-}
-
-func (s *flowSorter) Len() int           { return len(s.flows) }
-func (s *flowSorter) Swap(i, j int)      { s.flows[i], s.flows[j] = s.flows[j], s.flows[i] }
-func (s *flowSorter) Less(i, j int) bool { return s.less(s.flows[i], s.flows[j]) }
-
-// frozenFor returns a cleared n-element flag slice.
-func (sc *scratch) frozenFor(n int) []bool {
-	if cap(sc.frozen) < n {
-		sc.frozen = make([]bool, n)
+// before is the strict total order on entries with distinct flow IDs.
+func (a *ordEnt) before(b *ordEnt) bool {
+	if a.major != b.major {
+		return a.major < b.major
 	}
-	f := sc.frozen[:n]
-	for i := range f {
-		f[i] = false
+	if a.minor != b.minor {
+		return a.minor < b.minor
 	}
-	return f
+	return a.f.ID < b.f.ID
+}
+
+func cmpEnt(a, b ordEnt) int {
+	if a.before(&b) {
+		return -1
+	}
+	if b.before(&a) {
+		return 1
+	}
+	return 0
+}
+
+// order is the service order an allocator keeps between calls. One
+// completion or arrival changes one entry and moves few, so the list is
+// synced to the caller's flow set and repaired rather than rebuilt and
+// re-sorted; since (major, minor, ID) with unique IDs is a strict total
+// order, the repaired list is the one a stable sort of the caller's slice
+// yields, whatever the algorithm (DESIGN.md §4).
+type order struct {
+	ents []ordEnt
+	// epoch stamps membership on FlowState.mark: even while a sync is
+	// telling listed from arrived flows, epoch+1 (odd) on every flow it
+	// leaves behind. Marks at rest are therefore odd and never equal a
+	// later sync's even epoch — not this list's after the counter wraps,
+	// and not that of another allocator handed the same FlowStates. Only a
+	// fresh FlowState's zero mark can equal an epoch, 0, once in 2³¹ calls,
+	// where it reads as a duplicate and costs a rebuild.
+	epoch uint32
+}
+
+// sync makes ents hold exactly flows: entries whose flow left are dropped
+// in place, flows not yet listed are appended in the caller's order. Keys
+// are the caller's to fill. A slice that names one flow twice cannot be
+// told from the list by marks, so it rebuilds the list from scratch.
+func (o *order) sync(flows []*FlowState) {
+	o.epoch += 2
+	seen, listed := o.epoch, o.epoch+1
+	dup := false
+	for _, f := range flows {
+		if f.mark == seen {
+			dup = true
+		}
+		f.mark = seen
+	}
+	old := o.ents
+	kept := old[:0]
+	if !dup {
+		for _, e := range old {
+			if e.f.mark == seen {
+				e.f.mark = listed
+				kept = append(kept, e)
+			}
+		}
+	}
+	for _, f := range flows {
+		if f.mark == seen || dup {
+			f.mark = listed
+			kept = append(kept, ordEnt{f: f})
+		}
+	}
+	o.ents = kept
+}
+
+// sort restores ascending order. The list is near-sorted by construction
+// — under PDQ sending flows only move toward the front and paused flows
+// age by a common factor, under D3 keys never change and arrivals come in
+// key order — so an insertion pass costs O(n + inversions); when a call
+// brings many unordered entries (the first one, a criticality reset) the
+// pass gives up after 8n moves and sorts.
+func (o *order) sort() {
+	ents := o.ents
+	budget := 8 * len(ents)
+	for i := 1; i < len(ents); i++ {
+		if !ents[i].before(&ents[i-1]) {
+			continue
+		}
+		e := ents[i]
+		ents[i] = ents[i-1]
+		j := i - 1
+		for ; j > 0 && e.before(&ents[j-1]); j-- {
+			ents[j] = ents[j-1]
+		}
+		ents[j] = e
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(ents, cmpEnt)
+			return
+		}
+	}
 }
 
 // Hook is a scheduled environment mutation — fault injection at the fluid
@@ -170,6 +287,7 @@ type Sim struct {
 	ET bool
 
 	Collector *workload.Collector
+	slab      []FlowState  // Start carves flow states from chunks of slabSize
 	pending   []*FlowState // sorted by Start; admitted entries are nil
 	next      int          // cursor into pending: first un-admitted flow
 	active    []*FlowState
@@ -184,26 +302,33 @@ func New(t *topo.Topology, alloc Allocator) *Sim {
 	return &Sim{Topo: t, Alloc: alloc, Step: sim.Millisecond, Collector: workload.NewCollector()}
 }
 
+// slabSize is the most flow states one allocation holds: 68 of 120 bytes
+// fill the 8 KiB size class. Chunks start at 8 and grow to it (8, 24, 56,
+// 68, …), so the many few-flow cells of a sweep do not pay for a large
+// one; a chunk lives until its last flow is done, so it stays small next
+// to a big run's flow count.
+const slabSize = 68
+
 // Start registers a flow.
 func (s *Sim) Start(f workload.Flow) {
 	s.Collector.Register(f)
-	fs := &FlowState{
+	if len(s.slab) == cap(s.slab) {
+		s.slab = make([]FlowState, 0, min(slabSize, 2*cap(s.slab)+8))
+	}
+	s.slab = append(s.slab, FlowState{
 		Flow:      f,
 		Path:      s.Topo.Path(s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]),
 		Remaining: float64(f.Size),
 		Started:   f.Start + InitLatency,
-	}
-	s.pending = append(s.pending, fs)
+	})
+	s.pending = append(s.pending, &s.slab[len(s.slab)-1])
 }
+
+func byStart(a, b *FlowState) int { return cmp.Compare(a.Start, b.Start) }
 
 // Run advances the simulation to the horizon or until all flows finish.
 func (s *Sim) Run(horizon sim.Time) {
-	// Only sort when un-admitted flows remain: sort.SliceStable builds
-	// its reflect swapper even for empty slices, which would make every
-	// later Run call allocate.
-	if queued := s.pending[s.next:]; len(queued) > 1 {
-		sort.SliceStable(queued, func(i, j int) bool { return queued[i].Start < queued[j].Start })
-	}
+	slices.SortStableFunc(s.pending[s.next:], byStart)
 	for s.now < horizon && (s.next < len(s.pending) || len(s.active) > 0) {
 		s.step()
 	}
@@ -356,7 +481,9 @@ const (
 	CritEstimate
 )
 
-// PDQ is the flow-level PDQ allocator.
+// PDQ is the flow-level PDQ allocator. It keeps the criticality order of
+// the flows it saw last between calls, so one instance serves one flow set
+// at a time.
 type PDQ struct {
 	Mode CritMode
 	// AgingRate is the Fig. 12 α: a paused flow's expected transmission
@@ -365,58 +492,61 @@ type PDQ struct {
 	AgingRate float64
 	rng       *rand.Rand
 	sc        scratch
-	lessFn    func(a, b *FlowState) bool // pre-bound p.less
+	ord       order
 }
 
 // NewPDQ returns a PDQ allocator with deterministic randomness (used only
 // by CritRandom).
 func NewPDQ(mode CritMode, seed int64) *PDQ {
-	p := &PDQ{Mode: mode, rng: rand.New(rand.NewSource(seed))}
-	p.lessFn = p.less
-	return p
+	return &PDQ{Mode: mode, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Allocator.
 func (p *PDQ) Name() string { return "PDQ" }
 
-// ensureLess binds the criticality comparator for a PDQ built as a
-// literal rather than via NewPDQ. Binding a method value allocates, so
-// it happens once here — outside the annotated allocation loop.
-func (p *PDQ) ensureLess() {
-	if p.lessFn == nil {
-		p.lessFn = p.less
-	}
-}
-
-// Allocate implements Allocator: sort by criticality, then grant each flow
+// Allocate implements Allocator: order by criticality, then grant each flow
 // min(NIC rate, residual capacity along its path), in order (§3).
 //
 //pdq:hotpath
 func (p *PDQ) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
-	for _, f := range flows {
-		switch p.Mode {
-		case CritRandom:
+	// Criticalities are drawn and re-estimated in the caller's order: the
+	// random mode's stream must not depend on the kept order.
+	switch p.Mode {
+	case CritRandom:
+		for _, f := range flows {
 			if f.crit == 0 {
 				f.crit = p.rng.Float64() + 1e-9
 			}
-		case CritEstimate:
+		}
+	case CritEstimate:
+		for _, f := range flows {
 			sent := float64(f.Size) - f.Remaining
 			f.crit = math.Floor(sent/float64(50<<10)) + 1
 		}
 	}
-	p.ensureLess()
+	// One key per flow per call — EDF, then SRPT on the aged remaining
+	// size; or the cached criticality alone — and a repair of the order.
+	p.ord.sync(flows)
+	ents := p.ord.ents
+	if p.Mode == CritPerfect {
+		for i := range ents {
+			f := ents[i].f
+			ents[i].major, ents[i].minor = f.AbsDeadline(), p.aged(f)
+		}
+	} else {
+		for i := range ents {
+			ents[i].major, ents[i].minor = 0, ents[i].f.crit
+		}
+	}
+	p.ord.sort()
+
 	sc := &p.sc
-	sc.begin()
-	ordered := sc.orderedCopy(flows)
-	sc.sortOrdered(p.lessFn)
-	for _, f := range ordered {
-		rate := float64(minNIC(f))
+	sc.begin(flows)
+	for i := range ents {
+		f := ents[i].f
+		rate := nicFloor(f.Path)
 		for _, l := range f.Path {
-			// slot() may grow and reassign sc.residual, so it must be
-			// called before the slice is indexed (the evaluation order of
-			// sc.residual[sc.slot(...)] is unspecified across the grow).
-			id := sc.slot(l, cap)
-			if r := sc.residual[id]; r < rate {
+			if r := sc.slot(l, cap).residual; r < rate {
 				rate = r
 			}
 		}
@@ -425,29 +555,9 @@ func (p *PDQ) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 		}
 		f.Rate = rate
 		for _, l := range f.Path {
-			id := sc.slot(l, cap)
-			sc.residual[id] -= rate
+			sc.slots[l.ID].residual -= rate
 		}
 	}
-}
-
-func (p *PDQ) less(a, b *FlowState) bool {
-	if p.Mode != CritPerfect {
-		if a.crit != b.crit {
-			return a.crit < b.crit
-		}
-		return a.ID < b.ID
-	}
-	da, db := a.AbsDeadline(), b.AbsDeadline()
-	if da != db {
-		return da < db
-	}
-	ta := p.aged(a)
-	tb := p.aged(b)
-	if ta != tb {
-		return ta < tb
-	}
-	return a.ID < b.ID
 }
 
 // aged is the expected transmission time, reduced by the aging factor
@@ -458,15 +568,6 @@ func (p *PDQ) aged(f *FlowState) float64 {
 		t /= math.Pow(2, p.AgingRate*float64(f.Waiting)/float64(100*sim.Millisecond))
 	}
 	return t
-}
-
-func minNIC(f *FlowState) int64 {
-	// The sender NIC is the first path link; the receiver NIC the last.
-	r := f.Path[0].Rate
-	if last := f.Path[len(f.Path)-1].Rate; last < r {
-		r = last
-	}
-	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -486,95 +587,118 @@ func NewRCP() *RCP { return &RCP{} }
 func (*RCP) Name() string { return "RCP" }
 
 // Allocate implements Allocator by progressive filling (max-min fairness),
-// respecting NIC limits.
+// respecting NIC limits. Each round grants every unfrozen flow the
+// smallest per-flow share any link offers and freezes the flows that hit
+// their NIC floor or an exhausted link. The round walks only what is still
+// unfrozen — flows and links leave their lists as they freeze, keeping
+// their relative order, so every subtraction happens in the sequence a
+// walk over all flows would make it and every sum has the same bits. A
+// rate is a sum of globally chosen shares, which is why the filling is not
+// restricted to the links a completion touched: that would reorder the
+// additions (DESIGN.md §4).
 //
 //pdq:hotpath
 func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	sc := &p.sc
-	sc.begin()
+	sc.begin(flows)
+	live := sc.live[:0]
 	for _, f := range flows {
 		for _, l := range f.Path {
-			// Hoisted: slot() may grow and reassign sc.count.
-			id := sc.slot(l, cap)
-			sc.count[id]++
+			sc.slot(l, cap).count++
 		}
 		f.Rate = 0
+		live = append(live, liveFlow{f, nicFloor(f.Path)})
 	}
-	frozen := sc.frozenFor(len(flows))
-	remaining := len(flows)
-	for remaining > 0 {
-		// Smallest per-flow share over all links, and the NIC floor.
+	sc.live = live
+	slots := sc.slots
+	links := sc.touched
+	for len(live) > 0 {
+		// Smallest per-flow share over the links that still carry an
+		// unfrozen flow.
 		share := math.Inf(1)
-		for _, l := range sc.touched {
-			n := sc.count[l.ID]
-			if n == 0 {
+		n := 0
+		for _, id := range links {
+			s := &slots[id]
+			if s.count == 0 {
 				continue
 			}
-			if s := sc.residual[l.ID] / float64(n); s < share {
-				share = s
+			links[n] = id
+			n++
+			if v := s.residual / float64(s.count); v < share {
+				share = v
 			}
 		}
+		links = links[:n]
 		if math.IsInf(share, 1) {
 			break
 		}
-		// Freeze flows limited by their NIC below the share, else flows
-		// on the bottleneck links.
-		progressed := false
-		for i, f := range flows {
-			if frozen[i] {
-				continue
-			}
-			nic := float64(minNIC(f))
-			limit := nic - f.Rate // how much more the NIC allows
+		// Grant the share; a flow its NIC limits below the share is done.
+		before := len(live)
+		n = 0
+		for _, lf := range live {
+			f := lf.f
+			limit := lf.nic - f.Rate // how much more the NIC allows
 			grant := share
 			if limit <= grant+1e-9 {
 				grant = limit
 			}
 			f.Rate += grant
 			for _, l := range f.Path {
-				sc.residual[l.ID] -= grant
+				slots[l.ID].residual -= grant
 			}
-			if grant < share-1e-9 { // NIC-limited: done
-				frozen[i] = true
-				remaining--
-				for _, l := range f.Path {
-					sc.count[l.ID]--
-				}
-				progressed = true
-			}
-		}
-		// Freeze flows on exhausted links.
-		for i, f := range flows {
-			if frozen[i] {
+			if grant < share-1e-9 {
+				unlist(slots, f.Path)
 				continue
 			}
-			for _, l := range f.Path {
-				if sc.residual[l.ID] <= 1e-6*cap(l) {
-					frozen[i] = true
-					remaining--
-					for _, g := range f.Path {
-						sc.count[g.ID]--
-					}
-					progressed = true
-					break
-				}
-			}
+			live[n] = lf
+			n++
 		}
-		if !progressed {
-			break
+		live = live[:n]
+		// Freeze flows on exhausted links.
+		n = 0
+		for _, lf := range live {
+			if onExhausted(slots, lf.f.Path) {
+				unlist(slots, lf.f.Path)
+				continue
+			}
+			live[n] = lf
+			n++
+		}
+		live = live[:n]
+		if n == before {
+			break // no flow froze: nothing left to hand out
 		}
 	}
+}
+
+// unlist takes a flow that froze off the counts of its links.
+func unlist(slots []linkSlot, path []*netsim.Link) {
+	for _, l := range path {
+		slots[l.ID].count--
+	}
+}
+
+// onExhausted reports whether path crosses a link with (almost) no
+// capacity left.
+func onExhausted(slots []linkSlot, path []*netsim.Link) bool {
+	for _, l := range path {
+		if s := &slots[l.ID]; s.residual <= s.floor {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------
 // D3 allocator.
 
 // D3 is the flow-level D3 allocator: deadline flows reserve r = s/d in
-// arrival order, then the leftover is shared max-min fairly. Create
-// instances with NewD3: the allocator reuses dense per-link scratch across
-// steps.
+// arrival order, then the leftover is shared max-min fairly. It keeps the
+// arrival order of the flows it saw last between calls, so one instance
+// serves one flow set at a time.
 type D3 struct {
-	sc scratch
+	sc  scratch
+	ord order
 }
 
 // NewD3 returns a D3 allocator.
@@ -583,30 +707,30 @@ func NewD3() *D3 { return &D3{} }
 // Name implements Allocator.
 func (*D3) Name() string { return "D3" }
 
-// arrivalLess orders flows first-come first-reserve (ties by ID).
-func arrivalLess(a, b *FlowState) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	return a.ID < b.ID
-}
-
 // Allocate implements Allocator.
 //
 //pdq:hotpath
 func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	sc := &p.sc
-	sc.begin()
+	sc.begin(flows)
 	for _, f := range flows {
 		for _, l := range f.Path {
-			sc.slot(l, cap)
+			sc.slot(l, cap).count++ // pass 2's flows still to be served
 		}
 		f.Rate = 0
 	}
-	// Pass 1: reservations in arrival order (first-come first-reserve).
-	ordered := sc.orderedCopy(flows)
-	sc.sortOrdered(arrivalLess)
-	for _, f := range ordered {
+	slots := sc.slots
+	// First-come first-reserve: arrival time, ties by ID. The caller admits
+	// flows in that order, so the kept list is almost always sorted as is.
+	p.ord.sync(flows)
+	ents := p.ord.ents
+	for i := range ents {
+		ents[i].major = ents[i].f.Start
+	}
+	p.ord.sort()
+	// Pass 1: reservations in arrival order.
+	for i := range ents {
+		f := ents[i].f
 		if !f.HasDeadline() {
 			continue
 		}
@@ -615,12 +739,12 @@ func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) f
 			continue
 		}
 		want := f.Remaining * 8 / left.Seconds() / goodput
-		if nic := float64(minNIC(f)); want > nic {
+		if nic := nicFloor(f.Path); want > nic {
 			want = nic
 		}
 		grant := want
 		for _, l := range f.Path {
-			if r := sc.residual[l.ID]; r < grant {
+			if r := slots[l.ID].residual; r < grant {
 				grant = r
 			}
 		}
@@ -629,26 +753,23 @@ func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) f
 		}
 		f.Rate = grant
 		for _, l := range f.Path {
-			sc.residual[l.ID] -= grant
+			slots[l.ID].residual -= grant
 		}
 	}
 	// Pass 2: fair share of the leftover — each flow gets the minimum
 	// over its path of residual/(flows still to be served on the link),
 	// the per-link equal split D3 computes as fs. Counts shrink as flows
 	// take their share so the split is equal, not geometric.
-	for _, f := range flows {
-		for _, l := range f.Path {
-			sc.count[l.ID]++
-		}
-	}
-	for _, f := range ordered {
+	for i := range ents {
+		f := ents[i].f
 		grant := math.Inf(1)
 		for _, l := range f.Path {
-			if share := sc.residual[l.ID] / float64(sc.count[l.ID]); share < grant {
+			s := &slots[l.ID]
+			if share := s.residual / float64(s.count); share < grant {
 				grant = share
 			}
 		}
-		if nic := float64(minNIC(f)); f.Rate+grant > nic {
+		if nic := nicFloor(f.Path); f.Rate+grant > nic {
 			grant = nic - f.Rate
 		}
 		if grant < 0 || math.IsInf(grant, 1) {
@@ -656,8 +777,9 @@ func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) f
 		}
 		f.Rate += grant
 		for _, l := range f.Path {
-			sc.residual[l.ID] -= grant
-			sc.count[l.ID]--
+			s := &slots[l.ID]
+			s.residual -= grant
+			s.count--
 		}
 	}
 }

@@ -78,6 +78,68 @@ func TestFaultGoldenAcrossWorkers(t *testing.T) {
 	}
 }
 
+// flowFailoverSpec crashes a fat-tree aggregation switch, with a restart
+// window, under the three flow-level allocators. linkFailSpec's single
+// bottleneck has no second route, so its faults only ever stall flows;
+// here PathExcluding finds one and the flow-level reroute hook replaces
+// paths mid-run (internal/flowsim's TestFailoverReroutesFlows checks the
+// allocators call by call on the same topology). Switch 4 is pod 0's
+// first aggregation switch: lowest-ID routing sends all of the pod's
+// inter-pod traffic through it, and failing over to its sibling moves
+// that traffic to another core row. (Crashing core switch 0 instead
+// moves every flow to core 1 together, an isomorphic network with the
+// same FCTs to the last bit.)
+func flowFailoverSpec() *Spec {
+	return &Spec{
+		Name:     "flow-failover-test",
+		Topology: TopoSpec{Name: "fat-tree", Params: map[string]float64{"k": 4}},
+		Workload: WorkloadSpec{
+			Pattern:      PatternSpec{Name: "permutation"},
+			Sizes:        DistSpec{Name: "uniform-mean", Params: map[string]float64{"mean_kb": 400}},
+			CountPerHost: 3,
+		},
+		Faults: []FaultSpec{
+			{Kind: "switch-crash", Switch: 4, AtMs: 2, RestartMs: 6},
+		},
+		Protocols: []ProtoSpec{{Runner: "flow:PDQ"}, {Runner: "flow:RCP"}, {Runner: "flow:D3"}},
+		Metric:    MetricSpec{Name: "mean-fct", Params: map[string]float64{"ms": 1}},
+		HorizonMs: 2000,
+	}
+}
+
+// TestFlowFailoverAcrossWorkers: the rerouted flow-level run renders
+// byte-identically at any worker count, and the crash really moved the
+// outcome of every allocator (it would not if no path crossed the
+// switch or no flow could be rerouted around it).
+func TestFlowFailoverAcrossWorkers(t *testing.T) {
+	var golden string
+	for _, workers := range []int{1, 4} {
+		tab, err := Run(flowFailoverSpec(), Opts{Parallel: workers, Trials: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.Partial() {
+			t.Fatalf("parallel=%d: unexpected failed cells:\n%s", workers, tab)
+		}
+		if golden == "" {
+			golden = tab.String()
+			continue
+		}
+		if got := tab.String(); got != golden {
+			t.Fatalf("parallel=%d output diverged:\n--- parallel=1\n%s--- parallel=%d\n%s", workers, golden, workers, got)
+		}
+	}
+	faulted := MustRun(flowFailoverSpec(), Opts{})
+	clean := flowFailoverSpec()
+	clean.Faults = nil
+	plain := MustRun(clean, Opts{})
+	for ri, r := range faulted.Rows {
+		if r.Vals[0] == plain.Rows[ri].Vals[0] {
+			t.Errorf("row %s: mean FCT %v with and without the crash", r.Label, r.Vals[0])
+		}
+	}
+}
+
 // TestFaultChangesOutcome guards against the schedule silently not being
 // applied: the same spec without its faults block must differ.
 func TestFaultChangesOutcome(t *testing.T) {
