@@ -14,6 +14,7 @@ import (
 
 	"pdq/internal/core"
 	"pdq/internal/fluid"
+	"pdq/internal/protocol"
 	"pdq/internal/protocol/d3"
 	"pdq/internal/protocol/rcp"
 	"pdq/internal/protocol/tcp"
@@ -35,18 +36,14 @@ func main() {
 	fmt.Printf("%-10s %s\n", "protocol", "app throughput [%]")
 	fmt.Printf("%-10s %.1f\n", "Optimal", fluid.OptimalAppThroughput(flows(1), 1_000_000_000))
 
-	type system interface {
-		Start(workload.Flow)
-		Results() []workload.Result
-	}
 	runs := []struct {
 		name    string
-		install func(*topo.Topology) system
+		install func(*topo.Topology) protocol.Installed
 	}{
-		{"PDQ", func(t *topo.Topology) system { return core.Install(t, core.Full()) }},
-		{"D3", func(t *topo.Topology) system { return d3.Install(t, d3.Config{}) }},
-		{"RCP", func(t *topo.Topology) system { return rcp.Install(t, rcp.Config{}) }},
-		{"TCP", func(t *topo.Topology) system { return tcp.Install(t, tcp.Config{}) }},
+		{"PDQ", func(t *topo.Topology) protocol.Installed { return core.Install(t, core.Full()) }},
+		{"D3", func(t *topo.Topology) protocol.Installed { return d3.Install(t, d3.Config{}) }},
+		{"RCP", func(t *topo.Topology) protocol.Installed { return rcp.Install(t, rcp.Config{}) }},
+		{"TCP", func(t *topo.Topology) protocol.Installed { return tcp.Install(t, tcp.Config{}) }},
 	}
 	for _, r := range runs {
 		t := topo.SingleRootedTree(4, 3, 1)

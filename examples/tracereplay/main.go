@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"pdq/internal/core"
+	"pdq/internal/protocol"
 	"pdq/internal/protocol/rcp"
 	"pdq/internal/sim"
 	"pdq/internal/stats"
@@ -37,16 +38,12 @@ func main() {
 	fmt.Printf("trace: %d flows over 100 ms (%d deadline mice, %d background)\n\n",
 		len(flows), nShort, len(flows)-nShort)
 
-	type system interface {
-		Start(workload.Flow)
-		Results() []workload.Result
-	}
 	for _, run := range []struct {
 		name    string
-		install func(*topo.Topology) system
+		install func(*topo.Topology) protocol.Installed
 	}{
-		{"PDQ(Full)", func(t *topo.Topology) system { return core.Install(t, core.Full()) }},
-		{"RCP", func(t *topo.Topology) system { return rcp.Install(t, rcp.Config{}) }},
+		{"PDQ(Full)", func(t *topo.Topology) protocol.Installed { return core.Install(t, core.Full()) }},
+		{"RCP", func(t *topo.Topology) protocol.Installed { return rcp.Install(t, rcp.Config{}) }},
 	} {
 		t := topo.SingleRootedTree(4, 3, 1)
 		sys := run.install(t)

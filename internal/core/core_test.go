@@ -5,6 +5,8 @@ import (
 	"testing/quick"
 
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
+	"pdq/internal/protocol/xfer"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
@@ -304,15 +306,13 @@ func TestConvergenceWithinBound(t *testing.T) {
 	}
 	tp.Sim().RunUntil(2 * sim.Millisecond) // >> Pmax+1 RTTs ≈ 450 µs
 	sending := 0
-	for _, ag := range sys.agents[:3] {
-		for _, w := range ag.sends {
-			for _, sub := range w.Pacers() {
-				if sub.Rate() > 0 {
-					sending++
-				}
+	sys.EachSender(func(sd protocol.Sender) {
+		for _, sub := range sd.(*xfer.Window).Pacers() {
+			if sub.Rate() > 0 {
+				sending++
 			}
 		}
-	}
+	})
 	if sending != 1 {
 		t.Errorf("flows sending at equilibrium = %d, want 1", sending)
 	}

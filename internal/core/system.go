@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 	"pdq/internal/protocol/xfer"
-	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
 )
 
-// System wires PDQ into a topology: one agent per host, shared switch
-// logic on every forwarding element, and a collector for flow outcomes.
-// It is the package's public entry point:
+// System wires PDQ into a topology: the shared host scaffold (an agent per
+// host, flow launch, the collector of flow outcomes) plus PDQ's switch
+// logic on every forwarding element. It is the package's public entry
+// point:
 //
 //	tp := topo.SingleRootedTree(4, 3, seed)
 //	sys := core.Install(tp, core.Full())
@@ -20,43 +21,28 @@ import (
 //	tp.Sim().Run()
 //	results := sys.Results()
 type System struct {
-	Cfg       Config
-	Topo      *topo.Topology
-	Sim       *sim.Sim
-	Collector *workload.Collector
-	Logic     *SwitchLogic
+	*protocol.System
+	Cfg   Config
+	Logic *SwitchLogic
 
-	agents []*Agent
-	xcfg   xfer.Config // the transport constants of Cfg, as the sender takes them
+	xcfg xfer.Config // the transport constants of Cfg, as the sender takes them
 }
 
 // Install attaches PDQ with the given configuration to every host and
 // switch of the topology.
 func Install(t *topo.Topology, cfg Config) *System {
-	s := &System{
-		Cfg:       cfg.withDefaults(),
-		Topo:      t,
-		Sim:       t.Sim(),
-		Collector: workload.NewCollector(),
-	}
+	s := &System{Cfg: cfg.withDefaults()}
+	s.System = protocol.Install(t, s.Cfg.Subflows, s.newReceiver, s.newSender)
 	s.xcfg = xfer.Config{InitRTT: s.Cfg.InitRTT, RTOmin: s.Cfg.RTOmin, HdrBytes: netsim.SchedHdrWire}
 	s.Logic = NewSwitchLogic(&s.Cfg, len(t.Net.Links()))
 	for _, sw := range t.Switches {
 		sw.Logic = s.Logic
 	}
 	for _, h := range t.Hosts {
-		ag := &Agent{
-			sends: map[netsim.FlowID]*xfer.Window{},
-			recvs: map[netsim.FlowID]*xfer.Receiver{},
-		}
-		h.Agent = ag
 		h.Logic = s.Logic // hosts relay in server-centric topologies
-		s.agents = append(s.agents, ag)
 	}
 	return s
 }
-
-func (s *System) net() *netsim.Network { return s.Topo.Net }
 
 // Name identifies the configured variant for experiment tables.
 func (s *System) Name() string {
@@ -74,63 +60,16 @@ func (s *System) Name() string {
 	}
 }
 
-// Start registers flow f and schedules its transmission at f.Start. In a
-// sharded run the launch splits across the endpoints' owner engines
-// (startSharded); otherwise everything runs on the network's single Sim.
-func (s *System) Start(f workload.Flow) {
-	if f.Src == f.Dst {
-		panic("core: flow to self")
-	}
-	s.Collector.Register(f)
-	if s.net().Sharded() {
-		s.startSharded(f)
-		return
-	}
-	s.Sim.At(f.Start, func() { s.launch(f) })
+func (s *System) newReceiver(f workload.Flow) protocol.Receiver {
+	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f, s.Cfg.Subflows, capRate)
 }
 
-// resolvePaths returns the flow's subflow paths. In sharded runs this
-// must happen at setup time: Topology.Path memoizes BFS distances, so
-// resolving lazily from two shard workers would race.
-func (s *System) resolvePaths(f workload.Flow) [][]*netsim.Link {
-	srcHost, dstHost := s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]
-	if s.Cfg.Subflows > 1 {
-		return s.Topo.Paths(srcHost, dstHost, s.Cfg.Subflows)
-	}
-	return [][]*netsim.Link{s.Topo.Path(srcHost, dstHost)}
-}
-
-func (s *System) launch(f workload.Flow) {
-	s.launchReceiver(f)
-	s.launchSender(f, s.resolvePaths(f))
-}
-
-func (s *System) launchReceiver(f workload.Flow) {
-	s.agents[f.Dst].recvs[netsim.FlowID(f.ID)] = xfer.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f, s.Cfg.Subflows, capRate)
-}
-
-// startSharded schedules the receiver's creation on the destination
-// host's shard and the sender's on the source host's, both at f.Start.
-// The first SYN delivery is at least one lookahead after f.Start, so the
-// receiver exists before anything can reach it. All of a flow's sender
-// state (the window and its subflows) lives on the source shard; the
-// switch state its packets touch is per-link and shard-owned; the only
-// endpoint-shared structure, the collector, keeps per-endpoint fields
-// (DESIGN.md §14).
-func (s *System) startSharded(f workload.Flow) {
-	net := s.net()
-	paths := s.resolvePaths(f)
-	net.SimFor(s.Topo.Hosts[f.Dst].ID()).At(f.Start, func() { s.launchReceiver(f) })
-	net.SimFor(s.Topo.Hosts[f.Src].ID()).At(f.Start, func() { s.launchSender(f, paths) })
-}
-
-// launchSender builds the sender-side state of f — one window, one pacer
-// per subflow — on the source host's owner engine and kicks the subflows
-// off. The first subflow also carries the Early Termination timer.
-func (s *System) launchSender(f workload.Flow, paths [][]*netsim.Link) {
+// newSender builds the sender-side state of f — one window, one pacer per
+// subflow — and kicks the subflows off. The first subflow also carries the
+// Early Termination timer.
+func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sender {
 	src := s.Topo.Hosts[f.Src]
 	w := xfer.NewWindow(src, s.Collector, &s.xcfg, f)
-	s.agents[f.Src].sends[netsim.FlowID(f.ID)] = w
 	subs := make([]subflow, s.Cfg.Subflows)
 	for i := range subs {
 		subs[i] = subflow{sys: s, rmax: src.NICRate(), pauseBy: netsim.PauseNone}
@@ -142,6 +81,7 @@ func (s *System) launchSender(f workload.Flow, paths [][]*netsim.Link) {
 			w.Sim().At(f.AbsDeadline()+1, subs[0].onDeadline)
 		}
 	}
+	return w
 }
 
 // OnLinkState implements the fault layer's PathUpdater (structurally —
@@ -152,17 +92,13 @@ func (s *System) launchSender(f workload.Flow, paths [][]*netsim.Link) {
 // link and recover by RTO once it returns — PDQ's soft-state story needs
 // no extra signaling. Restorations are a no-op: surviving routes stay
 // valid, and keeping them avoids churn. The per-sender reroute is
-// idempotent and independent of visit order, so iterating the agents'
-// send maps directly is safe.
+// idempotent and independent of visit order, so EachSender's map order is
+// safe.
 func (s *System) OnLinkState(l *netsim.Link, down bool) {
 	if !down {
 		return
 	}
-	for _, ag := range s.agents {
-		for _, w := range ag.sends {
-			s.failover(w, l)
-		}
-	}
+	s.EachSender(func(sd protocol.Sender) { s.failover(sd.(*xfer.Window), l) })
 }
 
 // failover reroutes the subflows of w that traverse either direction of
@@ -192,34 +128,4 @@ func pathUses(path []*netsim.Link, l *netsim.Link) bool {
 		}
 	}
 	return false
-}
-
-// Results returns a snapshot of all flow outcomes.
-func (s *System) Results() []workload.Result { return s.Collector.Results() }
-
-// FlowCollector exposes the collector for telemetry attachment (the
-// scenario runners hang a trace sink and active-flow probes off it).
-func (s *System) FlowCollector() *workload.Collector { return s.Collector }
-
-// Agent is the per-host PDQ endpoint, demultiplexing packets to sender and
-// receiver flow state.
-type Agent struct {
-	sends map[netsim.FlowID]*xfer.Window
-	recvs map[netsim.FlowID]*xfer.Receiver
-}
-
-// Receive implements netsim.Agent. A forward packet goes back out as its
-// own acknowledgment; everything else ends its life here — an
-// acknowledgment once the sender has digested it, and packets of flows
-// this host does not know.
-func (a *Agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
-	if pkt.Kind.Forward() {
-		if r := a.recvs[pkt.Flow]; r != nil {
-			r.OnForward(pkt)
-			return
-		}
-	} else if w := a.sends[pkt.Flow]; w != nil {
-		w.HandleAck(pkt)
-	}
-	pkt.Release()
 }

@@ -100,7 +100,6 @@ func checkFixture(t *testing.T, tree string, a *Analyzer) {
 func TestNoDetermFixture(t *testing.T)  { checkFixture(t, "nodeterm", NoDeterm) }
 func TestHotPathFixture(t *testing.T)   { checkFixture(t, "hotpath", HotPath) }
 func TestRegistryFixture(t *testing.T)  { checkFixture(t, "registry", Registry) }
-func TestDirectDepFixture(t *testing.T) { checkFixture(t, "directdep", DirectDep) }
 func TestShardSafeFixture(t *testing.T) { checkFixture(t, "shardsafe", ShardSafe) }
 
 // TestRepoClean is the suite's own acceptance gate: the repository must

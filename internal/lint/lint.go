@@ -28,11 +28,8 @@
 //     new(T), or string concatenation — the static mirror of the
 //     0 allocs/op benches.
 //   - registry:  Register* calls only from init functions (or test
-//     files), with statically constant names, so -list-* output stays
-//     enumerable and sorted-diffable.
-//   - directdep: cmd/* must not import internal/sim or internal/netsim
-//     directly — engine access goes through the scenario layer, keeping
-//     the engine swappable.
+//     files), with statically constant names, so the unsynchronized
+//     registry maps are never written once sweep workers read them.
 //   - shardsafe: internal/sim and internal/netsim may hold no mutable
 //     package-level state (error sentinels excepted) and may not
 //     synchronize — goroutines, channels, sync, sync/atomic — outside
@@ -92,7 +89,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full pdqlint suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, HotPath, Registry, DirectDep, ShardSafe}
+	return []*Analyzer{NoDeterm, HotPath, Registry, ShardSafe}
 }
 
 // ByName resolves a comma-separated analyzer list ("" = all).

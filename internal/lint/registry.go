@@ -7,13 +7,14 @@ import (
 )
 
 // Registry keeps the name-keyed registries (topologies, workload
-// patterns, protocol runners, metrics, qdiscs — DESIGN.md §7) statically
-// enumerable: every call to a package-level Register* function must
-// happen lexically inside a func init() and must register a name the
-// type checker can evaluate to a string constant. That is what makes
-// the -list-* listings a fixed, sorted, CI-diffable vocabulary — a
-// registration behind a helper with a computed name would appear or
-// vanish depending on runtime control flow.
+// patterns, protocol runners, metrics, qdiscs — DESIGN.md §7) init-only:
+// every call to a package-level Register* function must happen lexically
+// inside a func init() and must register a name the type checker can
+// evaluate to a string constant. Init-only registration is what makes the
+// unsynchronized registry maps safe under -parallel: every write happens
+// before main starts, so the sweep workers only ever read them. (A
+// registration behind a helper with a computed name could also run, or
+// not, depending on runtime control flow.)
 //
 // Test files are exempt by construction (the loader never parses
 // *_test.go), so throwaway registrations in tests stay legal.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 	"pdq/internal/protocol/tcp"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
@@ -117,16 +118,15 @@ func TestAlphaTracksMarks(t *testing.T) {
 	tp := topo.SingleBottleneck(8, 1)
 	sys, rs := run(t, tp, Config{}, incastFlows(8, 512<<10), 10*sim.Second)
 	moved := false
-	for _, ag := range sys.agents {
-		for _, snd := range ag.sends {
-			if snd.alpha > 0 {
-				moved = true
-			}
-			if snd.alpha < 0 || snd.alpha > 1 {
-				t.Fatalf("alpha %g out of [0, 1]", snd.alpha)
-			}
+	sys.EachSender(func(sd protocol.Sender) {
+		snd := sd.(*sender)
+		if snd.alpha > 0 {
+			moved = true
 		}
-	}
+		if snd.alpha < 0 || snd.alpha > 1 {
+			t.Fatalf("alpha %g out of [0, 1]", snd.alpha)
+		}
+	})
 	if !moved {
 		t.Error("no sender's alpha moved off zero under 8-way congestion")
 	}

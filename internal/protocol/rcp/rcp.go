@@ -9,6 +9,7 @@ package rcp
 
 import (
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 	"pdq/internal/protocol/xfer"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
@@ -85,47 +86,26 @@ func (st *linkState) maybeUpdate(now sim.Time) {
 	st.rate = c / int64(n)
 }
 
-// System wires RCP into a topology (same shape as core.System).
+// System wires RCP into a topology: the shared host scaffold plus the
+// per-link controllers, which every switch and relaying host runs.
 type System struct {
-	Cfg       Config
-	Topo      *topo.Topology
-	Sim       *sim.Sim
-	Collector *workload.Collector
+	*protocol.System
+	Cfg Config
 
 	states []*linkState // indexed by the dense link ID
-	agents []*agent
 }
 
 // Install attaches RCP to every host and switch of the topology.
 func Install(t *topo.Topology, cfg Config) *System {
-	s := &System{
-		Cfg:       cfg.withDefaults(),
-		Topo:      t,
-		Sim:       t.Sim(),
-		Collector: workload.NewCollector(),
-	}
+	s := &System{Cfg: cfg.withDefaults()}
+	s.System = protocol.Install(t, 1, s.newReceiver, s.newSender)
 	for _, sw := range t.Switches {
 		sw.Logic = (*logic)(s)
 	}
 	for _, h := range t.Hosts {
-		ag := &agent{
-			sends: map[netsim.FlowID]*xfer.Window{},
-			recvs: map[netsim.FlowID]*xfer.Receiver{},
-		}
-		h.Agent = ag
 		h.Logic = (*logic)(s)
-		s.agents = append(s.agents, ag)
 	}
 	return s
-}
-
-// Name implements the protocol driver interface.
-func (s *System) Name() string { return "RCP" }
-
-// Start registers flow f and schedules its transmission.
-func (s *System) Start(f workload.Flow) {
-	s.Collector.Register(f)
-	s.Sim.At(f.Start, func() { s.launch(f) })
 }
 
 // sender is RCP's side of the shared transfer machinery: every packet asks
@@ -154,22 +134,18 @@ func capRate(pkt *netsim.Packet, nic int64) {
 	}
 }
 
-func (s *System) launch(f workload.Flow) {
-	src, dst := s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]
-	s.agents[f.Dst].recvs[netsim.FlowID(f.ID)] = xfer.NewReceiver(dst, s.Collector, f, 1, capRate)
-
-	sd := &sender{nic: src.NICRate()}
-	w := xfer.NewWindow(src, s.Collector, &s.Cfg.Config, f)
-	w.Attach(&sd.Pacer, s.Topo.Path(src, dst), sd)
-	s.agents[f.Src].sends[netsim.FlowID(f.ID)] = w
-	sd.Start()
+func (s *System) newReceiver(f workload.Flow) protocol.Receiver {
+	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f, 1, capRate)
 }
 
-// Results returns a snapshot of all flow outcomes.
-func (s *System) Results() []workload.Result { return s.Collector.Results() }
-
-// FlowCollector exposes the collector for telemetry attachment.
-func (s *System) FlowCollector() *workload.Collector { return s.Collector }
+func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sender {
+	src := s.Topo.Hosts[f.Src]
+	sd := &sender{nic: src.NICRate()}
+	w := xfer.NewWindow(src, s.Collector, &s.Cfg.Config, f)
+	w.Attach(&sd.Pacer, paths[0], sd)
+	sd.Start()
+	return w
+}
 
 // logic is System viewed as switch logic.
 type logic System
@@ -213,24 +189,4 @@ func (l *logic) Process(at netsim.Node, pkt *netsim.Packet, ingress, egress *net
 		h.Rate = st.rate
 	}
 	return true
-}
-
-type agent struct {
-	sends map[netsim.FlowID]*xfer.Window
-	recvs map[netsim.FlowID]*xfer.Receiver
-}
-
-// Receive implements netsim.Agent. A forward packet goes back out as its
-// own acknowledgment; an acknowledgment's life ends once the sender has
-// digested it, as does a packet of a flow this host does not know.
-func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
-	if pkt.Kind.Forward() {
-		if r := a.recvs[pkt.Flow]; r != nil {
-			r.OnForward(pkt)
-			return
-		}
-	} else if snd := a.sends[pkt.Flow]; snd != nil {
-		snd.HandleAck(pkt)
-	}
-	pkt.Release()
 }

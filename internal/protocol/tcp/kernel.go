@@ -219,6 +219,8 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
+func numSegs(size int64) int { return int((size + netsim.MSS - 1) / netsim.MSS) }
+
 // segPayload is the payload size of segment i when numPkts segments
 // cover size bytes: a full MSS for all but the last.
 func segPayload(i, numPkts int, size int64) int {
@@ -243,10 +245,25 @@ type Conn struct {
 	PrioFn   func() uint8
 }
 
+// Open binds the connection to flow f leaving host src over path, with the
+// kernel on src's owner engine and reset to cfg's initial window. The
+// variant sets its points (before or after) and calls TrySend.
+func (c *Conn) Open(src *netsim.Host, cfg Config, coll *workload.Collector, f workload.Flow, path []*netsim.Link) {
+	c.Net, c.Flow, c.Path = src.Network(), f, path
+	c.Init(c.Net.SimFor(src.ID()), cfg, coll, f.ID, numSegs(f.Size), c.SendSeg)
+}
+
+// HandleAck implements protocol.Sender: a cumulative ACK names the next
+// expected segment and echoes the acknowledged one's send time.
+//
+//pdq:hotpath
+func (c *Conn) HandleAck(pkt *netsim.Packet) {
+	c.ProcessAck(int(pkt.Seq/netsim.MSS), pkt.EchoSentAt)
+}
+
 // SendSeg composes and transmits segment idx on a packet from the source
-// host's pool; launch code passes it to Init as the kernel's send
-// callback. The variant's agent releases the packet when it comes back
-// as an acknowledgment.
+// host's pool; it is the kernel's send callback. The host's agent releases
+// the packet when it comes back as an acknowledgment.
 //
 //pdq:hotpath
 func (c *Conn) SendSeg(idx int) {
@@ -282,9 +299,8 @@ type Receiver struct {
 	EchoECN bool
 	AckPrio uint8
 
-	// Sim is the engine whose clock stamps the completion: the network's
-	// single Sim by default, the destination host's shard engine in
-	// sharded runs (the launch code overrides it).
+	// Sim is the destination host's owner engine; its clock stamps the
+	// completion.
 	Sim *sim.Sim
 
 	got     []bool
@@ -294,16 +310,18 @@ type Receiver struct {
 	revPath []*netsim.Link
 }
 
-// NewReceiver returns a receiver expecting numPkts segments of f.
-func NewReceiver(net *netsim.Network, coll *workload.Collector, f workload.Flow, numPkts int) *Receiver {
-	return &Receiver{Net: net, Coll: coll, Flow: f, NumPkts: numPkts, Sim: net.Sim, got: make([]bool, numPkts)}
+// NewReceiver returns the receive side of f on host dst.
+func NewReceiver(dst *netsim.Host, coll *workload.Collector, f workload.Flow) *Receiver {
+	n, net := numSegs(f.Size), dst.Network()
+	return &Receiver{Net: net, Coll: coll, Flow: f, NumPkts: n, Sim: net.SimFor(dst.ID()), got: make([]bool, n)}
 }
 
-// OnData registers a data packet and sends it back along the reverse
-// path as the cumulative ACK.
+// OnForward implements protocol.Receiver (TCP's only forward packets are
+// data): it registers the segment and sends the packet back along the
+// reverse path as the cumulative ACK.
 //
 //pdq:hotpath
-func (r *Receiver) OnData(pkt *netsim.Packet) {
+func (r *Receiver) OnForward(pkt *netsim.Packet) {
 	idx := int(pkt.Seq / netsim.MSS)
 	if idx >= 0 && idx < r.NumPkts && !r.got[idx] {
 		r.got[idx] = true

@@ -96,9 +96,6 @@ type Window struct {
 // NewWindow creates the send window of flow on host src. Outcome counters
 // go to tel.
 func NewWindow(src *netsim.Host, tel *workload.Collector, cfg *Config, flow workload.Flow) *Window {
-	if flow.Size <= 0 {
-		panic("xfer: flow size must be positive")
-	}
 	n, net := numPackets(flow.Size), src.Network()
 	return &Window{
 		Flow: flow, eng: net.SimFor(src.ID()), net: net, src: src.ID(), cfg: cfg, tel: tel,

@@ -247,16 +247,3 @@ func TestStopReleases(t *testing.T) {
 		t.Fatalf("too many events after Stop: %d", r.tp.Sim().Processed()-before)
 	}
 }
-
-// TestBadFlowSizePanics is the one answer to flow.Size <= 0 for every
-// protocol on this sender (PDQ, RCP, D3).
-func TestBadFlowSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for size 0")
-		}
-	}()
-	tp := topo.SingleBottleneck(1, 1)
-	cfg := Config{}.WithDefaults()
-	NewWindow(tp.Hosts[0], workload.NewCollector(), &cfg, workload.Flow{ID: 1, Src: 0, Dst: 1})
-}

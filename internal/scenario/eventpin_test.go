@@ -7,12 +7,14 @@ import (
 )
 
 // TestPacedSenderEventSequence pins the engine's event counts for one small
-// cell per paced protocol. The figure goldens print 3–4 significant digits
+// cell per packet protocol. The figure goldens print 3–4 significant digits
 // and would let a reordered or doubled timer through; these counters move
 // when any At/After/Cancel call on the sender or receiver path is added,
-// dropped or turned into a no-op. The constants were recorded at the commit
-// before PDQ moved onto xfer's sender (ISSUE 16) and must not change under
-// a refactor that claims to move no event.
+// dropped or turned into a no-op. The paced rows' constants were recorded at
+// the commit before PDQ moved onto xfer's sender (ISSUE 16), the TCP
+// family's (pFabric on the prio links it installs) at the commit before the
+// six launches moved onto one host scaffold (ISSUE 18); none may change
+// under a refactor that claims to move no event.
 func TestPacedSenderEventSequence(t *testing.T) {
 	tree := TopoSpec{Name: "single-rooted-tree"}
 	lossy := TopoSpec{Name: "single-rooted-tree", Loss: &LossSpec{Host: -1, Rate: 0.02}}
@@ -29,6 +31,9 @@ func TestPacedSenderEventSequence(t *testing.T) {
 		{"RCP", tree, ProtoSpec{Runner: "RCP"}, 10892, 10586, 330},
 		{"D3", tree, ProtoSpec{Runner: "D3"}, 6608, 6109, 523},
 		{"PDQ(Full) lossy", lossy, ProtoSpec{Runner: "PDQ(Full)"}, 7252, 6913, 363},
+		{"TCP", tree, ProtoSpec{Runner: "TCP"}, 11289, 8953, 2360},
+		{"DCTCP", tree, ProtoSpec{Runner: "DCTCP"}, 10598, 8334, 2288},
+		{"pFabric", tree, ProtoSpec{Runner: "pFabric"}, 26316, 23983, 2357},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -278,6 +278,33 @@ func TestPanickingCellYieldsPartialTable(t *testing.T) {
 	}
 }
 
+// TestZeroByteFlowFailsEveryPacketCell: a size distribution that yields
+// empty flows fails the cell the same way under all six packet protocols —
+// the host scaffold's one refusal — and no row prints a number. (TCP, DCTCP
+// and pFabric used to run a flow of zero segments that never finished and
+// report 0.00.)
+func TestZeroByteFlowFailsEveryPacketCell(t *testing.T) {
+	s := minimalSpec()
+	s.Workload.Sizes = DistSpec{Name: "uniform", Params: map[string]float64{"lo_kb": 0, "hi_kb": 0}}
+	s.Protocols = []ProtoSpec{{Runner: "PDQ(Full)"}, {Runner: "RCP"}, {Runner: "D3"}, {Runner: "TCP"}, {Runner: "DCTCP"}, {Runner: "pFabric"}}
+	tab, err := Run(s, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Errors) != len(s.Protocols) {
+		t.Fatalf("captured %d errors, want one per row:\n%s", len(tab.Errors), tab)
+	}
+	for i, r := range tab.Rows {
+		if !math.IsNaN(r.Vals[0]) {
+			t.Errorf("row %s = %v, want NaN", r.Label, r.Vals[0])
+		}
+		e := tab.Errors[i]
+		if e.Row != r.Label || e.Msg != tab.Errors[0].Msg || !strings.Contains(e.Msg, "positive size") {
+			t.Errorf("row %s: diagnostic %+v, want the refusal %q", r.Label, e, tab.Errors[0].Msg)
+		}
+	}
+}
+
 // TestRunawayCellTripsEventBudget pins satellite 2: -max-events turns a
 // too-expensive cell into a diagnostic instead of an unbounded run.
 func TestRunawayCellTripsEventBudget(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"pdq/internal/fluid"
 	"pdq/internal/netsim"
 	"pdq/internal/obsv"
+	"pdq/internal/protocol"
 	"pdq/internal/protocol/d3"
 	"pdq/internal/protocol/dctcp"
 	"pdq/internal/protocol/pfabric"
@@ -20,15 +21,6 @@ import (
 	"pdq/internal/trace"
 	"pdq/internal/workload"
 )
-
-// protoSystem is what every packet-level protocol installation exposes.
-type protoSystem interface {
-	Start(workload.Flow)
-	Results() []workload.Result
-	// FlowCollector exposes the run's collector so telemetry (flow-record
-	// sinks, active-flow probes) can be attached.
-	FlowCollector() *workload.Collector
-}
 
 // attachTelemetry hangs the cell's telemetry capture off one packet-level
 // run: the flow-record sink on the collector, and — when probing is on —
@@ -149,7 +141,7 @@ func attachTelemetry(ct *trace.CellTrace, t *topo.Topology, c *workload.Collecto
 // mkPacket wraps a packet-level install function into a RunnerFunc on
 // the single engine. Protocols whose state partitions cleanly over
 // shards use mkPacketShardable instead.
-func mkPacket(install func(t *topo.Topology) protoSystem) RunnerFunc {
+func mkPacket(install func(t *topo.Topology) protocol.Installed) RunnerFunc {
 	return mkPacketLevel(install, false)
 }
 
@@ -158,11 +150,11 @@ func mkPacket(install func(t *topo.Topology) protoSystem) RunnerFunc {
 // a flow's two endpoints): when the run context asks for shards and the
 // cell qualifies (shardGroupFor), the simulation partitions over a
 // ShardGroup; otherwise it runs the identical single-engine path.
-func mkPacketShardable(install func(t *topo.Topology) protoSystem) RunnerFunc {
+func mkPacketShardable(install func(t *topo.Topology) protocol.Installed) RunnerFunc {
 	return mkPacketLevel(install, true)
 }
 
-func mkPacketLevel(install func(t *topo.Topology) protoSystem, shardSafe bool) RunnerFunc {
+func mkPacketLevel(install func(t *topo.Topology) protocol.Installed, shardSafe bool) RunnerFunc {
 	return func(build func() *topo.Topology, flows []workload.Flow, rc RunCtx) []workload.Result {
 		t := build()
 		sys := install(t)
@@ -221,7 +213,7 @@ const (
 // per-link streams, partition-independent by construction (DESIGN.md
 // §14). Telemetry does not gate: traced sharded cells defer record
 // emission and probe per shard (attachTelemetry).
-func shardFallback(t *topo.Topology, rc RunCtx, sys protoSystem, shardSafe bool) string {
+func shardFallback(t *topo.Topology, rc RunCtx, sys protocol.Installed, shardSafe bool) string {
 	if !shardSafe {
 		return fallbackRunner
 	}
@@ -237,7 +229,7 @@ func shardFallback(t *topo.Topology, rc RunCtx, sys protoSystem, shardSafe bool)
 // shardGroupFor decides whether a cell shards and builds its group.
 // Every fallback runs the unmodified single-engine path, says why on
 // the debug log, and reports 1 on the shards_active gauge.
-func shardGroupFor(t *topo.Topology, rc RunCtx, sys protoSystem, shardSafe bool) *sim.ShardGroup {
+func shardGroupFor(t *topo.Topology, rc RunCtx, sys protocol.Installed, shardSafe bool) *sim.ShardGroup {
 	if rc.Shards <= 1 {
 		rc.Obs.SetShardsActive(1)
 		return nil
@@ -302,7 +294,7 @@ func pdqMake(cfg func() core.Config) func(p map[string]float64, seed int64) Runn
 	return func(p map[string]float64, _ int64) RunnerFunc {
 		c := cfg()
 		c.Subflows = int(p["subflows"])
-		return mkPacketShardable(func(t *topo.Topology) protoSystem { return core.Install(t, c) })
+		return mkPacketShardable(func(t *topo.Topology) protocol.Installed { return core.Install(t, c) })
 	}
 }
 
@@ -365,25 +357,25 @@ func init() {
 	RegisterRunner(RunnerEntry{
 		Name: "D3", Doc: "Deadline-Driven Delivery (packet level)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
-			return mkPacket(func(t *topo.Topology) protoSystem { return d3.Install(t, d3.Config{}) })
+			return mkPacket(func(t *topo.Topology) protocol.Installed { return d3.Install(t, d3.Config{}) })
 		},
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "RCP", Doc: "Rate Control Protocol (packet level)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
-			return mkPacket(func(t *topo.Topology) protoSystem { return rcp.Install(t, rcp.Config{}) })
+			return mkPacket(func(t *topo.Topology) protocol.Installed { return rcp.Install(t, rcp.Config{}) })
 		},
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "RCP/D3", Doc: "alias for RCP (D3 behaves identically without deadlines)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
-			return mkPacket(func(t *topo.Topology) protoSystem { return rcp.Install(t, rcp.Config{}) })
+			return mkPacket(func(t *topo.Topology) protocol.Installed { return rcp.Install(t, rcp.Config{}) })
 		},
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "TCP", Doc: "TCP NewReno-style baseline (packet level)", Level: "packet", ShardSafe: true,
 		Make: func(map[string]float64, int64) RunnerFunc {
-			return mkPacketShardable(func(t *topo.Topology) protoSystem { return tcp.Install(t, tcp.Config{}) })
+			return mkPacketShardable(func(t *topo.Topology) protocol.Installed { return tcp.Install(t, tcp.Config{}) })
 		},
 	})
 	RegisterRunner(RunnerEntry{
@@ -393,7 +385,7 @@ func init() {
 			"threshold_kb": float64(netsim.DefaultECNThreshold) / 1024,
 		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
-			return mkPacketShardable(func(t *topo.Topology) protoSystem {
+			return mkPacketShardable(func(t *topo.Topology) protocol.Installed {
 				return dctcp.Install(t, dctcp.Config{G: p["g"], Threshold: int(p["threshold_kb"] * 1024)})
 			})
 		},
@@ -406,7 +398,7 @@ func init() {
 			"rtomin_us": float64(pfabric.DefaultRTOmin) / float64(sim.Microsecond),
 		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
-			return mkPacketShardable(func(t *topo.Topology) protoSystem {
+			return mkPacketShardable(func(t *topo.Topology) protocol.Installed {
 				return pfabric.Install(t, pfabric.Config{
 					Bands: int(p["bands"]),
 					TCP: tcp.Config{

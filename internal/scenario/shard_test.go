@@ -7,6 +7,7 @@ import (
 	"pdq/internal/core"
 	"pdq/internal/fault"
 	"pdq/internal/obsv"
+	"pdq/internal/protocol"
 	"pdq/internal/topo"
 	"pdq/internal/trace"
 )
@@ -193,7 +194,7 @@ func TestShardGoldenLossy(t *testing.T) {
 // state so the fault gates see the callbacks they key on (core.System
 // is a fault.PathUpdater; core.SwitchLogic a SoftStateResetter).
 func TestShardFallbackReasons(t *testing.T) {
-	build := func(zeroDelay bool) (*topo.Topology, protoSystem) {
+	build := func(zeroDelay bool) (*topo.Topology, protocol.Installed) {
 		tp := topo.FatTree(4, 7)
 		if zeroDelay {
 			for _, l := range tp.Net.Links() {
