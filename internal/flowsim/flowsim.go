@@ -295,6 +295,8 @@ type Sim struct {
 
 	hooks    []Hook // sorted by At once AddHook settles; see ApplyFaults
 	nextHook int
+
+	halted bool
 }
 
 // New creates a flow-level simulation.
@@ -326,13 +328,20 @@ func (s *Sim) Start(f workload.Flow) {
 
 func byStart(a, b *FlowState) int { return cmp.Compare(a.Start, b.Start) }
 
-// Run advances the simulation to the horizon or until all flows finish.
+// Run advances the simulation to the horizon, until all flows finish, or
+// until Halt is called.
 func (s *Sim) Run(horizon sim.Time) {
 	slices.SortStableFunc(s.pending[s.next:], byStart)
-	for s.now < horizon && (s.next < len(s.pending) || len(s.active) > 0) {
+	s.halted = false
+	for !s.halted && s.now < horizon && (s.next < len(s.pending) || len(s.active) > 0) {
 		s.step()
 	}
 }
+
+// Halt stops the executing Run once the step in progress is complete —
+// the event engine's Halt (sim.Sim), at this simulator's granularity.
+// Callers reach it from inside a step, through the collector's watcher.
+func (s *Sim) Halt() { s.halted = true }
 
 // AddHook schedules an environment mutation. All hooks must be added
 // before the first Run call; they execute in At order (ties in insertion

@@ -44,6 +44,42 @@ func TestPDQSequentialService(t *testing.T) {
 	}
 }
 
+// TestHaltStopsAfterTheStep drives Halt the way a search probe does —
+// from the collector's watcher, inside a step — and checks that Run
+// returns once that step is complete, and that a second Run carries on to
+// the results of a run never halted.
+func TestHaltStopsAfterTheStep(t *testing.T) {
+	var flows []workload.Flow
+	for i := 0; i < 4; i++ {
+		flows = append(flows, workload.Flow{ID: uint64(i + 1), Src: i, Dst: 8, Size: 1 << 20, Deadline: sim.Second})
+	}
+	want := runAlloc(t, NewPDQ(CritPerfect, 1), false, flows, sim.Second)
+
+	s := New(topo.SingleBottleneck(8, 1), NewPDQ(CritPerfect, 1))
+	for _, f := range flows {
+		s.Start(f)
+	}
+	s.Collector.Watch(func(ty workload.Tally) {
+		if ty.Met == 2 {
+			s.Halt()
+		}
+	})
+	s.Run(sim.Second)
+	second := want[1].Finish // sequential service: flow 2 is the second to finish
+	if s.now < second || s.now >= second+s.Step {
+		t.Fatalf("halted run stopped at %v, want within one step after the second finish at %v", s.now, second)
+	}
+	if got := s.Collector.Tally(); got.Met != 2 {
+		t.Fatalf("tally at the halt %+v, want 2 met", got)
+	}
+	s.Run(sim.Second)
+	for i, r := range s.Results() {
+		if r != want[i] {
+			t.Errorf("resumed flow %d: %+v, uninterrupted %+v", r.ID, r, want[i])
+		}
+	}
+}
+
 func TestRCPSimultaneousService(t *testing.T) {
 	var flows []workload.Flow
 	for i := 0; i < 4; i++ {

@@ -168,6 +168,10 @@ func (o *Observer) registerStandard() {
 		func(s SweepSnapshot) float64 { return float64(s.Failed) })
 	sweepCounter("pdq_sweep_cells_cached_total", "Cells served from the result cache.",
 		func(s SweepSnapshot) float64 { return float64(s.Cached) })
+	sweepCounter("pdq_sweep_probes_total", "Search-probe simulations run (max-flows/max-rate cells).",
+		func(s SweepSnapshot) float64 { return float64(s.Probes) })
+	sweepCounter("pdq_sweep_probes_decided_total", "Search probes stopped at their verdict, short of the horizon.",
+		func(s SweepSnapshot) float64 { return float64(s.Decided) })
 	r.Register(Metric{Name: "pdq_sweep_cells_running", Help: "Cells currently executing.", Type: TypeGauge, Collect: func(w *promWriter) {
 		for _, run := range o.Runs() {
 			w.Value("pdq_sweep_cells_running", []Label{{"run", run.Name}}, float64(run.Running))

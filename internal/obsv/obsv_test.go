@@ -132,13 +132,18 @@ func TestSweepStatsLifecycle(t *testing.T) {
 		if i == 1 {
 			s.CacheHit()
 		}
+		s.Probe(i%2 == 0)
 		s.CellEnd(start, i == 3)
 	}
+	s.Probe(true)
 	s.Finish()
 
 	snap := s.Snapshot()
 	if snap.Done != 3 || snap.Failed != 1 || snap.Cached != 1 || snap.Total != 4 {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+	if snap.Probes != 5 || snap.Decided != 3 {
+		t.Errorf("probes %d, decided %d, want 5 and 3", snap.Probes, snap.Decided)
 	}
 	if snap.Running != 0 {
 		t.Errorf("running = %d, want 0", snap.Running)
@@ -178,6 +183,7 @@ func TestNilObserverAndStats(t *testing.T) {
 	s.AddTotal(3)
 	s.CellEnd(s.CellStart(), false)
 	s.CacheHit()
+	s.Probe(true)
 	s.Finish()
 	if got := o.Runs(); got != nil {
 		t.Errorf("nil observer runs = %v", got)
@@ -204,6 +210,9 @@ func TestPromExposition(t *testing.T) {
 	s.AddTotal(2)
 	s.CellEnd(s.CellStart(), false)
 	s.CellEnd(s.CellStart(), true)
+	s.Probe(true)
+	s.Probe(false)
+	s.Probe(true)
 
 	var buf bytes.Buffer
 	if err := o.WriteProm(&buf); err != nil {
@@ -222,6 +231,8 @@ func TestPromExposition(t *testing.T) {
 		`pdq_sweep_cells_total{run="fig3a"} 2`,
 		`pdq_sweep_cells_done_total{run="fig3a"} 1`,
 		`pdq_sweep_cells_failed_total{run="fig3a"} 1`,
+		`pdq_sweep_probes_total{run="fig3a"} 3`,
+		`pdq_sweep_probes_decided_total{run="fig3a"} 2`,
 		`pdq_sweep_cell_seconds_bucket{run="fig3a",le="+Inf"} 2`,
 		`pdq_sweep_cell_seconds_count{run="fig3a"} 2`,
 		"# TYPE pdq_sweep_cell_seconds histogram",

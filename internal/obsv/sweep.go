@@ -33,6 +33,8 @@ type SweepStats struct {
 	done    atomic.Uint64 // finished OK (includes cached)
 	failed  atomic.Uint64 // finished with error/panic
 	cached  atomic.Uint64 // subset of done served from cache
+	probes  atomic.Uint64 // search-probe simulations run
+	decided atomic.Uint64 // subset of probes stopped at their verdict, short of the horizon
 
 	mu      sync.Mutex
 	seconds *Histogram // per-cell wall seconds
@@ -95,6 +97,20 @@ func (s *SweepStats) CacheHit() {
 	}
 }
 
+// Probe counts one search-probe simulation (a max-flows/max-rate cell runs
+// several); decided marks one that stopped as soon as its verdict was
+// fixed. decided/probes near 1 is why a search cell is fast; near 0 means
+// its metric has no interval or its cells shard.
+func (s *SweepStats) Probe(decided bool) {
+	if s == nil {
+		return
+	}
+	s.probes.Add(1)
+	if decided {
+		s.decided.Add(1)
+	}
+}
+
 // Finish stamps the run's end time. Idempotent; later snapshots stop
 // accumulating elapsed time.
 func (s *SweepStats) Finish() {
@@ -111,6 +127,8 @@ type SweepSnapshot struct {
 	Done        uint64  `json:"cells_done"`
 	Failed      uint64  `json:"cells_failed"`
 	Cached      uint64  `json:"cells_cached"`
+	Probes      uint64  `json:"probes"`          // search-probe simulations run
+	Decided     uint64  `json:"probes_decided"`  // of those, stopped at their verdict
 	HitRatio    float64 `json:"cache_hit_ratio"` // cached/done; 0 when done==0
 	ElapsedMs   int64   `json:"elapsed_ms"`      // 0 with a nil clock
 	CellsPerSec float64 `json:"cells_per_sec"`   // (done+failed)/elapsed
@@ -132,6 +150,8 @@ func (s *SweepStats) Snapshot() SweepSnapshot {
 		Done:    s.done.Load(),
 		Failed:  s.failed.Load(),
 		Cached:  s.cached.Load(),
+		Probes:  s.probes.Load(),
+		Decided: s.decided.Load(),
 		EtaMs:   -1,
 	}
 	if snap.Done > 0 {

@@ -1,0 +1,128 @@
+package scenario
+
+import (
+	"pdq/internal/obsv"
+	"pdq/internal/sim"
+	"pdq/internal/topo"
+	"pdq/internal/workload"
+)
+
+// SearchCell opens one simulated (row, column) cell of a compiled search
+// spec to probe_test.go — package scenario_test, so that it can import the
+// figure specs of internal/exp, which imports this package.
+type SearchCell struct {
+	e      *engine
+	ri, ci int
+	seed   int64
+
+	Row, Col string
+	Hi       int     // the search covers probes 1..Hi
+	Scale    float64 // the cell's value is Scale × the largest passing probe
+	Packet   bool    // packet level: the probe's engine clock and event count are reported
+	Horizon  sim.Time
+}
+
+// SearchCells compiles a max-flows/max-rate spec and lists its simulated
+// cells at o's base seed.
+func SearchCells(s *Spec, o Opts) ([]SearchCell, error) {
+	e, err := compile(s, o)
+	if err != nil {
+		return nil, err
+	}
+	e.progress = obsv.New(nil).StartRun(s.Name)
+	var cells []SearchCell
+	for ri := range e.rows {
+		r := &e.rows[ri]
+		if r.analytic != nil {
+			continue
+		}
+		for ci := range e.cols {
+			if r.cols > 0 && ci >= r.cols {
+				continue
+			}
+			c := SearchCell{e: e, ri: ri, ci: ci, seed: o.BaseSeed(),
+				Row: r.label, Col: e.cols[ci].label, Hi: e.cols[ci].hi, Scale: 1,
+				Packet: r.level == "packet", Horizon: e.horizon}
+			if e.mode == "max-rate" {
+				c.Hi, c.Scale = e.steps, e.rateStep
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells, nil
+}
+
+// Compute is the cell's value as the sweep computes it.
+func (c SearchCell) Compute() float64 { return c.e.compute(c.ri, c.ci, c.seed) }
+
+// ProbeRun is what one simulation of a probe left behind.
+type ProbeRun struct {
+	OK      bool     // the verdict: metric >= threshold
+	Metric  float64  // the metric of the results the run returned
+	Stopped bool     // the run ended at its verdict, short of the horizon
+	Now     sim.Time // packet level: engine clock after the run
+	Events  uint64   // packet level: events fired
+	// Intervals holds the metric interval at every flow outcome of a
+	// Reference run, in order.
+	Intervals [][2]float64
+}
+
+// resolve mirrors compute's cell resolution and its per-mode flow draw;
+// probe_test.go checks the mirror against Compute.
+func (c SearchCell) resolve(n int) (r *row, at int, col *column, flows []workload.Flow) {
+	e := c.e
+	r = &e.rows[c.ri]
+	col, at = &e.cols[c.ci], c.ci
+	if r.fixed {
+		col, at = &e.baseCol, 0
+	}
+	if e.mode == "max-rate" {
+		return r, at, col, col.gen(c.seed, 0, float64(n)*e.rateStep)
+	}
+	return r, at, col, col.gen(c.seed, n, 0)
+}
+
+// Probe runs probe n down the search's own path: engine.value, the stop
+// rule armed, then the search's comparison.
+func (c SearchCell) Probe(n int) ProbeRun {
+	r, at, col, flows := c.resolve(n)
+	var tp *topo.Topology
+	build := func() *topo.Topology { tp = col.build(c.seed); return tp }
+	before := c.e.progress.Snapshot()
+	v := c.e.value(r, at, col, build, flows, c.seed, c.Col, 0)
+	after := c.e.progress.Snapshot()
+	if after.Probes != before.Probes+1 {
+		panic("scenario: a probe was not counted")
+	}
+	return c.ran(ProbeRun{OK: v >= c.e.threshold, Metric: v, Stopped: after.Decided > before.Decided}, tp)
+}
+
+// Reference runs probe n to the horizon. With notes it is watched by a
+// Decided that records the interval and never says stop; without, it is
+// the nil-Decided run every run-mode cell is.
+func (c SearchCell) Reference(n int, notes bool) ProbeRun {
+	r, at, col, flows := c.resolve(n)
+	var tp *topo.Topology
+	build := func() *topo.Topology { tp = col.build(c.seed); return tp }
+	var run ProbeRun
+	var decided func(workload.Tally) bool
+	if notes {
+		interval := r.interval(at)
+		decided = func(t workload.Tally) bool {
+			lo, hi := interval(t)
+			run.Intervals = append(run.Intervals, [2]float64{lo, hi})
+			return false
+		}
+	}
+	rs := c.e.simulate(r, at, col, build, flows, c.seed, c.Col, 0, decided)
+	run.Metric = r.metric[at](rs, flows)
+	run.OK = run.Metric >= c.e.threshold
+	return c.ran(run, tp)
+}
+
+func (c SearchCell) ran(run ProbeRun, tp *topo.Topology) ProbeRun {
+	if c.Packet {
+		run.Now, run.Events = tp.Sim().Now(), tp.Sim().Processed()
+	}
+	return run
+}

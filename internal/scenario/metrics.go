@@ -14,6 +14,12 @@ func init() {
 		Fn: func(rs []workload.Result, _ []workload.Flow, _ map[string]float64) float64 {
 			return stats.AppThroughput(rs)
 		},
+		// Met flows stay met and lost flows stay lost (workload.Tally), so
+		// the final count of met flows lies in [Met, Total-Lost], and
+		// DeadlinePct keeps that order.
+		Interval: func(t workload.Tally, _ map[string]float64) (lo, hi float64) {
+			return stats.DeadlinePct(t.Met, t.Total), stats.DeadlinePct(t.Total-t.Lost, t.Total)
+		},
 	})
 	RegisterMetric(MetricEntry{
 		Name:   "mean-fct",

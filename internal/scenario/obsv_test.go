@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pdq/internal/obsv"
@@ -134,5 +135,64 @@ func TestFailedCellMergesEngineStats(t *testing.T) {
 	snap := o.Obs.Runs()[0]
 	if snap.Failed != 1 || snap.Done != 0 {
 		t.Errorf("snapshot = %+v, want the single cell failed", snap)
+	}
+}
+
+// searchSpec is a small max-flows search: deadline flows into one
+// receiver of the default tree, so a few dozen of them overload it.
+func searchSpec(runner string) *Spec {
+	return &Spec{
+		Name:     "search-test",
+		Topology: TopoSpec{Name: "single-rooted-tree"},
+		Workload: WorkloadSpec{
+			Pattern:        PatternSpec{Name: "aggregation"},
+			Sizes:          DistSpec{Name: "uniform-mean", Params: map[string]float64{"mean_kb": 100}},
+			MeanDeadlineMs: 20,
+		},
+		Protocols: []ProtoSpec{{Runner: runner}},
+		Metric:    MetricSpec{Name: "app-throughput"},
+		Eval:      EvalSpec{Mode: "max-flows", Hi: 32, Threshold: 99},
+		HorizonMs: 500,
+	}
+}
+
+// TestProbeCounters pins what the sweep run reports about its search
+// probes, and with it which probes may stop: those of a single-engine cell
+// whose metric has an interval. A sharded cell and a metric without one
+// run every probe to the horizon — and find the same cell value.
+func TestProbeCounters(t *testing.T) {
+	run := func(s *Spec, o Opts) (string, obsv.SweepSnapshot) {
+		t.Helper()
+		o.Obs = obsv.New(nil)
+		tab, err := Run(s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab.String(), o.Obs.Runs()[0]
+	}
+	base, snap := run(searchSpec("PDQ(Full)"), Opts{})
+	if snap.Probes < 2 || snap.Decided == 0 || snap.Decided > snap.Probes {
+		t.Errorf("single engine: %d probes, %d decided, want most of several decided", snap.Probes, snap.Decided)
+	}
+	probes := snap.Probes
+	sharded, snap := run(searchSpec("PDQ(Full)"), Opts{Shards: 4})
+	if snap.Probes != probes || snap.Decided != 0 {
+		t.Errorf("4 shards: %d probes, %d decided, want %d and 0", snap.Probes, snap.Decided, probes)
+	}
+	if sharded != base {
+		t.Errorf("sharded search found another cell value:\n--- 1 engine\n%s\n--- 4 shards\n%s", base, sharded)
+	}
+	s := searchSpec("PDQ(Full)")
+	s.Metric = MetricSpec{Name: "mean-fct"} // falls with n: every probe fails 99
+	if _, snap = run(s, Opts{}); snap.Probes == 0 || snap.Decided != 0 {
+		t.Errorf("metric without an interval: %d probes, %d decided, want some and 0", snap.Probes, snap.Decided)
+	}
+	s = searchSpec("flow:PDQ")
+	s.Workload.MeanDeadlineMs = 0 // no deadline flows: 100 % before the first event
+	if tab, snap := run(s, Opts{}); snap.Decided != snap.Probes || !strings.Contains(tab, "32") {
+		t.Errorf("no deadline flows: %d of %d probes decided, table\n%s", snap.Decided, snap.Probes, tab)
+	}
+	if _, snap = run(minimalSpec(), Opts{}); snap.Probes != 0 {
+		t.Errorf("run-mode spec counted %d probes", snap.Probes)
 	}
 }

@@ -166,3 +166,65 @@ func TestPacketPoolBalanceSharded(t *testing.T) {
 		}
 	}
 }
+
+// TestPacketPoolBalanceHaltedProbe stops every packet runner the way a
+// search probe stops — RunCtx.Decided turning true at a flow outcome,
+// packets in flight — and requires the cut-short run to be sound: the
+// clock inside the horizon, the results read with packets still in flight,
+// and the very same engine, resumed, draining to the balance, the clock
+// and the event and packet counts of a run that was never stopped — the
+// stop cut a prefix and disturbed nothing.
+func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
+	const horizon = 5 * sim.Second
+	for _, e := range RunnerList() {
+		if e.Level != "packet" {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			flows := poolFlows(len(tree().Hosts))
+			var fullTp, tp *topo.Topology
+			e.Make(e.Params, 1)(func() *topo.Topology { fullTp = tree(); return fullTp }, flows, RunCtx{Horizon: horizon})
+
+			outcomes, halts := 0, 0
+			rs := e.Make(e.Params, 1)(func() *topo.Topology { tp = tree(); return tp }, flows,
+				RunCtx{Horizon: horizon, Decided: func(workload.Tally) bool {
+					outcomes++
+					if outcomes == 5 {
+						halts++
+						return true
+					}
+					return false
+				}})
+			s := tp.Sim()
+			if halts != 1 || s.Pending() == 0 || s.Now() >= horizon {
+				t.Fatalf("probe not stopped mid-run: %d halts, %d events pending at %v", halts, s.Pending(), s.Now())
+			}
+			over := 0
+			for _, r := range rs {
+				if r.Done() || r.Terminated {
+					over++
+				}
+			}
+			if over == 0 || over == len(rs) {
+				t.Fatalf("%d of %d flows over at the stop, want some and not all", over, len(rs))
+			}
+			taken, released := tp.Net.PacketPoolStats()
+			if released >= taken {
+				t.Fatalf("stopped with packets taken %d, released %d: none in flight", taken, released)
+			}
+			s.RunUntil(horizon)
+			if s.Pending() != 0 {
+				t.Fatalf("%d events pending after resuming to the horizon", s.Pending())
+			}
+			if taken, released = tp.Net.PacketPoolStats(); taken != released {
+				t.Errorf("resumed run: packets taken %d, released %d", taken, released)
+			}
+			fs := fullTp.Sim()
+			fullTaken, _ := fullTp.Net.PacketPoolStats()
+			if s.Processed() != fs.Processed() || s.Now() != fs.Now() || taken != fullTaken {
+				t.Errorf("resumed run: %d events to %v, %d packets; uninterrupted: %d events to %v, %d packets",
+					s.Processed(), s.Now(), taken, fs.Processed(), fs.Now(), fullTaken)
+			}
+		})
+	}
+}

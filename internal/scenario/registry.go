@@ -56,6 +56,14 @@ type RunCtx struct {
 	// phase timing; the engine never reads a real clock itself.
 	Obs   *obsv.Runtime
 	Clock obsv.Clock
+
+	// Decided, when non-nil, marks the run as a search probe: only the
+	// truth of `metric >= threshold` will be read off its results, and
+	// Decided reports whether the deadline tally has fixed it. A
+	// single-engine runner calls it at every flow outcome and stops the
+	// simulation at the first true (armVerdict); a runner that ignores it,
+	// and any run without it, goes to the horizon.
+	Decided func(workload.Tally) bool
 }
 
 // RunnerFunc runs one protocol over a set of flows on a freshly built
@@ -97,6 +105,13 @@ type MetricEntry struct {
 	Doc    string
 	Params map[string]float64
 	Fn     MetricFunc
+	// Interval, if set, bounds Fn from the run's deadline tally so far:
+	// lo <= Fn(results) <= hi, in the very floats Fn computes, for the
+	// results as they stand and as they will stand at any later instant
+	// of the run. A search probe over such a metric stops once the
+	// interval no longer straddles the threshold (engine.value); a metric
+	// without one is always run to the horizon.
+	Interval func(t workload.Tally, p map[string]float64) (lo, hi float64)
 }
 
 // AnalyticEntry is a registered closed-form baseline: a value computed

@@ -166,6 +166,17 @@ type row struct {
 	keys []rowKey
 }
 
+// interval binds the Interval of the row's metric at binding at to that
+// binding's resolved params; nil when the metric has none.
+func (r *row) interval(at int) func(workload.Tally) (lo, hi float64) {
+	k := r.keys[at]
+	iv := metrics[k.Metric].Interval
+	if iv == nil {
+		return nil
+	}
+	return func(t workload.Tally) (lo, hi float64) { return iv(t, k.MetricParams) }
+}
+
 type engine struct {
 	spec      *Spec
 	cols      []column
@@ -292,7 +303,12 @@ func compile(s *Spec, o Opts) (*engine, error) {
 		}
 	}
 
-	// Search modes need usable bounds, or MaxN panics mid-sweep.
+	// Search modes need usable bounds, or MaxN panics mid-sweep — and a
+	// threshold, or every probe passes and the search simulates log₂(hi)+1
+	// times to report hi.
+	if (e.mode == "max-flows" || e.mode == "max-rate") && !(e.threshold > 0) {
+		return nil, fmt.Errorf("%s needs eval.threshold > 0", e.mode)
+	}
 	switch e.mode {
 	case "max-flows":
 		for _, c := range e.cols {
@@ -763,11 +779,12 @@ func bindRunner(name string, given map[string]float64) (func(seed int64) RunnerF
 
 // simulate executes one simulation for a row, tagging its telemetry
 // capture with (colLabel, run) — run distinguishes replicates and search
-// probes sharing one grid-cell tag.
-func (e *engine) simulate(r *row, at int, col *column, build func() *topo.Topology, flows []workload.Flow, seed int64, colLabel string, run int) []workload.Result {
+// probes sharing one grid-cell tag. decided is the run's RunCtx.Decided:
+// nil except for a search probe.
+func (e *engine) simulate(r *row, at int, col *column, build func() *topo.Topology, flows []workload.Flow, seed int64, colLabel string, run int, decided func(workload.Tally) bool) []workload.Result {
 	rc := RunCtx{Horizon: e.horizon, Qdisc: r.qdisc, Faults: col.faults,
 		MaxEvents: e.maxEvents, Watchdog: e.watchdog,
-		Shards: e.shards, Sched: e.sched}
+		Shards: e.shards, Sched: e.sched, Decided: decided}
 	if e.obs != nil {
 		rc.Obs = e.obs.Runtime
 		rc.Clock = e.obs.Clock
@@ -796,13 +813,37 @@ func (e *engine) sharedRun(key simMemoKey, run func() []workload.Result) []workl
 	return ent.rs
 }
 
-// value evaluates one (row, column) pair on one flow set. at indexes the
-// row's per-column runner/metric bindings.
+// value evaluates one search probe: one (row, column) pair on one flow
+// set, for a caller that reads nothing off the result but
+// `value >= e.threshold`. at indexes the row's per-column runner/metric
+// bindings.
+//
+// When the metric has an Interval, the simulation stops at the first flow
+// outcome after which that comparison can no longer change: lo >=
+// threshold (true whatever follows) or hi < threshold (false whatever
+// follows). The metric of the cut-short results lies in [lo, hi] like the
+// horizon's does (MetricEntry.Interval), so the caller's comparison, made
+// on them unchanged, already has the truth value a full run gives it. The
+// rule is looked at only inside outcomes the run has anyway, so the events
+// up to the stop are a prefix of the full run's.
+//
+// Run-mode cells never come here: they report the value itself, and their
+// event counts are pinned.
 func (e *engine) value(r *row, at int, col *column, build func() *topo.Topology, flows []workload.Flow, seed int64, colLabel string, run int) float64 {
 	if r.analytic != nil {
 		return r.analytic(flows)
 	}
-	rs := e.simulate(r, at, col, build, flows, seed, colLabel, run)
+	var decided func(workload.Tally) bool
+	stopped := false
+	if interval := r.interval(at); interval != nil {
+		decided = func(t workload.Tally) bool {
+			lo, hi := interval(t)
+			stopped = lo >= e.threshold || hi < e.threshold // intervals only narrow: once true, true
+			return stopped
+		}
+	}
+	rs := e.simulate(r, at, col, build, flows, seed, colLabel, run, decided)
+	e.progress.Probe(stopped)
 	return r.metric[at](rs, flows)
 }
 
@@ -885,10 +926,10 @@ func (e *engine) compute(ri, ci int, seed int64) float64 {
 				// identical, so one run per (row, replicate) serves the
 				// whole axis (traced cells carry Col "*").
 				rs = e.sharedRun(simMemoKey{row: ri, rep: s, seed: seed}, func() []workload.Result {
-					return e.simulate(r, at, col, build, flows, seed, "*", s)
+					return e.simulate(r, at, col, build, flows, seed, "*", s, nil)
 				})
 			} else {
-				rs = e.simulate(r, at, col, build, flows, seed, colLabel, s)
+				rs = e.simulate(r, at, col, build, flows, seed, colLabel, s, nil)
 			}
 			sum += r.metric[at](rs, flows)
 		}

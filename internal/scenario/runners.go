@@ -187,8 +187,11 @@ func mkPacketLevel(install func(t *topo.Topology) protocol.Installed, shardSafe 
 			sys.Start(f)
 		}
 		if g != nil {
+			// A sharded probe runs to the horizon: a flow's two endpoints
+			// report from two shards, out of virtual order, and the tally
+			// is one account.
 			runShardGroup(g, rc)
-		} else {
+		} else if !armVerdict(sys.FlowCollector(), rc.Decided, t.Sim().Halt) {
 			runEngine(t.Sim(), rc)
 		}
 		if fin != nil {
@@ -196,6 +199,24 @@ func mkPacketLevel(install func(t *topo.Topology) protocol.Installed, shardSafe 
 		}
 		return sys.Results()
 	}
+}
+
+// armVerdict makes a search probe stop at its verdict: from now on the
+// run's collector hands its deadline tally to decided (RunCtx.Decided, nil
+// for every other run) at each flow outcome, and the first true calls
+// halt. It reports whether the verdict stands before the first event — a
+// flow set with no deadlines — in which case the caller has nothing to
+// run.
+func armVerdict(c *workload.Collector, decided func(workload.Tally) bool, halt func()) bool {
+	if decided == nil {
+		return false
+	}
+	c.Watch(func(t workload.Tally) {
+		if decided(t) {
+			halt()
+		}
+	})
+	return decided(c.Tally())
 }
 
 // Shard-fallback reasons: every gate that drops a multi-shard request to
@@ -331,7 +352,9 @@ func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator) fu
 			for _, f := range flows {
 				s.Start(f)
 			}
-			s.Run(rc.Horizon)
+			if !armVerdict(s.Collector, rc.Decided, s.Halt) {
+				s.Run(rc.Horizon)
+			}
 			return s.Results()
 		}
 	}

@@ -74,6 +74,15 @@ func TestUnknownNamesError(t *testing.T) {
 			s.Eval = EvalSpec{Mode: "max-flows", Threshold: 99}
 			s.Metric = MetricSpec{Name: "app-throughput"}
 		}, "max-flows needs eval.hi"},
+		{"max-flows without threshold", func(s *Spec) {
+			s.Eval = EvalSpec{Mode: "max-flows", Hi: 8}
+			s.Metric = MetricSpec{Name: "app-throughput"}
+		}, "max-flows needs eval.threshold > 0"},
+		{"max-rate with negative threshold", func(s *Spec) {
+			s.Eval = EvalSpec{Mode: "max-rate", Threshold: -1, Steps: 4, RateStep: 100}
+			s.Workload.Count = 0
+			s.Workload.Arrival = &ArrivalSpec{WindowMs: 10}
+		}, "max-rate needs eval.threshold > 0"},
 		{"max-rate without steps", func(s *Spec) {
 			s.Eval = EvalSpec{Mode: "max-rate", Threshold: 99, RateStep: 100}
 			s.Workload.Count = 0

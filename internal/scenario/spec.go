@@ -253,7 +253,7 @@ type EvalSpec struct {
 	Hi         int     `json:"hi,omitempty"`
 	QuickHi    int     `json:"quick_hi,omitempty"`
 	HiPerHost  float64 `json:"hi_per_host,omitempty"` // hi = hi_per_host × topology hosts
-	Threshold  float64 `json:"threshold,omitempty"`
+	Threshold  float64 `json:"threshold,omitempty"`   // a search mode needs it > 0
 	Steps      int     `json:"steps,omitempty"`
 	QuickSteps int     `json:"quick_steps,omitempty"`
 	RateStep   float64 `json:"rate_step,omitempty"`

@@ -142,6 +142,29 @@ func TestAppThroughput(t *testing.T) {
 	}
 }
 
+// TestDeadlinePctKeepsOrder checks, for every flow count up to a few
+// thousand, what a search probe's early stop leans on: more met flows never
+// give a smaller percentage, so bounds on the count are bounds on the
+// metric in the metric's own floats.
+func TestDeadlinePctKeepsOrder(t *testing.T) {
+	for total := 1; total <= 3000; total++ {
+		prev := DeadlinePct(0, total)
+		if prev != 0 {
+			t.Fatalf("DeadlinePct(0, %d) = %v", total, prev)
+		}
+		for met := 1; met <= total; met++ {
+			v := DeadlinePct(met, total)
+			if v < prev {
+				t.Fatalf("DeadlinePct(%d, %d) = %v below DeadlinePct(%d, %d) = %v", met, total, v, met-1, total, prev)
+			}
+			prev = v
+		}
+		if prev != 100 {
+			t.Fatalf("DeadlinePct(%d, %d) = %v", total, total, prev)
+		}
+	}
+}
+
 func TestMeanFCTAndFilter(t *testing.T) {
 	rs := []workload.Result{
 		{Flow: workload.Flow{Size: 100, Start: 0}, Finish: sim.Second},

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"pdq/internal/sim"
@@ -41,6 +43,34 @@ type Collector struct {
 	// completion event happens to fire first, which under sharding would
 	// write the ring in physical, not virtual, order.
 	deferEmit bool
+
+	// The deadline tally, kept only once Watch has armed it (watch != nil).
+	// due holds the deadline flows by ascending AbsDeadline; due[:passed]
+	// are those whose deadline lies strictly before the latest outcome.
+	watch  func(Tally)
+	tally  Tally
+	due    []*cell
+	passed int
+}
+
+// Tally is a running account of the deadline flows of one run, as of its
+// latest outcome (a flow's first Finish or first Terminate):
+//
+//   - Met flows finished at or before their deadline with no earlier
+//     Terminate. Nothing that happens later un-meets one: merged() would
+//     need a Terminate stamped before the finish, and on one engine every
+//     later call carries a later-or-equal instant.
+//   - Lost flows had not been met when an outcome arrived at an instant
+//     strictly after their deadline. Nothing later meets one: every later
+//     Finish is stamped after the deadline too. A flow that terminated is
+//     not lost before then — a Finish at the Terminate instant still wins.
+//
+// So the run's final count of met flows lies in [Met, Total-Lost] from the
+// first outcome on, and the interval only narrows. Both arguments need
+// outcome instants that never decrease, which one engine gives and a shard
+// group does not: the tally is not kept for a sharded run.
+type Tally struct {
+	Met, Lost, Total int
 }
 
 // cell is one flow's raw accounting: the sender-side counters in res
@@ -52,6 +82,7 @@ type cell struct {
 	termAt   sim.Time // sender endpoint: first Terminate instant, -1 = never
 	termB    int64    // sender endpoint: SetBytesAcked value
 	termBSet bool
+	met      bool // counted in the collector's tally.Met
 }
 
 // NewCollector returns an empty collector.
@@ -65,6 +96,9 @@ func (c *Collector) Register(f Flow) {
 	if _, dup := c.byID[f.ID]; dup {
 		panic("workload: duplicate flow ID registered")
 	}
+	if c.watch != nil {
+		panic("workload: flow registered after Watch")
+	}
 	c.byID[f.ID] = &cell{res: Result{Flow: f, Finish: -1}, finishAt: -1, termAt: -1}
 	c.order = append(c.order, f.ID)
 }
@@ -76,6 +110,40 @@ func (c *Collector) Register(f Flow) {
 // configuration, so sharded and single-engine record streams agree.
 func (c *Collector) DeferEmission() { c.deferEmit = true }
 
+// Watch arms the deadline tally over the flows registered so far — all of
+// them: Register panics afterwards — and has fn called with it after every
+// outcome. It belongs to single-engine runs (see Tally), whose outcome
+// instants never decrease. Keeping the tally schedules nothing: it moves
+// only inside Finish and Terminate, so the run's event stream is the one an
+// unwatched run has.
+func (c *Collector) Watch(fn func(Tally)) {
+	for _, id := range c.order {
+		if cl := c.byID[id]; cl.res.HasDeadline() {
+			c.due = append(c.due, cl)
+		}
+	}
+	slices.SortFunc(c.due, func(a, b *cell) int {
+		return cmp.Compare(a.res.AbsDeadline(), b.res.AbsDeadline())
+	})
+	c.tally = Tally{Total: len(c.due)}
+	c.watch = fn
+}
+
+// Tally returns the deadline tally as of the latest outcome; the zero
+// Tally unless Watch armed it.
+func (c *Collector) Tally() Tally { return c.tally }
+
+// outcome advances the tally's lost count to instant now, that of a flow's
+// first Finish or first Terminate, and reports the tally to the watcher.
+func (c *Collector) outcome(now sim.Time) {
+	for ; c.passed < len(c.due) && c.due[c.passed].res.AbsDeadline() < now; c.passed++ {
+		if !c.due[c.passed].met {
+			c.tally.Lost++
+		}
+	}
+	c.watch(c.tally)
+}
+
 // Finish records that the receiver got the flow's last byte at time t.
 // Later calls for the same flow are ignored (multipath subflows may race).
 func (c *Collector) Finish(id uint64, t sim.Time) {
@@ -85,8 +153,18 @@ func (c *Collector) Finish(id uint64, t sim.Time) {
 	}
 	if cl.finishAt < 0 {
 		cl.finishAt = t
-		if cl.termAt < 0 {
-			c.emit(cl)
+		if c.eager() && cl.termAt < 0 {
+			c.record(cl)
+		}
+		if c.watch != nil {
+			// merged() is the one place the two endpoints' stamps are
+			// weighed, so a Terminate at this same instant, or an earlier
+			// one, counts here as it will when the results are read.
+			if cl.res.HasDeadline() && cl.merged().MetDeadline() {
+				cl.met = true
+				c.tally.Met++
+			}
+			c.outcome(t)
 		}
 	}
 }
@@ -101,8 +179,11 @@ func (c *Collector) Terminate(id uint64, t sim.Time) {
 	}
 	if cl.termAt < 0 {
 		cl.termAt = t
-		if cl.finishAt < 0 {
-			c.emit(cl)
+		if c.eager() && cl.finishAt < 0 {
+			c.record(cl)
+		}
+		if c.watch != nil {
+			c.outcome(t)
 		}
 	}
 }
@@ -226,15 +307,13 @@ func (cl *cell) doneAt() sim.Time {
 	return cl.finishAt
 }
 
-// emit cuts the flow's trace record. Called exactly once per flow, at its
-// first completion or termination — or from FlushTrace when emission is
-// deferred.
-func (c *Collector) emit(cl *cell) {
-	if c.Sink == nil || c.deferEmit {
-		return
-	}
-	c.record(cl)
-}
+// eager reports whether a flow's trace record is cut at its first
+// completion or termination rather than by FlushTrace. It is asked before
+// the other endpoint's stamp is looked at: a sharded run never emits
+// eagerly (no sink, or DeferEmission), so there Finish and Terminate each
+// touch their own endpoint's fields only — reading the other's, even just
+// to decide not to emit, races with the shard that writes it.
+func (c *Collector) eager() bool { return c.Sink != nil && !c.deferEmit }
 
 // record assembles and sinks one flow record from the merged view.
 func (c *Collector) record(cl *cell) {
