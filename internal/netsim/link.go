@@ -20,14 +20,15 @@ const (
 // Links joined by Peer.
 //
 // Packet timing is handled by a timestamp serializer (DESIGN.md §3): each
-// accepted packet is stamped with its serialization-completion time,
-// threaded onto an intrusive FIFO, and scheduled for delivery with a single
-// pooled event (the Packet itself is the callback) — one event per packet
-// instead of the three (start/complete/deliver) a naive model schedules,
-// and no per-packet closures. Queue occupancy and the Tx counters are
-// settled lazily from the timestamps, ordered against the engine's
-// (at, ta, tie, seq) event order, so reads must go through the accessor
-// methods.
+// accepted packet is stamped with its serialization-completion time and its
+// delivery key, and threaded onto an intrusive FIFO. A naive model
+// schedules three events per packet (start/complete/deliver); here the
+// link keeps one pooled event pending — the delivery of its oldest
+// undelivered packet, the Packet itself being the callback — and each
+// delivery schedules the next packet's before anything else. Queue
+// occupancy and the Tx counters are settled lazily from the timestamps,
+// ordered against the engine's (at, ta, tie, seq) event order, so reads
+// must go through the accessor methods.
 type Link struct {
 	ID        int
 	From, To  Node
@@ -79,10 +80,21 @@ type Link struct {
 	sched   Scheduler
 	serving *Packet
 
-	// Serializer FIFO, threaded through Packet.qNext: packets waiting for
-	// or undergoing serialization, in enqueue order. serDone times are
-	// monotone along the chain.
+	// The link's packet chain, threaded through Packet.qNext in enqueue
+	// order; serDone and due times are monotone along it. qHead is the
+	// oldest unsettled packet — waiting for or undergoing serialization as
+	// far as advance has looked — and qTail the youngest, meaningful while
+	// qHead is non-nil. Packets are never unlinked: a cursor moves past
+	// them, and a stale qNext is overwritten when the packet is enqueued
+	// again or released.
 	qHead, qTail *Packet
+	// dTail is the youngest packet whose delivery has not fired, nil when
+	// none is outstanding (single engine only). The oldest such packet is
+	// the one the pending delivery event holds; the ones behind it are
+	// reached through qNext, each scheduled by its predecessor's delivery
+	// (Packet.RunEvent). Undelivered packets include the unsettled ones, so
+	// on the FIFO path this is the same chain further back.
+	dTail *Packet
 
 	// Fault-injection state (DESIGN.md §11). down drops every packet
 	// touching the link — at enqueue and at delivery, so in-flight packets
@@ -183,8 +195,8 @@ func (l *Link) SetRate(bps int64) {
 
 // advance settles the serializer up to the current (time, ta, tie) order
 // point: every packet whose serialization-complete transition precedes it
-// is accounted (queue occupancy, Tx counters) and unlinked. The stamp
-// comparison reproduces the eager model's tie-breaking exactly: a
+// is accounted (queue occupancy, Tx counters) and qHead moves past it. The
+// stamp comparison reproduces the eager model's tie-breaking exactly: a
 // completion at time t was an event scheduled when the packet was
 // enqueued, so an observer event also firing at t sees the completion if
 // and only if the completion's enqueue stamp precedes the observer — that
@@ -205,19 +217,16 @@ func (l *Link) advance() {
 		l.txPackets++
 		l.txBytes += uint64(p.Wire)
 		l.qHead = p.qNext
-		if l.qHead == nil {
-			l.qTail = nil
-		}
-		p.qNext = nil
 	}
 }
 
 // advanceTo settles the serializer up to barrier time t: every packet
 // whose serialization completed strictly before t is accounted and
-// unlinked. Sharded runs call it at every window start (the pre-window
-// hook), which guarantees a packet is off its ingress link's serializer
-// chain before its delivery — at least one full lookahead after serDone —
-// can fire on another shard and relink the packet onto its next hop.
+// passed. Sharded runs call it at every window start (the pre-window
+// hook), which guarantees qHead is past a packet — nothing on this shard
+// will follow its qNext again — before its delivery, at least one full
+// lookahead after serDone, can fire on another shard and relink the packet
+// onto its next hop.
 // Settling early is observationally identical to the lazy advance: the
 // settle predicate is monotone in (time, seq), and exact-instant ties
 // (serDone == t) are left for the owner shard's own advance.
@@ -227,10 +236,6 @@ func (l *Link) advanceTo(t sim.Time) {
 		l.txPackets++
 		l.txBytes += uint64(p.Wire)
 		l.qHead = p.qNext
-		if l.qHead == nil {
-			l.qTail = nil
-		}
-		p.qNext = nil
 	}
 }
 
@@ -424,39 +429,51 @@ func (l *Link) Enqueue(pkt *Packet) {
 	pkt.serStart = start
 	pkt.serDone = done
 	pkt.qNext = nil
-	if l.qTail != nil {
+	if l.qHead != nil {
 		l.qTail.qNext = pkt
 	} else {
 		l.qHead = pkt
 	}
 	l.qTail = pkt
-	// One pooled event delivers the packet after serialization plus the
-	// wire and processing delays; the packet itself is the callback
-	// (Packet.RunEvent), so nothing is allocated. The event's channel key
-	// doubles as the packet's position in the engine's total event order.
+	// The packet is delivered after serialization plus the wire and
+	// processing delays by a pooled event whose callback is the packet
+	// itself (Packet.RunEvent), so nothing is allocated. The event's
+	// channel key doubles as the packet's position in the engine's total
+	// event order.
 	l.emitDelivery(pkt, now, done)
 }
 
-// emitDelivery schedules pkt's delivery event, stamped with the link's
+// emitDelivery fixes pkt's delivery event: its due time and the link's
 // canonical channel key — (link ID, per-link counter), the structural tie
 // that orders same-(at, ta) deliveries identically on the single engine
-// and across shard barriers. Single-engine runs schedule the keyed event
-// directly; sharded runs post the same key to the mailbox (even when From
-// and To share a shard — injection points must be partition-independent)
-// and enroll the link for barrier settling.
+// and across shard barriers. Sharded runs post the key to the mailbox
+// (even when From and To share a shard — injection points must be
+// partition-independent) and enroll the link for barrier settling.
+//
+// Single-engine runs keep one delivery per link in the engine. A packet
+// accepted onto an idle wire is scheduled here; one accepted while a
+// delivery is outstanding is only linked behind dTail, and the delivery
+// ahead of it schedules it with this same key. That is the order the
+// engine would have computed from one event per packet: keys grow along
+// the chain — due times do not decrease (busyUntil is monotone and the
+// delays are per-link constants, checked below), enqueue instants do not
+// either, and the counter breaks what is left — so a successor always
+// orders after the delivery that schedules it, and no event that orders
+// after the successor can fire before that.
 //
 //pdq:hotpath
 func (l *Link) emitDelivery(pkt *Packet, now, done sim.Time) {
 	l.handoffCtr++
 	pkt.enqTa = now
 	pkt.enqTie = uint64(l.ID+1)<<32 | uint64(l.handoffCtr)
+	due := done + l.PropDelay + l.ProcDelay
 	if sh := l.net.shard; sh != nil {
 		if !l.dirty {
 			l.dirty = true
 			l.net.dirtyLinks[l.shard] = append(l.net.dirtyLinks[l.shard], l)
 		}
 		sh.Post(int(l.shard), sim.Handoff{
-			Due:   done + l.PropDelay + l.ProcDelay,
+			Due:   due,
 			Ta:    now,
 			Pa:    l.ownSim.EventTa(),
 			Link:  uint32(l.ID),
@@ -467,7 +484,23 @@ func (l *Link) emitDelivery(pkt *Packet, now, done sim.Time) {
 		})
 		return
 	}
-	l.ownSim.AtRunnerKeyed(done+l.PropDelay+l.ProcDelay, pkt.enqTie, pkt)
+	pkt.due = due
+	tail := l.dTail
+	l.dTail = pkt
+	if tail == nil {
+		l.ownSim.AtRunnerKeyed(due, pkt.enqTie, pkt)
+		return
+	}
+	if due < tail.due {
+		l.panicDueOrder(due, tail.due)
+	}
+	tail.qNext = pkt
+}
+
+// panicDueOrder is emitDelivery's cold failure path, kept out of the
+// annotated hot function so it stays free of fmt.
+func (l *Link) panicDueOrder(due, prev sim.Time) {
+	panic(fmt.Sprintf("netsim: %v delivery due %v before its predecessor's %v: PropDelay or ProcDelay lowered under in-flight packets", l, due, prev))
 }
 
 // schedEnqueue is the reordering-discipline path: the qdisc buffers

@@ -142,16 +142,18 @@ type Packet struct {
 
 	// Serializer state, owned by the Link the packet currently occupies
 	// (DESIGN.md §3): the intrusive FIFO linkage, the times serialization
-	// onto that link starts and completes, and the (instant, channel key)
-	// stamp of the enqueue — the packet's position in the engine's
-	// (at, ta, tie, seq) total event order. Exact-instant observers
-	// compare against this stamp: both halves are partition-independent
-	// (virtual time and the producing channel's identity), so lazy
-	// settling resolves exact-instant ties identically at any shard count
-	// (DESIGN.md §14).
+	// onto that link starts and completes, when the delivery is due (kept
+	// for a chained packet, whose event is scheduled later than enqueue),
+	// and the (instant, channel key) stamp of the enqueue — with due, the
+	// packet's position in the engine's (at, ta, tie, seq) total event
+	// order, fixed at enqueue. Exact-instant observers compare against
+	// this stamp: both halves are partition-independent (virtual time and
+	// the producing channel's identity), so lazy settling resolves
+	// exact-instant ties identically at any shard count (DESIGN.md §14).
 	qNext    *Packet
 	serStart sim.Time
 	serDone  sim.Time
+	due      sim.Time
 	enqTa    sim.Time
 	enqTie   uint64
 }
@@ -159,10 +161,14 @@ type Packet struct {
 // RunEvent implements sim.Runner: it fires when the packet has fully
 // traversed its current link (serialization + propagation + processing).
 // Scheduling the packet itself as the callback keeps per-packet delivery
-// allocation-free. The link is settled first so the packet is unlinked from
-// its serializer FIFO before it can be enqueued on the next hop. A packet
-// in flight on a link that went down mid-traversal is lost at delivery
-// time — the failure severs the wire under it.
+// allocation-free. On the single engine the delivery first hands the link's
+// one event on to the packet chained behind it (Link.emitDelivery), under
+// the key that packet was given at enqueue — before anything can reuse
+// qNext, lose this packet or look at the engine's queue, and first so the
+// engine can put it where this event was (sim: lazy pop). The link is then
+// settled, so its cursor is past the packet before the next hop relinks it.
+// A packet in flight on a link that went down mid-traversal is lost at
+// delivery time — the failure severs the wire under it.
 //
 //pdq:hotpath
 func (p *Packet) RunEvent() {
@@ -185,6 +191,11 @@ func (p *Packet) RunEvent() {
 		}
 		ingress.To.Receive(p, ingress)
 		return
+	}
+	if next := p.qNext; next != nil {
+		ingress.ownSim.AtRunnerStamped(next.due, next.enqTa, next.enqTie, next)
+	} else {
+		ingress.dTail = nil
 	}
 	ingress.advance()
 	if ingress.down {

@@ -132,7 +132,9 @@ func (o *Observer) registerStandard() {
 		func(s RuntimeSnapshot) uint64 { return s.Fired })
 	counter("pdq_engine_events_cancelled_total", "Events cancelled before firing.",
 		func(s RuntimeSnapshot) uint64 { return s.Cancelled })
-	r.Register(Metric{Name: "pdq_engine_queue_highwater", Help: "High-water mark of pending events in any engine (heap depth or wheel occupancy).", Type: TypeGauge, Collect: func(w *promWriter) {
+	counter("pdq_engine_events_refilled_total", "Schedules that replaced the firing event at the heap root instead of paying a pop and a push.",
+		func(s RuntimeSnapshot) uint64 { return s.Refilled })
+	r.Register(Metric{Name: "pdq_engine_queue_highwater", Help: "High-water mark of pending events in any engine (heap depth or wheel occupancy): about busy links plus armed timers on the single engine, packets in flight plus timers when sharded.", Type: TypeGauge, Collect: func(w *promWriter) {
 		w.Value("pdq_engine_queue_highwater", nil, float64(rt.Snapshot().QueueHWM))
 	}})
 	counter("pdq_shard_windows_total", "Barrier windows executed by shard groups.",

@@ -148,7 +148,17 @@ type EngineStats struct {
 	Scheduled Counter // events scheduled (At/AtRunner/After and handoff injection)
 	Fired     Counter // events executed
 	Cancelled Counter // events removed by Cancel before firing
+	// Refilled counts the schedules (a subset of Scheduled) that landed in
+	// the root hole their own firing event left on the heap backend: a
+	// replace-top, one sift-down instead of a pop and a push (DESIGN.md
+	// §2). Fired − Refilled is the number of pops paid in full; the wheel
+	// and barrier injection never refill.
+	Refilled Counter
 	// QueueHWM is the high-water mark of the pending-event count — heap
-	// depth on the heap backend, live occupancy on the timer wheel.
+	// depth on the heap backend, live occupancy on the timer wheel. A
+	// single-engine link keeps one delivery pending however many packets
+	// it has in flight (DESIGN.md §3), so the mark reads about busy links
+	// plus armed timers, not packets in flight; sharded runs still hold
+	// one event per packet.
 	QueueHWM HighWater
 }

@@ -77,18 +77,20 @@ func TestRuntimeMerge(t *testing.T) {
 	st.Scheduled.Add(10)
 	st.Fired.Add(8)
 	st.Cancelled.Add(1)
+	st.Refilled.Add(6)
 	st.QueueHWM.Observe(42)
 
 	var prev EngineStats
 	rt.MergeEngineSince(st, &prev)
 	st.Scheduled.Add(5)
 	st.Fired.Add(5)
+	st.Refilled.Add(3)
 	st.QueueHWM.Observe(17) // below current mark: no change
 	rt.MergeEngineSince(st, &prev)
 
 	s := rt.Snapshot()
-	if s.Scheduled != 15 || s.Fired != 13 || s.Cancelled != 1 {
-		t.Errorf("merged = %d/%d/%d, want 15/13/1", s.Scheduled, s.Fired, s.Cancelled)
+	if s.Scheduled != 15 || s.Fired != 13 || s.Cancelled != 1 || s.Refilled != 9 {
+		t.Errorf("merged = %d/%d/%d/%d, want 15/13/1/9", s.Scheduled, s.Fired, s.Cancelled, s.Refilled)
 	}
 	if s.QueueHWM != 42 {
 		t.Errorf("queueHWM = %d, want 42", s.QueueHWM)
@@ -201,6 +203,7 @@ func TestPromExposition(t *testing.T) {
 		st := &EngineStats{}
 		st.Scheduled.Add(100)
 		st.Fired.Add(90)
+		st.Refilled.Add(70)
 		st.QueueHWM.Observe(12)
 		return st
 	}())
@@ -224,6 +227,8 @@ func TestPromExposition(t *testing.T) {
 		"# TYPE pdq_engine_events_scheduled_total counter",
 		"pdq_engine_events_scheduled_total 100\n",
 		"pdq_engine_events_fired_total 90\n",
+		"# TYPE pdq_engine_events_refilled_total counter",
+		"pdq_engine_events_refilled_total 70\n",
 		"pdq_engine_queue_highwater 12\n",
 		"pdq_shard_handoffs_total 4\n",
 		"pdq_shard_handoff_bytes_total 6000\n",

@@ -27,6 +27,7 @@ type Runtime struct {
 	scheduled atomic.Uint64 // events scheduled, all engines
 	fired     atomic.Uint64 // events fired, all engines
 	cancelled atomic.Uint64 // events cancelled, all engines
+	refilled  atomic.Uint64 // schedules that replaced the heap root, all engines
 	queueHWM  atomic.Int64  // max pending-event depth seen by any engine
 
 	windows      atomic.Uint64 // barrier windows executed by shard groups
@@ -50,6 +51,7 @@ func (r *Runtime) MergeEngine(st *EngineStats) {
 	r.scheduled.Add(st.Scheduled.Value())
 	r.fired.Add(st.Fired.Value())
 	r.cancelled.Add(st.Cancelled.Value())
+	r.refilled.Add(st.Refilled.Value())
 	r.ObserveQueueHWM(st.QueueHWM.Value())
 }
 
@@ -63,6 +65,7 @@ func (r *Runtime) MergeEngineSince(st *EngineStats, prev *EngineStats) {
 	r.scheduled.Add(st.Scheduled.Value() - prev.Scheduled.Value())
 	r.fired.Add(st.Fired.Value() - prev.Fired.Value())
 	r.cancelled.Add(st.Cancelled.Value() - prev.Cancelled.Value())
+	r.refilled.Add(st.Refilled.Value() - prev.Refilled.Value())
 	r.ObserveQueueHWM(st.QueueHWM.Value())
 	*prev = *st
 }
@@ -127,6 +130,7 @@ type RuntimeSnapshot struct {
 	Scheduled    uint64             `json:"events_scheduled"`
 	Fired        uint64             `json:"events_fired"`
 	Cancelled    uint64             `json:"events_cancelled"`
+	Refilled     uint64             `json:"events_refilled"`
 	QueueHWM     int64              `json:"queue_highwater"`
 	Windows      uint64             `json:"shard_windows"`
 	IdleSkips    uint64             `json:"shard_idle_skips"`
@@ -146,6 +150,7 @@ func (r *Runtime) Snapshot() RuntimeSnapshot {
 	s.Scheduled = r.scheduled.Load()
 	s.Fired = r.fired.Load()
 	s.Cancelled = r.cancelled.Load()
+	s.Refilled = r.refilled.Load()
 	s.QueueHWM = r.queueHWM.Load()
 	s.Windows = r.windows.Load()
 	s.IdleSkips = r.idleSkips.Load()

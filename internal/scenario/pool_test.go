@@ -167,13 +167,14 @@ func TestPacketPoolBalanceSharded(t *testing.T) {
 	}
 }
 
-// TestPacketPoolBalanceHaltedProbe stops every packet runner the way a
-// search probe stops — RunCtx.Decided turning true at a flow outcome,
-// packets in flight — and requires the cut-short run to be sound: the
-// clock inside the horizon, the results read with packets still in flight,
-// and the very same engine, resumed, draining to the balance, the clock
-// and the event and packet counts of a run that was never stopped — the
-// stop cut a prefix and disturbed nothing.
+// TestPacketPoolBalanceHaltedProbe stops every packet runner — the paced
+// ones and the TCP family — the way a search probe stops: RunCtx.Decided
+// turning true at a flow outcome, packets in flight, most of them chained
+// behind another packet's delivery and known to no event. It requires the
+// cut-short run to be sound: the clock inside the horizon, the results read
+// with packets still in flight, and the very same engine, resumed, draining
+// to the balance, the clock and the event and packet counts of a run that
+// was never stopped — the stop cut a prefix and disturbed nothing.
 func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
 	const horizon = 5 * sim.Second
 	for _, e := range RunnerList() {
@@ -211,6 +212,14 @@ func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
 			taken, released := tp.Net.PacketPoolStats()
 			if released >= taken {
 				t.Fatalf("stopped with packets taken %d, released %d: none in flight", taken, released)
+			}
+			// A link keeps one delivery in the engine and chains the other
+			// packets it carries behind it (DESIGN.md §3): more packets in
+			// flight than events pending means the stop caught packets no
+			// event refers to yet. They count as taken, and the resumed run
+			// below must still deliver and release every one of them.
+			if inFlight := taken - released; inFlight <= uint64(s.Pending()) {
+				t.Fatalf("stopped with %d packets in flight and %d events pending: no chained packet at the stop", inFlight, s.Pending())
 			}
 			s.RunUntil(horizon)
 			if s.Pending() != 0 {

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+
+	"pdq/internal/obsv"
 )
 
 // refEvent / refEngine form a trusted reference implementation of the event
@@ -244,14 +246,21 @@ func (f runnerFunc) RunEvent() { f() }
 // mostly share at; ta differs by whole grid steps (and is backdated through
 // the barrier-injection entry point), tie is drawn from four values, and
 // seq decides what is left. Events enter through At, AtRunner,
-// AtRunnerKeyed and atRunnerStamped, from the driver and from inside
+// AtRunnerKeyed and AtRunnerStamped, from the driver and from inside
 // callbacks; callbacks also cancel, and runs are cut short by a horizon or
 // by Halt.
 //
+// Callbacks are shaped after the heap's lazy pop, whose hole at the root is
+// open from the start of a callback to its first schedule: they schedule
+// none, one or many events, cancel another event before and after the
+// first schedule, and a keyed event that was scheduled for its own instant
+// opens with a tie-0 timer at now — a key that orders before the stale
+// root it overwrites.
+//
 // The reference is stepped from inside the engine's callbacks: every pop
 // must be the reference's minimum, with Now, EventSeq, EventTa and EventTie
-// reading that event's key. Every Cancel verdict and Pending are compared
-// as they happen.
+// reading that event's key. Every Cancel verdict is compared as it
+// happens, and Pending on both sides of every callback's schedules.
 func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
 	const grid = 1000
 	rng := rand.New(rand.NewSource(seed))
@@ -270,6 +279,7 @@ func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
 	haltAfter := 0 // Halt once this many more events have fired, when > 0
 	halted := false
 	draining := false
+	beforeRoot := 0 // first schedules whose key ordered before the firing event's
 
 	cancelOne := func() {
 		if len(handles) == 0 {
@@ -286,7 +296,13 @@ func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
 			t.Fatalf("depth %d: second Cancel of event %d succeeded", depth, h.ev.id)
 		}
 	}
+	checkPending := func(id int) {
+		if s.Pending() != len(ref.events) {
+			t.Fatalf("depth %d: Pending() = %d inside the callback of event %d, reference holds %d", depth, s.Pending(), id, len(ref.events))
+		}
+	}
 	var schedule func()
+	var timerNow func()
 	onFire := func(id int) {
 		if len(ref.events) == 0 {
 			t.Fatalf("depth %d: engine fired event %d, reference is empty", depth, id)
@@ -299,13 +315,24 @@ func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
 			t.Fatalf("depth %d: event %d sees key %+v inside its callback, scheduled with %+v", depth, id, got, want.key)
 		}
 		fired = append(fired, firedEvent{id, want.key})
+		checkPending(id)
 		if !draining {
-			for n := rng.Intn(3); n > 0 && s.Pending() < depth+2; n-- {
+			if rng.Intn(8) == 0 {
+				cancelOne()
+			}
+			n := [...]int{0, 1, 1, 2, 2, 6}[rng.Intn(6)]
+			if want.tie != 0 && want.ta == want.at && n > 0 {
+				timerNow()
+				beforeRoot++
+				n--
+			}
+			for ; n > 0 && s.Pending() < depth+6; n-- {
 				schedule()
 			}
 			if rng.Intn(8) == 0 {
 				cancelOne()
 			}
+			checkPending(id)
 		}
 		if haltAfter > 0 {
 			if haltAfter--; haltAfter == 0 {
@@ -313,6 +340,12 @@ func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
 				halted = true
 			}
 		}
+	}
+	timerNow = func() {
+		id := nextID
+		nextID++
+		now := s.Now()
+		handles = append(handles, handle{ref.at(now, now, 0, id), s.At(now, func() { onFire(id) })})
 	}
 	schedule = func() {
 		id := nextID
@@ -332,7 +365,7 @@ func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
 			ta := max(0, now-grid*Time(rng.Intn(3)))
 			tie := uint64(rng.Intn(4))
 			ref.at(at, ta, tie, id)
-			s.atRunnerStamped(at, ta, tie, runnerFunc(fn))
+			s.AtRunnerStamped(at, ta, tie, runnerFunc(fn))
 		}
 	}
 
@@ -376,6 +409,9 @@ func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
 		if s.Cancel(h.ref) {
 			t.Fatalf("depth %d: Cancel of event %d succeeded after the drain", depth, h.ev.id)
 		}
+	}
+	if depth > 1 && beforeRoot == 0 {
+		t.Errorf("depth %d: no callback opened with a key ordering before its own event's; the history no longer reaches that case", depth)
 	}
 	return fired
 }
@@ -464,18 +500,34 @@ func TestEventRefGenerationReuse(t *testing.T) {
 // TestScheduleSteadyStateAllocs verifies the zero-allocation contract: once
 // the pool has warmed up, schedule/fire cycles must not allocate. The
 // callback is a pre-bound closure, as the hot paths in netsim and the
-// protocol senders use.
+// protocol senders use. Its first schedule refills the root hole its own
+// event left and its second is pushed at the end, so both ways into the
+// heap are covered, along with a cancel on either side of the refill.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	s := New()
+	st := &obsv.EngineStats{}
+	s.SetStats(st)
 	var fn func()
+	nop := func() {}
+	var spare EventRef
 	n := 0
 	fn = func() {
 		if n++; n < 1000 {
+			if n%3 == 0 {
+				s.Cancel(spare)
+			}
 			s.After(3, fn)
+			if n%3 == 1 {
+				s.Cancel(spare)
+			}
+			spare = s.After(5, nop)
 		}
 	}
 	s.After(1, fn)
 	s.Run()
+	if r := st.Refilled.Value(); r == 0 || r >= st.Scheduled.Value() {
+		t.Fatalf("%d of %d schedules refilled the root, want some and not all", r, st.Scheduled.Value())
+	}
 	n = 0
 	allocs := testing.AllocsPerRun(100, func() {
 		n = 0

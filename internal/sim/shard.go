@@ -356,7 +356,7 @@ func (g *ShardGroup) injectShard(d int) {
 		// and same-instant deliveries exactly where the single engine —
 		// which scheduled the delivery at that enqueue instant with the
 		// same key — would have placed it.
-		s.atRunnerStamped(h.Due, h.Ta, uint64(h.Link+1)<<32|uint64(h.Ctr), h.R)
+		s.AtRunnerStamped(h.Due, h.Ta, uint64(h.Link+1)<<32|uint64(h.Ctr), h.R)
 		if runs[best] = runs[best][1:]; len(runs[best]) == 0 {
 			runs[best] = runs[len(runs)-1]
 			runs = runs[:len(runs)-1]

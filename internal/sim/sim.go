@@ -2,17 +2,21 @@
 //
 // The engine is the substrate for the packet-level network simulator used to
 // reproduce the PDQ paper (Hong et al., SIGCOMM 2012). Events are ordered by
-// (time, sequence number), where the sequence number is assigned at schedule
-// time, so simulations are fully deterministic: the same seed and the same
-// schedule produce the same execution, event for event (see DESIGN.md §1).
+// the four-field key (at, ta, tie, seq) — firing time, scheduling instant,
+// structural channel key, and a sequence number assigned at schedule time
+// (see key, DESIGN.md §1 and §14.1) — so simulations are fully
+// deterministic: the same seed and the same schedule produce the same
+// execution, event for event.
 //
 // Internally the queue is a slot-pooled indexed 4-ary min-heap: callback
 // records live in a flat slice and are recycled through a free list on fire
 // or cancel, heap entries carry the event key and the record's slot, so a
 // steady-state simulation schedules events without allocating (DESIGN.md
-// §2). EventRef is a (slot, generation) handle:
-// recycling a slot bumps its generation, so a stale handle held after its
-// event fired can never cancel the slot's next occupant.
+// §2). The pop is lazy: a fired entry stays at the root as a hole for the
+// callback's first schedule to overwrite (see Sim.hole). EventRef is a
+// (slot, generation) handle: recycling a slot bumps its generation, so a
+// stale handle held after its event fired can never cancel the slot's next
+// occupant.
 //
 // Time is an integer number of nanoseconds since the start of the
 // simulation. At 1 Gbps one bit lasts one nanosecond, so nanosecond
@@ -72,9 +76,9 @@ func FromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) 
 
 // Runner is an event callback bound to a pre-existing object. Scheduling a
 // Runner with AtRunner stores the interface value directly in the pooled
-// event record, so hot paths that fire one event per object (netsim
-// schedules one delivery per packet) stay allocation-free: boxing a pointer
-// into an interface does not allocate.
+// event record, so hot paths that fire one event per object (netsim's
+// deliveries: the packet is the callback) stay allocation-free: boxing a
+// pointer into an interface does not allocate.
 type Runner interface {
 	// RunEvent is invoked when the event fires.
 	RunEvent()
@@ -181,6 +185,18 @@ type Sim struct {
 	nRun      uint64
 	halted    bool
 
+	// hole is the lazy pop (DESIGN.md §2): while the heap backend runs a
+	// callback, the fired entry is still order[0] — stale, its slot already
+	// released — and the callback's first schedule overwrites it with one
+	// siftDown instead of a remove followed by append and siftUp. Nothing
+	// ever compares against the stale root: siftDown(0, …) looks only at
+	// children, and whatever else reads the heap closes the hole with
+	// heapRemove(0) first — Cancel, the end of fire, and RunUntil and Step
+	// before they look at the head (a callback that panicked leaves it
+	// open). So the hole needs no assumption about how the new key orders
+	// against the fired one.
+	hole bool
+
 	// maxEvents, when nonzero, bounds the total number of events this Sim
 	// may execute; exceeding it panics with EventLimitError. It is the
 	// deterministic half of the runaway-cell watchdog (DESIGN.md §11).
@@ -272,7 +288,7 @@ func (s *Sim) UseWheel() {
 	if s.wheel != nil {
 		return
 	}
-	if len(s.order) > 0 {
+	if s.Pending() > 0 {
 		panic("sim: UseWheel with events already scheduled")
 	}
 	s.wheel = &wheel{}
@@ -287,10 +303,15 @@ func (s *Sim) Now() Time { return s.now }
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.nRun }
 
-// Pending returns the number of events currently scheduled.
+// Pending returns the number of events currently scheduled. The event
+// being executed is not pending, whether or not its entry still occupies
+// the root as a hole.
 func (s *Sim) Pending() int {
 	if s.wheel != nil {
 		return s.wheel.live
+	}
+	if s.hole {
+		return len(s.order) - 1
 	}
 	return len(s.order)
 }
@@ -469,6 +490,15 @@ func (s *Sim) heapRemove(i int) {
 	}
 }
 
+// closeHole ends a lazy pop nobody refilled: the stale root is removed the
+// way an eager pop would have removed it.
+//
+//pdq:hotpath
+func (s *Sim) closeHole() {
+	s.hole = false
+	s.heapRemove(0)
+}
+
 // release recycles a slot: the callback is dropped (so it can be collected)
 // and the generation advances, invalidating outstanding refs.
 //
@@ -483,7 +513,7 @@ func (s *Sim) release(slot int32) {
 }
 
 // schedule grabs a pooled slot for an event at (t, now, tie 0, next seq)
-// and pushes it onto the heap, returning the slot.
+// and puts it in the queue, returning the slot.
 //
 //pdq:hotpath
 func (s *Sim) schedule(t Time) int32 { return s.scheduleStamped(t, s.now, 0) }
@@ -492,7 +522,8 @@ func (s *Sim) schedule(t Time) int32 { return s.scheduleStamped(t, s.now, 0) }
 // structural-key stamps: channel producers (netsim links) stamp their
 // canonical channel key, and barrier injection (shard.go) backdates an
 // injected handoff to the enqueue instant that produced it on its source
-// shard.
+// shard. On the heap, the first schedule of a callback lands in the root
+// hole its own event left (Sim.hole); the rest are pushed at the end.
 //
 //pdq:hotpath
 func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
@@ -520,6 +551,17 @@ func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
 		}
 		return slot
 	}
+	if s.hole {
+		// Replace-top: the pending count is back to what it was before
+		// the pop, so the high-water mark cannot move.
+		s.hole = false
+		s.siftDown(0, k, slot)
+		if s.stats != nil {
+			s.stats.Scheduled.Inc()
+			s.stats.Refilled.Inc()
+		}
+		return slot
+	}
 	// Open a hole at the end and sift the new entry in from registers; it
 	// is written once, where it lands.
 	n := len(s.order)
@@ -532,9 +574,16 @@ func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
 	return slot
 }
 
-// atRunnerStamped is AtRunner with explicit scheduling-instant and
-// structural-key stamps, for barrier injection of handoffs.
-func (s *Sim) atRunnerStamped(t, ta Time, tie uint64, r Runner) {
+// AtRunnerStamped is AtRunner with explicit scheduling-instant and
+// structural-key stamps: the event orders as if it had been scheduled at
+// instant ta (at or before Now) under channel key tie. It is for producers
+// that fixed an event's key earlier than they hand it to the engine —
+// barrier injection of handoffs (shard.go) and a netsim link scheduling
+// the next delivery of its chain, each stamped with its enqueue instant.
+// Such events are never canceled, so no EventRef is returned.
+//
+//pdq:hotpath
+func (s *Sim) AtRunnerStamped(t, ta Time, tie uint64, r Runner) {
 	slot := s.scheduleStamped(t, ta, tie)
 	s.pool[slot].runner = r
 }
@@ -577,7 +626,8 @@ func (s *Sim) At(t Time, fn func()) EventRef {
 
 // AtRunner schedules r.RunEvent to run at absolute time t. Unlike At with a
 // method value, storing the Runner interface does not allocate, so
-// per-object hot paths (one delivery event per packet) stay allocation-free.
+// per-object hot paths (a link's ser-done event, a packet's delivery) stay
+// allocation-free.
 //
 //pdq:hotpath
 func (s *Sim) AtRunner(t Time, r Runner) EventRef {
@@ -620,6 +670,12 @@ func (s *Sim) Cancel(r EventRef) bool {
 	if ev.gen != r.gen || ev.idx < 0 {
 		return false
 	}
+	if s.hole {
+		// heapRemove sifts the last leaf against parents up to the root,
+		// which must therefore be real; closing moves entries, so idx is
+		// read afterwards.
+		s.closeHole()
+	}
 	s.heapRemove(int(ev.idx))
 	s.release(slot)
 	if s.stats != nil {
@@ -648,6 +704,10 @@ func (s *Sim) Run() { s.RunUntil(MaxTime) }
 //     overflow-prone (Run is RunUntil(MaxTime)).
 func (s *Sim) RunUntil(end Time) {
 	s.halted = false
+	if s.hole {
+		// A callback panicked out of fire and the caller recovered.
+		s.closeHole()
+	}
 	for !s.halted {
 		next := s.head()
 		if next == nil {
@@ -689,7 +749,9 @@ func (s *Sim) head() *entry {
 // fire consumes and executes the entry head returned, recycling its slot
 // before the callback runs so the callback can immediately reschedule into
 // it. The event's key is published through EventSeq, EventTa and EventTie
-// for the duration.
+// for the duration. On the heap the entry is consumed lazily: it stays at
+// the root as a hole (Sim.hole) for the callback's first schedule to fill,
+// and is removed afterwards if nothing did.
 //
 //pdq:hotpath
 func (s *Sim) fire(head *entry) {
@@ -699,7 +761,7 @@ func (s *Sim) fire(head *entry) {
 	if s.wheel != nil {
 		s.wheel.pop()
 	} else {
-		s.heapRemove(0)
+		s.hole = true
 	}
 	s.release(slot)
 	s.now = k.at
@@ -716,11 +778,17 @@ func (s *Sim) fire(head *entry) {
 		runner.RunEvent()
 	}
 	s.firing = 0
+	if s.hole {
+		s.closeHole()
+	}
 }
 
 // Step executes exactly one event if any is pending and reports whether an
 // event was executed.
 func (s *Sim) Step() bool {
+	if s.hole {
+		s.closeHole()
+	}
 	next := s.head()
 	if next == nil {
 		return false

@@ -231,6 +231,77 @@ func TestStep(t *testing.T) {
 	}
 }
 
+// TestRunAfterCallbackPanic recovers a callback's panic in the caller and
+// runs the same Sim on. The panic left fire before it could close the lazy
+// pop's hole, so the heap's root is still the event that fired: the next
+// RunUntil or Step must drop it, not fire it again, and deliver what is
+// left in order — including what the callback scheduled before and the
+// caller schedules after the panic.
+func TestRunAfterCallbackPanic(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		wheel, first bool // first: the callback schedules before it panics
+		resume       func(*Sim)
+	}{
+		{"heap/RunUntil", false, false, func(s *Sim) { s.RunUntil(100) }},
+		{"heap/RunUntil/refilled", false, true, func(s *Sim) { s.RunUntil(100) }},
+		{"heap/Step", false, false, func(s *Sim) {
+			for s.Step() {
+			}
+		}},
+		{"wheel/RunUntil", true, true, func(s *Sim) { s.RunUntil(100) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New()
+			if c.wheel {
+				s.UseWheel()
+			}
+			var got []int
+			note := func(i int) func() { return func() { got = append(got, i) } }
+			s.At(10, note(1))
+			s.At(20, func() {
+				got = append(got, 2)
+				if c.first {
+					s.At(25, note(3))
+				}
+				panic("boom")
+			})
+			s.At(30, note(4))
+			s.At(40, note(6))
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("callback panic did not reach the caller")
+					}
+				}()
+				s.RunUntil(100)
+			}()
+			want := []int{1, 2, 4, 5, 6}
+			pending := 2
+			if c.first {
+				want = []int{1, 2, 3, 4, 5, 6}
+				pending = 3
+			}
+			if s.Pending() != pending {
+				t.Fatalf("Pending() = %d after the panic, want %d", s.Pending(), pending)
+			}
+			s.At(35, note(5))
+			c.resume(s)
+			if len(got) != len(want) {
+				t.Fatalf("fired %v, want %v", got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("fired %v, want %v", got, want)
+				}
+			}
+			if s.Pending() != 0 || s.Now() != 40 {
+				t.Fatalf("after the resumed run: %d pending at %v, want 0 at 40ns", s.Pending(), s.Now())
+			}
+		})
+	}
+}
+
 func TestProcessedAndPending(t *testing.T) {
 	s := New()
 	s.At(1, func() {})

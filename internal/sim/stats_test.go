@@ -46,6 +46,53 @@ func TestSimStats(t *testing.T) {
 	}
 }
 
+// TestSimStatsRefilled pins what the lazy pop reports: a callback's first
+// schedule on the heap is counted as a refill, its later ones and every
+// schedule from outside a callback are not, the wheel never refills, and
+// the high-water mark is the same on both backends: the firing event's
+// stale root is not a pending event.
+func TestSimStatsRefilled(t *testing.T) {
+	for _, wheel := range []bool{false, true} {
+		s := New()
+		if wheel {
+			s.UseWheel()
+		}
+		st := &obsv.EngineStats{}
+		s.SetStats(st)
+		const timers, rounds = 3, 10
+		fired := 0
+		var rearm func()
+		rearm = func() {
+			if fired++; fired <= timers*(rounds-1) {
+				s.After(timers, rearm)
+			}
+		}
+		for i := 0; i < timers; i++ {
+			s.At(Time(i), rearm)
+		}
+		s.At(1000, func() { // one refill, two pushes
+			for i := 0; i < 3; i++ {
+				s.After(1, func() {})
+			}
+		})
+		s.Run()
+
+		wantRefilled := uint64(timers*(rounds-1) + 1)
+		if wheel {
+			wantRefilled = 0
+		}
+		if got := st.Refilled.Value(); got != wantRefilled {
+			t.Errorf("wheel=%v: refilled = %d, want %d", wheel, got, wantRefilled)
+		}
+		if got, want := st.Scheduled.Value(), uint64(timers*rounds+1+3); got != want || st.Fired.Value() != want {
+			t.Errorf("wheel=%v: scheduled %d, fired %d, want %d each", wheel, got, st.Fired.Value(), want)
+		}
+		if got := st.QueueHWM.Value(); got != timers+1 {
+			t.Errorf("wheel=%v: queue HWM = %d, want %d", wheel, got, timers+1)
+		}
+	}
+}
+
 // TestShardGroupObserver runs the token model with an observer attached
 // and checks (a) the aggregate is consistent with the run — every fired
 // event merged, every posted handoff counted, windows and phase time
