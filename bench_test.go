@@ -30,9 +30,9 @@ func benchFig(b *testing.B, name string) {
 		b.Fatalf("unknown figure %s", name)
 	}
 	b.ReportAllocs()
-	var sink *exp.Table
+	var sink *scenario.Table
 	for i := 0; i < b.N; i++ {
-		sink = fig(exp.Opts{Quick: true, Seed: int64(i + 1)})
+		sink = fig(scenario.Opts{Quick: true, Seed: int64(i + 1)})
 	}
 	if sink == nil || len(sink.Rows) == 0 {
 		b.Fatal("empty result table")
@@ -128,9 +128,9 @@ func benchScenarioFile(b *testing.B, path string) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	var sink *exp.Table
+	var sink *scenario.Table
 	for i := 0; i < b.N; i++ {
-		sink = scenario.MustRun(spec, exp.Opts{Quick: true, Seed: int64(i + 1)})
+		sink = scenario.MustRun(spec, scenario.Opts{Quick: true, Seed: int64(i + 1)})
 	}
 	if sink == nil || len(sink.Rows) == 0 {
 		b.Fatal("empty result table")
@@ -180,9 +180,9 @@ func BenchmarkShardedFatTree(b *testing.B) {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var sink *exp.Table
+			var sink *scenario.Table
 			for i := 0; i < b.N; i++ {
-				sink = scenario.MustRun(spec, exp.Opts{Quick: true, Seed: 1,
+				sink = scenario.MustRun(spec, scenario.Opts{Quick: true, Seed: 1,
 					Parallel: 1, Shards: v.shards, Sched: v.sched})
 			}
 			if sink == nil || len(sink.Rows) == 0 {
@@ -234,9 +234,9 @@ func BenchmarkShardedPDQ(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			s := spec(v.lossy)
-			var sink *exp.Table
+			var sink *scenario.Table
 			for i := 0; i < b.N; i++ {
-				o := exp.Opts{Quick: true, Seed: 1, Parallel: 1, Shards: v.shards}
+				o := scenario.Opts{Quick: true, Seed: 1, Parallel: 1, Shards: v.shards}
 				if v.traced {
 					o.Trace = trace.New(true, true)
 				}
@@ -259,9 +259,9 @@ func BenchmarkSweepExecutor(b *testing.B) {
 			workers int
 		}{{"serial", 1}, {"parallel", 0}} {
 			b.Run(fig+"/"+mode.name, func(b *testing.B) {
-				var sink *exp.Table
+				var sink *scenario.Table
 				for i := 0; i < b.N; i++ {
-					sink = exp.Figures[fig](exp.Opts{Quick: true, Seed: 1, Parallel: mode.workers})
+					sink = exp.Figures[fig](scenario.Opts{Quick: true, Seed: 1, Parallel: mode.workers})
 				}
 				if sink == nil || len(sink.Rows) == 0 {
 					b.Fatal("empty result table")
@@ -279,21 +279,24 @@ func BenchmarkAblationPDQVariants(b *testing.B) {
 	for _, v := range []string{"PDQ(Basic)", "PDQ(ES)", "PDQ(ES+ET)", "PDQ(Full)"} {
 		v := v
 		b.Run(v, func(b *testing.B) {
-			runners := exp.PacketRunners()
+			r, err := scenario.MakeRunner(v, nil, scenario.DefaultSeed)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				runAblation(b, runners[v])
+				runAblation(b, r)
 			}
 		})
 	}
 }
 
-func runAblation(b *testing.B, r exp.Runner) {
+func runAblation(b *testing.B, r scenario.RunnerFunc) {
 	b.Helper()
 	g := workload.NewGen(1, workload.UniformMean(100<<10), workload.MeanDeadlineDflt)
 	flows := g.Batch(12, workload.Aggregation{}, 12, nil, 0)
 	rs := r(func() *topo.Topology { return topo.SingleRootedTree(4, 3, 1) }, flows,
-		exp.RunCtx{Horizon: 500 * sim.Millisecond})
+		scenario.RunCtx{Horizon: 500 * sim.Millisecond})
 	if len(rs) != 12 {
 		b.Fatalf("got %d results", len(rs))
 	}
@@ -312,9 +315,9 @@ func BenchmarkTraceSinkOverhead(b *testing.B) {
 	}{{"off", false}, {"on", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var sink *exp.Table
+			var sink *scenario.Table
 			for i := 0; i < b.N; i++ {
-				o := exp.Opts{Quick: true, Seed: int64(i + 1)}
+				o := scenario.Opts{Quick: true, Seed: int64(i + 1)}
 				if mode.traced {
 					o.Trace = trace.New(true, false)
 				}
@@ -340,9 +343,9 @@ func BenchmarkObsvOverhead(b *testing.B) {
 	}{{"off", false}, {"on", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var sink *exp.Table
+			var sink *scenario.Table
 			for i := 0; i < b.N; i++ {
-				o := exp.Opts{Quick: true, Seed: int64(i + 1)}
+				o := scenario.Opts{Quick: true, Seed: int64(i + 1)}
 				if mode.observed {
 					o.Obs = obsv.New(obsv.WallClock)
 				}

@@ -144,7 +144,7 @@ func main() {
 		MemProfile: *memProfile,
 	}, logger)
 
-	opts := exp.Opts{Quick: *quick, Seed: *seed, Parallel: *parallel, Trials: *trials,
+	opts := scenario.Opts{Quick: *quick, Seed: *seed, Parallel: *parallel, Trials: *trials,
 		MaxEvents: *maxEvents, Shards: *shards, Sched: *sched, Obs: obs}
 	if *cellTimeout > 0 {
 		// The engine never reads a wall clock (pdqlint enforces it); the
@@ -196,11 +196,11 @@ func main() {
 		if err != nil {
 			fail(logger, err)
 		}
-		emit(logger, []*exp.Table{table}, *jsonOut, spec.Name, start)
+		emit(logger, []*scenario.Table{table}, *jsonOut, spec.Name, start)
 		writeTelemetry(logger, tr, *traceOut, *probeOut, *faultOut)
 		reportCache(logger, cache)
 		finishObs()
-		exitPartial(logger, []*exp.Table{table})
+		exitPartial(logger, []*scenario.Table{table})
 		return
 	}
 
@@ -216,7 +216,7 @@ func main() {
 	if *name == "all" {
 		names = exp.FigureNames()
 	}
-	var tables []*exp.Table
+	var tables []*scenario.Table
 	for _, n := range names {
 		fig, ok := exp.Figures[n]
 		if !ok {
@@ -245,7 +245,7 @@ func main() {
 // It runs after every table, telemetry file and metrics snapshot is
 // emitted, so the partial results are on disk and CI can both upload
 // and flag them.
-func exitPartial(log *slog.Logger, tables []*exp.Table) {
+func exitPartial(log *slog.Logger, tables []*scenario.Table) {
 	n := 0
 	for _, t := range tables {
 		n += len(t.Errors)
@@ -314,7 +314,7 @@ func reportCache(log *slog.Logger, c *trace.Cache) {
 }
 
 // emit prints one scenario result in the selected format.
-func emit(log *slog.Logger, tables []*exp.Table, asJSON bool, name string, start time.Time) {
+func emit(log *slog.Logger, tables []*scenario.Table, asJSON bool, name string, start time.Time) {
 	if asJSON {
 		writeJSON(log, tables)
 		return
@@ -325,7 +325,7 @@ func emit(log *slog.Logger, tables []*exp.Table, asJSON bool, name string, start
 	fmt.Printf("(%s in %v)\n", name, time.Since(start).Round(time.Millisecond))
 }
 
-func writeJSON(log *slog.Logger, tables []*exp.Table) {
+func writeJSON(log *slog.Logger, tables []*scenario.Table) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(tables); err != nil {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pdq/internal/scenario"
 	"pdq/internal/trace"
 )
 
@@ -16,7 +17,7 @@ func TestCacheGoldenByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Opts{Quick: true, Seed: 7, Cache: cache}
+	o := scenario.Opts{Quick: true, Seed: 7, Cache: cache}
 	want, err := os.ReadFile(filepath.Join("testdata", "fig3a_quick_seed7.golden"))
 	if err != nil {
 		t.Fatalf("missing golden: %v", err)
@@ -47,7 +48,7 @@ func TestCacheCorruptionFallsBackToRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Opts{Quick: true, Seed: 7, Cache: cache}
+	o := scenario.Opts{Quick: true, Seed: 7, Cache: cache}
 	cold := Figures["fig3a"](o).String()
 	corrupted := 0
 	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {

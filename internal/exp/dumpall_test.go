@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pdq/internal/obsv"
+	"pdq/internal/scenario"
 )
 
 // TestDumpAllFigures renders every figure at Quick scale to the directory
@@ -31,7 +32,7 @@ func TestDumpAllFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, fn := range Figures {
-		o := Opts{Quick: true, Seed: 7}
+		o := scenario.Opts{Quick: true, Seed: 7}
 		if os.Getenv("PDQ_DUMP_OBS") != "" {
 			o.Obs = obsv.New(obsv.WallClock)
 		}

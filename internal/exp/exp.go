@@ -6,9 +6,10 @@
 // (internal/core + internal/protocol/...) or the flow-level simulator
 // (internal/flowsim) as the paper does for that figure.
 //
-// Every driver accepts Opts; Opts.Quick shrinks the sweep so the full set
-// runs in seconds (used by the benchmarks in bench_test.go), while the
-// default reproduces the figure at closer to paper scale via cmd/pdqsim.
+// Every driver accepts scenario.Opts; Opts.Quick shrinks the sweep so the
+// full set runs in seconds (used by the benchmarks in bench_test.go),
+// while the default reproduces the figure at closer to paper scale via
+// cmd/pdqsim.
 package exp
 
 import (
@@ -17,45 +18,8 @@ import (
 	"pdq/internal/scenario"
 )
 
-// The experiment vocabulary is owned by internal/scenario; exp keeps the
-// historical names as aliases so drivers, tests and benchmarks read the
-// same.
-type (
-	// Opts controls experiment scale and sweep execution.
-	Opts = scenario.Opts
-	// Table is a reproduced figure/table: a header plus labeled rows.
-	Table = scenario.Table
-	// Row is one data row of a result table.
-	Row = scenario.Row
-	// Spec is a declarative scenario (see internal/scenario).
-	Spec = scenario.Spec
-)
-
-// Runner runs one protocol over a set of flows on a freshly built
-// topology (see scenario.RunnerFunc).
-type Runner = scenario.RunnerFunc
-
-// RunCtx is the per-run context handed to a Runner (horizon + optional
-// telemetry capture; see scenario.RunCtx).
-type RunCtx = scenario.RunCtx
-
 // ProtoOrder is the paper's legend order for the full protocol set.
 var ProtoOrder = []string{"PDQ(Full)", "PDQ(ES+ET)", "PDQ(ES)", "PDQ(Basic)", "D3", "RCP", "TCP"}
-
-// PacketRunners returns the packet-level protocol runners keyed by the
-// names used throughout the paper's figures, resolved from the scenario
-// runner registry (the benchmarks drive protocols through it directly).
-func PacketRunners() map[string]Runner {
-	out := make(map[string]Runner, len(ProtoOrder))
-	for _, name := range ProtoOrder {
-		r, err := scenario.MakeRunner(name, nil, scenario.DefaultSeed)
-		if err != nil {
-			panic(err)
-		}
-		out[name] = r
-	}
-	return out
-}
 
 // fctProtos is the protocol set of the FCT figures (RCP ≡ D3 without
 // deadlines, so the paper plots them as one curve; the registry's
@@ -98,7 +62,7 @@ const meanDeadlineMsDflt = 20
 // Specs maps every figure name to its declarative spec. The specs are
 // data: cmd/pdqsim can print them (-dump-scenario) as JSON templates for
 // new scenarios.
-var Specs = map[string]func() *Spec{
+var Specs = map[string]func() *scenario.Spec{
 	"fig1": Fig1Spec, "fig3a": Fig3aSpec, "fig3b": Fig3bSpec, "fig3c": Fig3cSpec,
 	"fig3d": Fig3dSpec, "fig3e": Fig3eSpec, "fig4a": Fig4aSpec, "fig4b": Fig4bSpec,
 	"fig5a": Fig5aSpec, "fig5b": Fig5bSpec, "fig5c": Fig5cSpec, "fig6": Fig6Spec,
@@ -109,11 +73,11 @@ var Specs = map[string]func() *Spec{
 }
 
 // Figures is the registry of all reproduced figures as runnable drivers.
-var Figures = map[string]func(Opts) *Table{}
+var Figures = map[string]func(scenario.Opts) *scenario.Table{}
 
 func init() {
 	for name, sf := range Specs {
-		Figures[name] = func(o Opts) *Table { return scenario.MustRun(sf(), o) }
+		Figures[name] = func(o scenario.Opts) *scenario.Table { return scenario.MustRun(sf(), o) }
 	}
 }
 

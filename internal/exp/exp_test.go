@@ -3,16 +3,18 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"pdq/internal/scenario"
 )
 
 // The figure drivers run at Quick scale and their qualitative shapes are
 // asserted against the paper's claims (DESIGN.md §6): who wins, by
 // roughly what factor, where the crossovers fall.
 
-var quick = Opts{Quick: true}
+var quick = scenario.Opts{Quick: true}
 
 func TestFig1Shapes(t *testing.T) {
-	tab := Fig1(quick)
+	tab := Figures["fig1"](quick)
 	if got := tab.Get("FairSharing", "meanFCT"); got < 4.6 || got > 4.72 {
 		t.Errorf("fair sharing mean FCT %.2f, want ≈4.67", got)
 	}
@@ -31,7 +33,7 @@ func TestFig1Shapes(t *testing.T) {
 }
 
 func TestFig3aShapes(t *testing.T) {
-	tab := Fig3a(quick)
+	tab := Figures["fig3a"](quick)
 	// At high load PDQ(Full) must beat D3, RCP and TCP and track Optimal.
 	col := tab.Cols[len(tab.Cols)-1]
 	pdq := tab.Get("PDQ(Full)", col)
@@ -47,7 +49,7 @@ func TestFig3aShapes(t *testing.T) {
 }
 
 func TestFig3cShapes(t *testing.T) {
-	tab := Fig3c(quick)
+	tab := Figures["fig3c"](quick)
 	for _, col := range tab.Cols {
 		pdq := tab.Get("PDQ(Full)", col)
 		d3 := tab.Get("D3", col)
@@ -65,7 +67,7 @@ func TestFig3cShapes(t *testing.T) {
 }
 
 func TestFig3dShapes(t *testing.T) {
-	tab := Fig3d(quick)
+	tab := Figures["fig3d"](quick)
 	col := tab.Cols[len(tab.Cols)-1]
 	pdq := tab.Get("PDQ(Full)", col)
 	rcp := tab.Get("RCP/D3", col)
@@ -82,7 +84,7 @@ func TestFig3dShapes(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	tab := Fig4b(quick)
+	tab := Figures["fig4b"](quick)
 	for _, col := range tab.Cols {
 		if rcp := tab.Get("RCP/D3", col); rcp <= 1 {
 			t.Errorf("%s: RCP normalized FCT %.2f should exceed PDQ(Full)=1", col, rcp)
@@ -91,7 +93,7 @@ func TestFig4Shapes(t *testing.T) {
 }
 
 func TestFig6Shapes(t *testing.T) {
-	tab := Fig6(quick)
+	tab := Figures["fig6"](quick)
 	if done := tab.Get("all done [ms]", "value"); done < 40 || done > 47 {
 		t.Errorf("5×1MB completion %.1f ms, want ≈42 (seamless switching)", done)
 	}
@@ -107,7 +109,7 @@ func TestFig6Shapes(t *testing.T) {
 }
 
 func TestFig7Shapes(t *testing.T) {
-	tab := Fig7(quick)
+	tab := Figures["fig7"](quick)
 	if got, want := tab.Get("shorts completed", "value"), 25.0; got != want {
 		t.Fatalf("shorts completed %v, want %v", got, want)
 	}
@@ -123,7 +125,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8eShapes(t *testing.T) {
-	tab := Fig8e(quick)
+	tab := Figures["fig8e"](quick)
 	if f2 := tab.Get("% with ratio >= 2 (PDQ 2x faster)", "value"); f2 < 15 {
 		t.Errorf("only %.1f%% of flows ≥2x faster under PDQ; paper ≈40%%", f2)
 	}
@@ -136,7 +138,7 @@ func TestFig8eShapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	tab := Fig9b(quick)
+	tab := Figures["fig9b"](quick)
 	lossCol := tab.Cols[len(tab.Cols)-1]
 	pdqLossy := tab.Get("PDQ(Full)", lossCol)
 	tcpLossy := tab.Get("TCP", lossCol)
@@ -150,7 +152,7 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestFig10Shapes(t *testing.T) {
-	tab := Fig10(quick)
+	tab := Figures["fig10"](quick)
 	perfect := tab.Get("PDQ; Perfect", "Pareto1.1")
 	random := tab.Get("PDQ; Random", "Pareto1.1")
 	est := tab.Get("PDQ; SizeEstimation", "Pareto1.1")
@@ -170,7 +172,7 @@ func TestFig10Shapes(t *testing.T) {
 }
 
 func TestFig11Shapes(t *testing.T) {
-	tab := Fig11b(quick)
+	tab := Figures["fig11b"](quick)
 	single := tab.Get("M-PDQ", "1")
 	multi := tab.Get("M-PDQ", "4")
 	// At full load multipath gains are small (paper Fig. 11a); our ECMP
@@ -184,7 +186,7 @@ func TestFig11Shapes(t *testing.T) {
 }
 
 func TestFig12Shapes(t *testing.T) {
-	tab := Fig12(quick)
+	tab := Figures["fig12"](quick)
 	plain := tab.Get("PDQ; Max", "a=0")
 	aged := tab.Get("PDQ; Max", "a=16")
 	// Paper: aging cuts the worst FCT roughly in half.
@@ -201,7 +203,7 @@ func TestFig12Shapes(t *testing.T) {
 }
 
 func TestTableFormatting(t *testing.T) {
-	tab := Fig1(quick)
+	tab := Figures["fig1"](quick)
 	s := tab.String()
 	if !strings.Contains(s, "fig1") || !strings.Contains(s, "FairSharing") {
 		t.Errorf("table rendering missing content:\n%s", s)
@@ -224,7 +226,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFig3bShapes(t *testing.T) {
-	tab := Fig3b(quick)
+	tab := Figures["fig3b"](quick)
 	// Deadline-agnostic schemes degrade as flows grow; PDQ stays at
 	// optimal for only 3 flows.
 	big := tab.Cols[len(tab.Cols)-1]
@@ -237,7 +239,7 @@ func TestFig3bShapes(t *testing.T) {
 }
 
 func TestFig3eShapes(t *testing.T) {
-	tab := Fig3e(quick)
+	tab := Figures["fig3e"](quick)
 	// PDQ approaches optimal as flow size increases (§5.2.2).
 	small := tab.Get("PDQ(Full)", tab.Cols[0])
 	large := tab.Get("PDQ(Full)", tab.Cols[len(tab.Cols)-1])
@@ -250,11 +252,11 @@ func TestFig3eShapes(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	b := Fig5b(quick)
+	b := Figures["fig5b"](quick)
 	if tcp := b.Get("TCP", "norm"); tcp < 1.2 {
 		t.Errorf("fig5b: TCP long-flow FCT %.2f should clearly exceed PDQ", tcp)
 	}
-	c := Fig5c(quick)
+	c := Figures["fig5c"](quick)
 	if rcp := c.Get("RCP/D3", "norm"); rcp < 1.0 {
 		t.Errorf("fig5c: RCP %.2f should not beat PDQ", rcp)
 	}
@@ -264,7 +266,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig8bShapes(t *testing.T) {
-	tab := Fig8b(quick)
+	tab := Figures["fig8b"](quick)
 	col := tab.Cols[0]
 	pdqPkt := tab.Get("PDQ(Full); Pkt", col)
 	rcpPkt := tab.Get("RCP/D3; Pkt", col)
@@ -283,7 +285,7 @@ func TestFig8bShapes(t *testing.T) {
 }
 
 func TestFig9aShapes(t *testing.T) {
-	tab := Fig9a(quick)
+	tab := Figures["fig9a"](quick)
 	clean, lossy := tab.Cols[0], tab.Cols[len(tab.Cols)-1]
 	if pdq0, tcp0 := tab.Get("PDQ(Full)", clean), tab.Get("TCP", clean); pdq0 <= tcp0 {
 		t.Errorf("lossless: PDQ %v should exceed TCP %v", pdq0, tcp0)

@@ -32,9 +32,9 @@ func fig8aRows() []scenario.ProtoSpec {
 // Fig8aSpec: deadline-constrained scale sweep on fat-trees — flows at 99%
 // application throughput, packet-level vs flow-level, for PDQ, D3 and
 // RCP under random permutation traffic.
-func Fig8aSpec() *Spec {
+func Fig8aSpec() *scenario.Spec {
 	full, quick := fatTreeCases()
-	return &Spec{
+	return &scenario.Spec{
 		Name: "fig8a",
 		Desc: "flows at 99% app throughput vs network size (fat-tree, deadline)",
 		Workload: scenario.WorkloadSpec{
@@ -51,14 +51,11 @@ func Fig8aSpec() *Spec {
 	}
 }
 
-// Fig8a reproduces Fig. 8a.
-func Fig8a(o Opts) *Table { return Figures["fig8a"](o) }
-
 // fig8FCTSpec builds the no-deadline FCT scale sweeps (Fig. 8b/c/d): 10
 // sending flows per server, random permutation, packet level at the
 // smallest scale only.
-func fig8FCTSpec(name string, topoName string, full, quick []scenario.SweepCase) *Spec {
-	return &Spec{
+func fig8FCTSpec(name string, topoName string, full, quick []scenario.SweepCase) *scenario.Spec {
+	return &scenario.Spec{
 		Name:   name,
 		Desc:   "mean FCT [ms] vs network size (no deadlines, 10 flows/server)",
 		Digits: 1,
@@ -82,16 +79,13 @@ func fig8FCTSpec(name string, topoName string, full, quick []scenario.SweepCase)
 }
 
 // Fig8bSpec: fat-tree FCT scale sweep.
-func Fig8bSpec() *Spec {
+func Fig8bSpec() *scenario.Spec {
 	full, quick := fatTreeCases()
 	return fig8FCTSpec("fig8b", "fat-tree", full, quick)
 }
 
-// Fig8b reproduces Fig. 8b.
-func Fig8b(o Opts) *Table { return Figures["fig8b"](o) }
-
 // Fig8cSpec: BCube FCT scale sweep (dual-port servers: BCube(n,1)).
-func Fig8cSpec() *Spec {
+func Fig8cSpec() *scenario.Spec {
 	mk := func(n float64, label string) scenario.SweepCase {
 		return scenario.SweepCase{
 			Label:    label,
@@ -102,12 +96,9 @@ func Fig8cSpec() *Spec {
 	return fig8FCTSpec("fig8c", "bcube", full, full[:1])
 }
 
-// Fig8c reproduces Fig. 8c.
-func Fig8c(o Opts) *Table { return Figures["fig8c"](o) }
-
 // Fig8dSpec: Jellyfish FCT scale sweep (24-port switches, 2:1
 // network:server port ratio ⇒ degree 16, 8 servers per switch).
-func Fig8dSpec() *Spec {
+func Fig8dSpec() *scenario.Spec {
 	mk := func(nsw float64, label string) scenario.SweepCase {
 		return scenario.SweepCase{
 			Label: label,
@@ -124,15 +115,12 @@ func Fig8dSpec() *Spec {
 	return fig8FCTSpec("fig8d", "jellyfish", full, quick)
 }
 
-// Fig8d reproduces Fig. 8d.
-func Fig8d(o Opts) *Table { return Figures["fig8d"](o) }
-
 // Fig8eSpec: the per-flow CDF of RCP FCT / PDQ FCT at ~128 servers
 // (flow-level, random permutation), via the paired-run CDF driver. The
 // paper reports ≈40% of flows at ratio ≥2, only 5–15% below 1, and a
 // worst-case PDQ inflation of 2.57.
-func Fig8eSpec() *Spec {
-	return &Spec{
+func Fig8eSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:        "fig8e",
 		Desc:        "CDF of RCP FCT / PDQ FCT (flow-level, fat-tree)",
 		Driver:      "fct-ratio-cdf",
@@ -141,16 +129,13 @@ func Fig8eSpec() *Spec {
 	}
 }
 
-// Fig8e reproduces Fig. 8e.
-func Fig8e(o Opts) *Table { return Figures["fig8e"](o) }
-
 // Fig10Spec: resilience to inaccurate flow information (flow-level,
 // §5.6): mean FCT [ms] of PDQ with perfect information, random
 // criticality, and size estimation, vs RCP, under uniform and
 // Pareto(1.1) sizes. The pattern runs over the first 9 hosts (the
 // receiver is host 8), matching the paper's 10-flow aggregation.
-func Fig10Spec() *Spec {
-	return &Spec{
+func Fig10Spec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:     "fig10",
 		Desc:     "mean FCT [ms] with inaccurate flow information (flow-level)",
 		Topology: scenario.TopoSpec{Name: "single-bottleneck", Params: map[string]float64{"senders": 9}},
@@ -177,17 +162,14 @@ func Fig10Spec() *Spec {
 	}
 }
 
-// Fig10 reproduces Fig. 10.
-func Fig10(o Opts) *Table { return Figures["fig10"](o) }
-
 // bcube23 is the §6 multipath evaluation topology: BCube(2,3), 16
 // servers with 4 interfaces each (the registry's bcube defaults).
 func bcube23() scenario.TopoSpec { return scenario.TopoSpec{Name: "bcube"} }
 
 // Fig11aSpec: M-PDQ vs single-path PDQ mean FCT on BCube(2,3) as the
 // load (fraction of sending hosts) varies, random permutation (§6).
-func Fig11aSpec() *Spec {
-	return &Spec{
+func Fig11aSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:     "fig11a",
 		Desc:     "FCT [ms] vs load (BCube(2,3), random permutation)",
 		Digits:   2,
@@ -213,13 +195,10 @@ func Fig11aSpec() *Spec {
 	}
 }
 
-// Fig11a reproduces Fig. 11a.
-func Fig11a(o Opts) *Table { return Figures["fig11a"](o) }
-
 // Fig11bSpec: M-PDQ mean FCT vs subflow count at full load (§6: ~4
 // subflows reach most of the benefit).
-func Fig11bSpec() *Spec {
-	return &Spec{
+func Fig11bSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:     "fig11b",
 		Desc:     "FCT [ms] vs number of subflows (BCube(2,3), full load)",
 		Digits:   2,
@@ -240,13 +219,10 @@ func Fig11bSpec() *Spec {
 	}
 }
 
-// Fig11b reproduces Fig. 11b.
-func Fig11b(o Opts) *Table { return Figures["fig11b"](o) }
-
 // Fig11cSpec: deadline-constrained M-PDQ — flows at 99% application
 // throughput vs subflow count.
-func Fig11cSpec() *Spec {
-	return &Spec{
+func Fig11cSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:     "fig11c",
 		Desc:     "flows at 99% app throughput vs subflows (BCube(2,3), deadline)",
 		Topology: bcube23(),
@@ -267,17 +243,14 @@ func Fig11cSpec() *Spec {
 	}
 }
 
-// Fig11c reproduces Fig. 11c.
-func Fig11c(o Opts) *Table { return Figures["fig11c"](o) }
-
 // Fig12Spec: flow aging (§7): max and mean FCT vs aging rate α,
 // flow-level, with a long flow contending against a stream of short
 // flows, compared with RCP. The RCP rows are fixed baselines: the axis
 // does not apply to them.
-func Fig12Spec() *Spec {
+func Fig12Spec() *scenario.Spec {
 	maxFCT := &scenario.MetricSpec{Name: "max-fct", Params: map[string]float64{"ms": 1}}
 	meanFCT := &scenario.MetricSpec{Name: "mean-fct", Params: map[string]float64{"ms": 1}}
-	return &Spec{
+	return &scenario.Spec{
 		Name:     "fig12",
 		Desc:     "max/mean FCT [ms] vs aging rate (flow-level)",
 		Digits:   1,
@@ -300,6 +273,3 @@ func Fig12Spec() *Spec {
 		HorizonMs: 10000,
 	}
 }
-
-// Fig12 reproduces Fig. 12.
-func Fig12(o Opts) *Table { return Figures["fig12"](o) }

@@ -6,16 +6,13 @@ import "pdq/internal/scenario"
 // custom driver: three flows of sizes 1, 2, 3 units with deadlines 1, 4,
 // 6 on one unit-rate bottleneck, under fair sharing, SJF/EDF, and D3
 // with arrival order fB, fA, fC.
-func Fig1Spec() *Spec {
-	return &Spec{
+func Fig1Spec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:   "fig1",
 		Desc:   "motivating example: completion times (s), mean FCT, deadlines met",
 		Driver: "fluid-example",
 	}
 }
-
-// Fig1 reproduces Fig. 1.
-func Fig1(o Opts) *Table { return Figures["fig1"](o) }
 
 // aggWorkload is the §5.2 deadline-constrained query-aggregation
 // workload on the default tree.
@@ -30,8 +27,8 @@ func aggWorkload(meanKB float64, deadlineMs float64) scenario.WorkloadSpec {
 // Fig3aSpec: application throughput (%) vs number of deadline-constrained
 // query-aggregation flows, for Optimal, the four PDQ variants, D3, RCP
 // and TCP.
-func Fig3aSpec() *Spec {
-	return &Spec{
+func Fig3aSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:      "fig3a",
 		Desc:      "app throughput [%] vs number of flows (deadline, query aggregation)",
 		Digits:    1,
@@ -48,17 +45,14 @@ func Fig3aSpec() *Spec {
 	}
 }
 
-// Fig3a reproduces Fig. 3a.
-func Fig3a(o Opts) *Table { return Figures["fig3a"](o) }
-
 // Fig3bSpec: application throughput vs mean flow size, 3 concurrent
 // flows, averaged over several generator seeds per cell.
-func Fig3bSpec() *Spec {
+func Fig3bSpec() *scenario.Spec {
 	w := aggWorkload(100, meanDeadlineMsDflt)
 	w.Count = 3
 	w.SeedsPerCell = 5
 	w.QuickSeedsPerCell = 2
-	return &Spec{
+	return &scenario.Spec{
 		Name:      "fig3b",
 		Desc:      "app throughput [%] vs avg flow size [KB] (3 deadline flows)",
 		Digits:    1,
@@ -75,13 +69,10 @@ func Fig3bSpec() *Spec {
 	}
 }
 
-// Fig3b reproduces Fig. 3b.
-func Fig3b(o Opts) *Table { return Figures["fig3b"](o) }
-
 // Fig3cSpec: the number of concurrent flows each protocol sustains at 99%
 // application throughput, as the mean flow deadline varies.
-func Fig3cSpec() *Spec {
-	return &Spec{
+func Fig3cSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:      "fig3c",
 		Desc:      "number of flows at 99% app throughput vs mean deadline [ms]",
 		Topology:  defaultTree(),
@@ -98,13 +89,10 @@ func Fig3cSpec() *Spec {
 	}
 }
 
-// Fig3c reproduces Fig. 3c.
-func Fig3c(o Opts) *Table { return Figures["fig3c"](o) }
-
 // Fig3dSpec: mean FCT (normalized to optimal) vs number of flows, no
 // deadlines.
-func Fig3dSpec() *Spec {
-	return &Spec{
+func Fig3dSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:      "fig3d",
 		Desc:      "mean FCT normalized to optimal vs number of flows (no deadlines)",
 		Topology:  defaultTree(),
@@ -120,14 +108,11 @@ func Fig3dSpec() *Spec {
 	}
 }
 
-// Fig3d reproduces Fig. 3d.
-func Fig3d(o Opts) *Table { return Figures["fig3d"](o) }
-
 // Fig3eSpec: mean FCT (normalized to optimal) vs mean flow size, 3 flows.
-func Fig3eSpec() *Spec {
+func Fig3eSpec() *scenario.Spec {
 	w := aggWorkload(100, 0)
 	w.Count = 3
-	return &Spec{
+	return &scenario.Spec{
 		Name:      "fig3e",
 		Desc:      "mean FCT normalized to optimal vs avg flow size [KB] (3 flows)",
 		Topology:  defaultTree(),
@@ -142,9 +127,6 @@ func Fig3eSpec() *Spec {
 		HorizonMs: 2000,
 	}
 }
-
-// Fig3e reproduces Fig. 3e.
-func Fig3e(o Opts) *Table { return Figures["fig3e"](o) }
 
 // patternCases is the §5.3 sending-pattern axis (columns labeled by each
 // pattern's own name).
@@ -164,8 +146,8 @@ func patternCases() []scenario.SweepCase {
 
 // Fig4aSpec: number of flows at 99% application throughput per sending
 // pattern, normalized to PDQ(Full).
-func Fig4aSpec() *Spec {
-	return &Spec{
+func Fig4aSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:      "fig4a",
 		Desc:      "flows at 99% app throughput per pattern (normalized to PDQ(Full))",
 		Topology:  defaultTree(),
@@ -179,16 +161,13 @@ func Fig4aSpec() *Spec {
 	}
 }
 
-// Fig4a reproduces Fig. 4a.
-func Fig4a(o Opts) *Table { return Figures["fig4a"](o) }
-
 // Fig4bSpec: mean FCT per sending pattern, normalized to PDQ(Full), no
 // deadlines.
-func Fig4bSpec() *Spec {
+func Fig4bSpec() *scenario.Spec {
 	w := aggWorkload(100, 0)
 	w.Count = 48
 	w.QuickCount = 36
-	return &Spec{
+	return &scenario.Spec{
 		Name:      "fig4b",
 		Desc:      "mean FCT per pattern (normalized to PDQ(Full), no deadlines)",
 		Topology:  defaultTree(),
@@ -200,9 +179,6 @@ func Fig4bSpec() *Spec {
 		Normalize: "base-row",
 	}
 }
-
-// Fig4b reproduces Fig. 4b.
-func Fig4b(o Opts) *Table { return Figures["fig4b"](o) }
 
 // vl2Workload is the §5.3 commercial-datacenter workload: VL2-like sizes,
 // random permutation, Poisson arrivals; flows under 40 KB are
@@ -222,8 +198,8 @@ func vl2Workload(rate, quickRate, windowMs, quickWindowMs float64) scenario.Work
 
 // Fig5aSpec: sustainable short-flow arrival rate at 99% application
 // throughput vs mean flow deadline, under the VL2-like workload.
-func Fig5aSpec() *Spec {
-	return &Spec{
+func Fig5aSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:      "fig5a",
 		Desc:      "short-flow arrival rate [flows/s] at 99% app throughput vs deadline [ms]",
 		Topology:  defaultTree(),
@@ -240,13 +216,10 @@ func Fig5aSpec() *Spec {
 	}
 }
 
-// Fig5a reproduces Fig. 5a.
-func Fig5a(o Opts) *Table { return Figures["fig5a"](o) }
-
 // Fig5bSpec: mean FCT of long flows (≥40 KB) under the VL2-like workload,
 // normalized to PDQ(Full).
-func Fig5bSpec() *Spec {
-	return &Spec{
+func Fig5bSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:      "fig5b",
 		Desc:      "long-flow FCT under VL2-like workload (normalized to PDQ(Full))",
 		Topology:  defaultTree(),
@@ -259,13 +232,10 @@ func Fig5bSpec() *Spec {
 	}
 }
 
-// Fig5b reproduces Fig. 5b.
-func Fig5b(o Opts) *Table { return Figures["fig5b"](o) }
-
 // Fig5cSpec: mean FCT under the EDU1-like university workload, normalized
 // to PDQ(Full).
-func Fig5cSpec() *Spec {
-	return &Spec{
+func Fig5cSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:     "fig5c",
 		Desc:     "mean FCT under EDU1-like workload (normalized to PDQ(Full))",
 		Topology: defaultTree(),
@@ -284,6 +254,3 @@ func Fig5cSpec() *Spec {
 		Normalize: "base-row",
 	}
 }
-
-// Fig5c reproduces Fig. 5c.
-func Fig5c(o Opts) *Table { return Figures["fig5c"](o) }

@@ -7,8 +7,8 @@ import "pdq/internal/scenario"
 // bottleneck; PDQ should serve them sequentially with seamless
 // switching, ~100% bottleneck utilization and a small queue, completing
 // all five in ~42 ms.
-func Fig6Spec() *Spec {
-	return &Spec{
+func Fig6Spec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:   "fig6",
 		Desc:   "convergence dynamics: 5×1MB flows, one bottleneck (PDQ Full)",
 		Driver: "convergence-trace",
@@ -16,14 +16,11 @@ func Fig6Spec() *Spec {
 	}
 }
 
-// Fig6 reproduces Fig. 6.
-func Fig6(o Opts) *Table { return Figures["fig6"](o) }
-
 // Fig7Spec reproduces the burst-robustness scenario (§5.4 scenario 2): a
 // long-lived flow is preempted at t=10 ms by 50 short (20 KB) flows; PDQ
 // should absorb the burst at high utilization with a small queue.
-func Fig7Spec() *Spec {
-	return &Spec{
+func Fig7Spec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:        "fig7",
 		Desc:        "robustness to burst: 50 short flows preempt a long-lived flow (PDQ Full)",
 		Driver:      "burst-trace",
@@ -31,9 +28,6 @@ func Fig7Spec() *Spec {
 		QuickParams: map[string]float64{"shorts": 25},
 	}
 }
-
-// Fig7 reproduces Fig. 7.
-func Fig7(o Opts) *Table { return Figures["fig7"](o) }
 
 // lossyTree is the default tree with the given loss rate injected on the
 // aggregation receiver's access link, both directions (§5.6); the sweep
@@ -46,8 +40,8 @@ func lossyTree() scenario.TopoSpec {
 
 // Fig9aSpec: number of deadline flows at 99% application throughput vs
 // packet loss rate, PDQ vs TCP.
-func Fig9aSpec() *Spec {
-	return &Spec{
+func Fig9aSpec() *scenario.Spec {
+	return &scenario.Spec{
 		Name:      "fig9a",
 		Desc:      "flows at 99% app throughput vs loss rate (deadline)",
 		Topology:  lossyTree(),
@@ -66,15 +60,12 @@ func Fig9aSpec() *Spec {
 	}
 }
 
-// Fig9a reproduces Fig. 9a.
-func Fig9a(o Opts) *Table { return Figures["fig9a"](o) }
-
 // Fig9bSpec: mean FCT vs loss rate, normalized to PDQ without loss.
-func Fig9bSpec() *Spec {
+func Fig9bSpec() *scenario.Spec {
 	w := aggWorkload(100, 0)
 	w.Count = 10
 	w.QuickCount = 6
-	return &Spec{
+	return &scenario.Spec{
 		Name:      "fig9b",
 		Desc:      "mean FCT vs loss rate (normalized to PDQ w/o loss)",
 		Topology:  lossyTree(),
@@ -92,6 +83,3 @@ func Fig9bSpec() *Spec {
 		Normalize: "first-cell",
 	}
 }
-
-// Fig9b reproduces Fig. 9b.
-func Fig9b(o Opts) *Table { return Figures["fig9b"](o) }

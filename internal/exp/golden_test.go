@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pdq/internal/scenario"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure tables in testdata/")
@@ -25,7 +27,7 @@ func TestGoldenFigures(t *testing.T) {
 		"fig8e", "fig9b", "fig10", "fig11a", "fig12"} {
 		fig := fig
 		t.Run(fig, func(t *testing.T) {
-			got := Figures[fig](Opts{Quick: true, Seed: 7}).String()
+			got := Figures[fig](scenario.Opts{Quick: true, Seed: 7}).String()
 			path := filepath.Join("testdata", fig+"_quick_seed7.golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

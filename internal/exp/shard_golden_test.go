@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pdq/internal/scenario"
 )
 
 // TestGoldenFiguresAcrossShardCounts pins that the sharded engine
@@ -24,13 +26,13 @@ func TestGoldenFiguresAcrossShardCounts(t *testing.T) {
 			t.Fatalf("missing golden (run TestGoldenFigures with -update first): %v", err)
 		}
 		for _, shards := range []int{1, 2, 4, 8} {
-			got := Figures[fig](Opts{Quick: true, Seed: 7, Shards: shards}).String()
+			got := Figures[fig](scenario.Opts{Quick: true, Seed: 7, Shards: shards}).String()
 			if got != string(want) {
 				t.Errorf("%s at shards=%d diverged from the pre-sharding golden:\n--- got ---\n%s--- want ---\n%s",
 					fig, shards, got, want)
 			}
 		}
-		got := Figures[fig](Opts{Quick: true, Seed: 7, Shards: 4, Sched: "wheel"}).String()
+		got := Figures[fig](scenario.Opts{Quick: true, Seed: 7, Shards: 4, Sched: "wheel"}).String()
 		if got != string(want) {
 			t.Errorf("%s with the wheel backend diverged from the golden:\n--- got ---\n%s--- want ---\n%s",
 				fig, got, want)

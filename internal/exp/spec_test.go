@@ -95,7 +95,7 @@ func TestExampleScenariosRoundTrip(t *testing.T) {
 				t.Errorf("round trip not byte-stable:\nfirst:  %s\nsecond: %s", first, second)
 			}
 
-			tab, err := scenario.Run(spec, Opts{Quick: true})
+			tab, err := scenario.Run(spec, scenario.Opts{Quick: true})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"pdq/internal/scenario"
 )
 
 func TestGatherOrderAndWorkers(t *testing.T) {
@@ -15,21 +17,21 @@ func TestGatherOrderAndWorkers(t *testing.T) {
 			i := i
 			fns = append(fns, func() int { return i * i })
 		}
-		got := Gather(workers, fns)
+		got := scenario.Gather(workers, fns)
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: result[%d] = %d, want %d (input order lost)", workers, i, v, i*i)
 			}
 		}
 	}
-	if got := Gather[int](4, nil); len(got) != 0 {
+	if got := scenario.Gather[int](4, nil); len(got) != 0 {
 		t.Errorf("Gather of no fns returned %v", got)
 	}
 }
 
 func TestRunTrialsSingle(t *testing.T) {
-	o := Opts{Seed: 5, Parallel: 2}
-	st := RunTrials(o, []Trial{
+	o := scenario.Opts{Seed: 5, Parallel: 2}
+	st := scenario.RunTrials(o, []scenario.Trial{
 		func(seed int64) float64 { return float64(seed) },
 		func(seed int64) float64 { return float64(2 * seed) },
 	})
@@ -42,11 +44,11 @@ func TestRunTrialsSingle(t *testing.T) {
 }
 
 func TestRunTrialsReplicates(t *testing.T) {
-	o := Opts{Seed: 1, Trials: 4, Parallel: 2}
+	o := scenario.Opts{Seed: 1, Trials: 4, Parallel: 2}
 	// The cell returns its replicate index (0..3) so the mean and stderr
 	// are known exactly: mean 1.5, stddev of {0,1,2,3} is ~1.29.
-	st := RunTrials(o, []Trial{func(seed int64) float64 {
-		return float64((seed - 1) / trialSeedStride)
+	st := scenario.RunTrials(o, []scenario.Trial{func(seed int64) float64 {
+		return float64((seed - 1) / scenario.TrialSeedStride)
 	}})
 	if st[0].Mean != 1.5 {
 		t.Errorf("mean %v, want 1.5", st[0].Mean)
@@ -66,8 +68,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		n = 8
 	}
 	for _, fig := range []string{"fig3a", "fig11b"} {
-		serial := Figures[fig](Opts{Quick: true, Seed: 7, Parallel: 1})
-		par := Figures[fig](Opts{Quick: true, Seed: 7, Parallel: n})
+		serial := Figures[fig](scenario.Opts{Quick: true, Seed: 7, Parallel: 1})
+		par := Figures[fig](scenario.Opts{Quick: true, Seed: 7, Parallel: n})
 		if !reflect.DeepEqual(serial.Rows, par.Rows) {
 			t.Errorf("%s: rows differ between 1 worker and %d workers:\nserial:\n%s\nparallel:\n%s",
 				fig, n, serial, par)
@@ -79,7 +81,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestTrialsAddStderrColumns(t *testing.T) {
-	tab := Fig11b(Opts{Quick: true, Seed: 3, Trials: 3, Parallel: 2})
+	tab := Figures["fig11b"](scenario.Opts{Quick: true, Seed: 3, Trials: 3, Parallel: 2})
 	for _, r := range tab.Rows {
 		if len(r.Errs) != len(r.Vals) {
 			t.Fatalf("row %q: %d stderr values for %d means", r.Label, len(r.Errs), len(r.Vals))
@@ -91,8 +93,8 @@ func TestTrialsAddStderrColumns(t *testing.T) {
 }
 
 func TestTableGetDuplicateColumnPanics(t *testing.T) {
-	tab := &Table{Name: "dup", Cols: []string{"a", "b", "a"},
-		Rows: []Row{{Label: "r", Vals: []float64{1, 2, 3}}}}
+	tab := &scenario.Table{Name: "dup", Cols: []string{"a", "b", "a"},
+		Rows: []scenario.Row{{Label: "r", Vals: []float64{1, 2, 3}}}}
 	defer func() {
 		if recover() == nil {
 			t.Error("Get on a table with duplicate columns did not panic")
@@ -102,8 +104,8 @@ func TestTableGetDuplicateColumnPanics(t *testing.T) {
 }
 
 func TestTableGetFirstColumnWins(t *testing.T) {
-	tab := &Table{Name: "ok", Cols: []string{"x", "y"},
-		Rows: []Row{{Label: "r", Vals: []float64{1, 2}}}}
+	tab := &scenario.Table{Name: "ok", Cols: []string{"x", "y"},
+		Rows: []scenario.Row{{Label: "r", Vals: []float64{1, 2}}}}
 	if got := tab.Get("r", "x"); got != 1 {
 		t.Errorf("Get(r, x) = %v, want 1", got)
 	}

@@ -138,9 +138,10 @@ func (s *Schedule) ShardBlocker(t *topo.Topology, sys any) string {
 	return ""
 }
 
-// hostIndex resolves a possibly-negative host index (negative counts from
-// the end, -1 = last host).
-func hostIndex(i, n int) int {
+// HostIndex resolves a possibly-negative host index among n hosts
+// (negative counts from the end, -1 = last host): the convention of
+// Event.Host and of scenario's FaultSpec.Host and LossSpec.Host.
+func HostIndex(i, n int) int {
 	if i < 0 {
 		return n + i
 	}
@@ -157,7 +158,7 @@ func (s *Schedule) Validate(hosts, switches int) error {
 	for i, ev := range s.Events {
 		switch ev.Kind {
 		case LinkDown:
-			h := hostIndex(ev.Host, hosts)
+			h := HostIndex(ev.Host, hosts)
 			if h < 0 || h >= hosts {
 				return fmt.Errorf("fault %d (link-down): host %d out of range (topology has %d hosts)", i, ev.Host, hosts)
 			}
@@ -178,7 +179,7 @@ func (s *Schedule) Validate(hosts, switches int) error {
 				return fmt.Errorf("fault %d (switch-crash): restart_ms must be >= 0", i)
 			}
 		case GilbertLoss:
-			h := hostIndex(ev.Host, hosts)
+			h := HostIndex(ev.Host, hosts)
 			if h < 0 || h >= hosts {
 				return fmt.Errorf("fault %d (gilbert-loss): host %d out of range (topology has %d hosts)", i, ev.Host, hosts)
 			}
@@ -234,20 +235,20 @@ func (s *Schedule) Apply(t *topo.Topology, sys any, ct *trace.CellTrace) {
 	for _, ev := range s.Events {
 		switch ev.Kind {
 		case LinkDown:
-			h := hostIndex(ev.Host, len(t.Hosts))
+			h := HostIndex(ev.Host, len(t.Hosts))
 			link := t.Hosts[h].Access
 			target := fmt.Sprintf("host%d", h)
 			kind := ev.Kind.String()
 			down, up := ev.Down, ev.Up
 			sm.At(down, func() {
-				setLinkDown(link, true)
+				link.SetDuplexDown(true)
 				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: down, Down: true})
 				if pu != nil {
 					pu.OnLinkState(link, true)
 				}
 			})
 			sm.At(up, func() {
-				setLinkDown(link, false)
+				link.SetDuplexDown(false)
 				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: up, Down: false})
 				if pu != nil {
 					pu.OnLinkState(link, false)
@@ -271,7 +272,7 @@ func (s *Schedule) Apply(t *topo.Topology, sys any, ct *trace.CellTrace) {
 				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: at, Down: true})
 				if restart > 0 {
 					for _, l := range links {
-						setLinkDown(l, true)
+						l.SetDuplexDown(true)
 					}
 					if pu != nil {
 						for _, l := range links {
@@ -283,7 +284,7 @@ func (s *Schedule) Apply(t *topo.Topology, sys any, ct *trace.CellTrace) {
 			if restart > 0 {
 				sm.At(at+restart, func() {
 					for _, l := range links {
-						setLinkDown(l, false)
+						l.SetDuplexDown(false)
 					}
 					ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: at + restart, Down: false})
 					if pu != nil {
@@ -294,7 +295,7 @@ func (s *Schedule) Apply(t *topo.Topology, sys any, ct *trace.CellTrace) {
 				})
 			}
 		case GilbertLoss:
-			h := hostIndex(ev.Host, len(t.Hosts))
+			h := HostIndex(ev.Host, len(t.Hosts))
 			link := t.Hosts[h].Access
 			// One independent chain per direction, installed for the
 			// whole run — no event needed, and no fault record: loss is
@@ -353,7 +354,7 @@ func (s *Schedule) applySharded(t *topo.Topology, sys any, ct *trace.CellTrace) 
 	for _, ev := range s.Events {
 		switch ev.Kind {
 		case LinkDown:
-			h := hostIndex(ev.Host, len(t.Hosts))
+			h := HostIndex(ev.Host, len(t.Hosts))
 			link := t.Hosts[h].Access
 			addBoth(link, ev.Down, true)
 			addBoth(link, ev.Up, false)
@@ -378,7 +379,7 @@ func (s *Schedule) applySharded(t *topo.Topology, sys any, ct *trace.CellTrace) 
 			// Installed for the whole run, like Apply: no event, no record
 			// (loss is an environment property, not a transition), and the
 			// chains draw from the owning link's private stream.
-			link := t.Hosts[hostIndex(ev.Host, len(t.Hosts))].Access
+			link := t.Hosts[HostIndex(ev.Host, len(t.Hosts))].Access
 			link.SetGE(&netsim.GilbertElliott{PGB: ev.PGB, PBG: ev.PBG, LossGood: ev.LossGood, LossBad: ev.LossBad})
 			if link.Peer != nil {
 				link.Peer.SetGE(&netsim.GilbertElliott{PGB: ev.PGB, PBG: ev.PBG, LossGood: ev.LossGood, LossBad: ev.LossBad})
@@ -420,13 +421,5 @@ func (s *Schedule) applySharded(t *topo.Topology, sys any, ct *trace.CellTrace) 
 			v := down
 			own.At(at, func() { link.SetDown(v) })
 		}
-	}
-}
-
-// setLinkDown fails or restores both directions of a duplex link.
-func setLinkDown(l *netsim.Link, down bool) {
-	l.SetDown(down)
-	if l.Peer != nil {
-		l.Peer.SetDown(down)
 	}
 }

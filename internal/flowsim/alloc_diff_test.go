@@ -133,7 +133,7 @@ func (d *diffDriver) apply(in *opStream) {
 	case op == 10:
 		links := d.tp.Net.Links()
 		l := links[(int(in.next())<<8|int(in.next()))%len(links)]
-		setDown(l, !l.Down())
+		l.SetDuplexDown(!l.Down())
 	case op == 11:
 		d.reroute(in.next(), in.next())
 	case op == 12:

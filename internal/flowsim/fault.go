@@ -32,18 +32,18 @@ func (s *Sim) ApplyFaults(sch *fault.Schedule, ct *trace.CellTrace) {
 	for _, ev := range sch.Events {
 		switch ev.Kind {
 		case fault.LinkDown:
-			h := hostIndex(ev.Host, len(s.Topo.Hosts))
+			h := fault.HostIndex(ev.Host, len(s.Topo.Hosts))
 			link := s.Topo.Hosts[h].Access
 			target := fmt.Sprintf("host%d", h)
 			kind := ev.Kind.String()
 			down, up := ev.Down, ev.Up
 			s.AddHook(down, func(s *Sim) {
-				setDown(link, true)
+				link.SetDuplexDown(true)
 				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: down, Down: true})
 				s.reroute(link)
 			})
 			s.AddHook(up, func(s *Sim) {
-				setDown(link, false)
+				link.SetDuplexDown(false)
 				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: up, Down: false})
 			})
 		case fault.SwitchCrash:
@@ -62,7 +62,7 @@ func (s *Sim) ApplyFaults(sch *fault.Schedule, ct *trace.CellTrace) {
 				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: at, Down: true})
 				if restart > 0 {
 					for _, l := range links {
-						setDown(l, true)
+						l.SetDuplexDown(true)
 					}
 					for _, l := range links {
 						s.reroute(l)
@@ -72,7 +72,7 @@ func (s *Sim) ApplyFaults(sch *fault.Schedule, ct *trace.CellTrace) {
 			if restart > 0 {
 				s.AddHook(at+restart, func(s *Sim) {
 					for _, l := range links {
-						setDown(l, false)
+						l.SetDuplexDown(false)
 					}
 					ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: at + restart, Down: false})
 				})
@@ -112,21 +112,4 @@ func usesLink(path []*netsim.Link, l *netsim.Link) bool {
 		}
 	}
 	return false
-}
-
-// hostIndex resolves a possibly-negative host index (negative counts from
-// the end, matching fault.Event and scenario.LossSpec).
-func hostIndex(i, n int) int {
-	if i < 0 {
-		return n + i
-	}
-	return i
-}
-
-// setDown fails or restores both directions of a duplex link.
-func setDown(l *netsim.Link, down bool) {
-	l.SetDown(down)
-	if l.Peer != nil {
-		l.Peer.SetDown(down)
-	}
 }

@@ -10,9 +10,12 @@ import (
 // patterns, protocol runners, metrics, qdiscs — DESIGN.md §7) init-only:
 // every call to a package-level Register* function must happen lexically
 // inside a func init() and must register a name the type checker can
-// evaluate to a string constant. Init-only registration is what makes the
-// unsynchronized registry maps safe under -parallel: every write happens
-// before main starts, so the sweep workers only ever read them. (A
+// evaluate to a string constant. Every registry is a params.Registry
+// behind such a one-line wrapper, and the wrapper's own call to the
+// Register method is not a registration site. Init-only registration is
+// what makes the unsynchronized registries safe under -parallel: every
+// write happens before main starts, so the sweep workers only ever read
+// them. (A
 // registration behind a helper with a computed name could also run, or
 // not, depending on runtime control flow.)
 //

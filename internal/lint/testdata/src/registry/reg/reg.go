@@ -1,5 +1,8 @@
-// Package reg is the fixture's module-internal registry surface: both a
-// composite-entry form and a plain name-parameter form.
+// Package reg is the fixture's module-internal registry surface, shaped
+// like the real ones: a generic table whose Register method only the
+// one-line package-level wrappers call — a composite-entry form and a
+// plain name-parameter form. The method call inside a wrapper is not a
+// registration site; the wrapper's callers are.
 package reg
 
 type Entry struct {
@@ -7,8 +10,12 @@ type Entry struct {
 	Doc  string
 }
 
-var entries = map[string]Entry{}
+type registry[E any] struct{ entries map[string]E }
 
-func RegisterEntry(e Entry) { entries[e.Name] = e }
+func (r *registry[E]) Register(name string, e E) { r.entries[name] = e }
 
-func RegisterName(name, doc string) { entries[name] = Entry{Name: name, Doc: doc} }
+var entries = &registry[Entry]{entries: map[string]Entry{}}
+
+func RegisterEntry(e Entry) { entries.Register(e.Name, e) }
+
+func RegisterName(name, doc string) { entries.Register(name, Entry{Name: name, Doc: doc}) }

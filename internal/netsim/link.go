@@ -320,9 +320,16 @@ func (l *Link) downAt(t sim.Time) bool {
 // packets at enqueue and loses packets already in flight at their delivery
 // instant; it does not disturb serializer bookkeeping, so restoring the
 // link resumes normal service with the queue state the failure left
-// behind. Fault injection fails both directions by calling SetDown on the
-// link and its Peer.
+// behind. Fault injection fails both directions (SetDuplexDown).
 func (l *Link) SetDown(down bool) { l.down = down }
+
+// SetDuplexDown fails or restores both directions of a duplex link.
+func (l *Link) SetDuplexDown(down bool) {
+	l.SetDown(down)
+	if l.Peer != nil {
+		l.Peer.SetDown(down)
+	}
+}
 
 // Down reports whether this direction of the link is failed.
 func (l *Link) Down() bool { return l.down }

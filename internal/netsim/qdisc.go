@@ -1,11 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"sort"
-
-	"pdq/internal/params"
-)
+import "pdq/internal/params"
 
 // Qdisc is a link queueing discipline: the policy points carved out of
 // the link's serializer (DESIGN.md §9). A discipline owns two decisions
@@ -160,44 +155,19 @@ type QdiscEntry struct {
 }
 
 //pdqlint:shardsafe-ok written only by init-time RegisterQdisc calls, read-only once workers run
-var qdiscs = map[string]QdiscEntry{}
+var qdiscs = params.NewRegistry[QdiscEntry]("qdisc")
 
 // RegisterQdisc adds a queue discipline; duplicate names panic at init.
-func RegisterQdisc(e QdiscEntry) {
-	if _, dup := qdiscs[e.Name]; dup {
-		panic(fmt.Sprintf("netsim: duplicate qdisc %q", e.Name))
-	}
-	qdiscs[e.Name] = e
-}
-
-// QdiscNames returns the registered discipline names, sorted.
-func QdiscNames() []string {
-	names := make([]string, 0, len(qdiscs))
-	for n := range qdiscs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func RegisterQdisc(e QdiscEntry) { qdiscs.Register(e.Name, e.Params, nil, e) }
 
 // QdiscList returns the registered disciplines sorted by name.
-func QdiscList() []QdiscEntry {
-	out := make([]QdiscEntry, 0, len(qdiscs))
-	for _, n := range QdiscNames() {
-		out = append(out, qdiscs[n])
-	}
-	return out
-}
+func QdiscList() []QdiscEntry { return qdiscs.List() }
 
 // MakeQdisc resolves a discipline name and binds validated params into
-// a per-link factory; the resolved (default-filled) parameters are also
-// returned as cache-key material.
+// a per-link factory, also returning the resolved (default-filled)
+// parameters.
 func MakeQdisc(name string, given map[string]float64) (func() Qdisc, map[string]float64, error) {
-	e, ok := qdiscs[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("netsim: unknown qdisc %q (available: %v)", name, QdiscNames())
-	}
-	p, err := params.Resolve("qdisc", name, e.Params, given)
+	e, p, err := qdiscs.Resolve(name, given)
 	if err != nil {
 		return nil, nil, err
 	}

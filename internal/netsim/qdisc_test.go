@@ -247,7 +247,7 @@ func (p *deliveryProbe) Receive(pkt *Packet, ingress *Link) {
 }
 
 func TestQdiscRegistry(t *testing.T) {
-	names := QdiscNames()
+	names := qdiscs.Names()
 	want := []string{"ecn", "prio", "tail-drop"}
 	if len(names) != len(want) {
 		t.Fatalf("QdiscNames = %v, want %v", names, want)

@@ -10,10 +10,12 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"pdq/internal/core"
 	"pdq/internal/fluid"
 	"pdq/internal/netsim"
+	"pdq/internal/params"
 	"pdq/internal/sim"
 	"pdq/internal/stats"
 	"pdq/internal/topo"
@@ -30,13 +32,16 @@ func init() {
 		Name:   "convergence-trace",
 		Doc:    "Fig. 6 convergence dynamics: `flows` equal flows start together on one bottleneck; reports completions, utilization, queue, drops",
 		Params: map[string]float64{"flows": 5, "size_mb": 1},
+		Check:  minBytes(map[string]float64{"size_mb": 1}),
 		Fn:     runConvergenceTrace,
 	})
 	RegisterDriver(DriverEntry{
 		Name:   "burst-trace",
 		Doc:    "Fig. 7 burst robustness: `shorts` short flows preempt a long-lived flow at t=10 ms",
 		Params: map[string]float64{"shorts": 50, "short_kb": 20, "long_mb": 20},
-		Fn:     runBurstTrace,
+		// Shorts draw from short_kb ± 1 KB.
+		Check: minBytes(map[string]float64{"short_kb": 1<<10 + 1, "long_mb": 1}),
+		Fn:    runBurstTrace,
 	})
 	RegisterDriver(DriverEntry{
 		Name:   "fct-ratio-cdf",
@@ -49,19 +54,43 @@ func init() {
 		Doc:      "Fig. 12 contention: one `long_mb` flow from host 0 plus `shorts` `short_kb` flows arriving every `spacing_ms` from the remaining senders",
 		Params:   map[string]float64{"shorts": 100, "short_kb": 100, "long_mb": 2, "spacing_ms": 1},
 		MinHosts: 3, // host 0 sends the long flow, the last host receives, the rest send shorts
+		Check:    minBytes(map[string]float64{"short_kb": 1, "long_mb": 1}),
 		Gen: func(p map[string]float64, hosts int, _ int64) []workload.Flow {
 			dst := hosts - 1
-			fl := []workload.Flow{{ID: 1, Src: 0, Dst: dst, Size: int64(p["long_mb"]) << 20}}
+			fl := []workload.Flow{{ID: 1, Src: 0, Dst: dst, Size: sizeBytes(p, "long_mb")}}
 			for i := 0; i < int(p["shorts"]); i++ {
 				fl = append(fl, workload.Flow{
 					ID: uint64(i + 2), Src: 1 + i%(hosts-2), Dst: dst,
-					Size:  int64(p["short_kb"]) << 10,
+					Size:  sizeBytes(p, "short_kb"),
 					Start: sim.Time(float64(i) * p["spacing_ms"] * float64(sim.Millisecond)),
 				})
 			}
 			return fl
 		},
 	})
+}
+
+// sizeBytes converts a size parameter named *_kb or *_mb to bytes. It
+// scales before it truncates, so a fractional value keeps its bytes.
+func sizeBytes(p map[string]float64, key string) int64 {
+	unit := float64(1 << 10)
+	if strings.HasSuffix(key, "_mb") {
+		unit = 1 << 20
+	}
+	return int64(p[key] * unit)
+}
+
+// minBytes returns an entry Check that wants every named size parameter
+// to come to at least that many bytes.
+func minBytes(min map[string]float64) func(p map[string]float64) error {
+	return func(p map[string]float64) error {
+		for _, key := range params.SortedKeys(min) {
+			if n := sizeBytes(p, key); n < int64(min[key]) {
+				return fmt.Errorf("parameter %q = %v is %d bytes: want at least %d", key, p[key], n, int64(min[key]))
+			}
+		}
+		return nil
+	}
 }
 
 // runFluidExample reproduces the motivating example (Fig. 1): three flows
@@ -134,7 +163,7 @@ func queueProbe(tp *topo.Topology, l *netsim.Link, period sim.Duration) *stats.P
 // bottleneck utilization and a small queue.
 func runConvergenceTrace(s *Spec, p map[string]float64, _ Opts) (*Table, error) {
 	n := int(p["flows"])
-	size := int64(p["size_mb"]) << 20
+	size := sizeBytes(p, "size_mb")
 	tp := topo.SingleBottleneck(n, 1)
 	sys := core.Install(tp, core.Full())
 	for i := 0; i < n; i++ {
@@ -172,9 +201,9 @@ func runBurstTrace(s *Spec, p map[string]float64, o Opts) (*Table, error) {
 	tp := topo.SingleBottleneck(nShort+1, 1)
 	recv := nShort + 1
 	sys := core.Install(tp, core.Full())
-	sys.Start(workload.Flow{ID: 100000, Src: 0, Dst: recv, Size: int64(p["long_mb"]) << 20}) // long-lived
-	kb := int64(p["short_kb"])
-	g := workload.NewGen(o.seed(), workload.Uniform{Lo: (kb - 1) << 10, Hi: (kb + 1) << 10}, 0)
+	sys.Start(workload.Flow{ID: 100000, Src: 0, Dst: recv, Size: sizeBytes(p, "long_mb")}) // long-lived
+	short := sizeBytes(p, "short_kb")
+	g := workload.NewGen(o.seed(), workload.Uniform{Lo: short - 1<<10, Hi: short + 1<<10}, 0)
 	for i := 0; i < nShort; i++ {
 		f := g.Flow(1+i, recv, 10*sim.Millisecond)
 		sys.Start(f)

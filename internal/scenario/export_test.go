@@ -33,7 +33,7 @@ func SearchCells(s *Spec, o Opts) ([]SearchCell, error) {
 	var cells []SearchCell
 	for ri := range e.rows {
 		r := &e.rows[ri]
-		if r.analytic != nil {
+		if r.at(0).plan.Analytic != "" {
 			continue
 		}
 		for ci := range e.cols {
@@ -41,10 +41,10 @@ func SearchCells(s *Spec, o Opts) ([]SearchCell, error) {
 				continue
 			}
 			c := SearchCell{e: e, ri: ri, ci: ci, seed: o.BaseSeed(),
-				Row: r.label, Col: e.cols[ci].label, Hi: e.cols[ci].hi, Scale: 1,
-				Packet: r.level == "packet", Horizon: e.horizon}
-			if e.mode == "max-rate" {
-				c.Hi, c.Scale = e.steps, e.rateStep
+				Row: r.label, Col: e.cols[ci].label, Hi: e.cols[ci].plan.Hi, Scale: 1,
+				Packet: r.at(0).plan.Level == "packet", Horizon: e.plan.Horizon}
+			if e.plan.Mode == "max-rate" {
+				c.Hi, c.Scale = e.plan.Steps, e.plan.RateStep
 			}
 			cells = append(cells, c)
 		}
@@ -67,56 +67,51 @@ type ProbeRun struct {
 	Intervals [][2]float64
 }
 
-// resolve mirrors compute's cell resolution and its per-mode flow draw;
-// probe_test.go checks the mirror against Compute.
-func (c SearchCell) resolve(n int) (r *row, at int, col *column, flows []workload.Flow) {
+// resolve is compute's cell resolution plus a mirror of its per-mode flow
+// draw; probe_test.go checks the mirror against Compute.
+func (c SearchCell) resolve(n int) (r *row, b *binding, col *column, flows []workload.Flow) {
 	e := c.e
-	r = &e.rows[c.ri]
-	col, at = &e.cols[c.ci], c.ci
-	if r.fixed {
-		col, at = &e.baseCol, 0
+	r, col, b = e.resolve(c.ri, c.ci)
+	if e.plan.Mode == "max-rate" {
+		return r, b, col, col.gen(c.seed, 0, float64(n)*e.plan.RateStep)
 	}
-	if e.mode == "max-rate" {
-		return r, at, col, col.gen(c.seed, 0, float64(n)*e.rateStep)
-	}
-	return r, at, col, col.gen(c.seed, n, 0)
+	return r, b, col, col.gen(c.seed, n, 0)
 }
 
 // Probe runs probe n down the search's own path: engine.value, the stop
 // rule armed, then the search's comparison.
 func (c SearchCell) Probe(n int) ProbeRun {
-	r, at, col, flows := c.resolve(n)
+	r, b, col, flows := c.resolve(n)
 	var tp *topo.Topology
 	build := func() *topo.Topology { tp = col.build(c.seed); return tp }
 	before := c.e.progress.Snapshot()
-	v := c.e.value(r, at, col, build, flows, c.seed, c.Col, 0)
+	v := c.e.value(r, b, col, build, flows, c.seed, c.Col, 0)
 	after := c.e.progress.Snapshot()
 	if after.Probes != before.Probes+1 {
 		panic("scenario: a probe was not counted")
 	}
-	return c.ran(ProbeRun{OK: v >= c.e.threshold, Metric: v, Stopped: after.Decided > before.Decided}, tp)
+	return c.ran(ProbeRun{OK: v >= c.e.plan.Threshold, Metric: v, Stopped: after.Decided > before.Decided}, tp)
 }
 
 // Reference runs probe n to the horizon. With notes it is watched by a
 // Decided that records the interval and never says stop; without, it is
 // the nil-Decided run every run-mode cell is.
 func (c SearchCell) Reference(n int, notes bool) ProbeRun {
-	r, at, col, flows := c.resolve(n)
+	r, b, col, flows := c.resolve(n)
 	var tp *topo.Topology
 	build := func() *topo.Topology { tp = col.build(c.seed); return tp }
 	var run ProbeRun
 	var decided func(workload.Tally) bool
 	if notes {
-		interval := r.interval(at)
 		decided = func(t workload.Tally) bool {
-			lo, hi := interval(t)
+			lo, hi := b.metric.Interval(t, b.plan.MetricParams)
 			run.Intervals = append(run.Intervals, [2]float64{lo, hi})
 			return false
 		}
 	}
-	rs := c.e.simulate(r, at, col, build, flows, c.seed, c.Col, 0, decided)
-	run.Metric = r.metric[at](rs, flows)
-	run.OK = run.Metric >= c.e.threshold
+	rs := c.e.simulate(r, b, col, build, flows, c.seed, c.Col, 0, decided)
+	run.Metric = b.metric.Fn(rs, flows, b.plan.MetricParams)
+	run.OK = run.Metric >= c.e.plan.Threshold
 	return c.ran(run, tp)
 }
 
@@ -125,4 +120,23 @@ func (c SearchCell) ran(run ProbeRun, tp *topo.Topology) ProbeRun {
 		run.Now, run.Events = tp.Sim().Now(), tp.Sim().Processed()
 	}
 	return run
+}
+
+// CellKeys compiles a grid spec and lists the cache key of every cell the
+// sweep would evaluate at o's base seed, in row-major order.
+func CellKeys(s *Spec, o Opts) ([]string, error) {
+	e, err := compile(s, o)
+	if err != nil {
+		return nil, err
+	}
+	var keys []string
+	for ri := range e.rows {
+		for ci := range e.cols {
+			if n := e.rows[ri].cols; n > 0 && ci >= n {
+				continue
+			}
+			keys = append(keys, e.cellKeyHash(ri, ci, o.BaseSeed()))
+		}
+	}
+	return keys, nil
 }

@@ -83,6 +83,15 @@ func (o Opts) BaseSeed() int64 {
 	return o.Seed
 }
 
+// env extracts the settings every run of the scenario receives.
+func (o Opts) env() Env {
+	env := Env{MaxEvents: o.MaxEvents, Watchdog: o.Watchdog}
+	if o.Obs != nil {
+		env.Obs, env.Clock = o.Obs.Runtime, o.Obs.Clock
+	}
+	return env
+}
+
 // seed is the internal shorthand for BaseSeed.
 func (o Opts) seed() int64 { return o.BaseSeed() }
 

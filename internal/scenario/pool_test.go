@@ -6,7 +6,6 @@ import (
 
 	"pdq/internal/fault"
 	"pdq/internal/netsim"
-	"pdq/internal/params"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
@@ -40,11 +39,7 @@ func poolFlows(hosts int) []workload.Flow {
 // turn-arounds the run went through.
 func checkPoolBalance(t *testing.T, runner string, given map[string]float64, build func() *topo.Topology, rc RunCtx) {
 	t.Helper()
-	e, ok := runners[runner]
-	if !ok {
-		t.Fatalf("no runner %q", runner)
-	}
-	p, err := params.Resolve("runner", runner, e.Params, given)
+	e, p, err := runners.Resolve(runner, given)
 	if err != nil {
 		t.Fatal(err)
 	}

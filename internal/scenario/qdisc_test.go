@@ -19,9 +19,9 @@ func packetSpec() *Spec {
 
 func TestNewRunnersRegistered(t *testing.T) {
 	for _, name := range []string{"DCTCP", "pFabric"} {
-		e, ok := LookupRunner(name)
+		e, ok := runners.Lookup(name)
 		if !ok {
-			t.Fatalf("runner %q not registered (have %v)", name, RunnerNames())
+			t.Fatalf("runner %q not registered (have %v)", name, runners.Names())
 		}
 		if e.Level != "packet" {
 			t.Errorf("runner %q level %q, want packet", name, e.Level)
@@ -64,10 +64,10 @@ func TestRowQdiscOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.rows[0].keys[0].Qdisc != "" {
-		t.Errorf("plain row has qdisc key %q", eng.rows[0].keys[0].Qdisc)
+	if q := eng.rows[0].at(0).plan.Qdisc; q != "" {
+		t.Errorf("plain row has qdisc key %q", q)
 	}
-	if k := eng.rows[1].keys[0]; k.Qdisc != "prio" || k.QdiscParams["bands"] != 4 {
+	if k := eng.rows[1].at(0).plan; k.Qdisc != "prio" || k.QdiscParams["bands"] != 4 {
 		t.Errorf("override row key %+v, want prio/bands=4", k)
 	}
 	seen := map[string]bool{}

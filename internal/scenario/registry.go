@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"pdq/internal/fault"
 	"pdq/internal/netsim"
@@ -15,12 +14,22 @@ import (
 )
 
 // RunCtx is the per-run context handed to a runner beyond its inputs:
-// how long to simulate and, when the sweep is being traced, the cell's
-// telemetry capture. The zero Cell means tracing is off and the runner
-// must add no telemetry work to the simulation.
+// the scenario's run-level settings (Env), the plan's engine settings,
+// and what belongs to this one run. The zero Cell means tracing is off
+// and the runner must add no telemetry work to the simulation.
 type RunCtx struct {
+	Env
+
+	// Horizon is how long to simulate. Shards is the resolved shard count
+	// (DESIGN.md §12; <= 1 means the single engine — only shard-safe
+	// packet runners act on it, everything else ignores it and stays
+	// byte-identical) and Sched the resolved timer backend ("" for the
+	// 4-ary heap, "wheel" for the hierarchical timer wheel).
 	Horizon sim.Time
-	Cell    *trace.CellTrace
+	Shards  int
+	Sched   string
+
+	Cell *trace.CellTrace
 
 	// Qdisc, when non-nil, is the row's `qdisc:` override: packet-level
 	// runners install a fresh instance on every link of the built
@@ -35,19 +44,23 @@ type RunCtx struct {
 	// flow starts (DESIGN.md §11).
 	Faults *fault.Schedule
 
+	// Decided, when non-nil, marks the run as a search probe: only the
+	// truth of `metric >= threshold` will be read off its results, and
+	// Decided reports whether the deadline tally has fixed it. A
+	// single-engine runner calls it at every flow outcome and stops the
+	// simulation at the first true (armVerdict); a runner that ignores it,
+	// and any run without it, goes to the horizon.
+	Decided func(workload.Tally) bool
+}
+
+// Env is the run-level settings every run of a scenario receives
+// unchanged: Opts hands it to the engine (Opts.env) and the engine hands
+// it to each runner inside RunCtx. None of it may shape a result.
+type Env struct {
 	// MaxEvents and Watchdog are the runaway-cell guards (Opts fields of
 	// the same names); packet-level runners arm them around RunUntil.
 	MaxEvents uint64
 	Watchdog  func(interrupt func()) (stop func())
-
-	// Shards is the resolved shard count for this run (DESIGN.md §12);
-	// <= 1 means the single engine. Only shard-safe packet runners act
-	// on it; everything else ignores it and stays byte-identical.
-	Shards int
-
-	// Sched is the resolved timer backend: "" or "heap" for the 4-ary
-	// heap, "wheel" for the hierarchical timer wheel.
-	Sched string
 
 	// Obs, when non-nil, is the shared runtime aggregate (DESIGN.md §13):
 	// packet-level runners attach per-engine instrument blocks and merge
@@ -56,14 +69,6 @@ type RunCtx struct {
 	// phase timing; the engine never reads a real clock itself.
 	Obs   *obsv.Runtime
 	Clock obsv.Clock
-
-	// Decided, when non-nil, marks the run as a search probe: only the
-	// truth of `metric >= threshold` will be read off its results, and
-	// Decided reports whether the deadline tally has fixed it. A
-	// single-engine runner calls it at every flow outcome and stops the
-	// simulation at the first true (armVerdict); a runner that ignores it,
-	// and any run without it, goes to the horizon.
-	Decided func(workload.Tally) bool
 }
 
 // RunnerFunc runs one protocol over a set of flows on a freshly built
@@ -133,7 +138,10 @@ type DriverEntry struct {
 	Name   string
 	Doc    string
 	Params map[string]float64
-	Fn     DriverFunc
+	// Check, if set, validates the resolved parameter values before Fn
+	// runs (see RunnerEntry.Check).
+	Check func(p map[string]float64) error
+	Fn    DriverFunc
 }
 
 // FlowGenEntry is a registered custom flow generator for hand-built flow
@@ -145,164 +153,63 @@ type FlowGenEntry struct {
 	// MinHosts is the smallest topology the generator can populate;
 	// specs pairing it with fewer hosts fail at compile time.
 	MinHosts int
+	// Check, if set, validates the resolved parameter values at compile
+	// time (see RunnerEntry.Check).
+	Check func(p map[string]float64) error
 	// Gen draws the flow set; hosts is the (possibly restricted)
 	// topology host count.
 	Gen func(p map[string]float64, hosts int, seed int64) []workload.Flow
 }
 
 var (
-	runners   = map[string]RunnerEntry{}
-	metrics   = map[string]MetricEntry{}
-	analytics = map[string]AnalyticEntry{}
-	drivers   = map[string]DriverEntry{}
-	flowGens  = map[string]FlowGenEntry{}
+	runners   = params.NewRegistry[RunnerEntry]("runner")
+	metrics   = params.NewRegistry[MetricEntry]("metric")
+	analytics = params.NewRegistry[AnalyticEntry]("analytic")
+	drivers   = params.NewRegistry[DriverEntry]("driver")
+	flowGens  = params.NewRegistry[FlowGenEntry]("flow generator")
 )
 
 // RegisterRunner adds a protocol runner; duplicate names panic at init.
-func RegisterRunner(e RunnerEntry) {
-	if _, dup := runners[e.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate runner %q", e.Name))
-	}
-	runners[e.Name] = e
-}
+func RegisterRunner(e RunnerEntry) { runners.Register(e.Name, e.Params, e.Check, e) }
 
 // RegisterMetric adds a metric; duplicate names panic at init.
-func RegisterMetric(e MetricEntry) {
-	if _, dup := metrics[e.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate metric %q", e.Name))
-	}
-	metrics[e.Name] = e
-}
+func RegisterMetric(e MetricEntry) { metrics.Register(e.Name, e.Params, nil, e) }
 
 // RegisterAnalytic adds an analytic baseline; duplicate names panic.
-func RegisterAnalytic(e AnalyticEntry) {
-	if _, dup := analytics[e.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate analytic %q", e.Name))
-	}
-	analytics[e.Name] = e
-}
+func RegisterAnalytic(e AnalyticEntry) { analytics.Register(e.Name, e.Params, nil, e) }
 
 // RegisterDriver adds a custom scenario driver; duplicate names panic.
-func RegisterDriver(e DriverEntry) {
-	if _, dup := drivers[e.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate driver %q", e.Name))
-	}
-	drivers[e.Name] = e
-}
+func RegisterDriver(e DriverEntry) { drivers.Register(e.Name, e.Params, e.Check, e) }
 
 // RegisterFlowGen adds a custom flow generator; duplicate names panic.
-func RegisterFlowGen(e FlowGenEntry) {
-	if _, dup := flowGens[e.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate flow generator %q", e.Name))
-	}
-	flowGens[e.Name] = e
-}
-
-// RunnerNames returns the registered runner names, sorted.
-func RunnerNames() []string { return namesOf(runners) }
-
-// MetricNames returns the registered metric names, sorted.
-func MetricNames() []string { return namesOf(metrics) }
-
-// AnalyticNames returns the registered analytic names, sorted.
-func AnalyticNames() []string { return namesOf(analytics) }
-
-// DriverNames returns the registered custom-driver names, sorted.
-func DriverNames() []string { return namesOf(drivers) }
-
-// FlowGenNames returns the registered flow-generator names, sorted.
-func FlowGenNames() []string { return namesOf(flowGens) }
-
-// LookupRunner returns the registered runner for name.
-func LookupRunner(name string) (RunnerEntry, bool) { e, ok := runners[name]; return e, ok }
+func RegisterFlowGen(e FlowGenEntry) { flowGens.Register(e.Name, e.Params, e.Check, e) }
 
 // RunnerList returns the registered runners sorted by name.
-func RunnerList() []RunnerEntry { return listOf(runners, RunnerNames()) }
+func RunnerList() []RunnerEntry { return runners.List() }
 
 // MetricList returns the registered metrics sorted by name.
-func MetricList() []MetricEntry { return listOf(metrics, MetricNames()) }
+func MetricList() []MetricEntry { return metrics.List() }
 
 // AnalyticList returns the registered analytics sorted by name.
-func AnalyticList() []AnalyticEntry { return listOf(analytics, AnalyticNames()) }
+func AnalyticList() []AnalyticEntry { return analytics.List() }
 
 // DriverList returns the registered custom drivers sorted by name.
-func DriverList() []DriverEntry { return listOf(drivers, DriverNames()) }
+func DriverList() []DriverEntry { return drivers.List() }
 
 // FlowGenList returns the registered flow generators sorted by name.
-func FlowGenList() []FlowGenEntry { return listOf(flowGens, FlowGenNames()) }
+func FlowGenList() []FlowGenEntry { return flowGens.List() }
 
 // QdiscList re-exports the link-layer queue-discipline registry sorted
 // by name, so commands can enumerate it without importing the engine
 // directly.
 func QdiscList() []netsim.QdiscEntry { return netsim.QdiscList() }
 
-func listOf[E any](reg map[string]E, names []string) []E {
-	out := make([]E, 0, len(names))
-	for _, n := range names {
-		out = append(out, reg[n])
-	}
-	return out
-}
-
-func namesOf[E any](reg map[string]E) []string {
-	names := make([]string, 0, len(reg))
-	for n := range reg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // MakeRunner resolves a runner name and binds validated params and the
 // base seed into a ready-to-call RunnerFunc.
 func MakeRunner(name string, given map[string]float64, seed int64) (RunnerFunc, error) {
-	bound, _, _, err := bindRunner(name, given)
+	e, p, err := runners.Resolve(name, given)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	return bound(seed), nil
-}
-
-// bindMetric resolves a metric name into a closed-over evaluator; the
-// resolved (default-filled) parameters are also returned as cache-key
-// material.
-func bindMetric(m MetricSpec) (func(rs []workload.Result, flows []workload.Flow) float64, map[string]float64, error) {
-	e, ok := metrics[m.Name]
-	if !ok {
-		return nil, nil, fmt.Errorf("scenario: unknown metric %q (available: %v)", m.Name, MetricNames())
-	}
-	p, err := params.Resolve("metric", m.Name, e.Params, m.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	return func(rs []workload.Result, flows []workload.Flow) float64 { return e.Fn(rs, flows, p) }, p, nil
-}
-
-// bindAnalytic resolves an analytic name into a closed-over evaluator;
-// the resolved parameters are also returned as cache-key material.
-func bindAnalytic(name string, given map[string]float64) (func(flows []workload.Flow) float64, map[string]float64, error) {
-	e, ok := analytics[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("scenario: unknown analytic %q (available: %v)", name, AnalyticNames())
-	}
-	p, err := params.Resolve("analytic", name, e.Params, given)
-	if err != nil {
-		return nil, nil, err
-	}
-	return func(flows []workload.Flow) float64 { return e.Fn(flows, p) }, p, nil
-}
-
-// bindFlowGen resolves a custom flow-generator name, returning the
-// generator, its resolved parameters (cache-key material) and its
-// minimum topology size.
-func bindFlowGen(name string, given map[string]float64) (func(hosts int, seed int64) []workload.Flow, map[string]float64, int, error) {
-	e, ok := flowGens[name]
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("scenario: unknown flow generator %q (available: %v)", name, FlowGenNames())
-	}
-	p, err := params.Resolve("flow generator", name, e.Params, given)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return func(hosts int, seed int64) []workload.Flow { return e.Gen(p, hosts, seed) }, p, e.MinHosts, nil
+	return e.Make(p, seed), nil
 }

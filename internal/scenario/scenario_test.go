@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,6 +18,13 @@ func minimalSpec() *Spec {
 		Metric:    MetricSpec{Name: "mean-fct"},
 		HorizonMs: 100,
 	}
+}
+
+func init() {
+	RegisterDriver(DriverEntry{
+		Name: "test-panics",
+		Fn:   func(*Spec, map[string]float64, Opts) (*Table, error) { panic(errors.New("boom")) },
+	})
 }
 
 func TestRunMinimalSpec(t *testing.T) {
@@ -104,6 +112,18 @@ func TestUnknownNamesError(t *testing.T) {
 		{"label mismatch", func(s *Spec) {
 			s.Sweep = &SweepSpec{Axis: "flows", Values: []float64{1, 2}, Labels: []string{"a"}}
 		}, "1 labels for 2 values"},
+		{"driver size under a byte", func(s *Spec) {
+			s.Driver, s.Params = "burst-trace", map[string]float64{"short_kb": 0.5} // shorts draw from short_kb ± 1 KB
+		}, `parameter "short_kb" = 0.5 is 512 bytes`},
+		{"flow generator size under a byte", func(s *Spec) {
+			s.Topology.Params = map[string]float64{"senders": 3}
+			s.Workload.Custom, s.Workload.Params = "long-vs-shorts", map[string]float64{"long_mb": 1e-7}
+		}, `parameter "long_mb" = 1e-07 is 0 bytes`},
+		// A driver has no cells to fail into: its panic is the scenario's error.
+		{"driver's simulation panics", func(s *Spec) {
+			s.Driver, s.Params = "burst-trace", map[string]float64{"shorts": -1}
+		}, "scenario t: driver burst-trace: protocol: flow 100000 of 20971520 bytes from host 0 to host 0"},
+		{"driver panics", func(s *Spec) { s.Driver = "test-panics" }, "scenario t: driver test-panics: boom"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,6 +137,37 @@ func TestUnknownNamesError(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFractionalSizeParams pins that a size parameter is scaled to bytes
+// before it is truncated: half a megabyte is 512 KiB, not zero bytes.
+func TestFractionalSizeParams(t *testing.T) {
+	s, err := Load([]byte(`{"name":"half","driver":"convergence-trace","params":{"flows":3,"size_mb":0.5}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Run(s, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three flows of 512 KiB share a 1 Gbps bottleneck back to back:
+	// 3 × 4.19 ms of payload plus headers and the handshakes.
+	if done := tab.Get("all done [ms]", "value"); done < 12.6 || done > 15 {
+		t.Errorf("three 512 KiB flows all done at %v ms, want ≈ 13:\n%s", done, tab)
+	}
+	for i := 0; i < 3; i++ {
+		if tab.Rows[i].Vals[0] <= 0 {
+			t.Errorf("%s = %v: the flow did not finish", tab.Rows[i].Label, tab.Rows[i].Vals[0])
+		}
+	}
+
+	g, p, err := flowGens.Resolve("long-vs-shorts", map[string]float64{"shorts": 1, "short_kb": 0.5, "long_mb": 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fl := g.Gen(p, 3, 1); fl[0].Size != 3<<19 || fl[1].Size != 512 {
+		t.Errorf("long-vs-shorts drew %d and %d bytes, want %d and 512", fl[0].Size, fl[1].Size, 3<<19)
 	}
 }
 

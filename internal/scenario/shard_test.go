@@ -223,7 +223,7 @@ func TestShardFallbackReasons(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tp, sys := build(tc.zeroDelay)
-			rc := RunCtx{Shards: 4, Faults: tc.faults, Obs: &obsv.Runtime{}}
+			rc := RunCtx{Shards: 4, Faults: tc.faults, Env: Env{Obs: &obsv.Runtime{}}}
 			if got := shardFallback(tp, rc, sys, tc.shardSafe); got != tc.want {
 				t.Fatalf("shardFallback = %q, want %q", got, tc.want)
 			}

@@ -275,16 +275,18 @@ func quickFloat(full, quick float64, q bool) float64 {
 	return full
 }
 
-// quickParams overlays quick onto base when q is set.
-func quickParams(base, quick map[string]float64, q bool) map[string]float64 {
-	if !q || len(quick) == 0 {
+// overlay returns base with over's entries laid on top when on is set
+// (quick parameters in quick mode, a sweep axis value on a row's
+// parameters); base itself when there is nothing to lay on.
+func overlay(base, over map[string]float64, on bool) map[string]float64 {
+	if !on || len(over) == 0 {
 		return base
 	}
-	p := make(map[string]float64, len(base)+len(quick))
+	p := make(map[string]float64, len(base)+len(over))
 	for k, v := range base {
 		p[k] = v
 	}
-	for k, v := range quick {
+	for k, v := range over {
 		p[k] = v
 	}
 	return p

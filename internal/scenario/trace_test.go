@@ -183,11 +183,11 @@ func TestDistributionMetrics(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.metric, func(t *testing.T) {
-			fn, _, err := bindMetric(MetricSpec{Name: c.metric, Params: c.params})
+			e, p, err := metrics.Resolve(c.metric, c.params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := fn(rs, nil)
+			got := e.Fn(rs, nil, p)
 			if diff := got - c.want; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("%s(%v) = %v, want %v", c.metric, c.params, got, c.want)
 			}

@@ -1,11 +1,6 @@
 package topo
 
-import (
-	"fmt"
-	"sort"
-
-	"pdq/internal/params"
-)
+import "pdq/internal/params"
 
 // Builder is a registered topology family, constructible by name from a
 // declarative parameter map (the scenario layer's topology specs).
@@ -26,55 +21,27 @@ type Builder struct {
 	RackOf func(p map[string]float64) func(int) int
 }
 
-var builders = map[string]Builder{}
+var builders = params.NewRegistry[Builder]("topology")
 
 // RegisterBuilder adds a topology family to the registry; duplicate names
 // panic at init time.
-func RegisterBuilder(b Builder) {
-	if _, dup := builders[b.Name]; dup {
-		panic(fmt.Sprintf("topo: duplicate builder %q", b.Name))
-	}
-	builders[b.Name] = b
-}
-
-// BuilderNames returns the registered topology names, sorted.
-func BuilderNames() []string {
-	names := make([]string, 0, len(builders))
-	for n := range builders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// LookupBuilder returns the registered family for name.
-func LookupBuilder(name string) (Builder, bool) {
-	b, ok := builders[name]
-	return b, ok
-}
+func RegisterBuilder(b Builder) { builders.Register(b.Name, b.Params, nil, b) }
 
 // BuilderList returns the registered families sorted by name.
-func BuilderList() []Builder {
-	out := make([]Builder, 0, len(builders))
-	for _, n := range BuilderNames() {
-		out = append(out, builders[n])
-	}
-	return out
-}
+func BuilderList() []Builder { return builders.List() }
 
-// resolve looks a family up and validates params.
-func resolve(name string, given map[string]float64) (Builder, map[string]float64, error) {
-	b, ok := builders[name]
-	if !ok {
-		return Builder{}, nil, fmt.Errorf("topo: unknown topology %q (available: %v)", name, BuilderNames())
-	}
-	p, err := params.Resolve("topology", name, b.Params, given)
-	return b, p, err
+// LookupBuilder returns the registered family for name.
+func LookupBuilder(name string) (Builder, bool) { return builders.Lookup(name) }
+
+// ResolveBuilder looks a family up and validates params against it,
+// returning the family and its default-filled parameters.
+func ResolveBuilder(name string, given map[string]float64) (Builder, map[string]float64, error) {
+	return builders.Resolve(name, given)
 }
 
 // BuildByName constructs a registered topology family from params.
 func BuildByName(name string, params map[string]float64, seed int64) (*Topology, error) {
-	b, p, err := resolve(name, params)
+	b, p, err := builders.Resolve(name, params)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +50,7 @@ func BuildByName(name string, params map[string]float64, seed int64) (*Topology,
 
 // HostsByName returns the host count of a registered family for params.
 func HostsByName(name string, params map[string]float64) (int, error) {
-	b, p, err := resolve(name, params)
+	b, p, err := builders.Resolve(name, params)
 	if err != nil {
 		return 0, err
 	}
@@ -93,12 +60,9 @@ func HostsByName(name string, params map[string]float64) (int, error) {
 // RackOfByName returns the host→rack mapping of a registered family, or
 // nil when it has none.
 func RackOfByName(name string, params map[string]float64) (func(int) int, error) {
-	b, p, err := resolve(name, params)
-	if err != nil {
+	b, p, err := builders.Resolve(name, params)
+	if err != nil || b.RackOf == nil {
 		return nil, err
-	}
-	if b.RackOf == nil {
-		return nil, nil
 	}
 	return b.RackOf(p), nil
 }

@@ -1,11 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-
-	"pdq/internal/params"
-)
+import "pdq/internal/params"
 
 // Registries for the declarative scenario layer: sending patterns and
 // flow-size distributions constructible by name from parameter maps.
@@ -27,73 +22,26 @@ type SizeDistMaker struct {
 }
 
 var (
-	patterns  = map[string]PatternMaker{}
-	sizeDists = map[string]SizeDistMaker{}
+	patterns  = params.NewRegistry[PatternMaker]("pattern")
+	sizeDists = params.NewRegistry[SizeDistMaker]("size distribution")
 )
 
 // RegisterPattern adds a pattern family; duplicate names panic at init.
-func RegisterPattern(m PatternMaker) {
-	if _, dup := patterns[m.Name]; dup {
-		panic(fmt.Sprintf("workload: duplicate pattern %q", m.Name))
-	}
-	patterns[m.Name] = m
-}
+func RegisterPattern(m PatternMaker) { patterns.Register(m.Name, m.Params, nil, m) }
 
 // RegisterSizeDist adds a size-distribution family; duplicates panic.
-func RegisterSizeDist(m SizeDistMaker) {
-	if _, dup := sizeDists[m.Name]; dup {
-		panic(fmt.Sprintf("workload: duplicate size distribution %q", m.Name))
-	}
-	sizeDists[m.Name] = m
-}
-
-// PatternNames returns the registered pattern names, sorted.
-func PatternNames() []string { return sortedNames(patterns) }
-
-// SizeDistNames returns the registered size-distribution names, sorted.
-func SizeDistNames() []string { return sortedNames(sizeDists) }
-
-// LookupPattern returns the registered pattern family for name.
-func LookupPattern(name string) (PatternMaker, bool) { m, ok := patterns[name]; return m, ok }
-
-// LookupSizeDist returns the registered size-distribution family.
-func LookupSizeDist(name string) (SizeDistMaker, bool) { m, ok := sizeDists[name]; return m, ok }
+func RegisterSizeDist(m SizeDistMaker) { sizeDists.Register(m.Name, m.Params, nil, m) }
 
 // PatternList returns the registered pattern families sorted by name.
-func PatternList() []PatternMaker {
-	out := make([]PatternMaker, 0, len(patterns))
-	for _, n := range PatternNames() {
-		out = append(out, patterns[n])
-	}
-	return out
-}
+func PatternList() []PatternMaker { return patterns.List() }
 
 // SizeDistList returns the registered size-distribution families sorted
 // by name.
-func SizeDistList() []SizeDistMaker {
-	out := make([]SizeDistMaker, 0, len(sizeDists))
-	for _, n := range SizeDistNames() {
-		out = append(out, sizeDists[n])
-	}
-	return out
-}
-
-func sortedNames[M any](reg map[string]M) []string {
-	names := make([]string, 0, len(reg))
-	for n := range reg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func SizeDistList() []SizeDistMaker { return sizeDists.List() }
 
 // MakePattern constructs a registered pattern from params.
 func MakePattern(name string, given map[string]float64) (Pattern, error) {
-	m, ok := patterns[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown pattern %q (available: %v)", name, PatternNames())
-	}
-	p, err := params.Resolve("pattern", name, m.Params, given)
+	m, p, err := patterns.Resolve(name, given)
 	if err != nil {
 		return nil, err
 	}
@@ -102,11 +50,7 @@ func MakePattern(name string, given map[string]float64) (Pattern, error) {
 
 // MakeSizeDist constructs a registered size distribution from params.
 func MakeSizeDist(name string, given map[string]float64) (SizeDist, error) {
-	m, ok := sizeDists[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown size distribution %q (available: %v)", name, SizeDistNames())
-	}
-	p, err := params.Resolve("size distribution", name, m.Params, given)
+	m, p, err := sizeDists.Resolve(name, given)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func TestMakePatternByName(t *testing.T) {
 
 func TestMakeSizeDistByName(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, name := range SizeDistNames() {
+	for _, name := range sizeDists.Names() {
 		d, err := MakeSizeDist(name, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
