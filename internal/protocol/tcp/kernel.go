@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"pdq/internal/netsim"
+	"pdq/internal/protocol/xfer"
 	"pdq/internal/sim"
 	"pdq/internal/workload"
 )
@@ -303,7 +304,7 @@ type Receiver struct {
 	// completion.
 	Sim *sim.Sim
 
-	got     []bool
+	got     xfer.Bitset
 	gotB    int64
 	rcvNext int
 	done    bool
@@ -313,7 +314,7 @@ type Receiver struct {
 // NewReceiver returns the receive side of f on host dst.
 func NewReceiver(dst *netsim.Host, coll *workload.Collector, f workload.Flow) *Receiver {
 	n, net := numSegs(f.Size), dst.Network()
-	return &Receiver{Net: net, Coll: coll, Flow: f, NumPkts: n, Sim: net.SimFor(dst.ID()), got: make([]bool, n)}
+	return &Receiver{Net: net, Coll: coll, Flow: f, NumPkts: n, Sim: net.SimFor(dst.ID()), got: xfer.NewBitset(n)}
 }
 
 // OnForward implements protocol.Receiver (TCP's only forward packets are
@@ -323,10 +324,10 @@ func NewReceiver(dst *netsim.Host, coll *workload.Collector, f workload.Flow) *R
 //pdq:hotpath
 func (r *Receiver) OnForward(pkt *netsim.Packet) {
 	idx := int(pkt.Seq / netsim.MSS)
-	if idx >= 0 && idx < r.NumPkts && !r.got[idx] {
-		r.got[idx] = true
+	if idx >= 0 && idx < r.NumPkts && !r.got.Has(idx) {
+		r.got.Set(idx)
 		r.gotB += int64(segPayload(idx, r.NumPkts, r.Flow.Size))
-		for r.rcvNext < r.NumPkts && r.got[r.rcvNext] {
+		for r.rcvNext < r.NumPkts && r.got.Has(r.rcvNext) {
 			r.rcvNext++
 		}
 		if !r.done && r.gotB >= r.Flow.Size {

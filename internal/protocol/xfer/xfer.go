@@ -6,7 +6,10 @@
 // baselines all run.
 //
 // The sender comes in two halves. A Window is one flow: packetization,
-// the acknowledgment bitmap and the send window. A Pacer is one path of
+// the acknowledgment bitmap and the send window. Its memory follows what
+// is in flight, not the flow's size: one bit per packet for the
+// acknowledged set, and send times only for the outstanding span (see
+// Window.sent). A Pacer is one path of
 // that flow: granted rate, RTT estimate and the SYN, send, probe and RTO
 // timers. RCP and D3 attach one pacer to a window; Multipath PDQ attaches
 // one per subflow, all drawing unsent packets from the shared window,
@@ -82,25 +85,38 @@ type Window struct {
 	cfg *Config
 	tel *workload.Collector // retransmit and preemption counts
 
-	acked   []bool     // per packet
-	sentAt  []sim.Time // last transmission time per packet; 0 = never
+	n     int    // packets in the flow
+	acked Bitset // per packet
+	// sent is the last transmission time of each outstanding packet — the
+	// span [base, nextPkt) — packet i at sent[i&(len(sent)-1)]. Every read
+	// is of base and every write of base (a retransmission) or nextPkt-1
+	// (a first transmission), so a power-of-two ring as long as the widest
+	// span the flow reaches holds them all (stamp).
+	sent    []sim.Time
 	ackedN  int
 	ackedB  int64
 	nextPkt int // lowest never-sent packet
 	base    int // lowest unacked packet (snd_una)
 	dup     int // acks beyond base while base is outstanding
 	pacers  []*Pacer
-	over    bool // completed or stopped; all activity has ceased
+	one     [1]*Pacer // pacers' storage while the flow has one path
+	over    bool      // completed or stopped; all activity has ceased
 }
+
+// ringMin is the send-time ring's first length for a flow of at least as
+// many packets; a shorter flow gets the power of two that covers it.
+const ringMin = 32
 
 // NewWindow creates the send window of flow on host src. Outcome counters
 // go to tel.
 func NewWindow(src *netsim.Host, tel *workload.Collector, cfg *Config, flow workload.Flow) *Window {
 	n, net := numPackets(flow.Size), src.Network()
-	return &Window{
+	w := &Window{
 		Flow: flow, eng: net.SimFor(src.ID()), net: net, src: src.ID(), cfg: cfg, tel: tel,
-		acked: make([]bool, n), sentAt: make([]sim.Time, n),
+		n: n, acked: NewBitset(n),
 	}
+	w.pacers = w.one[:0]
+	return w
 }
 
 func numPackets(size int64) int { return int((size + netsim.MSS - 1) / netsim.MSS) }
@@ -111,6 +127,107 @@ func payload(size int64, n, i int) int {
 		return netsim.MSS
 	}
 	return int(size - int64(n-1)*netsim.MSS)
+}
+
+// Bitset is one flag per packet of a flow, 64 to a word: a sender's
+// acknowledged set, a receiver's received set.
+type Bitset []uint64
+
+// NewBitset returns n cleared flags.
+func NewBitset(n int) Bitset { return make(Bitset, (n+63)>>6) }
+
+// Has reports flag i.
+func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// Set raises flag i.
+func (b Bitset) Set(i int) { b[i>>6] |= 1 << (i & 63) }
+
+// sentAt returns when packet i, outstanding or never sent, last left; 0
+// means never.
+func (w *Window) sentAt(i int) sim.Time {
+	if i >= w.nextPkt {
+		return 0
+	}
+	return w.sent[i&(len(w.sent)-1)]
+}
+
+// stamp records that packet i — base or nextPkt-1 — left at t. Only a
+// first transmission widens the span, by one packet, so a ring it
+// overflows doubles and re-homes the packets that were already outstanding
+// under the wider mask.
+func (w *Window) stamp(i int, t sim.Time) {
+	if w.nextPkt-w.base > len(w.sent) {
+		size := 2 * len(w.sent)
+		if size == 0 {
+			size = 1
+			for size < ringMin && size < w.n {
+				size *= 2
+			}
+		}
+		sent := make([]sim.Time, size)
+		for j := w.base; j < w.nextPkt-1; j++ {
+			sent[j&(size-1)] = w.sent[j&(len(w.sent)-1)]
+		}
+		w.sent = sent
+	}
+	w.sent[i&(len(w.sent)-1)] = t
+}
+
+// ack accounts the acknowledgment of packet idx, which may repeat an
+// earlier one or lie outside the flow, and moves base past every
+// acknowledged packet.
+func (w *Window) ack(idx int) {
+	if idx < 0 || idx >= w.n || w.acked.Has(idx) {
+		return
+	}
+	w.acked.Set(idx)
+	w.ackedN++
+	w.ackedB += int64(payload(w.Flow.Size, w.n, idx))
+	old := w.base
+	for w.base < w.n && w.acked.Has(w.base) {
+		w.base++
+	}
+	if w.base != old {
+		w.dup = 0
+	}
+}
+
+// hole reports whether the acknowledgment of packet ackedIdx, arriving at
+// now, is the third past an outstanding base that left at least rtt ago:
+// the sign of a lost packet that fastRetransmit resends.
+func (w *Window) hole(ackedIdx int, now, rtt sim.Time) bool {
+	sent := w.sentAt(w.base)
+	if w.base >= w.n || sent == 0 || ackedIdx <= w.base || now-sent < rtt {
+		return false
+	}
+	w.dup++
+	if w.dup < 3 {
+		return false
+	}
+	w.dup = 0
+	return true
+}
+
+// pick chooses sendOne's transmission at now, rto being the pacer's
+// retransmission timeout: the oldest outstanding packet once it has timed
+// out (retx), else the lowest packet never sent, which it counts as sent.
+// With nothing to send it returns idx -1 and, while packets are
+// outstanding, wake: the instant after the oldest one times out.
+func (w *Window) pick(now, rto sim.Time) (idx int, retx bool, wake sim.Time) {
+	switch sent := w.sentAt(w.base); {
+	case w.base < w.nextPkt && sent > 0 && now-sent > rto:
+		return w.base, true, 0
+	case w.nextPkt < w.n:
+		w.nextPkt++
+		return w.nextPkt - 1, false, 0
+	case w.base < w.n:
+		wake = sent + rto + 1
+		if wake <= now {
+			wake = now + 1
+		}
+		return -1, false, wake
+	}
+	return -1, false, 0
 }
 
 // Sim returns the engine the window's timers run on.
@@ -129,9 +246,6 @@ func (w *Window) Pacers() []*Pacer { return w.pacers }
 // — over path, driven by h.
 func (w *Window) Attach(p *Pacer, path []*netsim.Link, h Hooks) {
 	*p = Pacer{Path: path, w: w, hooks: h, sub: len(w.pacers)}
-	// Bound once: the pacing loop schedules one event per data packet, and
-	// a method value at each scheduling site would allocate per packet.
-	p.sendFn, p.probeFn, p.synFn, p.rtoWakeFn = p.sendOne, p.sendProbe, p.sendSYN, p.rtoWake
 	w.pacers = append(w.pacers, p)
 }
 
@@ -170,9 +284,23 @@ type Pacer struct {
 	sendPending  bool
 	probePending bool
 
-	synEv, sendEv, probeEv, rtoEv     sim.EventRef
-	sendFn, probeFn, synFn, rtoWakeFn func()
+	synEv, sendEv, probeEv, rtoEv sim.EventRef
 }
+
+// The pacer's four timers schedule the pacer itself, seen as one of these
+// Runners: a pointer conversion, so arming a timer allocates nothing and
+// no callback has to be bound per pacer.
+type (
+	sendTimer  Pacer
+	probeTimer Pacer
+	synTimer   Pacer
+	rtoTimer   Pacer
+)
+
+func (t *sendTimer) RunEvent()  { (*Pacer)(t).sendOne() }
+func (t *probeTimer) RunEvent() { (*Pacer)(t).sendProbe() }
+func (t *synTimer) RunEvent()   { (*Pacer)(t).sendSYN() }
+func (t *rtoTimer) RunEvent()   { (*Pacer)(t).rtoWake() }
 
 // Window returns the flow state the pacer draws from.
 func (p *Pacer) Window() *Window { return p.w }
@@ -224,8 +352,8 @@ func (p *Pacer) send(kind netsim.Kind, seq int64, payload, wire int) {
 // sendData (re)transmits segment idx.
 func (p *Pacer) sendData(idx int) int {
 	w := p.w
-	pay := payload(w.Flow.Size, len(w.acked), idx)
-	w.sentAt[idx] = w.eng.Now()
+	pay := payload(w.Flow.Size, w.n, idx)
+	w.stamp(idx, w.eng.Now())
 	wire := pay + netsim.IPTCPHeader + w.cfg.HdrBytes
 	p.send(netsim.DATA, int64(idx)*netsim.MSS, pay, wire)
 	return wire
@@ -243,7 +371,8 @@ func (p *Pacer) sendSYN() {
 		return // give up silently; the stale timeout cleans up switches
 	}
 	p.send(netsim.SYN, 0, 0, netsim.ControlWire)
-	p.synEv = p.w.eng.After(3*p.w.cfg.InitRTT*sim.Time(p.synTries), p.synFn)
+	eng := p.w.eng
+	p.synEv = eng.AtRunner(eng.Now()+3*p.w.cfg.InitRTT*sim.Time(p.synTries), (*synTimer)(p))
 }
 
 // HandleAck processes SYNACK, ACK and PROBEACK feedback on the pacer the
@@ -274,21 +403,10 @@ func (w *Window) HandleAck(pkt *netsim.Packet) {
 		}
 	case netsim.ACK:
 		idx := int(pkt.Seq / netsim.MSS)
-		if idx >= 0 && idx < len(w.acked) && !w.acked[idx] {
-			w.acked[idx] = true
-			w.ackedN++
-			w.ackedB += int64(payload(w.Flow.Size, len(w.acked), idx))
-			old := w.base
-			for w.base < len(w.acked) && w.acked[w.base] {
-				w.base++
-			}
-			if w.base != old {
-				w.dup = 0
-			}
-		}
+		w.ack(idx)
 		p.fastRetransmit(idx)
 	}
-	if w.ackedN == len(w.acked) {
+	if w.ackedN == w.n {
 		w.Stop(netsim.TERM)
 		return
 	}
@@ -319,21 +437,14 @@ func (w *Window) HandleAck(pkt *netsim.Packet) {
 // acknowledgments for packets beyond the oldest outstanding one indicate a
 // hole (per-packet ACKs make this the analogue of TCP's duplicate-ACK
 // rule), so the oldest packet is resent immediately.
+//
+// Plain reordering across multipath subflows is ignored: acks count only
+// once the hole is at least an RTT old (Window.hole).
 func (p *Pacer) fastRetransmit(ackedIdx int) {
 	w := p.w
-	if w.over || w.base >= len(w.acked) || w.acked[w.base] || w.sentAt[w.base] == 0 {
+	if w.over || !w.hole(ackedIdx, w.eng.Now(), p.RTT()) {
 		return
 	}
-	// Ignore plain reordering across multipath subflows: only count acks
-	// once the hole is at least an RTT old.
-	if ackedIdx <= w.base || w.eng.Now()-w.sentAt[w.base] < p.RTT() {
-		return
-	}
-	w.dup++
-	if w.dup < 3 {
-		return
-	}
-	w.dup = 0
 	w.tel.AddRetransmit(w.Flow.ID)
 	p.sendData(w.base)
 }
@@ -353,7 +464,7 @@ func (p *Pacer) ensureSending() {
 		}
 	}
 	p.sendPending = true
-	p.sendEv = p.w.eng.At(at, p.sendFn)
+	p.sendEv = p.w.eng.AtRunner(at, (*sendTimer)(p))
 }
 
 func (p *Pacer) stopSending() {
@@ -374,27 +485,18 @@ func (p *Pacer) sendOne() {
 		return
 	}
 	now := w.eng.Now()
-	var idx int
-	switch {
-	case w.base < w.nextPkt && w.base < len(w.acked) && !w.acked[w.base] &&
-		w.sentAt[w.base] > 0 && now-w.sentAt[w.base] > p.rto():
-		idx = w.base // retransmit the oldest outstanding packet
-		w.tel.AddRetransmit(w.Flow.ID)
-	case w.nextPkt < len(w.acked):
-		idx = w.nextPkt
-		w.nextPkt++
-	case w.base < len(w.acked):
-		// Everything sent, waiting for acknowledgments: wake up when the
-		// oldest outstanding packet times out.
-		w.eng.Cancel(p.rtoEv)
-		wake := w.sentAt[w.base] + p.rto() + 1
-		if wake <= now {
-			wake = now + 1
+	idx, retx, wake := w.pick(now, p.rto())
+	if idx < 0 {
+		if wake > 0 {
+			// Everything sent, waiting for acknowledgments: wake up when the
+			// oldest outstanding packet times out.
+			w.eng.Cancel(p.rtoEv)
+			p.rtoEv = w.eng.AtRunner(wake, (*rtoTimer)(p))
 		}
-		p.rtoEv = w.eng.At(wake, p.rtoWakeFn)
 		return
-	default:
-		return
+	}
+	if retx {
+		w.tel.AddRetransmit(w.Flow.ID)
 	}
 	p.lastWire = p.sendData(idx)
 	p.lastSendAt = now
@@ -412,7 +514,8 @@ func (p *Pacer) ensureProbing() {
 		mult = 1
 	}
 	p.probePending = true
-	p.probeEv = p.w.eng.After(sim.Time(mult*float64(p.RTT())), p.probeFn)
+	eng := p.w.eng
+	p.probeEv = eng.AtRunner(eng.Now()+sim.Time(mult*float64(p.RTT())), (*probeTimer)(p))
 }
 
 func (p *Pacer) stopProbing() {
@@ -460,7 +563,8 @@ type Receiver struct {
 	tel   *workload.Collector
 	clamp func(pkt *netsim.Packet, nic int64)
 
-	got      []bool // per packet
+	n        int    // packets in the flow
+	got      Bitset // per packet
 	gotB     int64
 	done     bool
 	revPaths [][]*netsim.Link // cached ACK path, indexed by subflow
@@ -474,7 +578,7 @@ func NewReceiver(dst *netsim.Host, tel *workload.Collector, flow workload.Flow, 
 	n := numPackets(flow.Size)
 	return &Receiver{
 		Flow: flow, host: dst, eng: dst.Network().SimFor(dst.ID()), tel: tel, clamp: clamp,
-		got: make([]bool, n), revPaths: make([][]*netsim.Link, subflows),
+		n: n, got: NewBitset(n), revPaths: make([][]*netsim.Link, subflows),
 	}
 }
 
@@ -494,9 +598,9 @@ func (r *Receiver) OnForward(pkt *netsim.Packet) {
 	}
 	if pkt.Kind == netsim.DATA && !r.done {
 		idx := int(pkt.Seq / netsim.MSS)
-		if idx >= 0 && idx < len(r.got) && !r.got[idx] {
-			r.got[idx] = true
-			r.gotB += int64(payload(r.Flow.Size, len(r.got), idx))
+		if idx >= 0 && idx < r.n && !r.got.Has(idx) {
+			r.got.Set(idx)
+			r.gotB += int64(payload(r.Flow.Size, r.n, idx))
 			if r.gotB >= r.Flow.Size {
 				r.done = true
 				r.tel.Finish(r.Flow.ID, r.eng.Now())

@@ -1,6 +1,8 @@
 package xfer
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"pdq/internal/netsim"
@@ -245,5 +247,177 @@ func TestStopReleases(t *testing.T) {
 	// Only the in-flight tail should drain; no new sends after Stop.
 	if r.tp.Sim().Processed()-before > 200 {
 		t.Fatalf("too many events after Stop: %d", r.tp.Sim().Processed()-before)
+	}
+}
+
+// refWindow is the send window's state machine as it was before its memory
+// followed the outstanding span, frozen as the reference for
+// TestWindowMatchesPerPacketReference: an acknowledged flag and a send time
+// for every packet of the flow, allocated when the flow starts.
+type refWindow struct {
+	size    int64
+	acked   []bool     // per packet
+	sentAt  []sim.Time // last transmission time per packet; 0 = never
+	ackedN  int
+	ackedB  int64
+	nextPkt int
+	base    int
+	dup     int
+}
+
+func newRefWindow(size int64) *refWindow {
+	n := numPackets(size)
+	return &refWindow{size: size, acked: make([]bool, n), sentAt: make([]sim.Time, n)}
+}
+
+// pick is sendOne's choice of packet.
+func (r *refWindow) pick(now, rto sim.Time) (idx int, retx bool, wake sim.Time) {
+	switch {
+	case r.base < r.nextPkt && r.base < len(r.acked) && !r.acked[r.base] &&
+		r.sentAt[r.base] > 0 && now-r.sentAt[r.base] > rto:
+		return r.base, true, 0
+	case r.nextPkt < len(r.acked):
+		r.nextPkt++
+		return r.nextPkt - 1, false, 0
+	case r.base < len(r.acked):
+		wake := r.sentAt[r.base] + rto + 1
+		if wake <= now {
+			wake = now + 1
+		}
+		return -1, false, wake
+	}
+	return -1, false, 0
+}
+
+// ack is HandleAck's accounting of an acknowledged packet.
+func (r *refWindow) ack(idx int) {
+	if idx >= 0 && idx < len(r.acked) && !r.acked[idx] {
+		r.acked[idx] = true
+		r.ackedN++
+		r.ackedB += int64(payload(r.size, len(r.acked), idx))
+		old := r.base
+		for r.base < len(r.acked) && r.acked[r.base] {
+			r.base++
+		}
+		if r.base != old {
+			r.dup = 0
+		}
+	}
+}
+
+// hole is fastRetransmit's decision.
+func (r *refWindow) hole(ackedIdx int, now, rtt sim.Time) bool {
+	if r.base >= len(r.acked) || r.acked[r.base] || r.sentAt[r.base] == 0 {
+		return false
+	}
+	if ackedIdx <= r.base || now-r.sentAt[r.base] < rtt {
+		return false
+	}
+	r.dup++
+	if r.dup < 3 {
+		return false
+	}
+	r.dup = 0
+	return true
+}
+
+// TestWindowMatchesPerPacketReference drives Window's state machine — the
+// bitmap, the send-time ring — beside the per-packet reference through
+// random histories: transmissions under changing timeouts, acknowledgments
+// in random order, lost packets and lost acknowledgments, duplicate and
+// out-of-range acknowledgments, fast retransmissions and jumps to the RTO
+// wake. Every choice of what to send and when to wake, every fast
+// retransmit verdict and the send time of base must be the reference's.
+func TestWindowMatchesPerPacketReference(t *testing.T) {
+	var seen struct{ sends, retx, fast, wakes, reordered, dups, drops, grown int }
+	for trial := 0; trial < 400; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		size := 1 + rng.Int63n(700*netsim.MSS)
+		w := &Window{Flow: workload.Flow{Size: size}, n: numPackets(size), acked: NewBitset(numPackets(size))}
+		ref := newRefWindow(size)
+		var net []int // transmitted packets not yet acknowledged or lost, in send order
+		now, wake := sim.Time(1), sim.Time(0)
+		rto := sim.Time(0)
+		send := func(idx int) {
+			w.stamp(idx, now)
+			ref.sentAt[idx] = now
+			net = append(net, idx)
+		}
+		for op := 0; op < 4000 && ref.base < len(ref.acked); op++ {
+			at := fmt.Sprintf("trial %d (%d packets) op %d", trial, w.n, op)
+			now += sim.Time(rng.Intn(40)) * sim.Microsecond
+			switch k := rng.Intn(20); {
+			case k < 8: // the pacer's send timer
+				rto = sim.Time(1+rng.Intn(4)) * sim.Millisecond
+				idx, retx, wk := w.pick(now, rto)
+				ridx, rretx, rwk := ref.pick(now, rto)
+				if idx != ridx || retx != rretx || wk != rwk {
+					t.Fatalf("%s: pick = (%d, %v, %v), reference (%d, %v, %v)", at, idx, retx, wk, ridx, rretx, rwk)
+				}
+				if idx >= 0 {
+					send(idx)
+					seen.sends++
+					if retx {
+						seen.retx++
+					}
+				}
+				wake = wk
+			case k < 9 && wake > now: // sleep until the RTO wake
+				now = wake
+				seen.wakes++
+			case k < 17 && len(net) > 0: // a packet arrives, or is lost
+				i := 0
+				if rng.Intn(3) == 0 {
+					i = rng.Intn(len(net))
+					seen.reordered++
+				}
+				idx := net[i]
+				net = append(net[:i], net[i+1:]...)
+				if rng.Intn(10) == 0 {
+					seen.drops++
+					break
+				}
+				if ref.acked[idx] {
+					seen.dups++
+				}
+				w.ack(idx)
+				ref.ack(idx)
+				rtt := sim.Time(50+rng.Intn(300)) * sim.Microsecond
+				fast := w.hole(idx, now, rtt)
+				if rfast := ref.hole(idx, now, rtt); fast != rfast {
+					t.Fatalf("%s: hole(%d) = %v, reference %v", at, idx, fast, rfast)
+				}
+				if fast {
+					send(w.base)
+					seen.fast++
+				}
+			default: // a stray acknowledgment: a copy of a packet sent, or of none of the flow's
+				idx := []int{-1, w.n}[rng.Intn(2)]
+				if w.nextPkt > 0 && rng.Intn(2) == 0 {
+					idx = rng.Intn(w.nextPkt)
+				}
+				w.ack(idx)
+				ref.ack(idx)
+				if w.hole(idx, now, 0) != ref.hole(idx, now, 0) {
+					t.Fatalf("%s: hole(%d) on a stray ack differs from the reference", at, idx)
+				}
+				seen.dups++
+			}
+			if w.base != ref.base || w.nextPkt != ref.nextPkt || w.dup != ref.dup || w.ackedN != ref.ackedN || w.ackedB != ref.ackedB {
+				t.Fatalf("%s: base %d next %d dup %d acked %d/%dB, reference %d %d %d %d/%dB", at,
+					w.base, w.nextPkt, w.dup, w.ackedN, w.ackedB, ref.base, ref.nextPkt, ref.dup, ref.ackedN, ref.ackedB)
+			}
+			if ref.base < len(ref.sentAt) && w.sentAt(w.base) != ref.sentAt[ref.base] {
+				t.Fatalf("%s: base %d sent at %v, reference %v", at, w.base, w.sentAt(w.base), ref.sentAt[ref.base])
+			}
+		}
+		if len(w.sent) > ringMin {
+			seen.grown++
+		}
+	}
+	t.Logf("%+v", seen)
+	if seen.sends == 0 || seen.retx == 0 || seen.fast == 0 || seen.wakes == 0 || seen.reordered == 0 ||
+		seen.dups == 0 || seen.drops == 0 || seen.grown == 0 {
+		t.Errorf("the histories miss a case: %+v", seen)
 	}
 }

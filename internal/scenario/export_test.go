@@ -82,15 +82,17 @@ func (c SearchCell) resolve(n int) (r *row, b *binding, col *column, flows []wor
 // rule armed, then the search's comparison.
 func (c SearchCell) Probe(n int) ProbeRun {
 	r, b, col, flows := c.resolve(n)
-	var tp *topo.Topology
-	build := func() *topo.Topology { tp = col.build(c.seed); return tp }
+	var run ProbeRun
+	defer c.observe(&run)()
+	build := func() *topo.Topology { return col.build(c.seed) }
 	before := c.e.progress.Snapshot()
 	v := c.e.value(r, b, col, build, flows, c.seed, c.Col, 0)
 	after := c.e.progress.Snapshot()
 	if after.Probes != before.Probes+1 {
 		panic("scenario: a probe was not counted")
 	}
-	return c.ran(ProbeRun{OK: v >= c.e.plan.Threshold, Metric: v, Stopped: after.Decided > before.Decided}, tp)
+	run.OK, run.Metric, run.Stopped = v >= c.e.plan.Threshold, v, after.Decided > before.Decided
+	return run
 }
 
 // Reference runs probe n to the horizon. With notes it is watched by a
@@ -98,9 +100,9 @@ func (c SearchCell) Probe(n int) ProbeRun {
 // the nil-Decided run every run-mode cell is.
 func (c SearchCell) Reference(n int, notes bool) ProbeRun {
 	r, b, col, flows := c.resolve(n)
-	var tp *topo.Topology
-	build := func() *topo.Topology { tp = col.build(c.seed); return tp }
 	var run ProbeRun
+	defer c.observe(&run)()
+	build := func() *topo.Topology { return col.build(c.seed) }
 	var decided func(workload.Tally) bool
 	if notes {
 		decided = func(t workload.Tally) bool {
@@ -112,14 +114,17 @@ func (c SearchCell) Reference(n int, notes bool) ProbeRun {
 	rs := c.e.simulate(r, b, col, build, flows, c.seed, c.Col, 0, decided)
 	run.Metric = b.metric.Fn(rs, flows, b.plan.MetricParams)
 	run.OK = run.Metric >= c.e.plan.Threshold
-	return c.ran(run, tp)
+	return run
 }
 
-func (c SearchCell) ran(run ProbeRun, tp *topo.Topology) ProbeRun {
+// observe has a packet-level run record its engine's clock and event count
+// into run, read inside the runner before the engine hands its storage on;
+// the returned function stops it.
+func (c SearchCell) observe(run *ProbeRun) func() {
 	if c.Packet {
-		run.Now, run.Events = tp.Sim().Now(), tp.Sim().Processed()
+		c.e.inspect = func(tp *topo.Topology) { run.Now, run.Events = tp.Sim().Now(), tp.Sim().Processed() }
 	}
-	return run
+	return func() { c.e.inspect = nil }
 }
 
 // CellKeys compiles a grid spec and lists the cache key of every cell the

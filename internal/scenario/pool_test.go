@@ -44,17 +44,21 @@ func checkPoolBalance(t *testing.T, runner string, given map[string]float64, bui
 		t.Fatal(err)
 	}
 	var tp *topo.Topology
+	pending := -1 // until the runner shows its engine
 	rc.Horizon = 5 * sim.Second
+	rc.inspect = func(tp *topo.Topology) {
+		pending = tp.Sim().Pending()
+		if g := tp.Net.ShardGroup(); g != nil {
+			pending = g.Pending()
+		}
+	}
 	rs := e.Make(p, 1)(func() *topo.Topology { tp = build(); return tp }, poolFlows(len(build().Hosts)), rc)
 	for _, r := range rs {
 		if !r.Done() && !r.Terminated {
 			t.Fatalf("flow %d neither finished nor terminated by the horizon", r.ID)
 		}
 	}
-	pending := tp.Sim().Pending()
-	if g := tp.Net.ShardGroup(); g != nil {
-		pending = g.Pending()
-	} else if rc.Shards > 1 {
+	if tp.Net.ShardGroup() == nil && rc.Shards > 1 {
 		t.Fatalf("cell asked for %d shards and fell back to the single engine", rc.Shards)
 	}
 	if pending != 0 {
@@ -178,11 +182,14 @@ func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
 		}
 		t.Run(e.Name, func(t *testing.T) {
 			flows := poolFlows(len(tree().Hosts))
-			var fullTp, tp *topo.Topology
-			e.Make(e.Params, 1)(func() *topo.Topology { fullTp = tree(); return fullTp }, flows, RunCtx{Horizon: horizon})
+			// The engines are read inside the runner, before they hand their
+			// storage on: the run to the horizon, the stopped run as the
+			// runner left it, and that very engine resumed to the horizon.
+			var full, stop, resumed engineReading
+			e.Make(e.Params, 1)(tree, flows, RunCtx{Horizon: horizon, inspect: func(tp *topo.Topology) { full = readEngine(tp) }})
 
 			outcomes, halts := 0, 0
-			rs := e.Make(e.Params, 1)(func() *topo.Topology { tp = tree(); return tp }, flows,
+			rs := e.Make(e.Params, 1)(tree, flows,
 				RunCtx{Horizon: horizon, Decided: func(workload.Tally) bool {
 					outcomes++
 					if outcomes == 5 {
@@ -190,10 +197,13 @@ func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
 						return true
 					}
 					return false
+				}, inspect: func(tp *topo.Topology) {
+					stop = readEngine(tp)
+					tp.Sim().RunUntil(horizon)
+					resumed = readEngine(tp)
 				}})
-			s := tp.Sim()
-			if halts != 1 || s.Pending() == 0 || s.Now() >= horizon {
-				t.Fatalf("probe not stopped mid-run: %d halts, %d events pending at %v", halts, s.Pending(), s.Now())
+			if halts != 1 || stop.pending == 0 || stop.now >= horizon {
+				t.Fatalf("probe not stopped mid-run: %d halts, %d events pending at %v", halts, stop.pending, stop.now)
 			}
 			over := 0
 			for _, r := range rs {
@@ -204,31 +214,41 @@ func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
 			if over == 0 || over == len(rs) {
 				t.Fatalf("%d of %d flows over at the stop, want some and not all", over, len(rs))
 			}
-			taken, released := tp.Net.PacketPoolStats()
-			if released >= taken {
-				t.Fatalf("stopped with packets taken %d, released %d: none in flight", taken, released)
+			if stop.released >= stop.taken {
+				t.Fatalf("stopped with packets taken %d, released %d: none in flight", stop.taken, stop.released)
 			}
 			// A link keeps one delivery in the engine and chains the other
 			// packets it carries behind it (DESIGN.md §3): more packets in
 			// flight than events pending means the stop caught packets no
 			// event refers to yet. They count as taken, and the resumed run
-			// below must still deliver and release every one of them.
-			if inFlight := taken - released; inFlight <= uint64(s.Pending()) {
-				t.Fatalf("stopped with %d packets in flight and %d events pending: no chained packet at the stop", inFlight, s.Pending())
+			// must still deliver and release every one of them.
+			if inFlight := stop.taken - stop.released; inFlight <= uint64(stop.pending) {
+				t.Fatalf("stopped with %d packets in flight and %d events pending: no chained packet at the stop", inFlight, stop.pending)
 			}
-			s.RunUntil(horizon)
-			if s.Pending() != 0 {
-				t.Fatalf("%d events pending after resuming to the horizon", s.Pending())
+			if resumed.pending != 0 {
+				t.Fatalf("%d events pending after resuming to the horizon", resumed.pending)
 			}
-			if taken, released = tp.Net.PacketPoolStats(); taken != released {
-				t.Errorf("resumed run: packets taken %d, released %d", taken, released)
+			if resumed.taken != resumed.released {
+				t.Errorf("resumed run: packets taken %d, released %d", resumed.taken, resumed.released)
 			}
-			fs := fullTp.Sim()
-			fullTaken, _ := fullTp.Net.PacketPoolStats()
-			if s.Processed() != fs.Processed() || s.Now() != fs.Now() || taken != fullTaken {
+			if resumed.processed != full.processed || resumed.now != full.now || resumed.taken != full.taken {
 				t.Errorf("resumed run: %d events to %v, %d packets; uninterrupted: %d events to %v, %d packets",
-					s.Processed(), s.Now(), taken, fs.Processed(), fs.Now(), fullTaken)
+					resumed.processed, resumed.now, resumed.taken, full.processed, full.now, full.taken)
 			}
 		})
 	}
+}
+
+// engineReading is what a run's engine and packet pool show at one point.
+type engineReading struct {
+	now             sim.Time
+	processed       uint64
+	pending         int
+	taken, released uint64
+}
+
+func readEngine(tp *topo.Topology) engineReading {
+	r := engineReading{now: tp.Sim().Now(), processed: tp.Sim().Processed(), pending: tp.Sim().Pending()}
+	r.taken, r.released = tp.Net.PacketPoolStats()
+	return r
 }

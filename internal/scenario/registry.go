@@ -51,6 +51,11 @@ type RunCtx struct {
 	// simulation at the first true (armVerdict); a runner that ignores it,
 	// and any run without it, goes to the horizon.
 	Decided func(workload.Tally) bool
+
+	// inspect, when non-nil, sees a packet-level run's topology after the
+	// run and before its engine hands its storage on: the last point at
+	// which a test can read the engine's clock and queue, or resume it.
+	inspect func(*topo.Topology)
 }
 
 // Env is the run-level settings every run of a scenario receives

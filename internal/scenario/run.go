@@ -79,7 +79,7 @@ type simEntry struct {
 func (e *engine) simulate(r *row, b *binding, col *column, build func() *topo.Topology, flows []workload.Flow, seed int64, colLabel string, run int, decided func(workload.Tally) bool) []workload.Result {
 	rc := RunCtx{Env: e.env,
 		Horizon: e.plan.Horizon, Shards: e.plan.Shards, Sched: e.plan.Sched,
-		Qdisc: b.qdisc, Faults: col.faults, Decided: decided}
+		Qdisc: b.qdisc, Faults: col.faults, Decided: decided, inspect: e.inspect}
 	if e.trace != nil {
 		rc.Cell = e.trace.OpenCell(trace.Cell{
 			Scenario: e.spec.Name, Row: r.label, Col: colLabel, Seed: seed, Run: run,

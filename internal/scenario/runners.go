@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"sync"
 
 	"pdq/internal/core"
 	"pdq/internal/flowsim"
@@ -157,6 +158,12 @@ func mkPacketShardable(install func(t *topo.Topology) protocol.Installed) Runner
 func mkPacketLevel(install func(t *topo.Topology) protocol.Installed, shardSafe bool) RunnerFunc {
 	return func(build func() *topo.Topology, flows []workload.Flow, rc RunCtx) []workload.Result {
 		t := build()
+		// A single heap engine runs in storage an earlier cell left behind
+		// (spareStorage); sharded and wheel cells build theirs from scratch.
+		recycle := rc.Shards <= 1 && rc.Sched != "wheel"
+		if recycle {
+			t.Sim().Reuse(spareStorage.Get().(sim.Storage))
+		}
 		sys := install(t)
 		if rc.Qdisc != nil {
 			// Per-row `qdisc:` override: applied after install so it wins
@@ -197,9 +204,25 @@ func mkPacketLevel(install func(t *topo.Topology) protocol.Installed, shardSafe 
 		if fin != nil {
 			fin()
 		}
-		return sys.Results()
+		rs := sys.Results()
+		if rc.inspect != nil {
+			rc.inspect(t)
+		}
+		if recycle {
+			spareStorage.Put(t.Sim().Yield())
+		}
+		return rs
 	}
 }
+
+// spareStorage holds the event storage finished single-engine cells leave
+// for later cells' engines, shared by every sweep worker of the process,
+// so an engine grows only past what the storage it took already holds
+// (DESIGN.md §2). Only the storage moves, never the engine: a watchdog
+// that interrupts a cell after the cell handed its storage on interrupts
+// a dead engine. The pool is emptied by the garbage collector, which
+// bounds what an idle process keeps.
+var spareStorage = sync.Pool{New: func() any { return sim.Storage{} }}
 
 // armVerdict makes a search probe stop at its verdict: from now on the
 // run's collector hands its deadline tally to decided (RunCtx.Decided, nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdq/internal/obsv"
@@ -239,8 +240,8 @@ type runnerFunc func()
 
 func (f runnerFunc) RunEvent() { f() }
 
-// lockstep drives one engine (heap or wheel) and the reference through a
-// random history that holds about depth events pending, and returns the pop
+// lockstep drives engine s (heap or wheel, nothing scheduled yet) and the
+// reference through a random history that holds about depth events pending, and returns the pop
 // sequence. The history is built to reach the tie fallback of the heap's
 // child selection: every time sits on a coarse grid, so sibling groups
 // mostly share at; ta differs by whole grid steps (and is backdated through
@@ -261,13 +262,9 @@ func (f runnerFunc) RunEvent() { f() }
 // must be the reference's minimum, with Now, EventSeq, EventTa and EventTie
 // reading that event's key. Every Cancel verdict is compared as it
 // happens, and Pending on both sides of every callback's schedules.
-func lockstep(t *testing.T, depth int, seed int64, wheel bool) []firedEvent {
+func lockstep(t *testing.T, s *Sim, depth int, seed int64) []firedEvent {
 	const grid = 1000
 	rng := rand.New(rand.NewSource(seed))
-	s := New()
-	if wheel {
-		s.UseWheel()
-	}
 	ref := &refEngine{}
 	type handle struct {
 		ev  *refEvent
@@ -437,8 +434,10 @@ func TestDifferentialFullKeyForcedTies(t *testing.T) {
 		if depth > 300 && testing.Short() {
 			continue
 		}
-		onHeap := lockstep(t, depth, int64(depth), false)
-		onWheel := lockstep(t, depth, int64(depth), true)
+		onHeap := lockstep(t, New(), depth, int64(depth))
+		wheel := New()
+		wheel.UseWheel()
+		onWheel := lockstep(t, wheel, depth, int64(depth))
 		if len(onHeap) != len(onWheel) {
 			t.Fatalf("depth %d: heap fired %d events, wheel %d", depth, len(onHeap), len(onWheel))
 		}
@@ -469,6 +468,63 @@ func TestDifferentialFullKeyForcedTies(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("depth %d: 1000 steady-state pops allocate %.0f times, want 0", depth, allocs)
+		}
+	}
+}
+
+// TestDifferentialReusedStorage hands event storage on the way finished
+// cells do (Sim.Yield, Sim.Reuse). The donor runs a lockstep history of its
+// own and yields with events still pending. The storage it yields holds no
+// callback, and none of the donor's EventRefs, fired or pending, cancels
+// anything of the engine that takes it, with an event in every slot. Handed
+// on once more, the storage runs the lockstep history a fresh engine runs,
+// key for key.
+func TestDifferentialReusedStorage(t *testing.T) {
+	for _, depth := range []int{1, 5, 300, 20000} {
+		if depth > 300 && testing.Short() {
+			continue
+		}
+		donor := New()
+		lockstep(t, donor, depth, int64(depth)+1)
+		var refs []EventRef
+		for i := 0; i < depth+8; i++ {
+			refs = append(refs, donor.At(donor.Now()+Time(i), func() {}))
+		}
+		donor.RunUntil(donor.Now() + Time(depth/2+4))
+		if donor.Pending() == 0 {
+			t.Fatalf("depth %d: donor yields with nothing pending", depth)
+		}
+		st := donor.Yield()
+		if len(st.pool) < depth || len(st.order) != 0 || len(st.free) != len(st.pool) {
+			t.Fatalf("depth %d: yielded %d records, %d queued, %d free", depth, len(st.pool), len(st.order), len(st.free))
+		}
+		for i, ev := range st.pool {
+			if ev.fn != nil || ev.runner != nil || ev.idx != -1 {
+				t.Fatalf("depth %d: yielded record %d still holds an event", depth, i)
+			}
+		}
+
+		taker := New()
+		taker.Reuse(st)
+		fired := 0
+		for range st.pool {
+			taker.At(1, func() { fired++ })
+		}
+		for _, r := range refs {
+			if taker.Cancel(r) {
+				t.Fatalf("depth %d: the donor's ref %+v canceled an event of the engine that took its storage", depth, r)
+			}
+		}
+		taker.Run()
+		if fired != len(st.pool) {
+			t.Fatalf("depth %d: %d of %d events fired after the donor's refs were tried", depth, fired, len(st.pool))
+		}
+
+		reused := New()
+		reused.Reuse(taker.Yield())
+		fresh := lockstep(t, New(), depth, int64(depth))
+		if got := lockstep(t, reused, depth, int64(depth)); !slices.Equal(got, fresh) {
+			t.Fatalf("depth %d: reused storage fired %d events, a fresh engine %d, or in another order", depth, len(got), len(fresh))
 		}
 	}
 }

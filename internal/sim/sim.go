@@ -783,6 +783,50 @@ func (s *Sim) fire(head *entry) {
 	}
 }
 
+// Storage is an engine's event storage — callback records, free list and
+// heap array — holding no event and no callback. A finished engine gives
+// it up with Yield and a fresh one takes it with Reuse, so simulations run
+// one after another grow their storage once between them, not once each
+// (DESIGN.md §2). The zero Storage is empty.
+type Storage struct {
+	pool  []event
+	free  []int32
+	order []entry
+}
+
+// Yield ends the engine and returns its storage. Every record drops its
+// callback, so nothing the engine ran stays reachable through the storage,
+// and advances its generation as a fire would: no EventRef this engine
+// issued names a live record wherever the storage goes next. The engine
+// keeps its clock and counters, but anything scheduled on it afterwards
+// starts from empty storage. Heap backend only.
+func (s *Sim) Yield() Storage {
+	if s.wheel != nil {
+		panic("sim: Yield on the wheel backend")
+	}
+	st := Storage{pool: s.pool, free: s.free[:0], order: s.order[:0]}
+	for i := range st.pool {
+		ev := &st.pool[i]
+		ev.fn, ev.runner, ev.idx = nil, nil, -1
+		ev.gen++
+	}
+	// Highest slot first, so the next engine pops slots in the order a
+	// fresh pool would append them.
+	for i := len(st.pool) - 1; i >= 0; i-- {
+		st.free = append(st.free, int32(i))
+	}
+	s.pool, s.free, s.order, s.hole = nil, nil, nil, false
+	return st
+}
+
+// Reuse makes st the storage of an engine that has scheduled nothing yet.
+func (s *Sim) Reuse(st Storage) {
+	if len(s.pool) != 0 || s.wheel != nil {
+		panic("sim: Reuse on an engine with storage of its own")
+	}
+	s.pool, s.free, s.order = st.pool, st.free, st.order
+}
+
 // Step executes exactly one event if any is pending and reports whether an
 // event was executed.
 func (s *Sim) Step() bool {

@@ -25,6 +25,7 @@ type Topology struct {
 
 	candBuf  []*netsim.Link  // reusable equal-cost candidate buffer (pathVia)
 	queueBuf []netsim.NodeID // reusable BFS queue (distancesFrom)
+	pathRng  *rand.Rand      // Paths' tie-breaker, reseeded per call
 }
 
 // New creates an empty topology over a fresh network.
@@ -261,7 +262,13 @@ func (t *Topology) Paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
 		return true
 	}
 	add(t.pathVia(a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] }))
-	rng := rand.New(rand.NewSource(int64(a.ID())<<20 ^ int64(b.ID()) ^ 0x5bd1e995))
+	if t.pathRng == nil {
+		t.pathRng = rand.New(rand.NewSource(0))
+	}
+	// Seed restarts the source on the very stream NewSource(seed) would
+	// give, without another 4.9 KB source per call.
+	rng := t.pathRng
+	rng.Seed(int64(a.ID())<<20 ^ int64(b.ID()) ^ 0x5bd1e995)
 	misses := 0
 	for len(out) < maxK && misses < 64 {
 		p := t.pathVia(a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[rng.Intn(len(c))] })

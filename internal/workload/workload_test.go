@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -292,3 +293,19 @@ func TestResultAccessors(t *testing.T) {
 }
 
 func workloadResult(f Flow, finish sim.Time) Result { return Result{Flow: f, Finish: finish} }
+
+// TestGenOnReseededSource pins what the scenario layer's recycled generator
+// sources stand on: a used source, reseeded, draws the flow set a fresh
+// rand.NewSource of that seed draws, flow for flow.
+func TestGenOnReseededSource(t *testing.T) {
+	used := rand.New(rand.NewSource(99))
+	for seed := int64(1); seed <= 20; seed++ {
+		want := NewGen(seed, UniformMean(100<<10), MeanDeadlineDflt).Poisson(4000, 10*sim.Millisecond, Permutation{}, 16, nil)
+		used.Seed(seed)
+		g := &Gen{Rng: used, Sizes: UniformMean(100 << 10), MeanDeadline: MeanDeadlineDflt}
+		got := g.Poisson(4000, 10*sim.Millisecond, Permutation{}, 16, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: reseeded source drew %d flows, a fresh one %d, or others", seed, len(got), len(want))
+		}
+	}
+}
