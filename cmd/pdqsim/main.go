@@ -42,7 +42,8 @@
 // on /debug/pprof while the run executes (-http-linger holds the server
 // open afterwards for end-of-run scrapes); -metrics-out writes a JSON
 // snapshot of every counter when the run finishes. -cpuprofile and
-// -memprofile capture standard runtime profiles. Enabled or not, tables
+// -memprofile capture standard runtime profiles; the heap profile records
+// every allocation, not a sample. Enabled or not, tables
 // are byte-identical — the engines only ever touch plain in-memory
 // counters, merged at quiescent points. Diagnostics go through log/slog
 // (-log-level), each record tagged with a per-invocation run ID.
@@ -59,6 +60,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"runtime"
 	"time"
 
 	"pdq/internal/exp"
@@ -91,7 +93,7 @@ func main() {
 		httpLinger  = flag.Duration("http-linger", 0, "keep the -http server alive this long after the run finishes (end-of-run scrapes)")
 		metricsOut  = flag.String("metrics-out", "", "write an end-of-run JSON metrics snapshot to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file")
+		memProfile  = flag.String("memprofile", "", "write an exact heap profile to this file: every allocation is recorded, not a 512 KiB sample")
 		logLevel    = flag.String("log-level", "info", "structured-log threshold: debug, info, warn or error")
 		list        = flag.Bool("list", false, "list available experiments")
 		listTopo    = flag.Bool("list-topologies", false, "list registered topology builders")
@@ -101,6 +103,12 @@ func main() {
 		listQd      = flag.Bool("list-qdiscs", false, "list registered link queue disciplines")
 	)
 	flag.Parse()
+	if *memProfile != "" {
+		// Record every allocation, so the profile's counts are the run's
+		// malloc counts rather than a sample of them. It must be set
+		// before the work it is to see.
+		runtime.MemProfileRate = 1
+	}
 
 	logger, err := newLogger(os.Stderr, *logLevel, newRunID())
 	if err != nil {

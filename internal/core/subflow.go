@@ -74,9 +74,7 @@ func (s *subflow) AfterAck() bool {
 	hopeless := now+s.ttrans() > dl
 	pausedTooLate := s.Rate() == 0 && now+s.RTT() > dl
 	if expired || hopeless || pausedTooLate {
-		s.sys.Collector.SetBytesAcked(w.Flow.ID, w.Flow.Size-w.Remaining())
-		s.sys.Collector.Terminate(w.Flow.ID, now)
-		w.Stop(netsim.TERM)
+		w.Terminate()
 		return true
 	}
 	return false

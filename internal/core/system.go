@@ -60,16 +60,16 @@ func (s *System) Name() string {
 	}
 }
 
-func (s *System) newReceiver(f workload.Flow) protocol.Receiver {
-	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f, s.Cfg.Subflows, capRate)
+func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
+	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], tel, f, s.Cfg.Subflows, capRate)
 }
 
 // newSender builds the sender-side state of f — one window, one pacer per
 // subflow — and kicks the subflows off. The first subflow also carries the
 // Early Termination timer.
-func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sender {
+func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	src := s.Topo.Hosts[f.Src]
-	w := xfer.NewWindow(src, s.Collector, &s.xcfg, f)
+	w := xfer.NewWindow(src, tel, &s.xcfg, f)
 	subs := make([]subflow, s.Cfg.Subflows)
 	for i := range subs {
 		subs[i] = subflow{sys: s, rmax: src.NICRate(), pauseBy: netsim.PauseNone}
@@ -91,9 +91,9 @@ func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sen
 // no alternative (single-bottleneck stars); they stall against the dead
 // link and recover by RTO once it returns — PDQ's soft-state story needs
 // no extra signaling. Restorations are a no-op: surviving routes stay
-// valid, and keeping them avoids churn. The per-sender reroute is
-// idempotent and independent of visit order, so EachSender's map order is
-// safe.
+// valid, and keeping them avoids churn. EachSender visits in registration
+// order; the per-sender reroute is idempotent and would not depend on
+// the order anyway.
 func (s *System) OnLinkState(l *netsim.Link, down bool) {
 	if !down {
 		return

@@ -404,8 +404,9 @@ func (s *Sim) step() {
 				nic := float64(s.Topo.Hosts[f.Src].NICRate()) * goodput
 				need := sim.Time(f.Remaining * 8 / nic * float64(sim.Second))
 				if s.now+need > f.AbsDeadline() {
-					s.Collector.SetBytesAcked(f.ID, f.Size-int64(f.Remaining))
-					s.Collector.Terminate(f.ID, s.now)
+					ref := s.Collector.Of(f.ID)
+					ref.SetBytesAcked(f.Size - int64(f.Remaining))
+					ref.Terminate(s.now)
 					continue
 				}
 			}
@@ -426,7 +427,7 @@ func (s *Sim) step() {
 				f.sending = true
 			} else if f.sending {
 				f.sending = false
-				s.Collector.AddPreemption(f.ID)
+				s.Collector.Of(f.ID).AddPreemption()
 			}
 		}
 		// Earliest completion at the current rates, capped by step end.

@@ -106,9 +106,13 @@ type Packet struct {
 	Kind    Kind
 	Src     NodeID // original sender host of the flow
 	Dst     NodeID // receiver host of the flow
-	Seq     int64  // first payload byte offset (DATA and its ACK)
-	Payload int    // payload bytes carried (DATA only)
-	Wire    int    // total bytes on the wire
+	// Slot is the flow's index in its protocol.System's flow table,
+	// stamped by the sender; the acknowledgment keeps it. Hosts
+	// demultiplex by it (with Flow as the check), not by a map lookup.
+	Slot    int32
+	Seq     int64 // first payload byte offset (DATA and its ACK)
+	Payload int   // payload bytes carried (DATA only)
+	Wire    int   // total bytes on the wire
 
 	Path []*Link // directed links from this packet's source to destination
 	Hop  int     // index into Path of the link currently being traversed

@@ -1,5 +1,7 @@
 package netsim
 
+import "unsafe"
+
 // Packet life cycle (DESIGN.md §3). A sender takes a zeroed packet from
 // Network.NewPacket and hands it to Send. The receiver turns the delivered
 // forward packet around in place as its acknowledgment (TurnAround) instead
@@ -17,12 +19,40 @@ package netsim
 // second Release. Packets built by a struct literal (tests, the benchmark
 // harness) are not pool-owned: releasing one is a no-op and it may be sent
 // again.
+//
+// A pool does not allocate its packets one by one: it carves them, and
+// the headers HeaderOf attaches to them, from chunks of packetChunk (one
+// chunk per type), so a network's packets cost one allocation per chunk.
+// Chunks die with their network; nothing crosses cells.
 
 // packetPool is a network's packet free list. It grows to the network's
 // in-flight high-water mark and no further.
 type packetPool struct {
 	head            *Packet // LIFO free list, threaded through Packet.qNext
 	taken, released uint64
+
+	chunk []Packet // unused packets of the current chunk
+	// hdrs holds one *[]H per header type H attached so far: the unused
+	// headers of that type's current chunk. The pointer keeps the slice
+	// from being boxed when it is stored in the interface.
+	hdrs []any
+}
+
+// packetChunk is the length of one chunk: 23 packets of 176 bytes fill
+// the 4 KiB size class to 4 048. A header chunk has as many: a pooled
+// packet carries at most one header of each type, so headers are needed
+// at the rate packets are, and a longer chunk would mostly go unused.
+const packetChunk = 4096 / int(unsafe.Sizeof(Packet{}))
+
+// carve returns the next unused element of *chunk, zero, refilling the
+// chunk first when it is used up.
+func carve[T any](chunk *[]T) *T {
+	if len(*chunk) == 0 {
+		*chunk = make([]T, packetChunk)
+	}
+	p := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return p
 }
 
 // get pops a free packet, zeroed except for the header value it last
@@ -41,8 +71,13 @@ func (pp *packetPool) get() *Packet {
 }
 
 // grow is the cold side of get, off the hot path so the analyzer sees the
-// pool's only packet allocation for what it is: one per high-water packet.
-func (pp *packetPool) grow() *Packet { return &Packet{pool: pp} }
+// pool's only packet allocation for what it is: one per chunk of
+// high-water packets.
+func (pp *packetPool) grow() *Packet {
+	p := carve(&pp.chunk)
+	p.pool = pp
+	return p
+}
 
 // NewPacket returns a zeroed packet from the network's pool. Hdr alone
 // survives from the packet's previous life; take it through HeaderOf and
@@ -87,7 +122,7 @@ func (n *Network) PacketPoolStats() (taken, released uint64) {
 // TurnAround makes a delivered forward packet its own acknowledgment, in
 // place: the reverse kind, routed over rev, at control-packet size, with
 // the marks a fresh acknowledgment would not carry cleared. Flow, Subflow,
-// Src, Dst, Seq, EchoSentAt and the header ride back unchanged. The caller
+// Src, Dst, Slot, Seq, EchoSentAt and the header ride back unchanged. The caller
 // adjusts what its protocol echoes differently and hands the packet to
 // Send.
 //
@@ -105,8 +140,10 @@ func (p *Packet) TurnAround(rev []*Link) {
 // state this is a type assertion and the caller re-initialises the value
 // in place; a packet that has none of this type yet (fresh from the
 // allocator, or last used under another header type) gets a zero one
-// attached. Storing the pointer in Hdr does not box: the header stays one
-// heap object for the packet's whole pooled existence.
+// attached. Storing the pointer in Hdr does not box: the header stays
+// with the packet for its whole pooled existence. A pooled packet's
+// header is carved from its pool's chunk of that type; a literal packet's
+// is allocated alone.
 //
 //pdq:hotpath
 func HeaderOf[H any](pkt *Packet) *H {
@@ -117,7 +154,26 @@ func HeaderOf[H any](pkt *Packet) *H {
 }
 
 func attachHeader[H any](pkt *Packet) *H {
-	h := new(H)
+	var h *H
+	if pkt.pool == nil {
+		h = new(H)
+	} else {
+		h = carve(headerChunk[H](pkt.pool))
+	}
 	pkt.Hdr = h
 	return h
+}
+
+// headerChunk returns pp's chunk of H headers, adding an empty one the
+// first time H is attached. A network carries one or two header types,
+// so the scan is short.
+func headerChunk[H any](pp *packetPool) *[]H {
+	for _, c := range pp.hdrs {
+		if c, ok := c.(*[]H); ok {
+			return c
+		}
+	}
+	c := new([]H)
+	pp.hdrs = append(pp.hdrs, c)
+	return c
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pdq/internal/sim"
 )
@@ -238,5 +239,113 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 	burst()
 	if allocs := testing.AllocsPerRun(50, burst); allocs > 0 {
 		t.Errorf("steady-state pooled send/deliver/release allocates %.1f times per burst, want 0", allocs)
+	}
+}
+
+// TestPacketLayout pins what the chunk size is fitted to: the flow's slot
+// sits in the hole after Dst, so a packet stays 176 bytes and 23 of them
+// fill a 4 KiB chunk.
+func TestPacketLayout(t *testing.T) {
+	var p Packet
+	if size, off := unsafe.Sizeof(p), unsafe.Offsetof(p.Slot); size != 176 || off != 28 || packetChunk != 23 {
+		t.Errorf("Packet is %d bytes with Slot at %d, %d to a chunk; want 176, 28 and 23", size, off, packetChunk)
+	}
+}
+
+// TestPoolChunks walks a pool across chunk boundaries: every packet and
+// header it hands out is its own, a header stays with its packet across
+// lives, a second header type is carved from a chunk of its own, and
+// taken and released balance.
+func TestPoolChunks(t *testing.T) {
+	type other struct{ X, Y int64 }
+	n, a, b, path := line(t)
+	const count = 2*packetChunk + 3
+	pkts := make([]*Packet, count)
+	hdrs := map[*SchedHeader]*Packet{}
+	seen := map[*Packet]bool{}
+	for i := range pkts {
+		p := pooled(n, a, b, path, 1500)
+		h := HeaderOf[SchedHeader](p)
+		if seen[p] || hdrs[h] != nil {
+			t.Fatalf("packet %d: packet or header handed out twice", i)
+		}
+		seen[p], hdrs[h], pkts[i] = true, p, p
+		h.Rate = int64(i)
+	}
+	for _, p := range pkts {
+		p.Release()
+	}
+	for range pkts {
+		p := n.NewPacket()
+		if h := HeaderOf[SchedHeader](p); hdrs[h] != p || h.Rate != int64(indexOf(pkts, p)) {
+			t.Fatal("a recycled packet came back without the header it carried")
+		}
+	}
+	if len(n.pool.hdrs) != 1 {
+		t.Fatalf("one header type made %d header chunks", len(n.pool.hdrs))
+	}
+	o := HeaderOf[other](n.NewPacket())
+	if len(n.pool.hdrs) != 2 || *o != (other{}) {
+		t.Fatalf("a second header type: %d chunks, header %+v; want its own chunk and a zero header", len(n.pool.hdrs), *o)
+	}
+	if taken, released := n.PacketPoolStats(); int(taken) != 2*count+1 || int(released) != count {
+		t.Fatalf("pool: taken %d released %d, want %d and %d", taken, released, 2*count+1, count)
+	}
+}
+
+func indexOf(pkts []*Packet, p *Packet) int {
+	for i, q := range pkts {
+		if q == p {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestLiteralPacketHeader: a literal packet's header is its own
+// allocation, and the network's pool never sees it.
+func TestLiteralPacketHeader(t *testing.T) {
+	n, a, b, path := line(t)
+	p := mkpkt(a, b, path, 1500)
+	h := HeaderOf[SchedHeader](p)
+	if p.Hdr != any(h) || HeaderOf[SchedHeader](p) != h {
+		t.Fatal("literal packet did not keep its header")
+	}
+	if len(n.pool.hdrs) != 0 {
+		t.Error("a literal packet's header was carved from the pool")
+	}
+	poolUntouched(t, n)
+}
+
+// TestPoolGrowthAllocs pins what chunks buy: growing a pool to n packets,
+// each with a header, costs one allocation per chunk of each, plus the
+// header type's chunk holder and the pool's list of holders.
+func TestPoolGrowthAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const count = 3*packetChunk + 5
+	chunks := (count + packetChunk - 1) / packetChunk
+	pools := make([]packetPool, 11) // AllocsPerRun's warm-up call, then ten
+	held := make([]*Packet, count)
+	i := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		pp := &pools[i]
+		i++
+		for j := range held {
+			held[j] = pp.get()
+			HeaderOf[SchedHeader](held[j])
+		}
+		for _, p := range held {
+			p.Release()
+		}
+	})
+	for _, pp := range pools {
+		if int(pp.taken) != count || int(pp.released) != count {
+			t.Fatalf("pool took %d and released %d, want %d each", pp.taken, pp.released, count)
+		}
+	}
+	if want := float64(2*chunks + 2); allocs > want {
+		t.Errorf("growing a pool to %d packets with headers allocates %.0f times, want at most %.0f", count, allocs, want)
 	}
 }

@@ -199,9 +199,7 @@ func (sd *sender) quench() bool {
 	}
 	now := sd.sys.Sim.Now()
 	if now > w.Flow.AbsDeadline() {
-		sd.sys.Collector.SetBytesAcked(w.Flow.ID, w.Flow.Size-w.Remaining())
-		sd.sys.Collector.Terminate(w.Flow.ID, now)
-		w.Stop(netsim.TERM)
+		w.Terminate()
 		return true
 	}
 	return false
@@ -231,14 +229,14 @@ func capRate(pkt *netsim.Packet, nic int64) {
 	}
 }
 
-func (s *System) newReceiver(f workload.Flow) protocol.Receiver {
-	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f, 1, capRate)
+func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
+	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], tel, f, 1, capRate)
 }
 
-func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sender {
+func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	src := s.Topo.Hosts[f.Src]
 	sd := &sender{sys: s, nic: src.NICRate()}
-	w := xfer.NewWindow(src, s.Collector, &s.Cfg.Config, f)
+	w := xfer.NewWindow(src, tel, &s.Cfg.Config, f)
 	w.Attach(&sd.Pacer, paths[0], sd)
 	if !s.Cfg.NoQuench && f.HasDeadline() {
 		s.Sim.At(f.AbsDeadline()+1, func() { sd.quench() })

@@ -64,15 +64,15 @@ func Install(t *topo.Topology, cfg Config) *System {
 	return s
 }
 
-func (s *System) newReceiver(f workload.Flow) protocol.Receiver {
-	r := tcp.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f)
+func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
+	r := tcp.NewReceiver(s.Topo.Hosts[f.Dst], tel, f)
 	r.EchoECN = true
 	return r
 }
 
-func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sender {
+func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	snd := &sender{sys: s}
-	snd.Open(s.Topo.Hosts[f.Src], s.Cfg.TCP, s.Collector, f, paths[0])
+	snd.Open(s.Topo.Hosts[f.Src], s.Cfg.TCP, tel, f, paths[0])
 	snd.TrySend()
 	return snd
 }
@@ -99,7 +99,7 @@ func (snd *sender) HandleAck(pkt *netsim.Packet) {
 	snd.ackTotal++
 	if pkt.ECE {
 		snd.ackMarked++
-		snd.sys.Collector.AddECNMark(snd.Flow.ID)
+		snd.Coll.AddECNMark()
 	}
 	if ackIdx > snd.windowEnd {
 		f := float64(snd.ackMarked) / float64(snd.ackTotal)

@@ -40,29 +40,52 @@ type Installed interface {
 	FlowCollector() *workload.Collector
 }
 
-// System is one protocol installed on a topology: an agent per host and
-// the collector of flow outcomes.
+// System is one protocol installed on a topology: an agent per host, the
+// collector of flow outcomes, and the flow table. Start gives every flow
+// a slot, its index in the table in registration order (and in the
+// collector, which registers the same flows in the same order); every
+// packet a flow sends carries it, so a host finds the flow's state by
+// index.
 type System struct {
 	Topo      *topo.Topology
 	Sim       *sim.Sim
 	Collector *workload.Collector
 
-	agents   []*agent
+	agents   []agent
+	flows    []*flow // by slot
+	spare    []flow  // unused entries of the chunk flows are carved from
 	subflows int
-	recv     func(workload.Flow) Receiver
-	send     func(workload.Flow, [][]*netsim.Link) Sender
+	recv     func(workload.Flow, workload.Ref) Receiver
+	send     func(workload.Flow, workload.Ref, [][]*netsim.Link) Sender
 }
+
+// flow is one flow's entry in its System's table: the flow, its collector
+// entry, and, once launched, its two endpoints. The entry is its own
+// launch event, so it must not move: entries are carved from chunks.
+type flow struct {
+	sys *System
+	f   workload.Flow
+	tel workload.Ref
+	snd Sender
+	rcv Receiver
+}
+
+// flowChunk is the most entries one chunk holds: 39 of 104 bytes fill the
+// 4 KiB size class. Chunks start at 8 and grow to it, so the many
+// few-flow cells of a sweep do not pay for a large one.
+const flowChunk = 39
 
 // Install hangs an agent on every host of t. At a flow's start time recv
 // builds its receive side and send builds its send side and sets it going
 // over paths: the shortest path, or up to subflows equal-cost ones when
-// subflows > 1.
-func Install(t *topo.Topology, subflows int, recv func(workload.Flow) Receiver, send func(f workload.Flow, paths [][]*netsim.Link) Sender) *System {
+// subflows > 1. Both report to the flow's collector entry, whose slot the
+// sender stamps on every packet.
+func Install(t *topo.Topology, subflows int, recv func(f workload.Flow, tel workload.Ref) Receiver, send func(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) Sender) *System {
 	s := &System{Topo: t, Sim: t.Sim(), Collector: workload.NewCollector(), subflows: subflows, recv: recv, send: send}
-	s.agents = make([]*agent, len(t.Hosts))
+	s.agents = make([]agent, len(t.Hosts))
 	for i, h := range t.Hosts {
-		s.agents[i] = &agent{sends: map[netsim.FlowID]Sender{}, recvs: map[netsim.FlowID]Receiver{}}
-		h.Agent = s.agents[i]
+		s.agents[i] = agent{sys: s, host: i}
+		h.Agent = &s.agents[i]
 	}
 	return s
 }
@@ -74,11 +97,21 @@ func (s *System) Start(f workload.Flow) {
 	if f.Size <= 0 || f.Src == f.Dst {
 		panic(fmt.Sprintf("protocol: flow %d of %d bytes from host %d to host %d: a flow needs a positive size and two distinct hosts", f.ID, f.Size, f.Src, f.Dst))
 	}
-	s.Collector.Register(f)
-	s.Sim.At(f.Start, func() {
-		s.agents[f.Dst].recvs[netsim.FlowID(f.ID)] = s.recv(f)
-		s.agents[f.Src].sends[netsim.FlowID(f.ID)] = s.send(f, s.paths(f))
-	})
+	if len(s.spare) == 0 {
+		s.spare = make([]flow, min(flowChunk, 2*len(s.flows)+8))
+	}
+	e := &s.spare[0]
+	s.spare = s.spare[1:]
+	*e = flow{sys: s, f: f, tel: s.Collector.Register(f)}
+	s.flows = append(s.flows, e)
+	s.Sim.AtRunner(f.Start, e)
+}
+
+// RunEvent launches the flow: its receive side, then its send side.
+func (e *flow) RunEvent() {
+	s := e.sys
+	e.rcv = s.recv(e.f, e.tel)
+	e.snd = s.send(e.f, e.tel, s.paths(e.f))
 }
 
 func (s *System) paths(f workload.Flow) [][]*netsim.Link {
@@ -96,37 +129,43 @@ func (s *System) Results() []workload.Result { return s.Collector.Results() }
 // scenario runners hang a trace sink and active-flow probes off it).
 func (s *System) FlowCollector() *workload.Collector { return s.Collector }
 
-// EachSender calls fn with every launched flow's send side, in no
-// particular order.
+// EachSender calls fn with every launched flow's send side, in
+// registration order.
 func (s *System) EachSender(fn func(Sender)) {
-	for _, ag := range s.agents {
-		for _, sd := range ag.sends {
-			fn(sd)
+	for _, e := range s.flows {
+		if e.snd != nil {
+			fn(e.snd)
 		}
 	}
 }
 
 // agent is the per-host endpoint: it routes each arriving packet to the
-// flow state it belongs to.
+// flow state it belongs to, found by the packet's slot.
 type agent struct {
-	sends map[netsim.FlowID]Sender
-	recvs map[netsim.FlowID]Receiver
+	sys  *System
+	host int // index in Topo.Hosts
 }
 
 // Receive implements netsim.Agent. A forward packet goes to its flow's
 // receiver, which sends it back out as its own acknowledgment; everything
 // else ends its life here — an acknowledgment once the sender has digested
-// it, and packets of flows this host does not know.
+// it, and packets of flows this host does not own: a slot that names no
+// flow or another flow than the packet's, a flow not launched yet, or one
+// whose other end this host is.
 //
 //pdq:hotpath
 func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
-	if pkt.Kind.Forward() {
-		if r := a.recvs[pkt.Flow]; r != nil {
-			r.OnForward(pkt)
-			return
+	if flows := a.sys.flows; uint(pkt.Slot) < uint(len(flows)) {
+		if e := flows[pkt.Slot]; e.f.ID == uint64(pkt.Flow) {
+			if pkt.Kind.Forward() {
+				if e.f.Dst == a.host && e.rcv != nil {
+					e.rcv.OnForward(pkt)
+					return
+				}
+			} else if e.f.Src == a.host && e.snd != nil {
+				e.snd.HandleAck(pkt)
+			}
 		}
-	} else if sd := a.sends[pkt.Flow]; sd != nil {
-		sd.HandleAck(pkt)
 	}
 	pkt.Release()
 }

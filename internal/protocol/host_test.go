@@ -1,10 +1,13 @@
 package protocol
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pdq/internal/netsim"
+	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
 )
@@ -25,8 +28,8 @@ type fakes struct {
 
 func (k *fakes) install(tp *topo.Topology) *System {
 	return Install(tp, 1,
-		func(workload.Flow) Receiver { k.recvs++; return &k.recv },
-		func(_ workload.Flow, paths [][]*netsim.Link) Sender {
+		func(workload.Flow, workload.Ref) Receiver { k.recvs++; return &k.recv },
+		func(_ workload.Flow, _ workload.Ref, paths [][]*netsim.Link) Sender {
 			if len(paths) != 1 || len(paths[0]) == 0 {
 				panic("sender built without its path")
 			}
@@ -95,5 +98,145 @@ func TestStartRejectsBadFlow(t *testing.T) {
 			var k fakes
 			k.install(topo.SingleBottleneck(1, 1)).Start(f)
 		}()
+	}
+}
+
+// mapAgent is the per-host demultiplexer the flow table replaced, frozen
+// here as the reference: two maps per host keyed by flow ID, filled at
+// launch.
+type mapAgent struct {
+	sends map[netsim.FlowID]Sender
+	recvs map[netsim.FlowID]Receiver
+}
+
+func (a *mapAgent) Receive(pkt *netsim.Packet, _ *netsim.Link) {
+	if pkt.Kind.Forward() {
+		if r := a.recvs[pkt.Flow]; r != nil {
+			r.OnForward(pkt)
+			return
+		}
+	} else if sd := a.sends[pkt.Flow]; sd != nil {
+		sd.HandleAck(pkt)
+	}
+	pkt.Release()
+}
+
+// hit is one packet reaching an endpoint.
+type hit struct {
+	flow uint64
+	recv bool
+	kind netsim.Kind
+	host int
+}
+
+// probe is one flow's endpoint; it logs what reaches it to *log, which
+// the test points at the table's log or the reference's.
+type probe struct {
+	flow uint64
+	log  **[]hit
+	host *int
+}
+
+func (p *probe) OnForward(pkt *netsim.Packet) {
+	**p.log = append(**p.log, hit{p.flow, true, pkt.Kind, *p.host})
+	pkt.Release()
+}
+
+func (p *probe) HandleAck(pkt *netsim.Packet) {
+	**p.log = append(**p.log, hit{p.flow, false, pkt.Kind, *p.host})
+}
+
+// TestFlowTableMatchesMapDemux drives the slot-indexed agents and the
+// map-based reference with the same random packet streams, interleaved
+// with the flows' launches: packets of launched and not yet launched
+// flows at their own ends, the wrong end and bystander hosts; packets of
+// unregistered flows carrying another flow's slot, an out-of-range slot
+// or a negative one; and acknowledgments on recycled packets. Both must
+// hand the same packets to the same endpoints, the pools must balance,
+// and EachSender must visit in registration order.
+func TestFlowTableMatchesMapDemux(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tp, refNet := topo.SingleBottleneck(5, 1), topo.SingleBottleneck(5, 1).Net
+		hosts := len(tp.Hosts)
+		ref := make([]*mapAgent, hosts)
+		for i := range ref {
+			ref[i] = &mapAgent{sends: map[netsim.FlowID]Sender{}, recvs: map[netsim.FlowID]Receiver{}}
+		}
+		var got, want []hit
+		var log *[]hit
+		var at int
+		sys := Install(tp, 1,
+			func(f workload.Flow, _ workload.Ref) Receiver {
+				p := &probe{flow: f.ID, log: &log, host: &at}
+				ref[f.Dst].recvs[netsim.FlowID(f.ID)] = p
+				return p
+			},
+			func(f workload.Flow, _ workload.Ref, _ [][]*netsim.Link) Sender {
+				p := &probe{flow: f.ID, log: &log, host: &at}
+				ref[f.Src].sends[netsim.FlowID(f.ID)] = p
+				return p
+			})
+
+		// Flow IDs are distinct but not in order, so the collector's
+		// out-of-order index is exercised too.
+		ids := rng.Perm(40)
+		var flows []workload.Flow
+		for i, id := range ids[:20] {
+			src := rng.Intn(hosts)
+			dst := (src + 1 + rng.Intn(hosts-1)) % hosts
+			f := workload.Flow{ID: uint64(id + 1), Src: src, Dst: dst, Size: 1000, Start: sim.Time(rng.Intn(100))}
+			flows = append(flows, f)
+			sys.Start(f)
+			if sys.flows[i].tel.Slot() != int32(i) {
+				t.Fatalf("flow %d got slot %d", i, sys.flows[i].tel.Slot())
+			}
+		}
+		kinds := []netsim.Kind{netsim.SYN, netsim.DATA, netsim.PROBE, netsim.TERM,
+			netsim.SYNACK, netsim.ACK, netsim.PROBEACK, netsim.TERMACK}
+		for i := 0; i < 400; i++ {
+			host, kind := rng.Intn(hosts), kinds[rng.Intn(len(kinds))]
+			var id uint64
+			var slot int32
+			if j := rng.Intn(len(flows)); rng.Intn(4) > 0 {
+				id, slot = flows[j].ID, int32(j) // a registered flow, as its sender stamps it
+			} else {
+				id = uint64(ids[20+rng.Intn(20)] + 1) // never registered
+				slot = []int32{int32(j), int32(len(flows) + rng.Intn(5)), -1 - int32(rng.Intn(3))}[rng.Intn(3)]
+			}
+			sys.Sim.At(sim.Time(rng.Intn(120)), func() {
+				at = host
+				for _, side := range []struct {
+					net *netsim.Network
+					ag  netsim.Agent
+					log *[]hit
+				}{{tp.Net, tp.Hosts[host].Agent, &got}, {refNet, ref[host], &want}} {
+					pkt := side.net.NewPacket()
+					pkt.Flow, pkt.Slot, pkt.Kind = netsim.FlowID(id), slot, kind
+					log = side.log
+					side.ag.Receive(pkt, nil)
+				}
+			})
+		}
+		tp.Sim().Run()
+
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: the flow table and the map reference demultiplexed differently:\n table %v\n   ref %v", seed, got, want)
+		}
+		if len(got) == 0 {
+			t.Fatalf("seed %d: no packet reached an endpoint", seed)
+		}
+		for _, n := range []*netsim.Network{tp.Net, refNet} {
+			if taken, released := n.PacketPoolStats(); taken != 400 || released != taken {
+				t.Fatalf("seed %d: pool took %d and released %d, want 400 and 400", seed, taken, released)
+			}
+		}
+		var order []uint64
+		sys.EachSender(func(sd Sender) { order = append(order, sd.(*probe).flow) })
+		for i, f := range flows {
+			if i >= len(order) || order[i] != f.ID {
+				t.Fatalf("seed %d: EachSender visited %v, want registration order", seed, order)
+			}
+		}
 	}
 }

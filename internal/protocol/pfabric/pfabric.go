@@ -88,20 +88,20 @@ func Install(t *topo.Topology, cfg Config) *System {
 	return s
 }
 
-func (s *System) newReceiver(f workload.Flow) protocol.Receiver {
-	return tcp.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f)
+func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
+	return tcp.NewReceiver(s.Topo.Hosts[f.Dst], tel, f)
 }
 
-func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sender {
+func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	snd := &tcp.Conn{}
 	// The whole current window carries the flow's remaining size (the
 	// unacknowledged tail), so a nearly-done flow's retransmissions and
 	// new segments alike jump the queue.
 	snd.PrioFn = func() uint8 {
-		s.Collector.AddPrioPacket(f.ID)
+		snd.Coll.AddPrioPacket()
 		return BandFor(snd.NumPkts()-snd.SndUna(), s.Cfg.Bands)
 	}
-	snd.Open(s.Topo.Hosts[f.Src], s.Cfg.TCP, s.Collector, f, paths[0])
+	snd.Open(s.Topo.Hosts[f.Src], s.Cfg.TCP, tel, f, paths[0])
 	snd.TrySend()
 	return snd
 }

@@ -134,14 +134,14 @@ func capRate(pkt *netsim.Packet, nic int64) {
 	}
 }
 
-func (s *System) newReceiver(f workload.Flow) protocol.Receiver {
-	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f, 1, capRate)
+func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
+	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], tel, f, 1, capRate)
 }
 
-func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sender {
+func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	src := s.Topo.Hosts[f.Src]
 	sd := &sender{nic: src.NICRate()}
-	w := xfer.NewWindow(src, s.Collector, &s.Cfg.Config, f)
+	w := xfer.NewWindow(src, tel, &s.Cfg.Config, f)
 	w.Attach(&sd.Pacer, paths[0], sd)
 	sd.Start()
 	return w

@@ -23,9 +23,8 @@ type Kernel struct {
 	// Environment, bound once by Init.
 	Sim  *sim.Sim
 	Cfg  Config
-	Coll *workload.Collector
+	Coll workload.Ref // the flow's collector entry, and its slot
 
-	flowID  uint64
 	numPkts int
 	send    func(idx int) // emit segment idx
 
@@ -46,9 +45,9 @@ type Kernel struct {
 // Init binds the kernel's environment and resets the window to the
 // configured initial state. send transmits segment idx; it is called
 // for both first transmissions and retransmissions.
-func (k *Kernel) Init(s *sim.Sim, cfg Config, coll *workload.Collector, flowID uint64, numPkts int, send func(idx int)) {
+func (k *Kernel) Init(s *sim.Sim, cfg Config, coll workload.Ref, numPkts int, send func(idx int)) {
 	k.Sim, k.Cfg, k.Coll = s, cfg, coll
-	k.flowID, k.numPkts, k.send = flowID, numPkts, send
+	k.numPkts, k.send = numPkts, send
 	k.cwnd = cfg.InitCwnd
 	k.ssthresh = cfg.MaxCwnd
 	k.rtoFn = k.onRTO
@@ -125,7 +124,7 @@ func (k *Kernel) onRTO() {
 		k.backoff *= 2
 	}
 	k.sndNext = k.sndUna
-	k.Coll.AddRetransmit(k.flowID) // go-back-N resend counts once
+	k.Coll.AddRetransmit() // go-back-N resend counts once
 	k.TrySend()
 }
 
@@ -175,7 +174,7 @@ func (k *Kernel) ProcessAck(ackIdx int, echoSentAt sim.Time) {
 				k.dupAcks = 0
 			} else {
 				// NewReno partial ACK: retransmit the next hole.
-				k.Coll.AddRetransmit(k.flowID)
+				k.Coll.AddRetransmit()
 				k.send(k.sndUna)
 				k.cwnd = maxf(k.cwnd-float64(ackIdx-k.sndUna)+1, 1)
 			}
@@ -206,7 +205,7 @@ func (k *Kernel) ProcessAck(ackIdx int, echoSentAt sim.Time) {
 			k.cwnd = k.ssthresh + 3
 			k.inRecovery = true
 			k.recover = k.sndNext
-			k.Coll.AddRetransmit(k.flowID)
+			k.Coll.AddRetransmit()
 			k.send(k.sndUna)
 		}
 	}
@@ -249,9 +248,9 @@ type Conn struct {
 // Open binds the connection to flow f leaving host src over path, with the
 // kernel on the network's engine and reset to cfg's initial window. The
 // variant sets its points (before or after) and calls TrySend.
-func (c *Conn) Open(src *netsim.Host, cfg Config, coll *workload.Collector, f workload.Flow, path []*netsim.Link) {
+func (c *Conn) Open(src *netsim.Host, cfg Config, coll workload.Ref, f workload.Flow, path []*netsim.Link) {
 	c.Net, c.Flow, c.Path = src.Network(), f, path
-	c.Init(c.Net.Sim, cfg, coll, f.ID, numSegs(f.Size), c.SendSeg)
+	c.Init(c.Net.Sim, cfg, coll, numSegs(f.Size), c.SendSeg)
 }
 
 // HandleAck implements protocol.Sender: a cumulative ACK names the next
@@ -272,6 +271,7 @@ func (c *Conn) SendSeg(idx int) {
 	src := c.Path[0].From.ID()
 	pkt := c.Net.NewPacket()
 	pkt.Flow = netsim.FlowID(c.Flow.ID)
+	pkt.Slot = c.Coll.Slot()
 	pkt.Kind = netsim.DATA
 	pkt.Src = src
 	pkt.Dst = c.Path[len(c.Path)-1].To.ID()
@@ -294,7 +294,7 @@ func (c *Conn) SendSeg(idx int) {
 // priority band stamped on ACKs (pFabric keeps them in the top band).
 type Receiver struct {
 	Net     *netsim.Network
-	Coll    *workload.Collector
+	Coll    workload.Ref
 	Flow    workload.Flow
 	NumPkts int
 	EchoECN bool
@@ -312,7 +312,7 @@ type Receiver struct {
 }
 
 // NewReceiver returns the receive side of f on host dst.
-func NewReceiver(dst *netsim.Host, coll *workload.Collector, f workload.Flow) *Receiver {
+func NewReceiver(dst *netsim.Host, coll workload.Ref, f workload.Flow) *Receiver {
 	n, net := numSegs(f.Size), dst.Network()
 	return &Receiver{Net: net, Coll: coll, Flow: f, NumPkts: n, Sim: net.Sim, got: xfer.NewBitset(n)}
 }
@@ -332,7 +332,7 @@ func (r *Receiver) OnForward(pkt *netsim.Packet) {
 		}
 		if !r.done && r.gotB >= r.Flow.Size {
 			r.done = true
-			r.Coll.Finish(r.Flow.ID, r.Sim.Now())
+			r.Coll.Finish(r.Sim.Now())
 		}
 	}
 	if r.revPath == nil {

@@ -64,13 +64,13 @@ func Install(t *topo.Topology, cfg Config) *System {
 	return s
 }
 
-func (s *System) newReceiver(f workload.Flow) protocol.Receiver {
-	return NewReceiver(s.Topo.Hosts[f.Dst], s.Collector, f)
+func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
+	return NewReceiver(s.Topo.Hosts[f.Dst], tel, f)
 }
 
-func (s *System) newSender(f workload.Flow, paths [][]*netsim.Link) protocol.Sender {
+func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	c := &Conn{ExtraHdr: HdrWire}
-	c.Open(s.Topo.Hosts[f.Src], s.Cfg, s.Collector, f, paths[0])
+	c.Open(s.Topo.Hosts[f.Src], s.Cfg, tel, f, paths[0])
 	c.TrySend()
 	return c
 }

@@ -83,7 +83,7 @@ type Window struct {
 	net *netsim.Network
 	src netsim.NodeID
 	cfg *Config
-	tel *workload.Collector // retransmit and preemption counts
+	tel workload.Ref // the flow's collector entry: counts, outcome, and its slot
 
 	n     int    // packets in the flow
 	acked Bitset // per packet
@@ -108,8 +108,8 @@ type Window struct {
 const ringMin = 32
 
 // NewWindow creates the send window of flow on host src. Outcome counters
-// go to tel.
-func NewWindow(src *netsim.Host, tel *workload.Collector, cfg *Config, flow workload.Flow) *Window {
+// go to tel, and every packet carries tel's slot.
+func NewWindow(src *netsim.Host, tel workload.Ref, cfg *Config, flow workload.Flow) *Window {
 	n, net := numPackets(flow.Size), src.Network()
 	w := &Window{
 		Flow: flow, eng: net.Sim, net: net, src: src.ID(), cfg: cfg, tel: tel,
@@ -236,6 +236,15 @@ func (w *Window) Sim() *sim.Sim { return w.eng }
 // Remaining returns the unacknowledged byte count.
 func (w *Window) Remaining() int64 { return w.Flow.Size - w.ackedB }
 
+// Terminate gives the flow up now (Early Termination, quenching): it
+// reports the acknowledged bytes and the termination to the collector
+// and stops the window with a TERM.
+func (w *Window) Terminate() {
+	w.tel.SetBytesAcked(w.ackedB)
+	w.tel.Terminate(w.eng.Now())
+	w.Stop(netsim.TERM)
+}
+
 // Over reports whether the flow has completed or been stopped.
 func (w *Window) Over() bool { return w.over }
 
@@ -336,6 +345,7 @@ func (p *Pacer) send(kind netsim.Kind, seq int64, payload, wire int) {
 	w := p.w
 	pkt := w.net.NewPacket()
 	pkt.Flow = netsim.FlowID(w.Flow.ID)
+	pkt.Slot = w.tel.Slot()
 	pkt.Subflow = p.sub
 	pkt.Kind = kind
 	pkt.Src = w.src
@@ -426,7 +436,7 @@ func (w *Window) HandleAck(pkt *netsim.Packet) {
 	} else {
 		if p.sending {
 			p.sending = false
-			w.tel.AddPreemption(w.Flow.ID)
+			w.tel.AddPreemption()
 		}
 		p.stopSending()
 		p.ensureProbing()
@@ -445,7 +455,7 @@ func (p *Pacer) fastRetransmit(ackedIdx int) {
 	if w.over || !w.hole(ackedIdx, w.eng.Now(), p.RTT()) {
 		return
 	}
-	w.tel.AddRetransmit(w.Flow.ID)
+	w.tel.AddRetransmit()
 	p.sendData(w.base)
 }
 
@@ -496,7 +506,7 @@ func (p *Pacer) sendOne() {
 		return
 	}
 	if retx {
-		w.tel.AddRetransmit(w.Flow.ID)
+		w.tel.AddRetransmit()
 	}
 	p.lastWire = p.sendData(idx)
 	p.lastSendAt = now
@@ -560,7 +570,7 @@ type Receiver struct {
 
 	host  *netsim.Host
 	eng   *sim.Sim // destination host's owner engine
-	tel   *workload.Collector
+	tel   workload.Ref
 	clamp func(pkt *netsim.Packet, nic int64)
 
 	n        int    // packets in the flow
@@ -574,7 +584,7 @@ type Receiver struct {
 // number of subflows. The last byte's arrival is reported to tel. clamp
 // lowers the rate granted in the echoed header to the receiver's own
 // capability, its NIC rate (§3.2).
-func NewReceiver(dst *netsim.Host, tel *workload.Collector, flow workload.Flow, subflows int, clamp func(pkt *netsim.Packet, nic int64)) *Receiver {
+func NewReceiver(dst *netsim.Host, tel workload.Ref, flow workload.Flow, subflows int, clamp func(pkt *netsim.Packet, nic int64)) *Receiver {
 	n := numPackets(flow.Size)
 	return &Receiver{
 		Flow: flow, host: dst, eng: dst.Network().Sim, tel: tel, clamp: clamp,
@@ -603,7 +613,7 @@ func (r *Receiver) OnForward(pkt *netsim.Packet) {
 			r.gotB += int64(payload(r.Flow.Size, r.n, idx))
 			if r.gotB >= r.Flow.Size {
 				r.done = true
-				r.tel.Finish(r.Flow.ID, r.eng.Now())
+				r.tel.Finish(r.eng.Now())
 			}
 		}
 	}

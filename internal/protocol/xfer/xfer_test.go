@@ -51,8 +51,7 @@ type rig struct {
 func newRig(t *testing.T, tp *topo.Topology, src, dst int, size, rate int64, paths [][]*netsim.Link) *rig {
 	t.Helper()
 	f := workload.Flow{ID: 1, Src: src, Dst: dst, Size: size}
-	tel := workload.NewCollector()
-	tel.Register(f)
+	tel := workload.NewCollector().Register(f)
 	cfg := Config{}.WithDefaults()
 	r := &rig{tp: tp, kinds: map[netsim.Kind]int{}, segs: map[int64]int{}, bySub: map[int]int{}}
 	r.recv = NewReceiver(tp.Hosts[dst], tel, f, len(paths), func(*netsim.Packet, int64) {})

@@ -25,9 +25,17 @@ import (
 // trace.FlowRecord (by value — no allocation). With the default nil Sink
 // the only telemetry cost is one nil check per flow *completion*, so the
 // packet/event hot paths are untouched (DESIGN.md §8).
+//
+// Flows live in one dense table in registration order; a flow's index in
+// it is its slot. Register hands back a Ref, the slot with its collector,
+// and everything a flow reports goes through it without a lookup. Flow
+// IDs usually arrive in increasing order, and then a lookup by ID (Of) is
+// a binary search; only a collector whose IDs arrive out of order builds
+// an index.
 type Collector struct {
-	byID  map[uint64]*cell
-	order []uint64
+	cells []*cell          // by slot
+	spare []cell           // unused cells of the chunk cells are carved from
+	index map[uint64]int32 // flow ID → slot; nil while IDs arrive in increasing order
 
 	// Sink receives one trace.FlowRecord per completion or termination;
 	// nil (the default) disables record assembly entirely.
@@ -81,21 +89,74 @@ type cell struct {
 }
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{byID: map[uint64]*cell{}}
+func NewCollector() *Collector { return &Collector{} }
+
+// Ref is one registered flow's handle on its collector: the collector and
+// the flow's slot. It is what a flow reports its outcome and counters
+// through.
+type Ref struct {
+	c    *Collector
+	slot int32
 }
 
-// Register records that flow f has been started. Finish is initialized to
-// -1 ("never finished").
-func (c *Collector) Register(f Flow) {
-	if _, dup := c.byID[f.ID]; dup {
-		panic("workload: duplicate flow ID registered")
-	}
+// Slot returns the flow's index in registration order.
+func (r Ref) Slot() int32 { return r.slot }
+
+func (r Ref) cell() *cell { return r.c.cells[r.slot] }
+
+// cellChunk is the most cells one chunk holds: 34 of 120 bytes fill the
+// 4 KiB size class. Chunks start at 8 and grow to it, so a few-flow run
+// of a sweep does not pay for a large one.
+const cellChunk = 34
+
+// Register records that flow f has been started and returns its Ref; its
+// slot is the number of flows registered before it. Finish is initialized
+// to -1 ("never finished").
+func (c *Collector) Register(f Flow) Ref {
 	if c.watch != nil {
 		panic("workload: flow registered after Watch")
 	}
-	c.byID[f.ID] = &cell{res: Result{Flow: f, Finish: -1}, finishAt: -1, termAt: -1}
-	c.order = append(c.order, f.ID)
+	slot := int32(len(c.cells))
+	if c.index == nil && slot > 0 && f.ID <= c.cells[slot-1].res.ID {
+		c.index = make(map[uint64]int32, len(c.cells)+1)
+		for i, cl := range c.cells {
+			c.index[cl.res.ID] = int32(i)
+		}
+	}
+	if c.index != nil {
+		if _, dup := c.index[f.ID]; dup {
+			panic("workload: duplicate flow ID registered")
+		}
+		c.index[f.ID] = slot
+	}
+	if len(c.spare) == 0 {
+		c.spare = make([]cell, min(cellChunk, 2*len(c.cells)+8))
+	}
+	cl := &c.spare[0]
+	c.spare = c.spare[1:]
+	*cl = cell{res: Result{Flow: f, Finish: -1}, finishAt: -1, termAt: -1}
+	c.cells = append(c.cells, cl)
+	return Ref{c, slot}
+}
+
+// lookup returns the slot of the flow registered under id.
+func (c *Collector) lookup(id uint64) (int32, bool) {
+	if c.index != nil {
+		slot, ok := c.index[id]
+		return slot, ok
+	}
+	i, ok := slices.BinarySearchFunc(c.cells, id, func(cl *cell, id uint64) int { return cmp.Compare(cl.res.ID, id) })
+	return int32(i), ok
+}
+
+// Of returns the Ref of the flow registered under id; it panics if there
+// is none.
+func (c *Collector) Of(id uint64) Ref {
+	slot, ok := c.lookup(id)
+	if !ok {
+		panic("workload: no flow registered under this ID")
+	}
+	return Ref{c, slot}
 }
 
 // DeferEmission switches the collector to deferred record emission:
@@ -111,8 +172,8 @@ func (c *Collector) DeferEmission() { c.deferEmit = true }
 // only inside Finish and Terminate, so the run's event stream is the one an
 // unwatched run has.
 func (c *Collector) Watch(fn func(Tally)) {
-	for _, id := range c.order {
-		if cl := c.byID[id]; cl.res.HasDeadline() {
+	for _, cl := range c.cells {
+		if cl.res.HasDeadline() {
 			c.due = append(c.due, cl)
 		}
 	}
@@ -138,13 +199,14 @@ func (c *Collector) outcome(now sim.Time) {
 	c.watch(c.tally)
 }
 
+// Finish is Of(id).Finish(t), for a caller that holds the flow's ID but
+// not its Ref.
+func (c *Collector) Finish(id uint64, t sim.Time) { c.Of(id).Finish(t) }
+
 // Finish records that the receiver got the flow's last byte at time t.
 // Later calls for the same flow are ignored (multipath subflows may race).
-func (c *Collector) Finish(id uint64, t sim.Time) {
-	cl := c.byID[id]
-	if cl == nil {
-		panic("workload: Finish for unregistered flow")
-	}
+func (r Ref) Finish(t sim.Time) {
+	c, cl := r.c, r.cell()
 	if cl.finishAt < 0 {
 		cl.finishAt = t
 		if c.eager() && cl.termAt < 0 {
@@ -166,11 +228,8 @@ func (c *Collector) Finish(id uint64, t sim.Time) {
 // Terminate records that the flow gave up (Early Termination) at time t.
 // A flow that finished at or before t stays finished — the merge in
 // merged() resolves the race by virtual instant, not call order.
-func (c *Collector) Terminate(id uint64, t sim.Time) {
-	cl := c.byID[id]
-	if cl == nil {
-		panic("workload: Terminate for unregistered flow")
-	}
+func (r Ref) Terminate(t sim.Time) {
+	c, cl := r.c, r.cell()
 	if cl.termAt < 0 {
 		cl.termAt = t
 		if c.eager() && cl.finishAt < 0 {
@@ -183,45 +242,26 @@ func (c *Collector) Terminate(id uint64, t sim.Time) {
 }
 
 // AddRetransmit counts one retransmitted data packet against the flow.
-// Unknown IDs are ignored: retransmit accounting is telemetry, not
-// protocol state.
-func (c *Collector) AddRetransmit(id uint64) {
-	if cl := c.byID[id]; cl != nil {
-		cl.res.Retransmits++
-	}
-}
+func (r Ref) AddRetransmit() { r.cell().res.Retransmits++ }
 
 // AddPreemption counts one sending→paused transition against the flow.
-func (c *Collector) AddPreemption(id uint64) {
-	if cl := c.byID[id]; cl != nil {
-		cl.res.Preemptions++
-	}
-}
+func (r Ref) AddPreemption() { r.cell().res.Preemptions++ }
 
 // AddECNMark counts one ECN-marked acknowledgment (ECE echo) against
 // the flow — DCTCP's congestion signal.
-func (c *Collector) AddECNMark(id uint64) {
-	if cl := c.byID[id]; cl != nil {
-		cl.res.ECNMarks++
-	}
-}
+func (r Ref) AddECNMark() { r.cell().res.ECNMarks++ }
 
 // AddPrioPacket counts one data packet sent with an explicit priority
 // stamp against the flow — pFabric's remaining-size priorities.
-func (c *Collector) AddPrioPacket(id uint64) {
-	if cl := c.byID[id]; cl != nil {
-		cl.res.PrioPackets++
-	}
-}
+func (r Ref) AddPrioPacket() { r.cell().res.PrioPackets++ }
 
 // SetBytesAcked records the flow's acknowledged payload bytes, as seen
 // by the sender. Emitters call it just before Terminate so a terminated
 // flow's record carries its partial progress; a flow that only finishes
 // reports its full size.
-func (c *Collector) SetBytesAcked(id uint64, n int64) {
-	if cl := c.byID[id]; cl != nil {
-		cl.termB, cl.termBSet = n, true
-	}
+func (r Ref) SetBytesAcked(n int64) {
+	cl := r.cell()
+	cl.termB, cl.termBSet = n, true
 }
 
 // ActiveAt counts flows that have started at or before now and neither
@@ -230,7 +270,7 @@ func (c *Collector) SetBytesAcked(id uint64, n int64) {
 // just the caller's current clock.
 func (c *Collector) ActiveAt(now sim.Time) int {
 	n := 0
-	for _, cl := range c.byID {
+	for _, cl := range c.cells {
 		if cl.res.Start <= now && !doneBy(cl.finishAt, now) && !doneBy(cl.termAt, now) {
 			n++
 		}
@@ -244,7 +284,7 @@ func doneBy(at, now sim.Time) bool { return at >= 0 && at <= now }
 // AllDone reports whether every registered flow has finished or
 // terminated — probers stop sampling once nothing remains in flight.
 func (c *Collector) AllDone() bool {
-	for _, cl := range c.byID {
+	for _, cl := range c.cells {
 		if cl.finishAt < 0 && cl.termAt < 0 {
 			return false
 		}
@@ -319,9 +359,9 @@ func (c *Collector) FlushTrace() {
 	if c.Sink == nil || !c.deferEmit {
 		return
 	}
-	done := make([]*cell, 0, len(c.order))
-	for _, id := range c.order {
-		if cl := c.byID[id]; cl.doneAt() >= 0 {
+	done := make([]*cell, 0, len(c.cells))
+	for _, cl := range c.cells {
+		if cl.doneAt() >= 0 {
 			done = append(done, cl)
 		}
 	}
@@ -332,13 +372,13 @@ func (c *Collector) FlushTrace() {
 }
 
 // Get returns the current result for a flow.
-func (c *Collector) Get(id uint64) Result { return c.byID[id].merged() }
+func (c *Collector) Get(id uint64) Result { return c.Of(id).cell().merged() }
 
 // Results returns a snapshot of all results in registration order.
 func (c *Collector) Results() []Result {
-	out := make([]Result, len(c.order))
-	for i, id := range c.order {
-		out[i] = c.byID[id].merged()
+	out := make([]Result, len(c.cells))
+	for i, cl := range c.cells {
+		out[i] = cl.merged()
 	}
 	return out
 }

@@ -68,12 +68,12 @@ func TestTallySameInstantFinishWins(t *testing.T) {
 	for _, termFirst := range []bool{true, false} {
 		c, _ := watched(dl(1, 10*ms), dl(2, 10*ms))
 		if termFirst {
-			c.Terminate(1, 3*ms)
+			c.Of(1).Terminate(3 * ms)
 			checkTally(t, c, Tally{Total: 2}) // terminated, and not lost
 			c.Finish(1, 3*ms)
 		} else {
 			c.Finish(1, 3*ms)
-			c.Terminate(1, 3*ms)
+			c.Of(1).Terminate(3 * ms)
 		}
 		checkTally(t, c, Tally{Met: 1, Total: 2})
 		if r := c.Get(1); r.Terminated || !r.MetDeadline() {
@@ -86,7 +86,7 @@ func TestTallySameInstantFinishWins(t *testing.T) {
 // terminated: not met at the Finish, lost once its deadline is behind.
 func TestTallyTerminatedThenFinishedIsLost(t *testing.T) {
 	c, _ := watched(dl(1, 10*ms), dl(2, 50*ms))
-	c.Terminate(1, 2*ms)
+	c.Of(1).Terminate(2 * ms)
 	c.Finish(1, 5*ms)
 	checkTally(t, c, Tally{Total: 2})
 	c.Finish(2, 11*ms)
@@ -158,7 +158,7 @@ func TestTallyBracketsFinalCount(t *testing.T) {
 			now += sim.Time(rng.Intn(3)) * ms // 0: several outcomes at one instant
 			id := uint64(1 + rng.Intn(len(flows)))
 			if rng.Intn(4) == 0 {
-				c.Terminate(id, now)
+				c.Of(id).Terminate(now)
 			} else {
 				c.Finish(id, now)
 			}
