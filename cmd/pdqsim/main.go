@@ -30,10 +30,11 @@
 // sampled each -probe-stride-us. Both capture the grid scenarios; custom
 // drivers (fig1/6/7/8e) keep their own trace rows.
 //
-// -cache (or -cache-dir) memoizes grid-cell results content-addressed by
-// their resolved spec material, seed and engine version, so re-running a
-// sweep recomputes only cells whose inputs changed; hits reproduce the
-// recomputed output byte for byte. Tracing bypasses the cache.
+// -cache (or -cache-dir) memoizes grid-cell results, and each custom
+// driver's whole table, content-addressed by their resolved spec
+// material, seed and engine version, so re-running a sweep recomputes
+// only what changed and a warm rerun simulates nothing; hits reproduce
+// the recomputed output byte for byte. Tracing bypasses the cache.
 //
 // The observability plane (DESIGN.md §13) watches a run without
 // perturbing it: -progress renders a live stderr line (cells done/total,
@@ -86,8 +87,8 @@ func main() {
 		faultOut    = flag.String("fault-log", "", "write injected fault/recovery transitions to this JSONL file")
 		maxEvents   = flag.Uint64("max-events", 0, "per-cell simulation event budget (0 = unlimited); an exceeding cell fails with a diagnostic")
 		cellTimeout = flag.Float64("cell-timeout-ms", 0, "per-cell wall-clock limit in ms (0 = none); a timed-out cell fails with a diagnostic")
-		cacheOn     = flag.Bool("cache", false, "memoize sweep cells under the default cache dir (~/.cache/pdqsim)")
-		cacheDir    = flag.String("cache-dir", "", "memoize sweep cells under this directory (implies -cache)")
+		cacheOn     = flag.Bool("cache", false, "memoize sweep cells and driver tables under the default cache dir (~/.cache/pdqsim)")
+		cacheDir    = flag.String("cache-dir", "", "memoize sweep cells and driver tables under this directory (implies -cache)")
 		progressOn  = flag.Bool("progress", false, "render a live progress line on stderr (cells done/total, failures, cache hits, ETA)")
 		httpAddr    = flag.String("http", "", "serve /metrics (Prometheus text), /runs (JSON sweep progress) and /debug/pprof on this address during the run")
 		httpLinger  = flag.Duration("http-linger", 0, "keep the -http server alive this long after the run finishes (end-of-run scrapes)")

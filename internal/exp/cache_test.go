@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"pdq/internal/obsv"
 	"pdq/internal/scenario"
 	"pdq/internal/trace"
 )
@@ -36,6 +39,50 @@ func TestCacheGoldenByteIdentity(t *testing.T) {
 	}
 	if cache.Hits() != misses {
 		t.Fatalf("warm run served %d hits, want %d (every cell)", cache.Hits(), misses)
+	}
+}
+
+// TestWarmRunSimulatesNothing runs every quick figure twice against one
+// cache with the observability plane attached: the second pass fires no
+// event, serves every cell — each custom driver's table included — from
+// the cache, and prints the first pass's bytes.
+func TestWarmRunSimulatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick figure twice")
+	}
+	cache, err := trace.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tables [2][]byte
+	for pass := range tables {
+		obs := obsv.New(nil)
+		o := scenario.Opts{Quick: true, Seed: 1, Cache: cache, Obs: obs}
+		var ts []*scenario.Table
+		for _, name := range FigureNames() {
+			ts = append(ts, Figures[name](o))
+		}
+		if tables[pass], err = json.Marshal(ts); err != nil {
+			t.Fatal(err)
+		}
+		fired := obs.Runtime.Snapshot().Fired
+		if pass == 0 {
+			if fired == 0 {
+				t.Fatal("the cold pass fired no event")
+			}
+			continue
+		}
+		if fired != 0 {
+			t.Errorf("the warm pass fired %d events", fired)
+		}
+		for _, run := range obs.Runs() {
+			if run.Done == 0 || run.Cached != run.Done || run.Failed != 0 {
+				t.Errorf("%s: %d of %d cells cached, %d failed", run.Name, run.Cached, run.Done, run.Failed)
+			}
+		}
+	}
+	if !bytes.Equal(tables[0], tables[1]) {
+		t.Error("the warm pass's tables differ from the cold pass's")
 	}
 }
 

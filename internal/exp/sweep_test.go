@@ -29,6 +29,31 @@ func TestGatherOrderAndWorkers(t *testing.T) {
 	}
 }
 
+// TestGatherRaisesLowestPanic pins that a panic on a worker goroutine
+// reaches Gather's caller, and that it is the one a serial run raises.
+func TestGatherRaisesLowestPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var fns []func() int
+		for i := 0; i < 20; i++ {
+			i := i
+			fns = append(fns, func() int {
+				if i == 7 || i == 13 {
+					panic(i)
+				}
+				return i
+			})
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != 7 {
+					t.Errorf("workers=%d: recovered %v, want fn 7's panic", workers, r)
+				}
+			}()
+			scenario.Gather(workers, fns)
+		}()
+	}
+}
+
 func TestRunTrialsSingle(t *testing.T) {
 	o := scenario.Opts{Seed: 5, Parallel: 2}
 	st := scenario.RunTrials(o, []scenario.Trial{

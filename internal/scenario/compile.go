@@ -32,6 +32,11 @@ import (
 // cells produce different (equally valid) samples for the same seed.
 const cacheSalt = "pdqsim-cell-v2"
 
+// driverSalt versions custom drivers' cached tables the way cacheSalt
+// versions grid cells: bump it whenever a driver's table changes for the
+// same plan.
+const driverSalt = "pdqsim-driver-v1"
+
 // The plan structs marshal into the cache key: their field order, JSON
 // names and omitempty tags are its bytes, and changing any of them
 // orphans every cached cell. Parameter maps marshal with sorted keys, so
@@ -97,8 +102,26 @@ type cellPlan struct {
 }
 
 // key content-addresses the cell.
-func (p cellPlan) key() string {
-	material, err := json.Marshal(p)
+func (p cellPlan) key() string { return planKey(p) }
+
+// driverPlan is everything that determines a custom driver's table, and
+// so the key of the whole table, as cellPlan is a grid cell's: a driver
+// is handed the plan and nothing else that may shape its result
+// (DriverFunc).
+type driverPlan struct {
+	Salt   string             `json:"salt"`
+	Driver string             `json:"driver"`
+	Params map[string]float64 `json:"params"` // resolved, quick overlay applied
+	Seed   int64              `json:"seed"`
+	Trials int                `json:"trials"`
+}
+
+// key content-addresses the driver's table.
+func (p driverPlan) key() string { return planKey(p) }
+
+// planKey hashes a plan's canonical JSON.
+func planKey(plan any) string {
+	material, err := json.Marshal(plan)
 	if err != nil {
 		panic(fmt.Sprintf("scenario: marshaling cache key: %v", err))
 	}

@@ -12,9 +12,27 @@ import (
 // hidden from JSON would let two different cells share a cache entry.
 func TestPlanIsTheKey(t *testing.T) {
 	newPlan := func() *cellPlan { return &cellPlan{Eng: &engPlan{}, Col: &colPlan{}, Row: &rowPlan{}} }
-	leaves := 0
-	var walk func(path string, typ reflect.Type, at func(*cellPlan) reflect.Value)
-	walk = func(path string, typ reflect.Type, at func(*cellPlan) reflect.Value) {
+	if leaves := walkKey(t, "cell", newPlan, (*cellPlan).key); leaves < 40 {
+		t.Errorf("walked %d fields, the plans have more", leaves)
+	}
+}
+
+// TestDriverPlanIsTheKey is TestPlanIsTheKey for a custom driver's plan,
+// the key of its whole table.
+func TestDriverPlanIsTheKey(t *testing.T) {
+	newPlan := func() *driverPlan { return &driverPlan{} }
+	if leaves := walkKey(t, "driver", newPlan, (*driverPlan).key); leaves != 5 {
+		t.Errorf("walked %d fields, want the plan's 5", leaves)
+	}
+}
+
+// walkKey checks every leaf field of the plan P, at any depth, and
+// returns how many it changed: each must be exported, marshalled, and
+// move key when set alone on a fresh plan.
+func walkKey[P any](t *testing.T, root string, newPlan func() *P, key func(*P) string) (leaves int) {
+	t.Helper()
+	var walk func(path string, typ reflect.Type, at func(*P) reflect.Value)
+	walk = func(path string, typ reflect.Type, at func(*P) reflect.Value) {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			name := path + "." + f.Name
@@ -22,16 +40,16 @@ func TestPlanIsTheKey(t *testing.T) {
 				t.Errorf("%s is not marshalled into the key", name)
 				continue
 			}
-			field := func(p *cellPlan) reflect.Value { return at(p).Field(i) }
+			field := func(p *P) reflect.Value { return at(p).Field(i) }
 			switch f.Type.Kind() {
 			case reflect.Struct:
 				walk(name, f.Type, field)
 				continue
 			case reflect.Pointer:
-				walk(name, f.Type.Elem(), func(p *cellPlan) reflect.Value { return field(p).Elem() })
+				walk(name, f.Type.Elem(), func(p *P) reflect.Value { return field(p).Elem() })
 				continue
 			case reflect.Slice:
-				walk(name+"[0]", f.Type.Elem(), func(p *cellPlan) reflect.Value {
+				walk(name+"[0]", f.Type.Elem(), func(p *P) reflect.Value {
 					if s := field(p); s.Len() == 0 {
 						s.Set(reflect.MakeSlice(f.Type, 1, 1))
 					}
@@ -40,7 +58,7 @@ func TestPlanIsTheKey(t *testing.T) {
 			}
 			p := newPlan()
 			v := field(p)
-			before := p.key()
+			before := key(p)
 			switch f.Type.Kind() {
 			case reflect.String:
 				v.SetString("x")
@@ -60,13 +78,11 @@ func TestPlanIsTheKey(t *testing.T) {
 				t.Fatalf("%s: this test cannot change a %s", name, f.Type)
 			}
 			leaves++
-			if p.key() == before {
-				t.Errorf("changing %s leaves the cell key unchanged", name)
+			if key(p) == before {
+				t.Errorf("changing %s leaves the key unchanged", name)
 			}
 		}
 	}
-	walk("cell", reflect.TypeOf(cellPlan{}), func(p *cellPlan) reflect.Value { return reflect.ValueOf(p).Elem() })
-	if leaves < 40 {
-		t.Errorf("walked %d fields, the plans have more", leaves)
-	}
+	walk(root, reflect.TypeOf(*new(P)), func(p *P) reflect.Value { return reflect.ValueOf(p).Elem() })
+	return leaves
 }

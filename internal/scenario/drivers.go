@@ -97,7 +97,7 @@ func minBytes(min map[string]float64) func(p map[string]float64) error {
 // of sizes 1, 2, 3 units with deadlines 1, 4, 6 on one unit-rate
 // bottleneck, under fair sharing, SJF/EDF, and D3 with arrival order fB,
 // fA, fC.
-func runFluidExample(s *Spec, _ map[string]float64, _ Opts) (*Table, error) {
+func runFluidExample(driverPlan, DriverCtx) (*Table, error) {
 	unit := int64(1_000_000_000 / 8)
 	flows := []workload.Flow{
 		{ID: 1, Size: 1 * unit, Deadline: 1 * sim.Second},
@@ -105,10 +105,7 @@ func runFluidExample(s *Spec, _ map[string]float64, _ Opts) (*Table, error) {
 		{ID: 3, Size: 3 * unit, Deadline: 6 * sim.Second},
 	}
 	bps := int64(1_000_000_000)
-	t := &Table{
-		Name: s.Name, Desc: s.Desc,
-		Cols: []string{"fA", "fB", "fC", "meanFCT", "met"},
-	}
+	t := &Table{Cols: []string{"fA", "fB", "fC", "meanFCT", "met"}}
 	add := func(label string, c fluid.Completion) {
 		met := 0.0
 		for _, f := range flows {
@@ -161,9 +158,9 @@ func queueProbe(tp *topo.Topology, l *netsim.Link, period sim.Duration) *stats.P
 // scenario 1): `flows` ~equal flows start together on one bottleneck; PDQ
 // should serve them sequentially with seamless switching, ~100%
 // bottleneck utilization and a small queue.
-func runConvergenceTrace(s *Spec, p map[string]float64, _ Opts) (*Table, error) {
-	n := int(p["flows"])
-	size := sizeBytes(p, "size_mb")
+func runConvergenceTrace(p driverPlan, rc DriverCtx) (*Table, error) {
+	n := int(p.Params["flows"])
+	size := sizeBytes(p.Params, "size_mb")
 	tp := topo.SingleBottleneck(n, 1)
 	sys := core.Install(tp, core.Full())
 	for i := 0; i < n; i++ {
@@ -173,10 +170,9 @@ func runConvergenceTrace(s *Spec, p map[string]float64, _ Opts) (*Table, error) 
 
 	util := utilProbe(tp, bott, 500*sim.Microsecond)
 	queue := queueProbe(tp, bott, 500*sim.Microsecond)
-	tp.Sim().RunUntil(100 * sim.Millisecond)
+	runEngine(tp.Sim(), RunCtx{Env: rc.Env, Horizon: 100 * sim.Millisecond})
 
-	t := &Table{Name: s.Name, Desc: s.Desc}
-	t.Cols = []string{"value"}
+	t := &Table{Cols: []string{"value"}}
 	var last sim.Time
 	for i, r := range sys.Results() {
 		if r.Done() && r.Finish > last {
@@ -196,14 +192,14 @@ func runConvergenceTrace(s *Spec, p map[string]float64, _ Opts) (*Table, error) 
 // runBurstTrace reproduces the burst-robustness scenario (§5.4 scenario
 // 2): a long-lived flow is preempted at t=10 ms by `shorts` short flows;
 // PDQ should absorb the burst at high utilization with a small queue.
-func runBurstTrace(s *Spec, p map[string]float64, o Opts) (*Table, error) {
-	nShort := int(p["shorts"])
+func runBurstTrace(p driverPlan, rc DriverCtx) (*Table, error) {
+	nShort := int(p.Params["shorts"])
 	tp := topo.SingleBottleneck(nShort+1, 1)
 	recv := nShort + 1
 	sys := core.Install(tp, core.Full())
-	sys.Start(workload.Flow{ID: 100000, Src: 0, Dst: recv, Size: sizeBytes(p, "long_mb")}) // long-lived
-	short := sizeBytes(p, "short_kb")
-	g := workload.NewGen(o.seed(), workload.Uniform{Lo: short - 1<<10, Hi: short + 1<<10}, 0)
+	sys.Start(workload.Flow{ID: 100000, Src: 0, Dst: recv, Size: sizeBytes(p.Params, "long_mb")}) // long-lived
+	short := sizeBytes(p.Params, "short_kb")
+	g := workload.NewGen(p.Seed, workload.Uniform{Lo: short - 1<<10, Hi: short + 1<<10}, 0)
 	for i := 0; i < nShort; i++ {
 		f := g.Flow(1+i, recv, 10*sim.Millisecond)
 		sys.Start(f)
@@ -211,7 +207,7 @@ func runBurstTrace(s *Spec, p map[string]float64, o Opts) (*Table, error) {
 	bott := tp.Hosts[recv].Access.Peer
 	util := utilProbe(tp, bott, 500*sim.Microsecond)
 	queue := queueProbe(tp, bott, 200*sim.Microsecond)
-	tp.Sim().RunUntil(400 * sim.Millisecond)
+	runEngine(tp.Sim(), RunCtx{Env: rc.Env, Horizon: 400 * sim.Millisecond})
 
 	rs := sys.Results()
 	var lastShort sim.Time
@@ -225,8 +221,7 @@ func runBurstTrace(s *Spec, p map[string]float64, o Opts) (*Table, error) {
 		}
 	}
 	preemptEnd := lastShort
-	t := &Table{Name: s.Name, Desc: s.Desc}
-	t.Cols = []string{"value"}
+	t := &Table{Cols: []string{"value"}}
 	t.Rows = append(t.Rows,
 		Row{Label: "shorts completed", Vals: []float64{float64(shortsDone)}},
 		Row{Label: "shorts done by [ms]", Vals: []float64{lastShort.Millis()}},
@@ -241,16 +236,17 @@ func runBurstTrace(s *Spec, p map[string]float64, o Opts) (*Table, error) {
 // runFCTRatioCDF reproduces Fig. 8e: the per-flow CDF of RCP FCT / PDQ
 // FCT at ~k³/4 servers (flow-level, random permutation). Each replicate
 // is one paired PDQ/RCP run over the same flow set; the pairs fan out
-// over Gather and Opts.Trials is honored by summarizing the
+// over Gather and the plan's Trials is honored by summarizing the
 // per-replicate CDF statistics.
-func runFCTRatioCDF(s *Spec, p map[string]float64, o Opts) (*Table, error) {
-	k := int(p["k"])
-	flowsPer := int(p["flows_per"])
+func runFCTRatioCDF(p driverPlan, rc DriverCtx) (*Table, error) {
+	k := int(p.Params["k"])
+	flowsPer := int(p.Params["flows_per"])
 	hosts := k * k * k / 4
-	kTrials := o.trials()
+	kTrials := p.Trials
 	fns := make([]func() []workload.Result, 0, 2*kTrials)
+	run := RunCtx{Env: rc.Env, Horizon: 20 * sim.Second}
 	for r := 0; r < kTrials; r++ {
-		seed := o.seed() + int64(r)*TrialSeedStride
+		seed := p.Seed + int64(r)*TrialSeedStride
 		g := workload.NewGen(seed, workload.UniformMean(100<<10), 0)
 		flows := g.Batch(flowsPer*hosts, workload.Permutation{}, hosts, nil, 0)
 		build := func() *topo.Topology { return topo.FatTree(k, seed) }
@@ -263,10 +259,10 @@ func runFCTRatioCDF(s *Spec, p map[string]float64, o Opts) (*Table, error) {
 			return nil, err
 		}
 		fns = append(fns,
-			func() []workload.Result { return pdqRun(build, flows, RunCtx{Horizon: 20 * sim.Second}) },
-			func() []workload.Result { return rcpRun(build, flows, RunCtx{Horizon: 20 * sim.Second}) })
+			func() []workload.Result { return pdqRun(build, flows, run) },
+			func() []workload.Result { return rcpRun(build, flows, run) })
 	}
-	runs := Gather(o.workers(), fns)
+	runs := Gather(rc.Workers, fns)
 	labels := []string{
 		"flows",
 		"% with ratio >= 2 (PDQ 2x faster)",
@@ -312,13 +308,13 @@ func runFCTRatioCDF(s *Spec, p map[string]float64, o Opts) (*Table, error) {
 			worstInflation,
 		}
 	}
-	t := &Table{Name: s.Name, Desc: s.Desc, Cols: []string{"value"}}
+	t := &Table{Cols: []string{"value"}}
 	for i, label := range labels {
 		xs := make([]float64, kTrials)
 		for rep := range summaries {
 			xs[rep] = summaries[rep][i]
 		}
-		t.Rows = append(t.Rows, statRow(label, []Stat{summarize(xs)}, o))
+		t.Rows = append(t.Rows, statRow(label, []Stat{summarize(xs)}, kTrials))
 	}
 	return t, nil
 }

@@ -127,6 +127,15 @@ func (c SearchCell) observe(run *ProbeRun) func() {
 	return func() { c.e.inspect = nil }
 }
 
+// DriverKey is the cache key of a custom-driver spec's table under o.
+func DriverKey(s *Spec, o Opts) (string, error) {
+	_, p, err := planDriver(s, o)
+	if err != nil {
+		return "", err
+	}
+	return p.key(), nil
+}
+
 // CellKeys compiles a grid spec and lists the cache key of every cell the
 // sweep would evaluate at o's base seed, in row-major order.
 func CellKeys(s *Spec, o Opts) ([]string, error) {

@@ -34,15 +34,17 @@ type Opts struct {
 
 	// Cache, when non-nil, memoizes grid-cell results content-addressed
 	// by their resolved spec material, seed and engine version salt, so
-	// re-running a sweep only recomputes cells whose inputs changed.
-	// Custom drivers (non-grid scenarios) always recompute.
+	// re-running a sweep only recomputes cells whose inputs changed. A
+	// custom driver's whole table is memoized the same way, under its
+	// plan: the resolved parameters, seed and trial count.
 	Cache *trace.Cache
 
 	// MaxEvents bounds each simulated cell's event count (packet engine
-	// only — the fluid simulator is horizon-bounded by construction). A
-	// cell exceeding it fails with a diagnostic instead of running away;
-	// the budget is deterministic, so a tripping cell trips identically at
-	// any worker count. 0 = unlimited.
+	// only — the fluid simulator is horizon-bounded by construction), and
+	// each engine a custom driver runs the same way. A cell exceeding it
+	// fails with a diagnostic instead of running away; the budget is
+	// deterministic, so a tripping cell trips identically at any worker
+	// count. 0 = unlimited.
 	MaxEvents uint64
 
 	// Watchdog, when non-nil, arms a wall-clock limit around each

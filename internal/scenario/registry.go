@@ -57,13 +57,14 @@ type RunCtx struct {
 // it to each runner inside RunCtx. None of it may shape a result.
 type Env struct {
 	// MaxEvents and Watchdog are the runaway-cell guards (Opts fields of
-	// the same names); packet-level runners arm them around RunUntil.
+	// the same names); every packet engine, a packet-level runner's or a
+	// custom driver's, runs under them (runEngine).
 	MaxEvents uint64
 	Watchdog  func(interrupt func()) (stop func())
 
 	// Obs, when non-nil, is the shared runtime aggregate (DESIGN.md §13):
-	// packet-level runners attach a per-engine instrument block and merge
-	// it into the aggregate when the cell finishes.
+	// runEngine attaches a per-engine instrument block and merges it into
+	// the aggregate when the run finishes.
 	Obs *obsv.Runtime
 }
 
@@ -121,8 +122,19 @@ type AnalyticEntry struct {
 }
 
 // DriverFunc is a registered custom scenario: trace/dynamics shapes that
-// are not protocol×axis grids. p is the spec's (quick-resolved) Params.
-type DriverFunc func(s *Spec, p map[string]float64, o Opts) (*Table, error)
+// are not protocol×axis grids. Its table's columns and rows (Run stamps
+// the spec's name and description) must be a pure function of p, the
+// table's cache key (DESIGN.md §8); rc carries only what must not shape
+// them.
+type DriverFunc func(p driverPlan, rc DriverCtx) (*Table, error)
+
+// DriverCtx is what a driver gets beside its plan: the scenario's Env,
+// which every engine the driver runs receives (runEngine), and the worker
+// count for its independent runs (Gather).
+type DriverCtx struct {
+	Env
+	Workers int
+}
 
 // DriverEntry is a registered custom scenario driver.
 type DriverEntry struct {

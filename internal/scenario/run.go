@@ -1,14 +1,17 @@
 // Execution: Run compiles a Spec (compile.go) into a protocol ×
-// sweep-point cell grid and evaluates it on the parallel sweep executor.
-// With Opts.Cache set, cell scalars are memoized under their plans' keys
-// and a rerun recomputes only the cells whose plan changed (DESIGN.md §8).
+// sweep-point cell grid and evaluates it on the parallel sweep executor,
+// or runs its custom driver as one cell. With Opts.Cache set, cell
+// scalars and driver tables are memoized under their plans' keys and a
+// rerun recomputes only what a changed plan addresses (DESIGN.md §8).
 
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
+	"pdq/internal/sim"
 	"pdq/internal/stats"
 	"pdq/internal/topo"
 	"pdq/internal/trace"
@@ -34,20 +37,67 @@ func Run(s *Spec, o Opts) (*Table, error) {
 	return eng.run(o), nil
 }
 
-// runDriver runs a custom-driver spec. A driver has no cells to fail
-// into, so its panic (a parameter value its simulation cannot take)
-// becomes the scenario's error.
-func runDriver(s *Spec, o Opts) (t *Table, err error) {
-	e, p, err := drivers.Resolve(s.Driver, overlay(s.Params, s.QuickParams, o.Quick))
+// runDriver runs a custom-driver spec as one cell: its plan keys the
+// whole table in the cell cache (DESIGN.md §8), and it reports to
+// Opts.Progress like a grid cell does.
+func runDriver(s *Spec, o Opts) (*Table, error) {
+	e, plan, err := planDriver(s, o)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
+	cache := o.Cache
+	if o.Trace != nil {
+		cache = nil // as in the grid (compile)
+	}
+	o.Progress.AddTotal(1)
+	start := o.Progress.CellStart()
+	failed := true
+	defer func() { o.Progress.CellEnd(start, failed) }()
+
+	var t *Table
+	var key string
+	if cache != nil {
+		key = plan.key()
+		if ct, ok := cache.GetTable(key); ok {
+			o.Progress.CacheHit()
+			t = tableFromCache(ct)
+		}
+	}
+	if t == nil {
+		if t, err = plan.call(e.Fn, DriverCtx{Env: o.env(), Workers: o.workers()}); err != nil {
+			return nil, fmt.Errorf("scenario %s: driver %s: %w", s.Name, s.Driver, err)
+		}
+		if cache != nil && !t.Partial() {
+			cache.PutTable(key, t.cached())
+		}
+	}
+	failed = t.Partial()
+	t.Name, t.Desc = s.Name, s.Desc
+	return t, nil
+}
+
+// planDriver resolves a custom-driver spec's entry and plan under o.
+func planDriver(s *Spec, o Opts) (DriverEntry, driverPlan, error) {
+	e, p, err := drivers.Resolve(s.Driver, overlay(s.Params, s.QuickParams, o.Quick))
+	return e, driverPlan{Salt: driverSalt, Driver: s.Driver, Params: p, Seed: o.BaseSeed(), Trials: o.trials()}, err
+}
+
+// call runs the driver. A run guard tripping in one of its engines
+// (Opts.MaxEvents, the watchdog) fails the driver's one cell: the table
+// holds that error and no rows. A driver has no other cells to fail into,
+// so any other panic (a parameter value its simulation cannot take) is
+// the error returned.
+func (p driverPlan) call(fn DriverFunc, rc DriverCtx) (t *Table, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			t, err = nil, fmt.Errorf("scenario %s: driver %s: %s", s.Name, s.Driver, panicMsg(r))
+		switch r := recover().(type) {
+		case nil:
+		case sim.EventLimitError, sim.InterruptError:
+			t, err = &Table{Errors: []CellError{{Row: p.Driver, Col: "*", Seed: p.Seed, Msg: panicMsg(r)}}}, nil
+		default:
+			t, err = nil, errors.New(panicMsg(r))
 		}
 	}()
-	return e.Fn(s, p, o)
+	return fn(p, rc)
 }
 
 // MustRun is Run for specs authored in Go, where an invalid spec is a

@@ -134,7 +134,7 @@ func armVerdict(c *workload.Collector, decided func(workload.Tally) bool, halt f
 // runaway-cell guards armed: the deterministic event budget and, when the
 // command layer injected one, the wall-clock watchdog. Both trip by
 // panicking; the sweep executor recovers the panic into NaN plus a
-// diagnostic.
+// diagnostic, and runDriver into the driver cell's.
 func runEngine(s *sim.Sim, rc RunCtx) {
 	if rc.MaxEvents > 0 {
 		s.SetMaxEvents(rc.MaxEvents)

@@ -23,7 +23,7 @@ func minimalSpec() *Spec {
 func init() {
 	RegisterDriver(DriverEntry{
 		Name: "test-panics",
-		Fn:   func(*Spec, map[string]float64, Opts) (*Table, error) { panic(errors.New("boom")) },
+		Fn:   func(driverPlan, DriverCtx) (*Table, error) { panic(errors.New("boom")) },
 	})
 }
 

@@ -36,7 +36,9 @@ const TrialSeedStride = 1 << 16
 // Gather evaluates fns concurrently on up to `workers` goroutines
 // (0 means GOMAXPROCS) and returns their results in input order. It is
 // the executor's primitive; scenarios whose cells produce non-scalar
-// results (e.g. paired per-flow result sets) use it directly.
+// results (e.g. paired per-flow result sets) use it directly. A panic in
+// any fn is raised again on the caller's goroutine once every fn has
+// returned — the lowest-indexed one's, as a serial run would raise.
 func Gather[T any](workers int, fns []func() T) []T {
 	out := make([]T, len(fns))
 	if workers <= 0 {
@@ -53,12 +55,26 @@ func Gather[T any](workers int, fns []func() T) []T {
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	first, firstPanic := len(fns), any(nil)
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if i < first {
+					first, firstPanic = i, r
+				}
+				mu.Unlock()
+			}
+		}()
+		out[i] = fns[i]()
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = fns[i]()
+				run(i)
 			}
 		}()
 	}
@@ -67,6 +83,9 @@ func Gather[T any](workers int, fns []func() T) []T {
 	}
 	close(idx)
 	wg.Wait()
+	if first < len(fns) {
+		panic(firstPanic)
+	}
 	return out
 }
 
@@ -189,11 +208,11 @@ func runGrid(o Opts, nRows, nCols int, cell func(row, col int, seed int64) float
 
 // statRow converts one row's per-point stats into a table row, attaching
 // stderr columns when the sweep ran multiple trials.
-func statRow(label string, st []Stat, o Opts) Row {
+func statRow(label string, st []Stat, trials int) Row {
 	row := Row{Label: label}
 	for _, s := range st {
 		row.Vals = append(row.Vals, s.Mean)
-		if o.trials() > 1 {
+		if trials > 1 {
 			row.Errs = append(row.Errs, s.Stderr)
 		}
 	}

@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"strings"
+
+	"pdq/internal/trace"
 )
 
 // Row is one data row of a result table.
@@ -40,6 +42,31 @@ type Table struct {
 
 // Partial reports whether any cell failed.
 func (t *Table) Partial() bool { return len(t.Errors) > 0 }
+
+// cached is the table's columns and rows as the cell cache stores a
+// driver's table.
+func (t *Table) cached() trace.CachedTable {
+	ct := trace.CachedTable{Cols: t.Cols}
+	if t.Rows != nil {
+		ct.Rows = make([]trace.CachedRow, len(t.Rows))
+	}
+	for i, r := range t.Rows {
+		ct.Rows[i] = trace.CachedRow(r)
+	}
+	return ct
+}
+
+// tableFromCache is the inverse of Table.cached.
+func tableFromCache(ct trace.CachedTable) *Table {
+	t := &Table{Cols: ct.Cols}
+	if ct.Rows != nil {
+		t.Rows = make([]Row, len(ct.Rows))
+	}
+	for i, r := range ct.Rows {
+		t.Rows[i] = Row(r)
+	}
+	return t
+}
 
 // Get returns the value at (rowLabel, col), panicking if absent — the
 // shape tests use it. It stops at the first matching column and panics on
