@@ -25,10 +25,13 @@
 //
 // -trace writes one JSON line per completed/terminated flow (id, size,
 // class, FCT, deadline outcome, bytes acked, retransmits, preemptions),
-// tagged by scenario/row/column/seed. -probe writes a CSV time series of
-// every link's queue depth and utilization plus the active-flow count,
-// sampled each -probe-stride-us. Both capture the grid scenarios; custom
-// drivers (fig1/6/7/8e) keep their own trace rows.
+// tagged by scenario/row/column/seed/run. Records are cut from each
+// finished run in completion order; a run keeps its newest 65 536 and
+// the log counts any dropped. -probe writes a CSV time series of every
+// link's queue depth and utilization plus the active-flow count, sampled
+// each -probe-stride-us (at least 0.001, else exit 2). -fault-log writes
+// the injected fault transitions. All three capture the grid scenarios;
+// custom drivers (fig1/6/7/8e) report their own rows.
 //
 // -cache (or -cache-dir) memoizes grid-cell results, and each custom
 // driver's whole table, content-addressed by their resolved spec
@@ -116,6 +119,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pdqsim: %v\n", err)
 		os.Exit(2)
 	}
+	tr := trace.New(*traceOut != "", *probeOut != "")
+	if err := tr.SetStrideMicros(*probeStride); err != nil {
+		fmt.Fprintf(os.Stderr, "pdqsim: -probe-stride-us: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *listTopo || *listPat || *listPro || *listMet || *listQd {
 		// Every listing iterates a sorted registry (and params marshal
@@ -163,10 +171,7 @@ func main() {
 		}
 	}
 
-	var tr *trace.Trace
 	if *traceOut != "" || *probeOut != "" || *faultOut != "" {
-		tr = trace.New(*traceOut != "", *probeOut != "")
-		tr.SetStrideMicros(*probeStride)
 		opts.Trace = tr
 	}
 	var cache *trace.Cache
@@ -182,7 +187,7 @@ func main() {
 		if cache, err = trace.NewCache(dir); err != nil {
 			fail(logger, err)
 		}
-		if tr != nil {
+		if opts.Trace != nil {
 			logger.Warn("tracing bypasses the sweep cache (hits would skip the runs that emit records)")
 		}
 		opts.Cache = cache
@@ -203,7 +208,7 @@ func main() {
 			fail(logger, err)
 		}
 		emit(logger, []*scenario.Table{table}, *jsonOut, spec.Name, start)
-		writeTelemetry(logger, tr, *traceOut, *probeOut, *faultOut)
+		writeTelemetry(logger, opts.Trace, *traceOut, *probeOut, *faultOut)
 		reportCache(logger, cache)
 		finishObs()
 		exitPartial(logger, []*scenario.Table{table})
@@ -241,7 +246,7 @@ func main() {
 	if *jsonOut {
 		writeJSON(logger, tables)
 	}
-	writeTelemetry(logger, tr, *traceOut, *probeOut, *faultOut)
+	writeTelemetry(logger, opts.Trace, *traceOut, *probeOut, *faultOut)
 	reportCache(logger, cache)
 	finishObs()
 	exitPartial(logger, tables)
@@ -286,21 +291,18 @@ func writeTelemetry(log *slog.Logger, tr *trace.Trace, traceOut, probeOut, fault
 		}
 		log.Info("wrote telemetry", "kind", what, "records", n, "path", path)
 	}
-	flows, samples, faults := 0, 0, 0
-	var dropped uint64
+	flows, dropped, samples, faults := 0, 0, 0, 0
 	for _, ct := range tr.Cells() {
-		if ct.Flows != nil {
-			flows += ct.Flows.Len()
-			dropped += ct.Flows.Dropped()
-		}
+		flows += len(ct.Flows)
+		dropped += ct.Dropped
 		for _, s := range ct.Probes {
 			samples += len(s.Vals)
 		}
 		faults += len(ct.Faults)
 	}
 	if dropped > 0 {
-		log.Warn("flow records overwritten by ring wraparound (oldest-first); raise the per-cell ring capacity or trace a smaller run",
-			"dropped", dropped)
+		log.Warn("flow records past the per-cell limit dropped, oldest first; trace a smaller run to keep them all",
+			"dropped", dropped, "limit", trace.MaxFlowRecords)
 	}
 	write(traceOut, tr.WriteFlows, "flow records", flows)
 	write(probeOut, tr.WriteProbes, "probe samples", samples)

@@ -2,13 +2,61 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"log/slog"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"pdq/internal/trace"
 )
+
+// TestMain runs the command itself when a test re-executes the test
+// binary with PDQSIM_MAIN=1, so exit codes and stderr are checked as a
+// user sees them.
+func TestMain(m *testing.M) {
+	if os.Getenv("PDQSIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// pdqsim runs the command with args and returns its stderr and exit code.
+func pdqsim(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "PDQSIM_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return stderr.String(), 0
+	case errors.As(err, &exit):
+		return stderr.String(), exit.ExitCode()
+	}
+	t.Fatal(err)
+	return "", 0
+}
+
+// TestProbeStrideRejected pins that a -probe-stride-us under the engine's
+// 1 ns tick, or not a number, is a usage error on one line rather than a
+// silent fall back to the default stride.
+func TestProbeStrideRejected(t *testing.T) {
+	for _, v := range []string{"0", "-7", "NaN", "0.0009", "Inf"} {
+		stderr, code := pdqsim(t, "-probe-stride-us", v, "-probe", os.DevNull, "-list")
+		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "-probe-stride-us") {
+			t.Errorf("-probe-stride-us %s: exit %d, stderr %q; want exit 2 and one line naming the flag", v, code, stderr)
+		}
+	}
+	if stderr, code := pdqsim(t, "-probe-stride-us", "0.001", "-list"); code != 0 {
+		t.Errorf("-probe-stride-us 0.001: exit %d, stderr %q; want exit 0", code, stderr)
+	}
+}
 
 // goldenLogger is the production text handler with the volatile time
 // attribute stripped and a fixed run ID, so log output can be compared

@@ -165,80 +165,99 @@ type PathUpdater interface {
 	OnLinkState(l *netsim.Link, down bool)
 }
 
-// Apply resolves the schedule against a built topology and installs its
-// events into the simulation. It must be called after the protocol system
-// is installed and before any flow starts, always in the same code
-// position, so the events' sequence numbers are a pure function of the
-// schedule — that is the whole determinism argument. sys is the protocol
-// system; if it implements PathUpdater it is notified of link transitions
-// so it can fail over active flows. Transitions are recorded into ct
-// (nil-safe) for the trace plane.
+// Target is what a simulator supplies for a schedule to act on it: the
+// walk in Walk resolves targets, toggles links and records transitions
+// the same way for both simulators.
+type Target struct {
+	// At schedules action at virtual instant at.
+	At func(at sim.Time, action func())
+	// Crash wipes the soft state a crash of sw loses; links are the links
+	// around sw.
+	Crash func(sw *netsim.Switch, links []*netsim.Link)
+	// Link is told of each link transition, after the link changed state.
+	Link func(l *netsim.Link, down bool)
+}
+
+// Apply installs the schedule into a packet-level run on t as engine
+// events. It must be called after the protocol system is installed and
+// before any flow starts, always in the same code position, so the events'
+// sequence numbers are a pure function of the schedule — that is the whole
+// determinism argument. A crash resets the per-link soft state of a switch
+// logic that is a SoftStateResetter; sys, the protocol system, hears of
+// link transitions when it is a PathUpdater, so it can fail over active
+// flows. Transitions are recorded into ct (nil-safe) for the trace plane.
 func (s *Schedule) Apply(t *topo.Topology, sys any, ct *trace.CellTrace) {
 	if s.Empty() {
 		return
 	}
 	pu, _ := sys.(PathUpdater)
 	sm := t.Sim()
+	s.Walk(t, Target{
+		At: func(at sim.Time, action func()) { sm.At(at, action) },
+		// The crash wipes soft state on every link the switch schedules
+		// (its outgoing directions — both data and acknowledgment
+		// processing key state there).
+		Crash: func(sw *netsim.Switch, links []*netsim.Link) {
+			if r, ok := sw.Logic.(SoftStateResetter); ok {
+				for _, l := range links {
+					r.ResetLinkState(l)
+				}
+			}
+		},
+		Link: func(l *netsim.Link, down bool) {
+			if pu != nil {
+				pu.OnLinkState(l, down)
+			}
+		},
+	}, ct)
+}
+
+// Walk resolves the schedule against a built topology and schedules its
+// actions through tg, in event order: a link-down window toggles the
+// host's access link at each end; a switch crash resets through tg.Crash
+// and, with a restart window, takes every link around the switch down
+// until it returns; Gilbert-Elliott loss is installed on the access link
+// for the whole run. Each transition is recorded into ct, then told to
+// tg.Link.
+func (s *Schedule) Walk(t *topo.Topology, tg Target, ct *trace.CellTrace) {
+	if s.Empty() {
+		return
+	}
+	toggle := func(links []*netsim.Link, down bool, rec trace.FaultRecord) {
+		for _, l := range links {
+			l.SetDuplexDown(down)
+		}
+		ct.RecordFault(rec)
+		for _, l := range links {
+			tg.Link(l, down)
+		}
+	}
 	for _, ev := range s.Events {
+		kind := ev.Kind.String()
 		switch ev.Kind {
 		case LinkDown:
 			h := HostIndex(ev.Host, len(t.Hosts))
-			link := t.Hosts[h].Access
+			links := []*netsim.Link{t.Hosts[h].Access}
 			target := fmt.Sprintf("host%d", h)
-			kind := ev.Kind.String()
 			down, up := ev.Down, ev.Up
-			sm.At(down, func() {
-				link.SetDuplexDown(true)
-				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: down, Down: true})
-				if pu != nil {
-					pu.OnLinkState(link, true)
-				}
-			})
-			sm.At(up, func() {
-				link.SetDuplexDown(false)
-				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: up, Down: false})
-				if pu != nil {
-					pu.OnLinkState(link, false)
-				}
-			})
+			tg.At(down, func() { toggle(links, true, trace.FaultRecord{Kind: kind, Target: target, At: down, Down: true}) })
+			tg.At(up, func() { toggle(links, false, trace.FaultRecord{Kind: kind, Target: target, At: up, Down: false}) })
 		case SwitchCrash:
 			sw := t.Switches[ev.Switch]
 			links := t.Adjacent(sw.ID())
 			target := fmt.Sprintf("switch%d", ev.Switch)
-			kind := ev.Kind.String()
 			at, restart := ev.At, ev.Restart
-			sm.At(at, func() {
-				// The crash wipes soft state on every link the switch
-				// schedules (its outgoing directions — both data and
-				// acknowledgment processing key state there).
-				if r, ok := sw.Logic.(SoftStateResetter); ok {
-					for _, l := range links {
-						r.ResetLinkState(l)
-					}
-				}
-				ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: at, Down: true})
-				if restart > 0 {
-					for _, l := range links {
-						l.SetDuplexDown(true)
-					}
-					if pu != nil {
-						for _, l := range links {
-							pu.OnLinkState(l, true)
-						}
-					}
-				}
+			var outage []*netsim.Link // none when the crash only wipes state
+			if restart > 0 {
+				outage = links
+			}
+			tg.At(at, func() {
+				tg.Crash(sw, links)
+				toggle(outage, true, trace.FaultRecord{Kind: kind, Target: target, At: at, Down: true})
 			})
 			if restart > 0 {
-				sm.At(at+restart, func() {
-					for _, l := range links {
-						l.SetDuplexDown(false)
-					}
-					ct.RecordFault(trace.FaultRecord{Kind: kind, Target: target, At: at + restart, Down: false})
-					if pu != nil {
-						for _, l := range links {
-							pu.OnLinkState(l, false)
-						}
-					}
+				tg.At(at+restart, func() {
+					toggle(outage, false, trace.FaultRecord{Kind: kind, Target: target, At: at + restart, Down: false})
 				})
 			}
 		case GilbertLoss:

@@ -57,6 +57,7 @@ func TestEmpty(t *testing.T) {
 		t.Error("non-empty schedule reported empty")
 	}
 	nilSched.Apply(nil, nil, nil) // must be a no-op, not a nil deref
+	nilSched.Walk(nil, Target{}, nil)
 }
 
 func TestKindString(t *testing.T) {

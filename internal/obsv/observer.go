@@ -7,29 +7,26 @@ import (
 )
 
 // Observer is the root of the observability plane for one process: the
-// Runtime aggregate, the per-run SweepStats instances, and the metric
-// registry that the export surfaces (Prometheus text, JSON snapshot,
-// /runs) read from. cmd/pdqsim builds one with the wall clock; tests
-// build them with fakes. A nil *Observer is valid everywhere and means
-// "observability off".
+// Runtime aggregate and the per-run SweepStats instances that the export
+// surfaces (Prometheus text, JSON snapshot, /runs) read from. cmd/pdqsim
+// builds one with the wall clock; tests build them with fakes. A nil
+// *Observer is valid everywhere and means "observability off".
 type Observer struct {
 	Clock   Clock // nil disables every timing-derived metric
 	Runtime *Runtime
 
 	mu    sync.Mutex
 	runs  []*SweepStats
-	reg   *Registry
 	start int64 // clock() at New, for uptime
 }
 
-// New creates an Observer with the standard metric set registered.
-// clock may be nil (counters only — no rates, durations or ETA).
+// New creates an Observer. clock may be nil (counters only — no rates,
+// durations or ETA).
 func New(clock Clock) *Observer {
-	o := &Observer{Clock: clock, Runtime: &Runtime{}, reg: NewRegistry()}
+	o := &Observer{Clock: clock, Runtime: &Runtime{}}
 	if clock != nil {
 		o.start = clock()
 	}
-	o.registerStandard()
 	return o
 }
 
@@ -52,15 +49,19 @@ func (o *Observer) Runs() []SweepSnapshot {
 	if o == nil {
 		return nil
 	}
-	o.mu.Lock()
-	runs := make([]*SweepStats, len(o.runs))
-	copy(runs, o.runs)
-	o.mu.Unlock()
+	runs := o.sweeps()
 	out := make([]SweepSnapshot, len(runs))
 	for i, r := range runs {
 		out[i] = r.Snapshot()
 	}
 	return out
+}
+
+// sweeps returns the registered sweep runs, in start order.
+func (o *Observer) sweeps() []*SweepStats {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]*SweepStats(nil), o.runs...)
 }
 
 // UptimeSeconds reports wall seconds since New; 0 with a nil clock.
@@ -94,86 +95,4 @@ func (o *Observer) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// WriteProm writes every registered metric in the Prometheus text
-// exposition format.
-func (o *Observer) WriteProm(w io.Writer) error {
-	if o == nil {
-		return nil
-	}
-	return o.reg.WriteProm(w)
-}
-
-// Registry exposes the metric registry, for callers that register
-// additional metrics (none in-tree yet; the service layer in ROADMAP
-// item 4 will).
-func (o *Observer) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.reg
-}
-
-// registerStandard registers the built-in metric set against this
-// observer's Runtime and run list. Collect callbacks read atomics (or
-// take the run lock), so they are safe against live simulation.
-func (o *Observer) registerStandard() {
-	r := o.reg
-	rt := o.Runtime
-	counter := func(name, help string, v func(RuntimeSnapshot) uint64) {
-		r.Register(Metric{Name: name, Help: help, Type: TypeCounter, Collect: func(w *promWriter) {
-			w.Value(name, nil, float64(v(rt.Snapshot())))
-		}})
-	}
-	counter("pdq_engine_events_scheduled_total", "Events scheduled across all engines.",
-		func(s RuntimeSnapshot) uint64 { return s.Scheduled })
-	counter("pdq_engine_events_fired_total", "Events fired across all engines.",
-		func(s RuntimeSnapshot) uint64 { return s.Fired })
-	counter("pdq_engine_events_cancelled_total", "Events cancelled before firing.",
-		func(s RuntimeSnapshot) uint64 { return s.Cancelled })
-	counter("pdq_engine_events_refilled_total", "Schedules that replaced the firing event at the heap root instead of paying a pop and a push.",
-		func(s RuntimeSnapshot) uint64 { return s.Refilled })
-	r.Register(Metric{Name: "pdq_engine_queue_highwater", Help: "High-water mark of pending events in any engine: about busy links plus armed timers.", Type: TypeGauge, Collect: func(w *promWriter) {
-		w.Value("pdq_engine_queue_highwater", nil, float64(rt.Snapshot().QueueHWM))
-	}})
-
-	sweepCounter := func(name, help string, v func(SweepSnapshot) float64) {
-		r.Register(Metric{Name: name, Help: help, Type: TypeCounter, Collect: func(w *promWriter) {
-			for _, run := range o.Runs() {
-				w.Value(name, []Label{{"run", run.Name}}, v(run))
-			}
-		}})
-	}
-	sweepCounter("pdq_sweep_cells_total", "Cells announced for the sweep.",
-		func(s SweepSnapshot) float64 { return float64(s.Total) })
-	sweepCounter("pdq_sweep_cells_done_total", "Cells finished successfully (includes cached).",
-		func(s SweepSnapshot) float64 { return float64(s.Done) })
-	sweepCounter("pdq_sweep_cells_failed_total", "Cells finished with an error or panic.",
-		func(s SweepSnapshot) float64 { return float64(s.Failed) })
-	sweepCounter("pdq_sweep_cells_cached_total", "Cells served from the result cache.",
-		func(s SweepSnapshot) float64 { return float64(s.Cached) })
-	sweepCounter("pdq_sweep_probes_total", "Search-probe simulations run (max-flows/max-rate cells).",
-		func(s SweepSnapshot) float64 { return float64(s.Probes) })
-	sweepCounter("pdq_sweep_probes_decided_total", "Search probes stopped at their verdict, short of the horizon.",
-		func(s SweepSnapshot) float64 { return float64(s.Decided) })
-	r.Register(Metric{Name: "pdq_sweep_cells_running", Help: "Cells currently executing.", Type: TypeGauge, Collect: func(w *promWriter) {
-		for _, run := range o.Runs() {
-			w.Value("pdq_sweep_cells_running", []Label{{"run", run.Name}}, float64(run.Running))
-		}
-	}})
-	r.Register(Metric{Name: "pdq_sweep_cell_seconds", Help: "Per-cell wall time.", Type: TypeHistogram, Collect: func(w *promWriter) {
-		o.mu.Lock()
-		runs := make([]*SweepStats, len(o.runs))
-		copy(runs, o.runs)
-		o.mu.Unlock()
-		for _, run := range runs {
-			run.CellSeconds(func(h *Histogram) {
-				w.Histogram("pdq_sweep_cell_seconds", []Label{{"run", run.Name}}, h)
-			})
-		}
-	}})
-	r.Register(Metric{Name: "pdq_uptime_seconds", Help: "Wall seconds since the observer was created.", Type: TypeGauge, Collect: func(w *promWriter) {
-		w.Value("pdq_uptime_seconds", nil, o.UptimeSeconds())
-	}})
 }

@@ -1,10 +1,10 @@
 // Package obsv is the simulator's run-time observability plane
-// (DESIGN.md §13): a metrics registry over zero-alloc hot-path
-// instruments (counters, gauges, high-water marks, fixed-bucket
-// histograms), the aggregation pipeline that carries engine and sweep
-// metrics to the export surfaces, and those surfaces themselves —
-// the live progress line, the Prometheus /metrics endpoint, the /runs
-// JSON feed and the end-of-run snapshot file.
+// (DESIGN.md §13): zero-alloc hot-path instruments (counters, high-water
+// marks, fixed-bucket histograms), the aggregation pipeline that carries
+// engine and sweep metrics to the export surfaces, and those surfaces
+// themselves — the live progress line, the Prometheus /metrics endpoint
+// with its fixed metric families, the /runs JSON feed and the end-of-run
+// snapshot file.
 //
 // The design constraint is determinism (DESIGN.md §1): nothing in this
 // package may influence a simulation's event order, and nothing outside
@@ -59,15 +59,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is a plain single-writer instantaneous value.
-type Gauge struct{ v int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v }
 
 // HighWater is a plain single-writer maximum tracker.
 type HighWater struct{ v int64 }

@@ -28,13 +28,6 @@ func TestInstruments(t *testing.T) {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
 
-	var g Gauge
-	g.Set(7)
-	g.Set(-2)
-	if g.Value() != -2 {
-		t.Errorf("gauge = %d, want -2", g.Value())
-	}
-
 	var hw HighWater
 	hw.Observe(3)
 	hw.Observe(9)
@@ -179,72 +172,141 @@ func TestNilObserverAndStats(t *testing.T) {
 	}
 }
 
+// TestPromExposition pins the full /metrics bytes: every family's HELP and
+// TYPE lines, the family order, the per-run label sets in start order, the
+// histogram block and the number formatting. The clock only moves when the
+// test moves it, so no value depends on how often the writer reads it.
 func TestPromExposition(t *testing.T) {
-	clk := &fakeClock{step: 1e9}
+	clk := &fakeClock{now: 1e9}
 	o := New(clk.Clock)
 	o.Runtime.MergeEngine(func() *EngineStats {
 		st := &EngineStats{}
 		st.Scheduled.Add(100)
 		st.Fired.Add(90)
+		st.Cancelled.Add(3)
 		st.Refilled.Add(70)
 		st.QueueHWM.Observe(12)
 		return st
 	}())
 	s := o.StartRun("fig3a")
-	s.AddTotal(2)
-	s.CellEnd(s.CellStart(), false)
-	s.CellEnd(s.CellStart(), true)
+	s.AddTotal(3)
+	start := s.CellStart()
+	clk.now += 4e6
+	s.CellEnd(start, false)
+	start = s.CellStart()
+	clk.now += 25e7
+	s.CellEnd(start, true)
+	s.CellStart() // still running
 	s.Probe(true)
 	s.Probe(false)
 	s.Probe(true)
+	w := o.StartRun("fig10")
+	w.AddTotal(1)
+	start = w.CellStart()
+	w.CacheHit()
+	w.CellEnd(start, false)
+	clk.now += 15e8
 
 	var buf bytes.Buffer
 	if err := o.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"# HELP pdq_engine_events_scheduled_total",
-		"# TYPE pdq_engine_events_scheduled_total counter",
-		"pdq_engine_events_scheduled_total 100\n",
-		"pdq_engine_events_fired_total 90\n",
-		"# TYPE pdq_engine_events_refilled_total counter",
-		"pdq_engine_events_refilled_total 70\n",
-		"pdq_engine_queue_highwater 12\n",
-		`pdq_sweep_cells_total{run="fig3a"} 2`,
-		`pdq_sweep_cells_done_total{run="fig3a"} 1`,
-		`pdq_sweep_cells_failed_total{run="fig3a"} 1`,
-		`pdq_sweep_probes_total{run="fig3a"} 3`,
-		`pdq_sweep_probes_decided_total{run="fig3a"} 2`,
-		`pdq_sweep_cell_seconds_bucket{run="fig3a",le="+Inf"} 2`,
-		`pdq_sweep_cell_seconds_count{run="fig3a"} 2`,
-		"# TYPE pdq_sweep_cell_seconds histogram",
-		"pdq_uptime_seconds ",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q\n%s", want, out)
-		}
+	want := `# HELP pdq_engine_events_scheduled_total Events scheduled across all engines.
+# TYPE pdq_engine_events_scheduled_total counter
+pdq_engine_events_scheduled_total 100
+# HELP pdq_engine_events_fired_total Events fired across all engines.
+# TYPE pdq_engine_events_fired_total counter
+pdq_engine_events_fired_total 90
+# HELP pdq_engine_events_cancelled_total Events cancelled before firing.
+# TYPE pdq_engine_events_cancelled_total counter
+pdq_engine_events_cancelled_total 3
+# HELP pdq_engine_events_refilled_total Schedules that replaced the firing event at the heap root instead of paying a pop and a push.
+# TYPE pdq_engine_events_refilled_total counter
+pdq_engine_events_refilled_total 70
+# HELP pdq_engine_queue_highwater High-water mark of pending events in any engine: about busy links plus armed timers.
+# TYPE pdq_engine_queue_highwater gauge
+pdq_engine_queue_highwater 12
+# HELP pdq_sweep_cells_total Cells announced for the sweep.
+# TYPE pdq_sweep_cells_total counter
+pdq_sweep_cells_total{run="fig3a"} 3
+pdq_sweep_cells_total{run="fig10"} 1
+# HELP pdq_sweep_cells_done_total Cells finished successfully (includes cached).
+# TYPE pdq_sweep_cells_done_total counter
+pdq_sweep_cells_done_total{run="fig3a"} 1
+pdq_sweep_cells_done_total{run="fig10"} 1
+# HELP pdq_sweep_cells_failed_total Cells finished with an error or panic.
+# TYPE pdq_sweep_cells_failed_total counter
+pdq_sweep_cells_failed_total{run="fig3a"} 1
+pdq_sweep_cells_failed_total{run="fig10"} 0
+# HELP pdq_sweep_cells_cached_total Cells served from the result cache.
+# TYPE pdq_sweep_cells_cached_total counter
+pdq_sweep_cells_cached_total{run="fig3a"} 0
+pdq_sweep_cells_cached_total{run="fig10"} 1
+# HELP pdq_sweep_probes_total Search-probe simulations run (max-flows/max-rate cells).
+# TYPE pdq_sweep_probes_total counter
+pdq_sweep_probes_total{run="fig3a"} 3
+pdq_sweep_probes_total{run="fig10"} 0
+# HELP pdq_sweep_probes_decided_total Search probes stopped at their verdict, short of the horizon.
+# TYPE pdq_sweep_probes_decided_total counter
+pdq_sweep_probes_decided_total{run="fig3a"} 2
+pdq_sweep_probes_decided_total{run="fig10"} 0
+# HELP pdq_sweep_cells_running Cells currently executing.
+# TYPE pdq_sweep_cells_running gauge
+pdq_sweep_cells_running{run="fig3a"} 1
+pdq_sweep_cells_running{run="fig10"} 0
+# HELP pdq_sweep_cell_seconds Per-cell wall time.
+# TYPE pdq_sweep_cell_seconds histogram
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="0.001"} 0
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="0.005"} 1
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="0.01"} 1
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="0.05"} 1
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="0.1"} 1
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="0.5"} 2
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="1"} 2
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="5"} 2
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="10"} 2
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="30"} 2
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="60"} 2
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="120"} 2
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="300"} 2
+pdq_sweep_cell_seconds_bucket{run="fig3a",le="+Inf"} 2
+pdq_sweep_cell_seconds_sum{run="fig3a"} 0.254
+pdq_sweep_cell_seconds_count{run="fig3a"} 2
+pdq_sweep_cell_seconds_bucket{run="fig10",le="0.001"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="0.005"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="0.01"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="0.05"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="0.1"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="0.5"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="1"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="5"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="10"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="30"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="60"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="120"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="300"} 1
+pdq_sweep_cell_seconds_bucket{run="fig10",le="+Inf"} 1
+pdq_sweep_cell_seconds_sum{run="fig10"} 0
+pdq_sweep_cell_seconds_count{run="fig10"} 1
+# HELP pdq_uptime_seconds Wall seconds since the observer was created.
+# TYPE pdq_uptime_seconds gauge
+pdq_uptime_seconds 1.754
+`
+	if got := buf.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	m := Metric{Name: "x", Type: TypeGauge, Collect: func(*promWriter) {}}
-	r.Register(m)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	r.Register(m)
-}
-
 func TestLabelEscaping(t *testing.T) {
-	w := &promWriter{}
-	w.Value("m", []Label{{"run", "a\"b\\c\nd"}}, 1)
-	want := "m{run=\"a\\\"b\\\\c\\nd\"} 1\n"
-	if got := w.b.String(); got != want {
-		t.Errorf("escaped = %q, want %q", got, want)
+	o := New(nil)
+	o.StartRun("a\"b\\c\nd")
+	var buf bytes.Buffer
+	if err := o.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "\npdq_sweep_cells_total{run=\"a\\\"b\\\\c\\nd\"} 0\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("escaped label line %q missing from\n%s", want, buf.String())
 	}
 }
 

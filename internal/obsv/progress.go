@@ -14,28 +14,16 @@ import (
 type Progress struct {
 	W        io.Writer
 	Observer *Observer
-	// MinInterval throttles rewrites, in nanoseconds of the observer's
-	// clock; 0 means every Tick renders.
-	MinInterval int64
 
-	lastRender int64
-	lastLen    int
-	everDrawn  bool
+	lastLen   int
+	everDrawn bool
 }
 
-// Tick re-renders the progress line if the throttle interval has
-// passed. Call it from the sweep's progress hook (cell completions)
-// and from a coarse ticker for ETA movement.
+// Tick re-renders the progress line. Call it from a coarse ticker, which
+// paces the rewrites and moves the ETA.
 func (p *Progress) Tick() {
 	if p == nil || p.Observer == nil {
 		return
-	}
-	if p.MinInterval > 0 && p.Observer.Clock != nil {
-		now := p.Observer.Clock()
-		if p.everDrawn && now-p.lastRender < p.MinInterval {
-			return
-		}
-		p.lastRender = now
 	}
 	p.render()
 }

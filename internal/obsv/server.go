@@ -8,7 +8,7 @@ import (
 
 // Handler builds the -http endpoint mux:
 //
-//	/metrics        Prometheus text exposition of every registered family
+//	/metrics        Prometheus text exposition of the fixed metric families
 //	/runs           JSON array of sweep-run progress snapshots
 //	/metrics.json   full JSON snapshot (same document as -metrics-out)
 //	/debug/pprof/*  net/http/pprof profiles

@@ -19,6 +19,7 @@ import (
 	"pdq/internal/sim"
 	"pdq/internal/stats"
 	"pdq/internal/topo"
+	"pdq/internal/trace"
 	"pdq/internal/workload"
 )
 
@@ -134,24 +135,16 @@ func runFluidExample(driverPlan, DriverCtx) (*Table, error) {
 	return t, nil
 }
 
-// utilProbe samples a link's delivered throughput as percent of capacity
-// over each probe period.
-func utilProbe(tp *topo.Topology, l *netsim.Link, period sim.Duration) *stats.Probe {
-	var lastTx uint64
-	secs := float64(period) / float64(sim.Second)
-	return stats.NewProbe(tp.Sim(), period, func() float64 {
-		cur := l.TxBytes()
-		d := cur - lastTx
-		lastTx = cur
-		return float64(d*8) / (float64(l.Rate) * secs) * 100
-	})
-}
-
-// queueProbe samples a link's queue depth in packets.
-func queueProbe(tp *topo.Topology, l *netsim.Link, period sim.Duration) *stats.Probe {
-	return stats.NewProbe(tp.Sim(), period, func() float64 {
-		return float64(l.QueueBytes()) / float64(netsim.MTU)
-	})
+// probeLink samples l's utilization every utilStride and its queue depth
+// every queueStride, each column on its own prober.
+func probeLink(s *sim.Sim, l *netsim.Link, utilStride, queueStride sim.Duration) (util, queue *trace.Series) {
+	pu := trace.NewProber(s, utilStride)
+	util = pu.Add("util", utilSampler(l, utilStride))
+	pq := trace.NewProber(s, queueStride)
+	queue = pq.Add("qdepth", queueSampler(l))
+	pu.Start()
+	pq.Start()
+	return util, queue
 }
 
 // runConvergenceTrace reproduces the convergence-dynamics scenario (§5.4
@@ -168,8 +161,7 @@ func runConvergenceTrace(p driverPlan, rc DriverCtx) (*Table, error) {
 	}
 	bott := tp.Hosts[n].Access.Peer // switch→receiver
 
-	util := utilProbe(tp, bott, 500*sim.Microsecond)
-	queue := queueProbe(tp, bott, 500*sim.Microsecond)
+	util, queue := probeLink(tp.Sim(), bott, 500*sim.Microsecond, 500*sim.Microsecond)
 	runEngine(tp.Sim(), RunCtx{Env: rc.Env, Horizon: 100 * sim.Millisecond})
 
 	t := &Table{Cols: []string{"value"}}
@@ -182,8 +174,8 @@ func runConvergenceTrace(p driverPlan, rc DriverCtx) (*Table, error) {
 	}
 	t.Rows = append(t.Rows,
 		Row{Label: "all done [ms]", Vals: []float64{last.Millis()}},
-		Row{Label: "utilization 5-40ms [%]", Vals: []float64{util.MeanOver(5*sim.Millisecond, 40*sim.Millisecond)}},
-		Row{Label: "max queue [pkts]", Vals: []float64{stats.Max(queue.V)}},
+		Row{Label: "utilization 5-40ms [%]", Vals: []float64{stats.MeanOver(util, 5*sim.Millisecond, 40*sim.Millisecond)}},
+		Row{Label: "max queue [pkts]", Vals: []float64{stats.Max(queue.Vals) / netsim.MTU}},
 		Row{Label: "drops", Vals: []float64{float64(bott.Drops())}},
 	)
 	return t, nil
@@ -205,8 +197,7 @@ func runBurstTrace(p driverPlan, rc DriverCtx) (*Table, error) {
 		sys.Start(f)
 	}
 	bott := tp.Hosts[recv].Access.Peer
-	util := utilProbe(tp, bott, 500*sim.Microsecond)
-	queue := queueProbe(tp, bott, 200*sim.Microsecond)
+	util, queue := probeLink(tp.Sim(), bott, 500*sim.Microsecond, 200*sim.Microsecond)
 	runEngine(tp.Sim(), RunCtx{Env: rc.Env, Horizon: 400 * sim.Millisecond})
 
 	rs := sys.Results()
@@ -225,8 +216,8 @@ func runBurstTrace(p driverPlan, rc DriverCtx) (*Table, error) {
 	t.Rows = append(t.Rows,
 		Row{Label: "shorts completed", Vals: []float64{float64(shortsDone)}},
 		Row{Label: "shorts done by [ms]", Vals: []float64{lastShort.Millis()}},
-		Row{Label: "util during preemption [%]", Vals: []float64{util.MeanOver(10*sim.Millisecond, preemptEnd)}},
-		Row{Label: "max queue [pkts]", Vals: []float64{stats.Max(queue.V)}},
+		Row{Label: "util during preemption [%]", Vals: []float64{stats.MeanOver(util, 10*sim.Millisecond, preemptEnd)}},
+		Row{Label: "max queue [pkts]", Vals: []float64{stats.Max(queue.Vals) / netsim.MTU}},
 		Row{Label: "long flow FCT [ms]", Vals: []float64{rs[0].Finish.Millis()}},
 		Row{Label: "drops", Vals: []float64{float64(bott.Drops())}},
 	)

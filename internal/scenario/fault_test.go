@@ -205,7 +205,7 @@ func TestSwitchRestartRecovery(t *testing.T) {
 		t.Errorf("outage length = %v, want 3ms", ct.Faults[1].At-ct.Faults[0].At)
 	}
 	retrans, finished := int32(0), 0
-	for _, fr := range ct.Flows.Records() {
+	for _, fr := range ct.Flows {
 		retrans += fr.Retransmits
 		if fr.Finish >= 0 {
 			finished++

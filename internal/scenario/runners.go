@@ -22,47 +22,43 @@ import (
 	"pdq/internal/workload"
 )
 
-// attachTelemetry hangs the cell's telemetry capture off one packet-level
-// run: the flow-record sink on the collector, and — when probing is on —
-// fixed-stride samples of every link's queue depth and utilization plus
-// the active-flow count. With a nil cell this is a no-op and the
-// simulation schedules exactly the events it always did.
-//
-// Flow-record emission is deferred to the collector's post-run flush: a
-// record is a pure function of the merged endpoint view — final counter
-// totals, virtual completion order — not a snapshot cut at the first
-// completion event, which would miss counters that land after it (a
-// pause reaching the sender after the receiver finished). The returned
-// hook flushes the records; the caller runs it after the engine stops.
-func attachTelemetry(ct *trace.CellTrace, t *topo.Topology, c *workload.Collector) func() {
-	if ct == nil {
-		return nil
-	}
-	c.Sink = ct.FlowSink()
-	c.DeferEmission()
+// attachProbes installs the cell's time-series probes on one packet-level
+// run when probing is on: fixed-stride samples of every link's queue depth
+// and utilization plus the active-flow count. Otherwise the simulation
+// schedules exactly the events it always did.
+func attachProbes(ct *trace.CellTrace, t *topo.Topology, c *workload.Collector) {
 	if !ct.WantProbes() {
-		return c.FlushTrace
+		return
 	}
 	stride := ct.Stride()
-	secs := float64(stride) / float64(sim.Second)
 	s := t.Sim()
 	p := trace.NewProber(s, stride)
 	p.StopWhen = c.AllDone // don't sample idle links out to the horizon
 	p.Add("active-flows", func() float64 { return float64(c.ActiveAt(s.Now())) })
 	for _, l := range t.Net.Links() {
-		l := l
-		p.Add(fmt.Sprintf("qdepth:%s", l), func() float64 { return float64(l.QueueBytes()) })
-		var lastTx uint64
-		p.Add(fmt.Sprintf("util:%s", l), func() float64 {
-			cur := l.TxBytes()
-			d := cur - lastTx
-			lastTx = cur
-			return float64(d*8) / (float64(l.Rate) * secs) * 100
-		})
+		p.Add(fmt.Sprintf("qdepth:%s", l), queueSampler(l))
+		p.Add(fmt.Sprintf("util:%s", l), utilSampler(l, stride))
 	}
 	p.Start()
 	ct.Probes = p.Series()
-	return c.FlushTrace
+}
+
+// utilSampler samples l's delivered throughput over each stride, as a
+// percentage of its rate.
+func utilSampler(l *netsim.Link, stride sim.Duration) func() float64 {
+	var lastTx uint64
+	secs := float64(stride) / float64(sim.Second)
+	return func() float64 {
+		cur := l.TxBytes()
+		d := cur - lastTx
+		lastTx = cur
+		return float64(d*8) / (float64(l.Rate) * secs) * 100
+	}
+}
+
+// queueSampler samples l's queue depth in bytes.
+func queueSampler(l *netsim.Link) func() float64 {
+	return func() float64 { return float64(l.QueueBytes()) }
 }
 
 // mkPacket wraps a packet-level install function into a RunnerFunc.
@@ -84,16 +80,14 @@ func mkPacket(install func(t *topo.Topology) protocol.Installed) RunnerFunc {
 		// flow start — always the same code position, so fault event
 		// sequence numbers are deterministic (DESIGN.md §11).
 		rc.Faults.Apply(t, sys, rc.Cell)
-		fin := attachTelemetry(rc.Cell, t, sys.FlowCollector())
+		attachProbes(rc.Cell, t, sys.FlowCollector())
 		for _, f := range flows {
 			sys.Start(f)
 		}
 		if !armVerdict(sys.FlowCollector(), rc.Decided, t.Sim().Halt) {
 			runEngine(t.Sim(), rc)
 		}
-		if fin != nil {
-			fin()
-		}
+		sys.FlowCollector().TraceFlows(rc.Cell)
 		rs := sys.Results()
 		if rc.inspect != nil {
 			rc.inspect(t)
@@ -182,25 +176,21 @@ func pdqCheck(p map[string]float64) error {
 // flowMake binds one flow-level allocator family into a Make function.
 // A fresh allocator is built per invocation, matching the packet-level
 // runners' fresh-state-per-run semantics. The flow-level simulator
-// steps its own clock (no event engine), so it emits flow records but
+// steps its own clock (no event engine), so it records flows but takes
 // no time-series probes.
 func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator) func(p map[string]float64, seed int64) RunnerFunc {
 	return func(p map[string]float64, seed int64) RunnerFunc {
 		return func(build func() *topo.Topology, flows []workload.Flow, rc RunCtx) []workload.Result {
 			s := flowsim.New(build(), alloc(p, seed))
 			s.ET = p["et"] != 0
-			if rc.Cell != nil {
-				s.Collector.Sink = rc.Cell.FlowSink()
-			}
-			if !rc.Faults.Empty() {
-				s.ApplyFaults(rc.Faults, rc.Cell)
-			}
+			s.ApplyFaults(rc.Faults, rc.Cell)
 			for _, f := range flows {
 				s.Start(f)
 			}
 			if !armVerdict(s.Collector, rc.Decided, s.Halt) {
 				s.Run(rc.Horizon)
 			}
+			s.Collector.TraceFlows(rc.Cell)
 			return s.Results()
 		}
 	}

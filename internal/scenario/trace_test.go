@@ -38,10 +38,10 @@ func TestTraceCapturesFlowRecordsAndProbes(t *testing.T) {
 		t.Fatalf("got %d traced cells, want 2 (one per protocol row)", len(cells))
 	}
 	for _, ct := range cells {
-		if ct.Flows == nil || ct.Flows.Len() == 0 {
+		if len(ct.Flows) == 0 {
 			t.Fatalf("cell %+v captured no flow records", ct.Cell)
 		}
-		for _, r := range ct.Flows.Records() {
+		for _, r := range ct.Flows {
 			if r.Size <= 0 || r.Src == r.Dst {
 				t.Fatalf("nonsense record %+v", r)
 			}
@@ -94,7 +94,7 @@ func TestTraceFlowLevelRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := tr.Cells()
-	if len(cells) != 1 || cells[0].Flows.Len() == 0 {
+	if len(cells) != 1 || len(cells[0].Flows) == 0 {
 		t.Fatalf("flow-level run captured no records: %d cells", len(cells))
 	}
 }

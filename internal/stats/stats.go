@@ -1,6 +1,6 @@
 // Package stats provides the measurement and analysis helpers used by the
-// experiment harness: summary statistics, CDFs, time-series probes of link
-// utilization and queueing, application throughput, and the binary search
+// experiment harness: summary statistics, CDFs, means over probe series,
+// application throughput, and the binary search
 // the paper uses to find the maximum load sustaining 99% application
 // throughput (§5.2.1).
 package stats
@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"pdq/internal/sim"
+	"pdq/internal/trace"
 	"pdq/internal/workload"
 )
 
@@ -253,52 +254,13 @@ func MaxN(lo, hi int, ok func(int) bool) int {
 	return good
 }
 
-// Series is a sampled time series.
-type Series struct {
-	T []sim.Time
-	V []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(t sim.Time, v float64) {
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// MeanOver returns the mean of samples with from ≤ t < to.
-func (s *Series) MeanOver(from, to sim.Time) float64 {
+// MeanOver returns the mean of s's samples taken at from ≤ t < to.
+func MeanOver(s *trace.Series, from, to sim.Time) float64 {
 	var xs []float64
-	for i, t := range s.T {
-		if t >= from && t < to {
-			xs = append(xs, s.V[i])
+	for i, v := range s.Vals {
+		if t := s.At(i); t >= from && t < to {
+			xs = append(xs, v)
 		}
 	}
 	return Mean(xs)
 }
-
-// Probe periodically samples a value during a simulation.
-type Probe struct {
-	Series
-	cancel func()
-}
-
-// NewProbe samples f every period until the simulation ends or Stop is
-// called.
-func NewProbe(s *sim.Sim, period sim.Duration, f func() float64) *Probe {
-	p := &Probe{}
-	stopped := false
-	p.cancel = func() { stopped = true }
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		p.Add(s.Now(), f())
-		s.After(period, tick)
-	}
-	s.After(period, tick)
-	return p
-}
-
-// Stop ends sampling.
-func (p *Probe) Stop() { p.cancel() }

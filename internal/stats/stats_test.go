@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pdq/internal/sim"
+	"pdq/internal/trace"
 	"pdq/internal/workload"
 )
 
@@ -220,27 +221,8 @@ func TestPropertyMaxNFindsThreshold(t *testing.T) {
 }
 
 func TestSeriesMeanOver(t *testing.T) {
-	var s Series
-	s.Add(1, 10)
-	s.Add(2, 20)
-	s.Add(3, 30)
-	if got := s.MeanOver(2, 4); got != 25 {
+	s := &trace.Series{Stride: 1, Vals: []float64{10, 20, 30}} // at 1, 2, 3
+	if got := MeanOver(s, 2, 4); got != 25 {
 		t.Fatalf("MeanOver = %v", got)
-	}
-}
-
-func TestProbe(t *testing.T) {
-	s := sim.New()
-	x := 0.0
-	p := NewProbe(s, 10, func() float64 { x++; return x })
-	s.At(100, func() {})
-	s.RunUntil(55)
-	if len(p.T) != 5 {
-		t.Fatalf("probe samples = %d, want 5", len(p.T))
-	}
-	p.Stop()
-	s.Run()
-	if len(p.T) != 5 {
-		t.Fatalf("probe kept sampling after Stop: %d", len(p.T))
 	}
 }

@@ -2,13 +2,11 @@
 // records, fixed-stride time-series probes, and a content-addressed cache
 // for sweep-cell results.
 //
-// The flow-record path is designed so that telemetry is free when it is
-// off: every protocol collector holds a Sink that is nil by default, and
-// records are passed by value into a preallocated ring, so a simulation
-// with tracing disabled executes exactly the same instruction stream as
-// before the subsystem existed (the zero-alloc engine benches pin this).
-// Probes are ordinary simulation events and only exist when a run asks
-// for them, so a probe-free run's event sequence — and therefore its
+// Flow records are a read of the finished run: after the engine stops, the
+// run's collector cuts one record per resolved flow into its CellTrace, so
+// a run with tracing off executes exactly the instruction stream it always
+// did. Probes are ordinary simulation events and only exist when a run
+// asks for them, so a probe-free run's event sequence — and therefore its
 // byte-exact output — is untouched (DESIGN.md §8).
 package trace
 
@@ -16,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -40,9 +39,7 @@ func (c Class) String() string {
 	return "long"
 }
 
-// FlowRecord is one flow's outcome as emitted at completion or
-// termination. It is passed and stored by value: emitting a record
-// allocates nothing once the ring exists.
+// FlowRecord is one flow's outcome as cut after the run.
 type FlowRecord struct {
 	ID          uint64
 	Src, Dst    int      // host indices in the topology
@@ -63,80 +60,9 @@ type FlowRecord struct {
 // FCT is the completion time, valid only for finished flows.
 func (r FlowRecord) FCT() sim.Time { return r.Finish - r.Start }
 
-// Sink receives flow records. Implementations must not retain pointers
-// into the record (it is a value) and must be cheap: sinks run inside the
-// simulation loop.
-type Sink interface {
-	RecordFlow(FlowRecord)
-}
-
-// NopSink is a Sink that drops every record. It exists for callers that
-// need a non-nil sink; collectors treat a nil Sink as "tracing off" and
-// skip record assembly entirely.
-type NopSink struct{}
-
-// RecordFlow implements Sink.
-func (NopSink) RecordFlow(FlowRecord) {}
-
-// DefaultRingCap is the per-ring record capacity when none is given.
-const DefaultRingCap = 1 << 16
-
-// Ring is a pooled, append-only flow-record buffer with bounded memory:
-// records append by value into a lazily grown slice (amortized doubling,
-// so small runs stay small) and, once the capacity is reached, overwrite
-// the oldest entries without allocating. One Ring belongs to one
-// simulation (it is not synchronized).
-type Ring struct {
-	capacity int
-	buf      []FlowRecord
-	next     int    // overwrite cursor once full: index of the oldest record
-	total    uint64 // records ever appended
-}
-
-// NewRing returns a ring holding up to capacity records (DefaultRingCap
-// when capacity <= 0).
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = DefaultRingCap
-	}
-	return &Ring{capacity: capacity}
-}
-
-// RecordFlow implements Sink: append by value, overwriting the oldest
-// record once the capacity is reached. Beyond the amortized growth to
-// the high-water mark, recording allocates nothing.
-//
-//pdq:hotpath
-func (r *Ring) RecordFlow(rec FlowRecord) {
-	r.total++
-	if len(r.buf) < r.capacity {
-		r.buf = append(r.buf, rec)
-		return
-	}
-	r.buf[r.next] = rec
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-	}
-}
-
-// Len returns the number of records currently held.
-func (r *Ring) Len() int { return len(r.buf) }
-
-// Total returns the number of records ever appended.
-func (r *Ring) Total() uint64 { return r.total }
-
-// Dropped returns how many records were overwritten by wraparound.
-func (r *Ring) Dropped() uint64 { return r.total - uint64(len(r.buf)) }
-
-// Records returns the held records oldest-first. The slice is freshly
-// allocated; the ring keeps ownership of its buffer.
-func (r *Ring) Records() []FlowRecord {
-	out := make([]FlowRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
+// MaxFlowRecords is the most flow records one cell keeps: the newest, by
+// completion instant. It bounds a traced cell's memory.
+const MaxFlowRecords = 1 << 16
 
 // Cell identifies where in an experiment grid a set of records was
 // measured: the scenario, the protocol row, the sweep column and the base
@@ -171,13 +97,14 @@ type FaultRecord struct {
 // transitions injected into it. A CellTrace is owned by the single
 // goroutine running that cell until the run completes.
 type CellTrace struct {
-	Cell   Cell
-	Flows  *Ring     // nil when flow records are disabled
-	Probes []*Series // filled by the runner when probing is enabled
-	Faults []FaultRecord
+	Cell    Cell
+	Flows   []FlowRecord // the newest MaxFlowRecords, in completion order
+	Dropped int          // older records cut to keep Flows at MaxFlowRecords
+	Probes  []*Series    // filled by the runner when probing is enabled
+	Faults  []FaultRecord
 
-	wantProbes bool
-	stride     sim.Duration
+	wantFlows, wantProbes bool
+	stride                sim.Duration
 }
 
 // RecordFault appends a fault transition to the cell's trace. Safe on a
@@ -189,21 +116,16 @@ func (ct *CellTrace) RecordFault(r FaultRecord) {
 	ct.Faults = append(ct.Faults, r)
 }
 
+// WantFlows reports whether the runner should cut flow records for this
+// cell.
+func (ct *CellTrace) WantFlows() bool { return ct != nil && ct.wantFlows }
+
 // WantProbes reports whether the runner should install time-series
 // probes for this cell.
 func (ct *CellTrace) WantProbes() bool { return ct != nil && ct.wantProbes }
 
 // Stride returns the probe sampling period.
 func (ct *CellTrace) Stride() sim.Duration { return ct.stride }
-
-// FlowSink returns the cell's flow-record sink, or nil when flow records
-// are disabled (callers can assign it directly to a collector's Sink).
-func (ct *CellTrace) FlowSink() Sink {
-	if ct == nil || ct.Flows == nil {
-		return nil
-	}
-	return ct.Flows
-}
 
 // DefaultStride is the probe sampling period when none is configured.
 const DefaultStride = 100 * sim.Microsecond
@@ -215,7 +137,6 @@ type Trace struct {
 	FlowRecords bool         // capture per-flow records
 	Probes      bool         // capture time-series probes
 	Stride      sim.Duration // probe period; 0 = DefaultStride
-	RingCap     int          // per-cell ring capacity; 0 = DefaultRingCap
 
 	mu    sync.Mutex
 	cells []*CellTrace
@@ -228,9 +149,16 @@ func New(flowRecords, probes bool) *Trace {
 
 // SetStrideMicros sets the probe sampling period from a microsecond
 // count, so commands can configure tracing without importing the
-// engine's time types directly.
-func (t *Trace) SetStrideMicros(us float64) {
-	t.Stride = sim.Duration(us * float64(sim.Microsecond))
+// engine's time types directly. A count that comes to less than the
+// engine's 1 ns tick, or is not a number, is an error and leaves the
+// period as it was.
+func (t *Trace) SetStrideMicros(us float64) error {
+	d := us * float64(sim.Microsecond)
+	if !(d >= 1 && d < math.MaxInt64) {
+		return fmt.Errorf("stride %v µs: want a finite stride of at least 0.001 µs", us)
+	}
+	t.Stride = sim.Duration(d)
+	return nil
 }
 
 // OpenCell registers and returns the telemetry capture for one run.
@@ -240,12 +168,9 @@ func (t *Trace) OpenCell(c Cell) *CellTrace {
 	if t == nil {
 		return nil
 	}
-	ct := &CellTrace{Cell: c, wantProbes: t.Probes, stride: t.Stride}
+	ct := &CellTrace{Cell: c, wantFlows: t.FlowRecords, wantProbes: t.Probes, stride: t.Stride}
 	if ct.stride <= 0 {
 		ct.stride = DefaultStride
-	}
-	if t.FlowRecords {
-		ct.Flows = NewRing(t.RingCap)
 	}
 	t.mu.Lock()
 	t.cells = append(t.cells, ct)
@@ -283,10 +208,7 @@ func (t *Trace) Cells() []*CellTrace {
 // line (JSONL), tagged with its cell.
 func (t *Trace) WriteFlows(w io.Writer) error {
 	for _, ct := range t.Cells() {
-		if ct.Flows == nil {
-			continue
-		}
-		for _, r := range ct.Flows.Records() {
+		for _, r := range ct.Flows {
 			finish := -1.0
 			if r.Finish >= 0 {
 				finish = r.Finish.Millis()

@@ -9,34 +9,6 @@ import (
 	"pdq/internal/sim"
 )
 
-func TestRingAppendAndWrap(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 6; i++ {
-		r.RecordFlow(FlowRecord{ID: uint64(i)})
-	}
-	if r.Len() != 4 || r.Total() != 6 || r.Dropped() != 2 {
-		t.Fatalf("len=%d total=%d dropped=%d, want 4/6/2", r.Len(), r.Total(), r.Dropped())
-	}
-	recs := r.Records()
-	for i, rec := range recs {
-		if want := uint64(i + 2); rec.ID != want {
-			t.Fatalf("records[%d].ID = %d, want %d (oldest-first after wrap)", i, rec.ID, want)
-		}
-	}
-}
-
-func TestRingNoAllocSteadyState(t *testing.T) {
-	r := NewRing(8)
-	rec := FlowRecord{ID: 1, Size: 1 << 20}
-	for i := 0; i < 8; i++ {
-		r.RecordFlow(rec) // reach the capacity high-water mark
-	}
-	allocs := testing.AllocsPerRun(1000, func() { r.RecordFlow(rec) })
-	if allocs != 0 {
-		t.Fatalf("RecordFlow allocates %v per call, want 0", allocs)
-	}
-}
-
 func TestProberFixedStride(t *testing.T) {
 	s := sim.New()
 	p := NewProber(s, sim.Millisecond)
@@ -75,7 +47,7 @@ func TestTraceCellOrderingDeterministic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ct := tr.OpenCell(c)
-			ct.Flows.RecordFlow(FlowRecord{ID: 1, Finish: -1})
+			ct.Flows = append(ct.Flows, FlowRecord{ID: 1, Finish: -1})
 		}()
 	}
 	wg.Wait()
@@ -112,8 +84,8 @@ func TestNilTraceAndNilCell(t *testing.T) {
 	if ct.WantProbes() {
 		t.Fatal("nil CellTrace wants probes")
 	}
-	if ct.FlowSink() != nil {
-		t.Fatal("nil CellTrace has a flow sink")
+	if ct.WantFlows() {
+		t.Fatal("nil CellTrace wants flow records")
 	}
 }
 

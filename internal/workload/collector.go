@@ -3,7 +3,6 @@ package workload
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"pdq/internal/sim"
 	"pdq/internal/trace"
@@ -18,13 +17,8 @@ import (
 // the winner — the earlier virtual instant, finish on a tie — is resolved
 // only when a result is read (Get, Results, ActiveAt). The merge is a pure
 // function of virtual timestamps, not of the order the two endpoints
-// happened to report in.
-//
-// A collector is also the simulators' telemetry emission point: when Sink
-// is non-nil, every completion or termination additionally cuts a
-// trace.FlowRecord (by value — no allocation). With the default nil Sink
-// the only telemetry cost is one nil check per flow *completion*, so the
-// packet/event hot paths are untouched (DESIGN.md §8).
+// happened to report in. The same merged view is what TraceFlows cuts
+// the run's flow records from once the engine has stopped (DESIGN.md §8).
 //
 // Flows live in one dense table in registration order; a flow's index in
 // it is its slot. Register hands back a Ref, the slot with its collector,
@@ -36,17 +30,6 @@ type Collector struct {
 	cells []*cell          // by slot
 	spare []cell           // unused cells of the chunk cells are carved from
 	index map[uint64]int32 // flow ID → slot; nil while IDs arrive in increasing order
-
-	// Sink receives one trace.FlowRecord per completion or termination;
-	// nil (the default) disables record assembly entirely.
-	Sink trace.Sink
-
-	// deferEmit postpones record emission to FlushTrace. Traced
-	// packet-level runs set it (DeferEmission) so a record is a pure
-	// function of the merged post-run view — final counter totals, virtual
-	// completion order — rather than a snapshot cut at whichever
-	// completion event happens to fire first.
-	deferEmit bool
 
 	// The deadline tally, kept only once Watch has armed it (watch != nil).
 	// due holds the deadline flows by ascending AbsDeadline; due[:passed]
@@ -159,12 +142,6 @@ func (c *Collector) Of(id uint64) Ref {
 	return Ref{c, slot}
 }
 
-// DeferEmission switches the collector to deferred record emission:
-// Finish and Terminate stop cutting records eagerly, and FlushTrace
-// emits them all after the run in virtual completion order. Traced
-// packet-level runs call it before any flow starts.
-func (c *Collector) DeferEmission() { c.deferEmit = true }
-
 // Watch arms the deadline tally over the flows registered so far — all of
 // them: Register panics afterwards — and has fn called with it after every
 // outcome, whose instants never decrease (see Tally). Keeping the tally
@@ -209,9 +186,6 @@ func (r Ref) Finish(t sim.Time) {
 	c, cl := r.c, r.cell()
 	if cl.finishAt < 0 {
 		cl.finishAt = t
-		if c.eager() && cl.termAt < 0 {
-			c.record(cl)
-		}
 		if c.watch != nil {
 			// merged() is the one place the two endpoints' stamps are
 			// weighed, so a Terminate at this same instant, or an earlier
@@ -232,9 +206,6 @@ func (r Ref) Terminate(t sim.Time) {
 	c, cl := r.c, r.cell()
 	if cl.termAt < 0 {
 		cl.termAt = t
-		if c.eager() && cl.finishAt < 0 {
-			c.record(cl)
-		}
 		if c.watch != nil {
 			c.outcome(t)
 		}
@@ -312,9 +283,8 @@ func (cl *cell) merged() Result {
 	return r
 }
 
-// doneAt returns the virtual instant the flow's record was (or would
-// have been) cut: the winning endpoint's stamp. Negative means still
-// in flight.
+// doneAt returns the virtual instant the flow resolved at: the winning
+// endpoint's stamp. Negative means still in flight.
 func (cl *cell) doneAt() sim.Time {
 	switch {
 	case cl.finishAt < 0:
@@ -327,36 +297,14 @@ func (cl *cell) doneAt() sim.Time {
 	return cl.finishAt
 }
 
-// eager reports whether a flow's trace record is cut at its first
-// completion or termination rather than by FlushTrace.
-func (c *Collector) eager() bool { return c.Sink != nil && !c.deferEmit }
-
-// record assembles and sinks one flow record from the merged view.
-func (c *Collector) record(cl *cell) {
-	r := cl.merged()
-	cls := trace.ClassShort
-	if r.Size >= ShortFlowCutoff {
-		cls = trace.ClassLong
-	}
-	c.Sink.RecordFlow(trace.FlowRecord{
-		ID: r.ID, Src: r.Src, Dst: r.Dst,
-		Size: r.Size, Class: cls,
-		Start: r.Start, Finish: r.Finish, Deadline: r.Deadline,
-		Met: r.MetDeadline(), Terminated: r.Terminated,
-		BytesAcked:  r.BytesAcked,
-		Retransmits: r.Retransmits,
-		Preemptions: r.Preemptions,
-		ECNMarks:    r.ECNMarks,
-		PrioPackets: r.PrioPackets,
-	})
-}
-
-// FlushTrace emits the records a deferred-emission run accumulated: one
-// per completed or terminated flow, ordered by completion instant with
-// registration order breaking exact-instant ties. Called once, after the
-// engine has stopped (DESIGN.md §8).
-func (c *Collector) FlushTrace() {
-	if c.Sink == nil || !c.deferEmit {
+// TraceFlows cuts the run's flow records into ct; call it once, after the
+// engine has stopped. Every resolved flow gets one record from its merged
+// view — final counter totals — in order of the instant it resolved at,
+// registration order breaking ties. ct keeps the newest
+// trace.MaxFlowRecords and counts the rest in Dropped. It does nothing
+// unless ct captures flow records.
+func (c *Collector) TraceFlows(ct *trace.CellTrace) {
+	if !ct.WantFlows() {
 		return
 	}
 	done := make([]*cell, 0, len(c.cells))
@@ -365,9 +313,28 @@ func (c *Collector) FlushTrace() {
 			done = append(done, cl)
 		}
 	}
-	sort.SliceStable(done, func(i, j int) bool { return done[i].doneAt() < done[j].doneAt() })
-	for _, cl := range done {
-		c.record(cl)
+	slices.SortStableFunc(done, func(a, b *cell) int { return cmp.Compare(a.doneAt(), b.doneAt()) })
+	if n := len(done) - trace.MaxFlowRecords; n > 0 {
+		ct.Dropped, done = n, done[n:]
+	}
+	ct.Flows = make([]trace.FlowRecord, len(done))
+	for i, cl := range done {
+		r := cl.merged()
+		cls := trace.ClassShort
+		if r.Size >= ShortFlowCutoff {
+			cls = trace.ClassLong
+		}
+		ct.Flows[i] = trace.FlowRecord{
+			ID: r.ID, Src: r.Src, Dst: r.Dst,
+			Size: r.Size, Class: cls,
+			Start: r.Start, Finish: r.Finish, Deadline: r.Deadline,
+			Met: r.MetDeadline(), Terminated: r.Terminated,
+			BytesAcked:  r.BytesAcked,
+			Retransmits: r.Retransmits,
+			Preemptions: r.Preemptions,
+			ECNMarks:    r.ECNMarks,
+			PrioPackets: r.PrioPackets,
+		}
 	}
 }
 
