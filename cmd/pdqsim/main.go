@@ -12,16 +12,24 @@
 //	pdqsim -exp all -quick -cache
 //	pdqsim -exp all -progress -metrics-out metrics.json
 //	pdqsim -exp fig3a -http :9090 -http-linger 30s
-//	pdqsim -exp all -quick -cpuprofile cpu.pprof -memprofile mem.pprof
+//	pdqsim -exp fig5a -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //	pdqsim -dump-scenario fig3a
-//	pdqsim -list-topologies -list-patterns -list-protocols -list-metrics -list-qdiscs
+//
+// -exp and -scenario each name a list of specs (one figure, all 25, or
+// one file), and every spec takes the same path: scenario.Run, then the
+// tables, telemetry, cache report and exit status. Giving both is a
+// usage error. -list prints the experiments and then every registry a
+// spec can name: topologies, patterns, size distributions, flow
+// generators, protocol runners, analytic baselines, metrics, custom
+// drivers and queue disciplines.
 //
 // Each experiment prints the same rows/series the paper reports (see
 // DESIGN.md §6–§8 for how the figure specs, the scenario layer and the
 // telemetry plane are organized). Sweeps fan out across -parallel
 // workers; -trials replicates every sweep point across that many seeds
 // and reports mean ± stderr; -json emits machine-readable tables for
-// downstream tooling.
+// downstream tooling. Exit status: 0 ok, 1 runtime error, 2 usage error,
+// 3 partial table.
 //
 // -trace writes one JSON line per completed/terminated flow (id, size,
 // class, FCT, deadline outcome, bytes acked, retransmits, preemptions),
@@ -47,7 +55,8 @@
 // open afterwards for end-of-run scrapes); -metrics-out writes a JSON
 // snapshot of every counter when the run finishes. -cpuprofile and
 // -memprofile capture standard runtime profiles; the heap profile records
-// every allocation, not a sample. Enabled or not, tables
+// every allocation, not a sample. Together with -exp NAME -quick they
+// profile one figure's path. Enabled or not, tables
 // are byte-identical — the engines only ever touch plain in-memory
 // counters, merged at quiescent points. Diagnostics go through log/slog
 // (-log-level), each record tagged with a per-invocation run ID.
@@ -99,12 +108,7 @@ func main() {
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write an exact heap profile to this file: every allocation is recorded, not a 512 KiB sample")
 		logLevel    = flag.String("log-level", "info", "structured-log threshold: debug, info, warn or error")
-		list        = flag.Bool("list", false, "list available experiments")
-		listTopo    = flag.Bool("list-topologies", false, "list registered topology builders")
-		listPat     = flag.Bool("list-patterns", false, "list registered sending patterns and size distributions")
-		listPro     = flag.Bool("list-protocols", false, "list registered protocol runners and analytic baselines")
-		listMet     = flag.Bool("list-metrics", false, "list registered metrics and custom drivers")
-		listQd      = flag.Bool("list-qdiscs", false, "list registered link queue disciplines")
+		list        = flag.Bool("list", false, "list the experiments and every registry a scenario spec can name")
 	)
 	flag.Parse()
 	if *memProfile != "" {
@@ -116,38 +120,27 @@ func main() {
 
 	logger, err := newLogger(os.Stderr, *logLevel, newRunID())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdqsim: %v\n", err)
-		os.Exit(2)
+		usage("%v", err)
 	}
 	tr := trace.New(*traceOut != "", *probeOut != "")
 	if err := tr.SetStrideMicros(*probeStride); err != nil {
-		fmt.Fprintf(os.Stderr, "pdqsim: -probe-stride-us: %v\n", err)
-		os.Exit(2)
+		usage("-probe-stride-us: %v", err)
 	}
 
-	if *listTopo || *listPat || *listPro || *listMet || *listQd {
-		// Every listing iterates a sorted registry (and params marshal
-		// with sorted keys), so repeated runs are byte-identical — CI
-		// diffs two invocations to keep it that way.
-		if *list {
-			listExperiments()
-		}
-		listRegistries(*listTopo, *listPat, *listPro, *listMet, *listQd)
+	if *list {
+		listExperiments()
+		listRegistries()
 		return
 	}
 	if *dumpScen != "" {
 		sf, ok := exp.Specs[*dumpScen]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "pdqsim: unknown experiment %q (try -list)\n", *dumpScen)
-			os.Exit(2)
+			usage("unknown experiment %q (try -list)", *dumpScen)
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sf()); err != nil {
-			fail(logger, err)
-		}
+		writeJSON(logger, sf())
 		return
 	}
+	specs := loadSpecs(logger, *name, *scenFile)
 
 	obs, finishObs := setupObsv(obsvConfig{
 		Progress:   *progressOn,
@@ -178,12 +171,10 @@ func main() {
 	if *cacheOn || *cacheDir != "" {
 		dir := *cacheDir
 		if dir == "" {
-			var err error
 			if dir, err = trace.DefaultCacheDir(); err != nil {
 				fail(logger, err)
 			}
 		}
-		var err error
 		if cache, err = trace.NewCache(dir); err != nil {
 			fail(logger, err)
 		}
@@ -193,55 +184,18 @@ func main() {
 		opts.Cache = cache
 	}
 
-	if *scenFile != "" {
-		data, err := os.ReadFile(*scenFile)
-		if err != nil {
-			fail(logger, err)
-		}
-		spec, err := scenario.Load(data)
-		if err != nil {
-			fail(logger, err)
-		}
+	var tables []*scenario.Table
+	for _, spec := range specs {
 		start := time.Now()
 		table, err := scenario.Run(spec, opts)
 		if err != nil {
 			fail(logger, err)
 		}
-		emit(logger, []*scenario.Table{table}, *jsonOut, spec.Name, start)
-		writeTelemetry(logger, opts.Trace, *traceOut, *probeOut, *faultOut)
-		reportCache(logger, cache)
-		finishObs()
-		exitPartial(logger, []*scenario.Table{table})
-		return
-	}
-
-	if *list || *name == "" {
-		listExperiments()
-		if *name == "" && !*list {
-			os.Exit(2)
-		}
-		return
-	}
-
-	names := []string{*name}
-	if *name == "all" {
-		names = exp.FigureNames()
-	}
-	var tables []*scenario.Table
-	for _, n := range names {
-		fig, ok := exp.Figures[n]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "pdqsim: unknown experiment %q (try -list)\n", n)
-			os.Exit(2)
-		}
-		start := time.Now()
-		table := fig(opts)
 		tables = append(tables, table)
-		if *jsonOut {
-			continue
+		if !*jsonOut {
+			fmt.Println(table)
+			fmt.Printf("(%s in %v)\n\n", spec.Name, time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Println(table)
-		fmt.Printf("(%s in %v)\n\n", n, time.Since(start).Round(time.Millisecond))
 	}
 	if *jsonOut {
 		writeJSON(logger, tables)
@@ -250,6 +204,57 @@ func main() {
 	reportCache(logger, cache)
 	finishObs()
 	exitPartial(logger, tables)
+}
+
+// loadSpecs returns the specs the command line names: one figure or all
+// of them (-exp), or a scenario file (-scenario). Naming neither, or
+// both, is a usage error.
+func loadSpecs(log *slog.Logger, name, file string) []*scenario.Spec {
+	switch {
+	case name != "" && file != "":
+		usage("-exp and -scenario each name what to run; give one")
+	case file != "":
+		data, err := os.ReadFile(file)
+		if err != nil {
+			fail(log, err)
+		}
+		spec, err := scenario.Load(data)
+		if err != nil {
+			fail(log, err)
+		}
+		return []*scenario.Spec{spec}
+	case name == "":
+		listExperiments()
+		os.Exit(2)
+	}
+	names := []string{name}
+	if name == "all" {
+		names = exp.FigureNames()
+	}
+	specs := make([]*scenario.Spec, 0, len(names))
+	for _, n := range names {
+		sf, ok := exp.Specs[n]
+		if !ok {
+			usage("unknown experiment %q (try -list)", n)
+		}
+		specs = append(specs, sf())
+	}
+	return specs
+}
+
+// writeJSON prints v as indented JSON.
+func writeJSON(log *slog.Logger, v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fail(log, err)
+	}
+}
+
+// usage reports a command-line error on one line and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "pdqsim: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // exitPartial exits with status 3 when any table carries failed cells.
@@ -321,26 +326,6 @@ func reportCache(log *slog.Logger, c *trace.Cache) {
 	log.Info("cache report", args...)
 }
 
-// emit prints one scenario result in the selected format.
-func emit(log *slog.Logger, tables []*scenario.Table, asJSON bool, name string, start time.Time) {
-	if asJSON {
-		writeJSON(log, tables)
-		return
-	}
-	for _, t := range tables {
-		fmt.Println(t)
-	}
-	fmt.Printf("(%s in %v)\n", name, time.Since(start).Round(time.Millisecond))
-}
-
-func writeJSON(log *slog.Logger, tables []*scenario.Table) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(tables); err != nil {
-		fail(log, err)
-	}
-}
-
 // listExperiments prints the figure registry in sorted order.
 func listExperiments() {
 	fmt.Println("available experiments:")
@@ -350,7 +335,9 @@ func listExperiments() {
 }
 
 // listRegistries prints the scenario vocabulary: what a spec can name.
-func listRegistries(topos, pats, pros, mets, qds bool) {
+// Every registry lists sorted and params marshal with sorted keys, so
+// repeated runs are byte-identical; CI diffs two of them.
+func listRegistries() {
 	entry := func(name, doc string, params map[string]float64) {
 		fmt.Printf("  %-22s %s\n", name, doc)
 		if len(params) > 0 {
@@ -358,50 +345,40 @@ func listRegistries(topos, pats, pros, mets, qds bool) {
 			fmt.Printf("  %-22s   params: %s\n", "", b)
 		}
 	}
-	if topos {
-		fmt.Println("topologies:")
-		for _, b := range topo.BuilderList() {
-			entry(b.Name, b.Doc, b.Params)
-		}
+	fmt.Println("topologies:")
+	for _, b := range topo.BuilderList() {
+		entry(b.Name, b.Doc, b.Params)
 	}
-	if pats {
-		fmt.Println("patterns:")
-		for _, m := range workload.PatternList() {
-			entry(m.Name, m.Doc, m.Params)
-		}
-		fmt.Println("size distributions:")
-		for _, m := range workload.SizeDistList() {
-			entry(m.Name, m.Doc, m.Params)
-		}
-		fmt.Println("flow generators:")
-		for _, g := range scenario.FlowGenList() {
-			entry(g.Name, g.Doc, g.Params)
-		}
+	fmt.Println("patterns:")
+	for _, m := range workload.PatternList() {
+		entry(m.Name, m.Doc, m.Params)
 	}
-	if pros {
-		fmt.Println("protocol runners:")
-		for _, r := range scenario.RunnerList() {
-			entry(fmt.Sprintf("%s [%s]", r.Name, r.Level), r.Doc, r.Params)
-		}
-		fmt.Println("analytic baselines:")
-		for _, a := range scenario.AnalyticList() {
-			entry(a.Name, a.Doc, a.Params)
-		}
+	fmt.Println("size distributions:")
+	for _, m := range workload.SizeDistList() {
+		entry(m.Name, m.Doc, m.Params)
 	}
-	if mets {
-		fmt.Println("metrics:")
-		for _, m := range scenario.MetricList() {
-			entry(m.Name, m.Doc, m.Params)
-		}
-		fmt.Println("custom drivers:")
-		for _, d := range scenario.DriverList() {
-			entry(d.Name, d.Doc, d.Params)
-		}
+	fmt.Println("flow generators:")
+	for _, g := range scenario.FlowGenList() {
+		entry(g.Name, g.Doc, g.Params)
 	}
-	if qds {
-		fmt.Println("queue disciplines:")
-		for _, q := range scenario.QdiscList() {
-			entry(q.Name, q.Doc, q.Params)
-		}
+	fmt.Println("protocol runners:")
+	for _, r := range scenario.RunnerList() {
+		entry(fmt.Sprintf("%s [%s]", r.Name, r.Level), r.Doc, r.Params)
+	}
+	fmt.Println("analytic baselines:")
+	for _, a := range scenario.AnalyticList() {
+		entry(a.Name, a.Doc, a.Params)
+	}
+	fmt.Println("metrics:")
+	for _, m := range scenario.MetricList() {
+		entry(m.Name, m.Doc, m.Params)
+	}
+	fmt.Println("custom drivers:")
+	for _, d := range scenario.DriverList() {
+		entry(d.Name, d.Doc, d.Params)
+	}
+	fmt.Println("queue disciplines:")
+	for _, q := range scenario.QdiscList() {
+		entry(q.Name, q.Doc, q.Params)
 	}
 }

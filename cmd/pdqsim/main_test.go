@@ -24,23 +24,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// pdqsim runs the command with args and returns its stderr and exit code.
-func pdqsim(t *testing.T, args ...string) (string, int) {
+// pdqsim runs the command with args and returns its stdout, stderr and
+// exit code.
+func pdqsim(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "PDQSIM_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return stderr.String(), 0
+		return stdout.String(), stderr.String(), 0
 	case errors.As(err, &exit):
-		return stderr.String(), exit.ExitCode()
+		return stdout.String(), stderr.String(), exit.ExitCode()
 	}
 	t.Fatal(err)
-	return "", 0
+	return "", "", 0
 }
 
 // TestProbeStrideRejected pins that a -probe-stride-us under the engine's
@@ -48,13 +49,41 @@ func pdqsim(t *testing.T, args ...string) (string, int) {
 // silent fall back to the default stride.
 func TestProbeStrideRejected(t *testing.T) {
 	for _, v := range []string{"0", "-7", "NaN", "0.0009", "Inf"} {
-		stderr, code := pdqsim(t, "-probe-stride-us", v, "-probe", os.DevNull, "-list")
+		_, stderr, code := pdqsim(t, "-probe-stride-us", v, "-probe", os.DevNull, "-list")
 		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "-probe-stride-us") {
 			t.Errorf("-probe-stride-us %s: exit %d, stderr %q; want exit 2 and one line naming the flag", v, code, stderr)
 		}
 	}
-	if stderr, code := pdqsim(t, "-probe-stride-us", "0.001", "-list"); code != 0 {
+	if _, stderr, code := pdqsim(t, "-probe-stride-us", "0.001", "-list"); code != 0 {
 		t.Errorf("-probe-stride-us 0.001: exit %d, stderr %q; want exit 0", code, stderr)
+	}
+}
+
+// TestListNamesEveryRegistry pins -list: the experiments, then every
+// registry a spec can name, the same bytes on every run.
+func TestListNamesEveryRegistry(t *testing.T) {
+	out, stderr, code := pdqsim(t, "-list")
+	if code != 0 || stderr != "" {
+		t.Fatalf("-list: exit %d, stderr %q", code, stderr)
+	}
+	for _, heading := range []string{"available experiments:", "topologies:", "patterns:",
+		"size distributions:", "flow generators:", "protocol runners:", "analytic baselines:",
+		"metrics:", "custom drivers:", "queue disciplines:"} {
+		if !strings.Contains(out, "\n"+heading+"\n") && !strings.HasPrefix(out, heading+"\n") {
+			t.Errorf("-list has no %q heading", heading)
+		}
+	}
+	if again, _, _ := pdqsim(t, "-list"); again != out {
+		t.Error("two -list runs differ")
+	}
+}
+
+// TestExpAndScenarioExclusive pins that naming two things to run is a
+// usage error, not a run of one of them.
+func TestExpAndScenarioExclusive(t *testing.T) {
+	stdout, stderr, code := pdqsim(t, "-exp", "fig3a", "-scenario", os.DevNull)
+	if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("-exp with -scenario: exit %d, stdout %q, stderr %q; want exit 2 and one line", code, stdout, stderr)
 	}
 }
 

@@ -1,13 +1,20 @@
-// Command pdqtopo builds and inspects the evaluation topologies: node and
-// link counts, diameter, and equal-cost path diversity — handy for
-// sanity-checking a topology before running experiments on it.
+// Command pdqtopo builds and inspects any registered topology family:
+// node and link counts, diameter, and equal-cost path diversity — handy
+// for sanity-checking a topology before a scenario names it.
+//
+// Names and parameters resolve through the topology registry, as a
+// scenario spec's topology block does: `pdqsim -list` prints every family
+// with its parameters and defaults, and an input the registry refuses
+// (an unknown name or parameter, a value the family's Check rejects, a
+// topology past the link cap) exits 2 with one line.
 //
 // Usage:
 //
-//	pdqtopo -topo fat-tree -k 8
-//	pdqtopo -topo bcube -n 2 -levels 3
-//	pdqtopo -topo jellyfish -switches 20 -degree 8 -hosts-per 4
-//	pdqtopo -topo tree
+//	pdqtopo -topo fat-tree -params '{"k":8}'
+//	pdqtopo -topo fat-tree -params '{"k":8,"oversub":4}' -json
+//	pdqtopo -topo bcube -params '{"n":2,"k":3}'
+//	pdqtopo -topo jellyfish -params '{"switches":20,"degree":8,"hosts_per_switch":4}' -seed 7
+//	pdqtopo -topo single-rooted-tree
 package main
 
 import (
@@ -21,34 +28,22 @@ import (
 
 func main() {
 	var (
-		kind     = flag.String("topo", "tree", "tree | bottleneck | fat-tree | bcube | jellyfish")
-		k        = flag.Int("k", 4, "fat-tree arity")
-		n        = flag.Int("n", 2, "bcube switch port count")
-		levels   = flag.Int("levels", 3, "bcube levels minus one (k)")
-		switches = flag.Int("switches", 10, "jellyfish switch count")
-		degree   = flag.Int("degree", 4, "jellyfish network degree")
-		hostsPer = flag.Int("hosts-per", 2, "jellyfish hosts per switch")
-		senders  = flag.Int("senders", 5, "bottleneck sender count")
-		seed     = flag.Int64("seed", 1, "construction seed")
-		jsonOut  = flag.Bool("json", false, "emit the summary as JSON")
+		name    = flag.String("topo", "single-rooted-tree", "registered topology family (pdqsim -list names them)")
+		params  = flag.String("params", "", `family parameters as a JSON object, e.g. '{"k":8}'; unset ones take their defaults`)
+		seed    = flag.Int64("seed", 1, "construction seed")
+		jsonOut = flag.Bool("json", false, "emit the summary as JSON")
 	)
 	flag.Parse()
 
-	var t *topo.Topology
-	switch *kind {
-	case "tree":
-		t = topo.SingleRootedTree(4, 3, *seed)
-	case "bottleneck":
-		t = topo.SingleBottleneck(*senders, *seed)
-	case "fat-tree":
-		t = topo.FatTree(*k, *seed)
-	case "bcube":
-		t = topo.BCube(*n, *levels, *seed)
-	case "jellyfish":
-		t = topo.Jellyfish(*switches, *degree, *hostsPer, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "pdqtopo: unknown topology %q\n", *kind)
-		os.Exit(2)
+	var given map[string]float64
+	if *params != "" {
+		if err := json.Unmarshal([]byte(*params), &given); err != nil {
+			usage("-params: %v", err)
+		}
+	}
+	t, err := topo.BuildByName(*name, given, *seed)
+	if err != nil {
+		usage("%s: %v", *name, err)
 	}
 
 	ecmp, pathLen := 0, 0
@@ -86,4 +81,10 @@ func main() {
 		fmt.Printf("ECMP paths host %d -> host %d: %d (length %d)\n",
 			t.Hosts[0].ID(), t.Hosts[len(t.Hosts)-1].ID(), ecmp, pathLen)
 	}
+}
+
+// usage reports a refused input on one line and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "pdqtopo: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -6,10 +6,10 @@
 // (internal/core + internal/protocol/...) or the flow-level simulator
 // (internal/flowsim) as the paper does for that figure.
 //
-// Every driver accepts scenario.Opts; Opts.Quick shrinks the sweep so the
-// full set runs in seconds (used by the benchmarks in bench_test.go),
-// while the default reproduces the figure at closer to paper scale via
-// cmd/pdqsim.
+// cmd/pdqsim runs these specs through scenario.Run like any scenario
+// file. Opts.Quick shrinks every sweep so the full set runs in seconds
+// (the scale of the tests and of benchmark/'s figures-quick), while the
+// default reproduces each figure at closer to paper scale.
 package exp
 
 import (

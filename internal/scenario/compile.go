@@ -665,10 +665,37 @@ func compileRow(s *Spec, ps ProtoSpec, cols []column) (*row, error) {
 			return nil, fmt.Errorf("row %q: qdisc %q needs a packet-level runner, %q is %s-level",
 				r.label, ps.Qdisc.Name, ps.Runner, e.Level)
 		}
+		if e.Level == "flow" {
+			lossy := cols[c].plan.HasLoss || ps.Fixed && s.Topology.Loss != nil
+			if block := unmodelled(s, ps.Runner, lossy); block != "" {
+				return nil, fmt.Errorf("row %q: flow-level runner %q does not model %s; the table would equal the one without it",
+					r.label, ps.Runner, block)
+			}
+		}
 		p.Params, p.Level = rp, e.Level
 		r.bound = append(r.bound, p.bind())
 	}
 	return r, nil
+}
+
+// unmodelled names the spec block a flow-level runner would run without
+// reading, or returns "": flowsim never reads link loss and treats
+// gilbert-loss as inert (flowsim/fault.go), and flow:fluid builds no
+// topology for any fault to act on. lossy reports whether the row's
+// columns carry link loss.
+func unmodelled(s *Spec, runner string, lossy bool) string {
+	if lossy {
+		if s.Sweep != nil && s.Sweep.Axis == "loss-rate" {
+			return "the loss-rate axis"
+		}
+		return "topology.loss"
+	}
+	for i, f := range s.Faults {
+		if f.Kind == "gilbert-loss" || runner == "flow:fluid" {
+			return fmt.Sprintf("faults[%d] (%s)", i, f.Kind)
+		}
+	}
+	return ""
 }
 
 // bind looks up the entries a row plan names; compileRow resolved every

@@ -86,3 +86,47 @@ func walkKey[P any](t *testing.T, root string, newPlan func() *P, key func(*P) s
 	walk(root, reflect.TypeOf(*new(P)), func(p *P) reflect.Value { return reflect.ValueOf(p).Elem() })
 	return leaves
 }
+
+// TestFlowRowsRefuseUnmodelledBlocks pins that a flow-level row refuses a
+// spec block its simulator would run without reading, naming the row and
+// the block: the table would be byte-identical to the one without it. The
+// same blocks still compile where they are modelled.
+func TestFlowRowsRefuseUnmodelledBlocks(t *testing.T) {
+	lossy := func(s *Spec) { s.Topology.Loss = &LossSpec{Host: -1, Rate: 0.01} }
+	lossAxis := func(s *Spec) {
+		lossy(s)
+		s.Sweep = &SweepSpec{Axis: "loss-rate", Values: []float64{0.01, 0.02}}
+	}
+	fault := func(kind string) func(*Spec) {
+		return func(s *Spec) {
+			s.Faults = []FaultSpec{{Kind: kind, Host: 0, DownMs: 1, UpMs: 2, PGB: 0.1, PBG: 0.5, LossBad: 0.5}}
+		}
+	}
+	cases := []struct {
+		name   string
+		row    ProtoSpec
+		mutate func(*Spec)
+		want   string // "" when the spec must compile
+	}{
+		{"topology.loss", ProtoSpec{Runner: "flow:PDQ"}, lossy, `row "flow:PDQ": flow-level runner "flow:PDQ" does not model topology.loss`},
+		{"loss-rate axis", ProtoSpec{Runner: "flow:RCP"}, lossAxis, `row "flow:RCP": flow-level runner "flow:RCP" does not model the loss-rate axis`},
+		{"loss-rate axis, fixed row", ProtoSpec{Label: "R", Runner: "flow:RCP", Fixed: true}, lossAxis, `row "R": flow-level runner "flow:RCP" does not model the loss-rate axis`},
+		{"gilbert-loss", ProtoSpec{Runner: "flow:D3"}, fault("gilbert-loss"), `row "flow:D3": flow-level runner "flow:D3" does not model faults[0] (gilbert-loss)`},
+		{"fault on fluid", ProtoSpec{Runner: "flow:fluid"}, fault("link-down"), `row "flow:fluid": flow-level runner "flow:fluid" does not model faults[0] (link-down)`},
+		{"loss on packet row", ProtoSpec{Runner: "PDQ(Full)"}, lossAxis, ""},
+		{"gilbert-loss on packet row", ProtoSpec{Runner: "TCP"}, fault("gilbert-loss"), ""},
+		{"link-down on flow row", ProtoSpec{Runner: "flow:PDQ"}, fault("link-down"), ""},
+	}
+	for _, tc := range cases {
+		s := minimalSpec()
+		s.Protocols = []ProtoSpec{tc.row}
+		tc.mutate(s)
+		_, err := compile(s, Opts{})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
