@@ -31,57 +31,15 @@ import (
 	"pdq/internal/sim"
 )
 
-// Config selects PDQ features and constants. The zero value is PDQ(Basic)
-// with the paper's defaults; use Full for the complete protocol.
+// Config selects PDQ features. The zero value is PDQ(Basic); use Full for
+// the complete protocol.
 type Config struct {
 	EarlyStart        bool // ES: accept nearly-completed flows early (§3.3.2)
 	EarlyTermination  bool // ET: give up on hopeless deadline flows (§3.1)
 	SuppressedProbing bool // SP: scale probe intervals by list index (§3.3.2)
 
-	// K is the Early Start threshold: a sending flow is nearly completed
-	// when T_i < K·RTT_i, and at most K RTTs worth of such flows are
-	// started early. The paper uses K=2.
-	K float64
-
-	// X is the Suppressed Probing factor: a paused flow at list index i
-	// probes at most every X·i RTTs. The paper uses 0.2.
-	X float64
-
-	// MaxList is M, the hard bound on flows remembered per link (§3.3.1).
-	// Less critical flows fall back to the embedded RCP controller.
-	MaxList int
-
-	// RatePDQ is r_PDQ, the per-link aggregate rate for PDQ traffic; 0
-	// means the full link rate (§3.3.3).
-	RatePDQ int64
-
-	// Dampening is the interval after accepting a non-sending flow during
-	// which no other paused flow is accepted (§3.3.2, "a given small
-	// period of time").
-	Dampening sim.Duration
-
-	// MinGrantFrac is the smallest rate a switch will grant, as a
-	// fraction of the link rate; anything lower becomes a pause. PDQ's
-	// allocation is intentionally bimodal — the most critical flows get
-	// their full rate, the rest are paused (§3, §4) — so residual
-	// trickles (rate-controller jitter, RCP-fallback slivers) must not
-	// keep a flow nominally "sending" at a useless rate, where it would
-	// pace packets tens of milliseconds apart instead of probing.
-	MinGrantFrac float64
-
-	// InitRTT seeds RTT estimates before the first measurement.
-	InitRTT sim.Time
-
-	// RTOmin bounds retransmission timeouts below.
-	RTOmin sim.Duration
-
-	// StaleTimeout evicts flows whose state has not been refreshed (e.g.
-	// their TERM was lost). Keep well above the largest suppressed
-	// probing interval.
-	StaleTimeout sim.Duration
-
 	// Subflows > 1 enables Multipath PDQ with that many subflows per
-	// flow, striped over ECMP paths (§6).
+	// flow, striped over ECMP paths (§6); below 1 means one.
 	Subflows int
 
 	// Less overrides the flow comparator (§3.3: "the operator could
@@ -92,36 +50,37 @@ type Config struct {
 	Less func(a, b Criticality) bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.K == 0 {
-		c.K = 2
-	}
-	if c.X == 0 {
-		c.X = 0.2
-	}
-	if c.MaxList == 0 {
-		c.MaxList = 256
-	}
-	if c.Dampening == 0 {
-		c.Dampening = 30 * sim.Microsecond
-	}
-	if c.MinGrantFrac == 0 {
-		c.MinGrantFrac = 0.01
-	}
-	if c.InitRTT == 0 {
-		c.InitRTT = 150 * sim.Microsecond
-	}
-	if c.RTOmin == 0 {
-		c.RTOmin = sim.Millisecond
-	}
-	if c.StaleTimeout == 0 {
-		c.StaleTimeout = 20 * sim.Millisecond
-	}
-	if c.Subflows < 1 {
-		c.Subflows = 1
-	}
-	return c
-}
+// The paper's switch and sender constants. r_PDQ, the aggregate rate of
+// PDQ traffic on a link (§3.3.3), is the link rate. The shared transport
+// constants (initial RTT, RTOmin, stale timeout) are internal/protocol's.
+const (
+	// earlyStartK is K: a sending flow is nearly completed when
+	// T_i < K·RTT_i, and at most K RTTs worth of such flows are started
+	// early (§3.3.2).
+	earlyStartK = 2.0
+
+	// probeX is the Suppressed Probing factor X: a paused flow at list
+	// index i probes at most every X·i RTTs (§3.3.2).
+	probeX = 0.2
+
+	// maxList is M, the hard bound on flows remembered per link (§3.3.1).
+	// Less critical flows fall back to the embedded RCP controller.
+	maxList = 256
+
+	// dampening is the interval after accepting a non-sending flow during
+	// which no other paused flow is accepted (§3.3.2, "a given small
+	// period of time").
+	dampening = 30 * sim.Microsecond
+
+	// minGrantFrac is the smallest rate a switch will grant, as a fraction
+	// of the link rate; anything lower becomes a pause. PDQ's allocation
+	// is intentionally bimodal — the most critical flows get their full
+	// rate, the rest are paused (§3, §4) — so residual trickles
+	// (rate-controller jitter, RCP-fallback slivers) must not keep a flow
+	// nominally "sending" at a useless rate, where it would pace packets
+	// tens of milliseconds apart instead of probing.
+	minGrantFrac = 0.01
+)
 
 // Basic returns PDQ(Basic): preemptive scheduling without Early Start,
 // Early Termination or Suppressed Probing.

@@ -339,10 +339,9 @@ func TestResilienceToLoss(t *testing.T) {
 
 func TestSwitchListBounded(t *testing.T) {
 	// §3.3.1: switch memory stays small — the list never exceeds
-	// min(2κ, MaxList) and with one bottleneck κ is tiny.
+	// min(2κ, M) and with one bottleneck κ is tiny.
 	tp := topo.SingleBottleneck(8, 1)
-	cfg := Full()
-	sys := Install(tp, cfg)
+	sys := Install(tp, Full())
 	for i := 0; i < 8; i++ {
 		sys.Start(flow(uint64(i+1), i, 8, 500<<10, 0, 0))
 	}
@@ -367,7 +366,7 @@ func TestSwitchListBounded(t *testing.T) {
 			t.Fatalf("flow %d incomplete", i)
 		}
 	}
-	if probeMax > cfg.withDefaults().MaxList {
+	if probeMax > maxList {
 		t.Errorf("flow list grew to %d", probeMax)
 	}
 	if probeMax == 0 {
@@ -408,30 +407,6 @@ func TestMPDQOnBCube(t *testing.T) {
 	multi := run(4)
 	if multi > single+single/10 {
 		t.Errorf("M-PDQ FCT %v worse than single-path %v", multi, single)
-	}
-}
-
-func TestVariantNames(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{Basic(), "PDQ(Basic)"},
-		{ES(), "PDQ(ES)"},
-		{ESET(), "PDQ(ES+ET)"},
-		{Full(), "PDQ(Full)"},
-	}
-	for _, c := range cases {
-		tp := topo.SingleBottleneck(1, 1)
-		if got := Install(tp, c.cfg).Name(); got != c.want {
-			t.Errorf("Name = %q, want %q", got, c.want)
-		}
-	}
-	tp := topo.BCube(2, 1, 1)
-	cfg := Full()
-	cfg.Subflows = 3
-	if got := Install(tp, cfg).Name(); got != "M-PDQ(3)" {
-		t.Errorf("Name = %q", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 	"pdq/internal/sim"
 )
 
@@ -28,9 +29,10 @@ func (f *flowInfo) sending() bool { return f.pauseBy == netsim.PauseNone }
 // most-critical flow list, the rate controller variable C, dampening
 // state, and the embedded RCP fallback controller (§3.3.1–§3.3.3).
 type linkState struct {
-	cfg  *Config
-	me   netsim.NodeID // owning switch/relay-host ID
-	link *netsim.Link
+	cfg     *Config
+	me      netsim.NodeID // owning switch/relay-host ID
+	link    *netsim.Link
+	maxList int // M (the maxList constant; in-package tests lower it)
 
 	flows []*flowInfo // sorted most-critical first
 	// free holds entries that left the list (TERM, eviction, stale
@@ -56,11 +58,7 @@ type linkState struct {
 }
 
 func newLinkState(cfg *Config, me netsim.NodeID, link *netsim.Link) *linkState {
-	rate := cfg.RatePDQ
-	if rate == 0 {
-		rate = link.Rate
-	}
-	return &linkState{cfg: cfg, me: me, link: link, c: rate, rcpSeen: map[flowKey]bool{}}
+	return &linkState{cfg: cfg, me: me, link: link, maxList: maxList, c: link.Rate, rcpSeen: map[flowKey]bool{}}
 }
 
 // less applies the configured comparator (Config.Less, default
@@ -109,21 +107,21 @@ func (st *linkState) kappa() int {
 }
 
 // capacity is the list bound: 2κ flows (§3.3.1), at least 2 so a first
-// flow can always be admitted, and at most MaxList (M).
+// flow can always be admitted, and at most M.
 func (st *linkState) capacity() int {
 	c := 2 * st.kappa()
 	if c < 2 {
 		c = 2
 	}
-	if c > st.cfg.MaxList {
-		c = st.cfg.MaxList
+	if c > st.maxList {
+		c = st.maxList
 	}
 	return c
 }
 
 // expireStale drops flows whose state was never refreshed (lost TERM).
 func (st *linkState) expireStale(now sim.Time) {
-	cutoff := now - st.cfg.StaleTimeout
+	cutoff := now - protocol.StaleTimeout
 	if cutoff <= 0 {
 		return
 	}
@@ -185,7 +183,7 @@ func (st *linkState) admit(now sim.Time, key flowKey, c Criticality) *flowInfo {
 		pauseBy:  st.me, // not sending until acceptance commits (§3.3.2)
 		deadline: c.Deadline,
 		ttrans:   c.TTrans,
-		rtt:      st.cfg.InitRTT,
+		rtt:      protocol.InitRTT,
 		seen:     now,
 	}
 	st.insert(f)
@@ -198,11 +196,11 @@ func (st *linkState) admit(now sim.Time, key flowKey, c Criticality) *flowInfo {
 	return f
 }
 
-// avgRTT averages the RTT estimates of listed flows (InitRTT when empty);
-// it paces the rate controller (§3.3.3).
+// avgRTT averages the RTT estimates of listed flows (the initial RTT when
+// empty); it paces the rate controller (§3.3.3).
 func (st *linkState) avgRTT() sim.Time {
 	if len(st.flows) == 0 {
-		return st.cfg.InitRTT
+		return protocol.InitRTT
 	}
 	var sum sim.Time
 	for _, f := range st.flows {
@@ -220,13 +218,9 @@ func (st *linkState) maybeUpdateC(now sim.Time) {
 		return
 	}
 	st.lastCUpdate = now
-	rPDQ := st.cfg.RatePDQ
-	if rPDQ == 0 {
-		rPDQ = st.link.Rate
-	}
 	qBits := int64(st.link.QueueWaiting()) * 8
 	drain := qBits * int64(sim.Second) / int64(2*rtt)
-	c := rPDQ - drain
+	c := st.link.Rate - drain
 	if c < 0 {
 		c = 0
 	}
@@ -253,7 +247,7 @@ func (st *linkState) availbw(j int) int64 {
 	avail := st.c
 	for i := 0; i < j && i < len(st.flows); i++ {
 		f := st.flows[i]
-		if st.cfg.EarlyStart && f.rtt > 0 && float64(f.ttrans)/float64(f.rtt) < st.cfg.K && x < st.cfg.K {
+		if st.cfg.EarlyStart && f.rtt > 0 && float64(f.ttrans)/float64(f.rtt) < earlyStartK && x < earlyStartK {
 			x += float64(f.ttrans) / float64(f.rtt)
 			continue
 		}
@@ -272,9 +266,9 @@ func (st *linkState) availbw(j int) int64 {
 	return avail
 }
 
-// minGrant is the smallest rate worth granting (see Config.MinGrantFrac).
+// minGrant is the smallest rate worth granting (see minGrantFrac).
 func (st *linkState) minGrant() int64 {
-	return int64(st.cfg.MinGrantFrac * float64(st.link.Rate))
+	return int64(minGrantFrac * float64(st.link.Rate))
 }
 
 // rcpRate is the fallback fair-share rate for flows outside the list
@@ -298,7 +292,7 @@ func (st *linkState) rcpRate(key flowKey) int64 {
 // another non-sending flow was accepted within the dampening window
 // (§3.3.2).
 func (st *linkState) dampened(now sim.Time, key flowKey) bool {
-	return st.everAccepted && key != st.lastAcceptKey && now-st.lastAccept < st.cfg.Dampening
+	return st.everAccepted && key != st.lastAcceptKey && now-st.lastAccept < dampening
 }
 
 // noteAccept records that a previously non-sending flow was just accepted.

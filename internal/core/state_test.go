@@ -7,13 +7,13 @@ import (
 	"testing/quick"
 
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 	"pdq/internal/sim"
 )
 
 // testState builds a linkState over a 1 Gbps link.
 func testState(t *testing.T, cfg Config) *linkState {
 	t.Helper()
-	cfg = cfg.withDefaults()
 	n := netsim.NewNetwork(sim.New(), 1)
 	a := n.NewHost()
 	b := n.NewHost()
@@ -29,7 +29,6 @@ func critOf(id uint64, ttrans sim.Time) Criticality {
 
 func TestAdmitKeepsSortedOrder(t *testing.T) {
 	st := testState(t, Full())
-	st.cfg.MaxList = 64
 	// Admit in shuffled criticality order.
 	rng := rand.New(rand.NewSource(3))
 	tt := rng.Perm(10)
@@ -81,25 +80,23 @@ func TestAdmitEnforces2Kappa(t *testing.T) {
 }
 
 func TestCapacityCappedByMaxList(t *testing.T) {
-	cfg := Full()
-	cfg.MaxList = 3
-	st := testState(t, cfg)
+	st := testState(t, Full())
+	st.maxList = 3
 	for i := uint64(1); i <= 5; i++ {
 		if f := st.admit(0, fk(i), critOf(i, sim.Time(i))); f != nil {
 			f.rate = 1_000_000
 		}
 	}
 	if len(st.flows) > 3 {
-		t.Fatalf("list length %d exceeds MaxList 3", len(st.flows))
+		t.Fatalf("list length %d exceeds M = 3", len(st.flows))
 	}
 	if st.capacity() > 3 {
-		t.Fatalf("capacity %d exceeds MaxList", st.capacity())
+		t.Fatalf("capacity %d exceeds M", st.capacity())
 	}
 }
 
 func TestAvailbwWaterfillsDemands(t *testing.T) {
 	st := testState(t, Full())
-	st.cfg.MaxList = 16
 	// Most critical flow demands 400 Mbps, second 800 Mbps.
 	f1 := st.admit(0, fk(1), critOf(1, 10*sim.Millisecond))
 	f1.demand = 400_000_000
@@ -146,7 +143,6 @@ func TestAvailbwEarlyStartExcludesNearlyDone(t *testing.T) {
 
 func TestRepositionOnShrinkingTTrans(t *testing.T) {
 	st := testState(t, Full())
-	st.cfg.MaxList = 16
 	a := st.admit(0, fk(1), critOf(1, 10*sim.Millisecond))
 	a.rate = 1
 	b := st.admit(0, fk(2), critOf(2, 20*sim.Millisecond))
@@ -176,7 +172,7 @@ func TestDampeningWindow(t *testing.T) {
 	if !st.dampened(1001, fk(2)) {
 		t.Fatal("other flow inside window should be dampened")
 	}
-	after := 1000 + st.cfg.Dampening + 1
+	after := 1000 + dampening + 1
 	if st.dampened(after, fk(2)) {
 		t.Fatal("dampening did not expire")
 	}
@@ -221,7 +217,7 @@ func TestStaleEviction(t *testing.T) {
 	st := testState(t, Full())
 	f := st.admit(0, fk(1), critOf(1, 10))
 	f.seen = 0
-	st.expireStale(st.cfg.StaleTimeout * 2)
+	st.expireStale(protocol.StaleTimeout * 2)
 	if st.find(fk(1)) >= 0 {
 		t.Fatal("stale flow not evicted")
 	}
@@ -262,7 +258,7 @@ func TestMinGrantRoundsDown(t *testing.T) {
 func TestPropertyListInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
 		st := testState(t, Full())
-		st.cfg.MaxList = 8
+		st.maxList = 8
 		now := sim.Time(0)
 		for _, op := range ops {
 			now += 10
@@ -283,7 +279,7 @@ func TestPropertyListInvariants(t *testing.T) {
 				st.admit(now, key, Criticality{Deadline: noDeadline, TTrans: tt, Key: key})
 			}
 			// Invariants.
-			if len(st.flows) > st.cfg.MaxList {
+			if len(st.flows) > st.maxList {
 				return false
 			}
 			seen := map[flowKey]bool{}
@@ -319,7 +315,6 @@ func TestPropertyAvailbwMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 200; trial++ {
 		st := testState(t, Full())
-		st.cfg.MaxList = 32
 		n := 1 + rng.Intn(10)
 		for i := 0; i < n; i++ {
 			id := uint64(i + 1)

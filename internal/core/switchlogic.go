@@ -17,9 +17,8 @@ type SwitchLogic struct {
 }
 
 // NewSwitchLogic returns switch logic for one experiment covering nLinks
-// directed links. cfg must already have defaults applied (System does
-// this). Clocks come from the links themselves (Link.Now), so the logic
-// needs no clock of its own.
+// directed links. Clocks come from the links themselves (Link.Now), so the
+// logic needs no clock of its own.
 func NewSwitchLogic(cfg *Config, nLinks int) *SwitchLogic {
 	return &SwitchLogic{cfg: cfg, states: make([]*linkState, nLinks)}
 }
@@ -152,7 +151,7 @@ func (l *SwitchLogic) onForward(st *linkState, pkt *netsim.Packet, h *netsim.Sch
 		w = h.Rate
 	}
 	if w < st.minGrant() {
-		w = 0 // a sliver is a pause, not a rate (Config.MinGrantFrac)
+		w = 0 // a sliver is a pause, not a rate (minGrantFrac)
 	}
 	if w > 0 {
 		if !f.sending() && st.dampened(now, key) {
@@ -202,7 +201,7 @@ func (l *SwitchLogic) onReverse(st *linkState, pkt *netsim.Packet, h *netsim.Sch
 			// A paused flow at list index i can start only after the
 			// flows ahead of it finish; probe every X·index RTTs
 			// (§3.3.2).
-			if ip := l.cfg.X * float64(i+1); ip > h.InterProbe {
+			if ip := probeX * float64(i+1); ip > h.InterProbe {
 				h.InterProbe = ip
 			}
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/xfer"
@@ -24,40 +22,18 @@ type System struct {
 	*protocol.System
 	Cfg   Config
 	Logic *SwitchLogic
-
-	xcfg xfer.Config // the transport constants of Cfg, as the sender takes them
 }
 
 // Install attaches PDQ with the given configuration to every host and
 // switch of the topology.
 func Install(t *topo.Topology, cfg Config) *System {
-	s := &System{Cfg: cfg.withDefaults()}
-	s.System = protocol.Install(t, s.Cfg.Subflows, s.newReceiver, s.newSender)
-	s.xcfg = xfer.Config{InitRTT: s.Cfg.InitRTT, RTOmin: s.Cfg.RTOmin, HdrBytes: netsim.SchedHdrWire}
+	if cfg.Subflows < 1 {
+		cfg.Subflows = 1
+	}
+	s := &System{Cfg: cfg}
 	s.Logic = NewSwitchLogic(&s.Cfg, len(t.Net.Links()))
-	for _, sw := range t.Switches {
-		sw.Logic = s.Logic
-	}
-	for _, h := range t.Hosts {
-		h.Logic = s.Logic // hosts relay in server-centric topologies
-	}
+	s.System = protocol.Install(t, s.Cfg.Subflows, s.Logic, s.newReceiver, s.newSender)
 	return s
-}
-
-// Name identifies the configured variant for experiment tables.
-func (s *System) Name() string {
-	switch {
-	case s.Cfg.Subflows > 1:
-		return fmt.Sprintf("M-PDQ(%d)", s.Cfg.Subflows)
-	case s.Cfg.EarlyStart && s.Cfg.EarlyTermination && s.Cfg.SuppressedProbing:
-		return "PDQ(Full)"
-	case s.Cfg.EarlyStart && s.Cfg.EarlyTermination:
-		return "PDQ(ES+ET)"
-	case s.Cfg.EarlyStart:
-		return "PDQ(ES)"
-	default:
-		return "PDQ(Basic)"
-	}
 }
 
 func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
@@ -69,7 +45,7 @@ func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receive
 // Early Termination timer.
 func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	src := s.Topo.Hosts[f.Src]
-	w := xfer.NewWindow(src, tel, &s.xcfg, f)
+	w := xfer.NewWindow(src, tel, netsim.SchedHdrWire, f)
 	subs := make([]subflow, s.Cfg.Subflows)
 	for i := range subs {
 		subs[i] = subflow{sys: s, rmax: src.NICRate(), pauseBy: netsim.PauseNone}
@@ -106,7 +82,7 @@ func (s *System) OnLinkState(l *netsim.Link, down bool) {
 func (s *System) failover(w *xfer.Window, l *netsim.Link) {
 	var fresh []*netsim.Link
 	for _, sub := range w.Pacers() {
-		if !pathUses(sub.Path, l) {
+		if !netsim.PathUses(sub.Path, l) {
 			continue
 		}
 		if fresh == nil {
@@ -118,14 +94,4 @@ func (s *System) failover(w *xfer.Window, l *netsim.Link) {
 		}
 		sub.Path = fresh
 	}
-}
-
-// pathUses reports whether path traverses l in either direction.
-func pathUses(path []*netsim.Link, l *netsim.Link) bool {
-	for _, x := range path {
-		if x == l || x == l.Peer {
-			return true
-		}
-	}
-	return false
 }

@@ -56,7 +56,7 @@ func TestGatherRaisesLowestPanic(t *testing.T) {
 
 func TestRunTrialsSingle(t *testing.T) {
 	o := scenario.Opts{Seed: 5, Parallel: 2}
-	st := scenario.RunTrials(o, []scenario.Trial{
+	st, _ := scenario.RunTrialsErr(o, []scenario.Trial{
 		func(seed int64) float64 { return float64(seed) },
 		func(seed int64) float64 { return float64(2 * seed) },
 	})
@@ -72,7 +72,7 @@ func TestRunTrialsReplicates(t *testing.T) {
 	o := scenario.Opts{Seed: 1, Trials: 4, Parallel: 2}
 	// The cell returns its replicate index (0..3) so the mean and stderr
 	// are known exactly: mean 1.5, stddev of {0,1,2,3} is ~1.29.
-	st := scenario.RunTrials(o, []scenario.Trial{func(seed int64) float64 {
+	st, _ := scenario.RunTrialsErr(o, []scenario.Trial{func(seed int64) float64 {
 		return float64((seed - 1) / scenario.TrialSeedStride)
 	}})
 	if st[0].Mean != 1.5 {

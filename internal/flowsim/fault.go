@@ -17,9 +17,12 @@ import (
 //     fluid equivalent of stalling and recovering by RTO;
 //   - switch-crash: cached criticality estimates of active flows are
 //     reset (the switch's soft ranking state is gone) and, with a restart
-//     window, every adjacent link is down for its duration;
-//   - gilbert-loss: inert — the fluid model has no packet loss, just like
-//     it has no timeouts (package comment).
+//     window, every adjacent link is down for its duration.
+//
+// The fluid model has no packet loss, just like it has no timeouts
+// (package comment), so scenario compile refuses gilbert-loss on flow-level
+// rows; a schedule that reaches here with one installs a chain nothing
+// reads.
 //
 // Must be called before Run, after every Start of the initial workload
 // has been issued or not — hooks only read simulation state when they
@@ -54,7 +57,7 @@ func (s *Sim) reroute(l *netsim.Link) {
 
 func (s *Sim) rerouteAll(flows []*FlowState, l *netsim.Link) {
 	for _, f := range flows {
-		if f == nil || !usesLink(f.Path, l) {
+		if f == nil || !netsim.PathUses(f.Path, l) {
 			continue
 		}
 		src, dst := s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]
@@ -62,14 +65,4 @@ func (s *Sim) rerouteAll(flows []*FlowState, l *netsim.Link) {
 			f.Path = np
 		}
 	}
-}
-
-// usesLink reports whether path traverses l in either direction.
-func usesLink(path []*netsim.Link, l *netsim.Link) bool {
-	for _, x := range path {
-		if x == l || x == l.Peer {
-			return true
-		}
-	}
-	return false
 }

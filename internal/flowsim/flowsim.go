@@ -44,6 +44,10 @@ const goodput = float64(netsim.MSS) / float64(netsim.MTU)
 // handshake plus one RTT for the first data round trip (§5.4).
 const InitLatency = 300 * sim.Microsecond
 
+// stepLen is the allocation interval: equilibrium rates are recomputed on
+// the paper's 1 ms time scale (§5.5).
+const stepLen = sim.Millisecond
+
 // FlowState is one flow during a flow-level run. The exported fields are
 // the model's state and a literal-built FlowState is valid input to an
 // allocator; flow IDs must be unique within one Allocate call.
@@ -281,7 +285,6 @@ type Hook struct {
 type Sim struct {
 	Topo  *topo.Topology
 	Alloc Allocator
-	Step  sim.Duration // default 1 ms
 
 	// ET enables PDQ-style Early Termination of hopeless deadline flows.
 	ET bool
@@ -301,7 +304,7 @@ type Sim struct {
 
 // New creates a flow-level simulation.
 func New(t *topo.Topology, alloc Allocator) *Sim {
-	return &Sim{Topo: t, Alloc: alloc, Step: sim.Millisecond, Collector: workload.NewCollector()}
+	return &Sim{Topo: t, Alloc: alloc, Collector: workload.NewCollector()}
 }
 
 // slabSize is the most flow states one allocation holds: 68 of 120 bytes
@@ -365,7 +368,7 @@ func (s *Sim) FlowCollector() *workload.Collector { return s.Collector }
 //
 //pdq:hotpath
 func (s *Sim) step() {
-	next := s.now + s.Step
+	next := s.now + stepLen
 	// Fire environment hooks due before this step's allocation. During an
 	// idle fast-skip the clock may jump past several hook times at once;
 	// those hooks fire at the top of the following step, still before any
@@ -387,9 +390,9 @@ func (s *Sim) step() {
 	if len(s.active) == 0 {
 		if s.next < len(s.pending) && s.pending[s.next].Started > next {
 			first := s.pending[s.next].Started
-			next = first - (first % s.Step)
+			next = first - (first % stepLen)
 			if next <= s.now {
-				next = s.now + s.Step
+				next = s.now + stepLen
 			}
 		}
 		s.now = next

@@ -66,7 +66,7 @@ func TestHaltStopsAfterTheStep(t *testing.T) {
 	})
 	s.Run(sim.Second)
 	second := want[1].Finish // sequential service: flow 2 is the second to finish
-	if s.now < second || s.now >= second+s.Step {
+	if s.now < second || s.now >= second+stepLen {
 		t.Fatalf("halted run stopped at %v, want within one step after the second finish at %v", s.now, second)
 	}
 	if got := s.Collector.Tally(); got.Met != 2 {

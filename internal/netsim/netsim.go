@@ -261,3 +261,13 @@ func ReversePath(path []*Link) []*Link {
 	}
 	return rev
 }
+
+// PathUses reports whether path traverses l in either direction.
+func PathUses(path []*Link, l *Link) bool {
+	for _, x := range path {
+		if x == l || x == l.Peer {
+			return true
+		}
+	}
+	return false
+}

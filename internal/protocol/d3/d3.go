@@ -37,30 +37,16 @@ type Header struct {
 	Grant   int64 // allocation granted this pass (min over switches)
 }
 
-// Config holds D3 parameters (α and β from §5.1).
-type Config struct {
-	xfer.Config
-	Alpha, Beta  float64
-	StaleTimeout sim.Duration
-	// Quench enables the quenching algorithm (§5.1). On by default via
-	// Install; set NoQuench to disable.
-	NoQuench bool
-}
+// Config is D3's parameter set. It is empty: no scenario varies a D3
+// constant.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	c.Config = c.Config.WithDefaults()
-	c.HdrBytes = HdrWire
-	if c.Alpha == 0 {
-		c.Alpha = 0.1
-	}
-	if c.Beta == 0 {
-		c.Beta = 1
-	}
-	if c.StaleTimeout == 0 {
-		c.StaleTimeout = 20 * sim.Millisecond
-	}
-	return c
-}
+// The rate-adaptation parameters of §5.1. Reservations whose flow went
+// silent (a lost TERM) are collected after protocol.StaleTimeout.
+const (
+	alpha = 0.1 // α: headroom gain
+	beta  = 1.0 // β: queue-drain gain
+)
 
 // alloc is one flow's standing reservation on a link.
 type alloc struct {
@@ -72,7 +58,6 @@ type alloc struct {
 // emerges because each request is served against the capacity left by the
 // reservations standing at that moment.
 type linkState struct {
-	cfg    *Config
 	link   *netsim.Link
 	allocs map[netsim.FlowID]*alloc
 	sum    int64 // Σ allocs
@@ -80,11 +65,11 @@ type linkState struct {
 }
 
 func (st *linkState) gc(now sim.Time) {
-	if now-st.lastGC < st.cfg.StaleTimeout/2 {
+	if now-st.lastGC < protocol.StaleTimeout/2 {
 		return
 	}
 	st.lastGC = now
-	cutoff := now - st.cfg.StaleTimeout
+	cutoff := now - protocol.StaleTimeout
 	for id, a := range st.allocs {
 		if a.seen < cutoff {
 			st.sum -= a.rate
@@ -113,8 +98,8 @@ func (st *linkState) request(now sim.Time, flow netsim.FlowID, desired int64) in
 		head = 0
 	}
 	qBits := float64(st.link.QueueWaiting()) * 8
-	drain := st.cfg.Beta * qBits * float64(sim.Second) / float64(2*st.cfg.InitRTT)
-	capacity := c*(1+st.cfg.Alpha*head) - drain
+	drain := beta * qBits * float64(sim.Second) / float64(2*protocol.InitRTT)
+	capacity := c*(1+alpha*head) - drain
 	if capacity > c {
 		capacity = c
 	}
@@ -151,21 +136,14 @@ func (st *linkState) release(flow netsim.FlowID) {
 // per-link controllers, which every switch and relaying host runs.
 type System struct {
 	*protocol.System
-	Cfg Config
 
 	states []*linkState // indexed by the dense link ID
 }
 
 // Install attaches D3 to every host and switch of the topology.
-func Install(t *topo.Topology, cfg Config) *System {
-	s := &System{Cfg: cfg.withDefaults()}
-	s.System = protocol.Install(t, 1, s.newReceiver, s.newSender)
-	for _, sw := range t.Switches {
-		sw.Logic = (*logic)(s)
-	}
-	for _, h := range t.Hosts {
-		h.Logic = (*logic)(s)
-	}
+func Install(t *topo.Topology, _ Config) *System {
+	s := &System{}
+	s.System = protocol.Install(t, 1, (*logic)(s), s.newReceiver, s.newSender)
 	return s
 }
 
@@ -194,7 +172,7 @@ func (sd *sender) desired() int64 {
 // quench terminates a flow that can no longer meet its deadline.
 func (sd *sender) quench() bool {
 	w := sd.Window()
-	if sd.sys.Cfg.NoQuench || w.Over() || !w.Flow.HasDeadline() {
+	if w.Over() || !w.Flow.HasDeadline() {
 		return false
 	}
 	now := sd.sys.Sim.Now()
@@ -236,9 +214,9 @@ func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receive
 func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	src := s.Topo.Hosts[f.Src]
 	sd := &sender{sys: s, nic: src.NICRate()}
-	w := xfer.NewWindow(src, tel, &s.Cfg.Config, f)
+	w := xfer.NewWindow(src, tel, HdrWire, f)
 	w.Attach(&sd.Pacer, paths[0], sd)
-	if !s.Cfg.NoQuench && f.HasDeadline() {
+	if f.HasDeadline() {
 		s.Sim.At(f.AbsDeadline()+1, func() { sd.quench() })
 	}
 	sd.Start()
@@ -252,7 +230,7 @@ func (l *logic) state(link *netsim.Link) *linkState {
 	l.states = netsim.GrowTo(l.states, link.ID)
 	st := l.states[link.ID]
 	if st == nil {
-		st = &linkState{cfg: &l.Cfg, link: link, allocs: map[netsim.FlowID]*alloc{}}
+		st = &linkState{link: link, allocs: map[netsim.FlowID]*alloc{}}
 		l.states[link.ID] = st
 	}
 	return st

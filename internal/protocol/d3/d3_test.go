@@ -90,20 +90,6 @@ func TestQuenchingTerminatesExpired(t *testing.T) {
 	}
 }
 
-func TestNoQuench(t *testing.T) {
-	tp := topo.SingleBottleneck(1, 1)
-	sys := Install(tp, Config{NoQuench: true})
-	sys.Start(workload.Flow{ID: 1, Src: 0, Dst: 1, Size: 1 << 20, Deadline: 10 * sim.Microsecond})
-	tp.Sim().RunUntil(sim.Second)
-	r := sys.Results()[0]
-	if r.Terminated {
-		t.Error("NoQuench must not terminate")
-	}
-	if !r.Done() {
-		t.Error("flow should finish (late)")
-	}
-}
-
 func TestReservationReleasedOnTERM(t *testing.T) {
 	tp := topo.SingleBottleneck(2, 1)
 	flows := []workload.Flow{

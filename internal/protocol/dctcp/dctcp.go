@@ -23,9 +23,8 @@ import (
 // DefaultG is the α estimation gain of the DCTCP paper (g = 1/16).
 const DefaultG = 1.0 / 16
 
-// Config holds DCTCP parameters.
+// Config holds DCTCP parameters. The kernel runs with the Reno defaults.
 type Config struct {
-	TCP tcp.Config // kernel knobs (RTOmin, windows); Reno defaults apply
 	// G is the EWMA gain of the marked-fraction estimator α; default 1/16.
 	G float64
 	// Threshold is the switch marking threshold K in bytes; default
@@ -35,7 +34,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	c.TCP = c.TCP.WithDefaults()
 	if c.G == 0 {
 		c.G = DefaultG
 	}
@@ -57,7 +55,7 @@ type System struct {
 // with the ECN-threshold discipline.
 func Install(t *topo.Topology, cfg Config) *System {
 	s := &System{Cfg: cfg.withDefaults()}
-	s.System = protocol.Install(t, 1, s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, 1, nil, s.newReceiver, s.newSender)
 	for _, l := range t.Net.Links() {
 		l.SetQdisc(&netsim.ECNFIFO{Threshold: s.Cfg.Threshold})
 	}
@@ -72,7 +70,7 @@ func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receive
 
 func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	snd := &sender{sys: s}
-	snd.Open(s.Topo.Hosts[f.Src], s.Cfg.TCP, tel, f, paths[0])
+	snd.Open(s.Topo.Hosts[f.Src], tcp.Config{}.WithDefaults(), tel, f, paths[0])
 	snd.TrySend()
 	return snd
 }

@@ -5,6 +5,11 @@
 // them at their start times. A protocol package supplies its config, what
 // it installs on links and switches, its header, and the two functions
 // that build a flow's receive and send sides.
+//
+// The transport constants the protocols share are defined here, once.
+// Each is a constant because no figure or scenario varies it; a value a
+// second scenario needs becomes a runner parameter, like pFabric's
+// rtomin_us.
 package protocol
 
 import (
@@ -14,6 +19,19 @@ import (
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
+)
+
+const (
+	// InitRTT seeds RTT estimates before the first measurement, about one
+	// round trip of the paper's 12-server tree (§5.1).
+	InitRTT = 150 * sim.Microsecond
+	// RTOmin bounds retransmission timeouts below: the paper's 1 ms, small
+	// to mitigate TCP incast (§5.1).
+	RTOmin = sim.Millisecond
+	// StaleTimeout evicts a flow from a switch's per-link state once its
+	// state has gone this long unrefreshed (its TERM was lost). It stays
+	// well above PDQ's largest suppressed-probing interval.
+	StaleTimeout = 20 * sim.Millisecond
 )
 
 // Receiver is a flow's state on its destination host.
@@ -75,17 +93,23 @@ type flow struct {
 // few-flow cells of a sweep do not pay for a large one.
 const flowChunk = 39
 
-// Install hangs an agent on every host of t. At a flow's start time recv
+// Install hangs an agent on every host of t and sets logic, the protocol's
+// switch logic (nil for plain forwarding), on every switch and every host:
+// hosts relay in server-centric topologies. At a flow's start time recv
 // builds its receive side and send builds its send side and sets it going
 // over paths: the shortest path, or up to subflows equal-cost ones when
 // subflows > 1. Both report to the flow's collector entry, whose slot the
 // sender stamps on every packet.
-func Install(t *topo.Topology, subflows int, recv func(f workload.Flow, tel workload.Ref) Receiver, send func(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) Sender) *System {
+func Install(t *topo.Topology, subflows int, logic netsim.SwitchLogic, recv func(f workload.Flow, tel workload.Ref) Receiver, send func(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) Sender) *System {
 	s := &System{Topo: t, Sim: t.Sim(), Collector: workload.NewCollector(), subflows: subflows, recv: recv, send: send}
 	s.agents = make([]agent, len(t.Hosts))
 	for i, h := range t.Hosts {
 		s.agents[i] = agent{sys: s, host: i}
 		h.Agent = &s.agents[i]
+		h.Logic = logic
+	}
+	for _, sw := range t.Switches {
+		sw.Logic = logic
 	}
 	return s
 }

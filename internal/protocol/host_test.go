@@ -27,7 +27,7 @@ type fakes struct {
 }
 
 func (k *fakes) install(tp *topo.Topology) *System {
-	return Install(tp, 1,
+	return Install(tp, 1, nil,
 		func(workload.Flow, workload.Ref) Receiver { k.recvs++; return &k.recv },
 		func(_ workload.Flow, _ workload.Ref, paths [][]*netsim.Link) Sender {
 			if len(paths) != 1 || len(paths[0]) == 0 {
@@ -166,7 +166,7 @@ func TestFlowTableMatchesMapDemux(t *testing.T) {
 		var got, want []hit
 		var log *[]hit
 		var at int
-		sys := Install(tp, 1,
+		sys := Install(tp, 1, nil,
 			func(f workload.Flow, _ workload.Ref) Receiver {
 				p := &probe{flow: f.ID, log: &log, host: &at}
 				ref[f.Dst].recvs[netsim.FlowID(f.ID)] = p

@@ -81,7 +81,7 @@ type System struct {
 // under strict priority.
 func Install(t *topo.Topology, cfg Config) *System {
 	s := &System{Cfg: cfg.withDefaults()}
-	s.System = protocol.Install(t, 1, s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, 1, nil, s.newReceiver, s.newSender)
 	for _, l := range t.Net.Links() {
 		l.SetQdisc(netsim.NewPrio(s.Cfg.Bands))
 	}

@@ -26,33 +26,19 @@ type Header struct {
 	Rate int64 // bits/s; switches lower it to their fair share
 }
 
-// Config holds RCP parameters.
-type Config struct {
-	xfer.Config
-	// UpdateEvery is the fair-rate recomputation period in (average)
-	// RTTs; the controller uses the same 2·RTT rhythm as PDQ's rate
-	// controller so queues built during flow churn drain.
-	UpdateEvery float64
-	// StaleTimeout evicts flows whose TERM was lost from the exact count.
-	StaleTimeout sim.Duration
-}
+// Config is RCP's parameter set. It is empty: no scenario varies an RCP
+// constant.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	c.Config = c.Config.WithDefaults()
-	c.HdrBytes = HdrWire
-	if c.UpdateEvery == 0 {
-		c.UpdateEvery = 2
-	}
-	if c.StaleTimeout == 0 {
-		c.StaleTimeout = 20 * sim.Millisecond
-	}
-	return c
-}
+// updatePeriod is how often the fair rate is recomputed: every two initial
+// RTTs, the same 2·RTT rhythm as PDQ's rate controller, so queues built
+// during flow churn drain. Flows whose TERM was lost leave the exact count
+// after protocol.StaleTimeout.
+const updatePeriod = 2 * protocol.InitRTT
 
 // linkState is the per-link RCP controller: the exact flow set and the
 // current fair rate.
 type linkState struct {
-	cfg        *Config
 	link       *netsim.Link
 	flows      map[netsim.FlowID]sim.Time // flow → last seen
 	rate       int64                      // current fair share
@@ -60,13 +46,11 @@ type linkState struct {
 }
 
 func (st *linkState) maybeUpdate(now sim.Time) {
-	rtt := st.cfg.InitRTT
-	period := sim.Time(st.cfg.UpdateEvery * float64(rtt))
-	if now-st.lastUpdate < period {
+	if now-st.lastUpdate < updatePeriod {
 		return
 	}
 	st.lastUpdate = now
-	cutoff := now - st.cfg.StaleTimeout
+	cutoff := now - protocol.StaleTimeout
 	for id, seen := range st.flows {
 		if seen < cutoff {
 			delete(st.flows, id)
@@ -78,7 +62,7 @@ func (st *linkState) maybeUpdate(now sim.Time) {
 		return
 	}
 	qBits := int64(st.link.QueueWaiting()) * 8
-	drain := qBits * int64(sim.Second) / int64(2*rtt)
+	drain := qBits * int64(sim.Second) / int64(2*protocol.InitRTT)
 	c := st.link.Rate - drain
 	if c < 0 {
 		c = 0
@@ -90,21 +74,14 @@ func (st *linkState) maybeUpdate(now sim.Time) {
 // per-link controllers, which every switch and relaying host runs.
 type System struct {
 	*protocol.System
-	Cfg Config
 
 	states []*linkState // indexed by the dense link ID
 }
 
 // Install attaches RCP to every host and switch of the topology.
-func Install(t *topo.Topology, cfg Config) *System {
-	s := &System{Cfg: cfg.withDefaults()}
-	s.System = protocol.Install(t, 1, s.newReceiver, s.newSender)
-	for _, sw := range t.Switches {
-		sw.Logic = (*logic)(s)
-	}
-	for _, h := range t.Hosts {
-		h.Logic = (*logic)(s)
-	}
+func Install(t *topo.Topology, _ Config) *System {
+	s := &System{}
+	s.System = protocol.Install(t, 1, (*logic)(s), s.newReceiver, s.newSender)
 	return s
 }
 
@@ -141,7 +118,7 @@ func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receive
 func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
 	src := s.Topo.Hosts[f.Src]
 	sd := &sender{nic: src.NICRate()}
-	w := xfer.NewWindow(src, tel, &s.Cfg.Config, f)
+	w := xfer.NewWindow(src, tel, HdrWire, f)
 	w.Attach(&sd.Pacer, paths[0], sd)
 	sd.Start()
 	return w
@@ -154,7 +131,7 @@ func (l *logic) state(link *netsim.Link) *linkState {
 	l.states = netsim.GrowTo(l.states, link.ID)
 	st := l.states[link.ID]
 	if st == nil {
-		st = &linkState{cfg: &l.Cfg, link: link, flows: map[netsim.FlowID]sim.Time{}, rate: link.Rate}
+		st = &linkState{link: link, flows: map[netsim.FlowID]sim.Time{}, rate: link.Rate}
 		l.states[link.ID] = st
 	}
 	return st

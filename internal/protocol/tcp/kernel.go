@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 	"pdq/internal/protocol/xfer"
 	"pdq/internal/sim"
 	"pdq/internal/workload"
@@ -49,7 +50,7 @@ func (k *Kernel) Init(s *sim.Sim, cfg Config, coll workload.Ref, numPkts int, se
 	k.Sim, k.Cfg, k.Coll = s, cfg, coll
 	k.numPkts, k.send = numPkts, send
 	k.cwnd = cfg.InitCwnd
-	k.ssthresh = cfg.MaxCwnd
+	k.ssthresh = maxCwnd
 	k.rtoFn = k.onRTO
 }
 
@@ -62,16 +63,13 @@ func (k *Kernel) SndNext() int { return k.sndNext }
 // NumPkts returns the flow's segment count.
 func (k *Kernel) NumPkts() int { return k.numPkts }
 
-// Cwnd returns the congestion window in MSS units.
-func (k *Kernel) Cwnd() float64 { return k.cwnd }
-
 // Done reports whether every segment has been acknowledged.
 func (k *Kernel) Done() bool { return k.done }
 
 func (k *Kernel) rto() sim.Time {
 	var r sim.Time
 	if k.srtt == 0 {
-		r = 3 * k.Cfg.InitRTT
+		r = 3 * protocol.InitRTT
 	} else {
 		r = k.srtt + 4*k.rttvar
 	}
@@ -186,8 +184,8 @@ func (k *Kernel) ProcessAck(ackIdx int, echoSentAt sim.Time) {
 				k.cwnd += 1 / k.cwnd // congestion avoidance
 			}
 		}
-		if k.cwnd > k.Cfg.MaxCwnd {
-			k.cwnd = k.Cfg.MaxCwnd
+		if k.cwnd > maxCwnd {
+			k.cwnd = maxCwnd
 		}
 		if k.sndUna >= k.numPkts {
 			k.done = true

@@ -24,28 +24,24 @@ import (
 // headers already charged on every packet.
 const HdrWire = 0
 
-// Config holds TCP parameters.
+// Config holds the TCP parameters a protocol on the kernel may set
+// (pFabric sets both).
 type Config struct {
-	RTOmin   sim.Duration // default 1 ms (small, for incast)
-	InitRTT  sim.Time
-	InitCwnd float64 // initial window in MSS, default 2
-	MaxCwnd  float64 // cap in MSS, default 1024 (a 1.5 MB window)
+	RTOmin   sim.Duration // default protocol.RTOmin (small, for incast)
+	InitCwnd float64      // initial window in MSS, default 2
 }
 
+// maxCwnd caps the window, in MSS: a 1.5 MB window.
+const maxCwnd = 1024
+
 // WithDefaults fills unset fields with the Reno defaults. Protocols
-// embedding the kernel call it before overriding their own defaults.
+// embedding the kernel call it after setting their own defaults.
 func (c Config) WithDefaults() Config {
 	if c.RTOmin == 0 {
-		c.RTOmin = sim.Millisecond
-	}
-	if c.InitRTT == 0 {
-		c.InitRTT = 150 * sim.Microsecond
+		c.RTOmin = protocol.RTOmin
 	}
 	if c.InitCwnd == 0 {
 		c.InitCwnd = 2
-	}
-	if c.MaxCwnd == 0 {
-		c.MaxCwnd = 1024
 	}
 	return c
 }
@@ -60,7 +56,7 @@ type System struct {
 // Install attaches TCP to every host of the topology.
 func Install(t *topo.Topology, cfg Config) *System {
 	s := &System{Cfg: cfg.WithDefaults()}
-	s.System = protocol.Install(t, 1, s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, 1, nil, s.newReceiver, s.newSender)
 	return s
 }
 

@@ -20,31 +20,10 @@ package xfer
 
 import (
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 	"pdq/internal/sim"
 	"pdq/internal/workload"
 )
-
-// Config carries the transport constants shared by the rate-based
-// protocols.
-type Config struct {
-	InitRTT  sim.Time
-	RTOmin   sim.Duration
-	HdrBytes int // scheduling-header bytes on data packets
-}
-
-// WithDefaults fills zero fields with the paper's defaults.
-func (c Config) WithDefaults() Config {
-	if c.InitRTT == 0 {
-		c.InitRTT = 150 * sim.Microsecond
-	}
-	if c.RTOmin == 0 {
-		c.RTOmin = sim.Millisecond
-	}
-	if c.HdrBytes == 0 {
-		c.HdrBytes = netsim.SchedHdrWire
-	}
-	return c
-}
 
 // Hooks is a protocol's side of one pacer. The protocol's per-(sub)flow
 // object implements it and embeds the Pacer, so binding the hooks costs no
@@ -82,7 +61,7 @@ type Window struct {
 	eng *sim.Sim // source host's owner engine; every sender timer lives here
 	net *netsim.Network
 	src netsim.NodeID
-	cfg *Config
+	hdr int          // the protocol's scheduling-header bytes on data packets
 	tel workload.Ref // the flow's collector entry: counts, outcome, and its slot
 
 	n     int    // packets in the flow
@@ -107,12 +86,13 @@ type Window struct {
 // many packets; a shorter flow gets the power of two that covers it.
 const ringMin = 32
 
-// NewWindow creates the send window of flow on host src. Outcome counters
-// go to tel, and every packet carries tel's slot.
-func NewWindow(src *netsim.Host, tel workload.Ref, cfg *Config, flow workload.Flow) *Window {
+// NewWindow creates the send window of flow on host src. Data packets carry
+// hdrBytes of the protocol's scheduling header. Outcome counters go to tel,
+// and every packet carries tel's slot.
+func NewWindow(src *netsim.Host, tel workload.Ref, hdrBytes int, flow workload.Flow) *Window {
 	n, net := numPackets(flow.Size), src.Network()
 	w := &Window{
-		Flow: flow, eng: net.Sim, net: net, src: src.ID(), cfg: cfg, tel: tel,
+		Flow: flow, eng: net.Sim, net: net, src: src.ID(), hdr: hdrBytes, tel: tel,
 		n: n, acked: NewBitset(n),
 	}
 	w.pacers = w.one[:0]
@@ -325,13 +305,13 @@ func (p *Pacer) RTT() sim.Time {
 	if p.rtt > 0 {
 		return p.rtt
 	}
-	return p.w.cfg.InitRTT
+	return protocol.InitRTT
 }
 
 func (p *Pacer) rto() sim.Time {
 	r := 4 * p.RTT()
-	if r < p.w.cfg.RTOmin {
-		r = p.w.cfg.RTOmin
+	if r < protocol.RTOmin {
+		r = protocol.RTOmin
 	}
 	return r
 }
@@ -364,7 +344,7 @@ func (p *Pacer) sendData(idx int) int {
 	w := p.w
 	pay := payload(w.Flow.Size, w.n, idx)
 	w.stamp(idx, w.eng.Now())
-	wire := pay + netsim.IPTCPHeader + w.cfg.HdrBytes
+	wire := pay + netsim.IPTCPHeader + w.hdr
 	p.send(netsim.DATA, int64(idx)*netsim.MSS, pay, wire)
 	return wire
 }
@@ -382,7 +362,7 @@ func (p *Pacer) sendSYN() {
 	}
 	p.send(netsim.SYN, 0, 0, netsim.ControlWire)
 	eng := p.w.eng
-	p.synEv = eng.AtRunner(eng.Now()+3*p.w.cfg.InitRTT*sim.Time(p.synTries), (*synTimer)(p))
+	p.synEv = eng.AtRunner(eng.Now()+3*protocol.InitRTT*sim.Time(p.synTries), (*synTimer)(p))
 }
 
 // HandleAck processes SYNACK, ACK and PROBEACK feedback on the pacer the

@@ -52,10 +52,9 @@ func newRig(t *testing.T, tp *topo.Topology, src, dst int, size, rate int64, pat
 	t.Helper()
 	f := workload.Flow{ID: 1, Src: src, Dst: dst, Size: size}
 	tel := workload.NewCollector().Register(f)
-	cfg := Config{}.WithDefaults()
 	r := &rig{tp: tp, kinds: map[netsim.Kind]int{}, segs: map[int64]int{}, bySub: map[int]int{}}
 	r.recv = NewReceiver(tp.Hosts[dst], tel, f, len(paths), func(*netsim.Packet, int64) {})
-	r.w = NewWindow(tp.Hosts[src], tel, &cfg, f)
+	r.w = NewWindow(tp.Hosts[src], tel, netsim.SchedHdrWire, f)
 	for _, path := range paths {
 		h := &testHooks{rate: rate, probeRTTs: 1}
 		r.w.Attach(&h.Pacer, path, h)

@@ -580,11 +580,18 @@ var genSources = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) 
 // msTime converts a spec-level millisecond value to simulator time.
 func msTime(v float64) sim.Time { return sim.Time(v * float64(sim.Millisecond)) }
 
+// maxFaultMs bounds a fault's times: about 32 years, past any horizon, and
+// small enough that a crash instant plus its restart still fits sim.Time.
+const maxFaultMs = 1e12
+
 // compileFaults resolves a spec's faults block into validated events
 // against a topology of the given size.
 func compileFaults(specs []FaultSpec, hosts, switches int) ([]fault.Event, error) {
 	sch := fault.Schedule{Events: make([]fault.Event, 0, len(specs))}
 	for i, fs := range specs {
+		if late := max(fs.DownMs, fs.UpMs, fs.AtMs, fs.RestartMs); late > maxFaultMs {
+			return nil, fmt.Errorf("fault %d (%s): %v ms is past the %v ms a fault time may be", i, fs.Kind, late, maxFaultMs)
+		}
 		var ev fault.Event
 		switch fs.Kind {
 		case "link-down":
@@ -679,10 +686,10 @@ func compileRow(s *Spec, ps ProtoSpec, cols []column) (*row, error) {
 }
 
 // unmodelled names the spec block a flow-level runner would run without
-// reading, or returns "": flowsim never reads link loss and treats
-// gilbert-loss as inert (flowsim/fault.go), and flow:fluid builds no
-// topology for any fault to act on. lossy reports whether the row's
-// columns carry link loss.
+// reading, or returns "": flowsim models no packet loss, so it reads
+// neither link loss nor gilbert-loss, and flow:fluid builds no topology for
+// any fault to act on. lossy reports whether the row's columns carry link
+// loss.
 func unmodelled(s *Spec, runner string, lossy bool) string {
 	if lossy {
 		if s.Sweep != nil && s.Sweep.Axis == "loss-rate" {

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -127,6 +130,74 @@ func TestFlowRowsRefuseUnmodelledBlocks(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRunnerParamsChecked pins that a runner parameter its Make would
+// truncate, replace by a default or fail on is refused at compile, naming
+// the row and the parameter, and that the edge of each accepted range and
+// every shipped example and workload spec still compile.
+func TestRunnerParamsChecked(t *testing.T) {
+	cases := []struct {
+		runner string
+		params map[string]float64
+		want   string // "" when the spec must compile
+	}{
+		{"PDQ(Full)", map[string]float64{"subflows": -1}, `parameter "subflows" = -1`},
+		{"flow:PDQ", map[string]float64{"crit": 5}, `parameter "crit" = 5`},
+		{"flow:PDQ", map[string]float64{"crit": 0.7}, `parameter "crit" = 0.7`},
+		{"flow:PDQ", map[string]float64{"aging": -0.5}, `parameter "aging" = -0.5`},
+		{"flow:PDQ", map[string]float64{"et": 0.5}, `parameter "et" = 0.5`},
+		{"flow:PDQ", map[string]float64{"crit": 2, "aging": 0, "et": 1}, ""},
+		{"flow:RCP", map[string]float64{"et": 2}, `parameter "et" = 2`},
+		{"flow:D3", map[string]float64{"et": -1}, `parameter "et" = -1`},
+		{"flow:fluid", map[string]float64{"policy": 3}, `parameter "policy" = 3`},
+		{"flow:fluid", map[string]float64{"policy": 0.5}, `parameter "policy" = 0.5`},
+		{"flow:fluid", map[string]float64{"gbps": -1}, `parameter "gbps" = -1`},
+		{"flow:fluid", map[string]float64{"gbps": 1e-10}, `parameter "gbps" = 1e-10`},
+		{"flow:fluid", map[string]float64{"policy": 2, "gbps": 1e-9}, ""},
+		{"DCTCP", map[string]float64{"g": 0}, `parameter "g" = 0`},
+		{"DCTCP", map[string]float64{"g": 1.5}, `parameter "g" = 1.5`},
+		{"DCTCP", map[string]float64{"threshold_kb": 0}, `parameter "threshold_kb" = 0`},
+		{"DCTCP", map[string]float64{"g": 1, "threshold_kb": 1.0 / 1024}, ""},
+		{"pFabric", map[string]float64{"bands": 0}, `parameter "bands" = 0`},
+		{"pFabric", map[string]float64{"bands": 2.5}, `parameter "bands" = 2.5`},
+		{"pFabric", map[string]float64{"bands": 65}, `parameter "bands" = 65`},
+		{"pFabric", map[string]float64{"init_cwnd": 0.5}, `parameter "init_cwnd" = 0.5`},
+		{"pFabric", map[string]float64{"rtomin_us": 0}, `parameter "rtomin_us" = 0`},
+		{"pFabric", map[string]float64{"bands": 64, "init_cwnd": 1, "rtomin_us": 0.001}, ""},
+	}
+	for _, tc := range cases {
+		s := minimalSpec()
+		s.Protocols = []ProtoSpec{{Runner: tc.runner, Params: tc.params}}
+		_, err := compile(s, Opts{})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s %v: %v", tc.runner, tc.params, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("row %q: %s", tc.runner, tc.want))):
+			t.Errorf("%s %v: error %v, want one naming the row and containing %q", tc.runner, tc.params, err, tc.want)
+		}
+	}
+	for _, glob := range []string{"../../examples/scenarios/*.json", "../../benchmark/workloads/*.json"} {
+		files, err := filepath.Glob(glob)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: %v files, %v", glob, len(files), err)
+		}
+		for _, name := range files {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Load(data)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, quick := range []bool{true, false} {
+				if _, err := compile(s, Opts{Quick: quick}); err != nil {
+					t.Errorf("%s (quick=%v): %v", name, quick, err)
+				}
+			}
 		}
 	}
 }

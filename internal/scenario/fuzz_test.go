@@ -56,3 +56,48 @@ func FuzzSpecCompile(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFaultSchedule runs one fuzzed fault — a link-down window, a switch
+// crash or a gilbert-loss chain — on a small single-rooted-tree spec, once
+// with a PDQ(Full) row and once with a flow:PDQ row. The spec goes through
+// JSON and Load, so only what a user can write reaches compile. Every input
+// is refused at compile or yields a table with no failed cell; the packet
+// runs carry an event budget, so a run that cannot end fails its cell. The
+// seeds under testdata/fuzz cover each kind and the refusals found so far.
+func FuzzFaultSchedule(f *testing.F) {
+	kinds := []string{"link-down", "switch-crash", "gilbert-loss"}
+	f.Fuzz(func(t *testing.T, kind uint8, host, sw int, aMs, bMs, restartMs, pgb, pbg, lossGood, lossBad float64) {
+		fs := FaultSpec{Kind: kinds[int(kind)%len(kinds)], Host: host, Switch: sw,
+			DownMs: aMs, UpMs: bMs, AtMs: aMs, RestartMs: restartMs,
+			PGB: pgb, PBG: pbg, LossGood: lossGood, LossBad: lossBad}
+		for _, runner := range []string{"PDQ(Full)", "flow:PDQ"} {
+			data, err := json.Marshal(&Spec{
+				Name:     "fault-fuzz",
+				Topology: TopoSpec{Name: "single-rooted-tree", Params: map[string]float64{"tors": 2, "per_tor": 2}},
+				Workload: WorkloadSpec{
+					Pattern: PatternSpec{Name: "aggregation"},
+					Sizes:   DistSpec{Name: "uniform-mean", Params: map[string]float64{"mean_kb": 200}},
+					Count:   3,
+				},
+				Protocols: []ProtoSpec{{Runner: runner}},
+				Metric:    MetricSpec{Name: "mean-fct"},
+				HorizonMs: 20,
+				Faults:    []FaultSpec{fs},
+			})
+			if err != nil {
+				return // a NaN or an infinity: no JSON spec can say it
+			}
+			s, err := Load(data)
+			if err != nil {
+				t.Fatalf("%s: the marshalled spec does not load: %v", runner, err)
+			}
+			tab, err := Run(s, Opts{Parallel: 1, MaxEvents: 200_000})
+			if err != nil {
+				continue // refused at compile
+			}
+			if tab.Partial() {
+				t.Fatalf("%s, fault %+v: failed cells:\n%s", runner, fs, tab)
+			}
+		}
+	})
+}

@@ -70,7 +70,7 @@ type Opts struct {
 	Obs *obsv.Observer
 
 	// Progress is the sweep-run stats handle cells report to. Run derives
-	// it from Obs (one run per scenario); callers driving RunTrials or
+	// it from Obs (one run per scenario); callers driving RunTrialsErr or
 	// Gather directly may set it themselves. Nil disables cell tracking.
 	Progress *obsv.SweepStats
 }

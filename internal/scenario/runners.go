@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -173,6 +174,29 @@ func pdqCheck(p map[string]float64) error {
 	return nil
 }
 
+// intParam rejects a parameter that is not an integer in [lo, hi]: a Make
+// function's int conversion would truncate it, or the runner has no mode
+// for it.
+func intParam(p map[string]float64, name string, lo, hi float64) error {
+	if v := p[name]; !(v >= lo && v <= hi) || v != math.Trunc(v) {
+		return fmt.Errorf("parameter %q = %v: want an integer in [%v, %v]", name, v, lo, hi)
+	}
+	return nil
+}
+
+// minParam rejects a parameter below lo. For a value a Make function
+// scales and truncates, lo is the least that does not truncate to zero,
+// which the protocol would read as "use the default".
+func minParam(p map[string]float64, name string, lo float64) error {
+	if v := p[name]; !(v >= lo) {
+		return fmt.Errorf("parameter %q = %v: want at least %v", name, v, lo)
+	}
+	return nil
+}
+
+// etCheck rejects an Early Termination switch other than 0 or 1.
+func etCheck(p map[string]float64) error { return intParam(p, "et", 0, 1) }
+
 // flowMake binds one flow-level allocator family into a Make function.
 // A fresh allocator is built per invocation, matching the packet-level
 // runners' fresh-state-per-run semantics. The flow-level simulator
@@ -243,6 +267,12 @@ func init() {
 			"g":            dctcp.DefaultG,
 			"threshold_kb": float64(netsim.DefaultECNThreshold) / 1024,
 		},
+		Check: func(p map[string]float64) error {
+			if g := p["g"]; !(g > 0 && g <= 1) {
+				return fmt.Errorf("parameter \"g\" = %v: want 0 < g <= 1", g)
+			}
+			return minParam(p, "threshold_kb", 1.0/1024)
+		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed {
 				return dctcp.Install(t, dctcp.Config{G: p["g"], Threshold: int(p["threshold_kb"] * 1024)})
@@ -255,6 +285,11 @@ func init() {
 			"bands":     float64(netsim.DefaultPrioBands),
 			"init_cwnd": pfabric.DefaultInitCwnd,
 			"rtomin_us": float64(pfabric.DefaultRTOmin) / float64(sim.Microsecond),
+		},
+		Check: func(p map[string]float64) error {
+			// BandFor never picks a band past 63, so more than 64 bands
+			// would only allocate queues nothing fills.
+			return cmp.Or(intParam(p, "bands", 1, 64), minParam(p, "init_cwnd", 1), minParam(p, "rtomin_us", 0.001))
 		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed {
@@ -272,6 +307,9 @@ func init() {
 	RegisterRunner(RunnerEntry{
 		Name: "flow:PDQ", Doc: "flow-level PDQ: crit 0=perfect 1=random 2=size-estimation; aging is Fig. 12's α; et enables Early Termination", Level: "flow",
 		Params: map[string]float64{"crit": 0, "aging": 0, "et": 0},
+		Check: func(p map[string]float64) error {
+			return cmp.Or(intParam(p, "crit", 0, 2), minParam(p, "aging", 0), etCheck(p))
+		},
 		Make: flowMake(func(p map[string]float64, seed int64) flowsim.Allocator {
 			a := flowsim.NewPDQ(flowsim.CritMode(int(p["crit"])), seed)
 			a.AgingRate = p["aging"]
@@ -281,16 +319,21 @@ func init() {
 	RegisterRunner(RunnerEntry{
 		Name: "flow:RCP", Doc: "flow-level max-min fair sharing (RCP; also D3 without deadlines)", Level: "flow",
 		Params: map[string]float64{"et": 0},
+		Check:  etCheck,
 		Make:   flowMake(func(map[string]float64, int64) flowsim.Allocator { return flowsim.NewRCP() }),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "flow:D3", Doc: "flow-level D3: arrival-order reservation plus fair share of the rest", Level: "flow",
 		Params: map[string]float64{"et": 0},
+		Check:  etCheck,
 		Make:   flowMake(func(map[string]float64, int64) flowsim.Allocator { return flowsim.NewD3() }),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal) 1=fair sharing 2=Moore-Hodgson deadline EDF; gbps is the bottleneck rate", Level: "flow",
 		Params: map[string]float64{"policy": 0, "gbps": 1},
+		Check: func(p map[string]float64) error {
+			return cmp.Or(intParam(p, "policy", 0, 2), minParam(p, "gbps", 1e-9))
+		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
 			policy := int(p["policy"])
 			bps := int64(p["gbps"] * 1e9)

@@ -238,8 +238,8 @@ func TestSeedSentinel(t *testing.T) {
 		t.Errorf("Opts{Seed: 7}.BaseSeed() = %d, want 7", got)
 	}
 	echo := []Trial{func(seed int64) float64 { return float64(seed) }}
-	zero := RunTrials(Opts{}, echo)
-	explicit := RunTrials(Opts{Seed: DefaultSeed}, echo)
+	zero, _ := RunTrialsErr(Opts{}, echo)
+	explicit, _ := RunTrialsErr(Opts{Seed: DefaultSeed}, echo)
 	if !reflect.DeepEqual(zero, explicit) {
 		t.Errorf("Seed 0 ran %v, explicit DefaultSeed ran %v", zero, explicit)
 	}

@@ -100,22 +100,15 @@ type TrialError struct {
 	Msg   string // the recovered panic value
 }
 
-// RunTrials evaluates every trial across Opts.Parallel workers,
+// RunTrialsErr evaluates every trial across Opts.Parallel workers,
 // replicating each one over Opts.Trials base seeds (o.BaseSeed(),
 // o.BaseSeed()+stride, ...), and returns mean ± stderr per trial in input
 // order. With Trials <= 1 each cell runs exactly once at o.BaseSeed(), so
-// the resulting tables match a serial sweep byte for byte. Failed
-// replicates contribute NaN; use RunTrialsErr to see why they failed.
-func RunTrials(o Opts, trials []Trial) []Stat {
-	st, _ := RunTrialsErr(o, trials)
-	return st
-}
-
-// RunTrialsErr is RunTrials with failure capture: each replicate runs
-// under a recover, so one panicking cell yields NaN plus a TrialError
-// while every other cell completes — the executor's half of
-// partial-table emission (DESIGN.md §11). Errors are reported in trial
-// order regardless of which worker hit them.
+// the resulting tables match a serial sweep byte for byte. Each replicate
+// runs under a recover, so one panicking cell yields NaN plus a TrialError
+// while every other cell completes — the executor's half of partial-table
+// emission (DESIGN.md §11). Errors are reported in trial order regardless
+// of which worker hit them.
 func RunTrialsErr(o Opts, trials []Trial) ([]Stat, []TrialError) {
 	k := o.trials()
 	o.Progress.AddTotal(len(trials) * k)

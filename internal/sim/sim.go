@@ -297,11 +297,6 @@ func (s *Sim) EventSeq() uint64 {
 	return s.seq
 }
 
-// NextSeq is the sequence number the next scheduled event will receive.
-// Recording it immediately before an At/AtRunner call stamps the scheduled
-// event's position in the engine's total order.
-func (s *Sim) NextSeq() uint64 { return s.seq }
-
 // EventTa is the scheduling instant (ta) of the event currently executing,
 // or Now when no event is executing. Together with Now and EventTie it
 // places an observation in the (at, ta, tie, seq) event order; netsim's

@@ -29,8 +29,7 @@ func Mean(xs []float64) float64 {
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation. It does not modify xs. Callers holding an already-sorted
 // sample — especially when querying several percentiles of it — should
-// use PercentileSorted or PercentilesSorted to skip the per-call copy and
-// sort.
+// use PercentileSorted to skip the per-call copy and sort.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -59,16 +58,6 @@ func PercentileSorted(xs []float64, p float64) float64 {
 		return xs[lo]
 	}
 	return xs[lo]*(1-frac) + xs[lo+1]*frac
-}
-
-// PercentilesSorted evaluates several percentiles of one ascending-sorted
-// sample, sharing the single sort the caller already paid for.
-func PercentilesSorted(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = PercentileSorted(xs, p)
-	}
-	return out
 }
 
 // WeightedPercentileSorted returns the p-th weighted percentile

@@ -57,17 +57,6 @@ func TestPercentileSorted(t *testing.T) {
 	}
 }
 
-func TestPercentilesSorted(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	got := PercentilesSorted(xs, 0, 50, 100)
-	want := []float64{1, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("PercentilesSorted[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMax(t *testing.T) {
 	if Max(nil) != 0 {
 		t.Fatal("Max(nil)")

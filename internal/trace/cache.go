@@ -32,9 +32,9 @@ type Cache struct {
 	hits, misses, errors atomic.Uint64
 
 	// Backoff, when non-nil, is called between I/O retry attempts
-	// (attempt counts from 1). The engine never sleeps itself — internal
-	// packages are wall-clock-free by lint rule — so the command layer
-	// injects the delay policy; a nil Backoff retries immediately.
+	// (attempt counts from 1); the tests set it to observe retries.
+	// Internal packages are wall-clock-free by lint rule, so the cache
+	// never sleeps, and pdqsim sets no Backoff: a retry follows at once.
 	Backoff func(attempt int)
 }
 
