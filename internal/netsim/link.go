@@ -42,11 +42,9 @@ type Link struct {
 	// probability (used by the §5.6 resilience experiments).
 	LossRate float64
 
-	// State is protocol-private per-link state (e.g. the PDQ switch keeps
-	// its flow list here). Owned by the protocol's switch logic.
-	State any
+	net *Network
 
-	net       *Network
+	// Everything below is run state: Network.Reset clears it (reset).
 	qBytes    int      // bytes queued or serializing, as of the last advance
 	busyUntil sim.Time // when the last accepted packet finishes serializing
 
@@ -113,6 +111,18 @@ func (n *Network) NewLink(from, to Node) *Link {
 	}
 	n.links = append(n.links, l)
 	return l
+}
+
+// reset returns the link to the state its builder left it in: the graph
+// and the parameters stay, and every field of run state — the serializer
+// chain and clock, the delivery counter, the qdisc, the fault state, the
+// loss stream and the counters — starts from zero, as in NewLink.
+func (l *Link) reset() {
+	*l = Link{
+		ID: l.ID, From: l.From, To: l.To,
+		Rate: l.Rate, PropDelay: l.PropDelay, ProcDelay: l.ProcDelay, QueueCap: l.QueueCap,
+		Peer: l.Peer, LossRate: l.LossRate, net: l.net,
+	}
 }
 
 // GrowTo extends s with zero values until index id is valid and returns

@@ -217,6 +217,29 @@ func NewNetwork(s *sim.Sim, seed int64) *Network {
 	return &Network{Sim: s, seed: seed}
 }
 
+// Reset returns a used network to its just-built state, driven by s and
+// seeded with seed as NewNetwork would leave it, so that a sweep builds a
+// topology once and runs cell after cell on it (DESIGN.md §3). The nodes,
+// the links and their parameters, and Host.Access stay; every link's run
+// state is cleared, hosts lose their Agent and Logic and switches their
+// Logic, and the packet pool starts empty. The previous run's packets go
+// with their pool, in flight or not: nothing may run on the network's old
+// engine afterwards.
+func (n *Network) Reset(s *sim.Sim, seed int64) {
+	n.Sim, n.seed, n.pool = s, seed, packetPool{}
+	for _, l := range n.links {
+		l.reset()
+	}
+	for _, node := range n.nodes {
+		switch node := node.(type) {
+		case *Host:
+			node.Agent, node.Logic = nil, nil
+		case *Switch:
+			node.Logic = nil
+		}
+	}
+}
+
 // AddNode registers n. Nodes must be registered in NodeID order; the helper
 // constructors (NewHost, NewSwitch) handle this.
 func (n *Network) AddNode(node Node) {

@@ -23,7 +23,8 @@ import "unsafe"
 // A pool does not allocate its packets one by one: it carves them, and
 // the headers HeaderOf attaches to them, from chunks of packetChunk (one
 // chunk per type), so a network's packets cost one allocation per chunk.
-// Chunks die with their network; nothing crosses cells.
+// Chunks die with their run (Network.Reset empties the pool); nothing
+// crosses cells.
 
 // packetPool is a network's packet free list. It grows to the network's
 // in-flight high-water mark and no further.

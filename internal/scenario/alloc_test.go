@@ -25,6 +25,22 @@ var runnerMallocs = map[string]float64{
 	"pFabric":    497,
 }
 
+// resetMallocs is the same cell's budget on a topology an earlier cell ran
+// on and handed back, reset (topo.Topology.Reset), with its routes cached:
+// what a sweep pays for every cell after the first on one topology.
+var resetMallocs = map[string]float64{
+	"PDQ(Full)":  524,
+	"PDQ(ES+ET)": 524,
+	"PDQ(ES)":    521,
+	"PDQ(Basic)": 480,
+	"D3":         479,
+	"RCP":        542,
+	"RCP/D3":     535,
+	"TCP":        295,
+	"DCTCP":      312,
+	"pFabric":    395,
+}
+
 func TestPacketRunnerAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -36,16 +52,47 @@ func TestPacketRunnerAllocBudget(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			flows := poolFlows(len(tree().Hosts))
 			run := e.Make(e.Params, 1)
-			mallocs := testing.AllocsPerRun(1, func() {
-				run(func() *topo.Topology { return tree() }, flows, RunCtx{Horizon: 5 * sim.Second})
-			})
-			budget, ok := runnerMallocs[e.Name]
-			if !ok {
-				t.Fatalf("no allocation budget for packet runner %q", e.Name)
-			}
-			if mallocs > budget {
-				t.Errorf("one cell allocates %.0f heap objects, budget %.0f", mallocs, budget)
+			rc := RunCtx{Horizon: 5 * sim.Second}
+			var tp *topo.Topology
+			build := func() *topo.Topology { return tp }
+			for _, c := range []struct {
+				what   string
+				budget map[string]float64
+				before func()
+			}{
+				{"one cell", runnerMallocs, func() { tp = tree() }},
+				{"one cell on a reset topology", resetMallocs, func() { tp.Reset(sim.New(), 1) }},
+			} {
+				mallocs := testing.AllocsPerRun(1, func() {
+					c.before()
+					run(build, flows, rc)
+				})
+				budget, ok := c.budget[e.Name]
+				if !ok {
+					t.Fatalf("no allocation budget for packet runner %q", e.Name)
+				}
+				if mallocs > budget {
+					t.Errorf("%s allocates %.0f heap objects, budget %.0f", c.what, mallocs, budget)
+				}
 			}
 		})
+	}
+}
+
+// TestSpareTopologyHitAllocs hands a topology back to the engine and takes
+// it again: a hit costs the reset's fresh engine and nothing else.
+func TestSpareTopologyHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	e, err := compile(minimalSpec(), Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := &e.cols[0]
+	k := topoKey{col.topo, 1}
+	e.putTopo(k, e.takeTopo(k, col))
+	if mallocs := testing.AllocsPerRun(100, func() { e.putTopo(k, e.takeTopo(k, col)) }); mallocs != 1 {
+		t.Errorf("a hit allocates %v heap objects, want 1: the reset's sim.Sim", mallocs)
 	}
 }

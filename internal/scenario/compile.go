@@ -12,7 +12,9 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -55,11 +57,7 @@ type engPlan struct {
 // colPlan is one resolved sweep point: everything the column contributes
 // to a cell's value, after quick-mode resolution and axis application.
 type colPlan struct {
-	Topo           string             `json:"topo"`
-	TopoParams     map[string]float64 `json:"topo_params,omitempty"`
-	HasLoss        bool               `json:"has_loss,omitempty"`
-	LossHost       int                `json:"loss_host,omitempty"` // resolved, counted from host 0
-	LossRate       float64            `json:"loss_rate,omitempty"`
+	topoPlan
 	Custom         string             `json:"custom,omitempty"`
 	CustomParams   map[string]float64 `json:"custom_params,omitempty"`
 	Pattern        PatternSpec        `json:"pattern"`
@@ -78,6 +76,23 @@ type colPlan struct {
 	// Faults is the column's resolved fault schedule: a faulted cell must
 	// content-address differently from its fault-free twin.
 	Faults []fault.Event `json:"faults,omitempty"`
+}
+
+// topoPlan is the part of a colPlan that builds the column's topology.
+// Embedded, its fields marshal in place, as the leading fields of colPlan.
+type topoPlan struct {
+	Topo       string             `json:"topo"`
+	TopoParams map[string]float64 `json:"topo_params,omitempty"`
+	HasLoss    bool               `json:"has_loss,omitempty"`
+	LossHost   int                `json:"loss_host,omitempty"` // resolved, counted from host 0
+	LossRate   float64            `json:"loss_rate,omitempty"`
+}
+
+// equal reports whether p and q build the same topology: every field
+// equal.
+func (p *topoPlan) equal(q *topoPlan) bool {
+	return p.Topo == q.Topo && maps.Equal(p.TopoParams, q.TopoParams) &&
+		p.HasLoss == q.HasLoss && p.LossHost == q.LossHost && p.LossRate == q.LossRate
 }
 
 // rowPlan is one protocol row resolved against one column (runner and
@@ -135,12 +150,15 @@ type column struct {
 	plan        colPlan
 	runnerPatch map[string]float64 // "runner:<param>" axis value, nil otherwise
 	metricPatch map[string]float64 // "metric:<param>" axis value, nil otherwise
+	// topo numbers the column's topoPlan among the engine's columns:
+	// columns that build the same topology share its spares (topoKey).
+	topo int
 	colBound
 }
 
 // colBound is what colPlan.bind makes.
 type colBound struct {
-	build func(seed int64) *topo.Topology
+	build func(seed int64) *topo.Topology // a fresh build
 	// gen draws the column's flow set; n > 0 overrides the batch size
 	// (max-flows search), rate > 0 overrides the Poisson rate (max-rate).
 	gen     func(seed int64, n int, rate float64) []workload.Flow
@@ -196,6 +214,12 @@ type engine struct {
 	simMu     sync.Mutex
 	simMemo   map[simMemoKey]*simEntry
 
+	// spares holds the topologies finished runs handed back, for later
+	// runs of this Run to reset instead of rebuilding (takeTopo). It dies
+	// with the engine.
+	topoMu sync.Mutex
+	spares map[topoKey][]*topo.Topology
+
 	inspect func(*topo.Topology) // every run's RunCtx.inspect; set by tests
 }
 
@@ -245,6 +269,7 @@ func compile(s *Spec, o Opts) (*engine, error) {
 	if e.cols, err = compileSweep(s, o, base); err != nil {
 		return nil, err
 	}
+	e.numberTopologies()
 	if !p.search() {
 		share := len(e.cols) > 1
 		for _, c := range e.cols {
@@ -289,6 +314,24 @@ func compile(s *Spec, o Opts) (*engine, error) {
 		e.rows = append(e.rows, *r)
 	}
 	return e, nil
+}
+
+// numberTopologies sets every column's topo, the base column's among
+// them: columns whose topoPlans are equal share a number.
+func (e *engine) numberTopologies() {
+	var distinct []*topoPlan
+	number := func(c *column) {
+		p := &c.plan.topoPlan
+		c.topo = slices.IndexFunc(distinct, p.equal)
+		if c.topo < 0 {
+			c.topo = len(distinct)
+			distinct = append(distinct, p)
+		}
+	}
+	number(&e.baseCol)
+	for i := range e.cols {
+		number(&e.cols[i])
+	}
 }
 
 // compileSweep expands the sweep axis into per-column specs. base is the

@@ -39,7 +39,8 @@ func walkKey[P any](t *testing.T, root string, newPlan func() *P, key func(*P) s
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			name := path + "." + f.Name
-			if !f.IsExported() || strings.HasPrefix(f.Tag.Get("json"), "-") {
+			// An embedded struct marshals its fields in place, exported or not.
+			if !f.IsExported() && !f.Anonymous || strings.HasPrefix(f.Tag.Get("json"), "-") {
 				t.Errorf("%s is not marshalled into the key", name)
 				continue
 			}

@@ -84,9 +84,8 @@ func (c SearchCell) Probe(n int) ProbeRun {
 	r, b, col, flows := c.resolve(n)
 	var run ProbeRun
 	defer c.observe(&run)()
-	build := func() *topo.Topology { return col.build(c.seed) }
 	before := c.e.progress.Snapshot()
-	v := c.e.value(r, b, col, build, flows, c.seed, c.Col, 0)
+	v := c.e.value(r, b, col, flows, c.seed, c.Col, 0)
 	after := c.e.progress.Snapshot()
 	if after.Probes != before.Probes+1 {
 		panic("scenario: a probe was not counted")
@@ -102,7 +101,6 @@ func (c SearchCell) Reference(n int, notes bool) ProbeRun {
 	r, b, col, flows := c.resolve(n)
 	var run ProbeRun
 	defer c.observe(&run)()
-	build := func() *topo.Topology { return col.build(c.seed) }
 	var decided func(workload.Tally) bool
 	if notes {
 		decided = func(t workload.Tally) bool {
@@ -111,7 +109,7 @@ func (c SearchCell) Reference(n int, notes bool) ProbeRun {
 			return false
 		}
 	}
-	rs := c.e.simulate(r, b, col, build, flows, c.seed, c.Col, 0, decided)
+	rs := c.e.simulate(r, b, col, flows, c.seed, c.Col, 0, decided)
 	run.Metric = b.metric.Fn(rs, flows, b.plan.MetricParams)
 	run.OK = run.Metric >= c.e.plan.Threshold
 	return run

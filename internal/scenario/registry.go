@@ -68,9 +68,10 @@ type Env struct {
 	Obs *obsv.Runtime
 }
 
-// RunnerFunc runs one protocol over a set of flows on a freshly built
-// topology and returns per-flow results. The packet-level protocol
-// systems keep state in topology links, so every run builds anew.
+// RunnerFunc runs one protocol over a set of flows on the topology build
+// returns and returns per-flow results. build returns a topology in its
+// just-built state, fresh or reset (topo.Topology.Reset); a runner calls
+// it at most once and installs its agents and switch logic on it.
 type RunnerFunc func(build func() *topo.Topology, flows []workload.Flow, rc RunCtx) []workload.Result
 
 // RunnerEntry is a registered protocol runner. The registry unifies the

@@ -1,0 +1,166 @@
+package scenario
+
+import (
+	"reflect"
+	"testing"
+
+	"pdq/internal/obsv"
+	"pdq/internal/topo"
+	"pdq/internal/workload"
+)
+
+// resetSpec is one short cell on ts that leaves as much run state behind
+// as a cell can: PDQ's switch logic, a prio qdisc override, a Gilbert-Elliott
+// chain, a link still down at the horizon and packets still in flight.
+func resetSpec(ts TopoSpec) *Spec {
+	return &Spec{
+		Name:     "reset",
+		Topology: ts,
+		Workload: WorkloadSpec{Pattern: PatternSpec{Name: "permutation"},
+			Sizes: DistSpec{Name: "uniform-mean", Params: map[string]float64{"mean_kb": 500}}, CountPerHost: 1},
+		Protocols: []ProtoSpec{{Runner: "PDQ(Full)", Qdisc: &QdiscSpec{Name: "prio"}}},
+		Faults: []FaultSpec{
+			{Kind: "link-down", Host: -1, DownMs: 0.5, UpMs: 1000},
+			{Kind: "gilbert-loss", Host: 0, PGB: 0.05, PBG: 0.3, LossBad: 0.5},
+		},
+		Metric:    MetricSpec{Name: "mean-fct"},
+		HorizonMs: 2,
+	}
+}
+
+// TestResetMatchesFreshBuild runs one cell through the engine on every
+// registered topology family at its defaults, and on a lossy tree, and
+// requires the topology the run handed back, reset, to equal a fresh build
+// at the same seed in every field its network holds. The routing caches
+// are not compared: they are what a reset keeps.
+func TestResetMatchesFreshBuild(t *testing.T) {
+	cases := map[string]TopoSpec{"lossy-tree": {Name: "single-rooted-tree", Loss: &LossSpec{Host: -1, Rate: 0.05}}}
+	for _, b := range topo.BuilderList() {
+		cases[b.Name] = TopoSpec{Name: b.Name}
+	}
+	for name, ts := range cases {
+		t.Run(name, func(t *testing.T) {
+			e, err := compile(resetSpec(ts), Opts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The run must leave something to reset.
+			var down bool
+			var inFlight uint64
+			e.inspect = func(tp *topo.Topology) {
+				for _, l := range tp.Net.Links() {
+					down = down || l.Down()
+				}
+				taken, released := tp.Net.PacketPoolStats()
+				inFlight = taken - released
+			}
+			e.compute(0, 0, 1)
+			if !down || inFlight == 0 {
+				t.Fatalf("the run left no link down (%v) or no packet in flight (%d)", down, inFlight)
+			}
+			col := &e.cols[0]
+			spares := e.spares[topoKey{col.topo, 1}]
+			if len(spares) != 1 {
+				t.Fatalf("%d spare topologies after one run, want 1", len(spares))
+			}
+			got, want := spares[0], col.build(1)
+			if got.Name != want.Name || !reflect.DeepEqual(got.Net, want.Net) ||
+				!reflect.DeepEqual(got.Hosts, want.Hosts) || !reflect.DeepEqual(got.Switches, want.Switches) {
+				t.Error("the reset topology differs from a fresh build")
+			}
+		})
+	}
+}
+
+// replay is what one run of a cell shows: its results, and for a packet
+// runner its engine's counters and its packet pool's.
+type replay struct {
+	results         []workload.Result
+	engine          obsv.EngineStats
+	taken, released uint64
+}
+
+// TestResetTopologyReplaysFreshRun runs one cell of every registered runner
+// twice through one engine: the second run takes the topology the first
+// handed back, and must show what the first showed — the same results, and
+// at packet level the same event counts and packet pool counts. A link
+// still down at the horizon has to come back up for the second run.
+func TestResetTopologyReplaysFreshRun(t *testing.T) {
+	for _, re := range RunnerList() {
+		t.Run(re.Name, func(t *testing.T) {
+			s := minimalSpec()
+			s.Topology = TopoSpec{Name: "single-rooted-tree"}
+			s.Workload = WorkloadSpec{Pattern: PatternSpec{Name: "permutation"},
+				Sizes: DistSpec{Name: "uniform-mean", Params: map[string]float64{"mean_kb": 50}}, CountPerHost: 2}
+			s.Protocols = []ProtoSpec{{Runner: re.Name}}
+			s.HorizonMs = 20
+			if re.Name != "flow:fluid" {
+				s.Faults = []FaultSpec{{Kind: "link-down", Host: -1, DownMs: 0.5, UpMs: 1000}}
+			}
+			e, err := compile(s, Opts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.env.Obs = &obsv.Runtime{}
+			r, col, b := e.resolve(0, 0)
+			k := topoKey{col.topo, 1}
+			var runs [2]replay
+			var spare *topo.Topology
+			for i := range runs {
+				rp := &runs[i]
+				e.inspect = func(tp *topo.Topology) {
+					rp.engine = *tp.Sim().Stats()
+					rp.taken, rp.released = tp.Net.PacketPoolStats()
+				}
+				rp.results = e.simulate(r, b, col, col.gen(1, 0, 0), 1, col.label, 0, nil)
+				switch {
+				case len(e.spares[k]) == 0 && spare == nil:
+					// The runner builds no topology (flow:fluid).
+				case len(e.spares[k]) != 1 || i > 0 && e.spares[k][0] != spare:
+					t.Fatalf("run %d: the second run did not take the topology the first handed back", i)
+				default:
+					spare = e.spares[k][0]
+				}
+			}
+			if len(runs[0].results) == 0 || re.Level == "packet" && runs[0].engine.Fired.Value() == 0 {
+				t.Fatal("the cell ran nothing")
+			}
+			if !reflect.DeepEqual(runs[0], runs[1]) {
+				t.Errorf("the run on the reset topology differs from the first:\nfirst %+v %d/%d\nreset %+v %d/%d",
+					runs[0].engine, runs[0].taken, runs[0].released, runs[1].engine, runs[1].taken, runs[1].released)
+			}
+		})
+	}
+}
+
+// TestJellyfishSparesKeyTheSeed runs a Jellyfish column, whose graph is
+// drawn from the build seed, at two trials on one worker: the second
+// trial's cell must not run on the first one's topology. The table must
+// equal the one each trial gives alone, on a fresh build.
+func TestJellyfishSparesKeyTheSeed(t *testing.T) {
+	s := minimalSpec()
+	s.Topology = TopoSpec{Name: "jellyfish", Params: map[string]float64{"switches": 8, "degree": 4, "hosts_per_switch": 2}}
+	s.Workload = WorkloadSpec{Pattern: PatternSpec{Name: "permutation"},
+		Sizes: DistSpec{Name: "uniform-mean", Params: map[string]float64{"mean_kb": 50}}, CountPerHost: 1}
+	s.Protocols = []ProtoSpec{{Runner: "TCP"}}
+	s.HorizonMs = 20
+	got, err := Run(s, Opts{Seed: 1, Trials: 2, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alone []float64
+	for rep := int64(0); rep < 2; rep++ {
+		tab, err := Run(s, Opts{Seed: 1 + rep*TrialSeedStride, Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone = append(alone, tab.Rows[0].Vals[0])
+	}
+	if alone[0] == alone[1] {
+		t.Fatalf("both trials give %v: the test cannot tell the graphs apart", alone[0])
+	}
+	want := summarize(alone)
+	if v, e := got.Rows[0].Vals[0], got.Rows[0].Errs[0]; v != want.Mean || e != want.Stderr {
+		t.Errorf("two trials give %v ± %v, fresh builds %v ± %v", v, e, want.Mean, want.Stderr)
+	}
+}

@@ -122,11 +122,14 @@ type simEntry struct {
 	rs   []workload.Result
 }
 
-// simulate executes one simulation for a row binding, tagging its
-// telemetry capture with (colLabel, run) — run distinguishes replicates
-// and search probes sharing one grid-cell tag. decided is the run's
-// RunCtx.Decided: nil except for a search probe.
-func (e *engine) simulate(r *row, b *binding, col *column, build func() *topo.Topology, flows []workload.Flow, seed int64, colLabel string, run int, decided func(workload.Tally) bool) []workload.Result {
+// simulate executes one simulation for a row binding on col's topology
+// built at seed, tagging its telemetry capture with (colLabel, run) — run
+// distinguishes replicates and search probes sharing one grid-cell tag.
+// decided is the run's RunCtx.Decided: nil except for a search probe.
+//
+// The runner's build takes the topology from the engine's spares; a run
+// that returns hands it back, and one that panics drops it.
+func (e *engine) simulate(r *row, b *binding, col *column, flows []workload.Flow, seed int64, colLabel string, run int, decided func(workload.Tally) bool) []workload.Result {
 	rc := RunCtx{Env: e.env, Horizon: e.plan.Horizon,
 		Qdisc: b.qdisc, Faults: col.faults, Decided: decided, inspect: e.inspect}
 	if e.trace != nil {
@@ -134,7 +137,53 @@ func (e *engine) simulate(r *row, b *binding, col *column, build func() *topo.To
 			Scenario: e.spec.Name, Row: r.label, Col: colLabel, Seed: seed, Run: run,
 		})
 	}
-	return b.runner.Make(b.plan.Params, seed)(build, flows, rc)
+	k := topoKey{col.topo, seed}
+	var t *topo.Topology
+	rs := b.runner.Make(b.plan.Params, seed)(func() *topo.Topology {
+		t = e.takeTopo(k, col)
+		return t
+	}, flows, rc)
+	if t != nil {
+		e.putTopo(k, t)
+	}
+	return rs
+}
+
+// topoKey names a set of interchangeable topologies: the column's
+// topology number (column.topo) and the seed it was built at.
+type topoKey struct {
+	topo int
+	seed int64
+}
+
+// takeTopo returns a topology for key k: a spare one, or on a miss col's
+// fresh build.
+func (e *engine) takeTopo(k topoKey, col *column) *topo.Topology {
+	e.topoMu.Lock()
+	var t *topo.Topology
+	if free := e.spares[k]; len(free) > 0 {
+		t = free[len(free)-1]
+		free[len(free)-1] = nil
+		e.spares[k] = free[:len(free)-1]
+	}
+	e.topoMu.Unlock()
+	if t == nil {
+		return col.build(k.seed)
+	}
+	return t
+}
+
+// putTopo hands a finished run's topology back as a spare for key k,
+// reset onto a fresh engine at once so that the run's agents and packets
+// do not outlive it.
+func (e *engine) putTopo(k topoKey, t *topo.Topology) {
+	t.Reset(sim.New(), k.seed)
+	e.topoMu.Lock()
+	if e.spares == nil {
+		e.spares = map[topoKey][]*topo.Topology{}
+	}
+	e.spares[k] = append(e.spares[k], t)
+	e.topoMu.Unlock()
 }
 
 // sharedRun memoizes one simulation across the columns of a metric-only
@@ -168,7 +217,7 @@ func (e *engine) sharedRun(key simMemoKey, run func() []workload.Result) []workl
 //
 // Run-mode cells never come here: they report the value itself, and their
 // event counts are pinned.
-func (e *engine) value(r *row, b *binding, col *column, build func() *topo.Topology, flows []workload.Flow, seed int64, colLabel string, run int) float64 {
+func (e *engine) value(r *row, b *binding, col *column, flows []workload.Flow, seed int64, colLabel string, run int) float64 {
 	if b.plan.Analytic != "" {
 		return b.analytic.Fn(flows, b.plan.Params)
 	}
@@ -182,7 +231,7 @@ func (e *engine) value(r *row, b *binding, col *column, build func() *topo.Topol
 			return stopped
 		}
 	}
-	rs := e.simulate(r, b, col, build, flows, seed, colLabel, run, decided)
+	rs := e.simulate(r, b, col, flows, seed, colLabel, run, decided)
 	e.progress.Probe(stopped)
 	return b.metric.Fn(rs, flows, b.plan.MetricParams)
 }
@@ -227,36 +276,25 @@ func (e *engine) cell(ri, ci int, seed int64) float64 {
 func (e *engine) compute(ri, ci int, seed int64) float64 {
 	r, col, b := e.resolve(ri, ci)
 	colLabel := e.cols[ci].label
-	build := func() *topo.Topology { return col.build(seed) }
 	threshold := e.plan.Threshold
 	switch e.plan.Mode {
 	case "max-flows":
 		run := 0
 		return float64(stats.MaxN(1, col.plan.Hi, func(n int) bool {
 			run++
-			return e.value(r, b, col, build, col.gen(seed, n, 0), seed, colLabel, run-1) >= threshold
+			return e.value(r, b, col, col.gen(seed, n, 0), seed, colLabel, run-1) >= threshold
 		}))
 	case "max-rate":
 		run := 0
 		step := e.plan.RateStep
 		n := stats.MaxN(1, e.plan.Steps, func(n int) bool {
 			run++
-			return e.value(r, b, col, build, col.gen(seed, 0, float64(n)*step), seed, colLabel, run-1) >= threshold
+			return e.value(r, b, col, col.gen(seed, 0, float64(n)*step), seed, colLabel, run-1) >= threshold
 		})
 		return float64(n) * step
 	}
 	// "" or "run".
 	seeds := col.plan.SeedsPerCell
-	if b.plan.Level == "flow" && seeds > 1 && !e.shareSims {
-		// The flow-level simulator only reads the topology (rates,
-		// IDs, routing), so replicate seeds on the same
-		// deterministic topology share one build instead of one per
-		// replicate — results are identical either way. The
-		// topology stays cell-local: concurrent cells build their
-		// own (its routing caches are not synchronized).
-		tp := col.build(seed)
-		build = func() *topo.Topology { return tp }
-	}
 	sum := 0.0
 	for s := 0; s < seeds; s++ {
 		s := s
@@ -271,10 +309,10 @@ func (e *engine) compute(ri, ci int, seed int64) float64 {
 			// identical, so one run per (row, replicate) serves the
 			// whole axis (traced cells carry Col "*").
 			rs = e.sharedRun(simMemoKey{row: ri, rep: s, seed: seed}, func() []workload.Result {
-				return e.simulate(r, b, col, build, flows, seed, "*", s, nil)
+				return e.simulate(r, b, col, flows, seed, "*", s, nil)
 			})
 		} else {
-			rs = e.simulate(r, b, col, build, flows, seed, colLabel, s, nil)
+			rs = e.simulate(r, b, col, flows, seed, colLabel, s, nil)
 		}
 		sum += b.metric.Fn(rs, flows, b.plan.MetricParams)
 	}

@@ -1,10 +1,11 @@
 // The parallel sweep executor. Every grid scenario is a set of
 // independent trials — protocol × sweep point × seed — where each trial
-// builds its own topology and simulator (nothing is shared: all RNGs in
-// topo/workload/flowsim are instance-local). The executor fans those
-// trials out across a worker pool and reassembles results in
-// deterministic input order, so a sweep's output is byte-identical at 1
-// worker and at N workers for a fixed seed.
+// runs on its own simulator and on a topology no other trial holds at the
+// same time (all RNGs in topo/workload/flowsim are instance-local, and a
+// reused topology is reset first). The executor fans those trials out
+// across a worker pool and reassembles results in deterministic input
+// order, so a sweep's output is byte-identical at 1 worker and at N
+// workers for a fixed seed.
 
 package scenario
 

@@ -33,6 +33,11 @@ func New(name string, seed int64) *Topology {
 	return &Topology{Name: name, Net: netsim.NewNetwork(sim.New(), seed)}
 }
 
+// Reset returns a used topology to its just-built state on engine s, its
+// network seeded with seed (netsim.Network.Reset). The graph and the
+// routing caches stay, so every run on one topology shares its routes.
+func (t *Topology) Reset(s *sim.Sim, seed int64) { t.Net.Reset(s, seed) }
+
 // Sim returns the simulation driving the topology's network.
 func (t *Topology) Sim() *sim.Sim { return t.Net.Sim }
 
