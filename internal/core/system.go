@@ -5,7 +5,6 @@ import (
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/xfer"
 	"pdq/internal/topo"
-	"pdq/internal/workload"
 )
 
 // System wires PDQ into a topology: the shared host scaffold (an agent per
@@ -22,6 +21,16 @@ type System struct {
 	*protocol.System
 	Cfg   Config
 	Logic *SwitchLogic
+
+	ends protocol.Chunks[endpoints]
+}
+
+// endpoints is one flow's state at both ends, carved whole: the receiver,
+// the window and, on a single path, its one subflow.
+type endpoints struct {
+	rcv xfer.Receiver
+	w   xfer.Window
+	sub [1]subflow
 }
 
 // Install attaches PDQ with the given configuration to every host and
@@ -32,32 +41,34 @@ func Install(t *topo.Topology, cfg Config) *System {
 	}
 	s := &System{Cfg: cfg}
 	s.Logic = NewSwitchLogic(&s.Cfg, len(t.Net.Links()))
-	s.System = protocol.Install(t, s.Cfg.Subflows, s.Logic, s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, s.Cfg.Subflows, s.Logic, s.launch)
 	return s
 }
 
-func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
-	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], tel, f, s.Cfg.Subflows, capRate)
-}
-
-// newSender builds the sender-side state of f — one window, one pacer per
-// subflow — and kicks the subflows off. The first subflow also carries the
-// Early Termination timer.
-func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
-	src := s.Topo.Hosts[f.Src]
-	w := xfer.NewWindow(src, tel, netsim.SchedHdrWire, f)
-	subs := make([]subflow, s.Cfg.Subflows)
+// launch builds the flow's receiver and its sender-side state — one
+// window, one pacer per subflow — and kicks the subflows off. The first
+// subflow also carries the Early Termination timer. Multipath flows take
+// their subflows from the heap.
+func (s *System) launch(l protocol.Launch) (protocol.Receiver, protocol.Sender) {
+	e := s.ends.New()
+	e.rcv.Init(l, capRate)
+	w := &e.w
+	w.Init(l, netsim.SchedHdrWire)
+	subs := e.sub[:]
+	if s.Cfg.Subflows > 1 {
+		subs = make([]subflow, s.Cfg.Subflows)
+	}
 	for i := range subs {
-		subs[i] = subflow{sys: s, rmax: src.NICRate(), pauseBy: netsim.PauseNone}
-		w.Attach(&subs[i].Pacer, paths[i%len(paths)], &subs[i])
+		subs[i] = subflow{sys: s, rmax: l.Src.NICRate(), pauseBy: netsim.PauseNone}
+		w.Attach(&subs[i].Pacer, l.Fwd[i%len(l.Fwd)], &subs[i])
 	}
 	for i := range subs {
 		subs[i].Start()
-		if i == 0 && s.Cfg.EarlyTermination && f.HasDeadline() {
-			w.Sim().At(f.AbsDeadline()+1, subs[0].onDeadline)
+		if i == 0 && s.Cfg.EarlyTermination && l.Flow.HasDeadline() {
+			w.Sim().AtRunner(l.Flow.AbsDeadline()+1, (*deadlineTimer)(&subs[0]))
 		}
 	}
-	return w
+	return &e.rcv, w
 }
 
 // OnLinkState implements the fault layer's PathUpdater (structurally —

@@ -24,7 +24,6 @@ import (
 	"pdq/internal/protocol/xfer"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
-	"pdq/internal/workload"
 )
 
 // HdrWire is the D3 request header size: desired rate, previous
@@ -138,12 +137,20 @@ type System struct {
 	*protocol.System
 
 	states []*linkState // indexed by the dense link ID
+	ends   protocol.Chunks[endpoints]
+}
+
+// endpoints is one flow's state at both ends, carved whole.
+type endpoints struct {
+	rcv xfer.Receiver
+	w   xfer.Window
+	sd  sender
 }
 
 // Install attaches D3 to every host and switch of the topology.
 func Install(t *topo.Topology, _ Config) *System {
 	s := &System{}
-	s.System = protocol.Install(t, 1, (*logic)(s), s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, 1, (*logic)(s), s.launch)
 	return s
 }
 
@@ -183,6 +190,12 @@ func (sd *sender) quench() bool {
 	return false
 }
 
+// quenchTimer is the sender seen as the sim.Runner that quenches it just
+// past its deadline, so arming it allocates nothing.
+type quenchTimer sender
+
+func (t *quenchTimer) RunEvent() { (*sender)(t).quench() }
+
 // Stamp implements xfer.Hooks.
 func (sd *sender) Stamp(pkt *netsim.Packet) {
 	*netsim.HeaderOf[Header](pkt) = Header{Desired: sd.desired(), Grant: sd.nic}
@@ -207,20 +220,17 @@ func capRate(pkt *netsim.Packet, nic int64) {
 	}
 }
 
-func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
-	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], tel, f, 1, capRate)
-}
-
-func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
-	src := s.Topo.Hosts[f.Src]
-	sd := &sender{sys: s, nic: src.NICRate()}
-	w := xfer.NewWindow(src, tel, HdrWire, f)
-	w.Attach(&sd.Pacer, paths[0], sd)
-	if f.HasDeadline() {
-		s.Sim.At(f.AbsDeadline()+1, func() { sd.quench() })
+func (s *System) launch(l protocol.Launch) (protocol.Receiver, protocol.Sender) {
+	e := s.ends.New()
+	e.rcv.Init(l, capRate)
+	e.w.Init(l, HdrWire)
+	e.sd = sender{sys: s, nic: l.Src.NICRate()}
+	e.w.Attach(&e.sd.Pacer, l.Fwd[0], &e.sd)
+	if l.Flow.HasDeadline() {
+		s.Sim.AtRunner(l.Flow.AbsDeadline()+1, (*quenchTimer)(&e.sd))
 	}
-	sd.Start()
-	return w
+	e.sd.Start()
+	return &e.rcv, &e.w
 }
 
 // logic is System viewed as switch logic.

@@ -17,7 +17,6 @@ import (
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/tcp"
 	"pdq/internal/topo"
-	"pdq/internal/workload"
 )
 
 // DefaultG is the α estimation gain of the DCTCP paper (g = 1/16).
@@ -49,30 +48,37 @@ func (c Config) withDefaults() Config {
 type System struct {
 	*protocol.System
 	Cfg Config
+
+	ends protocol.Chunks[endpoints]
+}
+
+// endpoints is one flow's state at both ends, carved whole.
+type endpoints struct {
+	rcv tcp.Receiver
+	snd sender
 }
 
 // Install attaches DCTCP to every host and marks every link's queue
-// with the ECN-threshold discipline.
+// with the ECN-threshold discipline. The discipline holds no state, so
+// every link shares one.
 func Install(t *topo.Topology, cfg Config) *System {
 	s := &System{Cfg: cfg.withDefaults()}
-	s.System = protocol.Install(t, 1, nil, s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, 1, nil, s.launch)
+	q := &netsim.ECNFIFO{Threshold: s.Cfg.Threshold}
 	for _, l := range t.Net.Links() {
-		l.SetQdisc(&netsim.ECNFIFO{Threshold: s.Cfg.Threshold})
+		l.SetQdisc(q)
 	}
 	return s
 }
 
-func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
-	r := tcp.NewReceiver(s.Topo.Hosts[f.Dst], tel, f)
-	r.EchoECN = true
-	return r
-}
-
-func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
-	snd := &sender{sys: s}
-	snd.Open(s.Topo.Hosts[f.Src], tcp.Config{}.WithDefaults(), tel, f, paths[0])
-	snd.TrySend()
-	return snd
+func (s *System) launch(l protocol.Launch) (protocol.Receiver, protocol.Sender) {
+	e := s.ends.New()
+	e.rcv.Init(l)
+	e.rcv.EchoECN = true
+	e.snd.sys = s
+	e.snd.Open(l, tcp.Config{}.WithDefaults())
+	e.snd.TrySend()
+	return &e.rcv, &e.snd
 }
 
 // sender is one DCTCP connection: the shared connection shell plus the

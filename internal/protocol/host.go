@@ -3,8 +3,8 @@
 // directory): the per-host agent that demultiplexes packets to flows, and
 // the System that hangs one on every host, registers flows and launches
 // them at their start times. A protocol package supplies its config, what
-// it installs on links and switches, its header, and the two functions
-// that build a flow's receive and send sides.
+// it installs on links and switches, its header, and the function that
+// builds a flow's receive and send sides.
 //
 // The transport constants the protocols share are defined here, once.
 // Each is a constant because no figure or scenario varies it; a value a
@@ -14,6 +14,7 @@ package protocol
 
 import (
 	"fmt"
+	"unsafe"
 
 	"pdq/internal/netsim"
 	"pdq/internal/sim"
@@ -70,11 +71,11 @@ type System struct {
 	Collector *workload.Collector
 
 	agents   []agent
-	flows    []*flow // by slot
-	spare    []flow  // unused entries of the chunk flows are carved from
+	flows    []*flow      // by slot
+	entries  Chunks[flow] // what flows' entries are carved from
+	arena    Arena
 	subflows int
-	recv     func(workload.Flow, workload.Ref) Receiver
-	send     func(workload.Flow, workload.Ref, [][]*netsim.Link) Sender
+	launch   func(Launch) (Receiver, Sender)
 }
 
 // flow is one flow's entry in its System's table: the flow, its collector
@@ -88,20 +89,28 @@ type flow struct {
 	rcv Receiver
 }
 
-// flowChunk is the most entries one chunk holds: 39 of 104 bytes fill the
-// 4 KiB size class. Chunks start at 8 and grow to it, so the many
-// few-flow cells of a sweep do not pay for a large one.
-const flowChunk = 39
+// Launch is what a protocol gets to build one flow's endpoints from at the
+// flow's start time.
+type Launch struct {
+	Flow     workload.Flow
+	Tel      workload.Ref // the flow's collector entry, and its slot
+	Src, Dst *netsim.Host
+	// Fwd is the flow's shortest path, or up to subflows equal-cost ones
+	// when subflows > 1, and Rev the reverse of each: both memoized on
+	// the topology (topo.Topology.Routes), so shared and read-only.
+	Fwd, Rev [][]*netsim.Link
+	// Arena is the System's, for the flow's bitsets and send-time ring.
+	Arena *Arena
+}
 
 // Install hangs an agent on every host of t and sets logic, the protocol's
 // switch logic (nil for plain forwarding), on every switch and every host:
-// hosts relay in server-centric topologies. At a flow's start time recv
-// builds its receive side and send builds its send side and sets it going
-// over paths: the shortest path, or up to subflows equal-cost ones when
-// subflows > 1. Both report to the flow's collector entry, whose slot the
-// sender stamps on every packet.
-func Install(t *topo.Topology, subflows int, logic netsim.SwitchLogic, recv func(f workload.Flow, tel workload.Ref) Receiver, send func(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) Sender) *System {
-	s := &System{Topo: t, Sim: t.Sim(), Collector: workload.NewCollector(), subflows: subflows, recv: recv, send: send}
+// hosts relay in server-centric topologies. At a flow's start time launch
+// builds its receive side, then its send side, and sets the send side
+// going. Both report to the flow's collector entry, whose slot the sender
+// stamps on every packet.
+func Install(t *topo.Topology, subflows int, logic netsim.SwitchLogic, launch func(Launch) (Receiver, Sender)) *System {
+	s := &System{Topo: t, Sim: t.Sim(), Collector: workload.NewCollector(), subflows: subflows, launch: launch}
 	s.agents = make([]agent, len(t.Hosts))
 	for i, h := range t.Hosts {
 		s.agents[i] = agent{sys: s, host: i}
@@ -121,29 +130,18 @@ func (s *System) Start(f workload.Flow) {
 	if f.Size <= 0 || f.Src == f.Dst {
 		panic(fmt.Sprintf("protocol: flow %d of %d bytes from host %d to host %d: a flow needs a positive size and two distinct hosts", f.ID, f.Size, f.Src, f.Dst))
 	}
-	if len(s.spare) == 0 {
-		s.spare = make([]flow, min(flowChunk, 2*len(s.flows)+8))
-	}
-	e := &s.spare[0]
-	s.spare = s.spare[1:]
+	e := s.entries.New()
 	*e = flow{sys: s, f: f, tel: s.Collector.Register(f)}
 	s.flows = append(s.flows, e)
 	s.Sim.AtRunner(f.Start, e)
 }
 
-// RunEvent launches the flow: its receive side, then its send side.
+// RunEvent launches the flow over its memoized routes.
 func (e *flow) RunEvent() {
 	s := e.sys
-	e.rcv = s.recv(e.f, e.tel)
-	e.snd = s.send(e.f, e.tel, s.paths(e.f))
-}
-
-func (s *System) paths(f workload.Flow) [][]*netsim.Link {
-	src, dst := s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]
-	if s.subflows > 1 {
-		return s.Topo.Paths(src, dst, s.subflows)
-	}
-	return [][]*netsim.Link{s.Topo.Path(src, dst)}
+	src, dst := s.Topo.Hosts[e.f.Src], s.Topo.Hosts[e.f.Dst]
+	fwd, rev := s.Topo.Routes(src, dst, s.subflows)
+	e.rcv, e.snd = s.launch(Launch{Flow: e.f, Tel: e.tel, Src: src, Dst: dst, Fwd: fwd, Rev: rev, Arena: &s.arena})
 }
 
 // Results returns a snapshot of all flow outcomes.
@@ -192,4 +190,91 @@ func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
 		}
 	}
 	pkt.Release()
+}
+
+// Chunks carves values of T from chunks, so a System's many small per-flow
+// objects cost one allocation per chunk. A chunk holds 8 values at first,
+// then twice as many plus 8 as have been carved, up to as many as fill
+// 4 KiB (at least 8), so the many few-flow cells of a sweep do not pay for
+// a large one; a request beyond that size gets an allocation of its own.
+// Carved values start zero and never move, and a chunk lives as long as
+// any value carved from it.
+type Chunks[T any] struct {
+	spare  []T // the current chunk's unused tail
+	carved int
+}
+
+// New returns the next zero value.
+func (c *Chunks[T]) New() *T { return &c.Take(1)[0] }
+
+// Take returns the next n zero values.
+func (c *Chunks[T]) Take(n int) []T {
+	c.carved += n
+	if n > len(c.spare) {
+		var zero T
+		size := min(max(8, 4096/int(unsafe.Sizeof(zero))), 2*(c.carved-n)+8)
+		if n > size {
+			return make([]T, n)
+		}
+		c.spare = make([]T, size)
+	}
+	v := c.spare[:n:n]
+	c.spare = c.spare[n:]
+	return v
+}
+
+// Arena is a System's per-flow memory beside the endpoints themselves: the
+// words of the flows' bitsets and their first send-time rings.
+type Arena struct {
+	words Chunks[uint64]
+	times Chunks[sim.Time]
+}
+
+// Words returns n zero words.
+func (a *Arena) Words(n int) []uint64 { return a.words.Take(n) }
+
+// Times returns n zero times.
+func (a *Arena) Times(n int) []sim.Time { return a.times.Take(n) }
+
+// AckRoute is a receiver's way back: the path each acknowledgment
+// travels. A packet that came over one of its flow's memoized paths — that
+// very slice, not merely the same links — goes back over the memoized
+// reverse. Any other path, a failover route, is reversed itself, once per
+// route in a row.
+type AckRoute struct {
+	fwd, rev [][]*netsim.Link // the flow's memoized routes (Launch)
+	detour   *detour          // the last other path seen; nil until one is
+}
+
+// detour is a path other than the memoized ones, and its reverse.
+type detour struct{ fwd, rev []*netsim.Link }
+
+// Init sets the flow's memoized routes.
+func (r *AckRoute) Init(l Launch) { *r = AckRoute{fwd: l.Fwd, rev: l.Rev} }
+
+// For returns the path pkt's acknowledgment travels.
+//
+//pdq:hotpath
+func (r *AckRoute) For(pkt *netsim.Packet) []*netsim.Link {
+	for i, p := range r.fwd {
+		if sameSlice(pkt.Path, p) {
+			return r.rev[i]
+		}
+	}
+	if d := r.detour; d != nil && sameSlice(pkt.Path, d.fwd) {
+		return d.rev
+	}
+	return r.reroute(pkt.Path)
+}
+
+// reroute makes path the detour and returns its reverse.
+func (r *AckRoute) reroute(path []*netsim.Link) []*netsim.Link {
+	r.detour = &detour{path, netsim.ReversePath(path)}
+	return r.detour.rev
+}
+
+// sameSlice reports whether a and b are one slice: same start, same
+// length.
+func sameSlice(a, b []*netsim.Link) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }

@@ -27,15 +27,14 @@ type fakes struct {
 }
 
 func (k *fakes) install(tp *topo.Topology) *System {
-	return Install(tp, 1, nil,
-		func(workload.Flow, workload.Ref) Receiver { k.recvs++; return &k.recv },
-		func(_ workload.Flow, _ workload.Ref, paths [][]*netsim.Link) Sender {
-			if len(paths) != 1 || len(paths[0]) == 0 {
-				panic("sender built without its path")
-			}
-			k.sends++
-			return &k.send
-		})
+	return Install(tp, 1, nil, func(l Launch) (Receiver, Sender) {
+		if len(l.Fwd) != 1 || len(l.Fwd[0]) == 0 || len(l.Rev) != 1 || len(l.Rev[0]) != len(l.Fwd[0]) {
+			panic("endpoints built without their routes")
+		}
+		k.recvs++
+		k.sends++
+		return &k.recv, &k.send
+	})
 }
 
 // TestAgentDemux: a forward packet of a known flow reaches only the
@@ -166,17 +165,13 @@ func TestFlowTableMatchesMapDemux(t *testing.T) {
 		var got, want []hit
 		var log *[]hit
 		var at int
-		sys := Install(tp, 1, nil,
-			func(f workload.Flow, _ workload.Ref) Receiver {
-				p := &probe{flow: f.ID, log: &log, host: &at}
-				ref[f.Dst].recvs[netsim.FlowID(f.ID)] = p
-				return p
-			},
-			func(f workload.Flow, _ workload.Ref, _ [][]*netsim.Link) Sender {
-				p := &probe{flow: f.ID, log: &log, host: &at}
-				ref[f.Src].sends[netsim.FlowID(f.ID)] = p
-				return p
-			})
+		sys := Install(tp, 1, nil, func(l Launch) (Receiver, Sender) {
+			r := &probe{flow: l.Flow.ID, log: &log, host: &at}
+			ref[l.Flow.Dst].recvs[netsim.FlowID(l.Flow.ID)] = r
+			s := &probe{flow: l.Flow.ID, log: &log, host: &at}
+			ref[l.Flow.Src].sends[netsim.FlowID(l.Flow.ID)] = s
+			return r, s
+		})
 
 		// Flow IDs are distinct but not in order, so the collector's
 		// out-of-order index is exercised too.

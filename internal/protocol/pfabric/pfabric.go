@@ -22,7 +22,6 @@ import (
 	"pdq/internal/protocol/tcp"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
-	"pdq/internal/workload"
 )
 
 // Defaults of the minimal rate control: a near-BDP initial window
@@ -75,33 +74,43 @@ func BandFor(remaining, bands int) uint8 {
 type System struct {
 	*protocol.System
 	Cfg Config
+
+	ends protocol.Chunks[endpoints]
+	prio func(*tcp.Conn) uint8 // band, bound once for every connection
+}
+
+// endpoints is one flow's state at both ends, carved whole.
+type endpoints struct {
+	rcv tcp.Receiver
+	c   tcp.Conn
 }
 
 // Install attaches pFabric to every host and puts every link's queue
 // under strict priority.
 func Install(t *topo.Topology, cfg Config) *System {
 	s := &System{Cfg: cfg.withDefaults()}
-	s.System = protocol.Install(t, 1, nil, s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, 1, nil, s.launch)
+	s.prio = s.band
 	for _, l := range t.Net.Links() {
 		l.SetQdisc(netsim.NewPrio(s.Cfg.Bands))
 	}
 	return s
 }
 
-func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
-	return tcp.NewReceiver(s.Topo.Hosts[f.Dst], tel, f)
+func (s *System) launch(l protocol.Launch) (protocol.Receiver, protocol.Sender) {
+	e := s.ends.New()
+	e.rcv.Init(l)
+	e.c.PrioFn = s.prio
+	e.c.Open(l, s.Cfg.TCP)
+	e.c.TrySend()
+	return &e.rcv, &e.c
 }
 
-func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
-	snd := &tcp.Conn{}
-	// The whole current window carries the flow's remaining size (the
-	// unacknowledged tail), so a nearly-done flow's retransmissions and
-	// new segments alike jump the queue.
-	snd.PrioFn = func() uint8 {
-		snd.Coll.AddPrioPacket()
-		return BandFor(snd.NumPkts()-snd.SndUna(), s.Cfg.Bands)
-	}
-	snd.Open(s.Topo.Hosts[f.Src], s.Cfg.TCP, tel, f, paths[0])
-	snd.TrySend()
-	return snd
+// band is every connection's priority stamp. The whole current window
+// carries the flow's remaining size (the unacknowledged tail), so a
+// nearly-done flow's retransmissions and new segments alike jump the
+// queue.
+func (s *System) band(c *tcp.Conn) uint8 {
+	c.Coll.AddPrioPacket()
+	return BandFor(c.NumPkts()-c.SndUna(), s.Cfg.Bands)
 }

@@ -13,7 +13,6 @@ import (
 	"pdq/internal/protocol/xfer"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
-	"pdq/internal/workload"
 )
 
 // HdrWire is the RCP congestion header size: one 4-byte rate field plus a
@@ -76,12 +75,20 @@ type System struct {
 	*protocol.System
 
 	states []*linkState // indexed by the dense link ID
+	ends   protocol.Chunks[endpoints]
+}
+
+// endpoints is one flow's state at both ends, carved whole.
+type endpoints struct {
+	rcv xfer.Receiver
+	w   xfer.Window
+	sd  sender
 }
 
 // Install attaches RCP to every host and switch of the topology.
 func Install(t *topo.Topology, _ Config) *System {
 	s := &System{}
-	s.System = protocol.Install(t, 1, (*logic)(s), s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, 1, (*logic)(s), s.launch)
 	return s
 }
 
@@ -111,17 +118,14 @@ func capRate(pkt *netsim.Packet, nic int64) {
 	}
 }
 
-func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
-	return xfer.NewReceiver(s.Topo.Hosts[f.Dst], tel, f, 1, capRate)
-}
-
-func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
-	src := s.Topo.Hosts[f.Src]
-	sd := &sender{nic: src.NICRate()}
-	w := xfer.NewWindow(src, tel, HdrWire, f)
-	w.Attach(&sd.Pacer, paths[0], sd)
-	sd.Start()
-	return w
+func (s *System) launch(l protocol.Launch) (protocol.Receiver, protocol.Sender) {
+	e := s.ends.New()
+	e.rcv.Init(l, capRate)
+	e.w.Init(l, HdrWire)
+	e.sd = sender{nic: l.Src.NICRate()}
+	e.w.Attach(&e.sd.Pacer, l.Fwd[0], &e.sd)
+	e.sd.Start()
+	return &e.rcv, &e.w
 }
 
 // logic is System viewed as switch logic.

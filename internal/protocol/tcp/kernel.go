@@ -15,10 +15,10 @@ import (
 // timeout recovery, fast retransmit, and fast recovery with
 // NewReno-style partial-ACK retransmission.
 //
-// The embedding protocol supplies segment emission through the send
-// callback (packet composition — headers, ECN, priority stamping — is
-// the variant's business) and drives the kernel from its ACK handler
-// via ProcessAck. Variant-specific window reductions (DCTCP's α-scaled
+// The embedding protocol supplies segment emission through its SendSeg
+// (packet composition — headers, ECN, priority stamping — is the
+// variant's business) and drives the kernel from its ACK handler via
+// ProcessAck. Variant-specific window reductions (DCTCP's α-scaled
 // cut) go through ECNCut.
 type Kernel struct {
 	// Environment, bound once by Init.
@@ -27,7 +27,7 @@ type Kernel struct {
 	Coll workload.Ref // the flow's collector entry, and its slot
 
 	numPkts int
-	send    func(idx int) // emit segment idx
+	send    segSender
 
 	sndUna, sndNext int
 	cwnd, ssthresh  float64
@@ -39,19 +39,26 @@ type Kernel struct {
 	backoff      sim.Time
 	rtoPending   bool
 	rtoEv        sim.EventRef
-	rtoFn        func() // pre-bound onRTO; armRTO runs once per ACK
 	done         bool
 }
 
+// segSender transmits segment idx, for first transmissions and
+// retransmissions alike: the Conn the kernel is embedded in.
+type segSender interface{ SendSeg(idx int) }
+
+// rtoTimer is the kernel seen as the sim.Runner of its retransmission
+// timeout, so arming it, once per ACK, allocates nothing.
+type rtoTimer Kernel
+
+func (t *rtoTimer) RunEvent() { (*Kernel)(t).onRTO() }
+
 // Init binds the kernel's environment and resets the window to the
-// configured initial state. send transmits segment idx; it is called
-// for both first transmissions and retransmissions.
-func (k *Kernel) Init(s *sim.Sim, cfg Config, coll workload.Ref, numPkts int, send func(idx int)) {
+// configured initial state.
+func (k *Kernel) Init(s *sim.Sim, cfg Config, coll workload.Ref, numPkts int, send segSender) {
 	k.Sim, k.Cfg, k.Coll = s, cfg, coll
 	k.numPkts, k.send = numPkts, send
 	k.cwnd = cfg.InitCwnd
 	k.ssthresh = maxCwnd
-	k.rtoFn = k.onRTO
 }
 
 // SndUna returns the first unacknowledged segment index.
@@ -89,7 +96,7 @@ func (k *Kernel) TrySend() {
 		return
 	}
 	for k.sndNext < k.numPkts && k.sndNext-k.sndUna < int(k.cwnd) {
-		k.send(k.sndNext)
+		k.send.SendSeg(k.sndNext)
 		k.sndNext++
 	}
 	if k.sndNext > k.sndUna {
@@ -102,7 +109,7 @@ func (k *Kernel) armRTO() {
 		k.Sim.Cancel(k.rtoEv)
 	}
 	k.rtoPending = true
-	k.rtoEv = k.Sim.After(k.rto(), k.rtoFn)
+	k.rtoEv = k.Sim.AtRunner(k.Sim.Now()+k.rto(), (*rtoTimer)(k))
 }
 
 func (k *Kernel) onRTO() {
@@ -173,7 +180,7 @@ func (k *Kernel) ProcessAck(ackIdx int, echoSentAt sim.Time) {
 			} else {
 				// NewReno partial ACK: retransmit the next hole.
 				k.Coll.AddRetransmit()
-				k.send(k.sndUna)
+				k.send.SendSeg(k.sndUna)
 				k.cwnd = maxf(k.cwnd-float64(ackIdx-k.sndUna)+1, 1)
 			}
 		} else {
@@ -204,7 +211,7 @@ func (k *Kernel) ProcessAck(ackIdx int, echoSentAt sim.Time) {
 			k.inRecovery = true
 			k.recover = k.sndNext
 			k.Coll.AddRetransmit()
-			k.send(k.sndUna)
+			k.send.SendSeg(k.sndUna)
 		}
 	}
 	k.TrySend()
@@ -240,15 +247,16 @@ type Conn struct {
 	Flow     workload.Flow
 	Path     []*netsim.Link
 	ExtraHdr int
-	PrioFn   func() uint8
+	PrioFn   func(*Conn) uint8
 }
 
-// Open binds the connection to flow f leaving host src over path, with the
-// kernel on the network's engine and reset to cfg's initial window. The
-// variant sets its points (before or after) and calls TrySend.
-func (c *Conn) Open(src *netsim.Host, cfg Config, coll workload.Ref, f workload.Flow, path []*netsim.Link) {
-	c.Net, c.Flow, c.Path = src.Network(), f, path
-	c.Init(c.Net.Sim, cfg, coll, numSegs(f.Size), c.SendSeg)
+// Open binds the connection to the flow l launches, leaving its source
+// over its path, with the kernel on the network's engine and reset to
+// cfg's initial window. The variant sets its points (before or after) and
+// calls TrySend.
+func (c *Conn) Open(l protocol.Launch, cfg Config) {
+	c.Net, c.Flow, c.Path = l.Src.Network(), l.Flow, l.Fwd[0]
+	c.Init(c.Net.Sim, cfg, l.Tel, numSegs(l.Flow.Size), c)
 }
 
 // HandleAck implements protocol.Sender: a cumulative ACK names the next
@@ -279,7 +287,7 @@ func (c *Conn) SendSeg(idx int) {
 	pkt.Path = c.Path
 	pkt.EchoSentAt = c.Sim.Now()
 	if c.PrioFn != nil {
-		pkt.Prio = c.PrioFn()
+		pkt.Prio = c.PrioFn(c)
 	}
 	c.Net.Send(pkt)
 }
@@ -306,13 +314,15 @@ type Receiver struct {
 	gotB    int64
 	rcvNext int
 	done    bool
-	revPath []*netsim.Link
+	back    protocol.AckRoute
 }
 
-// NewReceiver returns the receive side of f on host dst.
-func NewReceiver(dst *netsim.Host, coll workload.Ref, f workload.Flow) *Receiver {
-	n, net := numSegs(f.Size), dst.Network()
-	return &Receiver{Net: net, Coll: coll, Flow: f, NumPkts: n, Sim: net.Sim, got: xfer.NewBitset(n)}
+// Init makes r, in place, the receive side of the flow l launches on its
+// destination host, its bitmap carved from l.Arena.
+func (r *Receiver) Init(l protocol.Launch) {
+	n, net := numSegs(l.Flow.Size), l.Dst.Network()
+	*r = Receiver{Net: net, Coll: l.Tel, Flow: l.Flow, NumPkts: n, Sim: net.Sim, got: xfer.NewBitset(l.Arena, n)}
+	r.back.Init(l)
 }
 
 // OnForward implements protocol.Receiver (TCP's only forward packets are
@@ -333,11 +343,8 @@ func (r *Receiver) OnForward(pkt *netsim.Packet) {
 			r.Coll.Finish(r.Sim.Now())
 		}
 	}
-	if r.revPath == nil {
-		r.revPath = netsim.ReversePath(pkt.Path)
-	}
 	ece := r.EchoECN && pkt.CE
-	pkt.TurnAround(r.revPath)
+	pkt.TurnAround(r.back.For(pkt))
 	pkt.Seq = int64(r.rcvNext) * netsim.MSS
 	pkt.ECE = ece
 	pkt.Prio = r.AckPrio

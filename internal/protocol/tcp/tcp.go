@@ -13,11 +13,9 @@
 package tcp
 
 import (
-	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
-	"pdq/internal/workload"
 )
 
 // HdrWire is zero: TCP has no extra scheduling header beyond the TCP/IP
@@ -51,22 +49,28 @@ func (c Config) WithDefaults() Config {
 type System struct {
 	*protocol.System
 	Cfg Config
+
+	ends protocol.Chunks[endpoints]
+}
+
+// endpoints is one flow's state at both ends, carved whole.
+type endpoints struct {
+	rcv Receiver
+	c   Conn
 }
 
 // Install attaches TCP to every host of the topology.
 func Install(t *topo.Topology, cfg Config) *System {
 	s := &System{Cfg: cfg.WithDefaults()}
-	s.System = protocol.Install(t, 1, nil, s.newReceiver, s.newSender)
+	s.System = protocol.Install(t, 1, nil, s.launch)
 	return s
 }
 
-func (s *System) newReceiver(f workload.Flow, tel workload.Ref) protocol.Receiver {
-	return NewReceiver(s.Topo.Hosts[f.Dst], tel, f)
-}
-
-func (s *System) newSender(f workload.Flow, tel workload.Ref, paths [][]*netsim.Link) protocol.Sender {
-	c := &Conn{ExtraHdr: HdrWire}
-	c.Open(s.Topo.Hosts[f.Src], s.Cfg, tel, f, paths[0])
-	c.TrySend()
-	return c
+func (s *System) launch(l protocol.Launch) (protocol.Receiver, protocol.Sender) {
+	e := s.ends.New()
+	e.rcv.Init(l)
+	e.c.ExtraHdr = HdrWire
+	e.c.Open(l, s.Cfg)
+	e.c.TrySend()
+	return &e.rcv, &e.c
 }

@@ -64,8 +64,9 @@ type Window struct {
 	hdr int          // the protocol's scheduling-header bytes on data packets
 	tel workload.Ref // the flow's collector entry: counts, outcome, and its slot
 
-	n     int    // packets in the flow
-	acked Bitset // per packet
+	arena *protocol.Arena // the first send-time ring's source
+	n     int             // packets in the flow
+	acked Bitset          // per packet
 	// sent is the last transmission time of each outstanding packet — the
 	// span [base, nextPkt) — packet i at sent[i&(len(sent)-1)]. Every read
 	// is of base and every write of base (a retransmission) or nextPkt-1
@@ -86,17 +87,18 @@ type Window struct {
 // many packets; a shorter flow gets the power of two that covers it.
 const ringMin = 32
 
-// NewWindow creates the send window of flow on host src. Data packets carry
-// hdrBytes of the protocol's scheduling header. Outcome counters go to tel,
-// and every packet carries tel's slot.
-func NewWindow(src *netsim.Host, tel workload.Ref, hdrBytes int, flow workload.Flow) *Window {
-	n, net := numPackets(flow.Size), src.Network()
-	w := &Window{
-		Flow: flow, eng: net.Sim, net: net, src: src.ID(), hdr: hdrBytes, tel: tel,
-		n: n, acked: NewBitset(n),
+// Init makes w, in place, the send window of the flow l launches on its
+// source host. Data packets carry hdrBytes of the protocol's scheduling
+// header. Outcome counters go to l.Tel, and every packet carries its slot.
+// The bitmap and, at the first transmission, the send-time ring come from
+// l.Arena.
+func (w *Window) Init(l protocol.Launch, hdrBytes int) {
+	n, net := numPackets(l.Flow.Size), l.Src.Network()
+	*w = Window{
+		Flow: l.Flow, eng: net.Sim, net: net, src: l.Src.ID(), hdr: hdrBytes, tel: l.Tel,
+		arena: l.Arena, n: n, acked: NewBitset(l.Arena, n),
 	}
 	w.pacers = w.one[:0]
-	return w
 }
 
 func numPackets(size int64) int { return int((size + netsim.MSS - 1) / netsim.MSS) }
@@ -113,8 +115,8 @@ func payload(size int64, n, i int) int {
 // acknowledged set, a receiver's received set.
 type Bitset []uint64
 
-// NewBitset returns n cleared flags.
-func NewBitset(n int) Bitset { return make(Bitset, (n+63)>>6) }
+// NewBitset returns n cleared flags carved from a.
+func NewBitset(a *protocol.Arena, n int) Bitset { return a.Words((n + 63) >> 6) }
 
 // Has reports flag i.
 func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
@@ -134,19 +136,22 @@ func (w *Window) sentAt(i int) sim.Time {
 // stamp records that packet i — base or nextPkt-1 — left at t. Only a
 // first transmission widens the span, by one packet, so a ring it
 // overflows doubles and re-homes the packets that were already outstanding
-// under the wider mask.
+// under the wider mask. The first ring is carved from the arena; a flow
+// stopped before its first data packet never takes one.
 func (w *Window) stamp(i int, t sim.Time) {
 	if w.nextPkt-w.base > len(w.sent) {
-		size := 2 * len(w.sent)
-		if size == 0 {
-			size = 1
+		var sent []sim.Time
+		if len(w.sent) > 0 {
+			sent = make([]sim.Time, 2*len(w.sent))
+		} else {
+			size := 1
 			for size < ringMin && size < w.n {
 				size *= 2
 			}
+			sent = w.arena.Times(size)
 		}
-		sent := make([]sim.Time, size)
 		for j := w.base; j < w.nextPkt-1; j++ {
-			sent[j&(size-1)] = w.sent[j&(len(w.sent)-1)]
+			sent[j&(len(sent)-1)] = w.sent[j&(len(w.sent)-1)]
 		}
 		w.sent = sent
 	}
@@ -546,30 +551,30 @@ func RateTime(bytes, bps int64) sim.Time {
 // resequencing buffer (§6) — so completion is detected on the union of
 // bytes received over all paths.
 type Receiver struct {
-	Flow workload.Flow
-
+	size  int64 // the flow's bytes
 	host  *netsim.Host
 	eng   *sim.Sim // destination host's owner engine
 	tel   workload.Ref
 	clamp func(pkt *netsim.Packet, nic int64)
 
-	n        int    // packets in the flow
-	got      Bitset // per packet
-	gotB     int64
-	done     bool
-	revPaths [][]*netsim.Link // cached ACK path, indexed by subflow
+	n    int    // packets in the flow
+	got  Bitset // per packet
+	gotB int64
+	done bool
+	back protocol.AckRoute
 }
 
-// NewReceiver creates the receive state of flow on host dst for the given
-// number of subflows. The last byte's arrival is reported to tel. clamp
-// lowers the rate granted in the echoed header to the receiver's own
-// capability, its NIC rate (§3.2).
-func NewReceiver(dst *netsim.Host, tel workload.Ref, flow workload.Flow, subflows int, clamp func(pkt *netsim.Packet, nic int64)) *Receiver {
-	n := numPackets(flow.Size)
-	return &Receiver{
-		Flow: flow, host: dst, eng: dst.Network().Sim, tel: tel, clamp: clamp,
-		n: n, got: NewBitset(n), revPaths: make([][]*netsim.Link, subflows),
+// Init makes r, in place, the receive state of the flow l launches on its
+// destination host, its bitmap carved from l.Arena. The last byte's
+// arrival is reported to l.Tel. clamp lowers the rate granted in the
+// echoed header to the receiver's own capability, its NIC rate (§3.2).
+func (r *Receiver) Init(l protocol.Launch, clamp func(pkt *netsim.Packet, nic int64)) {
+	n := numPackets(l.Flow.Size)
+	*r = Receiver{
+		size: l.Flow.Size, host: l.Dst, eng: l.Dst.Network().Sim, tel: l.Tel, clamp: clamp,
+		n: n, got: NewBitset(l.Arena, n),
 	}
+	r.back.Init(l)
 }
 
 // Done reports whether all bytes have arrived.
@@ -590,18 +595,14 @@ func (r *Receiver) OnForward(pkt *netsim.Packet) {
 		idx := int(pkt.Seq / netsim.MSS)
 		if idx >= 0 && idx < r.n && !r.got.Has(idx) {
 			r.got.Set(idx)
-			r.gotB += int64(payload(r.Flow.Size, r.n, idx))
-			if r.gotB >= r.Flow.Size {
+			r.gotB += int64(payload(r.size, r.n, idx))
+			if r.gotB >= r.size {
 				r.done = true
 				r.tel.Finish(r.eng.Now())
 			}
 		}
 	}
-	rev := r.revPaths[pkt.Subflow]
-	if rev == nil {
-		rev = netsim.ReversePath(pkt.Path)
-		r.revPaths[pkt.Subflow] = rev
-	}
+	rev := r.back.For(pkt)
 	r.clamp(pkt, r.host.NICRate())
 	pkt.TurnAround(rev)
 	r.host.Network().Send(pkt)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
@@ -53,8 +54,14 @@ func newRig(t *testing.T, tp *topo.Topology, src, dst int, size, rate int64, pat
 	f := workload.Flow{ID: 1, Src: src, Dst: dst, Size: size}
 	tel := workload.NewCollector().Register(f)
 	r := &rig{tp: tp, kinds: map[netsim.Kind]int{}, segs: map[int64]int{}, bySub: map[int]int{}}
-	r.recv = NewReceiver(tp.Hosts[dst], tel, f, len(paths), func(*netsim.Packet, int64) {})
-	r.w = NewWindow(tp.Hosts[src], tel, netsim.SchedHdrWire, f)
+	revs := make([][]*netsim.Link, len(paths))
+	for i, p := range paths {
+		revs[i] = netsim.ReversePath(p)
+	}
+	l := protocol.Launch{Flow: f, Tel: tel, Src: tp.Hosts[src], Dst: tp.Hosts[dst], Fwd: paths, Rev: revs, Arena: new(protocol.Arena)}
+	r.recv, r.w = new(Receiver), new(Window)
+	r.recv.Init(l, func(*netsim.Packet, int64) {})
+	r.w.Init(l, netsim.SchedHdrWire)
 	for _, path := range paths {
 		h := &testHooks{rate: rate, probeRTTs: 1}
 		r.w.Attach(&h.Pacer, path, h)
@@ -331,7 +338,8 @@ func TestWindowMatchesPerPacketReference(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		size := 1 + rng.Int63n(700*netsim.MSS)
-		w := &Window{Flow: workload.Flow{Size: size}, n: numPackets(size), acked: NewBitset(numPackets(size))}
+		arena := new(protocol.Arena)
+		w := &Window{Flow: workload.Flow{Size: size}, arena: arena, n: numPackets(size), acked: NewBitset(arena, numPackets(size))}
 		ref := newRefWindow(size)
 		var net []int // transmitted packets not yet acknowledged or lost, in send order
 		now, wake := sim.Time(1), sim.Time(0)

@@ -10,35 +10,37 @@ import (
 // runnerMallocs is the heap-object budget of one small cell per packet
 // runner: poolFlows on the 3×3 tree, run to the end. Each is the count
 // measured when it was set plus about 10 %. Packets and their headers come
-// in chunks (netsim) and a System's flows sit in one table (protocol);
-// a budget overrun means a per-packet or per-flow allocation came back.
+// in chunks (netsim), a System's flows sit in one table and each flow's
+// endpoint state is carved from chunks (protocol); a budget overrun means
+// a per-packet or per-flow allocation came back.
 var runnerMallocs = map[string]float64{
-	"PDQ(Full)":  626,
-	"PDQ(ES+ET)": 626,
-	"PDQ(ES)":    624,
-	"PDQ(Basic)": 582,
-	"D3":         581,
-	"RCP":        637,
-	"RCP/D3":     637,
-	"TCP":        397,
-	"DCTCP":      415,
-	"pFabric":    497,
+	"PDQ(Full)":  488,
+	"PDQ(ES+ET)": 488,
+	"PDQ(ES)":    495,
+	"PDQ(Basic)": 453,
+	"D3":         442,
+	"RCP":        508,
+	"RCP/D3":     508,
+	"TCP":        323,
+	"DCTCP":      315,
+	"pFabric":    394,
 }
 
 // resetMallocs is the same cell's budget on a topology an earlier cell ran
-// on and handed back, reset (topo.Topology.Reset), with its routes cached:
-// what a sweep pays for every cell after the first on one topology.
+// on and handed back, reset (topo.Topology.Reset), with its routes
+// memoized: what a sweep pays for every cell after the first on one
+// topology.
 var resetMallocs = map[string]float64{
-	"PDQ(Full)":  524,
-	"PDQ(ES+ET)": 524,
-	"PDQ(ES)":    521,
-	"PDQ(Basic)": 480,
-	"D3":         479,
-	"RCP":        542,
-	"RCP/D3":     535,
-	"TCP":        295,
-	"DCTCP":      312,
-	"pFabric":    395,
+	"PDQ(Full)":  230,
+	"PDQ(ES+ET)": 230,
+	"PDQ(ES)":    237,
+	"PDQ(Basic)": 195,
+	"D3":         184,
+	"RCP":        258,
+	"RCP/D3":     250,
+	"TCP":        64,
+	"DCTCP":      56,
+	"pFabric":    135,
 }
 
 func TestPacketRunnerAllocBudget(t *testing.T) {

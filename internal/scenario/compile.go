@@ -627,11 +627,38 @@ func msTime(v float64) sim.Time { return sim.Time(v * float64(sim.Millisecond)) 
 // small enough that a crash instant plus its restart still fits sim.Time.
 const maxFaultMs = 1e12
 
+// faultReads lists the FaultSpec fields each fault kind reads, by JSON
+// name.
+var faultReads = map[string][]string{
+	"link-down":    {"host", "down_ms", "up_ms"},
+	"switch-crash": {"switch", "at_ms", "restart_ms"},
+	"gilbert-loss": {"host", "p_gb", "p_bg", "loss_good", "loss_bad"},
+}
+
 // compileFaults resolves a spec's faults block into validated events
-// against a topology of the given size.
+// against a topology of the given size. A field the fault's kind does not
+// read must be zero: a value there would change nothing.
 func compileFaults(specs []FaultSpec, hosts, switches int) ([]fault.Event, error) {
 	sch := fault.Schedule{Events: make([]fault.Event, 0, len(specs))}
 	for i, fs := range specs {
+		reads, ok := faultReads[fs.Kind]
+		if !ok {
+			return nil, fmt.Errorf("fault %d: unknown kind %q (available: link-down, switch-crash, gilbert-loss)", i, fs.Kind)
+		}
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"host", fs.Host != 0}, {"switch", fs.Switch != 0},
+			{"down_ms", fs.DownMs != 0}, {"up_ms", fs.UpMs != 0},
+			{"at_ms", fs.AtMs != 0}, {"restart_ms", fs.RestartMs != 0},
+			{"p_gb", fs.PGB != 0}, {"p_bg", fs.PBG != 0},
+			{"loss_good", fs.LossGood != 0}, {"loss_bad", fs.LossBad != 0},
+		} {
+			if f.set && !slices.Contains(reads, f.name) {
+				return nil, fmt.Errorf("fault %d (%s): %s is not read by this kind (it reads %s)", i, fs.Kind, f.name, strings.Join(reads, ", "))
+			}
+		}
 		if late := max(fs.DownMs, fs.UpMs, fs.AtMs, fs.RestartMs); late > maxFaultMs {
 			return nil, fmt.Errorf("fault %d (%s): %v ms is past the %v ms a fault time may be", i, fs.Kind, late, maxFaultMs)
 		}
@@ -646,8 +673,6 @@ func compileFaults(specs []FaultSpec, hosts, switches int) ([]fault.Event, error
 		case "gilbert-loss":
 			ev = fault.Event{Kind: fault.GilbertLoss, Host: fs.Host,
 				PGB: fs.PGB, PBG: fs.PBG, LossGood: fs.LossGood, LossBad: fs.LossBad}
-		default:
-			return nil, fmt.Errorf("fault %d: unknown kind %q (available: link-down, switch-crash, gilbert-loss)", i, fs.Kind)
 		}
 		sch.Events = append(sch.Events, ev)
 	}

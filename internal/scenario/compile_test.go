@@ -103,7 +103,11 @@ func TestFlowRowsRefuseUnmodelledBlocks(t *testing.T) {
 	}
 	fault := func(kind string) func(*Spec) {
 		return func(s *Spec) {
-			s.Faults = []FaultSpec{{Kind: kind, Host: 0, DownMs: 1, UpMs: 2, PGB: 0.1, PBG: 0.5, LossBad: 0.5}}
+			fs := FaultSpec{Kind: kind, Host: 0, DownMs: 1, UpMs: 2}
+			if kind == "gilbert-loss" {
+				fs = FaultSpec{Kind: kind, Host: 0, PGB: 0.1, PBG: 0.5, LossBad: 0.5}
+			}
+			s.Faults = []FaultSpec{fs}
 		}
 	}
 	cases := []struct {

@@ -246,6 +246,49 @@ func TestFaultSpecValidation(t *testing.T) {
 	}
 }
 
+// TestFaultRefusesUnreadFields: a field the fault's kind does not read
+// would change nothing, so compile refuses it, naming the fault's index,
+// its kind and the field.
+func TestFaultRefusesUnreadFields(t *testing.T) {
+	ok := FaultSpec{Kind: "link-down", Host: -1, DownMs: 1, UpMs: 5}
+	cases := []struct {
+		fault FaultSpec
+		field string
+	}{
+		{FaultSpec{Kind: "switch-crash", Switch: 1, AtMs: 2, DownMs: 1}, "down_ms"},
+		{FaultSpec{Kind: "switch-crash", Switch: 1, AtMs: 2, UpMs: 3}, "up_ms"},
+		{FaultSpec{Kind: "switch-crash", Switch: 1, Host: 2}, "host"},
+		{FaultSpec{Kind: "switch-crash", Switch: 1, LossBad: 0.5}, "loss_bad"},
+		{FaultSpec{Kind: "link-down", Host: 1, UpMs: 5, AtMs: 1}, "at_ms"},
+		{FaultSpec{Kind: "link-down", Host: 1, UpMs: 5, RestartMs: 4}, "restart_ms"},
+		{FaultSpec{Kind: "link-down", Host: 1, UpMs: 5, Switch: 1}, "switch"},
+		{FaultSpec{Kind: "link-down", Host: 1, UpMs: 5, PGB: 0.1}, "p_gb"},
+		{FaultSpec{Kind: "link-down", Host: 1, UpMs: 5, LossGood: 0.1}, "loss_good"},
+		{FaultSpec{Kind: "gilbert-loss", Host: 1, PGB: 0.1, Switch: 2}, "switch"},
+		{FaultSpec{Kind: "gilbert-loss", Host: 1, PGB: 0.1, DownMs: 2}, "down_ms"},
+		{FaultSpec{Kind: "gilbert-loss", Host: 1, PBG: 0.1, RestartMs: 2}, "restart_ms"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.fault.Kind+"/"+tc.field, func(t *testing.T) {
+			s := linkFailSpec()
+			s.Faults = []FaultSpec{ok, tc.fault}
+			_, err := Run(s, Opts{})
+			want := "fault 1 (" + tc.fault.Kind + "): " + tc.field + " is not read"
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %v, want one containing %q", err, want)
+			}
+		})
+	}
+	s := linkFailSpec()
+	s.Protocols = []ProtoSpec{{Runner: "PDQ(Full)"}}
+	s.Faults = []FaultSpec{ok,
+		{Kind: "switch-crash", Switch: 0, AtMs: 2, RestartMs: 3},
+		{Kind: "gilbert-loss", Host: 1, PGB: 0.1, PBG: 0.5, LossGood: 0.01, LossBad: 0.5}}
+	if _, err := Run(s, Opts{}); err != nil {
+		t.Fatalf("every field read by its kind, yet refused: %v", err)
+	}
+}
+
 // TestPanickingCellYieldsPartialTable pins the executor's failure
 // isolation: one panicking cell becomes NaN plus a diagnostic while the
 // rest of the grid completes.

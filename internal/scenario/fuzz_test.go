@@ -64,12 +64,20 @@ func FuzzSpecCompile(f *testing.F) {
 // is refused at compile or yields a table with no failed cell; the packet
 // runs carry an event budget, so a run that cannot end fails its cell. The
 // seeds under testdata/fuzz cover each kind and the refusals found so far.
+// The fault sets only the fields its kind reads: compile refuses any other
+// (TestFaultRefusesUnreadFields).
 func FuzzFaultSchedule(f *testing.F) {
 	kinds := []string{"link-down", "switch-crash", "gilbert-loss"}
 	f.Fuzz(func(t *testing.T, kind uint8, host, sw int, aMs, bMs, restartMs, pgb, pbg, lossGood, lossBad float64) {
-		fs := FaultSpec{Kind: kinds[int(kind)%len(kinds)], Host: host, Switch: sw,
-			DownMs: aMs, UpMs: bMs, AtMs: aMs, RestartMs: restartMs,
-			PGB: pgb, PBG: pbg, LossGood: lossGood, LossBad: lossBad}
+		fs := FaultSpec{Kind: kinds[int(kind)%len(kinds)]}
+		switch fs.Kind {
+		case "link-down":
+			fs.Host, fs.DownMs, fs.UpMs = host, aMs, bMs
+		case "switch-crash":
+			fs.Switch, fs.AtMs, fs.RestartMs = sw, aMs, restartMs
+		default:
+			fs.Host, fs.PGB, fs.PBG, fs.LossGood, fs.LossBad = host, pgb, pbg, lossGood, lossBad
+		}
 		for _, runner := range []string{"PDQ(Full)", "flow:PDQ"} {
 			data, err := json.Marshal(&Spec{
 				Name:     "fault-fuzz",

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pdq/internal/netsim"
+	"pdq/internal/sim"
 )
 
 // refPathVia is the routing pathVia replaced: one breadth-first search from
@@ -83,6 +84,9 @@ func hostLine() *Topology {
 // every ordered host pair: single-homed hosts (routed through their
 // attachment's shared field), multi-homed BCube servers (their own field),
 // same-switch pairs and a source that is the destination's attachment.
+// Path and Paths are memoized: a second call, before or after Reset,
+// returns the very slices of the first, and Routes' reverses are the
+// reverses of those paths.
 func TestPathsMatchPerHostBFS(t *testing.T) {
 	for _, tp := range []*Topology{
 		SingleRootedTree(4, 3, 1),
@@ -93,26 +97,49 @@ func TestPathsMatchPerHostBFS(t *testing.T) {
 		Jellyfish(8, 4, 2, 42),
 		hostLine(),
 	} {
-		for _, a := range tp.Hosts {
-			for _, b := range tp.Hosts {
-				if a == b {
-					continue
-				}
-				want := refPathVia(tp, a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] })
-				if got := tp.Path(a, b); !pathEqual(got, want) {
-					t.Fatalf("%s: Path(%d, %d) = %v, reference %v", tp.Name, a.ID(), b.ID(), got, want)
-				}
-				none := func(*netsim.Link) bool { return false }
-				if got := tp.PathExcluding(a, b, none); !pathEqual(got, want) {
-					t.Fatalf("%s: PathExcluding(%d, %d) = %v, reference %v", tp.Name, a.ID(), b.ID(), got, want)
-				}
-				got, wantK := tp.Paths(a, b, 4), refPaths(tp, a, b, 4)
-				if len(got) != len(wantK) {
-					t.Fatalf("%s: Paths(%d, %d) has %d paths, reference %d", tp.Name, a.ID(), b.ID(), len(got), len(wantK))
-				}
-				for i := range got {
-					if !pathEqual(got[i], wantK[i]) {
-						t.Fatalf("%s: Paths(%d, %d)[%d] = %v, reference %v", tp.Name, a.ID(), b.ID(), i, got[i], wantK[i])
+		type memo struct {
+			path  []*netsim.Link
+			paths [][]*netsim.Link
+		}
+		first := map[[2]int]memo{}
+		for pass := 0; pass < 3; pass++ {
+			if pass == 2 {
+				tp.Reset(sim.New(), 7)
+			}
+			for i, a := range tp.Hosts {
+				for j, b := range tp.Hosts {
+					if a == b {
+						continue
+					}
+					want := refPathVia(tp, a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] })
+					path := tp.Path(a, b)
+					if !pathEqual(path, want) {
+						t.Fatalf("%s pass %d: Path(%d, %d) = %v, reference %v", tp.Name, pass, a.ID(), b.ID(), path, want)
+					}
+					none := func(*netsim.Link) bool { return false }
+					if got := tp.PathExcluding(a, b, none); !pathEqual(got, want) {
+						t.Fatalf("%s: PathExcluding(%d, %d) = %v, reference %v", tp.Name, a.ID(), b.ID(), got, want)
+					}
+					paths, wantK := tp.Paths(a, b, 4), refPaths(tp, a, b, 4)
+					if !pathsEqual(paths, wantK) {
+						t.Fatalf("%s pass %d: Paths(%d, %d) = %v, reference %v", tp.Name, pass, a.ID(), b.ID(), paths, wantK)
+					}
+					fwd, rev := tp.Routes(a, b, 4)
+					if !sameRoutes(fwd, paths) || len(rev) != len(fwd) {
+						t.Fatalf("%s: Routes(%d, %d) does not return Paths' slices", tp.Name, a.ID(), b.ID())
+					}
+					for k := range fwd {
+						if !pathEqual(rev[k], netsim.ReversePath(fwd[k])) {
+							t.Fatalf("%s: Routes(%d, %d) reverse %d = %v, want the reverse of %v", tp.Name, a.ID(), b.ID(), k, rev[k], fwd[k])
+						}
+					}
+					key := [2]int{i, j}
+					if pass == 0 {
+						first[key] = memo{path, paths}
+						continue
+					}
+					if m := first[key]; !sameSlice(path, m.path) || !sameRoutes(paths, m.paths) {
+						t.Fatalf("%s pass %d: Path/Paths(%d, %d) recomputed, want the memoized slices", tp.Name, pass, a.ID(), b.ID())
 					}
 				}
 			}
@@ -120,9 +147,41 @@ func TestPathsMatchPerHostBFS(t *testing.T) {
 	}
 }
 
-// TestPathSharesAttachmentField pins what the shared field buys: once one
-// host of an edge switch has been routed to, routing to its rack neighbour
-// runs no search and allocates only the returned path.
+// pathsEqual reports whether two path sets hold the same paths in order.
+func pathsEqual(a, b [][]*netsim.Link) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !pathEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSlice reports whether a and b share their backing array and length.
+func sameSlice(a, b []*netsim.Link) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// sameRoutes reports whether two path sets are the same slices.
+func sameRoutes(a, b [][]*netsim.Link) bool {
+	if len(a) != len(b) || (len(a) > 0 && &a[0] != &b[0]) {
+		return false
+	}
+	for i := range a {
+		if !sameSlice(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPathSharesAttachmentField pins what the shared field buys, and what
+// the memo buys on top: once one host of an edge switch has been routed
+// to, routing to its rack neighbour runs no search and allocates only what
+// the memo keeps, and asking again allocates nothing.
 func TestPathSharesAttachmentField(t *testing.T) {
 	tp := FatTree(4, 1)
 	src, first, second := tp.Hosts[15], tp.Hosts[0], tp.Hosts[1]
@@ -130,8 +189,16 @@ func TestPathSharesAttachmentField(t *testing.T) {
 		t.Fatal("hosts 0 and 1 are expected on one edge switch")
 	}
 	tp.Path(src, first)
-	if allocs := testing.AllocsPerRun(20, func() { tp.Path(src, second) }); allocs != 1 {
-		t.Errorf("Path to a second host of a visited edge switch allocates %.0f times, want 1 (the path)", allocs)
+	dist := len(tp.dist[first.Access.To.ID()])
+	tp.Path(src, second)
+	if tp.dist[second.ID()] != nil || len(tp.dist[first.Access.To.ID()]) != dist {
+		t.Error("routing to a rack neighbour ran a search of its own")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { tp.Path(src, second) }); allocs != 0 {
+		t.Errorf("a memoized Path allocates %.0f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { tp.Routes(src, second, 1) }); allocs != 0 {
+		t.Errorf("memoized Routes allocate %.0f times after the first call, want 0", allocs)
 	}
 	// A multi-homed server is its own attachment point: the field is per host.
 	bc := BCube(2, 2, 1)

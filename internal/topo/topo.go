@@ -25,7 +25,20 @@ type Topology struct {
 
 	candBuf  []*netsim.Link  // reusable equal-cost candidate buffer (pathVia)
 	queueBuf []netsim.NodeID // reusable BFS queue (distancesFrom)
-	pathRng  *rand.Rand      // Paths' tie-breaker, reseeded per call
+	pathRng  *rand.Rand      // Paths' tie-breaker, reseeded per computation
+	routes   map[routeKey]*routes
+}
+
+// routeKey names one memoized route set: up to k paths from a to b.
+type routeKey struct {
+	a, b netsim.NodeID
+	k    int
+}
+
+// routes is one memoized answer of Paths, and the reverse of each of its
+// paths once Routes has asked for them.
+type routes struct {
+	fwd, rev [][]*netsim.Link
 }
 
 // New creates an empty topology over a fresh network.
@@ -34,8 +47,9 @@ func New(name string, seed int64) *Topology {
 }
 
 // Reset returns a used topology to its just-built state on engine s, its
-// network seeded with seed (netsim.Network.Reset). The graph and the
-// routing caches stay, so every run on one topology shares its routes.
+// network seeded with seed (netsim.Network.Reset). The graph, the routing
+// caches and the memoized routes stay, so every run on one topology
+// shares its routes.
 func (t *Topology) Reset(s *sim.Sim, seed int64) { t.Net.Reset(s, seed) }
 
 // Sim returns the simulation driving the topology's network.
@@ -119,14 +133,34 @@ func (t *Topology) distTo(dst netsim.NodeID) []int32 {
 }
 
 // Path returns a deterministic shortest path of directed links from host a
-// to host b. Ties are broken by lowest link ID, so the same pair always
-// routes the same way.
+// to host b: Paths(a, b, 1)[0]. Ties are broken by lowest link ID, so the
+// same pair always routes the same way. It panics when b is unreachable.
+// The path is shared and read-only, like every path Paths returns.
 func (t *Topology) Path(a, b *netsim.Host) []*netsim.Link {
-	p := t.pathVia(a.ID(), b.ID(), func(cands []*netsim.Link) *netsim.Link { return cands[0] })
-	if p == nil {
+	return t.reachable(a, b, t.Paths(a, b, 1))[0]
+}
+
+// Routes returns Paths(a, b, k) and, at the same index, the reverse of
+// each path (netsim.ReversePath), both memoized and shared. It panics,
+// like Path, when b is unreachable.
+func (t *Topology) Routes(a, b *netsim.Host, k int) (fwd, rev [][]*netsim.Link) {
+	r := t.route(a, b, k)
+	t.reachable(a, b, r.fwd)
+	if r.rev == nil {
+		r.rev = make([][]*netsim.Link, len(r.fwd))
+		for i, p := range r.fwd {
+			r.rev[i] = netsim.ReversePath(p)
+		}
+	}
+	return r.fwd, r.rev
+}
+
+// reachable returns paths, or panics when there are none.
+func (t *Topology) reachable(a, b *netsim.Host, paths [][]*netsim.Link) [][]*netsim.Link {
+	if len(paths) == 0 {
 		panic(fmt.Sprintf("topo %s: no path %d->%d", t.Name, a.ID(), b.ID()))
 	}
-	return p
+	return paths
 }
 
 // pathVia walks the shortest-path DAG from a to b, using pick to choose
@@ -245,9 +279,37 @@ func (t *Topology) PathExcluding(a, b *netsim.Host, blocked func(*netsim.Link) b
 }
 
 // Paths returns up to maxK distinct equal-cost shortest paths from a to b,
-// deterministically derived from (a, b). The first returned path equals
-// Path(a, b). Used by M-PDQ to assign subflows to ECMP paths.
+// deterministically derived from (a, b), and none when b is unreachable.
+// The first returned path equals Path(a, b). Used by M-PDQ to assign
+// subflows to ECMP paths.
+//
+// The answer is memoized per (a, b, maxK) for the topology's life, Reset
+// included, since the graph never changes: every flow between two hosts
+// shares one route. The returned slices are therefore shared and
+// read-only. A caller that needs another path assigns a fresh slice
+// (PathExcluding's, on failover); nothing may write a returned path in
+// place.
 func (t *Topology) Paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
+	return t.route(a, b, maxK).fwd
+}
+
+// route returns the memo entry for (a, b, k), computing its paths on a
+// miss.
+func (t *Topology) route(a, b *netsim.Host, k int) *routes {
+	key := routeKey{a.ID(), b.ID(), k}
+	if r, ok := t.routes[key]; ok {
+		return r
+	}
+	if t.routes == nil {
+		t.routes = make(map[routeKey]*routes)
+	}
+	r := &routes{fwd: t.paths(a, b, k)}
+	t.routes[key] = r
+	return r
+}
+
+// paths computes Paths' answer; pathVia is the only walk it runs.
+func (t *Topology) paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
 	var out [][]*netsim.Link
 	add := func(p []*netsim.Link) bool {
 		if p == nil {
@@ -266,12 +328,14 @@ func (t *Topology) Paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
 		out = append(out, p)
 		return true
 	}
-	add(t.pathVia(a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] }))
+	if add(t.pathVia(a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] })) && maxK <= 1 {
+		return out
+	}
 	if t.pathRng == nil {
 		t.pathRng = rand.New(rand.NewSource(0))
 	}
 	// Seed restarts the source on the very stream NewSource(seed) would
-	// give, without another 4.9 KB source per call.
+	// give, without another 4.9 KB source per computation.
 	rng := t.pathRng
 	rng.Seed(int64(a.ID())<<20 ^ int64(b.ID()) ^ 0x5bd1e995)
 	misses := 0
