@@ -12,11 +12,23 @@ import (
 	"pdq/internal/workload"
 )
 
+// install installs PDQ on the topology with the switch's list invariants
+// checked after every packet (listInvariants).
+func install(t testing.TB, tp *topo.Topology, cfg Config) *System {
+	sys := Install(tp, cfg)
+	sys.Logic.check = func(st *linkState) {
+		if err := listInvariants(st); err != nil {
+			t.Fatalf("link %d at %v: %v", st.link.ID, st.link.Now(), err)
+		}
+	}
+	return sys
+}
+
 // runFlows installs PDQ on the topology, starts all flows and runs to
 // horizon.
 func runFlows(t testing.TB, tp *topo.Topology, cfg Config, flows []workload.Flow, horizon sim.Time) []workload.Result {
 	t.Helper()
-	sys := Install(tp, cfg)
+	sys := install(t, tp, cfg)
 	for _, f := range flows {
 		sys.Start(f)
 	}
@@ -300,7 +312,7 @@ func TestConvergenceWithinBound(t *testing.T) {
 	// after ~4 RTTs exactly one flow must be sending (the driver) and the
 	// others paused.
 	tp := topo.SingleBottleneck(3, 1)
-	sys := Install(tp, Full())
+	sys := install(t, tp, Full())
 	for i := 0; i < 3; i++ {
 		sys.Start(flow(uint64(i+1), i, 3, 10<<20, 0, 0))
 	}
@@ -341,7 +353,7 @@ func TestSwitchListBounded(t *testing.T) {
 	// §3.3.1: switch memory stays small — the list never exceeds
 	// min(2κ, M) and with one bottleneck κ is tiny.
 	tp := topo.SingleBottleneck(8, 1)
-	sys := Install(tp, Full())
+	sys := install(t, tp, Full())
 	for i := 0; i < 8; i++ {
 		sys.Start(flow(uint64(i+1), i, 8, 500<<10, 0, 0))
 	}

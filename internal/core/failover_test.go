@@ -22,7 +22,7 @@ func (f agentFunc) Receive(pkt *netsim.Packet, l *netsim.Link) { f(pkt, l) }
 // over the memoized one, which crosses the dead link: the flow completes.
 func TestFailoverAcksTravelTheNewReverse(t *testing.T) {
 	tp := topo.FatTree(4, 1)
-	sys := Install(tp, Full())
+	sys := install(t, tp, Full())
 	src, dst := tp.Hosts[0], tp.Hosts[15]
 	sys.Start(flow(1, 0, 15, 2<<20, 0, 0))
 	fwd, rev := tp.Routes(src, dst, 1)

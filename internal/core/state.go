@@ -27,19 +27,25 @@ func (f *flowInfo) sending() bool { return f.pauseBy == netsim.PauseNone }
 
 // linkState is the PDQ switch state for one directed link: the bounded
 // most-critical flow list, the rate controller variable C, dampening
-// state, and the embedded RCP fallback controller (§3.3.1–§3.3.3).
+// state, and the embedded RCP fallback controller (§3.3.1–§3.3.3). Link
+// states are carved from their SwitchLogic's chunks and never move, so
+// the list can start on a backing array inside the state itself.
 type linkState struct {
 	cfg     *Config
+	pool    *entries      // the SwitchLogic's flowInfo carver and spare list
 	me      netsim.NodeID // owning switch/relay-host ID
 	link    *netsim.Link
 	maxList int // M (the maxList constant; in-package tests lower it)
 
-	flows []*flowInfo // sorted most-critical first
-	// free holds entries that left the list (TERM, eviction, stale
-	// expiry), for admit to reuse: flows come and go at the rate packets
-	// of new flows arrive, so the list would otherwise cost one heap
-	// object per admission.
-	free []*flowInfo
+	flows  []*flowInfo  // sorted most-critical first
+	inline [4]*flowInfo // flows' first backing: most lists stay this short
+	bound  int          // capacity at the last admit; the list only shrinks until the next
+
+	// Running sums over the list, kept by admit, unlink, expireStale,
+	// setRate and setRTT: κ, the number of sending flows (R_i > 0), and
+	// ΣRTT_i. Both are integers, so they equal a fresh walk exactly.
+	kappa  int
+	rttSum sim.Time
 
 	// Rate controller (§3.3.3).
 	c           int64 // C: aggregate rate available to PDQ flows
@@ -52,14 +58,33 @@ type linkState struct {
 
 	// RCP fallback for flows outside the bounded list (§3.3.1): count of
 	// distinct fallback flows in the current and previous controller
-	// periods, giving an exact-ish N like the paper's optimized RCP.
+	// periods, giving an exact-ish N like the paper's optimized RCP. The
+	// set is made on the link's first fallback; most links never need it.
 	rcpSeen  map[flowKey]bool
 	rcpPrevN int
 }
 
-func newLinkState(cfg *Config, me netsim.NodeID, link *netsim.Link) *linkState {
-	return &linkState{cfg: cfg, me: me, link: link, maxList: maxList, c: link.Rate, rcpSeen: map[flowKey]bool{}}
+// entries is where a SwitchLogic's flowInfos come from. Flows come and go
+// at the rate packets of new flows arrive, so an entry that leaves a list
+// (TERM, eviction, stale expiry, a crash) goes to one spare list shared by
+// every link, and the next admission anywhere reuses it.
+type entries struct {
+	chunks protocol.Chunks[flowInfo]
+	spare  []*flowInfo
 }
+
+// get returns an entry for admit to overwrite.
+func (e *entries) get() *flowInfo {
+	if n := len(e.spare); n > 0 {
+		f := e.spare[n-1]
+		e.spare = e.spare[:n-1]
+		return f
+	}
+	return e.chunks.New()
+}
+
+// put takes back an entry that left its list.
+func (e *entries) put(f *flowInfo) { e.spare = append(e.spare, f) }
 
 // less applies the configured comparator (Config.Less, default
 // Criticality.Less).
@@ -80,36 +105,55 @@ func (st *linkState) find(key flowKey) int {
 	return -1
 }
 
-// unlink takes the entry at index i out of the list and returns it.
+// unlink takes the entry at index i out of the list and the running sums,
+// and returns it.
 func (st *linkState) unlink(i int) *flowInfo {
 	f := st.flows[i]
 	st.flows = append(st.flows[:i], st.flows[i+1:]...)
+	st.forget(f)
 	return f
 }
 
-// remove deletes key from the list if present. The entry goes to the
-// free list, so callers must not hold on to it.
+// forget takes a leaving entry's share out of the running sums.
+func (st *linkState) forget(f *flowInfo) {
+	if f.rate > 0 {
+		st.kappa--
+	}
+	st.rttSum -= f.rtt
+}
+
+// drop deletes the entry at index i. It goes to the spare list, so callers
+// must not hold on to it.
+func (st *linkState) drop(i int) { st.pool.put(st.unlink(i)) }
+
+// remove deletes key from the list if present.
 func (st *linkState) remove(key flowKey) {
 	if i := st.find(key); i >= 0 {
-		st.free = append(st.free, st.unlink(i))
+		st.drop(i)
 	}
 }
 
-// kappa is κ: the number of sending flows (R_i > 0) in the list.
-func (st *linkState) kappa() int {
-	n := 0
-	for _, f := range st.flows {
-		if f.rate > 0 {
-			n++
-		}
+// setRate sets a listed flow's committed rate R_i, keeping κ.
+func (st *linkState) setRate(f *flowInfo, r int64) {
+	if f.rate > 0 {
+		st.kappa--
 	}
-	return n
+	if r > 0 {
+		st.kappa++
+	}
+	f.rate = r
+}
+
+// setRTT sets a listed flow's RTT estimate, keeping ΣRTT.
+func (st *linkState) setRTT(f *flowInfo, rtt sim.Time) {
+	st.rttSum += rtt - f.rtt
+	f.rtt = rtt
 }
 
 // capacity is the list bound: 2κ flows (§3.3.1), at least 2 so a first
 // flow can always be admitted, and at most M.
 func (st *linkState) capacity() int {
-	c := 2 * st.kappa()
+	c := 2 * st.kappa
 	if c < 2 {
 		c = 2
 	}
@@ -130,14 +174,16 @@ func (st *linkState) expireStale(now sim.Time) {
 		if f.seen >= cutoff {
 			kept = append(kept, f)
 		} else {
-			st.free = append(st.free, f)
+			st.forget(f)
+			st.pool.put(f)
 		}
 	}
 	st.flows = kept
 }
 
-// insert places f in criticality order.
-func (st *linkState) insert(f *flowInfo) {
+// insert places f in criticality order, after every entry it is not more
+// critical than, and returns its index.
+func (st *linkState) insert(f *flowInfo) int {
 	pos := len(st.flows)
 	fc := f.crit()
 	for i, g := range st.flows {
@@ -149,34 +195,42 @@ func (st *linkState) insert(f *flowInfo) {
 	st.flows = append(st.flows, nil)
 	copy(st.flows[pos+1:], st.flows[pos:])
 	st.flows[pos] = f
+	return pos
 }
 
-// reposition restores sorted order after f's criticality changed, and
-// returns f's new index.
-func (st *linkState) reposition(f *flowInfo) int {
-	st.unlink(st.find(f.key))
-	st.insert(f)
-	return st.find(f.key)
+// reposition restores sorted order after the criticality of the entry at
+// index i changed, and returns its new index. The entry moves by neighbour
+// swaps: left past every entry it is now more critical than, or else right
+// past every entry it is not more critical than — the index insert would
+// give it in the list without it.
+func (st *linkState) reposition(i int) int {
+	f := st.flows[i]
+	fc := f.crit()
+	for i > 0 && st.less(fc, st.flows[i-1].crit()) {
+		st.flows[i] = st.flows[i-1]
+		i--
+	}
+	for i+1 < len(st.flows) && !st.less(fc, st.flows[i+1].crit()) {
+		st.flows[i] = st.flows[i+1]
+		i++
+	}
+	st.flows[i] = f
+	return i
 }
 
 // admit tries to add a new flow with the given criticality, enforcing the
-// 2κ bound by evicting the least critical entries. Returns nil if the flow
-// is less critical than a full list's tail (the RCP-fallback case).
-func (st *linkState) admit(now sim.Time, key flowKey, c Criticality) *flowInfo {
+// 2κ bound by evicting the least critical entries, and returns its index.
+// It returns -1 if the flow is less critical than a full list's tail (the
+// RCP-fallback case).
+func (st *linkState) admit(now sim.Time, key flowKey, c Criticality) int {
 	cap := st.capacity()
 	if len(st.flows) >= cap {
 		tail := st.flows[len(st.flows)-1]
 		if !st.less(c, tail.crit()) {
-			return nil
+			return -1
 		}
 	}
-	var f *flowInfo
-	if n := len(st.free); n > 0 {
-		f = st.free[n-1]
-		st.free = st.free[:n-1]
-	} else {
-		f = new(flowInfo)
-	}
+	f := st.pool.get()
 	*f = flowInfo{
 		key:      key,
 		rate:     0,
@@ -186,14 +240,16 @@ func (st *linkState) admit(now sim.Time, key flowKey, c Criticality) *flowInfo {
 		rtt:      protocol.InitRTT,
 		seen:     now,
 	}
-	st.insert(f)
+	st.rttSum += f.rtt
+	pos := st.insert(f)
 	for len(st.flows) > cap {
-		st.free = append(st.free, st.unlink(len(st.flows)-1))
+		st.drop(len(st.flows) - 1)
 	}
-	if st.find(key) < 0 {
-		return nil // evicted immediately: list was full of more critical flows
+	st.bound = cap
+	if pos >= cap {
+		return -1 // evicted immediately: list was full of more critical flows
 	}
-	return f
+	return pos
 }
 
 // avgRTT averages the RTT estimates of listed flows (the initial RTT when
@@ -202,11 +258,7 @@ func (st *linkState) avgRTT() sim.Time {
 	if len(st.flows) == 0 {
 		return protocol.InitRTT
 	}
-	var sum sim.Time
-	for _, f := range st.flows {
-		sum += f.rtt
-	}
-	return sum / sim.Time(len(st.flows))
+	return st.rttSum / sim.Time(len(st.flows))
 }
 
 // maybeUpdateC runs the §3.3.3 rate controller: every 2 RTTs,
@@ -276,6 +328,9 @@ func (st *linkState) minGrant() int64 {
 // demand, divided by the number of fallback flows. Slivers below the
 // minimum grant become a pause.
 func (st *linkState) rcpRate(key flowKey) int64 {
+	if st.rcpSeen == nil {
+		st.rcpSeen = map[flowKey]bool{}
+	}
 	st.rcpSeen[key] = true
 	n := len(st.rcpSeen)
 	if st.rcpPrevN > n {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"pdq/internal/netsim"
+	"pdq/internal/protocol"
 )
 
 // SwitchLogic implements the PDQ flow controller (Algorithms 1 and 3) and
@@ -13,7 +14,13 @@ type SwitchLogic struct {
 	// states is indexed by the dense link ID — a flat table instead of a
 	// map, keeping the per-packet lookup on the hot path pointer-chase- and
 	// hash-free.
-	states []*linkState
+	states  []*linkState
+	links   protocol.Chunks[linkState] // what states are carved from
+	entries                            // every link's flowInfos
+
+	// check, when set, is called with the link's state after every packet
+	// Process handles; tests use it to assert the list's invariants.
+	check func(*linkState)
 }
 
 // NewSwitchLogic returns switch logic for one experiment covering nLinks
@@ -32,7 +39,9 @@ func (l *SwitchLogic) state(link *netsim.Link) *linkState {
 	}
 	st := l.states[link.ID]
 	if st == nil {
-		st = newLinkState(l.cfg, link.From.ID(), link)
+		st = l.links.New()
+		*st = linkState{cfg: l.cfg, pool: &l.entries, me: link.From.ID(), link: link, maxList: maxList, c: link.Rate}
+		st.flows = st.inline[:0]
 		l.states[link.ID] = st
 	}
 	return st
@@ -43,10 +52,16 @@ func (l *SwitchLogic) state(link *netsim.Link) *linkState {
 // dampening history and the RCP fallback estimate. Nothing else is needed:
 // the state is soft (paper §3.3.1), so the next forward packet re-admits
 // its flow into a fresh linkState and the switch converges back from the
-// traffic itself.
+// traffic itself. The old state's entries go to the spare list; the state
+// itself stays in its chunk, unused.
 func (l *SwitchLogic) ResetLinkState(link *netsim.Link) {
 	if link.ID < len(l.states) {
-		l.states[link.ID] = nil
+		if st := l.states[link.ID]; st != nil {
+			for _, f := range st.flows {
+				l.put(f)
+			}
+			l.states[link.ID] = nil
+		}
 	}
 }
 
@@ -85,18 +100,22 @@ func (l *SwitchLogic) Process(at netsim.Node, pkt *netsim.Packet, ingress, egres
 	if !ok {
 		return true
 	}
-	if pkt.Kind.Forward() {
-		st := l.state(egress)
-		if pkt.Kind == netsim.TERM {
-			st.remove(keyOf(pkt))
-			return true
-		}
+	var st *linkState
+	switch {
+	case pkt.Kind == netsim.TERM:
+		st = l.state(egress)
+		st.remove(keyOf(pkt))
+	case pkt.Kind.Forward():
+		st = l.state(egress)
 		l.onForward(st, pkt, hdr)
+	case ingress != nil && ingress.Peer != nil:
+		st = l.state(ingress.Peer)
+		l.onReverse(st, pkt, hdr)
+	default:
 		return true
 	}
-	if ingress != nil && ingress.Peer != nil {
-		st := l.state(ingress.Peer)
-		l.onReverse(st, pkt, hdr)
+	if l.check != nil {
+		l.check(st)
 	}
 	return true
 }
@@ -118,12 +137,10 @@ func (l *SwitchLogic) onForward(st *linkState, pkt *netsim.Packet, h *netsim.Sch
 	}
 
 	crit := Criticality{Deadline: internalDeadline(h.Deadline), TTrans: h.TTrans, Key: key}
-	var f *flowInfo
-	if i := st.find(key); i >= 0 {
-		f = st.flows[i]
-	} else {
-		f = st.admit(now, key, crit)
-		if f == nil {
+	i := st.find(key)
+	if i < 0 {
+		i = st.admit(now, key, crit)
+		if i < 0 {
 			// Flow list full of more critical flows: fall back to the
 			// embedded RCP controller on the leftover bandwidth
 			// (§3.3.1).
@@ -140,11 +157,12 @@ func (l *SwitchLogic) onForward(st *linkState, pkt *netsim.Packet, h *netsim.Sch
 	// Refresh <D_i, T_i> and the flow's demand from the header, and
 	// restore criticality order (T_i shrinks as the flow progresses,
 	// emulating SRPT).
+	f := st.flows[i]
 	f.deadline = crit.Deadline
 	f.ttrans = h.TTrans
 	f.demand = h.Rate
 	f.seen = now
-	idx := st.reposition(f)
+	idx := st.reposition(i)
 
 	w := st.availbw(idx)
 	if h.Rate < w {
@@ -183,19 +201,21 @@ func (l *SwitchLogic) onReverse(st *linkState, pkt *netsim.Packet, h *netsim.Sch
 	st.maybeUpdateC(now)
 	key := keyOf(pkt)
 
-	if h.PauseBy != netsim.PauseNone && h.PauseBy != st.me {
-		st.remove(key)
+	i := st.find(key)
+	if i >= 0 && h.PauseBy != netsim.PauseNone && h.PauseBy != st.me {
+		st.drop(i)
+		i = -1
 	}
 	if h.PauseBy != netsim.PauseNone {
 		h.Rate = 0 // flow is paused somewhere on the path
 	}
-	if i := st.find(key); i >= 0 {
+	if i >= 0 {
 		f := st.flows[i]
 		f.pauseBy = h.PauseBy
-		f.rate = h.Rate
+		st.setRate(f, h.Rate)
 		f.seen = now
 		if h.RTT > 0 {
-			f.rtt = h.RTT
+			st.setRTT(f, h.RTT)
 		}
 		if l.cfg.SuppressedProbing {
 			// A paused flow at list index i can start only after the

@@ -11,13 +11,14 @@ import (
 // runner: poolFlows on the 3×3 tree, run to the end. Each is the count
 // measured when it was set plus about 10 %. Packets and their headers come
 // in chunks (netsim), a System's flows sit in one table and each flow's
-// endpoint state is carved from chunks (protocol); a budget overrun means
-// a per-packet or per-flow allocation came back.
+// endpoint state is carved from chunks (protocol), and PDQ's switch carves
+// its link states and flow entries (core); a budget overrun means a
+// per-packet, per-flow or per-link allocation came back.
 var runnerMallocs = map[string]float64{
-	"PDQ(Full)":  488,
-	"PDQ(ES+ET)": 488,
-	"PDQ(ES)":    495,
-	"PDQ(Basic)": 453,
+	"PDQ(Full)":  352,
+	"PDQ(ES+ET)": 352,
+	"PDQ(ES)":    361,
+	"PDQ(Basic)": 350,
 	"D3":         442,
 	"RCP":        508,
 	"RCP/D3":     508,
@@ -31,10 +32,10 @@ var runnerMallocs = map[string]float64{
 // memoized: what a sweep pays for every cell after the first on one
 // topology.
 var resetMallocs = map[string]float64{
-	"PDQ(Full)":  230,
-	"PDQ(ES+ET)": 230,
-	"PDQ(ES)":    237,
-	"PDQ(Basic)": 195,
+	"PDQ(Full)":  94,
+	"PDQ(ES+ET)": 94,
+	"PDQ(ES)":    102,
+	"PDQ(Basic)": 91,
 	"D3":         184,
 	"RCP":        258,
 	"RCP/D3":     250,
