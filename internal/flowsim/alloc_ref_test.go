@@ -3,10 +3,14 @@ package flowsim
 // The full-recompute allocators as they stood before the incremental
 // rewrite, kept verbatim (types renamed ref*) as the reference the
 // differential and fuzz tests in alloc_diff_test.go hold the production
-// allocators to, bit for bit: every call re-sorts every flow with
-// sort.Stable, re-derives the NIC floor and the absolute deadline from the
-// flow, and water-fills over all flows, frozen or not. Do not optimise
-// this file — its value is that it is obviously the §3/§5.1 algorithm.
+// allocators to: PDQ and D3 bit for bit, RCP within rcpTol, because it
+// fills by water level where refRCP sums one share per round. Every call
+// re-sorts every flow with sort.Stable, re-derives the NIC floor and the
+// absolute deadline from the flow, and water-fills over all flows, frozen
+// or not. Do not optimise this file — its value is that it is obviously
+// the §3/§5.1 algorithm. One semantic change was made to both copies:
+// D3 reserves nothing for a deadline at sim.MaxTime, the infinite
+// deadline TestMetamorphicInfiniteDeadline compares with none.
 
 import (
 	"math"
@@ -357,10 +361,11 @@ func (p *refD3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link
 	ordered := sc.orderedCopy(flows)
 	sc.sortOrdered(refArrivalLess)
 	for _, f := range ordered {
-		if !f.HasDeadline() {
-			continue
+		dl := f.AbsDeadline()
+		if dl == sim.MaxTime {
+			continue // no deadline, or one at the end of time: s/∞ reserves nothing
 		}
-		left := f.AbsDeadline() - now
+		left := dl - now
 		if left <= 0 {
 			continue
 		}

@@ -1,7 +1,6 @@
 package flowsim
 
 import (
-	"math"
 	"testing"
 
 	"pdq/internal/fault"
@@ -12,11 +11,12 @@ import (
 )
 
 // shadowAlloc runs the reference allocator on clones beside the production
-// one inside a real Sim, and checks every call: rates bit-identical, and no
-// flow granted rate across a link that is down.
+// one inside a real Sim and checks every call's rates as near as the
+// pair's tolerance asks (bit-identical for PDQ and D3); the Sim's check
+// hook sees that no flow is granted rate across a link that is down.
 type shadowAlloc struct {
-	t        *testing.T
-	got, ref Allocator
+	t *testing.T
+	allocPair
 	clones   map[*FlowState]*FlowState
 	refFlows []*FlowState
 	first    map[*FlowState]**netsim.Link // &Path[0] at first sight
@@ -48,16 +48,11 @@ func (a *shadowAlloc) Allocate(now sim.Time, flows []*FlowState, cap func(*netsi
 	a.ref.Allocate(now, a.refFlows, cap)
 	anyDown := false
 	for i, f := range flows {
-		if r := a.refFlows[i]; math.Float64bits(f.Rate) != math.Float64bits(r.Rate) {
+		if r := a.refFlows[i]; !near(f.Rate, r.Rate, a.tol) {
 			a.t.Fatalf("%s call %d at %v, flow %d: rate %v, reference %v", a.Name(), a.calls, now, f.ID, f.Rate, r.Rate)
 		}
 		for _, l := range f.Path {
-			if l.Down() {
-				anyDown = true
-				if f.Rate > 0 {
-					a.t.Fatalf("%s call %d at %v: flow %d sends at %v across downed link %d", a.Name(), a.calls, now, f.ID, f.Rate, l.ID)
-				}
-			}
+			anyDown = anyDown || l.Down()
 		}
 	}
 	if anyDown {
@@ -83,9 +78,9 @@ func TestFailoverReroutesFlows(t *testing.T) {
 			for i := range flows {
 				flows[i].Start = sim.Time(i) * 100 * sim.Microsecond
 			}
-			sh := &shadowAlloc{t: t, got: p.got, ref: p.ref,
+			sh := &shadowAlloc{t: t, allocPair: p,
 				clones: map[*FlowState]*FlowState{}, first: map[*FlowState]**netsim.Link{}}
-			s := New(tp, sh)
+			s := newCheckedSim(t, tp, sh)
 			// Switch 0 is a core switch: inter-pod paths prefer it (lowest
 			// link IDs) and every one of them has another core to fail
 			// over to. Switch 6 is pod 0's first edge switch: its two

@@ -17,11 +17,12 @@
 // A run makes a few hundred Allocate calls whose flow sets differ by a
 // completion or an arrival, so the allocators are built to cost what
 // changed rather than what exists: PDQ and D3 keep their service order
-// between calls and repair it, RCP's water-filling walks only the flows
-// and links not yet frozen, and per-flow constants are derived once per
-// call. None of it moves a bit of any rate: alloc_ref_test.go holds the
-// plain full-recompute allocators, and the differential and fuzz tests
-// compare every rate's float64 bits against them (DESIGN.md §4).
+// between calls and repair it, RCP fills by water level over per-link
+// flow lists, and per-flow constants are derived once per call.
+// alloc_ref_test.go holds the plain full-recompute allocators; the
+// differential and fuzz tests compare every PDQ and D3 rate bit for bit
+// against them, and every RCP rate to a relative 1e-12, since a level
+// rounds differently from the reference's sum of shares (DESIGN.md §4).
 package flowsim
 
 import (
@@ -107,15 +108,7 @@ type scratch struct {
 	epoch   uint32
 	slots   []linkSlot
 	touched []int32      // IDs of the links opened this round, in touch order
-	live    []liveFlow   // RCP: flows not yet frozen, in the caller's order
 	flows   []*FlowState // the round's flows, for fit
-}
-
-// liveFlow is a flow RCP's water-filling has not frozen yet, with its NIC
-// floor beside it: derived once per call, read once per round.
-type liveFlow struct {
-	f   *FlowState
-	nic float64
 }
 
 // begin opens a new allocation round over flows, invalidating every slot.
@@ -300,6 +293,11 @@ type Sim struct {
 	nextHook int
 
 	halted bool
+
+	// check, when set, sees the active flows after every Allocate: tests
+	// hang the model's invariants here (per-link capacity, NIC floors,
+	// downed links). nil in production.
+	check func([]*FlowState)
 }
 
 // New creates a flow-level simulation.
@@ -425,6 +423,9 @@ func (s *Sim) step() {
 	t := s.now
 	for t < next && len(s.active) > 0 {
 		s.Alloc.Allocate(t, s.active, linkCap)
+		if s.check != nil {
+			s.check(s.active)
+		}
 		for _, f := range s.active {
 			if f.Rate > 0 {
 				f.sending = true
@@ -588,10 +589,29 @@ func (p *PDQ) aged(f *FlowState) float64 {
 
 // RCP is the flow-level fair-sharing allocator (RCP; also D3 with no
 // deadlines, §5.1). Create instances with NewRCP: the allocator reuses
-// dense per-link scratch across steps.
+// dense per-link scratch and its per-call arrays across steps, and may be
+// handed from one simulation to the next.
 type RCP struct {
-	sc scratch
+	sc    scratch
+	flows []rcpFlow  // the call's flows, in the caller's order
+	hops  []int32    // every flow's path as link IDs, flow after flow
+	span  []linkSpan // by link ID: where the link's flows sit in on
+	on    []int32    // indices into flows, link after link
+	sat   []int32    // the round's saturated links
 }
+
+// rcpFlow is one flow of an RCP call: its NIC floor and where its path's
+// link IDs sit in RCP.hops, derived once per call.
+type rcpFlow struct {
+	f      *FlowState
+	nic    float64
+	at     int32 // first link ID in hops
+	n      uint16
+	frozen bool
+}
+
+// linkSpan is one link's stretch of RCP.on.
+type linkSpan struct{ start, n int32 }
 
 // NewRCP returns an RCP allocator.
 func NewRCP() *RCP { return &RCP{} }
@@ -599,36 +619,62 @@ func NewRCP() *RCP { return &RCP{} }
 // Name implements Allocator.
 func (*RCP) Name() string { return "RCP" }
 
-// Allocate implements Allocator by progressive filling (max-min fairness),
-// respecting NIC limits. Each round grants every unfrozen flow the
-// smallest per-flow share any link offers and freezes the flows that hit
-// their NIC floor or an exhausted link. The round walks only what is still
-// unfrozen — flows and links leave their lists as they freeze, keeping
-// their relative order, so every subtraction happens in the sequence a
-// walk over all flows would make it and every sum has the same bits. A
-// rate is a sum of globally chosen shares, which is why the filling is not
-// restricted to the links a completion touched: that would reorder the
-// additions (DESIGN.md §4).
+// Allocate implements Allocator with max-min fairness by water level,
+// respecting NIC limits. Every unfrozen flow holds one common level λ; a
+// link saturates at its residual after frozen flows over its unfrozen
+// flows. Each round raises λ to the smallest such level and freezes the
+// flows on every link left within 1e-6 of its capacity, at λ, or at their
+// NIC floor where that is within 1e-9 of λ — the progressive filling of
+// alloc_ref_test.go, which grants the same shares one round at a time.
+// Per-link flow lists are built once per call, so a round costs one scan
+// over the links still carrying an unfrozen flow plus the paths of the
+// flows it freezes. A rate is a level, not a sum of shares, so it may
+// differ from the reference's in the last bits (DESIGN.md §4).
 //
 //pdq:hotpath
 func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	sc := &p.sc
 	sc.begin(flows)
-	live := sc.live[:0]
+	p.size(flows)
+	fl, hops := p.flows[:0], p.hops[:0]
+	minNIC := math.Inf(1)
 	for _, f := range flows {
+		lf := rcpFlow{f: f, nic: nicFloor(f.Path), at: int32(len(hops)), n: uint16(len(f.Path))}
 		for _, l := range f.Path {
 			sc.slot(l, cap).count++
+			hops = append(hops, int32(l.ID))
 		}
 		f.Rate = 0
-		live = append(live, liveFlow{f, nicFloor(f.Path)})
+		minNIC = min(minNIC, lf.nic)
+		fl = append(fl, lf)
 	}
-	sc.live = live
+	p.flows, p.hops = fl, hops
 	slots := sc.slots
 	links := sc.touched
-	for len(live) > 0 {
-		// Smallest per-flow share over the links that still carry an
-		// unfrozen flow.
-		share := math.Inf(1)
+	if len(p.span) < len(slots) {
+		p.span = make([]linkSpan, len(slots))
+	}
+	span := p.span
+	var at int32
+	for _, id := range links {
+		span[id] = linkSpan{start: at}
+		at += slots[id].count
+	}
+	on := p.on[:at]
+	for i := range fl {
+		for _, id := range hops[fl[i].at : fl[i].at+int32(fl[i].n)] {
+			s := &span[id]
+			on[s.start+s.n] = int32(i)
+			s.n++
+		}
+	}
+	for left := len(fl); left > 0; {
+		// The lowest level a live link saturates at; a link whose level is
+		// within its floor of the running minimum is a candidate, and the
+		// minimum only falls, so every link saturated at the final level
+		// is among them.
+		level := math.Inf(1)
+		sat := p.sat[:0]
 		n := 0
 		for _, id := range links {
 			s := &slots[id]
@@ -637,69 +683,94 @@ func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 			}
 			links[n] = id
 			n++
-			if v := s.residual / float64(s.count); v < share {
-				share = v
+			c := float64(s.count)
+			x := c * level
+			// residual/c < level implies residual <= c·level even
+			// rounded, so the division is taken only for a new minimum.
+			if s.residual <= x {
+				if v := s.residual / c; v < level {
+					level = v
+					x = c * level
+				}
+			}
+			if s.residual-x <= s.floor {
+				sat = append(sat, id)
 			}
 		}
 		links = links[:n]
-		if math.IsInf(share, 1) {
+		before := left
+		// Flows whose NIC caps them at the level freeze there, before the
+		// saturation test, as the reference grants them less first.
+		if minNIC <= level+1e-9 {
+			minNIC = math.Inf(1)
+			for i := range fl {
+				lf := &fl[i]
+				switch {
+				case lf.frozen:
+				case lf.nic <= level+1e-9:
+					p.freeze(lf, lf.nic)
+					left--
+				default:
+					minNIC = min(minNIC, lf.nic)
+				}
+			}
+		}
+		k := 0
+		for _, id := range sat {
+			if s := &slots[id]; s.residual-float64(s.count)*level <= s.floor {
+				sat[k] = id
+				k++
+			}
+		}
+		sat = sat[:k]
+		for _, id := range sat {
+			sp := span[id]
+			for _, i := range on[sp.start : sp.start+sp.n] {
+				if lf := &fl[i]; !lf.frozen {
+					p.freeze(lf, level)
+					left--
+				}
+			}
+		}
+		p.sat = sat
+		if left == before {
+			// No flow froze: every unfrozen flow holds the level.
+			for i := range fl {
+				if !fl[i].frozen {
+					fl[i].f.Rate = level
+				}
+			}
 			break
 		}
-		// Grant the share; a flow its NIC limits below the share is done.
-		before := len(live)
-		n = 0
-		for _, lf := range live {
-			f := lf.f
-			limit := lf.nic - f.Rate // how much more the NIC allows
-			grant := share
-			if limit <= grant+1e-9 {
-				grant = limit
-			}
-			f.Rate += grant
-			for _, l := range f.Path {
-				slots[l.ID].residual -= grant
-			}
-			if grant < share-1e-9 {
-				unlist(slots, f.Path)
-				continue
-			}
-			live[n] = lf
-			n++
-		}
-		live = live[:n]
-		// Freeze flows on exhausted links.
-		n = 0
-		for _, lf := range live {
-			if onExhausted(slots, lf.f.Path) {
-				unlist(slots, lf.f.Path)
-				continue
-			}
-			live[n] = lf
-			n++
-		}
-		live = live[:n]
-		if n == before {
-			break // no flow froze: nothing left to hand out
-		}
 	}
 }
 
-// unlist takes a flow that froze off the counts of its links.
-func unlist(slots []linkSlot, path []*netsim.Link) {
-	for _, l := range path {
-		slots[l.ID].count--
+// size grows RCP's per-call arrays, once, to what a call over flows needs.
+func (p *RCP) size(flows []*FlowState) {
+	n := 0
+	for _, f := range flows {
+		n += len(f.Path)
+	}
+	if cap(p.flows) < len(flows) {
+		p.flows = make([]rcpFlow, 0, len(flows))
+	}
+	if cap(p.hops) < n {
+		p.hops = make([]int32, 0, n)
+		p.on = make([]int32, n)
 	}
 }
 
-// onExhausted reports whether path crosses a link with (almost) no
-// capacity left.
-func onExhausted(slots []linkSlot, path []*netsim.Link) bool {
-	for _, l := range path {
-		if s := &slots[l.ID]; s.residual <= s.floor {
-			return true
-		}
+// freeze fixes lf's rate and takes it off its links: their residual loses
+// the rate and their count the flow.
+func (p *RCP) freeze(lf *rcpFlow, rate float64) {
+	lf.frozen = true
+	lf.f.Rate = rate
+	slots := p.sc.slots
+	for _, id := range p.hops[lf.at : lf.at+int32(lf.n)] {
+		s := &slots[id]
+		s.residual -= rate
+		s.count--
 	}
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -744,10 +815,11 @@ func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) f
 	// Pass 1: reservations in arrival order.
 	for i := range ents {
 		f := ents[i].f
-		if !f.HasDeadline() {
-			continue
+		dl := f.AbsDeadline()
+		if dl == sim.MaxTime {
+			continue // no deadline, or one at the end of time: s/∞ reserves nothing
 		}
-		left := f.AbsDeadline() - now
+		left := dl - now
 		if left <= 0 {
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 func runAlloc(t *testing.T, alloc Allocator, et bool, flows []workload.Flow, horizon sim.Time) []workload.Result {
 	t.Helper()
 	tp := topo.SingleBottleneck(8, 1)
-	s := New(tp, alloc)
+	s := newCheckedSim(t, tp, alloc)
 	s.ET = et
 	for _, f := range flows {
 		s.Start(f)
@@ -55,7 +55,7 @@ func TestHaltStopsAfterTheStep(t *testing.T) {
 	}
 	want := runAlloc(t, NewPDQ(CritPerfect, 1), false, flows, sim.Second)
 
-	s := New(topo.SingleBottleneck(8, 1), NewPDQ(CritPerfect, 1))
+	s := newCheckedSim(t, topo.SingleBottleneck(8, 1), NewPDQ(CritPerfect, 1))
 	for _, f := range flows {
 		s.Start(f)
 	}
@@ -195,7 +195,7 @@ func TestAgingReducesWorstCase(t *testing.T) {
 		tp := topo.SingleBottleneck(8, 1)
 		p := NewPDQ(CritPerfect, 1)
 		p.AgingRate = aging
-		s := New(tp, p)
+		s := newCheckedSim(t, tp, p)
 		for _, f := range mk() {
 			s.Start(f)
 		}
@@ -223,7 +223,8 @@ func TestAgingReducesWorstCase(t *testing.T) {
 
 func TestNoLinkOversubscribed(t *testing.T) {
 	// Property: after any allocation, no link carries more than its
-	// capacity (within float tolerance).
+	// capacity, to capTol: rates are summed into a residual one grant at
+	// a time, so a link may come out a few ulps over, never more.
 	tp := topo.FatTree(4, 1)
 	g := workload.NewGen(23, workload.UniformMean(500<<10), 0)
 	fl := g.Batch(48, workload.Permutation{}, len(tp.Hosts), nil, 0)
@@ -245,7 +246,7 @@ func TestNoLinkOversubscribed(t *testing.T) {
 			}
 		}
 		for l, v := range load {
-			if v > float64(l.Rate)*1.0001 {
+			if v > float64(l.Rate)*(1+capTol) {
 				t.Errorf("%s: link %v oversubscribed: %.0f > %d", alloc.Name(), l, v, l.Rate)
 			}
 		}

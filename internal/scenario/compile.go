@@ -32,12 +32,14 @@ import (
 // never be served as current results. v2: loss coins moved from the
 // network-global RNG to per-link streams (DESIGN.md §3), so lossy
 // cells produce different (equally valid) samples for the same seed.
-const cacheSalt = "pdqsim-cell-v2"
+// v3: flow:RCP fills by water level (DESIGN.md §4), so its rates may move
+// in the last bits.
+const cacheSalt = "pdqsim-cell-v3"
 
 // driverSalt versions custom drivers' cached tables the way cacheSalt
 // versions grid cells: bump it whenever a driver's table changes for the
-// same plan.
-const driverSalt = "pdqsim-driver-v1"
+// same plan. v2: fig8e's driver runs flow:RCP (cacheSalt v3).
+const driverSalt = "pdqsim-driver-v2"
 
 // The plan structs marshal into the cache key: their field order, JSON
 // names and omitempty tags are its bytes, and changing any of them

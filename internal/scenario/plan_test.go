@@ -16,9 +16,10 @@ import (
 
 // quickFigureKeysSHA is SHA-256 over the sorted, newline-joined cell keys
 // of all 25 figures at -quick -seed 1. It was computed with this test on
-// the commit before compile became spec → plan → cell; a cache written by
-// any earlier build stays addressable as long as it does not move.
-const quickFigureKeysSHA = "c2abae686ec31d1758f206bc2515a0c518d0543d2237cefc95cf6748b27bdca9"
+// the commit before compile became spec → plan → cell, and re-pinned when
+// cacheSalt went to v3; a cache written by any build since stays
+// addressable as long as it does not move.
+const quickFigureKeysSHA = "865607b1174c05fea12867d904b98cfbe908723573bfa07559139e8e20464c47"
 
 // TestCellKeysDidNotMove pins every quick figure's cell keys at once.
 func TestCellKeysDidNotMove(t *testing.T) {
@@ -43,12 +44,12 @@ func TestCellKeysDidNotMove(t *testing.T) {
 
 // quickDriverKeys are the four custom-driver figures' table keys at
 // -quick -seed 1: the driver-table half of what TestCellKeysDidNotMove
-// pins for grid cells.
+// pins for grid cells, re-pinned when driverSalt went to v2.
 var quickDriverKeys = map[string]string{
-	"fig1":  "1d0ea1b038f15944fae198920dcd485b39b7aa19dccea97d839c9f43e0f10ce8",
-	"fig6":  "e18a0eda4d741bccb65971b50c4b641a514e4f944ba6c20b170d828c77a4886a",
-	"fig7":  "92cfd563deac261d1f759e298d166a577e869baf62b1589129a43d2ffed51e46",
-	"fig8e": "0827d6a8fe11001ad1be4443f889daac567f32c091a4a126d77199b2181e39d1",
+	"fig1":  "39be19b508378508de8c746735b18b5d209aec6e6831c9fb646dc3d7507d5c86",
+	"fig6":  "074c2313f79b7bcc48196341dfec8099ea5477d1f6d7216429a12581a1f40ad0",
+	"fig7":  "532630b5c14ffeb05d9a03d261156eabf602afe5f91b827669a0ff6de713f2bb",
+	"fig8e": "da1c8994d35c2109f1de9f2e571b8f0975e8af49c6867e4cad35abe837252a55",
 }
 
 // TestDriverKeysDidNotMove pins every custom-driver figure's table key.

@@ -198,14 +198,23 @@ func minParam(p map[string]float64, name string, lo float64) error {
 func etCheck(p map[string]float64) error { return intParam(p, "et", 0, 1) }
 
 // flowMake binds one flow-level allocator family into a Make function.
-// A fresh allocator is built per invocation, matching the packet-level
-// runners' fresh-state-per-run semantics. The flow-level simulator
-// steps its own clock (no event engine), so it records flows but takes
-// no time-series probes.
-func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator) func(p map[string]float64, seed int64) RunnerFunc {
+// With spare nil, alloc builds a fresh allocator per invocation, matching
+// the packet-level runners' fresh-state-per-run semantics; otherwise the
+// run takes an allocator an earlier cell left in spare and hands it back
+// when it returns, as engine storage is handed on (spareStorage): RCP and
+// D3 keep no state a later call reads, only scratch sized to the largest
+// network they served. The flow-level simulator steps its own clock (no
+// event engine), so it records flows but takes no time-series probes.
+func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator, spare *sync.Pool) func(p map[string]float64, seed int64) RunnerFunc {
 	return func(p map[string]float64, seed int64) RunnerFunc {
 		return func(build func() *topo.Topology, flows []workload.Flow, rc RunCtx) []workload.Result {
-			s := flowsim.New(build(), alloc(p, seed))
+			var a flowsim.Allocator
+			if spare != nil {
+				a = spare.Get().(flowsim.Allocator)
+			} else {
+				a = alloc(p, seed)
+			}
+			s := flowsim.New(build(), a)
 			s.ET = p["et"] != 0
 			s.ApplyFaults(rc.Faults, rc.Cell)
 			for _, f := range flows {
@@ -215,10 +224,22 @@ func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator) fu
 				s.Run(rc.Horizon)
 			}
 			s.Collector.TraceFlows(rc.Cell)
-			return s.Results()
+			rs := s.Results()
+			if spare != nil {
+				spare.Put(a)
+			}
+			return rs
 		}
 	}
 }
+
+// spareRCP and spareD3 hold the allocators finished flow-level cells leave
+// for later cells, shared by every sweep worker of the process; like
+// spareStorage they are emptied by the garbage collector.
+var (
+	spareRCP = sync.Pool{New: func() any { return flowsim.NewRCP() }}
+	spareD3  = sync.Pool{New: func() any { return flowsim.NewD3() }}
+)
 
 func init() {
 	RegisterRunner(RunnerEntry{
@@ -314,19 +335,19 @@ func init() {
 			a := flowsim.NewPDQ(flowsim.CritMode(int(p["crit"])), seed)
 			a.AgingRate = p["aging"]
 			return a
-		}),
+		}, nil),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "flow:RCP", Doc: "flow-level max-min fair sharing (RCP; also D3 without deadlines)", Level: "flow",
 		Params: map[string]float64{"et": 0},
 		Check:  etCheck,
-		Make:   flowMake(func(map[string]float64, int64) flowsim.Allocator { return flowsim.NewRCP() }),
+		Make:   flowMake(nil, &spareRCP),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "flow:D3", Doc: "flow-level D3: arrival-order reservation plus fair share of the rest", Level: "flow",
 		Params: map[string]float64{"et": 0},
 		Check:  etCheck,
-		Make:   flowMake(func(map[string]float64, int64) flowsim.Allocator { return flowsim.NewD3() }),
+		Make:   flowMake(nil, &spareD3),
 	})
 	RegisterRunner(RunnerEntry{
 		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal) 1=fair sharing 2=Moore-Hodgson deadline EDF; gbps is the bottleneck rate", Level: "flow",
