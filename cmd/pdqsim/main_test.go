@@ -60,7 +60,10 @@ func TestProbeStrideRejected(t *testing.T) {
 }
 
 // TestListNamesEveryRegistry pins -list: the experiments, then every
-// registry a spec can name, the same bytes on every run.
+// registry a spec can name, the same bytes on every run and the bytes of
+// testdata/list.golden, so an entry dropped from or changed in any table
+// fails here. After a deliberate change, regenerate the golden with
+// `go run ./cmd/pdqsim -list > cmd/pdqsim/testdata/list.golden`.
 func TestListNamesEveryRegistry(t *testing.T) {
 	out, stderr, code := pdqsim(t, "-list")
 	if code != 0 || stderr != "" {
@@ -75,6 +78,13 @@ func TestListNamesEveryRegistry(t *testing.T) {
 	}
 	if again, _, _ := pdqsim(t, "-list"); again != out {
 		t.Error("two -list runs differ")
+	}
+	golden, err := os.ReadFile("testdata/list.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(golden) {
+		t.Errorf("-list differs from testdata/list.golden:\n%s", out)
 	}
 }
 

@@ -26,8 +26,6 @@ func (s *subflow) ttrans() sim.Time { return xfer.RateTime(s.Window().Remaining(
 // Stamp implements xfer.Hooks with the scheduling header the sender
 // attaches to every outgoing packet: R_H = R^max (§3.1), the rest from
 // sender state. The header riding with the packet is overwritten whole.
-//
-//pdq:hotpath
 func (s *subflow) Stamp(pkt *netsim.Packet) {
 	var deadline sim.Time // 0 encodes "none"
 	if f := &s.Window().Flow; f.HasDeadline() {
@@ -44,8 +42,6 @@ func (s *subflow) Stamp(pkt *netsim.Packet) {
 
 // Feedback implements xfer.Hooks: the sender adopts the path-wide decision
 // the switches left in the acknowledgment's header.
-//
-//pdq:hotpath
 func (s *subflow) Feedback(pkt *netsim.Packet) int64 {
 	h, ok := pkt.Hdr.(*netsim.SchedHeader)
 	if !ok {
@@ -89,8 +85,6 @@ func (t *deadlineTimer) RunEvent() { (*subflow)(t).AfterAck() }
 
 // capRate keeps R_H in an echoed header within what the receiver can take
 // in, its NIC rate (§3.2).
-//
-//pdq:hotpath
 func capRate(pkt *netsim.Packet, nic int64) {
 	if h := netsim.HeaderOf[netsim.SchedHeader](pkt); h.Rate > nic {
 		h.Rate = nic

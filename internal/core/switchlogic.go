@@ -93,8 +93,6 @@ func (l *SwitchLogic) MaxListLen() int {
 // 1); reverse packets (acknowledgments) against the forward-direction
 // link, which is the peer of the ACK's ingress (Algorithm 3). Packets
 // without a PDQ header pass through untouched.
-//
-//pdq:hotpath
 func (l *SwitchLogic) Process(at netsim.Node, pkt *netsim.Packet, ingress, egress *netsim.Link) bool {
 	hdr, ok := pkt.Hdr.(*netsim.SchedHeader)
 	if !ok {
@@ -122,8 +120,6 @@ func (l *SwitchLogic) Process(at netsim.Node, pkt *netsim.Packet, ingress, egres
 
 // onForward is Algorithm 1, run when a switch receives a SYN, DATA or
 // PROBE packet.
-//
-//pdq:hotpath
 func (l *SwitchLogic) onForward(st *linkState, pkt *netsim.Packet, h *netsim.SchedHeader) {
 	now := st.link.Now()
 	st.maybeUpdateC(now)
@@ -194,8 +190,6 @@ func (l *SwitchLogic) onForward(st *linkState, pkt *netsim.Packet, h *netsim.Sch
 // onReverse is Algorithm 3, run when a switch sees an acknowledgment on
 // the reverse path: it commits the path-wide accept/pause decision into
 // the link state and applies Suppressed Probing.
-//
-//pdq:hotpath
 func (l *SwitchLogic) onReverse(st *linkState, pkt *netsim.Packet, h *netsim.SchedHeader) {
 	now := st.link.Now()
 	st.maybeUpdateC(now)

@@ -141,7 +141,7 @@ func (p *refPDQ) Name() string { return "PDQ" }
 
 // ensureLess binds the criticality comparator for a refPDQ built as a
 // literal rather than via newRefPDQ. Binding a method value allocates, so
-// it happens once here — outside the annotated allocation loop.
+// it happens once here — outside the allocation loop.
 func (p *refPDQ) ensureLess() {
 	if p.lessFn == nil {
 		p.lessFn = p.less

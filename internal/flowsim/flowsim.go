@@ -363,8 +363,6 @@ func (s *Sim) Results() []workload.Result { return s.Collector.Results() }
 func (s *Sim) FlowCollector() *workload.Collector { return s.Collector }
 
 // step advances the fluid simulation by one allocation interval.
-//
-//pdq:hotpath
 func (s *Sim) step() {
 	next := s.now + stepLen
 	// Fire environment hooks due before this step's allocation. During an
@@ -520,8 +518,6 @@ func (p *PDQ) Name() string { return "PDQ" }
 
 // Allocate implements Allocator: order by criticality, then grant each flow
 // min(NIC rate, residual capacity along its path), in order (§3).
-//
-//pdq:hotpath
 func (p *PDQ) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	// Criticalities are drawn and re-estimated in the caller's order: the
 	// random mode's stream must not depend on the kept order.
@@ -630,8 +626,6 @@ func (*RCP) Name() string { return "RCP" }
 // over the links still carrying an unfrozen flow plus the paths of the
 // flows it freezes. A rate is a level, not a sum of shares, so it may
 // differ from the reference's in the last bits (DESIGN.md §4).
-//
-//pdq:hotpath
 func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	sc := &p.sc
 	sc.begin(flows)
@@ -792,8 +786,6 @@ func NewD3() *D3 { return &D3{} }
 func (*D3) Name() string { return "D3" }
 
 // Allocate implements Allocator.
-//
-//pdq:hotpath
 func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	sc := &p.sc
 	sc.begin(flows)

@@ -18,7 +18,7 @@ import (
 //     others. Error sentinels (vars whose type is error — the errors.New
 //     idiom) are immutable by convention and stay legal. Anything else
 //     needs a //pdqlint:cellsafe-ok <reason> justification — e.g. the
-//     qdisc registry map, written only from init before any worker
+//     qdisc registry, built whole at package init before any worker
 //     goroutine exists.
 //
 //  2. No ad-hoc synchronization. go statements, select statements,
@@ -27,11 +27,7 @@ import (
 //     justified exception (the watchdog interrupt flag in sim.go, set
 //     from the watchdog's goroutine) carries the same suppression
 //     comment, so every happens-before edge into an engine is auditable.
-var CellSafe = &Analyzer{
-	Name: "cellsafe",
-	Doc:  "forbid shared mutable package state and out-of-band synchronization in the engine packages",
-	Run:  runCellSafe,
-}
+var CellSafe = &Analyzer{Name: "cellsafe", Run: runCellSafe}
 
 // errorIface is the universe error interface, for recognizing sentinel
 // vars.
@@ -71,7 +67,7 @@ func checkPkgVars(pass *Pass, file *ast.File) {
 				if obj != nil && types.Implements(obj.Type(), errorIface) {
 					continue // error sentinel, immutable by convention
 				}
-				if pass.Pkg.suppressed("cellsafe-ok", name.Pos()) {
+				if pass.Pkg.justified(name.Pos()) {
 					continue
 				}
 				pass.Reportf(name.Pos(),
@@ -89,14 +85,14 @@ func checkSyncConstructs(pass *Pass, file *ast.File) {
 		if err != nil || (p != "sync" && p != "sync/atomic") {
 			continue
 		}
-		if pass.Pkg.suppressed("cellsafe-ok", imp.Pos()) {
+		if pass.Pkg.justified(imp.Pos()) {
 			continue
 		}
 		pass.Reportf(imp.Pos(),
 			"import %q in an engine package: a cell's engine runs on one goroutine and needs no synchronization; justify with //pdqlint:cellsafe-ok", p)
 	}
 	report := func(pos token.Pos, what string) {
-		if pass.Pkg.suppressed("cellsafe-ok", pos) {
+		if pass.Pkg.justified(pos) {
 			return
 		}
 		pass.Reportf(pos,

@@ -98,14 +98,12 @@ func checkFixture(t *testing.T, tree string, a *Analyzer) {
 }
 
 func TestNoDetermFixture(t *testing.T) { checkFixture(t, "nodeterm", NoDeterm) }
-func TestHotPathFixture(t *testing.T)  { checkFixture(t, "hotpath", HotPath) }
-func TestRegistryFixture(t *testing.T) { checkFixture(t, "registry", Registry) }
 func TestCellSafeFixture(t *testing.T) { checkFixture(t, "cellsafe", CellSafe) }
 
-// TestRepoClean is the suite's own acceptance gate: the repository must
-// lint clean under every analyzer. Skipped under -short — it
-// type-checks the whole module (a few seconds), and the CI lint step
-// runs cmd/pdqlint over the tree anyway.
+// TestRepoClean is how the suite runs: the repository must lint clean
+// under every analyzer (scripts/lint.sh runs just this test). Skipped
+// under -short, because it type-checks the whole module (a few seconds);
+// the un-shortened test step runs it.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

@@ -1,35 +1,21 @@
-// Package lint is pdqlint: a custom static-analysis suite that enforces
-// the reproduction's determinism and zero-allocation invariants at the
-// source level (DESIGN.md §10).
+// Package lint is pdqlint: the static checks that keep every cell of a
+// sweep reproducible bit for bit from its seed (DESIGN.md §10).
 //
-// The golden tests and the zero-alloc benches catch violations
-// *dynamically*, after the fact; these analyzers make the same
-// invariants machine-checked at the source level, so a wall-clock read,
-// a global-rand draw, an unsorted map iteration on an output path, or
-// an allocation slipped into a //pdq:hotpath function fails the lint
-// step before it can perturb a figure byte.
+// TestRepoClean runs them over the module. They catch what no run
+// notices: a wall-clock read, a global-rand draw or an unsorted map
+// iteration on an output path changes a figure only sometimes, and a
+// package variable shared by concurrent cells races only under -race.
 //
 // The suite is deliberately self-contained: analyzers run over go/ast +
 // go/types using a stdlib-only loader (go/parser plus the source
-// importer), so it needs no module downloads — the sandboxed build
-// environment has no module proxy. The Analyzer/Pass shape mirrors
-// golang.org/x/tools/go/analysis closely enough that porting onto the
-// real framework is mechanical if the dependency ever becomes
-// available.
+// importer), so it needs no module downloads. The Analyzer/Pass shape
+// mirrors golang.org/x/tools/go/analysis closely enough that porting
+// onto the real framework is mechanical.
 //
-// Shipped analyzers:
+// The two analyzers:
 //
 //   - nodeterm:  no wall-clock, no global math/rand, no unsorted map
-//     iteration feeding ordering-sensitive sinks in internal packages
-//     (//pdqlint:ordered-ok suppresses a justified site).
-//   - hotpath:   functions annotated //pdq:hotpath must not contain
-//     capturing closures, bound method values, interface boxing of
-//     non-pointer values, fmt calls, map construction, &T{...} or
-//     new(T), or string concatenation — the static mirror of the
-//     0 allocs/op benches.
-//   - registry:  Register* calls only from init functions (or test
-//     files), with statically constant names, so the unsynchronized
-//     registry maps are never written once sweep workers read them.
+//     iteration feeding ordering-sensitive sinks in internal packages.
 //   - cellsafe:  internal/sim and internal/netsim may hold no mutable
 //     package-level state (error sentinels excepted) and may not
 //     synchronize — goroutines, channels, sync, sync/atomic — because
@@ -40,7 +26,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -52,7 +37,6 @@ import (
 // these checks do not need).
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 }
 
@@ -75,9 +59,6 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Fset returns the file set positions resolve against.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
-
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
@@ -88,37 +69,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All returns the full pdqlint suite in a fixed order.
-func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, HotPath, Registry, CellSafe}
-}
-
-// ByName resolves a comma-separated analyzer list ("" = all).
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		a, ok := byName[strings.TrimSpace(n)]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q (have %s)", n, analyzerNames())
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func analyzerNames() string {
-	var ns []string
-	for _, a := range All() {
-		ns = append(ns, a.Name)
-	}
-	return strings.Join(ns, ", ")
-}
+func All() []*Analyzer { return []*Analyzer{NoDeterm, CellSafe} }
 
 // Run applies every analyzer to every package and returns the combined
 // diagnostics sorted by (file, line, column, analyzer, message) — a
@@ -179,19 +130,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// calleePkgFunc returns the callee if it is a package-level function of
-// pkgPath (methods excluded).
-func calleePkgFunc(info *types.Info, call *ast.CallExpr, pkgPath string) *types.Func {
-	f := calleeFunc(info, call)
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != pkgPath {
-		return nil
-	}
-	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return nil
-	}
-	return f
-}
-
 // isMapType reports whether t's core type is a map.
 func isMapType(t types.Type) bool {
 	if t == nil {
@@ -212,10 +150,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 		}
 	}
 	return nil
-}
-
-// constString reports whether info knows e to be a constant string.
-func constString(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.Value != nil && tv.Value.Kind() == constant.String
 }

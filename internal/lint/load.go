@@ -15,9 +15,8 @@ import (
 
 // Package is one parsed and type-checked package of the tree under
 // analysis. Test files (*_test.go) are excluded: they are allowed to
-// break the invariants (fixtures, fault injection, throwaway registry
-// names), and the registry analyzer's _test exemption falls out of this
-// for free.
+// break the invariants (fixtures, fault injection, test-only registry
+// entries).
 type Package struct {
 	Path  string // import path
 	Dir   string
@@ -27,17 +26,12 @@ type Package struct {
 	Info  *types.Info
 
 	// TypeErrors holds any type-checker complaints. Analysis proceeds
-	// best-effort; the driver decides whether they are fatal.
+	// best-effort; the caller decides whether they are fatal.
 	TypeErrors []error
 
-	// IsModule reports whether an import path resolves inside the
-	// module under analysis (as opposed to the standard library).
-	IsModule func(path string) bool
-
-	// suppressLines[tag][filename] holds the lines carrying a
-	// //pdqlint:<tag> justification comment (e.g. ordered-ok,
-	// cellsafe-ok).
-	suppressLines map[string]map[string]map[int]bool
+	// cellsafeOK holds the lines carrying a //pdqlint:cellsafe-ok
+	// justification comment.
+	cellsafeOK map[fileLine]bool
 }
 
 // A Loader parses and type-checks the packages of one module without
@@ -231,7 +225,6 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files}
-	pkg.IsModule = func(p string) bool { _, ok := l.moduleDir(p); return ok }
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -271,51 +264,31 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// buildComments indexes //pdqlint:<tag> justification comments by tag,
-// file and line so analyzers can test a statement's annotation in O(1).
-// A justification covers the line it is on (trailing comment) and the
-// line immediately below (comment above the statement).
+// fileLine is one line of one source file.
+type fileLine struct {
+	file string
+	line int
+}
+
+// buildComments indexes the lines that carry a //pdqlint:cellsafe-ok
+// justification comment.
 func (p *Package) buildComments() {
-	p.suppressLines = map[string]map[string]map[int]bool{}
+	p.cellsafeOK = map[fileLine]bool{}
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				_, rest, ok := strings.Cut(c.Text, "pdqlint:")
-				if !ok {
-					continue
+				if strings.Contains(c.Text, "pdqlint:cellsafe-ok") {
+					pos := p.Fset.Position(c.Pos())
+					p.cellsafeOK[fileLine{pos.Filename, pos.Line}] = true
 				}
-				tag, _, _ := strings.Cut(rest, " ")
-				tag = strings.TrimSpace(tag)
-				if tag == "" {
-					continue
-				}
-				files := p.suppressLines[tag]
-				if files == nil {
-					files = map[string]map[int]bool{}
-					p.suppressLines[tag] = files
-				}
-				pos := p.Fset.Position(c.Pos())
-				lines := files[pos.Filename]
-				if lines == nil {
-					lines = map[int]bool{}
-					files[pos.Filename] = lines
-				}
-				lines[pos.Line] = true
 			}
 		}
 	}
 }
 
-// suppressed reports whether pos is covered by a //pdqlint:<tag>
-// justification (same line or the line above).
-func (p *Package) suppressed(tag string, pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	lines := p.suppressLines[tag][position.Filename]
-	return lines[position.Line] || lines[position.Line-1]
-}
-
-// orderedOK reports whether pos is covered by a //pdqlint:ordered-ok
-// justification (same line or the line above).
-func (p *Package) orderedOK(pos token.Pos) bool {
-	return p.suppressed("ordered-ok", pos)
+// justified reports whether pos is covered by a //pdqlint:cellsafe-ok
+// comment: a trailing one on its line, or one on the line above.
+func (p *Package) justified(pos token.Pos) bool {
+	at := p.Fset.Position(pos)
+	return p.cellsafeOK[fileLine{at.Filename, at.Line}] || p.cellsafeOK[fileLine{at.Filename, at.Line - 1}]
 }

@@ -40,14 +40,8 @@ import (
 // calls a writer/encoder-shaped method (Write*, Print*, Encode*,
 // Append*, Record*, Emit*, Export*) — because the iteration order would
 // leak into output bytes. Aggregation bodies (counter updates, map
-// writes, deletes) pass untouched. A site whose order-dependence is
-// justified can carry a trailing or preceding
-// //pdqlint:ordered-ok <reason> comment.
-var NoDeterm = &Analyzer{
-	Name: "nodeterm",
-	Doc:  "forbid wall-clock, global math/rand, and unsorted map iteration on output paths in internal packages",
-	Run:  runNoDeterm,
-}
+// writes, deletes) pass untouched.
+var NoDeterm = &Analyzer{Name: "nodeterm", Run: runNoDeterm}
 
 // forbiddenTime is the wall-clock/timer surface of package time.
 var forbiddenTime = map[string]bool{
@@ -141,9 +135,6 @@ var sinkMethodPrefixes = []string{
 
 // checkMapRange applies the ordering-sink heuristic to one map range.
 func checkMapRange(pass *Pass, rng *ast.RangeStmt, enclosing *ast.BlockStmt) {
-	if pass.Pkg.orderedOK(rng.For) {
-		return
-	}
 	info := pass.Pkg.Info
 
 	var appendTargets []*ast.Ident // slices appended to inside the loop
@@ -154,7 +145,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, enclosing *ast.BlockStmt) {
 		}
 		flagged = true
 		pass.Reportf(rng.For,
-			"map iteration order reaches an ordering-sensitive sink (%s); sort the keys first or justify with //pdqlint:ordered-ok", what)
+			"map iteration order reaches an ordering-sensitive sink (%s); sort the keys first", what)
 	}
 
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
@@ -202,7 +193,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, enclosing *ast.BlockStmt) {
 		obj := info.ObjectOf(target)
 		if obj == nil || !sortedAfter(info, enclosing, rng.End(), obj) {
 			pass.Reportf(rng.For,
-				"map iteration order reaches %q via append and the slice is never sorted; sort it or justify with //pdqlint:ordered-ok", target.Name)
+				"map iteration order reaches %q via append and the slice is never sorted; sort it", target.Name)
 			return
 		}
 	}

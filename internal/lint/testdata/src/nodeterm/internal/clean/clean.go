@@ -1,6 +1,6 @@
 // Package clean exercises the sanctioned patterns: seeded rand
-// instances, sorted map iteration, aggregation bodies, and a justified
-// ordered-ok site. It must produce no nodeterm diagnostics.
+// instances, sorted map iteration and aggregation bodies. It must
+// produce no nodeterm diagnostics.
 package clean
 
 import (
@@ -35,12 +35,4 @@ func Sum(m map[string]int) int {
 		total += v
 	}
 	return total
-}
-
-// Justified carries an ordered-ok justification for its channel send.
-func Justified(m map[string]int, out chan<- string) {
-	//pdqlint:ordered-ok fixture: the receiver deduplicates, order is irrelevant
-	for k := range m {
-		out <- k
-	}
 }

@@ -27,8 +27,6 @@ type GilbertElliott struct {
 // for zero probabilities are skipped; the chain's trajectory — and with it
 // the RNG consumption — is still fully determined by the seed and the
 // packet order.
-//
-//pdq:hotpath
 func (g *GilbertElliott) Drop(rng *rand.Rand) bool {
 	p := g.LossGood
 	if g.bad {

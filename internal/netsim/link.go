@@ -187,8 +187,6 @@ func (l *Link) SetRate(bps int64) {
 // and only if the completion's enqueue stamp precedes the observer — that
 // is, iff (enqTa, enqTie) precedes the observer's (ta, tie), the key the
 // engine itself sorts same-instant events by.
-//
-//pdq:hotpath
 func (l *Link) advance() {
 	s := l.net.Sim
 	now, ta, tie := s.Now(), s.EventTa(), s.EventTie()
@@ -282,9 +280,9 @@ func (l *Link) SetGE(g *GilbertElliott) { l.ge = g }
 // lossRand returns the link's private loss stream, created on first use.
 // The seed mixes the network's cell seed with the link ID (splitmix64
 // finalizer), so every link direction gets an independent, reproducible
-// stream regardless of what any other link draws. Deliberately not
-// //pdq:hotpath: it is only reached on lossy links, and the one-time
-// rand.New is amortized over the link's lifetime.
+// stream regardless of what any other link draws. It allocates once,
+// on a lossy link's first draw; the rand.New is amortized over the
+// link's lifetime.
 func (l *Link) lossRand() *rand.Rand {
 	if l.rng == nil {
 		z := uint64(l.net.seed) + 0x9e3779b97f4a7c15*uint64(l.ID+1)
@@ -297,8 +295,6 @@ func (l *Link) lossRand() *rand.Rand {
 
 // Now returns the current virtual time of the network the link belongs
 // to: switch logic processing a packet reads its clock here.
-//
-//pdq:hotpath
 func (l *Link) Now() sim.Time { return l.net.Sim.Now() }
 
 // TxTime returns the serialization delay of a packet of the given wire size.
@@ -321,8 +317,6 @@ func (l *Link) String() string {
 // Gilbert-Elliott process) runs next, covering both directions of the
 // paper's loss experiments, and is attributed to LossDrops — a packet
 // never reaches the admission check once a loss coin drops it.
-//
-//pdq:hotpath
 func (l *Link) Enqueue(pkt *Packet) {
 	if pkt.free {
 		panic("netsim: Enqueue of a released packet")
@@ -400,8 +394,6 @@ func (l *Link) Enqueue(pkt *Packet) {
 // either, and the counter breaks what is left — so a successor always
 // orders after the delivery that schedules it, and no event that orders
 // after the successor can fire before that.
-//
-//pdq:hotpath
 func (l *Link) emitDelivery(pkt *Packet, now, done sim.Time) {
 	l.deliveryCtr++
 	pkt.enqTa = now
@@ -420,8 +412,8 @@ func (l *Link) emitDelivery(pkt *Packet, now, done sim.Time) {
 	tail.qNext = pkt
 }
 
-// panicDueOrder is emitDelivery's cold failure path, kept out of the
-// annotated hot function so it stays free of fmt.
+// panicDueOrder is emitDelivery's cold failure path, kept out of the hot
+// function so it stays free of fmt.
 func (l *Link) panicDueOrder(due, prev sim.Time) {
 	panic(fmt.Sprintf("netsim: %v delivery due %v before its predecessor's %v: PropDelay or ProcDelay lowered under in-flight packets", l, due, prev))
 }
@@ -431,8 +423,6 @@ func (l *Link) panicDueOrder(due, prev sim.Time) {
 // dequeue order is decided when the serializer frees up rather than
 // stamped at enqueue. Counters and qBytes are settled eagerly (advance
 // has nothing to walk — the intrusive FIFO stays empty on this path).
-//
-//pdq:hotpath
 func (l *Link) schedEnqueue(pkt *Packet) {
 	if !l.qdisc.Admit(l, pkt, l.qBytes) {
 		l.drops++
@@ -452,8 +442,6 @@ func (l *Link) schedEnqueue(pkt *Packet) {
 // packet (serialization + wire + processing delays, Packet.RunEvent)
 // plus one serialization-complete event for the link itself, which
 // settles the counters and pulls the discipline's next packet.
-//
-//pdq:hotpath
 func (l *Link) startService(pkt *Packet) {
 	s := l.net.Sim
 	now := s.Now()
@@ -473,8 +461,6 @@ func (l *Link) startService(pkt *Packet) {
 // RunEvent implements sim.Runner for the reordering-discipline path: it
 // fires when the serving packet finishes serializing, accounts it, and
 // starts the discipline's next pick.
-//
-//pdq:hotpath
 func (l *Link) RunEvent() {
 	p := l.serving
 	l.qBytes -= p.Wire

@@ -172,8 +172,6 @@ type Packet struct {
 // settled, so its cursor is past the packet before the next hop relinks it.
 // A packet in flight on a link that went down mid-traversal is lost at
 // delivery time — the failure severs the wire under it.
-//
-//pdq:hotpath
 func (p *Packet) RunEvent() {
 	ingress := p.Path[p.Hop]
 	if next := p.qNext; next != nil {

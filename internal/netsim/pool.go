@@ -58,8 +58,6 @@ func carve[T any](chunk *[]T) *T {
 
 // get pops a free packet, zeroed except for the header value it last
 // carried (HeaderOf), or grows the pool by one.
-//
-//pdq:hotpath
 func (pp *packetPool) get() *Packet {
 	pp.taken++
 	p := pp.head
@@ -71,9 +69,8 @@ func (pp *packetPool) get() *Packet {
 	return p
 }
 
-// grow is the cold side of get, off the hot path so the analyzer sees the
-// pool's only packet allocation for what it is: one per chunk of
-// high-water packets.
+// grow is the cold side of get, kept apart so the pool's only packet
+// allocation reads as what it is: one per chunk of high-water packets.
 func (pp *packetPool) grow() *Packet {
 	p := carve(&pp.chunk)
 	p.pool = pp
@@ -83,8 +80,6 @@ func (pp *packetPool) grow() *Packet {
 // NewPacket returns a zeroed packet from the network's pool. Hdr alone
 // survives from the packet's previous life; take it through HeaderOf and
 // overwrite it.
-//
-//pdq:hotpath
 func (n *Network) NewPacket() *Packet { return n.pool.get() }
 
 // Release ends the packet's life and returns it to its network's pool.
@@ -99,8 +94,6 @@ func (p *Packet) Release() {
 
 // put pushes p on the free list, marked free and stripped of its path so
 // that any further use of it panics.
-//
-//pdq:hotpath
 func (pp *packetPool) put(p *Packet) {
 	if p.free {
 		panic("netsim: packet released twice")
@@ -126,8 +119,6 @@ func (n *Network) PacketPoolStats() (taken, released uint64) {
 // Src, Dst, Slot, Seq, EchoSentAt and the header ride back unchanged. The caller
 // adjusts what its protocol echoes differently and hands the packet to
 // Send.
-//
-//pdq:hotpath
 func (p *Packet) TurnAround(rev []*Link) {
 	p.Kind = p.Kind.Ack()
 	p.Path = rev
@@ -145,8 +136,6 @@ func (p *Packet) TurnAround(rev []*Link) {
 // with the packet for its whole pooled existence. A pooled packet's
 // header is carved from its pool's chunk of that type; a literal packet's
 // is allocated alone.
-//
-//pdq:hotpath
 func HeaderOf[H any](pkt *Packet) *H {
 	if h, ok := pkt.Hdr.(*H); ok {
 		return h

@@ -154,11 +154,7 @@ type QdiscEntry struct {
 	Make func(p map[string]float64) func() Qdisc
 }
 
-//pdqlint:cellsafe-ok written only by init-time RegisterQdisc calls, read-only once cells run
-var qdiscs = params.NewRegistry[QdiscEntry]("qdisc")
-
-// RegisterQdisc adds a queue discipline; duplicate names panic at init.
-func RegisterQdisc(e QdiscEntry) { qdiscs.Register(e.Name, e.Params, nil, e) }
+func (e QdiscEntry) decl() params.Decl { return params.Decl{Name: e.Name, Params: e.Params} }
 
 // QdiscList returns the registered disciplines sorted by name.
 func QdiscList() []QdiscEntry { return qdiscs.List() }
@@ -174,15 +170,16 @@ func MakeQdisc(name string, given map[string]float64) (func() Qdisc, map[string]
 	return e.Make(p), p, nil
 }
 
-func init() {
-	RegisterQdisc(QdiscEntry{
+//pdqlint:cellsafe-ok built whole at package init, read-only once cells run
+var qdiscs = params.NewRegistry("qdisc", QdiscEntry.decl, []QdiscEntry{
+	{
 		Name: "tail-drop",
 		Doc:  "the default: FIFO order, tail drop at the link's QueueCap, no marking",
 		Make: func(map[string]float64) func() Qdisc {
 			return func() Qdisc { return TailDrop{} }
 		},
-	})
-	RegisterQdisc(QdiscEntry{
+	},
+	{
 		Name:   "ecn",
 		Doc:    "tail-drop FIFO that sets the CE bit on packets arriving above `threshold_kb` of backlog (DCTCP switch side)",
 		Params: map[string]float64{"threshold_kb": float64(DefaultECNThreshold) / 1024},
@@ -190,8 +187,8 @@ func init() {
 			k := int(p["threshold_kb"] * 1024)
 			return func() Qdisc { return &ECNFIFO{Threshold: k} }
 		},
-	})
-	RegisterQdisc(QdiscEntry{
+	},
+	{
 		Name:   "prio",
 		Doc:    "strict-priority multi-band queue over Packet.Prio (`bands` bands, band 0 first; pFabric switch side)",
 		Params: map[string]float64{"bands": DefaultPrioBands},
@@ -199,5 +196,5 @@ func init() {
 			b := int(p["bands"])
 			return func() Qdisc { return NewPrio(b) }
 		},
-	})
-}
+	},
+})

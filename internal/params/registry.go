@@ -6,35 +6,42 @@ import (
 )
 
 // Registry is a name-keyed table of entries of one kind ("runner",
-// "topology", …), each with a declared parameter set. It is filled from
-// init functions and only read afterwards (the registry lint analyzer
-// holds callers to that), so it needs no lock under -parallel.
+// "topology", …), each with a declared parameter set. It is built whole
+// from a literal table when its package initializes and has no way to be
+// written afterwards, so it needs no lock under -parallel.
 type Registry[E any] struct {
 	kind    string
 	entries map[string]registered[E]
 }
 
 type registered[E any] struct {
-	entry    E
-	declared map[string]float64
-	check    func(p map[string]float64) error
+	entry E
+	Decl
 }
 
-// NewRegistry returns an empty registry; kind names its entries in
-// error messages.
-func NewRegistry[E any](kind string) *Registry[E] {
-	return &Registry[E]{kind: kind, entries: map[string]registered[E]{}}
+// Decl is what a registry reads from each entry of its table: the name,
+// the accepted parameters with their defaults, and Check, which, when
+// non-nil, validates resolved values: what it rejects is an error from
+// Resolve, before anything runs, instead of a failure inside the entry.
+type Decl struct {
+	Name   string
+	Params map[string]float64
+	Check  func(p map[string]float64) error
 }
 
-// Register adds an entry under name with its accepted parameters and
-// their defaults; a duplicate name panics. check, when non-nil, validates
-// resolved values: what it rejects is an error from Resolve, before
-// anything runs, instead of a failure inside the entry.
-func (r *Registry[E]) Register(name string, declared map[string]float64, check func(p map[string]float64) error, e E) {
-	if _, dup := r.entries[name]; dup {
-		panic(fmt.Sprintf("params: duplicate %s %q", r.kind, name))
+// NewRegistry returns the registry of table's entries, each declared by
+// decl; kind names its entries in error messages. A duplicate name
+// panics.
+func NewRegistry[E any](kind string, decl func(E) Decl, table []E) *Registry[E] {
+	r := &Registry[E]{kind: kind, entries: make(map[string]registered[E], len(table))}
+	for _, e := range table {
+		d := decl(e)
+		if _, dup := r.entries[d.Name]; dup {
+			panic(fmt.Sprintf("params: duplicate %s %q", kind, d.Name))
+		}
+		r.entries[d.Name] = registered[E]{e, d}
 	}
-	r.entries[name] = registered[E]{e, declared, check}
+	return r
 }
 
 // Names returns the registered names, sorted.
@@ -70,9 +77,9 @@ func (r *Registry[E]) Resolve(name string, given map[string]float64) (E, map[str
 	if !ok {
 		return e.entry, nil, fmt.Errorf("unknown %s %q (available: %v)", r.kind, name, r.Names())
 	}
-	p, err := Resolve(r.kind, name, e.declared, given)
-	if err == nil && e.check != nil {
-		err = e.check(p)
+	p, err := Resolve(r.kind, name, e.Params, given)
+	if err == nil && e.Check != nil {
+		err = e.Check(p)
 	}
 	return e.entry, p, err
 }

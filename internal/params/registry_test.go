@@ -7,28 +7,41 @@ import (
 	"testing"
 )
 
-type entry struct{ doc string }
-
-func testRegistry() *Registry[entry] {
-	r := NewRegistry[entry]("widget")
-	r.Register("b", map[string]float64{"x": 1, "y": 2}, nil, entry{"second"})
-	r.Register("a", nil, nil, entry{"first"})
-	r.Register("c", map[string]float64{"n": 1}, func(p map[string]float64) error {
-		if p["n"] < 0 {
-			return errors.New("n is negative")
-		}
-		return nil
-	}, entry{"checked"})
-	return r
+type entry struct {
+	name  string
+	doc   string
+	decl  map[string]float64
+	check func(p map[string]float64) error
 }
+
+func (e entry) declare() Decl { return Decl{Name: e.name, Params: e.decl, Check: e.check} }
+
+func testTable() []entry {
+	return []entry{
+		{name: "b", doc: "second", decl: map[string]float64{"x": 1, "y": 2}},
+		{name: "a", doc: "first"},
+		{name: "c", doc: "checked", decl: map[string]float64{"n": 1}, check: func(p map[string]float64) error {
+			if p["n"] < 0 {
+				return errors.New("n is negative")
+			}
+			return nil
+		}},
+	}
+}
+
+func testRegistry() *Registry[entry] { return NewRegistry("widget", entry.declare, testTable()) }
 
 func TestRegistryNamesListLookup(t *testing.T) {
 	r := testRegistry()
 	if got, want := r.Names(), []string{"a", "b", "c"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Names = %v, want %v (sorted)", got, want)
 	}
-	if got, want := r.List(), []entry{{"first"}, {"second"}, {"checked"}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("List = %v, want %v (by name)", got, want)
+	var docs []string
+	for _, e := range r.List() {
+		docs = append(docs, e.doc)
+	}
+	if want := []string{"first", "second", "checked"}; !reflect.DeepEqual(docs, want) {
+		t.Errorf("List = %v, want %v (by name)", docs, want)
 	}
 	if e, ok := r.Lookup("b"); !ok || e.doc != "second" {
 		t.Errorf("Lookup(b) = %v, %v", e, ok)
@@ -39,13 +52,12 @@ func TestRegistryNamesListLookup(t *testing.T) {
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
-	r := testRegistry()
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, `duplicate widget "a"`) {
-			t.Errorf("second registration of a: recovered %q", msg)
+			t.Errorf("second entry named a: recovered %q", msg)
 		}
 	}()
-	r.Register("a", nil, nil, entry{})
+	NewRegistry("widget", entry.declare, append(testTable(), entry{name: "a"}))
 }
 
 func TestRegistryResolve(t *testing.T) {
@@ -57,7 +69,7 @@ func TestRegistryResolve(t *testing.T) {
 	if want := (map[string]float64{"x": 1, "y": 5}); e.doc != "second" || !reflect.DeepEqual(p, want) {
 		t.Errorf("Resolve(b, y=5) = %v, %v; want second, %v", e, p, want)
 	}
-	if r.entries["b"].declared["y"] != 2 {
+	if r.entries["b"].Params["y"] != 2 {
 		t.Error("Resolve wrote through to the declared defaults")
 	}
 	for _, tc := range []struct {

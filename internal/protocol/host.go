@@ -174,8 +174,6 @@ type agent struct {
 // it, and packets of flows this host does not own: a slot that names no
 // flow or another flow than the packet's, a flow not launched yet, or one
 // whose other end this host is.
-//
-//pdq:hotpath
 func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
 	if flows := a.sys.flows; uint(pkt.Slot) < uint(len(flows)) {
 		if e := flows[pkt.Slot]; e.f.ID == uint64(pkt.Flow) {
@@ -253,8 +251,6 @@ type detour struct{ fwd, rev []*netsim.Link }
 func (r *AckRoute) Init(l Launch) { *r = AckRoute{fwd: l.Fwd, rev: l.Rev} }
 
 // For returns the path pkt's acknowledgment travels.
-//
-//pdq:hotpath
 func (r *AckRoute) For(pkt *netsim.Packet) []*netsim.Link {
 	for i, p := range r.fwd {
 		if sameSlice(pkt.Path, p) {

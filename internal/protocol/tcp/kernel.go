@@ -261,8 +261,6 @@ func (c *Conn) Open(l protocol.Launch, cfg Config) {
 
 // HandleAck implements protocol.Sender: a cumulative ACK names the next
 // expected segment and echoes the acknowledged one's send time.
-//
-//pdq:hotpath
 func (c *Conn) HandleAck(pkt *netsim.Packet) {
 	c.ProcessAck(int(pkt.Seq/netsim.MSS), pkt.EchoSentAt)
 }
@@ -270,8 +268,6 @@ func (c *Conn) HandleAck(pkt *netsim.Packet) {
 // SendSeg composes and transmits segment idx on a packet from the source
 // host's pool; it is the kernel's send callback. The host's agent releases
 // the packet when it comes back as an acknowledgment.
-//
-//pdq:hotpath
 func (c *Conn) SendSeg(idx int) {
 	pay := segPayload(idx, c.numPkts, c.Flow.Size)
 	src := c.Path[0].From.ID()
@@ -328,8 +324,6 @@ func (r *Receiver) Init(l protocol.Launch) {
 // OnForward implements protocol.Receiver (TCP's only forward packets are
 // data): it registers the segment and sends the packet back along the
 // reverse path as the cumulative ACK.
-//
-//pdq:hotpath
 func (r *Receiver) OnForward(pkt *netsim.Packet) {
 	idx := int(pkt.Seq / netsim.MSS)
 	if idx >= 0 && idx < r.NumPkts && !r.got.Has(idx) {

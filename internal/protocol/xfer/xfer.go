@@ -324,8 +324,6 @@ func (p *Pacer) rto() sim.Time {
 // send takes a packet from the source host's pool, fills it and injects
 // it; the protocol's agent releases it when it comes back as an
 // acknowledgment.
-//
-//pdq:hotpath
 func (p *Pacer) send(kind netsim.Kind, seq int64, payload, wire int) {
 	w := p.w
 	pkt := w.net.NewPacket()
@@ -374,8 +372,6 @@ func (p *Pacer) sendSYN() {
 // packet's subflow names: it adopts the path-wide rate decision, advances
 // the acknowledgment state and drives the send/probe machinery (§3.1).
 // The packet stays the caller's: the agent releases it afterwards.
-//
-//pdq:hotpath
 func (w *Window) HandleAck(pkt *netsim.Packet) {
 	if w.over || pkt.Subflow >= len(w.pacers) {
 		return
@@ -583,8 +579,6 @@ func (r *Receiver) Done() bool { return r.done }
 // OnForward handles SYN, DATA, PROBE and TERM: it records delivered bytes
 // and sends the packet back as its own acknowledgment, the scheduling
 // header riding along. A TERM is not answered, so its life ends here.
-//
-//pdq:hotpath
 func (r *Receiver) OnForward(pkt *netsim.Packet) {
 	if pkt.Kind == netsim.TERM {
 		r.done = true

@@ -142,10 +142,12 @@ func TestFlowRowsRefuseUnmodelledBlocks(t *testing.T) {
 // TestRunnerParamsChecked pins that a runner parameter its Make would
 // truncate, replace by a default or fail on is refused at compile, naming
 // the row and the parameter, and that the edge of each accepted range and
-// every shipped example and workload spec still compile.
+// every shipped example and workload spec still compile. A metric or
+// size-distribution parameter its function would silently reinterpret is
+// refused the same way.
 func TestRunnerParamsChecked(t *testing.T) {
 	cases := []struct {
-		runner string
+		runner string // or "metric <name>" / "sizes <name>"
 		params map[string]float64
 		want   string // "" when the spec must compile
 	}{
@@ -172,16 +174,34 @@ func TestRunnerParamsChecked(t *testing.T) {
 		{"pFabric", map[string]float64{"init_cwnd": 0.5}, `parameter "init_cwnd" = 0.5`},
 		{"pFabric", map[string]float64{"rtomin_us": 0}, `parameter "rtomin_us" = 0`},
 		{"pFabric", map[string]float64{"bands": 64, "init_cwnd": 1, "rtomin_us": 0.001}, ""},
+		{"metric goodput-gbps", map[string]float64{"from_ms": 10, "to_ms": 5}, `"from_ms" = 10, "to_ms" = 5`},
+		{"metric goodput-gbps", map[string]float64{"from_ms": 5, "to_ms": 5}, `"from_ms" = 5, "to_ms" = 5`},
+		{"metric goodput-gbps", map[string]float64{"from_ms": 10, "to_ms": 0}, ""},
+		{"metric goodput-gbps", map[string]float64{"from_ms": 5, "to_ms": 10}, ""},
+		{"metric fct-quantile", map[string]float64{"q": 150}, `parameter "q" = 150`},
+		{"metric fct-quantile", map[string]float64{"q": -1}, `parameter "q" = -1`},
+		{"metric fct-quantile", map[string]float64{"q": 100}, ""},
+		{"metric fct-quantile", map[string]float64{"q": 0}, ""},
+		{"sizes uniform", map[string]float64{"lo_kb": 200, "hi_kb": 2}, `"lo_kb" = 200, "hi_kb" = 2`},
+		{"sizes uniform", map[string]float64{"lo_kb": 50, "hi_kb": 50}, ""},
 	}
 	for _, tc := range cases {
 		s := minimalSpec()
-		s.Protocols = []ProtoSpec{{Runner: tc.runner, Params: tc.params}}
+		want := fmt.Sprintf("row %q: %s", tc.runner, tc.want)
+		switch kind, name, _ := strings.Cut(tc.runner, " "); kind {
+		case "metric":
+			s.Metric, want = MetricSpec{Name: name, Params: tc.params}, tc.want
+		case "sizes":
+			s.Workload.Sizes, want = DistSpec{Name: name, Params: tc.params}, tc.want
+		default:
+			s.Protocols = []ProtoSpec{{Runner: tc.runner, Params: tc.params}}
+		}
 		_, err := compile(s, Opts{})
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s %v: %v", tc.runner, tc.params, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("row %q: %s", tc.runner, tc.want))):
-			t.Errorf("%s %v: error %v, want one naming the row and containing %q", tc.runner, tc.params, err, tc.want)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s %v: error %v, want one containing %q", tc.runner, tc.params, err, want)
 		}
 	}
 	for _, glob := range []string{"../../examples/scenarios/*.json", "../../benchmark/workloads/*.json"} {

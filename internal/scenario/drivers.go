@@ -23,34 +23,39 @@ import (
 	"pdq/internal/workload"
 )
 
-func init() {
-	RegisterDriver(DriverEntry{
+// drivers is the table of custom scenario drivers.
+var drivers = params.NewRegistry("driver", DriverEntry.decl, []DriverEntry{
+	{
 		Name: "fluid-example",
 		Doc:  "Fig. 1 motivating example: three deadline flows on a unit bottleneck under fair sharing, SJF/EDF and D3 (fluid model)",
 		Fn:   runFluidExample,
-	})
-	RegisterDriver(DriverEntry{
+	},
+	{
 		Name:   "convergence-trace",
 		Doc:    "Fig. 6 convergence dynamics: `flows` equal flows start together on one bottleneck; reports completions, utilization, queue, drops",
 		Params: map[string]float64{"flows": 5, "size_mb": 1},
 		Check:  minBytes(map[string]float64{"size_mb": 1}),
 		Fn:     runConvergenceTrace,
-	})
-	RegisterDriver(DriverEntry{
+	},
+	{
 		Name:   "burst-trace",
 		Doc:    "Fig. 7 burst robustness: `shorts` short flows preempt a long-lived flow at t=10 ms",
 		Params: map[string]float64{"shorts": 50, "short_kb": 20, "long_mb": 20},
 		// Shorts draw from short_kb ± 1 KB.
 		Check: minBytes(map[string]float64{"short_kb": 1<<10 + 1, "long_mb": 1}),
 		Fn:    runBurstTrace,
-	})
-	RegisterDriver(DriverEntry{
+	},
+	{
 		Name:   "fct-ratio-cdf",
 		Doc:    "Fig. 8e: per-flow CDF of RCP FCT / PDQ FCT on a fat-tree (flow level, paired runs)",
 		Params: map[string]float64{"k": 8, "flows_per": 10},
 		Fn:     runFCTRatioCDF,
-	})
-	RegisterFlowGen(FlowGenEntry{
+	},
+})
+
+// flowGens is the table of custom flow generators.
+var flowGens = params.NewRegistry("flow generator", FlowGenEntry.decl, []FlowGenEntry{
+	{
 		Name:     "long-vs-shorts",
 		Doc:      "Fig. 12 contention: one `long_mb` flow from host 0 plus `shorts` `short_kb` flows arriving every `spacing_ms` from the remaining senders",
 		Params:   map[string]float64{"shorts": 100, "short_kb": 100, "long_mb": 2, "spacing_ms": 1},
@@ -68,8 +73,8 @@ func init() {
 			}
 			return fl
 		},
-	})
-}
+	},
+})
 
 // sizeBytes converts a size parameter named *_kb or *_mb to bytes. It
 // scales before it truncates, so a fractional value keeps its bytes.

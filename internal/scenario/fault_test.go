@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pdq/internal/params"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/trace"
@@ -14,7 +15,7 @@ import (
 func init() {
 	// A deliberately failing runner for the partial-table tests: panics
 	// when its `boom` parameter is set, otherwise reports one fixed flow.
-	RegisterRunner(RunnerEntry{
+	runners = params.NewRegistry("runner", RunnerEntry.decl, append(runners.List(), RunnerEntry{
 		Name: "test:boom", Doc: "test-only: panics when boom=1", Level: "flow",
 		Params: map[string]float64{"boom": 0},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
@@ -25,7 +26,7 @@ func init() {
 				return []workload.Result{{Flow: workload.Flow{Size: 1000}, Finish: sim.Millisecond}}
 			}
 		},
-	})
+	}))
 }
 
 // linkFailSpec is a packet+flow grid with a receiver link-down window,

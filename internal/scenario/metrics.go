@@ -1,14 +1,19 @@
 package scenario
 
 import (
+	"slices"
+
 	"pdq/internal/fluid"
 	"pdq/internal/netsim"
+	"pdq/internal/params"
 	"pdq/internal/stats"
 	"pdq/internal/workload"
 )
 
-func init() {
-	RegisterMetric(MetricEntry{
+// metrics is the table of metrics: the ones below, then the
+// distribution and fault-experiment ones.
+var metrics = params.NewRegistry("metric", MetricEntry.decl, slices.Concat([]MetricEntry{
+	{
 		Name: "app-throughput",
 		Doc:  "percentage of deadline flows that met their deadline (§5.1)",
 		Fn: func(rs []workload.Result, _ []workload.Flow, _ map[string]float64) float64 {
@@ -20,8 +25,8 @@ func init() {
 		Interval: func(t workload.Tally, _ map[string]float64) (lo, hi float64) {
 			return stats.DeadlinePct(t.Met, t.Total), stats.DeadlinePct(t.Total-t.Lost, t.Total)
 		},
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name:   "mean-fct",
 		Doc:    "mean flow completion time; ms=1 reports milliseconds, long_only=1 keeps flows at or above the 40 KB cutoff",
 		Params: map[string]float64{"ms": 0, "long_only": 0},
@@ -36,8 +41,8 @@ func init() {
 			}
 			return v
 		},
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name:   "mean-fct-vs-srpt",
 		Doc:    "mean FCT normalized to the fluid SRPT optimum on the bottleneck",
 		Params: map[string]float64{"bottleneck_gbps": float64(netsim.DefaultRate) / 1e9},
@@ -46,8 +51,8 @@ func init() {
 			opt := fluid.MeanFCT(flows, fluid.SRPT(flows, bps))
 			return stats.MeanFCT(rs, nil) / opt
 		},
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name:   "max-fct",
 		Doc:    "worst flow completion time; ms=1 reports milliseconds",
 		Params: map[string]float64{"ms": 0},
@@ -58,14 +63,17 @@ func init() {
 			}
 			return v
 		},
-	})
+	},
+}, distMetrics, faultMetrics))
 
-	RegisterAnalytic(AnalyticEntry{
+// analytics is the table of closed-form baselines.
+var analytics = params.NewRegistry("analytic", AnalyticEntry.decl, []AnalyticEntry{
+	{
 		Name:   "optimal-app-throughput",
 		Doc:    "omniscient EDF + Moore–Hodgson bound on the bottleneck link (fluid model)",
 		Params: map[string]float64{"bottleneck_gbps": float64(netsim.DefaultRate) / 1e9},
 		Fn: func(flows []workload.Flow, p map[string]float64) float64 {
 			return fluid.OptimalAppThroughput(flows, int64(p["bottleneck_gbps"]*1e9))
 		},
-	})
-}
+	},
+})

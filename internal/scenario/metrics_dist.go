@@ -7,6 +7,7 @@
 package scenario
 
 import (
+	"fmt"
 	"sort"
 
 	"pdq/internal/netsim"
@@ -53,9 +54,7 @@ func fctQuantile(rs []workload.Result, q float64, p map[string]float64) float64 
 // fctPercentileDoc is shared by the fixed-percentile FCT metrics.
 const fctPercentileDoc = "FCT percentile over completed flows; ms=1 reports milliseconds, weight_by_size=1 weights each flow by its bytes"
 
-// fctPercentileFn binds one fixed percentile into a MetricFunc. The
-// registrations themselves stay inline in init with literal names so
-// the registry analyzer can enumerate them statically.
+// fctPercentileFn binds one fixed percentile into a MetricFunc.
 func fctPercentileFn(q float64) MetricFunc {
 	return func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
 		return fctQuantile(rs, q, p)
@@ -66,28 +65,35 @@ func fctPercentileParams() map[string]float64 {
 	return map[string]float64{"ms": 0, "weight_by_size": 0}
 }
 
-func init() {
-	RegisterMetric(MetricEntry{
+// distMetrics are the distribution metrics of the metric table.
+var distMetrics = []MetricEntry{
+	{
 		Name:   "fct-p95",
 		Doc:    fctPercentileDoc,
 		Params: fctPercentileParams(),
 		Fn:     fctPercentileFn(95),
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name:   "fct-p99",
 		Doc:    fctPercentileDoc,
 		Params: fctPercentileParams(),
 		Fn:     fctPercentileFn(99),
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name:   "fct-quantile",
 		Doc:    "q-th FCT percentile over completed flows; ms=1 reports milliseconds, weight_by_size=1 weights by bytes (pairs with the metric:q sweep axis for inverse-CDF curves)",
 		Params: map[string]float64{"q": 50, "ms": 0, "weight_by_size": 0},
+		Check: func(p map[string]float64) error {
+			if q := p["q"]; !(q >= 0 && q <= 100) {
+				return fmt.Errorf("parameter \"q\" = %v: want a percentile in [0, 100]", q)
+			}
+			return nil
+		},
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
 			return fctQuantile(rs, p["q"], p)
 		},
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name:   "fct-cdf",
 		Doc:    "empirical P(FCT <= at_ms) over completed flows, in [0,1]; weight_by_size=1 reports the fraction of bytes (pairs with the metric:at_ms sweep axis for CDF curves)",
 		Params: map[string]float64{"at_ms": 10, "weight_by_size": 0},
@@ -109,8 +115,8 @@ func init() {
 			}
 			return below / total
 		},
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name:   "slowdown-mean",
 		Doc:    "mean FCT slowdown over completed flows: FCT ÷ the flow's ideal transfer time size/bottleneck (1.0 = line rate)",
 		Params: map[string]float64{"bottleneck_gbps": float64(netsim.DefaultRate) / 1e9},
@@ -130,8 +136,8 @@ func init() {
 			}
 			return sum / float64(n)
 		},
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name: "miss-by-size-bin",
 		Doc:  "percentage of deadline flows with lo_kb <= size < hi_kb that missed their deadline (hi_kb=0 means unbounded); 0 when the bin is empty",
 		Params: map[string]float64{
@@ -156,5 +162,5 @@ func init() {
 			}
 			return 100 * float64(missed) / float64(total)
 		},
-	})
+	},
 }

@@ -4,12 +4,15 @@
 package scenario
 
 import (
+	"fmt"
+
 	"pdq/internal/sim"
 	"pdq/internal/workload"
 )
 
-func init() {
-	RegisterMetric(MetricEntry{
+// faultMetrics are the fault-experiment metrics of the metric table.
+var faultMetrics = []MetricEntry{
+	{
 		Name: "recovery-ms",
 		Doc:  "ms from after_ms to the first flow completion at or past it — recovery latency once a fault clears; -1 if nothing completes after",
 		Params: map[string]float64{
@@ -31,13 +34,19 @@ func init() {
 			}
 			return (best - after).Millis()
 		},
-	})
-	RegisterMetric(MetricEntry{
+	},
+	{
 		Name: "goodput-gbps",
 		Doc:  "aggregate goodput over [from_ms, to_ms): bytes of flows finishing in the window over its length; to_ms=0 means the whole run",
 		Params: map[string]float64{
 			"from_ms": 0,
 			"to_ms":   0,
+		},
+		Check: func(p map[string]float64) error {
+			if from, to := p["from_ms"], p["to_ms"]; to > 0 && to <= from {
+				return fmt.Errorf("parameters \"from_ms\" = %v, \"to_ms\" = %v: want to_ms = 0 or to_ms > from_ms", from, to)
+			}
+			return nil
 		},
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
 			from := sim.Time(p["from_ms"] * float64(sim.Millisecond))
@@ -62,5 +71,5 @@ func init() {
 			secs := float64(to-from) / float64(sim.Second)
 			return float64(bytes*8) / secs / 1e9
 		},
-	})
+	},
 }

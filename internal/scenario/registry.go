@@ -102,7 +102,10 @@ type MetricEntry struct {
 	Name   string
 	Doc    string
 	Params map[string]float64
-	Fn     MetricFunc
+	// Check, if set, validates the resolved parameter values at compile
+	// time (see RunnerEntry.Check).
+	Check func(p map[string]float64) error
+	Fn    MetricFunc
 	// Interval, if set, bounds Fn from the run's deadline tally so far:
 	// lo <= Fn(results) <= hi, in the very floats Fn computes, for the
 	// results as they stand and as they will stand at any later instant
@@ -165,28 +168,25 @@ type FlowGenEntry struct {
 	Gen func(p map[string]float64, hosts int, seed int64) []workload.Flow
 }
 
-var (
-	runners   = params.NewRegistry[RunnerEntry]("runner")
-	metrics   = params.NewRegistry[MetricEntry]("metric")
-	analytics = params.NewRegistry[AnalyticEntry]("analytic")
-	drivers   = params.NewRegistry[DriverEntry]("driver")
-	flowGens  = params.NewRegistry[FlowGenEntry]("flow generator")
-)
+// The decl methods declare each kind's table entries to params.NewRegistry.
 
-// RegisterRunner adds a protocol runner; duplicate names panic at init.
-func RegisterRunner(e RunnerEntry) { runners.Register(e.Name, e.Params, e.Check, e) }
+func (e RunnerEntry) decl() params.Decl {
+	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
+}
 
-// RegisterMetric adds a metric; duplicate names panic at init.
-func RegisterMetric(e MetricEntry) { metrics.Register(e.Name, e.Params, nil, e) }
+func (e MetricEntry) decl() params.Decl {
+	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
+}
 
-// RegisterAnalytic adds an analytic baseline; duplicate names panic.
-func RegisterAnalytic(e AnalyticEntry) { analytics.Register(e.Name, e.Params, nil, e) }
+func (e AnalyticEntry) decl() params.Decl { return params.Decl{Name: e.Name, Params: e.Params} }
 
-// RegisterDriver adds a custom scenario driver; duplicate names panic.
-func RegisterDriver(e DriverEntry) { drivers.Register(e.Name, e.Params, e.Check, e) }
+func (e DriverEntry) decl() params.Decl {
+	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
+}
 
-// RegisterFlowGen adds a custom flow generator; duplicate names panic.
-func RegisterFlowGen(e FlowGenEntry) { flowGens.Register(e.Name, e.Params, e.Check, e) }
+func (e FlowGenEntry) decl() params.Decl {
+	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
+}
 
 // RunnerList returns the registered runners sorted by name.
 func RunnerList() []RunnerEntry { return runners.List() }

@@ -11,6 +11,7 @@ import (
 	"pdq/internal/fluid"
 	"pdq/internal/netsim"
 	"pdq/internal/obsv"
+	"pdq/internal/params"
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/d3"
 	"pdq/internal/protocol/dctcp"
@@ -149,9 +150,7 @@ func runEngine(s *sim.Sim, rc RunCtx) {
 
 // pdqMake binds one PDQ variant's config constructor into a Make
 // function. Every variant accepts a `subflows` parameter (Multipath
-// PDQ, §6); 0 leaves the config default of one subflow. The
-// registrations stay inline in init with literal names so the registry
-// analyzer can enumerate them statically.
+// PDQ, §6); 0 leaves the config default of one subflow.
 func pdqMake(cfg func() core.Config) func(p map[string]float64, seed int64) RunnerFunc {
 	return func(p map[string]float64, _ int64) RunnerFunc {
 		c := cfg()
@@ -241,48 +240,49 @@ var (
 	spareD3  = sync.Pool{New: func() any { return flowsim.NewD3() }}
 )
 
-func init() {
-	RegisterRunner(RunnerEntry{
+// runners is the table of protocol runners, packet and flow level.
+var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
+	{
 		Name: "PDQ(Full)", Doc: "PDQ with Early Start, Early Termination and Suppressed Probing", Level: "packet",
 		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.Full),
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "PDQ(ES+ET)", Doc: "PDQ with Early Start and Early Termination", Level: "packet",
 		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.ESET),
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "PDQ(ES)", Doc: "PDQ with Early Start only", Level: "packet",
 		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.ES),
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "PDQ(Basic)", Doc: "preemptive scheduling without the §4 optimizations", Level: "packet",
 		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.Basic),
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "D3", Doc: "Deadline-Driven Delivery (packet level)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed { return d3.Install(t, d3.Config{}) })
 		},
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "RCP", Doc: "Rate Control Protocol (packet level)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed { return rcp.Install(t, rcp.Config{}) })
 		},
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "RCP/D3", Doc: "alias for RCP (D3 behaves identically without deadlines)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed { return rcp.Install(t, rcp.Config{}) })
 		},
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "TCP", Doc: "TCP NewReno-style baseline (packet level)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed { return tcp.Install(t, tcp.Config{}) })
 		},
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "DCTCP", Doc: "DCTCP: ECN threshold marking at switches, g-weighted α window cut (packet level)", Level: "packet",
 		Params: map[string]float64{
 			"g":            dctcp.DefaultG,
@@ -299,8 +299,8 @@ func init() {
 				return dctcp.Install(t, dctcp.Config{G: p["g"], Threshold: int(p["threshold_kb"] * 1024)})
 			})
 		},
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "pFabric", Doc: "pFabric: remaining-size packet priorities, strict-priority switches, minimal rate control (packet level)", Level: "packet",
 		Params: map[string]float64{
 			"bands":     float64(netsim.DefaultPrioBands),
@@ -323,9 +323,9 @@ func init() {
 				})
 			})
 		},
-	})
+	},
 
-	RegisterRunner(RunnerEntry{
+	{
 		Name: "flow:PDQ", Doc: "flow-level PDQ: crit 0=perfect 1=random 2=size-estimation; aging is Fig. 12's α; et enables Early Termination", Level: "flow",
 		Params: map[string]float64{"crit": 0, "aging": 0, "et": 0},
 		Check: func(p map[string]float64) error {
@@ -336,20 +336,20 @@ func init() {
 			a.AgingRate = p["aging"]
 			return a
 		}, nil),
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "flow:RCP", Doc: "flow-level max-min fair sharing (RCP; also D3 without deadlines)", Level: "flow",
 		Params: map[string]float64{"et": 0},
 		Check:  etCheck,
 		Make:   flowMake(nil, &spareRCP),
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "flow:D3", Doc: "flow-level D3: arrival-order reservation plus fair share of the rest", Level: "flow",
 		Params: map[string]float64{"et": 0},
 		Check:  etCheck,
 		Make:   flowMake(nil, &spareD3),
-	})
-	RegisterRunner(RunnerEntry{
+	},
+	{
 		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal) 1=fair sharing 2=Moore-Hodgson deadline EDF; gbps is the bottleneck rate", Level: "flow",
 		Params: map[string]float64{"policy": 0, "gbps": 1},
 		Check: func(p map[string]float64) error {
@@ -381,5 +381,5 @@ func init() {
 				return out
 			}
 		},
-	})
-}
+	},
+})

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"pdq/internal/params"
 )
 
 // minimalSpec is a valid one-cell grid spec the error tests mutate.
@@ -21,10 +23,10 @@ func minimalSpec() *Spec {
 }
 
 func init() {
-	RegisterDriver(DriverEntry{
+	drivers = params.NewRegistry("driver", DriverEntry.decl, append(drivers.List(), DriverEntry{
 		Name: "test-panics",
 		Fn:   func(driverPlan, DriverCtx) (*Table, error) { panic(errors.New("boom")) },
-	})
+	}))
 }
 
 func TestRunMinimalSpec(t *testing.T) {

@@ -325,8 +325,6 @@ func (s *Sim) EventTie() uint64 {
 // place writes the entry (k, slot) at heap position i, field by field: a
 // composite literal of five words would be assembled on the stack and
 // copied.
-//
-//pdq:hotpath
 func (s *Sim) place(i int, k key, slot int32) {
 	e := &s.order[i]
 	e.key, e.slot = k, slot
@@ -336,8 +334,6 @@ func (s *Sim) place(i int, k key, slot int32) {
 // siftUp places the entry (k, slot) at heap position i or above: i is a
 // hole, and parents that order after k move down into it. The entry is
 // written once, at its final position.
-//
-//pdq:hotpath
 func (s *Sim) siftUp(i int, k key, slot int32) {
 	for i > 0 {
 		p := (i - 1) / 4
@@ -360,8 +356,6 @@ func (s *Sim) siftUp(i int, k key, slot int32) {
 // group the minimum is therefore taken on at alone, with conditional moves
 // instead of branches; only when two children share the least at (counted
 // the same way) does the full key decide among them.
-//
-//pdq:hotpath
 func (s *Sim) siftDown(i int, k key, slot int32) {
 	n := len(s.order)
 	for {
@@ -432,8 +426,6 @@ func (s *Sim) siftDown(i int, k key, slot int32) {
 // leaf fills the hole, sifted up if it orders before the hole's parent and
 // down otherwise. Removing the last position (which is also how the heap
 // empties) touches no other entry.
-//
-//pdq:hotpath
 func (s *Sim) heapRemove(i int) {
 	n := len(s.order) - 1
 	if i == n {
@@ -452,8 +444,6 @@ func (s *Sim) heapRemove(i int) {
 
 // closeHole ends a lazy pop nobody refilled: the stale root is removed the
 // way an eager pop would have removed it.
-//
-//pdq:hotpath
 func (s *Sim) closeHole() {
 	s.hole = false
 	s.heapRemove(0)
@@ -461,8 +451,6 @@ func (s *Sim) closeHole() {
 
 // release recycles a slot: the callback is dropped (so it can be collected)
 // and the generation advances, invalidating outstanding refs.
-//
-//pdq:hotpath
 func (s *Sim) release(slot int32) {
 	ev := &s.pool[slot]
 	ev.fn = nil
@@ -474,8 +462,6 @@ func (s *Sim) release(slot int32) {
 
 // schedule grabs a pooled slot for an event at (t, now, tie 0, next seq)
 // and puts it in the queue, returning the slot.
-//
-//pdq:hotpath
 func (s *Sim) schedule(t Time) int32 { return s.scheduleStamped(t, s.now, 0) }
 
 // scheduleStamped is schedule with explicit scheduling-instant and
@@ -483,8 +469,6 @@ func (s *Sim) schedule(t Time) int32 { return s.scheduleStamped(t, s.now, 0) }
 // canonical channel key, and a chained delivery carries the instant its
 // packet was accepted. The first schedule of a callback lands in the root
 // hole its own event left (Sim.hole); the rest are pushed at the end.
-//
-//pdq:hotpath
 func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
 	if t < s.now {
 		s.panicPast(t)
@@ -529,8 +513,6 @@ func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
 // netsim link scheduling the next delivery of its chain, stamped with its
 // enqueue instant. Such events are never canceled, so no EventRef is
 // returned.
-//
-//pdq:hotpath
 func (s *Sim) AtRunnerStamped(t, ta Time, tie uint64, r Runner) {
 	slot := s.scheduleStamped(t, ta, tie)
 	s.pool[slot].runner = r
@@ -539,8 +521,6 @@ func (s *Sim) AtRunnerStamped(t, ta Time, tie uint64, r Runner) {
 // AtRunnerKeyed is AtRunner with an explicit structural tie-break key.
 // Channel producers (netsim links) stamp each delivery with their canonical
 // channel key, which orders same-(at, ta) deliveries (see key).
-//
-//pdq:hotpath
 func (s *Sim) AtRunnerKeyed(t Time, tie uint64, r Runner) EventRef {
 	if r == nil {
 		panic("sim: scheduling nil runner")
@@ -551,16 +531,14 @@ func (s *Sim) AtRunnerKeyed(t Time, tie uint64, r Runner) EventRef {
 	return EventRef{slot: slot + 1, gen: ev.gen}
 }
 
-// panicPast is schedule's cold failure path, kept out of the annotated
-// hot function so it stays free of fmt.
+// panicPast is schedule's cold failure path, kept out of the hot
+// function so it stays free of fmt.
 func (s *Sim) panicPast(t Time) {
 	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
 // Now) panics: it is always a logic error in a discrete-event simulation.
-//
-//pdq:hotpath
 func (s *Sim) At(t Time, fn func()) EventRef {
 	if fn == nil {
 		panic("sim: scheduling nil function")
@@ -575,8 +553,6 @@ func (s *Sim) At(t Time, fn func()) EventRef {
 // method value, storing the Runner interface does not allocate, so
 // per-object hot paths (a link's ser-done event, a packet's delivery) stay
 // allocation-free.
-//
-//pdq:hotpath
 func (s *Sim) AtRunner(t Time, r Runner) EventRef {
 	if r == nil {
 		panic("sim: scheduling nil runner")
@@ -593,8 +569,6 @@ func (s *Sim) After(d Duration, fn func()) EventRef { return s.At(s.now+d, fn) }
 // Cancel removes a scheduled event. Canceling an already-fired or
 // already-canceled event is a no-op. It reports whether the event was
 // actually removed.
-//
-//pdq:hotpath
 func (s *Sim) Cancel(r EventRef) bool {
 	slot := r.slot - 1
 	if slot < 0 || int(slot) >= len(s.pool) {
@@ -666,8 +640,6 @@ func (s *Sim) RunUntil(end Time) {
 // head returns the earliest pending entry without consuming it, or nil
 // when nothing is pending. The pointer is into the heap and is good until
 // the next schedule, cancel or fire.
-//
-//pdq:hotpath
 func (s *Sim) head() *entry {
 	if len(s.order) == 0 {
 		return nil
@@ -681,8 +653,6 @@ func (s *Sim) head() *entry {
 // for the duration. The entry is consumed lazily: it stays at the root as
 // a hole (Sim.hole) for the callback's first schedule to fill, and is
 // removed afterwards if nothing did.
-//
-//pdq:hotpath
 func (s *Sim) fire(head *entry) {
 	k, slot := head.key, head.slot
 	ev := &s.pool[slot]

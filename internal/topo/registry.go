@@ -52,11 +52,9 @@ func cables(n float64) error {
 	return nil
 }
 
-var builders = params.NewRegistry[Builder]("topology")
-
-// RegisterBuilder adds a topology family to the registry; duplicate names
-// panic at init time.
-func RegisterBuilder(b Builder) { builders.Register(b.Name, b.Params, b.Check, b) }
+func (b Builder) decl() params.Decl {
+	return params.Decl{Name: b.Name, Params: b.Params, Check: b.Check}
+}
 
 // BuilderList returns the registered families sorted by name.
 func BuilderList() []Builder { return builders.List() }
@@ -98,8 +96,9 @@ func RackOfByName(name string, params map[string]float64) (func(int) int, error)
 	return b.RackOf(p), nil
 }
 
-func init() {
-	RegisterBuilder(Builder{
+// builders is the table of topology families.
+var builders = params.NewRegistry("topology", Builder.decl, []Builder{
+	{
 		Name:   "single-bottleneck",
 		Doc:    "Fig. 2b star: `senders` hosts plus one receiver on a single switch",
 		Params: map[string]float64{"senders": 5},
@@ -114,8 +113,8 @@ func init() {
 			}
 			return cables(p["senders"] + 1)
 		},
-	})
-	RegisterBuilder(Builder{
+	},
+	{
 		Name:   "single-rooted-tree",
 		Doc:    "Fig. 2a two-level tree: `tors` ToR switches with `per_tor` servers each",
 		Params: map[string]float64{"tors": 4, "per_tor": 3},
@@ -136,8 +135,8 @@ func init() {
 			per := int(p["per_tor"])
 			return func(h int) int { return h / per }
 		},
-	})
-	RegisterBuilder(Builder{
+	},
+	{
 		Name:   "fat-tree",
 		Doc:    "k-ary fat-tree (k³/4 hosts); `oversub` > 1 derates the core links",
 		Params: map[string]float64{"k": 4, "oversub": 1},
@@ -155,8 +154,8 @@ func init() {
 			}
 			return cables(3 * math.Pow(p["k"], 3) / 4)
 		},
-	})
-	RegisterBuilder(Builder{
+	},
+	{
 		Name:   "bcube",
 		Doc:    "BCube(n, k): n^(k+1) servers with k+1 ports each",
 		Params: map[string]float64{"n": 2, "k": 3},
@@ -174,8 +173,8 @@ func init() {
 			}
 			return cables((p["k"] + 1) * math.Pow(p["n"], p["k"]+1))
 		},
-	})
-	RegisterBuilder(Builder{
+	},
+	{
 		Name:   "jellyfish",
 		Doc:    "random regular graph of `switches` switches, `degree` network ports, `hosts_per_switch` servers each",
 		Params: map[string]float64{"switches": 18, "degree": 16, "hosts_per_switch": 8},
@@ -198,5 +197,5 @@ func init() {
 			}
 			return cables(n * (p["hosts_per_switch"] + d/2))
 		},
-	})
-}
+	},
+})
