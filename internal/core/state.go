@@ -1,6 +1,7 @@
 package core
 
 import (
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/sim"
@@ -69,7 +70,7 @@ type linkState struct {
 // (TERM, eviction, stale expiry, a crash) goes to one spare list shared by
 // every link, and the next admission anywhere reuses it.
 type entries struct {
-	chunks protocol.Chunks[flowInfo]
+	chunks carve.Chunks[flowInfo]
 	spare  []*flowInfo
 }
 

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
-	"pdq/internal/protocol"
 )
 
 // SwitchLogic implements the PDQ flow controller (Algorithms 1 and 3) and
@@ -15,8 +15,8 @@ type SwitchLogic struct {
 	// map, keeping the per-packet lookup on the hot path pointer-chase- and
 	// hash-free.
 	states  []*linkState
-	links   protocol.Chunks[linkState] // what states are carved from
-	entries                            // every link's flowInfos
+	links   carve.Chunks[linkState] // what states are carved from
+	entries                         // every link's flowInfos
 
 	// check, when set, is called with the link's state after every packet
 	// Process handles; tests use it to assert the list's invariants.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/xfer"
@@ -22,7 +23,7 @@ type System struct {
 	Cfg   Config
 	Logic *SwitchLogic
 
-	ends protocol.Chunks[endpoints]
+	ends carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole: the receiver,

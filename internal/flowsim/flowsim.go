@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
@@ -283,9 +284,9 @@ type Sim struct {
 	ET bool
 
 	Collector *workload.Collector
-	slab      []FlowState  // Start carves flow states from chunks of slabSize
-	pending   []*FlowState // sorted by Start; admitted entries are nil
-	next      int          // cursor into pending: first un-admitted flow
+	states    carve.Chunks[FlowState] // what Start carves flow states from
+	pending   []*FlowState            // sorted by Start; admitted entries are nil
+	next      int                     // cursor into pending: first un-admitted flow
 	active    []*FlowState
 	now       sim.Time
 
@@ -305,26 +306,17 @@ func New(t *topo.Topology, alloc Allocator) *Sim {
 	return &Sim{Topo: t, Alloc: alloc, Collector: workload.NewCollector()}
 }
 
-// slabSize is the most flow states one allocation holds: 68 of 120 bytes
-// fill the 8 KiB size class. Chunks start at 8 and grow to it (8, 24, 56,
-// 68, …), so the many few-flow cells of a sweep do not pay for a large
-// one; a chunk lives until its last flow is done, so it stays small next
-// to a big run's flow count.
-const slabSize = 68
-
 // Start registers a flow.
 func (s *Sim) Start(f workload.Flow) {
 	s.Collector.Register(f)
-	if len(s.slab) == cap(s.slab) {
-		s.slab = make([]FlowState, 0, min(slabSize, 2*cap(s.slab)+8))
-	}
-	s.slab = append(s.slab, FlowState{
+	fs := s.states.New()
+	*fs = FlowState{
 		Flow:      f,
 		Path:      s.Topo.Path(s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]),
 		Remaining: float64(f.Size),
 		Started:   f.Start + InitLatency,
-	})
-	s.pending = append(s.pending, &s.slab[len(s.slab)-1])
+	}
+	s.pending = append(s.pending, fs)
 }
 
 func byStart(a, b *FlowState) int { return cmp.Compare(a.Start, b.Start) }

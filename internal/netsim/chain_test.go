@@ -52,7 +52,7 @@ func refEmit(l *Link, pkt *Packet, now, done sim.Time) {
 	l.deliveryCtr++
 	pkt.enqTa = now
 	pkt.enqTie = uint64(l.ID+1)<<32 | uint64(l.deliveryCtr)
-	l.net.Sim.AtRunnerKeyed(done+l.PropDelay+l.ProcDelay, pkt.enqTie, (*refPacket)(pkt))
+	l.net.Sim.AtRunnerStamped(done+l.PropDelay+l.ProcDelay, now, pkt.enqTie, (*refPacket)(pkt))
 }
 
 func refStartService(l *Link, pkt *Packet) {

@@ -1,12 +1,6 @@
 package netsim
 
-import (
-	"encoding/binary"
-	"errors"
-	"math"
-
-	"pdq/internal/sim"
-)
+import "pdq/internal/sim"
 
 // PauseNone marks an empty "pauseby" field (no switch has paused the flow).
 const PauseNone NodeID = -1
@@ -17,9 +11,8 @@ const PauseNone NodeID = -1
 // and RTT_S, which is possible because D_H/T_H are consumed on the forward
 // path only (§7, "Deployment").
 //
-// The simulator passes the decoded struct by value for speed; Marshal and
-// Unmarshal define the wire format and are exercised by tests and by the
-// header-overhead accounting (SchedHdrWire).
+// The simulator carries the decoded struct with the packet and charges the
+// 16 bytes on the wire through SchedHdrWire; it never encodes them.
 type SchedHeader struct {
 	Rate     int64    // R_H: sending-rate feedback, bits/s
 	PauseBy  NodeID   // P_H: switch that paused the flow, or PauseNone
@@ -28,86 +21,4 @@ type SchedHeader struct {
 
 	InterProbe float64  // I_S: inter-probing interval in RTTs (reverse)
 	RTT        sim.Time // RTT_S: sender-measured RTT (reverse)
-}
-
-// Wire-format quantization units.
-const (
-	rateUnit = 1000                 // R_H in Kbit/s
-	timeUnit = sim.Microsecond      // D_H, T_H in µs
-	probUnit = 0.001                // I_S in milli-RTTs
-	rttUnit  = 100 * sim.Nanosecond // RTT_S in 0.1 µs
-)
-
-func clampU32(v int64) uint32 {
-	if v < 0 {
-		return 0
-	}
-	if v > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(v)
-}
-
-// MarshalBinary encodes the forward-path view of the header into a 16-byte
-// slice (R_H, P_H, D_H, T_H).
-func (h *SchedHeader) MarshalBinary() ([]byte, error) {
-	b := make([]byte, SchedHdrWire)
-	binary.BigEndian.PutUint32(b[0:4], clampU32(h.Rate/rateUnit))
-	binary.BigEndian.PutUint32(b[4:8], encodePause(h.PauseBy))
-	binary.BigEndian.PutUint32(b[8:12], clampU32(int64(h.Deadline/timeUnit)))
-	binary.BigEndian.PutUint32(b[12:16], clampU32(int64(h.TTrans/timeUnit)))
-	return b, nil
-}
-
-// MarshalReverse encodes the reverse-path view (R_H, P_H, I_S, RTT_S).
-func (h *SchedHeader) MarshalReverse() ([]byte, error) {
-	b := make([]byte, SchedHdrWire)
-	binary.BigEndian.PutUint32(b[0:4], clampU32(h.Rate/rateUnit))
-	binary.BigEndian.PutUint32(b[4:8], encodePause(h.PauseBy))
-	binary.BigEndian.PutUint32(b[8:12], clampU32(int64(math.Round(h.InterProbe/probUnit))))
-	binary.BigEndian.PutUint32(b[12:16], clampU32(int64(h.RTT/rttUnit)))
-	return b, nil
-}
-
-// ErrShortHeader is returned when unmarshaling fewer than 16 bytes.
-var ErrShortHeader = errors.New("netsim: scheduling header shorter than 16 bytes")
-
-// UnmarshalBinary decodes a forward-path header.
-func (h *SchedHeader) UnmarshalBinary(b []byte) error {
-	if len(b) < SchedHdrWire {
-		return ErrShortHeader
-	}
-	h.Rate = int64(binary.BigEndian.Uint32(b[0:4])) * rateUnit
-	h.PauseBy = decodePause(binary.BigEndian.Uint32(b[4:8]))
-	h.Deadline = sim.Time(binary.BigEndian.Uint32(b[8:12])) * timeUnit
-	h.TTrans = sim.Time(binary.BigEndian.Uint32(b[12:16])) * timeUnit
-	h.InterProbe, h.RTT = 0, 0
-	return nil
-}
-
-// UnmarshalReverse decodes a reverse-path header.
-func (h *SchedHeader) UnmarshalReverse(b []byte) error {
-	if len(b) < SchedHdrWire {
-		return ErrShortHeader
-	}
-	h.Rate = int64(binary.BigEndian.Uint32(b[0:4])) * rateUnit
-	h.PauseBy = decodePause(binary.BigEndian.Uint32(b[4:8]))
-	h.InterProbe = float64(binary.BigEndian.Uint32(b[8:12])) * probUnit
-	h.RTT = sim.Time(binary.BigEndian.Uint32(b[12:16])) * rttUnit
-	h.Deadline, h.TTrans = 0, 0
-	return nil
-}
-
-func encodePause(id NodeID) uint32 {
-	if id == PauseNone {
-		return 0
-	}
-	return uint32(id) + 1
-}
-
-func decodePause(v uint32) NodeID {
-	if v == 0 {
-		return PauseNone
-	}
-	return NodeID(v - 1)
 }

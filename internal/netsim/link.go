@@ -403,7 +403,7 @@ func (l *Link) emitDelivery(pkt *Packet, now, done sim.Time) {
 	tail := l.dTail
 	l.dTail = pkt
 	if tail == nil {
-		l.net.Sim.AtRunnerKeyed(due, pkt.enqTie, pkt)
+		l.net.Sim.AtRunnerStamped(due, now, pkt.enqTie, pkt)
 		return
 	}
 	if due < tail.due {

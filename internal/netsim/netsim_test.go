@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"testing"
-	"testing/quick"
 
 	"pdq/internal/sim"
 )
@@ -198,83 +197,6 @@ func TestSwitchLogicDrop(t *testing.T) {
 type dropAll struct{}
 
 func (dropAll) Process(at Node, pkt *Packet, in, out *Link) bool { return false }
-
-func TestHeaderForwardRoundTrip(t *testing.T) {
-	h := SchedHeader{
-		Rate:     950_000_000,
-		PauseBy:  7,
-		Deadline: 20 * sim.Millisecond,
-		TTrans:   1300 * sim.Microsecond,
-	}
-	b, err := h.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != SchedHdrWire {
-		t.Fatalf("wire size %d, want %d", len(b), SchedHdrWire)
-	}
-	var got SchedHeader
-	if err := got.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if got.Rate != h.Rate || got.PauseBy != h.PauseBy || got.Deadline != h.Deadline || got.TTrans != h.TTrans {
-		t.Fatalf("round trip: got %+v want %+v", got, h)
-	}
-}
-
-func TestHeaderReverseRoundTrip(t *testing.T) {
-	h := SchedHeader{Rate: 1_000_000, PauseBy: PauseNone, InterProbe: 3.2, RTT: 151_500}
-	b, err := h.MarshalReverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got SchedHeader
-	if err := got.UnmarshalReverse(b); err != nil {
-		t.Fatal(err)
-	}
-	if got.PauseBy != PauseNone {
-		t.Errorf("PauseBy = %v, want PauseNone", got.PauseBy)
-	}
-	if got.InterProbe < 3.199 || got.InterProbe > 3.201 {
-		t.Errorf("InterProbe = %v", got.InterProbe)
-	}
-	if got.RTT != 151_500 {
-		t.Errorf("RTT = %v", got.RTT)
-	}
-}
-
-func TestHeaderShort(t *testing.T) {
-	var h SchedHeader
-	if err := h.UnmarshalBinary(make([]byte, 8)); err != ErrShortHeader {
-		t.Errorf("err = %v, want ErrShortHeader", err)
-	}
-	if err := h.UnmarshalReverse(nil); err != ErrShortHeader {
-		t.Errorf("err = %v, want ErrShortHeader", err)
-	}
-}
-
-// Property: marshal/unmarshal round-trips exactly for values already on the
-// quantization grid.
-func TestPropertyHeaderRoundTrip(t *testing.T) {
-	f := func(rateK, deadU, ttransU uint32, pause uint16) bool {
-		h := SchedHeader{
-			Rate:     int64(rateK) * rateUnit,
-			PauseBy:  NodeID(pause),
-			Deadline: sim.Time(deadU) * timeUnit,
-			TTrans:   sim.Time(ttransU) * timeUnit,
-		}
-		b, _ := h.MarshalBinary()
-		var got SchedHeader
-		if got.UnmarshalBinary(b) != nil {
-			return false
-		}
-		return got.Rate == h.Rate && got.PauseBy == h.PauseBy &&
-			got.Deadline == h.Deadline && got.TTrans == h.TTrans
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestMSSAccounting(t *testing.T) {
 	if MSS+IPTCPHeader+SchedHdrWire != MTU {

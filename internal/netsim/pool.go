@@ -1,6 +1,6 @@
 package netsim
 
-import "unsafe"
+import "pdq/internal/carve"
 
 // Packet life cycle (DESIGN.md §3). A sender takes a zeroed packet from
 // Network.NewPacket and hands it to Send. The receiver turns the delivered
@@ -21,8 +21,8 @@ import "unsafe"
 // again.
 //
 // A pool does not allocate its packets one by one: it carves them, and
-// the headers HeaderOf attaches to them, from chunks of packetChunk (one
-// chunk per type), so a network's packets cost one allocation per chunk.
+// the headers HeaderOf attaches to them, from chunks (carve.Chunks, one
+// carver per type), so a network's packets cost one allocation per chunk.
 // Chunks die with their run (Network.Reset empties the pool); nothing
 // crosses cells.
 
@@ -32,28 +32,11 @@ type packetPool struct {
 	head            *Packet // LIFO free list, threaded through Packet.qNext
 	taken, released uint64
 
-	chunk []Packet // unused packets of the current chunk
-	// hdrs holds one *[]H per header type H attached so far: the unused
-	// headers of that type's current chunk. The pointer keeps the slice
-	// from being boxed when it is stored in the interface.
+	chunks carve.Chunks[Packet]
+	// hdrs holds one *carve.Chunks[H] per header type H attached so far.
+	// The pointer keeps the carver from being boxed when it is stored in
+	// the interface.
 	hdrs []any
-}
-
-// packetChunk is the length of one chunk: 23 packets of 176 bytes fill
-// the 4 KiB size class to 4 048. A header chunk has as many: a pooled
-// packet carries at most one header of each type, so headers are needed
-// at the rate packets are, and a longer chunk would mostly go unused.
-const packetChunk = 4096 / int(unsafe.Sizeof(Packet{}))
-
-// carve returns the next unused element of *chunk, zero, refilling the
-// chunk first when it is used up.
-func carve[T any](chunk *[]T) *T {
-	if len(*chunk) == 0 {
-		*chunk = make([]T, packetChunk)
-	}
-	p := &(*chunk)[0]
-	*chunk = (*chunk)[1:]
-	return p
 }
 
 // get pops a free packet, zeroed except for the header value it last
@@ -72,7 +55,7 @@ func (pp *packetPool) get() *Packet {
 // grow is the cold side of get, kept apart so the pool's only packet
 // allocation reads as what it is: one per chunk of high-water packets.
 func (pp *packetPool) grow() *Packet {
-	p := carve(&pp.chunk)
+	p := pp.chunks.New()
 	p.pool = pp
 	return p
 }
@@ -134,7 +117,7 @@ func (p *Packet) TurnAround(rev []*Link) {
 // allocator, or last used under another header type) gets a zero one
 // attached. Storing the pointer in Hdr does not box: the header stays
 // with the packet for its whole pooled existence. A pooled packet's
-// header is carved from its pool's chunk of that type; a literal packet's
+// header is carved from its pool's carver of that type; a literal packet's
 // is allocated alone.
 func HeaderOf[H any](pkt *Packet) *H {
 	if h, ok := pkt.Hdr.(*H); ok {
@@ -148,22 +131,22 @@ func attachHeader[H any](pkt *Packet) *H {
 	if pkt.pool == nil {
 		h = new(H)
 	} else {
-		h = carve(headerChunk[H](pkt.pool))
+		h = headerChunk[H](pkt.pool).New()
 	}
 	pkt.Hdr = h
 	return h
 }
 
-// headerChunk returns pp's chunk of H headers, adding an empty one the
-// first time H is attached. A network carries one or two header types,
-// so the scan is short.
-func headerChunk[H any](pp *packetPool) *[]H {
+// headerChunk returns pp's carver of H headers, adding one the first
+// time H is attached. A network carries one or two header types, so the
+// scan is short.
+func headerChunk[H any](pp *packetPool) *carve.Chunks[H] {
 	for _, c := range pp.hdrs {
-		if c, ok := c.(*[]H); ok {
+		if c, ok := c.(*carve.Chunks[H]); ok {
 			return c
 		}
 	}
-	c := new([]H)
+	c := new(carve.Chunks[H])
 	pp.hdrs = append(pp.hdrs, c)
 	return c
 }

@@ -242,15 +242,22 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPacketLayout pins what the chunk size is fitted to: the flow's slot
-// sits in the hole after Dst, so a packet stays 176 bytes and 23 of them
-// fill a 4 KiB chunk.
+// TestPacketLayout pins what the carver's chunks are fitted to: the flow's
+// slot sits in the hole after Dst, so a packet stays 176 bytes and 23 of
+// them fill the 4 KiB a full chunk holds.
 func TestPacketLayout(t *testing.T) {
 	var p Packet
-	if size, off := unsafe.Sizeof(p), unsafe.Offsetof(p.Slot); size != 176 || off != 28 || packetChunk != 23 {
-		t.Errorf("Packet is %d bytes with Slot at %d, %d to a chunk; want 176, 28 and 23", size, off, packetChunk)
+	if size, off := unsafe.Sizeof(p), unsafe.Offsetof(p.Slot); size != 176 || off != 28 || 4096/size != 23 {
+		t.Errorf("Packet is %d bytes with Slot at %d, %d to a full chunk; want 176, 28 and 23", size, off, 4096/size)
 	}
 }
+
+// Packets are carved 8 to the first chunk and 23 to every later one (the
+// carver's 2·carved+8, capped at 4 KiB of 176-byte packets).
+const (
+	firstChunk = 8
+	fullChunk  = 23
+)
 
 // TestPoolChunks walks a pool across chunk boundaries: every packet and
 // header it hands out is its own, a header stays with its packet across
@@ -259,7 +266,7 @@ func TestPacketLayout(t *testing.T) {
 func TestPoolChunks(t *testing.T) {
 	type other struct{ X, Y int64 }
 	n, a, b, path := line(t)
-	const count = 2*packetChunk + 3
+	const count = firstChunk + fullChunk + 3
 	pkts := make([]*Packet, count)
 	hdrs := map[*SchedHeader]*Packet{}
 	seen := map[*Packet]bool{}
@@ -319,13 +326,15 @@ func TestLiteralPacketHeader(t *testing.T) {
 
 // TestPoolGrowthAllocs pins what chunks buy: growing a pool to n packets,
 // each with a header, costs one allocation per chunk of each, plus the
-// header type's chunk holder and the pool's list of holders.
+// header type's carver and the pool's list of carvers.
 func TestPoolGrowthAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const count = 3*packetChunk + 5
-	chunks := (count + packetChunk - 1) / packetChunk
+	// 59 packets take four chunks (8, 23, 23 and 5 of a fourth); their
+	// 48-byte headers, 85 to a full chunk, take three (8, 24, 56).
+	const count = firstChunk + 2*fullChunk + 5
+	const chunks = 4 + 3
 	pools := make([]packetPool, 11) // AllocsPerRun's warm-up call, then ten
 	held := make([]*Packet, count)
 	i := 0
@@ -345,7 +354,7 @@ func TestPoolGrowthAllocs(t *testing.T) {
 			t.Fatalf("pool took %d and released %d, want %d each", pp.taken, pp.released, count)
 		}
 	}
-	if want := float64(2*chunks + 2); allocs > want {
+	if want := float64(chunks + 2); allocs > want {
 		t.Errorf("growing a pool to %d packets with headers allocates %.0f times, want at most %.0f", count, allocs, want)
 	}
 }

@@ -19,6 +19,7 @@
 package d3
 
 import (
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/xfer"
@@ -137,7 +138,7 @@ type System struct {
 	*protocol.System
 
 	states []*linkState // indexed by the dense link ID
-	ends   protocol.Chunks[endpoints]
+	ends   carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole.

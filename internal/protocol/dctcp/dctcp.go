@@ -13,6 +13,7 @@
 package dctcp
 
 import (
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/tcp"
@@ -49,7 +50,7 @@ type System struct {
 	*protocol.System
 	Cfg Config
 
-	ends protocol.Chunks[endpoints]
+	ends carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole.

@@ -14,8 +14,8 @@ package protocol
 
 import (
 	"fmt"
-	"unsafe"
 
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
@@ -71,8 +71,8 @@ type System struct {
 	Collector *workload.Collector
 
 	agents   []agent
-	flows    []*flow      // by slot
-	entries  Chunks[flow] // what flows' entries are carved from
+	flows    []*flow            // by slot
+	entries  carve.Chunks[flow] // what flows' entries are carved from
 	arena    Arena
 	subflows int
 	launch   func(Launch) (Receiver, Sender)
@@ -190,42 +190,11 @@ func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
 	pkt.Release()
 }
 
-// Chunks carves values of T from chunks, so a System's many small per-flow
-// objects cost one allocation per chunk. A chunk holds 8 values at first,
-// then twice as many plus 8 as have been carved, up to as many as fill
-// 4 KiB (at least 8), so the many few-flow cells of a sweep do not pay for
-// a large one; a request beyond that size gets an allocation of its own.
-// Carved values start zero and never move, and a chunk lives as long as
-// any value carved from it.
-type Chunks[T any] struct {
-	spare  []T // the current chunk's unused tail
-	carved int
-}
-
-// New returns the next zero value.
-func (c *Chunks[T]) New() *T { return &c.Take(1)[0] }
-
-// Take returns the next n zero values.
-func (c *Chunks[T]) Take(n int) []T {
-	c.carved += n
-	if n > len(c.spare) {
-		var zero T
-		size := min(max(8, 4096/int(unsafe.Sizeof(zero))), 2*(c.carved-n)+8)
-		if n > size {
-			return make([]T, n)
-		}
-		c.spare = make([]T, size)
-	}
-	v := c.spare[:n:n]
-	c.spare = c.spare[n:]
-	return v
-}
-
 // Arena is a System's per-flow memory beside the endpoints themselves: the
 // words of the flows' bitsets and their first send-time rings.
 type Arena struct {
-	words Chunks[uint64]
-	times Chunks[sim.Time]
+	words carve.Chunks[uint64]
+	times carve.Chunks[sim.Time]
 }
 
 // Words returns n zero words.

@@ -17,6 +17,7 @@ package pfabric
 import (
 	"math/bits"
 
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/tcp"
@@ -75,7 +76,7 @@ type System struct {
 	*protocol.System
 	Cfg Config
 
-	ends protocol.Chunks[endpoints]
+	ends carve.Chunks[endpoints]
 	prio func(*tcp.Conn) uint8 // band, bound once for every connection
 }
 

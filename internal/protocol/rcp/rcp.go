@@ -8,6 +8,7 @@
 package rcp
 
 import (
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/xfer"
@@ -75,7 +76,7 @@ type System struct {
 	*protocol.System
 
 	states []*linkState // indexed by the dense link ID
-	ends   protocol.Chunks[endpoints]
+	ends   carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole.

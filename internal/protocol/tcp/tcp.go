@@ -13,6 +13,7 @@
 package tcp
 
 import (
+	"pdq/internal/carve"
 	"pdq/internal/protocol"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
@@ -50,7 +51,7 @@ type System struct {
 	*protocol.System
 	Cfg Config
 
-	ends protocol.Chunks[endpoints]
+	ends carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole.

@@ -235,21 +235,16 @@ type firedEvent struct {
 	key
 }
 
-// runnerFunc adapts a closure to Runner, for the AtRunner entry points.
-type runnerFunc func()
-
-func (f runnerFunc) RunEvent() { f() }
-
-// lockstep drives engine s (nothing scheduled yet) and the
-// reference through a random history that holds about depth events pending, and returns the pop
-// sequence. The history is built to reach the tie fallback of the heap's
-// child selection: every time sits on a coarse grid, so sibling groups
-// mostly share at; ta differs by whole grid steps (and is backdated through
-// the chained-delivery entry point), tie is drawn from four values, and
-// seq decides what is left. Events enter through At, AtRunner,
-// AtRunnerKeyed and AtRunnerStamped, from the driver and from inside
-// callbacks; callbacks also cancel, and runs are cut short by a horizon or
-// by Halt.
+// lockstep drives engine s (nothing scheduled yet) and the reference
+// through a random history that holds about depth events pending, and
+// returns the pop sequence. The history is built to reach the tie fallback
+// of the heap's child selection: every time sits on a coarse grid, so
+// sibling groups mostly share at; ta differs by whole grid steps (and is
+// backdated through the stamped entry point, as a chained delivery is),
+// tie is drawn from four values, and seq decides what is left. Events
+// enter through At, AtRunner and AtRunnerStamped, from the driver and from
+// inside callbacks; callbacks also cancel, and runs are cut short by a
+// horizon or by Halt.
 //
 // Callbacks are shaped after the heap's lazy pop, whose hole at the root is
 // open from the start of a callback to its first schedule: they schedule
@@ -262,7 +257,11 @@ func (f runnerFunc) RunEvent() { f() }
 // must be the reference's minimum, with Now, EventSeq, EventTa and EventTie
 // reading that event's key. Every Cancel verdict is compared as it
 // happens, and Pending on both sides of every callback's schedules.
-func lockstep(t *testing.T, s *Sim, depth int, seed int64) []firedEvent {
+//
+// Besides the pop sequence, lockstep returns how many callbacks opened
+// with a key ordering before their own event's, so fixed histories can
+// check they still reach that case.
+func lockstep(t *testing.T, s *Sim, depth int, seed int64) (fired []firedEvent, beforeRoot int) {
 	const grid = 1000
 	rng := rand.New(rand.NewSource(seed))
 	ref := &refEngine{}
@@ -271,12 +270,10 @@ func lockstep(t *testing.T, s *Sim, depth int, seed int64) []firedEvent {
 		ref EventRef
 	}
 	var handles []handle // every cancellable event scheduled so far, live or spent
-	var fired []firedEvent
 	nextID := 0
 	haltAfter := 0 // Halt once this many more events have fired, when > 0
 	halted := false
 	draining := false
-	beforeRoot := 0 // first schedules whose key ordered before the firing event's
 
 	cancelOne := func() {
 		if len(handles) == 0 {
@@ -354,15 +351,14 @@ func lockstep(t *testing.T, s *Sim, depth int, seed int64) []firedEvent {
 		case 0:
 			handles = append(handles, handle{ref.at(at, now, 0, id), s.At(at, fn)})
 		case 1:
-			handles = append(handles, handle{ref.at(at, now, 0, id), s.AtRunner(at, runnerFunc(fn))})
+			handles = append(handles, handle{ref.at(at, now, 0, id), s.AtRunner(at, funcRunner(fn))})
 		case 2:
 			tie := uint64(1 + rng.Intn(3))
-			handles = append(handles, handle{ref.at(at, now, tie, id), s.AtRunnerKeyed(at, tie, runnerFunc(fn))})
+			handles = append(handles, handle{ref.at(at, now, tie, id), s.AtRunnerStamped(at, now, tie, funcRunner(fn))})
 		default:
 			ta := max(0, now-grid*Time(rng.Intn(3)))
 			tie := uint64(rng.Intn(4))
-			ref.at(at, ta, tie, id)
-			s.AtRunnerStamped(at, ta, tie, runnerFunc(fn))
+			handles = append(handles, handle{ref.at(at, ta, tie, id), s.AtRunnerStamped(at, ta, tie, funcRunner(fn))})
 		}
 	}
 
@@ -407,10 +403,7 @@ func lockstep(t *testing.T, s *Sim, depth int, seed int64) []firedEvent {
 			t.Fatalf("depth %d: Cancel of event %d succeeded after the drain", depth, h.ev.id)
 		}
 	}
-	if depth > 1 && beforeRoot == 0 {
-		t.Errorf("depth %d: no callback opened with a key ordering before its own event's; the history no longer reaches that case", depth)
-	}
-	return fired
+	return fired, beforeRoot
 }
 
 // tiedTimer re-arms itself one grid period later under its own tie, the
@@ -421,7 +414,7 @@ type tiedTimer struct {
 	tie    uint64
 }
 
-func (r *tiedTimer) RunEvent() { r.s.AtRunnerKeyed(r.s.Now()+r.period, r.tie, r) }
+func (r *tiedTimer) RunEvent() { r.s.AtRunnerStamped(r.s.Now()+r.period, r.s.Now(), r.tie, r) }
 
 // TestDifferentialFullKeyForcedTies runs the lockstep history at the heap
 // shapes that matter — a lone event, a partial last sibling group, a few
@@ -434,7 +427,10 @@ func TestDifferentialFullKeyForcedTies(t *testing.T) {
 		if depth > 300 && testing.Short() {
 			continue
 		}
-		onHeap := lockstep(t, New(), depth, int64(depth))
+		onHeap, beforeRoot := lockstep(t, New(), depth, int64(depth))
+		if depth > 1 && beforeRoot == 0 {
+			t.Errorf("depth %d: no callback opened with a key ordering before its own event's; the history no longer reaches that case", depth)
+		}
 		ties := 0
 		for i := range onHeap {
 			if i > 0 && onHeap[i].at == onHeap[i-1].at {
@@ -448,7 +444,7 @@ func TestDifferentialFullKeyForcedTies(t *testing.T) {
 		s := New()
 		for i := 0; i < depth; i++ {
 			r := &tiedTimer{s: s, period: Time(1+i%3) * 1000, tie: uint64(i % 4)}
-			s.AtRunnerKeyed(Time(i%5)*1000, r.tie, r)
+			s.AtRunnerStamped(Time(i%5)*1000, 0, r.tie, r)
 		}
 		for i := 0; i < 2*depth; i++ {
 			s.Step()
@@ -490,7 +486,7 @@ func TestDifferentialReusedStorage(t *testing.T) {
 			t.Fatalf("depth %d: yielded %d records, %d queued, %d free", depth, len(st.pool), len(st.order), len(st.free))
 		}
 		for i, ev := range st.pool {
-			if ev.fn != nil || ev.runner != nil || ev.idx != -1 {
+			if ev.runner != nil || ev.idx != -1 {
 				t.Fatalf("depth %d: yielded record %d still holds an event", depth, i)
 			}
 		}
@@ -513,8 +509,8 @@ func TestDifferentialReusedStorage(t *testing.T) {
 
 		reused := New()
 		reused.Reuse(taker.Yield())
-		fresh := lockstep(t, New(), depth, int64(depth))
-		if got := lockstep(t, reused, depth, int64(depth)); !slices.Equal(got, fresh) {
+		fresh, _ := lockstep(t, New(), depth, int64(depth))
+		if got, _ := lockstep(t, reused, depth, int64(depth)); !slices.Equal(got, fresh) {
 			t.Fatalf("depth %d: reused storage fired %d events, a fresh engine %d, or in another order", depth, len(got), len(fresh))
 		}
 	}

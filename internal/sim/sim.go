@@ -74,15 +74,21 @@ func (t Time) String() string {
 // FromSeconds converts a floating-point number of seconds to a Time.
 func FromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
 
-// Runner is an event callback bound to a pre-existing object. Scheduling a
-// Runner with AtRunner stores the interface value directly in the pooled
-// event record, so hot paths that fire one event per object (netsim's
-// deliveries: the packet is the callback) stay allocation-free: boxing a
-// pointer into an interface does not allocate.
+// Runner is an event callback, the one kind the pooled event record
+// holds. Scheduling a Runner with AtRunner stores the interface value
+// directly in the record, so hot paths that fire one event per object
+// (netsim's deliveries: the packet is the callback) stay allocation-free:
+// boxing a pointer into an interface does not allocate.
 type Runner interface {
 	// RunEvent is invoked when the event fires.
 	RunEvent()
 }
+
+// funcRunner is the Runner At stores a closure as. A func value is one
+// pointer, so storing it in the interface does not allocate either.
+type funcRunner func()
+
+func (f funcRunner) RunEvent() { f() }
 
 // key is the engine's event order: (at, ta, tie, seq), compared
 // lexicographically. It lives once per scheduled event, in its heap entry,
@@ -140,11 +146,9 @@ type entry struct {
 }
 
 // event is a pooled scheduled-callback record. Records are recycled through
-// Sim.free; gen distinguishes successive occupants of the same slot.
-// Exactly one of fn and runner is set. The event's key lives in its heap
-// entry, which idx locates.
+// Sim.free; gen distinguishes successive occupants of the same slot. The
+// event's key lives in its heap entry, which idx locates.
 type event struct {
-	fn     func()
 	runner Runner
 	idx    int32  // position in Sim.order, -1 while free or firing
 	gen    uint32 // bumped on every release; see EventRef
@@ -453,7 +457,6 @@ func (s *Sim) closeHole() {
 // and the generation advances, invalidating outstanding refs.
 func (s *Sim) release(slot int32) {
 	ev := &s.pool[slot]
-	ev.fn = nil
 	ev.runner = nil
 	ev.idx = -1
 	ev.gen++
@@ -508,24 +511,16 @@ func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
 
 // AtRunnerStamped is AtRunner with explicit scheduling-instant and
 // structural-key stamps: the event orders as if it had been scheduled at
-// instant ta (at or before Now) under channel key tie. It is for producers
-// that fixed an event's key earlier than they hand it to the engine — a
-// netsim link scheduling the next delivery of its chain, stamped with its
-// enqueue instant. Such events are never canceled, so no EventRef is
-// returned.
-func (s *Sim) AtRunnerStamped(t, ta Time, tie uint64, r Runner) {
-	slot := s.scheduleStamped(t, ta, tie)
-	s.pool[slot].runner = r
+// instant ta (at or before Now) under channel key tie (see key). Channel
+// producers use it: a netsim link stamps each delivery with its canonical
+// channel key, and schedules the next delivery of its chain under the
+// enqueue instant that packet was accepted at.
+func (s *Sim) AtRunnerStamped(t, ta Time, tie uint64, r Runner) EventRef {
+	return s.put(s.scheduleStamped(t, ta, tie), r)
 }
 
-// AtRunnerKeyed is AtRunner with an explicit structural tie-break key.
-// Channel producers (netsim links) stamp each delivery with their canonical
-// channel key, which orders same-(at, ta) deliveries (see key).
-func (s *Sim) AtRunnerKeyed(t Time, tie uint64, r Runner) EventRef {
-	if r == nil {
-		panic("sim: scheduling nil runner")
-	}
-	slot := s.scheduleStamped(t, s.now, tie)
+// put stores r in the record at slot and returns the event's ref.
+func (s *Sim) put(slot int32, r Runner) EventRef {
 	ev := &s.pool[slot]
 	ev.runner = r
 	return EventRef{slot: slot + 1, gen: ev.gen}
@@ -543,10 +538,7 @@ func (s *Sim) At(t Time, fn func()) EventRef {
 	if fn == nil {
 		panic("sim: scheduling nil function")
 	}
-	slot := s.schedule(t)
-	ev := &s.pool[slot]
-	ev.fn = fn
-	return EventRef{slot: slot + 1, gen: ev.gen}
+	return s.put(s.schedule(t), funcRunner(fn))
 }
 
 // AtRunner schedules r.RunEvent to run at absolute time t. Unlike At with a
@@ -557,10 +549,7 @@ func (s *Sim) AtRunner(t Time, r Runner) EventRef {
 	if r == nil {
 		panic("sim: scheduling nil runner")
 	}
-	slot := s.schedule(t)
-	ev := &s.pool[slot]
-	ev.runner = r
-	return EventRef{slot: slot + 1, gen: ev.gen}
+	return s.put(s.schedule(t), r)
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
@@ -655,8 +644,7 @@ func (s *Sim) head() *entry {
 // removed afterwards if nothing did.
 func (s *Sim) fire(head *entry) {
 	k, slot := head.key, head.slot
-	ev := &s.pool[slot]
-	fn, runner := ev.fn, ev.runner
+	runner := s.pool[slot].runner
 	s.hole = true
 	s.release(slot)
 	s.now = k.at
@@ -667,11 +655,7 @@ func (s *Sim) fire(head *entry) {
 	s.firing = k.seq + 1
 	s.firingTa = k.ta
 	s.firingTie = k.tie
-	if fn != nil {
-		fn()
-	} else {
-		runner.RunEvent()
-	}
+	runner.RunEvent()
 	s.firing = 0
 	if s.hole {
 		s.closeHole()
@@ -699,7 +683,7 @@ func (s *Sim) Yield() Storage {
 	st := Storage{pool: s.pool, free: s.free[:0], order: s.order[:0]}
 	for i := range st.pool {
 		ev := &st.pool[i]
-		ev.fn, ev.runner, ev.idx = nil, nil, -1
+		ev.runner, ev.idx = nil, -1
 		ev.gen++
 	}
 	// Highest slot first, so the next engine pops slots in the order a

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"pdq/internal/carve"
 	"pdq/internal/sim"
 	"pdq/internal/trace"
 )
@@ -27,9 +28,9 @@ import (
 // a binary search; only a collector whose IDs arrive out of order builds
 // an index.
 type Collector struct {
-	cells []*cell          // by slot
-	spare []cell           // unused cells of the chunk cells are carved from
-	index map[uint64]int32 // flow ID → slot; nil while IDs arrive in increasing order
+	cells []*cell            // by slot
+	chunk carve.Chunks[cell] // what cells are carved from
+	index map[uint64]int32   // flow ID → slot; nil while IDs arrive in increasing order
 
 	// The deadline tally, kept only once Watch has armed it (watch != nil).
 	// due holds the deadline flows by ascending AbsDeadline; due[:passed]
@@ -87,11 +88,6 @@ func (r Ref) Slot() int32 { return r.slot }
 
 func (r Ref) cell() *cell { return r.c.cells[r.slot] }
 
-// cellChunk is the most cells one chunk holds: 34 of 120 bytes fill the
-// 4 KiB size class. Chunks start at 8 and grow to it, so a few-flow run
-// of a sweep does not pay for a large one.
-const cellChunk = 34
-
 // Register records that flow f has been started and returns its Ref; its
 // slot is the number of flows registered before it. Finish is initialized
 // to -1 ("never finished").
@@ -112,11 +108,7 @@ func (c *Collector) Register(f Flow) Ref {
 		}
 		c.index[f.ID] = slot
 	}
-	if len(c.spare) == 0 {
-		c.spare = make([]cell, min(cellChunk, 2*len(c.cells)+8))
-	}
-	cl := &c.spare[0]
-	c.spare = c.spare[1:]
+	cl := c.chunk.New()
 	*cl = cell{res: Result{Flow: f, Finish: -1}, finishAt: -1, termAt: -1}
 	c.cells = append(c.cells, cl)
 	return Ref{c, slot}
