@@ -97,7 +97,7 @@ func main() {
 		probeOut    = flag.String("probe", "", "write link queue/utilization time series to this CSV file")
 		probeStride = flag.Float64("probe-stride-us", 100, "probe sampling period in microseconds")
 		faultOut    = flag.String("fault-log", "", "write injected fault/recovery transitions to this JSONL file")
-		maxEvents   = flag.Uint64("max-events", 0, "per-cell simulation event budget (0 = unlimited); an exceeding cell fails with a diagnostic")
+		maxEvents   = flag.Uint64("max-events", 0, "per-cell packet-engine event budget (0 = unlimited); an exceeding cell fails with a diagnostic; flow-level cells are bounded by their horizon")
 		cellTimeout = flag.Float64("cell-timeout-ms", 0, "per-cell wall-clock limit in ms (0 = none); a timed-out cell fails with a diagnostic")
 		cacheOn     = flag.Bool("cache", false, "memoize sweep cells and driver tables under the default cache dir (~/.cache/pdqsim)")
 		cacheDir    = flag.String("cache-dir", "", "memoize sweep cells and driver tables under this directory (implies -cache)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -94,6 +95,38 @@ func TestExpAndScenarioExclusive(t *testing.T) {
 	stdout, stderr, code := pdqsim(t, "-exp", "fig3a", "-scenario", os.DevNull)
 	if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 {
 		t.Errorf("-exp with -scenario: exit %d, stdout %q, stderr %q; want exit 2 and one line", code, stdout, stderr)
+	}
+}
+
+// TestJSONPartialTable pins that -json keeps a partial table: a run whose
+// cells exhaust the event budget exits 3 after printing every table, with
+// each failed cell's value as null and its diagnostic in errors.
+func TestJSONPartialTable(t *testing.T) {
+	stdout, stderr, code := pdqsim(t, "-exp", "fig3a", "-quick", "-max-events", "2000", "-json", "-parallel", "2")
+	if code != 3 {
+		t.Fatalf("exit %d, stderr %q; want 3", code, stderr)
+	}
+	var tables []struct {
+		Rows []struct {
+			Vals []*float64 `json:"vals"`
+		} `json:"rows"`
+		Errors []struct {
+			Msg string `json:"msg"`
+		} `json:"errors"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &tables); err != nil || len(tables) != 1 {
+		t.Fatalf("stdout is not one JSON table (%v):\n%s", err, stdout)
+	}
+	nulls := 0
+	for _, r := range tables[0].Rows {
+		for _, v := range r.Vals {
+			if v == nil {
+				nulls++
+			}
+		}
+	}
+	if errs := tables[0].Errors; nulls == 0 || len(errs) == 0 || !strings.Contains(errs[0].Msg, "event budget") {
+		t.Errorf("%d null values and errors %+v; want both, naming the event budget", nulls, errs)
 	}
 }
 

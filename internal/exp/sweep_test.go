@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -51,36 +50,6 @@ func TestGatherRaisesLowestPanic(t *testing.T) {
 			}()
 			scenario.Gather(workers, fns)
 		}()
-	}
-}
-
-func TestRunTrialsSingle(t *testing.T) {
-	o := scenario.Opts{Seed: 5, Parallel: 2}
-	st, _ := scenario.RunTrialsErr(o, []scenario.Trial{
-		func(seed int64) float64 { return float64(seed) },
-		func(seed int64) float64 { return float64(2 * seed) },
-	})
-	if st[0].Mean != 5 || st[1].Mean != 10 {
-		t.Errorf("single-trial means %v, want the cells evaluated at Opts.Seed", st)
-	}
-	if st[0].Stderr != 0 || st[1].Stderr != 0 {
-		t.Errorf("single-trial stderr %v, want 0", st)
-	}
-}
-
-func TestRunTrialsReplicates(t *testing.T) {
-	o := scenario.Opts{Seed: 1, Trials: 4, Parallel: 2}
-	// The cell returns its replicate index (0..3) so the mean and stderr
-	// are known exactly: mean 1.5, stddev of {0,1,2,3} is ~1.29.
-	st, _ := scenario.RunTrialsErr(o, []scenario.Trial{func(seed int64) float64 {
-		return float64((seed - 1) / scenario.TrialSeedStride)
-	}})
-	if st[0].Mean != 1.5 {
-		t.Errorf("mean %v, want 1.5", st[0].Mean)
-	}
-	want := math.Sqrt(5.0/3.0) / 2 // stddev/sqrt(n)
-	if math.Abs(st[0].Stderr-want) > 1e-12 {
-		t.Errorf("stderr %v, want %v", st[0].Stderr, want)
 	}
 }
 

@@ -27,9 +27,11 @@ package flowsim
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"pdq/internal/carve"
 	"pdq/internal/netsim"
@@ -293,7 +295,8 @@ type Sim struct {
 	hooks    []Hook // sorted by At once AddHook settles; see ApplyFaults
 	nextHook int
 
-	halted bool
+	halted      bool
+	interrupted atomic.Bool // set by Interrupt from any goroutine
 
 	// check, when set, sees the active flows after every Allocate: tests
 	// hang the model's invariants here (per-link capacity, NIC floors,
@@ -322,14 +325,33 @@ func (s *Sim) Start(f workload.Flow) {
 func byStart(a, b *FlowState) int { return cmp.Compare(a.Start, b.Start) }
 
 // Run advances the simulation to the horizon, until all flows finish, or
-// until Halt is called.
+// until Halt is called. After Interrupt it panics with InterruptError.
 func (s *Sim) Run(horizon sim.Time) {
 	slices.SortStableFunc(s.pending[s.next:], byStart)
 	s.halted = false
-	for !s.halted && s.now < horizon && (s.next < len(s.pending) || len(s.active) > 0) {
+	for steps := uint64(0); !s.halted && s.now < horizon && (s.next < len(s.pending) || len(s.active) > 0); steps++ {
+		if s.interrupted.Load() {
+			panic(InterruptError{Steps: steps, At: s.now})
+		}
 		s.step()
 	}
 }
+
+// InterruptError is the panic value Run raises after Interrupt.
+type InterruptError struct {
+	Steps uint64   // steps this Run took before it saw the interrupt
+	At    sim.Time // simulation time at that point
+}
+
+func (e InterruptError) Error() string {
+	return fmt.Sprintf("flowsim: run interrupted after %d steps at t=%v", e.Steps, e.At)
+}
+
+// Interrupt makes the executing Run, or the next one, stop with a panic —
+// the packet engine's Interrupt (sim.Sim), polled once per step. Unlike
+// every other Sim method it is safe to call from another goroutine, such
+// as a wall-clock watchdog's.
+func (s *Sim) Interrupt() { s.interrupted.Store(true) }
 
 // Halt stops the executing Run once the step in progress is complete —
 // the event engine's Halt (sim.Sim), at this simulator's granularity.

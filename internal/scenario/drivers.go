@@ -310,7 +310,12 @@ func runFCTRatioCDF(p driverPlan, rc DriverCtx) (*Table, error) {
 		for rep := range summaries {
 			xs[rep] = summaries[rep][i]
 		}
-		t.Rows = append(t.Rows, statRow(label, []Stat{summarize(xs)}, kTrials))
+		mean, stderr := summarize(xs)
+		row := Row{Label: label, Vals: []float64{mean}}
+		if kTrials > 1 {
+			row.Errs = []float64{stderr}
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }

@@ -15,15 +15,21 @@ import (
 func init() {
 	// A deliberately failing runner for the partial-table tests: panics
 	// when its `boom` parameter is set, otherwise reports one fixed flow.
+	// With echo > 0 that flow takes echo × the cell's base seed seconds,
+	// so a mean-fct cell shows the seed it ran at.
 	runners = params.NewRegistry("runner", RunnerEntry.decl, append(runners.List(), RunnerEntry{
 		Name: "test:boom", Doc: "test-only: panics when boom=1", Level: "flow",
-		Params: map[string]float64{"boom": 0},
-		Make: func(p map[string]float64, _ int64) RunnerFunc {
+		Params: map[string]float64{"boom": 0, "echo": 0},
+		Make: func(p map[string]float64, seed int64) RunnerFunc {
 			return func(_ func() *topo.Topology, _ []workload.Flow, _ RunCtx) []workload.Result {
 				if p["boom"] != 0 {
 					panic("boom: injected test failure")
 				}
-				return []workload.Result{{Flow: workload.Flow{Size: 1000}, Finish: sim.Millisecond}}
+				finish := sim.Millisecond
+				if echo := p["echo"]; echo > 0 {
+					finish = sim.Time(echo) * sim.Time(seed) * sim.Second
+				}
+				return []workload.Result{{Flow: workload.Flow{Size: 1000}, Finish: finish}}
 			}
 		},
 	}))
@@ -394,6 +400,45 @@ func TestWatchdogInterrupt(t *testing.T) {
 	}
 	if !strings.Contains(tab.Errors[0].Msg, "interrupted") {
 		t.Errorf("diagnostic %q does not name the interrupt", tab.Errors[0].Msg)
+	}
+}
+
+// TestFlowWatchdogInterrupt pins that the flow-level simulator runs under
+// the watchdog too: with a factory that interrupts at once, every cell of
+// every flowsim row, at every replicate, fails with the interrupt
+// diagnostic. (flow:fluid is closed-form and runs no loop to interrupt.)
+// A driver that runs only flowsim (fig8e's) fails its one cell the same way.
+func TestFlowWatchdogInterrupt(t *testing.T) {
+	o := Opts{Parallel: 2, Trials: 2,
+		Watchdog: func(interrupt func()) (stop func()) { interrupt(); return func() {} }}
+	drv, err := Run(&Spec{Name: "t", Driver: "fct-ratio-cdf", Params: map[string]float64{"k": 4, "flows_per": 1}}, o)
+	if err != nil {
+		t.Fatalf("driver: a guard trip is a failed cell, not the error: %v", err)
+	}
+	if len(drv.Errors) != 1 || !strings.Contains(drv.Errors[0].Msg, "flowsim: run interrupted after 0 steps") {
+		t.Fatalf("driver: want one interrupted cell:\n%s", drv)
+	}
+	s := minimalSpec()
+	s.Protocols = []ProtoSpec{{Runner: "flow:PDQ"}, {Runner: "flow:RCP"}, {Runner: "flow:D3"}}
+	s.Sweep = &SweepSpec{Axis: "flows", Values: []float64{2, 4}}
+	tab, err := Run(s, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Errors) != 3*2*2 {
+		t.Fatalf("%d failed cell replicates, want all 12:\n%s", len(tab.Errors), tab)
+	}
+	for _, e := range tab.Errors {
+		if !strings.Contains(e.Msg, "flowsim: run interrupted after 0 steps") {
+			t.Errorf("cell %s × %s rep %d: diagnostic %q does not name the interrupt", e.Row, e.Col, e.Rep, e.Msg)
+		}
+	}
+	for _, r := range tab.Rows {
+		for _, v := range r.Vals {
+			if !math.IsNaN(v) {
+				t.Errorf("row %s holds %v, want NaN in every cell", r.Label, v)
+			}
+		}
 	}
 }
 

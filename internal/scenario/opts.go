@@ -39,20 +39,21 @@ type Opts struct {
 	// plan: the resolved parameters, seed and trial count.
 	Cache *trace.Cache
 
-	// MaxEvents bounds each simulated cell's event count (packet engine
-	// only — the fluid simulator is horizon-bounded by construction), and
-	// each engine a custom driver runs the same way. A cell exceeding it
-	// fails with a diagnostic instead of running away; the budget is
+	// MaxEvents bounds each packet-level cell's event count, and each
+	// packet engine a custom driver runs the same way; it is a
+	// packet-engine budget only — flow-level cells step a clock with no
+	// events and are bounded by their horizon. A cell exceeding it fails
+	// with a diagnostic instead of running away; the budget is
 	// deterministic, so a tripping cell trips identically at any worker
 	// count. 0 = unlimited.
 	MaxEvents uint64
 
 	// Watchdog, when non-nil, arms a wall-clock limit around each
-	// simulated cell. The factory is injected by the command layer — the
-	// engine itself never reads a wall clock — and receives the cell's
-	// interrupt function, returning a stop function the runner defers.
-	// An interrupted cell yields NaN plus a diagnostic; wall-clock trips
-	// are inherently nondeterministic, a safety valve, not a result.
+	// simulated cell, packet or flow level. The command layer injects the
+	// factory (the engine never reads a wall clock); it receives the
+	// cell's interrupt function and returns a stop function the runner
+	// defers. An interrupted cell yields NaN plus a diagnostic; wall-clock
+	// trips are inherently nondeterministic, a safety valve, not a result.
 	Watchdog func(interrupt func()) (stop func())
 
 	// Shards and Sched are accepted and ignored: every cell runs on one
@@ -70,8 +71,7 @@ type Opts struct {
 	Obs *obsv.Observer
 
 	// Progress is the sweep-run stats handle cells report to. Run derives
-	// it from Obs (one run per scenario); callers driving RunTrialsErr or
-	// Gather directly may set it themselves. Nil disables cell tracking.
+	// it from Obs (one run per scenario). Nil disables cell tracking.
 	Progress *obsv.SweepStats
 }
 

@@ -58,7 +58,8 @@ type RunCtx struct {
 type Env struct {
 	// MaxEvents and Watchdog are the runaway-cell guards (Opts fields of
 	// the same names); every packet engine, a packet-level runner's or a
-	// custom driver's, runs under them (runEngine).
+	// custom driver's, runs under both (runEngine), and every flow-level
+	// simulation under the watchdog (runFlow).
 	MaxEvents uint64
 	Watchdog  func(interrupt func()) (stop func())
 

@@ -159,8 +159,8 @@ func TestJellyfishSparesKeyTheSeed(t *testing.T) {
 	if alone[0] == alone[1] {
 		t.Fatalf("both trials give %v: the test cannot tell the graphs apart", alone[0])
 	}
-	want := summarize(alone)
-	if v, e := got.Rows[0].Vals[0], got.Rows[0].Errs[0]; v != want.Mean || e != want.Stderr {
-		t.Errorf("two trials give %v ± %v, fresh builds %v ± %v", v, e, want.Mean, want.Stderr)
+	mean, stderr := summarize(alone)
+	if v, e := got.Rows[0].Vals[0], got.Rows[0].Errs[0]; v != mean || e != stderr {
+		t.Errorf("two trials give %v ± %v, fresh builds %v ± %v", v, e, mean, stderr)
 	}
 }

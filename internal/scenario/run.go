@@ -9,8 +9,10 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
+	"pdq/internal/flowsim"
 	"pdq/internal/sim"
 	"pdq/internal/stats"
 	"pdq/internal/topo"
@@ -58,9 +60,8 @@ func runDriver(s *Spec, o Opts) (*Table, error) {
 	var key string
 	if cache != nil {
 		key = plan.key()
-		if ct, ok := cache.GetTable(key); ok {
+		if cache.Get(key, func(data []byte) bool { t = decodeTable(data); return t != nil }) {
 			o.Progress.CacheHit()
-			t = tableFromCache(ct)
 		}
 	}
 	if t == nil {
@@ -68,7 +69,7 @@ func runDriver(s *Spec, o Opts) (*Table, error) {
 			return nil, fmt.Errorf("scenario %s: driver %s: %w", s.Name, s.Driver, err)
 		}
 		if cache != nil && !t.Partial() {
-			cache.PutTable(key, t.cached())
+			cache.Put(key, encodeTable(t))
 		}
 	}
 	failed = t.Partial()
@@ -91,7 +92,7 @@ func (p driverPlan) call(fn DriverFunc, rc DriverCtx) (t *Table, err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
-		case sim.EventLimitError, sim.InterruptError:
+		case sim.EventLimitError, sim.InterruptError, flowsim.InterruptError:
 			t, err = &Table{Errors: []CellError{{Row: p.Driver, Col: "*", Seed: p.Seed, Msg: panicMsg(r)}}}, nil
 		default:
 			t, err = nil, errors.New(panicMsg(r))
@@ -319,24 +320,54 @@ func (e *engine) compute(ri, ci int, seed int64) float64 {
 	return sum / float64(seeds)
 }
 
-// run executes the compiled grid and assembles the table.
+// run executes the compiled grid and assembles the table. Every cell runs
+// once per replicate r, at base seed o.BaseSeed()+r·TrialSeedStride, and
+// shows the replicates' mean, with their stderr when there are several.
+// Each replicate is one cell of the progress state machine and runs under
+// a recover: a panic (a bug, an exhausted event budget, a watchdog
+// interrupt) makes its sample NaN and adds its CellError to the table,
+// listed in grid order, while every other cell completes (DESIGN.md §11).
 func (e *engine) run(o Opts) *Table {
-	nCols := len(e.cols)
+	nCols, k := len(e.cols), o.trials()
 	t := &Table{Name: e.spec.Name, Desc: e.spec.Desc, Digits: e.spec.Digits}
 	for _, c := range e.cols {
 		t.Cols = append(t.Cols, c.label)
 	}
-	raw, failed := runGrid(o, len(e.rows), nCols, e.cell)
-	for _, fe := range failed {
-		ri, ci := fe.Trial/nCols, fe.Trial%nCols
-		t.Errors = append(t.Errors, CellError{
-			Row: e.rows[ri].label, Col: e.cols[ci].label,
-			Rep: fe.Rep, Seed: fe.Seed, Msg: fe.Msg,
-		})
+	n := len(e.rows) * nCols * k
+	o.Progress.AddTotal(n)
+	fns := make([]func() float64, 0, n)
+	fails := make([]CellError, n) // Msg == "" marks success
+	p := o.Progress
+	for ri := range e.rows {
+		for ci := range nCols {
+			for rep := range k {
+				ri, ci := ri, ci // copied, or the closure moves the outer loops' variables to the heap
+				fail := &fails[len(fns)]
+				*fail = CellError{Row: e.rows[ri].label, Col: e.cols[ci].label, Rep: rep, Seed: o.seed() + int64(rep)*TrialSeedStride}
+				fns = append(fns, func() (v float64) {
+					start := p.CellStart()
+					defer func() {
+						r := recover()
+						if r != nil {
+							fail.Msg, v = panicMsg(r), math.NaN()
+						}
+						p.CellEnd(start, r != nil)
+					}()
+					return e.cell(ri, ci, fail.Seed)
+				})
+			}
+		}
 	}
+	samples := Gather(o.workers(), fns)
+	for _, f := range fails {
+		if f.Msg != "" {
+			t.Errors = append(t.Errors, f)
+		}
+	}
+	reps := func(i int) []float64 { return samples[i*k : (i+1)*k] } // cell i's replicates
 	for ri, r := range e.rows {
 		row := Row{Label: r.label}
-		for c := 0; c < nCols; c++ {
+		for c := range nCols {
 			// The column's base: the first row's value in that column
 			// ("base-row"), cell (0, 0) for every column ("first-cell" —
 			// e.g. PDQ without packet loss in the lossy-link sweep), or 1.
@@ -345,17 +376,17 @@ func (e *engine) run(o Opts) *Table {
 			base := 1.0
 			switch e.spec.Normalize {
 			case "base-row":
-				base = raw[c].Mean
+				base, _ = summarize(reps(c))
 			case "first-cell":
-				base = raw[0].Mean
+				base, _ = summarize(reps(0))
 			}
 			if base == 0 {
 				base = 1
 			}
-			s := raw[ri*nCols+c]
-			row.Vals = append(row.Vals, s.Mean/base)
-			if o.trials() > 1 {
-				row.Errs = append(row.Errs, s.Stderr/base)
+			mean, stderr := summarize(reps(ri*nCols + c))
+			row.Vals = append(row.Vals, mean/base)
+			if k > 1 {
+				row.Errs = append(row.Errs, stderr/base)
 			}
 		}
 		t.Rows = append(t.Rows, row)

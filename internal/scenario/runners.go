@@ -89,7 +89,7 @@ func mkPacket(install func(t *topo.Topology) protocol.Installed) RunnerFunc {
 		if !armVerdict(sys.FlowCollector(), rc.Decided, t.Sim().Halt) {
 			runEngine(t.Sim(), rc)
 		}
-		sys.FlowCollector().TraceFlows(rc.Cell)
+		rc.Cell.CutFlows(sys.FlowCollector())
 		rs := sys.Results()
 		if rc.inspect != nil {
 			rc.inspect(t)
@@ -220,9 +220,9 @@ func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator, sp
 				s.Start(f)
 			}
 			if !armVerdict(s.Collector, rc.Decided, s.Halt) {
-				s.Run(rc.Horizon)
+				runFlow(s, rc)
 			}
-			s.Collector.TraceFlows(rc.Cell)
+			rc.Cell.CutFlows(s.Collector)
 			rs := s.Results()
 			if spare != nil {
 				spare.Put(a)
@@ -230,6 +230,17 @@ func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator, sp
 			return rs
 		}
 	}
+}
+
+// runFlow drives one flow-level simulation to its horizon under the
+// wall-clock watchdog, when the command layer injected one; an interrupt
+// panics as the packet engine's does (runEngine). The event budget is the
+// packet engine's alone: a flow-level run is bounded by its horizon.
+func runFlow(s *flowsim.Sim, rc RunCtx) {
+	if rc.Watchdog != nil {
+		defer rc.Watchdog(s.Interrupt)()
+	}
+	s.Run(rc.Horizon)
 }
 
 // spareRCP and spareD3 hold the allocators finished flow-level cells leave

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -239,14 +240,52 @@ func TestSeedSentinel(t *testing.T) {
 	if got := (Opts{Seed: 7}).BaseSeed(); got != 7 {
 		t.Errorf("Opts{Seed: 7}.BaseSeed() = %d, want 7", got)
 	}
-	echo := []Trial{func(seed int64) float64 { return float64(seed) }}
-	zero, _ := RunTrialsErr(Opts{}, echo)
-	explicit, _ := RunTrialsErr(Opts{Seed: DefaultSeed}, echo)
+	zero := MustRun(echoSpec(), Opts{})
+	explicit := MustRun(echoSpec(), Opts{Seed: DefaultSeed})
 	if !reflect.DeepEqual(zero, explicit) {
 		t.Errorf("Seed 0 ran %v, explicit DefaultSeed ran %v", zero, explicit)
 	}
-	if zero[0].Mean != float64(DefaultSeed) {
-		t.Errorf("sentinel seed resolved to %v, want %d", zero[0].Mean, DefaultSeed)
+	if v := zero.Rows[0].Vals[0]; v != float64(DefaultSeed) {
+		t.Errorf("sentinel seed resolved to %v, want %d", v, DefaultSeed)
+	}
+}
+
+// echoSpec is a grid whose cells show the base seed they ran at, times
+// the column's echo value: test:boom's one flow takes echo × seed
+// seconds.
+func echoSpec(echo ...float64) *Spec {
+	s := minimalSpec()
+	s.Protocols = []ProtoSpec{{Runner: "test:boom", Params: map[string]float64{"echo": 1}}}
+	if echo != nil {
+		s.Sweep = &SweepSpec{Axis: "runner:echo", Values: echo}
+	}
+	return s
+}
+
+// TestRunTrialsSingle pins that a single-trial sweep runs every cell once,
+// at the base seed, and carries no stderr.
+func TestRunTrialsSingle(t *testing.T) {
+	tab := MustRun(echoSpec(1, 2), Opts{Seed: 5, Parallel: 2})
+	if r := tab.Rows[0]; !reflect.DeepEqual(r.Vals, []float64{5, 10}) || r.Errs != nil {
+		t.Errorf("single-trial row %v ± %v, want [5 10] evaluated at Opts.Seed and no stderr", r.Vals, r.Errs)
+	}
+}
+
+// TestRunTrialsReplicates pins the replicate loop: replicate r runs at
+// base seed Seed + r·TrialSeedStride, and the row holds their mean and
+// standard error.
+func TestRunTrialsReplicates(t *testing.T) {
+	tab := MustRun(echoSpec(), Opts{Seed: 1, Trials: 4, Parallel: 2})
+	// Seeds 1 + r·stride for r = 0..3: mean 1 + 1.5·stride, and the
+	// stddev of {0, 1, 2, 3}·stride over sqrt(4).
+	mean := 1 + 1.5*TrialSeedStride
+	stderr := math.Sqrt(5.0/3.0) / 2 * TrialSeedStride
+	r := tab.Rows[0]
+	if r.Vals[0] != mean {
+		t.Errorf("mean %v, want %v", r.Vals[0], mean)
+	}
+	if len(r.Errs) != 1 || math.Abs(r.Errs[0]-stderr) > 1e-12*stderr {
+		t.Errorf("stderr %v, want %v", r.Errs, stderr)
 	}
 }
 

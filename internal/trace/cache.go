@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -18,9 +16,10 @@ import (
 
 // Cache is a content-addressed store for sweep results: the caller
 // hashes everything that determines a result (resolved spec material,
-// seed, version salt) into a key, and the cache persists the result under
-// that key — a scalar for a grid cell, a whole table for a custom driver.
-// Values round-trip through their exact IEEE-754 bit pattern, so a cache
+// seed, version salt) into a key, and the cache persists the result's
+// bytes under that key — a scalar for a grid cell (GetFloat/PutFloat), a
+// whole table for a custom driver, whose codec is the caller's (Get/Put).
+// Scalars round-trip through their exact IEEE-754 bit pattern, so a cache
 // hit reproduces the recomputed figure byte for byte.
 //
 // The cache is strictly best-effort: unreadable, corrupt or unwritable
@@ -92,103 +91,40 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key[2:])
 }
 
-// GetFloat looks up a cached scalar. A malformed or unreadable entry is
-// a miss, never an error.
-func (c *Cache) GetFloat(key string) (float64, bool) {
+// Get looks up the entry under key and hands its bytes to decode, which
+// reports whether they are well-formed. A missing, unreadable or
+// malformed entry is a miss, never an error; a malformed one is deleted,
+// so the recomputed value can take its place.
+func (c *Cache) Get(key string, decode func(data []byte) bool) bool {
 	data, ok := c.read(key)
 	if !ok {
-		return 0, false
+		return false
 	}
-	s := strings.TrimSpace(string(data))
-	bits, err := strconv.ParseUint(s, 16, 64)
-	if err != nil || len(s) != 16 {
+	if !decode(data) {
 		c.corrupt(key)
-		return 0, false
+		return false
 	}
 	c.hits.Add(1)
-	return math.Float64frombits(bits), true
+	return true
+}
+
+// GetFloat looks up a cached scalar.
+func (c *Cache) GetFloat(key string) (v float64, ok bool) {
+	ok = c.Get(key, func(data []byte) bool {
+		s := strings.TrimSpace(string(data))
+		bits, err := strconv.ParseUint(s, 16, 64)
+		if err != nil || len(s) != 16 {
+			return false
+		}
+		v = math.Float64frombits(bits)
+		return true
+	})
+	return v, ok
 }
 
 // PutFloat stores a scalar under key as the 16 hex digits of its bits.
 func (c *Cache) PutFloat(key string, v float64) {
-	c.put(key, fmt.Appendf(nil, "%016x\n", math.Float64bits(v)))
-}
-
-// CachedTable is a result table's data as a table entry holds it.
-type CachedTable struct {
-	Cols []string
-	Rows []CachedRow
-}
-
-// CachedRow is one labeled row of a CachedTable; Errs is nil for a
-// single-trial table.
-type CachedRow struct {
-	Label      string
-	Vals, Errs []float64
-}
-
-// tableEntry is a table entry's JSON form. Every float is its IEEE-754
-// bits, so NaN payloads, -0, ±Inf and subnormals round-trip exactly.
-type tableEntry struct {
-	Cols []string   `json:"cols"`
-	Rows []rowEntry `json:"rows"`
-}
-
-type rowEntry struct {
-	Label string   `json:"label"`
-	Vals  []uint64 `json:"vals"`
-	Errs  []uint64 `json:"errs"`
-}
-
-// GetTable looks up a cached table. Like GetFloat, a malformed or
-// unreadable entry is a miss, never an error; an entry is well-formed
-// only if it is exactly the bytes PutTable writes for the table it
-// decodes to.
-func (c *Cache) GetTable(key string) (CachedTable, bool) {
-	data, ok := c.read(key)
-	if !ok {
-		return CachedTable{}, false
-	}
-	var e tableEntry
-	if json.Unmarshal(data, &e) != nil || !bytes.Equal(encodeTable(e), data) {
-		c.corrupt(key)
-		return CachedTable{}, false
-	}
-	t := CachedTable{Cols: e.Cols, Rows: mapNil(e.Rows, func(r rowEntry) CachedRow {
-		return CachedRow{Label: r.Label, Vals: mapNil(r.Vals, math.Float64frombits), Errs: mapNil(r.Errs, math.Float64frombits)}
-	})}
-	c.hits.Add(1)
-	return t, true
-}
-
-// PutTable stores a table under key. Labels must be valid UTF-8 to come
-// back unchanged.
-func (c *Cache) PutTable(key string, t CachedTable) {
-	e := tableEntry{Cols: t.Cols, Rows: mapNil(t.Rows, func(r CachedRow) rowEntry {
-		return rowEntry{Label: r.Label, Vals: mapNil(r.Vals, math.Float64bits), Errs: mapNil(r.Errs, math.Float64bits)}
-	})}
-	c.put(key, encodeTable(e))
-}
-
-// encodeTable is a table entry's canonical bytes.
-func encodeTable(e tableEntry) []byte {
-	data, err := json.Marshal(e)
-	if err != nil {
-		panic(fmt.Sprintf("trace: marshaling a table entry: %v", err)) // strings and integers always marshal
-	}
-	return append(data, '\n')
-}
-
-// mapNil applies f to every element of xs, keeping a nil slice nil.
-func mapNil[A, B any](xs []A, f func(A) B) []B {
-	if xs == nil {
-		return nil
-	}
-	out := make([]B, len(xs))
-	for i, x := range xs {
-		out[i] = f(x)
-	}
-	return out
+	c.Put(key, fmt.Appendf(nil, "%016x\n", math.Float64bits(v)))
 }
 
 // read returns an entry's bytes, counting a miss when there are none. A
@@ -223,11 +159,11 @@ func (c *Cache) corrupt(key string) {
 	c.misses.Add(1)
 }
 
-// put stores an entry atomically (write temp + rename) so readers never
-// observe a torn entry. Transient failures are retried with backoff;
-// persistent failures are silently dropped beyond the error counter — a
-// cache that cannot write simply does not accelerate.
-func (c *Cache) put(key string, data []byte) {
+// Put stores data under key atomically (write temp + rename) so readers
+// never observe a torn entry. Transient failures are retried with
+// backoff; persistent failures are silently dropped beyond the error
+// counter — a cache that cannot write simply does not accelerate.
+func (c *Cache) Put(key string, data []byte) {
 	for attempt := 1; ; attempt++ {
 		if c.putOnce(key, data) {
 			return

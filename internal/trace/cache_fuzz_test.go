@@ -20,22 +20,7 @@ var specialFloats = []float64{
 	math.MaxFloat64, 99.000000000000014,
 }
 
-// sameBits reports whether two float slices hold the same bit patterns,
-// nil and empty told apart.
-func sameBits(a, b []float64) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// checkRoundTrip puts vals both as scalars and as a table and requires
-// every bit back.
+// checkRoundTrip puts vals as scalars and requires every bit back.
 func checkRoundTrip(t *testing.T, c *Cache, vals []float64) {
 	t.Helper()
 	for i, v := range vals {
@@ -45,26 +30,10 @@ func checkRoundTrip(t *testing.T, c *Cache, vals []float64) {
 			t.Fatalf("scalar %#x came back as %#x (hit %v)", math.Float64bits(v), math.Float64bits(got), ok)
 		}
 	}
-	want := CachedTable{Cols: []string{"a", "b"}, Rows: []CachedRow{
-		{Label: "vals only", Vals: vals},
-		{Label: "with errs", Vals: vals, Errs: vals},
-		{Label: "empty", Vals: []float64{}},
-	}}
-	k := Key([]byte("table"))
-	c.PutTable(k, want)
-	got, ok := c.GetTable(k)
-	if !ok || len(got.Rows) != len(want.Rows) || len(got.Cols) != len(want.Cols) {
-		t.Fatalf("table came back as %+v (hit %v)", got, ok)
-	}
-	for i, r := range want.Rows {
-		if g := got.Rows[i]; g.Label != r.Label || !sameBits(g.Vals, r.Vals) || !sameBits(g.Errs, r.Errs) {
-			t.Fatalf("row %d came back as %+v, want %+v", i, g, r)
-		}
-	}
 }
 
-// TestCachePutGetBitExact pins that both entry kinds return the exact
-// bits they were given.
+// TestCachePutGetBitExact pins that a scalar entry returns the exact bits
+// it was given.
 func TestCachePutGetBitExact(t *testing.T) {
 	c, err := NewCache(t.TempDir())
 	if err != nil {
@@ -77,13 +46,13 @@ func TestCachePutGetBitExact(t *testing.T) {
 }
 
 // FuzzCacheEntry writes arbitrary bytes into an entry file and reads them
-// through both getters: each read is a value or a miss, never a panic; a
-// miss on a present entry deletes it and counts an error; a table read
-// back re-encodes to the very bytes it was read from. The leading bytes,
-// as float bit patterns, must then round-trip through both putters
-// exactly.
-// The corpus is seeded with a real grid-cell entry and a real driver
-// table entry.
+// as a scalar and as raw bytes: a scalar read is a value or a miss, never
+// a panic, and a miss on a present entry deletes it and counts an error;
+// Get hands its decoder the very bytes on disk, and a decoder's refusal
+// is such a miss too. The leading bytes, as float bit patterns, must then
+// round-trip through PutFloat exactly. The corpus is seeded with a real
+// grid-cell entry and a real driver table entry (whose codec is
+// scenario's, fuzzed there).
 func FuzzCacheEntry(f *testing.F) {
 	seeds, err := filepath.Glob("testdata/entries/*")
 	if err != nil || len(seeds) == 0 {
@@ -127,15 +96,14 @@ func FuzzCacheEntry(f *testing.F) {
 		}
 		errs := c.Errors()
 		write()
-		if tab, ok := c.GetTable(key); ok {
-			again := Key([]byte("again"))
-			c.PutTable(again, tab)
-			if got, err := os.ReadFile(c.path(again)); err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("a table read from %q re-encodes to %q (%v)", data, got, err)
-			}
-		} else {
-			miss("GetTable", errs+1)
+		var got []byte
+		if !c.Get(key, func(b []byte) bool { got = b; return true }) || !bytes.Equal(got, data) {
+			t.Fatalf("Get handed its decoder %q for an entry holding %q", got, data)
 		}
+		if c.Get(key, func([]byte) bool { return false }) {
+			t.Fatal("Get hit on an entry its decoder refused")
+		}
+		miss("Get", errs+1)
 
 		var vals []float64 // up to 8: every write is a file, and any bits will do
 		for b := data; len(b) >= 8 && len(vals) < 8; b = b[8:] {

@@ -2,12 +2,13 @@
 // records, fixed-stride time-series probes, and a content-addressed cache
 // for sweep-cell results.
 //
-// Flow records are a read of the finished run: after the engine stops, the
-// run's collector cuts one record per resolved flow into its CellTrace, so
-// a run with tracing off executes exactly the instruction stream it always
-// did. Probes are ordinary simulation events and only exist when a run
-// asks for them, so a probe-free run's event sequence — and therefore its
-// byte-exact output — is untouched (DESIGN.md §8).
+// Flow records are a read of the finished run: after the engine stops, a
+// CellTrace cuts one record — the flow's workload.Result — per resolved
+// flow from the run's collector, so a run with tracing off executes
+// exactly the instruction stream it always did. Probes are ordinary
+// simulation events and only exist when a run asks for them, so a
+// probe-free run's event sequence — and therefore its byte-exact output —
+// is untouched (DESIGN.md §8).
 package trace
 
 import (
@@ -20,45 +21,8 @@ import (
 	"sync"
 
 	"pdq/internal/sim"
+	"pdq/internal/workload"
 )
-
-// Class is a coarse flow-size class, following the paper's 40 KB
-// short-flow cutoff (§5.3).
-type Class uint8
-
-// Flow classes.
-const (
-	ClassShort Class = iota // below the short-flow cutoff
-	ClassLong
-)
-
-func (c Class) String() string {
-	if c == ClassShort {
-		return "short"
-	}
-	return "long"
-}
-
-// FlowRecord is one flow's outcome as cut after the run.
-type FlowRecord struct {
-	ID          uint64
-	Src, Dst    int      // host indices in the topology
-	Size        int64    // bytes
-	Class       Class    // short/long at the paper's 40 KB cutoff
-	Start       sim.Time // arrival time
-	Finish      sim.Time // receiver got the last byte; <0 if never
-	Deadline    sim.Time // relative to Start; 0 = unconstrained
-	Met         bool     // deadline-constrained flow finished in time
-	Terminated  bool     // Early Termination / quenching gave up
-	BytesAcked  int64    // payload bytes acknowledged when the record was cut
-	Retransmits int32    // data packets resent (fast retransmit + RTO)
-	Preemptions int32    // sending→paused transitions (PDQ preemption)
-	ECNMarks    int32    // ECN-marked acknowledgments received (DCTCP ECE echo)
-	PrioPackets int32    // data packets sent with an explicit priority stamp (pFabric)
-}
-
-// FCT is the completion time, valid only for finished flows.
-func (r FlowRecord) FCT() sim.Time { return r.Finish - r.Start }
 
 // MaxFlowRecords is the most flow records one cell keeps: the newest, by
 // completion instant. It bounds a traced cell's memory.
@@ -98,9 +62,9 @@ type FaultRecord struct {
 // goroutine running that cell until the run completes.
 type CellTrace struct {
 	Cell    Cell
-	Flows   []FlowRecord // the newest MaxFlowRecords, in completion order
-	Dropped int          // older records cut to keep Flows at MaxFlowRecords
-	Probes  []*Series    // filled by the runner when probing is enabled
+	Flows   []workload.Result // the newest MaxFlowRecords, in completion order
+	Dropped int               // older records cut to keep Flows at MaxFlowRecords
+	Probes  []*Series         // filled by the runner when probing is enabled
 	Faults  []FaultRecord
 
 	wantFlows, wantProbes bool
@@ -116,9 +80,15 @@ func (ct *CellTrace) RecordFault(r FaultRecord) {
 	ct.Faults = append(ct.Faults, r)
 }
 
-// WantFlows reports whether the runner should cut flow records for this
-// cell.
-func (ct *CellTrace) WantFlows() bool { return ct != nil && ct.wantFlows }
+// CutFlows cuts the run's flow records from its collector c; call it
+// once, after the engine has stopped. The cell keeps the newest
+// MaxFlowRecords resolved flows (Collector.Resolved) and counts the rest
+// in Dropped. It does nothing unless the cell captures flow records.
+func (ct *CellTrace) CutFlows(c *workload.Collector) {
+	if ct != nil && ct.wantFlows {
+		ct.Flows, ct.Dropped = c.Resolved(MaxFlowRecords)
+	}
+}
 
 // WantProbes reports whether the runner should install time-series
 // probes for this cell.
@@ -213,13 +183,17 @@ func (t *Trace) WriteFlows(w io.Writer) error {
 			if r.Finish >= 0 {
 				finish = r.Finish.Millis()
 			}
+			class := "short" // the paper's 40 KB cutoff (§5.3)
+			if r.Size >= workload.ShortFlowCutoff {
+				class = "long"
+			}
 			_, err := fmt.Fprintf(w,
 				`{"scenario":%s,"row":%s,"col":%s,"seed":%d,"run":%d,"flow":%d,"src":%d,"dst":%d,"size":%d,"class":%q,"start_ms":%g,"finish_ms":%g,"deadline_ms":%g,"met":%t,"terminated":%t,"bytes_acked":%d,"retransmits":%d,"preemptions":%d,"ecn_marks":%d,"prio_packets":%d}`+"\n",
 				jsonStr(ct.Cell.Scenario), jsonStr(ct.Cell.Row), jsonStr(ct.Cell.Col),
 				ct.Cell.Seed, ct.Cell.Run,
-				r.ID, r.Src, r.Dst, r.Size, r.Class.String(),
+				r.ID, r.Src, r.Dst, r.Size, class,
 				r.Start.Millis(), finish, r.Deadline.Millis(),
-				r.Met, r.Terminated, r.BytesAcked, r.Retransmits, r.Preemptions,
+				r.MetDeadline(), r.Terminated, r.BytesAcked, r.Retransmits, r.Preemptions,
 				r.ECNMarks, r.PrioPackets)
 			if err != nil {
 				return err

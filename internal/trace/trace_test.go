@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pdq/internal/sim"
+	"pdq/internal/workload"
 )
 
 func TestProberFixedStride(t *testing.T) {
@@ -47,7 +48,7 @@ func TestTraceCellOrderingDeterministic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ct := tr.OpenCell(c)
-			ct.Flows = append(ct.Flows, FlowRecord{ID: 1, Finish: -1})
+			ct.Flows = append(ct.Flows, workload.Result{Flow: workload.Flow{ID: 1}, Finish: -1})
 		}()
 	}
 	wg.Wait()
@@ -84,8 +85,16 @@ func TestNilTraceAndNilCell(t *testing.T) {
 	if ct.WantProbes() {
 		t.Fatal("nil CellTrace wants probes")
 	}
-	if ct.WantFlows() {
-		t.Fatal("nil CellTrace wants flow records")
+	c := workload.NewCollector()
+	c.Register(workload.Flow{ID: 1}).Finish(sim.Millisecond)
+	ct.CutFlows(c) // tracing off: a no-op
+	probes := New(false, true).OpenCell(Cell{})
+	if probes.CutFlows(c); probes.Flows != nil {
+		t.Fatalf("a probe-only cell cut flow records %v", probes.Flows)
+	}
+	flows := New(true, false).OpenCell(Cell{})
+	if flows.CutFlows(c); len(flows.Flows) != 1 || flows.Flows[0].ID != 1 || flows.Dropped != 0 {
+		t.Fatalf("a flow-recording cell cut %v, dropping %d", flows.Flows, flows.Dropped)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"pdq/internal/carve"
 	"pdq/internal/sim"
-	"pdq/internal/trace"
 )
 
 // Collector accumulates per-flow outcomes during a simulation. Protocol
@@ -18,8 +17,8 @@ import (
 // the winner — the earlier virtual instant, finish on a tie — is resolved
 // only when a result is read (Get, Results, ActiveAt). The merge is a pure
 // function of virtual timestamps, not of the order the two endpoints
-// happened to report in. The same merged view is what TraceFlows cuts
-// the run's flow records from once the engine has stopped (DESIGN.md §8).
+// happened to report in. The same merged view is what Resolved hands the
+// trace plane's flow records once the engine has stopped (DESIGN.md §8).
 //
 // Flows live in one dense table in registration order; a flow's index in
 // it is its slot. Register hands back a Ref, the slot with its collector,
@@ -289,16 +288,12 @@ func (cl *cell) doneAt() sim.Time {
 	return cl.finishAt
 }
 
-// TraceFlows cuts the run's flow records into ct; call it once, after the
-// engine has stopped. Every resolved flow gets one record from its merged
-// view — final counter totals — in order of the instant it resolved at,
-// registration order breaking ties. ct keeps the newest
-// trace.MaxFlowRecords and counts the rest in Dropped. It does nothing
-// unless ct captures flow records.
-func (c *Collector) TraceFlows(ct *trace.CellTrace) {
-	if !ct.WantFlows() {
-		return
-	}
+// Resolved returns the merged results — final counter totals — of the
+// newest max resolved flows, in order of the instant each resolved at,
+// registration order breaking ties, and how many older ones it left out.
+// The trace plane cuts a run's flow records with it (trace.CellTrace.
+// CutFlows) once the engine has stopped.
+func (c *Collector) Resolved(max int) (rs []Result, dropped int) {
 	done := make([]*cell, 0, len(c.cells))
 	for _, cl := range c.cells {
 		if cl.doneAt() >= 0 {
@@ -306,28 +301,14 @@ func (c *Collector) TraceFlows(ct *trace.CellTrace) {
 		}
 	}
 	slices.SortStableFunc(done, func(a, b *cell) int { return cmp.Compare(a.doneAt(), b.doneAt()) })
-	if n := len(done) - trace.MaxFlowRecords; n > 0 {
-		ct.Dropped, done = n, done[n:]
+	if n := len(done) - max; n > 0 {
+		dropped, done = n, done[n:]
 	}
-	ct.Flows = make([]trace.FlowRecord, len(done))
+	rs = make([]Result, len(done))
 	for i, cl := range done {
-		r := cl.merged()
-		cls := trace.ClassShort
-		if r.Size >= ShortFlowCutoff {
-			cls = trace.ClassLong
-		}
-		ct.Flows[i] = trace.FlowRecord{
-			ID: r.ID, Src: r.Src, Dst: r.Dst,
-			Size: r.Size, Class: cls,
-			Start: r.Start, Finish: r.Finish, Deadline: r.Deadline,
-			Met: r.MetDeadline(), Terminated: r.Terminated,
-			BytesAcked:  r.BytesAcked,
-			Retransmits: r.Retransmits,
-			Preemptions: r.Preemptions,
-			ECNMarks:    r.ECNMarks,
-			PrioPackets: r.PrioPackets,
-		}
+		rs[i] = cl.merged()
 	}
+	return rs, dropped
 }
 
 // Get returns the current result for a flow.

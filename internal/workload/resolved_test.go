@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"pdq/internal/sim"
-	"pdq/internal/trace"
 )
 
-// TestTraceFlowsKeepsNewest pins the record cut: one record per resolved
+// TestResolvedKeepsNewest pins the record cut: one result per resolved
 // flow in order of the instant it resolved at, registration order breaking
 // ties, a Terminate before the Finish resolving the flow terminated; an
-// unresolved flow has none; and a cell keeps the newest
-// trace.MaxFlowRecords, counting the rest as dropped.
-func TestTraceFlowsKeepsNewest(t *testing.T) {
-	n := trace.MaxFlowRecords + 3
+// unresolved flow has none; and the cut keeps the newest max, counting the
+// rest as dropped.
+func TestResolvedKeepsNewest(t *testing.T) {
+	const n = 100
 	c := NewCollector()
 	refs := make([]Ref, n)
 	for i := range refs {
@@ -34,26 +33,27 @@ func TestTraceFlowsKeepsNewest(t *testing.T) {
 	refs[1].Finish(sim.Time(n))
 	refs[2].Finish(sim.Time(n))
 
-	c.TraceFlows(nil) // tracing off: a no-op
-	ct := trace.New(true, false).OpenCell(trace.Cell{})
-	c.TraceFlows(ct)
-	keep := trace.MaxFlowRecords
-	if len(ct.Flows) != keep || ct.Dropped != 2 {
-		t.Fatalf("kept %d records, dropped %d; want %d and 2", len(ct.Flows), ct.Dropped, keep)
+	if rs, dropped := c.Resolved(n); len(rs) != n-1 || dropped != 0 {
+		t.Fatalf("uncut: %d results, %d dropped; want %d and 0", len(rs), dropped, n-1)
+	}
+	keep := n - 3
+	rs, dropped := c.Resolved(keep)
+	if len(rs) != keep || dropped != 2 {
+		t.Fatalf("kept %d results, dropped %d; want %d and 2", len(rs), dropped, keep)
 	}
 	// The two oldest, slots n-2 and n-3, are dropped.
-	if got, want := ct.Flows[0].ID, uint64(n-3); got != want {
-		t.Errorf("oldest kept record is flow %d, want %d", got, want)
+	if got, want := rs[0].ID, uint64(n-3); got != want {
+		t.Errorf("oldest kept result is flow %d, want %d", got, want)
 	}
 	for i, want := range map[int]uint64{keep - 4: 4, keep - 3: 3, keep - 2: 1, keep - 1: 2} {
-		if got := ct.Flows[i].ID; got != want {
-			t.Errorf("record %d is flow %d, want %d", i, got, want)
+		if got := rs[i].ID; got != want {
+			t.Errorf("result %d is flow %d, want %d", i, got, want)
 		}
 	}
-	if r := ct.Flows[keep-3]; !r.Terminated || r.BytesAcked != 400 || r.Finish != sim.Time(n) {
+	if r := rs[keep-3]; !r.Terminated || r.BytesAcked != 400 || r.Finish != sim.Time(n) {
 		t.Errorf("terminated-then-finished flow recorded as %+v", r)
 	}
-	if r := ct.Flows[keep-1]; r.Terminated || r.BytesAcked != 1000 || r.FCT() != sim.Time(n) {
+	if r := rs[keep-1]; r.Terminated || r.BytesAcked != 1000 || r.FCT() != sim.Time(n) {
 		t.Errorf("finished flow recorded as %+v", r)
 	}
 }
