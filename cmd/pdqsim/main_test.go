@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -127,6 +128,60 @@ func TestJSONPartialTable(t *testing.T) {
 	}
 	if errs := tables[0].Errors; nulls == 0 || len(errs) == 0 || !strings.Contains(errs[0].Msg, "event budget") {
 		t.Errorf("%d null values and errors %+v; want both, naming the event budget", nulls, errs)
+	}
+}
+
+// TestAbsentCell pins a cell beyond its row's reach (a protocol's
+// `cols`) as no cell: it runs nothing and is not counted, shows — in text
+// and null in JSON, and fails nothing, so the exit status is 0.
+func TestAbsentCell(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "absent.json")
+	err := os.WriteFile(spec, []byte(`{"name":"absent","topology":{"name":"single-bottleneck"},
+		"workload":{"pattern":{"name":"aggregation"},"sizes":{"name":"uniform-mean"},"count":2},
+		"protocols":[{"runner":"flow:RCP","cols":1}],"sweep":{"axis":"flows","values":[2,3]},
+		"metric":{"name":"mean-fct"},"digits":4,"horizon_ms":100}`), 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, stderr, code := pdqsim(t, "-scenario", spec)
+	if code != 0 {
+		t.Fatalf("text: exit %d, stderr %q; want 0", code, stderr)
+	}
+	if !strings.Contains(text, "\nflow:RCP                      0.0017           —\n") {
+		t.Errorf("the absent cell does not print —:\n%s", text)
+	}
+	metrics := filepath.Join(dir, "metrics.json")
+	stdout, stderr, code := pdqsim(t, "-scenario", spec, "-json", "-metrics-out", metrics)
+	if code != 0 {
+		t.Fatalf("JSON: exit %d, stderr %q; want 0", code, stderr)
+	}
+	var tables []struct {
+		Rows []struct {
+			Vals []*float64 `json:"vals"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &tables); err != nil || len(tables) != 1 || len(tables[0].Rows) != 1 {
+		t.Fatalf("stdout is not one one-row JSON table (%v):\n%s", err, stdout)
+	}
+	if vals := tables[0].Rows[0].Vals; len(vals) != 2 || vals[0] == nil || vals[1] != nil {
+		t.Errorf("vals %v, want a value and null", vals)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Runs []struct {
+			Total uint64            `json:"cells_total"`
+			Cells []json.RawMessage `json:"cells"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil || len(snap.Runs) != 1 {
+		t.Fatalf("metrics snapshot (%v):\n%s", err, data)
+	}
+	if r := snap.Runs[0]; r.Total != 1 || len(r.Cells) != 1 {
+		t.Errorf("%d cells announced, %d records; want one of each", r.Total, len(r.Cells))
 	}
 }
 

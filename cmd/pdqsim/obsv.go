@@ -30,14 +30,13 @@ type obsvConfig struct {
 }
 
 // wantsObserver reports whether any flag needs the metrics plane. When
-// none do, Opts.Obs stays nil and every instrumentation site reduces to
-// a nil check (BenchmarkObsvOverhead prices both sides).
+// none do, Opts.Obs stays nil and no cell's record is kept.
 func (c obsvConfig) wantsObserver() bool {
 	return c.Progress || c.HTTPAddr != "" || c.MetricsOut != ""
 }
 
 // setupObsv wires the run's observability plane: the wall-clocked
-// Observer that scenario.Opts.Obs threads into the engines, the live
+// Observer that scenario.Opts.Obs hands every cell's record to, the live
 // -progress ticker, the /metrics + /runs + pprof HTTP server, and the
 // profilers. The returned finish must run after tables and telemetry
 // are emitted but before exitPartial — os.Exit skips defers, so the

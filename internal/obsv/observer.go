@@ -7,8 +7,9 @@ import (
 )
 
 // Observer is the root of the observability plane for one process: the
-// Runtime aggregate and the per-run SweepStats instances that the export
-// surfaces (Prometheus text, JSON snapshot, /runs) read from. cmd/pdqsim
+// per-run SweepStats instances, which keep the runs' cell records, and the
+// Runtime sum over those records, which the export surfaces (Prometheus
+// text, JSON snapshot, /runs) read from. cmd/pdqsim
 // builds one with the wall clock; tests build them with fakes. A nil
 // *Observer is valid everywhere and means "observability off".
 type Observer struct {
@@ -23,7 +24,8 @@ type Observer struct {
 // New creates an Observer. clock may be nil (counters only — no rates,
 // durations or ETA).
 func New(clock Clock) *Observer {
-	o := &Observer{Clock: clock, Runtime: &Runtime{}}
+	o := &Observer{Clock: clock}
+	o.Runtime = &Runtime{o}
 	if clock != nil {
 		o.start = clock()
 	}
@@ -81,7 +83,7 @@ type snapshot struct {
 }
 
 // WriteJSON writes the full observability snapshot as indented JSON:
-// uptime, the Runtime aggregate and every sweep run.
+// uptime, the Runtime sum and every sweep run with its cell records.
 func (o *Observer) WriteJSON(w io.Writer) error {
 	if o == nil {
 		_, err := io.WriteString(w, "{}\n")

@@ -11,18 +11,17 @@
 // this package and cmd/ may read a wall clock. Three rules follow:
 //
 //  1. Hot-path instruments are plain, unsynchronized struct fields. An
-//     engine (one sim.Sim) owns a private EngineStats instance and bumps
-//     it with single writes behind one nil check; disabled
-//     instrumentation is exactly one predictable branch. An instance is
-//     merged into the shared Runtime aggregator only at run end, where
-//     the engine is quiescent, so no synchronization enters the engine
-//     packages and pdqlint's cellsafe analyzer stays green.
+//     engine (one sim.Sim) bumps the EngineStats block of the Cell record
+//     it works for with single writes behind one nil check. The record
+//     belongs to one sweep worker until the cell ends, so no
+//     synchronization enters the engine packages and pdqlint's cellsafe
+//     analyzer stays green.
 //
-//  2. Aggregation points (Runtime, SweepStats) are written from many
-//     goroutines — sweep workers finishing cells — and read live by the
-//     HTTP server, so they are atomic or mutex-guarded. They are never on
-//     a simulation hot path: the engine touches them a handful of times
-//     per cell.
+//  2. A finished Cell is handed to its run's SweepStats once, and every
+//     aggregate — a run's counts and cell-time histogram, the process
+//     Runtime — is a read of the finished records. SweepStats is written
+//     from many goroutines and read live by the HTTP server, so it is
+//     atomic and mutex-guarded; it is never on a simulation hot path.
 //
 //  3. Wall-clock reads happen only through an injected Clock. The one
 //     implementation backed by time.Now lives here (WallClock), which
@@ -34,7 +33,10 @@
 //     working.
 package obsv
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // Clock reports wall time as nanoseconds since an arbitrary fixed
 // epoch. Only differences are meaningful. A nil Clock disables the
@@ -60,6 +62,9 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
+// MarshalJSON writes the count as a plain number.
+func (c Counter) MarshalJSON() ([]byte, error) { return strconv.AppendUint(nil, c.v, 10), nil }
+
 // HighWater is a plain single-writer maximum tracker.
 type HighWater struct{ v int64 }
 
@@ -72,6 +77,9 @@ func (h *HighWater) Observe(v int64) {
 
 // Value returns the high-water mark.
 func (h *HighWater) Value() int64 { return h.v }
+
+// MarshalJSON writes the mark as a plain number.
+func (h HighWater) MarshalJSON() ([]byte, error) { return strconv.AppendInt(nil, h.v, 10), nil }
 
 // Histogram is a fixed-bucket distribution: bounds are the inclusive
 // upper edges of each bucket, fixed at construction, with an implicit
@@ -128,23 +136,32 @@ func (h *Histogram) Cumulative(i int) uint64 {
 	return c
 }
 
-// EngineStats is one event engine's private instrument block: the
+// EngineStats is the event-loop instrument block of one Cell record: the
 // sim.Sim it is attached to (via Sim.SetStats) bumps it inline in the
 // scheduling hot paths — one nil check, then plain field writes, zero
-// allocations. The runner merges it into the shared Runtime when the
-// engine is done (DESIGN.md §13.2).
+// allocations. Every engine a cell runs adds to its block (DESIGN.md
+// §13.1). The JSON names are RuntimeSnapshot's.
 type EngineStats struct {
-	Scheduled Counter // events scheduled (At/AtRunner/After and chained deliveries)
-	Fired     Counter // events executed
-	Cancelled Counter // events removed by Cancel before firing
+	Scheduled Counter `json:"events_scheduled"` // events scheduled (At/AtRunner/After and chained deliveries)
+	Fired     Counter `json:"events_fired"`     // events executed
+	Cancelled Counter `json:"events_cancelled"` // events removed by Cancel before firing
 	// Refilled counts the schedules (a subset of Scheduled) that landed in
 	// the root hole their own firing event left on the heap backend: a
 	// replace-top, one sift-down instead of a pop and a push (DESIGN.md
 	// §2). Fired − Refilled is the number of pops paid in full.
-	Refilled Counter
+	Refilled Counter `json:"events_refilled"`
 	// QueueHWM is the high-water mark of the pending-event count, the heap
 	// depth. A link keeps one delivery pending however many packets it
 	// has in flight (DESIGN.md §3), so the mark reads about busy links
 	// plus armed timers, not packets in flight.
-	QueueHWM HighWater
+	QueueHWM HighWater `json:"queue_highwater"`
+}
+
+// Add folds o into e: counts add, the high-water mark is the higher.
+func (e *EngineStats) Add(o *EngineStats) {
+	e.Scheduled.Add(o.Scheduled.v)
+	e.Fired.Add(o.Fired.v)
+	e.Cancelled.Add(o.Cancelled.v)
+	e.Refilled.Add(o.Refilled.v)
+	e.QueueHWM.Observe(o.QueueHWM.v)
 }

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -64,24 +65,27 @@ func TestHistogram(t *testing.T) {
 	NewHistogram([]float64{2, 1})
 }
 
+// TestRuntimeMerge pins Runtime as a read of the finished records: counts
+// add over every record of every run, and the queue mark is the highest.
 func TestRuntimeMerge(t *testing.T) {
-	rt := &Runtime{}
-	st := &EngineStats{}
+	o := New(nil)
+	st := EngineStats{}
 	st.Scheduled.Add(10)
 	st.Fired.Add(8)
 	st.Cancelled.Add(1)
 	st.Refilled.Add(6)
 	st.QueueHWM.Observe(42)
-
-	rt.MergeEngine(st)
-	next := &EngineStats{}
+	o.StartRun("a").CellEnd(0, Cell{Engine: st})
+	next := EngineStats{}
 	next.Scheduled.Add(5)
 	next.Fired.Add(5)
 	next.Refilled.Add(3)
 	next.QueueHWM.Observe(17) // below current mark: no change
-	rt.MergeEngine(next)
+	b := o.StartRun("b")
+	b.CellEnd(0, Cell{Engine: next, Err: "failed cells count too"})
+	b.CellEnd(0, Cell{Cached: true})
 
-	s := rt.Snapshot()
+	s := o.Runtime.Snapshot()
 	if s.Scheduled != 15 || s.Fired != 13 || s.Cancelled != 1 || s.Refilled != 9 {
 		t.Errorf("merged = %d/%d/%d/%d, want 15/13/1/9", s.Scheduled, s.Fired, s.Cancelled, s.Refilled)
 	}
@@ -92,10 +96,11 @@ func TestRuntimeMerge(t *testing.T) {
 
 func TestRuntimeNilSafe(t *testing.T) {
 	var rt *Runtime
-	rt.MergeEngine(&EngineStats{})
-	rt.ObserveQueueHWM(1)
 	if s := rt.Snapshot(); s.Scheduled != 0 {
 		t.Errorf("nil runtime snapshot = %+v", s)
+	}
+	if s := New(nil).Runtime.Snapshot(); s != (RuntimeSnapshot{}) {
+		t.Errorf("runtime of an observer with no runs = %+v", s)
 	}
 }
 
@@ -107,13 +112,15 @@ func TestSweepStatsLifecycle(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		start := s.CellStart()
-		if i == 1 {
-			s.CacheHit()
+		c := Cell{Cached: i == 1, Probes: uint64(1 + i/3)}
+		if i%2 == 0 {
+			c.Decided = 1
 		}
-		s.Probe(i%2 == 0)
-		s.CellEnd(start, i == 3)
+		if i == 3 {
+			c.Err, c.Decided = "boom", 1
+		}
+		s.CellEnd(start, c)
 	}
-	s.Probe(true)
 	s.Finish()
 
 	snap := s.Snapshot()
@@ -122,6 +129,9 @@ func TestSweepStatsLifecycle(t *testing.T) {
 	}
 	if snap.Probes != 5 || snap.Decided != 3 {
 		t.Errorf("probes %d, decided %d, want 5 and 3", snap.Probes, snap.Decided)
+	}
+	if len(snap.Cells) != 4 || snap.Cells[3].Err != "boom" || snap.Cells[0].WallNs != 1e9 {
+		t.Errorf("records = %+v, want four in finishing order, each 1 s", snap.Cells)
 	}
 	if snap.Running != 0 {
 		t.Errorf("running = %d, want 0", snap.Running)
@@ -136,8 +146,8 @@ func TestSweepStatsLifecycle(t *testing.T) {
 		t.Errorf("elapsed=%dms rate=%g, want positive", snap.ElapsedMs, snap.CellsPerSec)
 	}
 	s.CellSeconds(func(h *Histogram) {
-		if h.Count() != 4 {
-			t.Errorf("latency samples = %d, want 4", h.Count())
+		if h.Count() != 4 || h.Sum() != 4 {
+			t.Errorf("latency samples = %d summing to %g s, want 4 and 4", h.Count(), h.Sum())
 		}
 	})
 }
@@ -146,22 +156,25 @@ func TestSweepStatsNilClock(t *testing.T) {
 	o := New(nil)
 	s := o.StartRun("quick")
 	s.AddTotal(2)
-	s.CellEnd(s.CellStart(), false)
-	s.CellEnd(s.CellStart(), false)
+	s.CellEnd(s.CellStart(), Cell{})
+	s.CellEnd(s.CellStart(), Cell{})
 	s.Finish()
 	snap := s.Snapshot()
-	if snap.Done != 2 || snap.ElapsedMs != 0 || snap.CellsPerSec != 0 {
+	if snap.Done != 2 || snap.ElapsedMs != 0 || snap.CellsPerSec != 0 || snap.Cells[0].WallNs != 0 {
 		t.Errorf("nil-clock snapshot = %+v", snap)
 	}
+	s.CellSeconds(func(h *Histogram) {
+		if h.Count() != 0 {
+			t.Errorf("nil clock: %d latency samples, want none", h.Count())
+		}
+	})
 }
 
 func TestNilObserverAndStats(t *testing.T) {
 	var o *Observer
 	s := o.StartRun("x")
 	s.AddTotal(3)
-	s.CellEnd(s.CellStart(), false)
-	s.CacheHit()
-	s.Probe(true)
+	s.CellEnd(s.CellStart(), Cell{Cached: true, Probes: 1})
 	s.Finish()
 	if got := o.Runs(); got != nil {
 		t.Errorf("nil observer runs = %v", got)
@@ -179,32 +192,25 @@ func TestNilObserverAndStats(t *testing.T) {
 func TestPromExposition(t *testing.T) {
 	clk := &fakeClock{now: 1e9}
 	o := New(clk.Clock)
-	o.Runtime.MergeEngine(func() *EngineStats {
-		st := &EngineStats{}
-		st.Scheduled.Add(100)
-		st.Fired.Add(90)
-		st.Cancelled.Add(3)
-		st.Refilled.Add(70)
-		st.QueueHWM.Observe(12)
-		return st
-	}())
+	var st EngineStats
+	st.Scheduled.Add(100)
+	st.Fired.Add(90)
+	st.Cancelled.Add(3)
+	st.Refilled.Add(70)
+	st.QueueHWM.Observe(12)
 	s := o.StartRun("fig3a")
 	s.AddTotal(3)
 	start := s.CellStart()
 	clk.now += 4e6
-	s.CellEnd(start, false)
+	s.CellEnd(start, Cell{Engine: st, Probes: 1, Decided: 1})
 	start = s.CellStart()
 	clk.now += 25e7
-	s.CellEnd(start, true)
+	s.CellEnd(start, Cell{Err: "boom", Probes: 2, Decided: 1})
 	s.CellStart() // still running
-	s.Probe(true)
-	s.Probe(false)
-	s.Probe(true)
 	w := o.StartRun("fig10")
 	w.AddTotal(1)
 	start = w.CellStart()
-	w.CacheHit()
-	w.CellEnd(start, false)
+	w.CellEnd(start, Cell{Cached: true})
 	clk.now += 15e8
 
 	var buf bytes.Buffer
@@ -324,14 +330,13 @@ func TestProgressGolden(t *testing.T) {
 
 	clk.now = 2e9 // 2s in
 	start := int64(1e9)
-	s.CellEnd(start, false)
-	s.CellEnd(start, false)
+	s.CellEnd(start, Cell{})
+	s.CellEnd(start, Cell{})
 	p.Tick()
 
 	clk.now = 4e9
-	s.CacheHit()
-	s.CellEnd(start, false)
-	s.CellEnd(start, true)
+	s.CellEnd(start, Cell{Cached: true})
+	s.CellEnd(start, Cell{Err: "boom"})
 	s.Finish()
 	p.Done()
 
@@ -358,10 +363,9 @@ func TestProgressPadding(t *testing.T) {
 	s := o.StartRun("abc")
 	s.AddTotal(10)
 	p := &Progress{W: &buf, Observer: o}
-	s.CacheHit()
-	s.CellEnd(0, false)
-	s.CellEnd(0, false)
-	s.CellEnd(0, true)
+	s.CellEnd(0, Cell{Cached: true})
+	s.CellEnd(0, Cell{})
+	s.CellEnd(0, Cell{Err: "boom"})
 	p.Tick()
 	first := buf.Len()
 	if first == 0 {
@@ -380,16 +384,31 @@ func TestWriteJSON(t *testing.T) {
 	o := New(clk.Clock)
 	s := o.StartRun("fig10")
 	s.AddTotal(1)
-	s.CellEnd(s.CellStart(), false)
+	c := Cell{Row: "PDQ", Col: "16", Rep: 1, Seed: 7, Probes: 3, Decided: 2, FlowsDone: 5, FlowsTerminated: 1}
+	c.Engine.Scheduled.Add(9)
+	c.Engine.Fired.Add(8)
+	c.Engine.QueueHWM.Observe(4)
+	s.CellEnd(s.CellStart(), c)
 	var buf bytes.Buffer
 	if err := o.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"uptime_seconds"`, `"runtime"`, `"runs"`, `"fig10"`, `"cells_done": 1`} {
+	for _, want := range []string{`"uptime_seconds"`, `"runtime"`, `"runs"`, `"fig10"`, `"cells_done": 1`, `"cells": [`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON snapshot missing %q\n%s", want, out)
 		}
+	}
+	// A record's counters are plain numbers under RuntimeSnapshot's names.
+	rec, err := json.Marshal(o.Runs()[0].Cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"row":"PDQ","col":"16","rep":1,"seed":7,"wall_ns":1000000000,"probes":3,"probes_decided":2,` +
+		`"flows_done":5,"flows_terminated":1,"engine":{"events_scheduled":9,"events_fired":8,"events_cancelled":0,` +
+		`"events_refilled":0,"queue_highwater":4}}`
+	if string(rec) != want {
+		t.Errorf("record JSON\n got %s\nwant %s", rec, want)
 	}
 }
 
@@ -397,7 +416,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	o := New(nil)
 	s := o.StartRun("smoke")
 	s.AddTotal(1)
-	s.CellEnd(s.CellStart(), false)
+	s.CellEnd(s.CellStart(), Cell{})
 	srv := httptest.NewServer(Handler(o))
 	defer srv.Close()
 
@@ -425,8 +444,8 @@ func TestHandlerEndpoints(t *testing.T) {
 }
 
 // TestConcurrentAggregation exercises the aggregation points from many
-// goroutines under -race: sweep workers ending cells and merging engine
-// stats, and a scraper reading exposition output.
+// goroutines under -race: sweep workers ending cells with their records,
+// and a scraper reading exposition output and the records.
 func TestConcurrentAggregation(t *testing.T) {
 	clk := &fakeClock{step: 1}
 	var mu sync.Mutex
@@ -447,15 +466,14 @@ func TestConcurrentAggregation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < cells; i++ {
 				start := s.CellStart()
-				if i%5 == 0 {
-					s.CacheHit()
+				c := Cell{Cached: i%5 == 0}
+				if i%7 == 0 {
+					c.Err = "boom"
 				}
-				st := &EngineStats{}
-				st.Scheduled.Add(10)
-				st.Fired.Add(10)
-				st.QueueHWM.Observe(int64(w*100 + i))
-				o.Runtime.MergeEngine(st)
-				s.CellEnd(start, i%7 == 0)
+				c.Engine.Scheduled.Add(10)
+				c.Engine.Fired.Add(10)
+				c.Engine.QueueHWM.Observe(int64(w*100 + i))
+				s.CellEnd(start, c)
 			}
 		}(w)
 	}
@@ -467,7 +485,10 @@ func TestConcurrentAggregation(t *testing.T) {
 			if err := o.WriteProm(&buf); err != nil {
 				t.Error(err)
 			}
-			o.Runs()
+			o.Runtime.Snapshot()
+			if err := o.WriteJSON(&buf); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	wg.Wait()
@@ -478,8 +499,8 @@ func TestConcurrentAggregation(t *testing.T) {
 		t.Errorf("done+failed = %d, want %d", snap.Done+snap.Failed, workers*cells)
 	}
 	rs := o.Runtime.Snapshot()
-	if rs.Scheduled != workers*cells*10 {
-		t.Errorf("scheduled = %d, want %d", rs.Scheduled, workers*cells*10)
+	if rs.Scheduled != workers*cells*10 || rs.QueueHWM != (workers-1)*100+cells-1 {
+		t.Errorf("scheduled = %d, queue mark %d, want %d and %d", rs.Scheduled, rs.QueueHWM, workers*cells*10, (workers-1)*100+cells-1)
 	}
 }
 

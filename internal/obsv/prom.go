@@ -10,8 +10,8 @@ import (
 // WriteProm writes the observer's fixed metric families in the Prometheus
 // text exposition format: the engine families from one Runtime snapshot,
 // the sweep families with one sample per run in start order, the per-run
-// cell-time histograms and the uptime. It reads only aggregates, so it is
-// safe against live simulation.
+// cell-time histograms and the uptime. It reads only finished records and
+// gauges, so it is safe against live simulation.
 func (o *Observer) WriteProm(w io.Writer) error {
 	if o == nil {
 		return nil

@@ -1,49 +1,12 @@
 package obsv
 
-import "sync/atomic"
+// Runtime is the process-wide engine aggregate: the sum of the
+// EngineStats of every finished Cell record in every run the Observer
+// registered, with the highest queue mark. It keeps no state of its own,
+// so a live scrape reads the cells finished so far.
+type Runtime struct{ o *Observer }
 
-// Runtime is the process-wide aggregation point for engine metrics.
-// Everything in it is atomic: writers are sweep workers merging a
-// finished cell's EngineStats, while the HTTP server reads it live at any
-// moment. It is never touched from a simulation hot path — writes arrive
-// once per cell.
-type Runtime struct {
-	scheduled atomic.Uint64 // events scheduled, all engines
-	fired     atomic.Uint64 // events fired, all engines
-	cancelled atomic.Uint64 // events cancelled, all engines
-	refilled  atomic.Uint64 // schedules that replaced the heap root, all engines
-	queueHWM  atomic.Int64  // max pending-event depth seen by any engine
-}
-
-// MergeEngine folds an engine's private stats into the aggregate. The
-// caller owns the timing: the engine must be quiescent (done).
-func (r *Runtime) MergeEngine(st *EngineStats) {
-	if r == nil || st == nil {
-		return
-	}
-	r.scheduled.Add(st.Scheduled.Value())
-	r.fired.Add(st.Fired.Value())
-	r.cancelled.Add(st.Cancelled.Value())
-	r.refilled.Add(st.Refilled.Value())
-	r.ObserveQueueHWM(st.QueueHWM.Value())
-}
-
-// ObserveQueueHWM raises the aggregate queue high-water mark.
-func (r *Runtime) ObserveQueueHWM(v int64) {
-	if r == nil {
-		return
-	}
-	for {
-		cur := r.queueHWM.Load()
-		if v <= cur || r.queueHWM.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// RuntimeSnapshot is a consistent-enough point-in-time copy of Runtime
-// for export. Individual fields are atomically read; the set is not a
-// single transaction, which is fine for monitoring.
+// RuntimeSnapshot is Runtime's point-in-time sum for export.
 type RuntimeSnapshot struct {
 	Scheduled uint64 `json:"events_scheduled"`
 	Fired     uint64 `json:"events_fired"`
@@ -52,16 +15,17 @@ type RuntimeSnapshot struct {
 	QueueHWM  int64  `json:"queue_highwater"`
 }
 
-// Snapshot copies the current aggregate values.
+// Snapshot sums the finished records.
 func (r *Runtime) Snapshot() RuntimeSnapshot {
 	if r == nil {
 		return RuntimeSnapshot{}
 	}
-	return RuntimeSnapshot{
-		Scheduled: r.scheduled.Load(),
-		Fired:     r.fired.Load(),
-		Cancelled: r.cancelled.Load(),
-		Refilled:  r.refilled.Load(),
-		QueueHWM:  r.queueHWM.Load(),
+	var sum EngineStats
+	for _, run := range r.o.sweeps() {
+		cells := run.records()
+		for i := range cells {
+			sum.Add(&cells[i].Engine)
+		}
 	}
+	return RuntimeSnapshot{sum.Scheduled.v, sum.Fired.v, sum.Cancelled.v, sum.Refilled.v, sum.QueueHWM.v}
 }

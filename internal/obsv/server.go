@@ -13,8 +13,9 @@ import (
 //	/metrics.json   full JSON snapshot (same document as -metrics-out)
 //	/debug/pprof/*  net/http/pprof profiles
 //
-// The handlers only read the atomic aggregates, so serving concurrently
-// with a live run is safe; cmd/pdqsim owns the listener lifecycle.
+// The handlers only read the guarded records and gauges, so serving
+// concurrently with a live run is safe; cmd/pdqsim owns the listener
+// lifecycle.
 func Handler(o *Observer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -12,15 +12,40 @@ var cellSecondsBounds = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300,
 }
 
+// Cell is the record of one sweep cell: a grid cell's replicate, or a
+// custom driver's whole table (Col "*"). The worker running the cell
+// fills it — its engines count into Engine — and hands it to
+// SweepStats.CellEnd once; every aggregate is a read of the finished
+// records (DESIGN.md §13).
+type Cell struct {
+	Row  string `json:"row"`
+	Col  string `json:"col"`
+	Rep  int    `json:"rep"`
+	Seed int64  `json:"seed"`
+	Err  string `json:"err,omitempty"` // the failure; empty when the cell has a value
+
+	Cached bool  `json:"cached,omitempty"`  // served from the cell cache
+	WallNs int64 `json:"wall_ns,omitempty"` // stamped by CellEnd; 0 with a nil clock
+
+	Probes  uint64 `json:"probes"`         // search-probe simulations run
+	Decided uint64 `json:"probes_decided"` // of those, stopped at their verdict, short of the horizon
+
+	FlowsDone       uint64 `json:"flows_done"`       // over the cell's simulations
+	FlowsTerminated uint64 `json:"flows_terminated"` // given up on by Early Termination
+
+	Engine EngineStats `json:"engine"`
+}
+
 // SweepStats tracks one sweep run's per-cell state machine:
 //
 //	pending -> running -> done | failed
 //
 // with "cached" marking done cells that were served from the result
-// cache rather than simulated. Counters are atomic (sweep workers
-// finish cells concurrently; the HTTP server reads live); the latency
-// histogram is mutex-guarded. CellEnd is called a few times per cell,
-// never inside the event loop, so none of this is hot-path.
+// cache rather than simulated. It keeps the announced total, the running
+// gauge and the finished Cell records, off which everything else is read.
+// Sweep workers finish cells concurrently and the HTTP server reads live,
+// so the gauges are atomic and the records mutex-guarded; none of this is
+// on a simulation hot path.
 type SweepStats struct {
 	Name string // run name (scenario/experiment), fixed at StartRun
 
@@ -30,18 +55,13 @@ type SweepStats struct {
 
 	total   atomic.Uint64 // announced cells (AddTotal)
 	running atomic.Int64  // currently executing
-	done    atomic.Uint64 // finished OK (includes cached)
-	failed  atomic.Uint64 // finished with error/panic
-	cached  atomic.Uint64 // subset of done served from cache
-	probes  atomic.Uint64 // search-probe simulations run
-	decided atomic.Uint64 // subset of probes stopped at their verdict, short of the horizon
 
-	mu      sync.Mutex
-	seconds *Histogram // per-cell wall seconds
+	mu    sync.Mutex
+	cells []Cell // finished records, in finishing order; append-only
 }
 
 func newSweepStats(name string, clock Clock) *SweepStats {
-	s := &SweepStats{Name: name, clock: clock, seconds: NewHistogram(cellSecondsBounds)}
+	s := &SweepStats{Name: name, clock: clock}
 	if clock != nil {
 		s.start = clock()
 	}
@@ -68,47 +88,27 @@ func (s *SweepStats) CellStart() int64 {
 	return s.clock()
 }
 
-// CellEnd marks one cell as finished. startNs is CellStart's return
-// value; failed records the cell under failures instead of done.
-func (s *SweepStats) CellEnd(startNs int64, failed bool) {
+// CellEnd keeps c, a finished cell's record (failed when Err is set), with
+// WallNs stamped from startNs, CellStart's return value.
+func (s *SweepStats) CellEnd(startNs int64, c Cell) {
 	if s == nil {
 		return
-	}
-	s.running.Add(-1)
-	if failed {
-		s.failed.Add(1)
-	} else {
-		s.done.Add(1)
 	}
 	if s.clock != nil && startNs != 0 {
-		sec := float64(s.clock()-startNs) / 1e9
-		s.mu.Lock()
-		s.seconds.Observe(sec)
-		s.mu.Unlock()
+		c.WallNs = s.clock() - startNs
 	}
+	s.mu.Lock()
+	s.cells = append(s.cells, c)
+	s.mu.Unlock()
+	s.running.Add(-1)
 }
 
-// CacheHit marks one finished cell as served from the result cache.
-// The cell still goes through CellStart/CellEnd; cached is a subset of
-// done, so cache hit ratio is cached/done.
-func (s *SweepStats) CacheHit() {
-	if s != nil {
-		s.cached.Add(1)
-	}
-}
-
-// Probe counts one search-probe simulation (a max-flows/max-rate cell runs
-// several); decided marks one that stopped as soon as its verdict was
-// fixed. decided/probes near 1 is why a search cell is fast; near 0 means
-// its metric has no interval.
-func (s *SweepStats) Probe(decided bool) {
-	if s == nil {
-		return
-	}
-	s.probes.Add(1)
-	if decided {
-		s.decided.Add(1)
-	}
+// records returns the finished records. The slice is shared: CellEnd
+// only appends past its end, so it must be read, never written.
+func (s *SweepStats) records() []Cell {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cells[:len(s.cells):len(s.cells)]
 }
 
 // Finish stamps the run's end time. Idempotent; later snapshots stop
@@ -134,11 +134,12 @@ type SweepSnapshot struct {
 	CellsPerSec float64 `json:"cells_per_sec"`   // (done+failed)/elapsed
 	EtaMs       int64   `json:"eta_ms"`          // -1 when unknown
 	Finished    bool    `json:"finished"`
+	Cells       []Cell  `json:"cells"` // the finished records, in finishing order; shared, read-only
 }
 
-// Snapshot copies the sweep's current progress. Counter reads are
-// individually atomic, not one transaction; momentary skew between
-// done and total is acceptable for monitoring.
+// Snapshot reads the sweep's current progress off its records. Gauge
+// reads are individually atomic, not one transaction; momentary skew
+// between done and total is acceptable for monitoring.
 func (s *SweepStats) Snapshot() SweepSnapshot {
 	if s == nil {
 		return SweepSnapshot{EtaMs: -1}
@@ -147,12 +148,20 @@ func (s *SweepStats) Snapshot() SweepSnapshot {
 		Name:    s.Name,
 		Total:   s.total.Load(),
 		Running: s.running.Load(),
-		Done:    s.done.Load(),
-		Failed:  s.failed.Load(),
-		Cached:  s.cached.Load(),
-		Probes:  s.probes.Load(),
-		Decided: s.decided.Load(),
 		EtaMs:   -1,
+		Cells:   s.records(),
+	}
+	for _, c := range snap.Cells {
+		if c.Err != "" {
+			snap.Failed++
+		} else {
+			snap.Done++
+		}
+		if c.Cached {
+			snap.Cached++
+		}
+		snap.Probes += c.Probes
+		snap.Decided += c.Decided
 	}
 	if snap.Done > 0 {
 		snap.HitRatio = float64(snap.Cached) / float64(snap.Done)
@@ -182,13 +191,17 @@ func (s *SweepStats) Snapshot() SweepSnapshot {
 	return snap
 }
 
-// CellSeconds returns a copy-free view of the cell latency histogram
-// under the stats lock; fn must not retain h.
+// CellSeconds builds the cell wall-time histogram from the records (empty
+// with a nil clock) and hands it to fn.
 func (s *SweepStats) CellSeconds(fn func(h *Histogram)) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(s.seconds)
+	h := NewHistogram(cellSecondsBounds)
+	if s.clock != nil {
+		for _, c := range s.records() {
+			h.Observe(float64(c.WallNs) / 1e9)
+		}
+	}
+	fn(h)
 }

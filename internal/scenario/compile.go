@@ -20,7 +20,6 @@ import (
 
 	"pdq/internal/fault"
 	"pdq/internal/netsim"
-	"pdq/internal/obsv"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/trace"
@@ -198,15 +197,14 @@ type binding struct {
 
 // engine is a compiled spec: the bound cell grid and how to run it.
 type engine struct {
-	spec     *Spec
-	plan     engPlan
-	cols     []column
-	baseCol  column // the spec without any axis applied; fixed rows use it
-	rows     []row
-	env      Env
-	trace    *trace.Trace
-	cache    *trace.Cache
-	progress *obsv.SweepStats
+	spec    *Spec
+	plan    engPlan
+	cols    []column
+	baseCol column // the spec without any axis applied; fixed rows use it
+	rows    []row
+	env     Env
+	trace   *trace.Trace
+	cache   *trace.Cache
 
 	// shareSims is set when the sweep axis is metric-only: every column
 	// runs the identical simulation and differs only in the metric
@@ -240,10 +238,9 @@ func compile(s *Spec, o Opts) (*engine, error) {
 			RateStep: s.Eval.RateStep,
 			Horizon:  msTime(quickFloat(s.HorizonMs, s.QuickHorizonMs, o.Quick)),
 		},
-		env:      o.env(),
-		trace:    o.Trace,
-		cache:    o.Cache,
-		progress: o.Progress,
+		env:   o.env(),
+		trace: o.Trace,
+		cache: o.Cache,
 	}
 	if e.trace != nil {
 		// A cache hit skips the simulation that would emit the records, so

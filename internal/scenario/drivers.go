@@ -167,7 +167,7 @@ func runConvergenceTrace(p driverPlan, rc DriverCtx) (*Table, error) {
 	bott := tp.Hosts[n].Access.Peer // switch→receiver
 
 	util, queue := probeLink(tp.Sim(), bott, 500*sim.Microsecond, 500*sim.Microsecond)
-	runEngine(tp.Sim(), RunCtx{Env: rc.Env, Horizon: 100 * sim.Millisecond})
+	runEngine(tp.Sim(), RunCtx{Env: rc.Env, Horizon: 100 * sim.Millisecond, stats: rc.stats})
 
 	t := &Table{Cols: []string{"value"}}
 	var last sim.Time
@@ -203,7 +203,7 @@ func runBurstTrace(p driverPlan, rc DriverCtx) (*Table, error) {
 	}
 	bott := tp.Hosts[recv].Access.Peer
 	util, queue := probeLink(tp.Sim(), bott, 500*sim.Microsecond, 200*sim.Microsecond)
-	runEngine(tp.Sim(), RunCtx{Env: rc.Env, Horizon: 400 * sim.Millisecond})
+	runEngine(tp.Sim(), RunCtx{Env: rc.Env, Horizon: 400 * sim.Millisecond, stats: rc.stats})
 
 	rs := sys.Results()
 	var lastShort sim.Time

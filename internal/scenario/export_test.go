@@ -29,7 +29,6 @@ func SearchCells(s *Spec, o Opts) ([]SearchCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.progress = obsv.New(nil).StartRun(s.Name)
 	var cells []SearchCell
 	for ri := range e.rows {
 		r := &e.rows[ri]
@@ -53,7 +52,7 @@ func SearchCells(s *Spec, o Opts) ([]SearchCell, error) {
 }
 
 // Compute is the cell's value as the sweep computes it.
-func (c SearchCell) Compute() float64 { return c.e.compute(c.ri, c.ci, c.seed) }
+func (c SearchCell) Compute() float64 { return c.e.compute(c.ri, c.ci, &obsv.Cell{Seed: c.seed}) }
 
 // ProbeRun is what one simulation of a probe left behind.
 type ProbeRun struct {
@@ -84,13 +83,12 @@ func (c SearchCell) Probe(n int) ProbeRun {
 	r, b, col, flows := c.resolve(n)
 	var run ProbeRun
 	defer c.observe(&run)()
-	before := c.e.progress.Snapshot()
-	v := c.e.value(r, b, col, flows, c.seed, c.Col, 0)
-	after := c.e.progress.Snapshot()
-	if after.Probes != before.Probes+1 {
+	var rec obsv.Cell
+	v := c.e.value(r, b, col, flows, c.seed, c.Col, 0, &rec)
+	if rec.Probes != 1 {
 		panic("scenario: a probe was not counted")
 	}
-	run.OK, run.Metric, run.Stopped = v >= c.e.plan.Threshold, v, after.Decided > before.Decided
+	run.OK, run.Metric, run.Stopped = v >= c.e.plan.Threshold, v, rec.Decided == 1
 	return run
 }
 
@@ -109,7 +107,7 @@ func (c SearchCell) Reference(n int, notes bool) ProbeRun {
 			return false
 		}
 	}
-	rs := c.e.simulate(r, b, col, flows, c.seed, c.Col, 0, decided)
+	rs := c.e.simulate(r, b, col, flows, c.seed, c.Col, 0, decided, &obsv.Cell{})
 	run.Metric = b.metric.Fn(rs, flows, b.plan.MetricParams)
 	run.OK = run.Metric >= c.e.plan.Threshold
 	return run

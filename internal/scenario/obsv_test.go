@@ -120,7 +120,8 @@ func TestObservabilityPreservesTables(t *testing.T) {
 }
 
 // TestFailedCellMergesEngineStats pins that a cell cut short by a guard
-// panic still merges its partial engine counters into the aggregate.
+// panic keeps the engine counts it reached in its record, and so in the
+// aggregate.
 func TestFailedCellMergesEngineStats(t *testing.T) {
 	s := minimalSpec()
 	s.Protocols = []ProtoSpec{{Runner: "TCP"}}
@@ -133,13 +134,55 @@ func TestFailedCellMergesEngineStats(t *testing.T) {
 	if !tab.Partial() || !math.IsNaN(tab.Rows[0].Vals[0]) {
 		t.Fatalf("50-event budget did not trip:\n%s", tab)
 	}
-	rt := o.Obs.Runtime.Snapshot()
-	if rt.Fired == 0 {
-		t.Error("tripped cell merged no engine counters")
-	}
 	snap := o.Obs.Runs()[0]
-	if snap.Failed != 1 || snap.Done != 0 {
-		t.Errorf("snapshot = %+v, want the single cell failed", snap)
+	if snap.Failed != 1 || snap.Done != 0 || len(snap.Cells) != 1 {
+		t.Fatalf("snapshot = %+v, want the single cell failed", snap)
+	}
+	if c := snap.Cells[0]; c.Engine.Fired.Value() != 50 || c.Err != tab.Errors[0].Msg {
+		t.Errorf("tripped cell's record %+v, want its 50 events and the table's error", c)
+	}
+	if rt := o.Obs.Runtime.Snapshot(); rt.Fired != 50 {
+		t.Errorf("runtime fired %d, want the tripped cell's 50", rt.Fired)
+	}
+}
+
+// TestSharedRunCreditedOnce pins where a metric-only sweep's shared
+// simulations are counted: each (row, replicate) simulates once for the
+// whole axis, and its engine and flow counts go to column 0's record
+// alone, whichever cell's goroutine ran it. So the records, and the
+// Runtime totals, do not depend on the worker count.
+func TestSharedRunCreditedOnce(t *testing.T) {
+	s := &Spec{
+		Name:      "shared",
+		Topology:  TopoSpec{Name: "single-bottleneck", Params: map[string]float64{"senders": 8}},
+		Workload:  WorkloadSpec{Pattern: PatternSpec{Name: "aggregation"}, Sizes: DistSpec{Name: "uniform-mean"}, Count: 8},
+		Protocols: []ProtoSpec{{Runner: "PDQ(Full)"}, {Runner: "TCP"}},
+		Sweep:     &SweepSpec{Axis: "metric:at_ms", Values: []float64{2, 5, 20, 200}},
+		Metric:    MetricSpec{Name: "fct-cdf"},
+		HorizonMs: 500,
+	}
+	var totals []obsv.RuntimeSnapshot
+	for _, workers := range []int{1, 4} {
+		o := Opts{Parallel: workers, Trials: 2, Obs: obsv.New(nil)}
+		tab, err := Run(s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := o.Obs.Runs()[0].Cells
+		if len(cells) != 2*4*2 {
+			t.Fatalf("%d workers: %d records, want 16", workers, len(cells))
+		}
+		for _, c := range cells {
+			counted := c.Engine.Fired.Value() > 0 || c.FlowsDone > 0
+			if first := c.Col == tab.Cols[0]; counted != first || first && c.FlowsDone != 8 {
+				t.Errorf("%d workers: %s × %s rep %d counted %d events, %d flows done; want counts in column %s only, all 8 flows",
+					workers, c.Row, c.Col, c.Rep, c.Engine.Fired.Value(), c.FlowsDone, tab.Cols[0])
+			}
+		}
+		totals = append(totals, o.Obs.Runtime.Snapshot())
+	}
+	if totals[0] != totals[1] || totals[0].Fired == 0 {
+		t.Errorf("runtime totals at 1 and 4 workers: %+v, %+v", totals[0], totals[1])
 	}
 }
 

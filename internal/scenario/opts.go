@@ -64,9 +64,8 @@ type Opts struct {
 	Sched  string
 
 	// Obs, when non-nil, is the process observability plane (DESIGN.md
-	// §13): Run registers the scenario as a sweep run on it, cells report
-	// their state machine to it, and simulated engines merge event-loop
-	// counters into its Runtime aggregate. Metrics never feed back into
+	// §13): Run registers the scenario as a sweep run on it and hands the
+	// run every cell's finished record. Records never feed back into
 	// results — tables are byte-identical with Obs set or nil.
 	Obs *obsv.Observer
 
@@ -84,13 +83,7 @@ func (o Opts) BaseSeed() int64 {
 }
 
 // env extracts the settings every run of the scenario receives.
-func (o Opts) env() Env {
-	env := Env{MaxEvents: o.MaxEvents, Watchdog: o.Watchdog}
-	if o.Obs != nil {
-		env.Obs = o.Obs.Runtime
-	}
-	return env
-}
+func (o Opts) env() Env { return Env{MaxEvents: o.MaxEvents, Watchdog: o.Watchdog} }
 
 // seed is the internal shorthand for BaseSeed.
 func (o Opts) seed() int64 { return o.BaseSeed() }

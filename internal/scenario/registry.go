@@ -50,6 +50,10 @@ type RunCtx struct {
 	// run and before its engine hands its storage on: the last point at
 	// which a test can read the engine's clock and queue, or resume it.
 	inspect func(*topo.Topology)
+
+	// stats is the instrument block of the cell record the run counts
+	// into; runEngine attaches it to the engine (DESIGN.md §13).
+	stats *obsv.EngineStats
 }
 
 // Env is the run-level settings every run of a scenario receives
@@ -62,11 +66,6 @@ type Env struct {
 	// simulation under the watchdog (runFlow).
 	MaxEvents uint64
 	Watchdog  func(interrupt func()) (stop func())
-
-	// Obs, when non-nil, is the shared runtime aggregate (DESIGN.md §13):
-	// runEngine attaches a per-engine instrument block and merges it into
-	// the aggregate when the run finishes.
-	Obs *obsv.Runtime
 }
 
 // RunnerFunc runs one protocol over a set of flows on the topology build
@@ -134,11 +133,13 @@ type AnalyticEntry struct {
 type DriverFunc func(p driverPlan, rc DriverCtx) (*Table, error)
 
 // DriverCtx is what a driver gets beside its plan: the scenario's Env,
-// which every engine the driver runs receives (runEngine), and the worker
-// count for its independent runs (Gather).
+// which every engine the driver runs receives (runEngine), the worker
+// count for its independent runs (Gather), and the instrument block of
+// the driver's cell record, which its packet engines count into.
 type DriverCtx struct {
 	Env
 	Workers int
+	stats   *obsv.EngineStats
 }
 
 // DriverEntry is a registered custom scenario driver.

@@ -54,7 +54,7 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 				taken, released := tp.Net.PacketPoolStats()
 				inFlight = taken - released
 			}
-			e.compute(0, 0, 1)
+			e.compute(0, 0, &obsv.Cell{Seed: 1})
 			if !down || inFlight == 0 {
 				t.Fatalf("the run left no link down (%v) or no packet in flight (%d)", down, inFlight)
 			}
@@ -101,18 +101,16 @@ func TestResetTopologyReplaysFreshRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.env.Obs = &obsv.Runtime{}
 			r, col, b := e.resolve(0, 0)
 			k := topoKey{col.topo, 1}
 			var runs [2]replay
 			var spare *topo.Topology
 			for i := range runs {
 				rp := &runs[i]
-				e.inspect = func(tp *topo.Topology) {
-					rp.engine = *tp.Sim().Stats()
-					rp.taken, rp.released = tp.Net.PacketPoolStats()
-				}
-				rp.results = e.simulate(r, b, col, col.gen(1, 0, 0), 1, col.label, 0, nil)
+				e.inspect = func(tp *topo.Topology) { rp.taken, rp.released = tp.Net.PacketPoolStats() }
+				var rec obsv.Cell
+				rp.results = e.simulate(r, b, col, col.gen(1, 0, 0), 1, col.label, 0, nil, &rec)
+				rp.engine = rec.Engine
 				switch {
 				case len(e.spares[k]) == 0 && spare == nil:
 					// The runner builds no topology (flow:fluid).

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"pdq/internal/flowsim"
+	"pdq/internal/obsv"
 	"pdq/internal/sim"
 	"pdq/internal/stats"
 	"pdq/internal/topo"
@@ -40,8 +41,9 @@ func Run(s *Spec, o Opts) (*Table, error) {
 }
 
 // runDriver runs a custom-driver spec as one cell: its plan keys the
-// whole table in the cell cache (DESIGN.md §8), and it reports to
-// Opts.Progress like a grid cell does.
+// whole table in the cell cache (DESIGN.md §8), and it hands Opts.Progress
+// one record, Col "*", like a grid cell does; the driver's packet engines
+// count into it.
 func runDriver(s *Spec, o Opts) (*Table, error) {
 	e, plan, err := planDriver(s, o)
 	if err != nil {
@@ -52,27 +54,28 @@ func runDriver(s *Spec, o Opts) (*Table, error) {
 		cache = nil // as in the grid (compile)
 	}
 	o.Progress.AddTotal(1)
+	rec := obsv.Cell{Row: s.Driver, Col: "*", Seed: plan.Seed}
 	start := o.Progress.CellStart()
-	failed := true
-	defer func() { o.Progress.CellEnd(start, failed) }()
+	defer func() { o.Progress.CellEnd(start, rec) }()
 
 	var t *Table
 	var key string
 	if cache != nil {
 		key = plan.key()
-		if cache.Get(key, func(data []byte) bool { t = decodeTable(data); return t != nil }) {
-			o.Progress.CacheHit()
-		}
+		rec.Cached = cache.Get(key, func(data []byte) bool { t = decodeTable(data); return t != nil })
 	}
 	if t == nil {
-		if t, err = plan.call(e.Fn, DriverCtx{Env: o.env(), Workers: o.workers()}); err != nil {
+		if t, err = plan.call(e.Fn, DriverCtx{Env: o.env(), Workers: o.workers(), stats: &rec.Engine}); err != nil {
+			rec.Err = err.Error()
 			return nil, fmt.Errorf("scenario %s: driver %s: %w", s.Name, s.Driver, err)
 		}
 		if cache != nil && !t.Partial() {
 			cache.Put(key, encodeTable(t))
 		}
 	}
-	failed = t.Partial()
+	if t.Partial() {
+		rec.Err = t.Errors[0].Msg
+	}
 	t.Name, t.Desc = s.Name, s.Desc
 	return t, nil
 }
@@ -121,18 +124,20 @@ type simMemoKey struct {
 type simEntry struct {
 	once sync.Once
 	rs   []workload.Result
+	rec  obsv.Cell // what the shared simulation counted
 }
 
 // simulate executes one simulation for a row binding on col's topology
 // built at seed, tagging its telemetry capture with (colLabel, run) — run
 // distinguishes replicates and search probes sharing one grid-cell tag.
-// decided is the run's RunCtx.Decided: nil except for a search probe.
+// decided is the run's RunCtx.Decided: nil except for a search probe. The
+// run's engine and flow outcomes are counted into c.
 //
 // The runner's build takes the topology from the engine's spares; a run
 // that returns hands it back, and one that panics drops it.
-func (e *engine) simulate(r *row, b *binding, col *column, flows []workload.Flow, seed int64, colLabel string, run int, decided func(workload.Tally) bool) []workload.Result {
+func (e *engine) simulate(r *row, b *binding, col *column, flows []workload.Flow, seed int64, colLabel string, run int, decided func(workload.Tally) bool, c *obsv.Cell) []workload.Result {
 	rc := RunCtx{Env: e.env, Horizon: e.plan.Horizon,
-		Qdisc: b.qdisc, Faults: col.faults, Decided: decided, inspect: e.inspect}
+		Qdisc: b.qdisc, Faults: col.faults, Decided: decided, inspect: e.inspect, stats: &c.Engine}
 	if e.trace != nil {
 		rc.Cell = e.trace.OpenCell(trace.Cell{
 			Scenario: e.spec.Name, Row: r.label, Col: colLabel, Seed: seed, Run: run,
@@ -146,6 +151,13 @@ func (e *engine) simulate(r *row, b *binding, col *column, flows []workload.Flow
 	}, flows, rc)
 	if t != nil {
 		e.putTopo(k, t)
+	}
+	for _, r := range rs {
+		if r.Done() {
+			c.FlowsDone++
+		} else if r.Terminated {
+			c.FlowsTerminated++
+		}
 	}
 	return rs
 }
@@ -188,10 +200,11 @@ func (e *engine) putTopo(k topoKey, t *topo.Topology) {
 }
 
 // sharedRun memoizes one simulation across the columns of a metric-only
-// sweep. Whichever cell goroutine arrives first runs it; the simulation
-// is deterministic in its inputs, so the winner's results are the
-// results.
-func (e *engine) sharedRun(key simMemoKey, run func() []workload.Result) []workload.Result {
+// sweep. Whichever cell goroutine arrives first runs it, counting into the
+// memo entry; the simulation is deterministic in its inputs, so the
+// winner's results are the results. The entry's counts are credited to
+// column 0's cell c alone, whichever goroutine won.
+func (e *engine) sharedRun(key simMemoKey, ci int, c *obsv.Cell, run func(*obsv.Cell) []workload.Result) []workload.Result {
 	e.simMu.Lock()
 	ent, ok := e.simMemo[key]
 	if !ok {
@@ -199,7 +212,12 @@ func (e *engine) sharedRun(key simMemoKey, run func() []workload.Result) []workl
 		e.simMemo[key] = ent
 	}
 	e.simMu.Unlock()
-	ent.once.Do(func() { ent.rs = run() })
+	ent.once.Do(func() { ent.rs = run(&ent.rec) })
+	if ci == 0 {
+		c.Engine.Add(&ent.rec.Engine)
+		c.FlowsDone += ent.rec.FlowsDone
+		c.FlowsTerminated += ent.rec.FlowsTerminated
+	}
 	return ent.rs
 }
 
@@ -217,8 +235,8 @@ func (e *engine) sharedRun(key simMemoKey, run func() []workload.Result) []workl
 // up to the stop are a prefix of the full run's.
 //
 // Run-mode cells never come here: they report the value itself, and their
-// event counts are pinned.
-func (e *engine) value(r *row, b *binding, col *column, flows []workload.Flow, seed int64, colLabel string, run int) float64 {
+// event counts are pinned. The probe and its verdict are counted into c.
+func (e *engine) value(r *row, b *binding, col *column, flows []workload.Flow, seed int64, colLabel string, run int, c *obsv.Cell) float64 {
 	if b.plan.Analytic != "" {
 		return b.analytic.Fn(flows, b.plan.Params)
 	}
@@ -232,8 +250,11 @@ func (e *engine) value(r *row, b *binding, col *column, flows []workload.Flow, s
 			return stopped
 		}
 	}
-	rs := e.simulate(r, b, col, flows, seed, colLabel, run, decided)
-	e.progress.Probe(stopped)
+	rs := e.simulate(r, b, col, flows, seed, colLabel, run, decided, c)
+	c.Probes++
+	if stopped {
+		c.Decided++
+	}
 	return b.metric.Fn(rs, flows, b.plan.MetricParams)
 }
 
@@ -254,27 +275,26 @@ func (e *engine) cellKeyHash(ri, ci int, seed int64) string {
 	return cellPlan{&e.plan, &col.plan, &b.plan, seed}.key()
 }
 
-// cell evaluates one grid cell at one base seed, memoized through the
-// cell cache when one is attached.
-func (e *engine) cell(ri, ci int, seed int64) float64 {
-	if n := e.rows[ri].cols; n > 0 && ci >= n {
-		return 0 // beyond this row's reach (e.g. packet level at scale)
-	}
+// cell evaluates one grid cell at its record's base seed, memoized
+// through the cell cache when one is attached.
+func (e *engine) cell(ri, ci int, c *obsv.Cell) float64 {
 	if e.cache == nil {
-		return e.compute(ri, ci, seed)
+		return e.compute(ri, ci, c)
 	}
-	key := e.cellKeyHash(ri, ci, seed)
+	key := e.cellKeyHash(ri, ci, c.Seed)
 	if v, ok := e.cache.GetFloat(key); ok {
-		e.progress.CacheHit()
+		c.Cached = true
 		return v
 	}
-	v := e.compute(ri, ci, seed)
+	v := e.compute(ri, ci, c)
 	e.cache.PutFloat(key, v)
 	return v
 }
 
-// compute runs one grid cell at one base seed.
-func (e *engine) compute(ri, ci int, seed int64) float64 {
+// compute runs one grid cell at its record's base seed, counting into the
+// record.
+func (e *engine) compute(ri, ci int, c *obsv.Cell) float64 {
+	seed := c.Seed
 	r, col, b := e.resolve(ri, ci)
 	colLabel := e.cols[ci].label
 	threshold := e.plan.Threshold
@@ -283,14 +303,14 @@ func (e *engine) compute(ri, ci int, seed int64) float64 {
 		run := 0
 		return float64(stats.MaxN(1, col.plan.Hi, func(n int) bool {
 			run++
-			return e.value(r, b, col, col.gen(seed, n, 0), seed, colLabel, run-1) >= threshold
+			return e.value(r, b, col, col.gen(seed, n, 0), seed, colLabel, run-1, c) >= threshold
 		}))
 	case "max-rate":
 		run := 0
 		step := e.plan.RateStep
 		n := stats.MaxN(1, e.plan.Steps, func(n int) bool {
 			run++
-			return e.value(r, b, col, col.gen(seed, 0, float64(n)*step), seed, colLabel, run-1) >= threshold
+			return e.value(r, b, col, col.gen(seed, 0, float64(n)*step), seed, colLabel, run-1, c) >= threshold
 		})
 		return float64(n) * step
 	}
@@ -309,11 +329,11 @@ func (e *engine) compute(ri, ci int, seed int64) float64 {
 			// Metric-only sweep: every column's simulation is
 			// identical, so one run per (row, replicate) serves the
 			// whole axis (traced cells carry Col "*").
-			rs = e.sharedRun(simMemoKey{row: ri, rep: s, seed: seed}, func() []workload.Result {
-				return e.simulate(r, b, col, flows, seed, "*", s, nil)
+			rs = e.sharedRun(simMemoKey{row: ri, rep: s, seed: seed}, ci, c, func(shared *obsv.Cell) []workload.Result {
+				return e.simulate(r, b, col, flows, seed, "*", s, nil, shared)
 			})
 		} else {
-			rs = e.simulate(r, b, col, flows, seed, colLabel, s, nil)
+			rs = e.simulate(r, b, col, flows, seed, colLabel, s, nil, c)
 		}
 		sum += b.metric.Fn(rs, flows, b.plan.MetricParams)
 	}
@@ -323,45 +343,56 @@ func (e *engine) compute(ri, ci int, seed int64) float64 {
 // run executes the compiled grid and assembles the table. Every cell runs
 // once per replicate r, at base seed o.BaseSeed()+r·TrialSeedStride, and
 // shows the replicates' mean, with their stderr when there are several.
-// Each replicate is one cell of the progress state machine and runs under
-// a recover: a panic (a bug, an exhausted event budget, a watchdog
-// interrupt) makes its sample NaN and adds its CellError to the table,
-// listed in grid order, while every other cell completes (DESIGN.md §11).
+// Each replicate fills one pre-labelled record, handed to the progress
+// state machine when it ends, and runs under a recover: a panic (a bug, an
+// exhausted event budget, a watchdog interrupt) makes its sample NaN and
+// sets its record's Err, while every other cell completes; the table's
+// Errors are the failed records, in grid order (DESIGN.md §11). A cell
+// beyond its row's reach (ProtoSpec.Cols) is not a cell: it runs nothing,
+// has no record and shows NaN.
 func (e *engine) run(o Opts) *Table {
 	nCols, k := len(e.cols), o.trials()
 	t := &Table{Name: e.spec.Name, Desc: e.spec.Desc, Digits: e.spec.Digits}
 	for _, c := range e.cols {
 		t.Cols = append(t.Cols, c.label)
 	}
-	n := len(e.rows) * nCols * k
-	o.Progress.AddTotal(n)
-	fns := make([]func() float64, 0, n)
-	fails := make([]CellError, n) // Msg == "" marks success
+	samples := make([]float64, len(e.rows)*nCols*k)
+	recs := make([]obsv.Cell, len(samples))
+	var fns []func() float64
+	var at []int // the sample each fn fills
 	p := o.Progress
-	for ri := range e.rows {
+	for ri, r := range e.rows {
 		for ci := range nCols {
 			for rep := range k {
+				i := (ri*nCols+ci)*k + rep
+				if r.cols > 0 && ci >= r.cols {
+					samples[i] = math.NaN()
+					continue
+				}
 				ri, ci := ri, ci // copied, or the closure moves the outer loops' variables to the heap
-				fail := &fails[len(fns)]
-				*fail = CellError{Row: e.rows[ri].label, Col: e.cols[ci].label, Rep: rep, Seed: o.seed() + int64(rep)*TrialSeedStride}
+				rec := &recs[i]
+				*rec = obsv.Cell{Row: r.label, Col: e.cols[ci].label, Rep: rep, Seed: o.seed() + int64(rep)*TrialSeedStride}
+				at = append(at, i)
 				fns = append(fns, func() (v float64) {
 					start := p.CellStart()
 					defer func() {
-						r := recover()
-						if r != nil {
-							fail.Msg, v = panicMsg(r), math.NaN()
+						if r := recover(); r != nil {
+							rec.Err, v = panicMsg(r), math.NaN()
 						}
-						p.CellEnd(start, r != nil)
+						p.CellEnd(start, *rec)
 					}()
-					return e.cell(ri, ci, fail.Seed)
+					return e.cell(ri, ci, rec)
 				})
 			}
 		}
 	}
-	samples := Gather(o.workers(), fns)
-	for _, f := range fails {
-		if f.Msg != "" {
-			t.Errors = append(t.Errors, f)
+	p.AddTotal(len(fns))
+	for j, v := range Gather(o.workers(), fns) {
+		samples[at[j]] = v
+	}
+	for _, r := range recs {
+		if r.Err != "" {
+			t.Errors = append(t.Errors, CellError{Row: r.Row, Col: r.Col, Rep: r.Rep, Seed: r.Seed, Msg: r.Err})
 		}
 	}
 	reps := func(i int) []float64 { return samples[i*k : (i+1)*k] } // cell i's replicates

@@ -10,7 +10,6 @@ import (
 	"pdq/internal/flowsim"
 	"pdq/internal/fluid"
 	"pdq/internal/netsim"
-	"pdq/internal/obsv"
 	"pdq/internal/params"
 	"pdq/internal/protocol"
 	"pdq/internal/protocol/d3"
@@ -126,22 +125,17 @@ func armVerdict(c *workload.Collector, decided func(workload.Tally) bool, halt f
 	return decided(c.Tally())
 }
 
-// runEngine drives one packet-level simulation to its horizon with the
-// runaway-cell guards armed: the deterministic event budget and, when the
-// command layer injected one, the wall-clock watchdog. Both trip by
-// panicking; the sweep executor recovers the panic into NaN plus a
-// diagnostic, and runDriver into the driver cell's.
+// runEngine drives one packet-level simulation to its horizon, counting
+// into the cell record's block (a run cut short keeps the counts it
+// reached), with the runaway-cell guards armed: the deterministic event
+// budget and, when the command layer injected one, the wall-clock
+// watchdog. Both trip by panicking; the sweep executor recovers the panic
+// into NaN plus a diagnostic, and runDriver into the driver cell's.
 func runEngine(s *sim.Sim, rc RunCtx) {
 	if rc.MaxEvents > 0 {
 		s.SetMaxEvents(rc.MaxEvents)
 	}
-	if rc.Obs != nil {
-		// The block is private to this cell's goroutine; the merge happens
-		// once, after the run — including a run cut short by a guard panic
-		// — so no synchronization touches the event loop.
-		s.SetStats(&obsv.EngineStats{})
-		defer func() { rc.Obs.MergeEngine(s.Stats()) }()
-	}
+	s.SetStats(rc.stats)
 	if rc.Watchdog != nil {
 		defer rc.Watchdog(s.Interrupt)()
 	}

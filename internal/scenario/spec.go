@@ -178,8 +178,9 @@ type ProtoSpec struct {
 	// Fixed rows ignore the sweep axis: every column evaluates the base
 	// spec (constant baselines like Fig. 12's RCP rows).
 	Fixed bool `json:"fixed,omitempty"`
-	// Cols limits evaluation to the first N sweep columns; the rest
-	// report 0 (the paper's "packet level beyond reach" cells). 0 = all.
+	// Cols limits evaluation to the first N sweep columns; the rest are
+	// not cells (the paper's "packet level beyond reach"): they run
+	// nothing and show NaN. 0 = all.
 	Cols int `json:"cols,omitempty"`
 }
 

@@ -163,9 +163,12 @@ func (t *Table) String() string {
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-24s", r.Label)
 		for i, v := range r.Vals {
-			if r.Errs != nil {
+			switch {
+			case math.IsNaN(v) || math.IsInf(v, 0): // a failed cell, or one beyond its row's reach
+				fmt.Fprintf(&b, "%*s", w, "—")
+			case r.Errs != nil:
 				fmt.Fprintf(&b, "%*s", w, fmt.Sprintf("%.*f±%.*f", d, v, d, r.Errs[i]))
-			} else {
+			default:
 				fmt.Fprintf(&b, "%*.*f", w, d, v)
 			}
 		}

@@ -204,11 +204,11 @@ type Sim struct {
 	// via Interrupt and polled by RunUntil every interruptStride events.
 	interrupted atomic.Bool
 
-	// stats, when non-nil, receives event-loop counters (DESIGN.md §13).
-	// It is plain and owned by this Sim's goroutine: the runner merges it
-	// into the shared aggregate once the run is over, so enabling it adds
-	// one predictable branch per hot operation and no synchronization. Nil
-	// (the default) keeps the paths untouched.
+	// stats, when non-nil, receives event-loop counters (DESIGN.md §13):
+	// a sweep runs every engine counted, into the block of the cell record
+	// it works for. The block is plain and owned by this Sim's goroutine,
+	// read only once the run is over, so counting costs one predictable
+	// branch and a few adds per hot operation and no synchronization.
 	stats *obsv.EngineStats
 }
 
@@ -262,9 +262,6 @@ func New() *Sim { return &Sim{} }
 // RunUntil calls) — it is bumped with plain writes from the simulation
 // goroutine.
 func (s *Sim) SetStats(st *obsv.EngineStats) { s.stats = st }
-
-// Stats returns the attached instrument block, or nil.
-func (s *Sim) Stats() *obsv.EngineStats { return s.stats }
 
 // UseWheel does nothing. The engine has one backend, the heap; UseWheel
 // stays only because the benchmark harness's timer kernels still call it,
