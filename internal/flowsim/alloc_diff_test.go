@@ -62,6 +62,22 @@ func pdqPair(mode CritMode, aging float64) func(int64) allocPair {
 func rcpPair(int64) allocPair { return allocPair{NewRCP(), newRefRCP(), rcpTol} }
 func d3Pair(int64) allocPair  { return allocPair{got: NewD3(), ref: newRefD3()} }
 
+// freshRCP is an RCP rebuilt on every call: it fills from level 0 each
+// time, where the production allocator resumes from its last call.
+type freshRCP struct{}
+
+func (freshRCP) Name() string { return "fresh RCP" }
+
+func (freshRCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
+	NewRCP().Allocate(now, flows, cap)
+}
+
+// resumePair holds the resuming RCP to a fresh one bit for bit: the
+// rounds it replays must be the rounds a fill from level 0 takes. The
+// differential and fuzz drivers run it beside every configuration, first,
+// so that the configuration's own rates drive the stream's progress.
+func resumePair() allocPair { return allocPair{got: NewRCP(), ref: freshRCP{}} }
+
 var diffCfgs = []diffCfg{
 	{"PDQ", false, pdqPair(CritPerfect, 0)},
 	{"PDQ-deadlines", true, pdqPair(CritPerfect, 0)},
@@ -354,7 +370,7 @@ func TestAllocatorsMatchReference(t *testing.T) {
 		for ci, cfg := range diffCfgs {
 			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) {
 				seed := int64(100*ti + ci + 1)
-				d := newDiffDriver(t, tc.build(), cfg.deadlines, cfg.mk(seed))
+				d := newDiffDriver(t, tc.build(), cfg.deadlines, resumePair(), cfg.mk(seed))
 				d.run(seededStream(seed), 600)
 				if d.rounds < 200 {
 					t.Fatalf("only %d rounds ran, want ≥ 200", d.rounds)
@@ -367,15 +383,16 @@ func TestAllocatorsMatchReference(t *testing.T) {
 	}
 }
 
-// TestAllocatorsShareFlowStates hands the same []*FlowState to three
+// TestAllocatorsShareFlowStates hands the same []*FlowState to the
 // allocators in turn every round — what benchmark/kernels.go does — so
 // PDQ's and D3's membership marks on one FlowState must not confuse each
-// other.
+// other, and RCP's resume, which the marks change under, must not read
+// them.
 func TestAllocatorsShareFlowStates(t *testing.T) {
 	for _, tc := range diffTopos {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newDiffDriver(t, tc.build(), true,
-				pdqPair(CritPerfect, 2)(1), rcpPair(1), d3Pair(1), pdqPair(CritRandom, 0)(2))
+				pdqPair(CritPerfect, 2)(1), rcpPair(1), resumePair(), d3Pair(1), pdqPair(CritRandom, 0)(2))
 			d.run(seededStream(7), 400)
 		})
 	}
@@ -520,7 +537,7 @@ func FuzzAllocatorsMatchReference(f *testing.F) {
 		in := &opStream{b: data}
 		tc := diffTopos[int(in.next())%len(diffTopos)]
 		cfg := diffCfgs[int(in.next())%len(diffCfgs)]
-		d := newDiffDriver(t, tc.build(), cfg.deadlines, cfg.mk(int64(in.next())))
+		d := newDiffDriver(t, tc.build(), cfg.deadlines, resumePair(), cfg.mk(int64(in.next())))
 		d.run(in, 512)
 	})
 }

@@ -27,7 +27,7 @@ var steadyAllocators = []struct {
 //
 // churn: the same with flows arriving and completing, which is where the
 // allocators keep state between calls — the kept order lists compact and
-// append, RCP's per-call flow, path and per-link lists refill. One
+// append, RCP's flow, path and per-link lists resume or refill. One
 // run warms the allocator to the high-water mark; a second, identical Sim
 // handed the same allocator must then step from first arrival to last
 // completion without allocating outside Start.

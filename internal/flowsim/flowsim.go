@@ -17,12 +17,14 @@
 // A run makes a few hundred Allocate calls whose flow sets differ by a
 // completion or an arrival, so the allocators are built to cost what
 // changed rather than what exists: PDQ and D3 keep their service order
-// between calls and repair it, RCP fills by water level over per-link
-// flow lists, and per-flow constants are derived once per call.
-// alloc_ref_test.go holds the plain full-recompute allocators; the
-// differential and fuzz tests compare every PDQ and D3 rate bit for bit
-// against them, and every RCP rate to a relative 1e-12, since a level
-// rounds differently from the reference's sum of shares (DESIGN.md §4).
+// between calls and repair it, and RCP fills by water level over per-link
+// flow lists it keeps, with each flow's link IDs and NIC floor, resuming
+// below the lowest level a departed flow froze at. alloc_ref_test.go holds
+// the plain full-recompute allocators; the differential and fuzz tests
+// compare every PDQ and D3 rate bit for bit against them, every RCP rate
+// to a relative 1e-12, since a level rounds differently from the
+// reference's sum of shares, and every resumed RCP rate bit for bit
+// against an RCP rebuilt on every call (DESIGN.md §4).
 package flowsim
 
 import (
@@ -68,10 +70,10 @@ type FlowState struct {
 }
 
 // nicFloor is the rate a flow's own NICs cap it at, in bits/s: the sender
-// NIC is the first path link, the receiver NIC the last. Allocators derive
+// NIC is the first path link, the receiver NIC the last. PDQ and D3 derive
 // it per call, where they walk the path anyway, and not per round or per
-// comparison; nothing is cached across calls, so a Path replaced between
-// two calls (failover) needs no invalidation.
+// comparison; RCP keeps it with the flow's link IDs until a call finds
+// the flow's Path replaced (failover).
 func nicFloor(path []*netsim.Link) float64 {
 	r := path[0].Rate
 	if last := path[len(path)-1].Rate; last < r {
@@ -81,9 +83,10 @@ func nicFloor(path []*netsim.Link) float64 {
 }
 
 // Allocator assigns Rate to every active flow given per-link capacities.
-// Allocators carry reusable scratch and, PDQ and D3, the service order of
-// the flows they were last called with, so one instance belongs to one
-// Sim and must not be shared across concurrent simulations.
+// Allocators carry reusable scratch and what they derived for the flows
+// they were last called with, PDQ and D3 the service order and RCP its
+// filling, so one instance belongs to one Sim and must not be shared
+// across concurrent simulations.
 type Allocator interface {
 	Name() string
 	// Allocate sets f.Rate for every flow; cap maps each link to its
@@ -467,7 +470,7 @@ func (s *Sim) step() {
 				kept = append(kept, f)
 				continue
 			}
-			f.Remaining -= f.Rate * goodput * secs / 8
+			f.Remaining -= float64(f.Rate * goodput * secs / 8)
 			if f.Remaining < 0.5 { // sub-byte residue = done
 				s.Collector.Finish(f.ID, t+dt)
 				continue
@@ -539,7 +542,7 @@ func (p *PDQ) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 	case CritRandom:
 		for _, f := range flows {
 			if f.crit == 0 {
-				f.crit = p.rng.Float64() + 1e-9
+				f.crit = float64(p.rng.Float64()) + 1e-9
 			}
 		}
 	case CritEstimate:
@@ -598,30 +601,50 @@ func (p *PDQ) aged(f *FlowState) float64 {
 // RCP allocator: max-min fairness.
 
 // RCP is the flow-level fair-sharing allocator (RCP; also D3 with no
-// deadlines, §5.1). Create instances with NewRCP: the allocator reuses
-// dense per-link scratch and its per-call arrays across steps, and may be
-// handed from one simulation to the next.
+// deadlines, §5.1). Create instances with NewRCP: the allocator keeps the
+// last call's filling and its dense per-link scratch across steps, and may
+// be handed from one simulation to the next.
 type RCP struct {
 	sc    scratch
-	flows []rcpFlow  // the call's flows, in the caller's order
+	flows []rcpFlow  // the last call's flows in the caller's order, departed ones kept as gone
 	hops  []int32    // every flow's path as link IDs, flow after flow
-	span  []linkSpan // by link ID: where the link's flows sit in on
+	span  []linkSpan // by link ID: the link, its capacity, where its flows sit in on
 	on    []int32    // indices into flows, link after link
+	log   []rcpRound // the last call's rounds, in order
+	froze []int32    // indices into flows in freeze order, round after round
+	scan  []int32    // the links a round scans
 	sat   []int32    // the round's saturated links
 }
 
 // rcpFlow is one flow of an RCP call: its NIC floor and where its path's
-// link IDs sit in RCP.hops, derived once per call.
+// link IDs sit in RCP.hops, kept for as long as the flow keeps its Path,
+// and the rate it froze at in which round.
 type rcpFlow struct {
 	f      *FlowState
+	path   **netsim.Link // &f.Path[0] when the hops were copied
 	nic    float64
+	rate   float64
 	at     int32 // first link ID in hops
+	round  int32 // index into RCP.log
 	n      uint16
 	frozen bool
+	gone   bool // departed since the hops were copied
 }
 
-// linkSpan is one link's stretch of RCP.on.
-type linkSpan struct{ start, n int32 }
+// linkSpan is one link's stretch of RCP.on, its capacity when the lists
+// were built and how many of its flows have not departed since.
+type linkSpan struct {
+	l               *netsim.Link
+	cap             float64
+	start, n, alive int32
+}
+
+// rcpRound is one round of progressive filling: its level, the link that
+// set it (-1 for a level of +Inf), and the end of its freezes in RCP.froze.
+type rcpRound struct {
+	level   float64
+	by, end int32
+}
 
 // NewRCP returns an RCP allocator.
 func NewRCP() *RCP { return &RCP{} }
@@ -636,52 +659,28 @@ func (*RCP) Name() string { return "RCP" }
 // flows on every link left within 1e-6 of its capacity, at λ, or at their
 // NIC floor where that is within 1e-9 of λ — the progressive filling of
 // alloc_ref_test.go, which grants the same shares one round at a time.
-// Per-link flow lists are built once per call, so a round costs one scan
-// over the links still carrying an unfrozen flow plus the paths of the
-// flows it freezes. A rate is a level, not a sum of shares, so it may
-// differ from the reference's in the last bits (DESIGN.md §4).
+// A round costs one scan over the links still carrying an unfrozen flow
+// plus the paths of the flows it freezes; a round replayed from the last
+// call costs only the paths. A rate is a level, not a sum of shares, so
+// it may differ from the reference's in the last bits (DESIGN.md §4).
 func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
-	sc := &p.sc
-	sc.begin(flows)
-	p.size(flows)
-	fl, hops := p.flows[:0], p.hops[:0]
-	minNIC := math.Inf(1)
-	for _, f := range flows {
-		lf := rcpFlow{f: f, nic: nicFloor(f.Path), at: int32(len(hops)), n: uint16(len(f.Path))}
-		for _, l := range f.Path {
-			sc.slot(l, cap).count++
-			hops = append(hops, int32(l.ID))
-		}
-		f.Rate = 0
-		minNIC = min(minNIC, lf.nic)
-		fl = append(fl, lf)
+	left := p.replay(flows, cap)
+	if left < 0 {
+		p.build(flows, cap)
+		left = len(flows)
 	}
-	p.flows, p.hops = fl, hops
-	slots := sc.slots
-	links := sc.touched
-	if len(p.span) < len(slots) {
-		p.span = make([]linkSpan, len(slots))
-	}
-	span := p.span
-	var at int32
-	for _, id := range links {
-		span[id] = linkSpan{start: at}
-		at += slots[id].count
-	}
-	on := p.on[:at]
-	for i := range fl {
-		for _, id := range hops[fl[i].at : fl[i].at+int32(fl[i].n)] {
-			s := &span[id]
-			on[s.start+s.n] = int32(i)
-			s.n++
-		}
-	}
-	for left := len(fl); left > 0; {
+	fl, slots, span, on := p.flows, p.sc.slots, p.span, p.on
+	// build opened the flows' links in sc.touched. The first round drops
+	// those with no unfrozen flow left and finds the unfrozen flows'
+	// lowest NIC floor.
+	links := append(p.scan[:0], p.sc.touched...)
+	minNIC := math.Inf(-1)
+	for left > 0 {
 		// The lowest level a live link saturates at; a link whose level is
 		// within its floor of the running minimum is a candidate, and the
 		// minimum only falls, so every link saturated at the final level
 		// is among them.
-		level := math.Inf(1)
+		level, by := math.Inf(1), int32(-1)
 		sat := p.sat[:0]
 		n := 0
 		for _, id := range links {
@@ -697,7 +696,7 @@ func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 			// rounded, so the division is taken only for a new minimum.
 			if s.residual <= x {
 				if v := s.residual / c; v < level {
-					level = v
+					level, by = v, id
 					x = c * level
 				}
 			}
@@ -712,11 +711,10 @@ func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 		if minNIC <= level+1e-9 {
 			minNIC = math.Inf(1)
 			for i := range fl {
-				lf := &fl[i]
-				switch {
+				switch lf := &fl[i]; {
 				case lf.frozen:
 				case lf.nic <= level+1e-9:
-					p.freeze(lf, lf.nic)
+					p.freeze(int32(i), lf.nic)
 					left--
 				default:
 					minNIC = min(minNIC, lf.nic)
@@ -725,7 +723,7 @@ func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 		}
 		k := 0
 		for _, id := range sat {
-			if s := &slots[id]; s.residual-float64(s.count)*level <= s.floor {
+			if s := &slots[id]; s.residual-float64(float64(s.count)*level) <= s.floor {
 				sat[k] = id
 				k++
 			}
@@ -734,8 +732,8 @@ func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 		for _, id := range sat {
 			sp := span[id]
 			for _, i := range on[sp.start : sp.start+sp.n] {
-				if lf := &fl[i]; !lf.frozen {
-					p.freeze(lf, level)
+				if !fl[i].frozen {
+					p.freeze(i, level)
 					left--
 				}
 			}
@@ -745,15 +743,129 @@ func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 			// No flow froze: every unfrozen flow holds the level.
 			for i := range fl {
 				if !fl[i].frozen {
-					fl[i].f.Rate = level
+					p.freeze(int32(i), level)
+					left--
 				}
 			}
+		}
+		p.log = append(p.log, rcpRound{level: level, by: by, end: int32(len(p.froze))})
+	}
+	p.scan = links
+}
+
+// replay resumes from the last call's filling when flows are its flows
+// less some, in the same order, over the same paths and capacities. It
+// takes the departed flows off their links' counts and replays logged
+// rounds while two things hold: the round's level is below the cut, the
+// lowest level of a round in which a departed flow froze, so no departed
+// flow crossed a link the round saturated; and the link that set the
+// round's level still gives it. Such a round freezes the same flows, and
+// replay subtracts in the original order, bit for bit (DESIGN.md §4). It
+// returns how many flows are left unfrozen, or -1 when the call must fill
+// from level 0.
+func (p *RCP) replay(flows []*FlowState, cap func(*netsim.Link) float64) int {
+	fl := p.flows
+	if len(fl) == 0 || len(fl) > 2*len(flows) {
+		return -1 // a first call, or more departed flows than live ones to skip
+	}
+	cut := math.Inf(1)
+	j := 0
+	for _, f := range flows {
+		for ; j < len(fl) && (fl[j].gone || fl[j].f != f); j++ {
+			cut = p.depart(&fl[j], cut)
+		}
+		if j == len(fl) || fl[j].path != &f.Path[0] || int(fl[j].n) != len(f.Path) {
+			return -1 // an arrival, a readmitted flow or a replaced Path
+		}
+		j++
+	}
+	for ; j < len(fl); j++ {
+		cut = p.depart(&fl[j], cut)
+	}
+	slots := p.sc.slots
+	for _, id := range p.sc.touched {
+		if sp := &p.span[id]; sp.alive > 0 {
+			c := cap(sp.l)
+			if c != sp.cap {
+				return -1
+			}
+			slots[id].residual, slots[id].count = c, sp.alive
+		}
+	}
+	r, end := 0, int32(0)
+	for ; r < len(p.log); r++ {
+		g := p.log[r]
+		if !(g.level < cut) {
 			break
+		}
+		if s := &slots[g.by]; s.residual/float64(s.count) != g.level {
+			break
+		}
+		for _, i := range p.froze[end:g.end] {
+			p.take(&fl[i])
+		}
+		end = g.end
+	}
+	for _, i := range p.froze[end:] {
+		fl[i].frozen = fl[i].gone
+	}
+	p.log, p.froze = p.log[:r], p.froze[:end]
+	return len(flows) - int(end)
+}
+
+// depart marks lf gone, takes it off its links' counts and returns cut
+// lowered to the level of the round lf froze in. That is the round's
+// level and not lf's rate: a NIC floor may freeze up to 1e-9 above it.
+func (p *RCP) depart(lf *rcpFlow, cut float64) float64 {
+	if lf.gone {
+		return cut
+	}
+	lf.gone = true
+	for _, id := range p.hops[lf.at : lf.at+int32(lf.n)] {
+		p.span[id].alive--
+	}
+	return min(cut, p.log[lf.round].level)
+}
+
+// build copies every flow's path as link IDs with its NIC floor, opens the
+// links and lists each link's flows, for a call that fills from level 0.
+func (p *RCP) build(flows []*FlowState, cap func(*netsim.Link) float64) {
+	sc := &p.sc
+	sc.begin(flows)
+	p.size(flows)
+	fl, hops := p.flows[:0], p.hops[:0]
+	for _, f := range flows {
+		fl = append(fl, rcpFlow{f: f, path: &f.Path[0], nic: nicFloor(f.Path), at: int32(len(hops)), n: uint16(len(f.Path))})
+		for _, l := range f.Path {
+			sc.slot(l, cap).count++
+			hops = append(hops, int32(l.ID))
+		}
+	}
+	p.flows, p.hops = fl, hops
+	p.log, p.froze = p.log[:0], p.froze[:0]
+	slots := sc.slots
+	if len(p.span) < len(slots) {
+		p.span = make([]linkSpan, len(slots))
+	}
+	span := p.span
+	var at int32
+	for _, id := range sc.touched {
+		s := &slots[id]
+		span[id] = linkSpan{cap: s.residual, start: at, alive: s.count}
+		at += s.count
+	}
+	on := p.on[:at]
+	for i, f := range flows {
+		for _, l := range f.Path {
+			sp := &span[l.ID]
+			sp.l = l
+			on[sp.start+sp.n] = int32(i)
+			sp.n++
 		}
 	}
 }
 
-// size grows RCP's per-call arrays, once, to what a call over flows needs.
+// size grows RCP's per-flow arrays, once, to what a call over flows needs.
 func (p *RCP) size(flows []*FlowState) {
 	n := 0
 	for _, f := range flows {
@@ -761,6 +873,8 @@ func (p *RCP) size(flows []*FlowState) {
 	}
 	if cap(p.flows) < len(flows) {
 		p.flows = make([]rcpFlow, 0, len(flows))
+		p.froze = make([]int32, 0, len(flows))
+		p.log = make([]rcpRound, 0, len(flows))
 	}
 	if cap(p.hops) < n {
 		p.hops = make([]int32, 0, n)
@@ -768,15 +882,23 @@ func (p *RCP) size(flows []*FlowState) {
 	}
 }
 
-// freeze fixes lf's rate and takes it off its links: their residual loses
-// the rate and their count the flow.
-func (p *RCP) freeze(lf *rcpFlow, rate float64) {
-	lf.frozen = true
-	lf.f.Rate = rate
+// freeze fixes flow i's rate in the round being filled and takes it off
+// its links.
+func (p *RCP) freeze(i int32, rate float64) {
+	lf := &p.flows[i]
+	lf.frozen, lf.rate, lf.round = true, rate, int32(len(p.log))
+	p.froze = append(p.froze, i)
+	p.take(lf)
+}
+
+// take grants lf its rate: its links' residual loses the rate and their
+// count the flow.
+func (p *RCP) take(lf *rcpFlow) {
+	lf.f.Rate = lf.rate
 	slots := p.sc.slots
 	for _, id := range p.hops[lf.at : lf.at+int32(lf.n)] {
 		s := &slots[id]
-		s.residual -= rate
+		s.residual -= lf.rate
 		s.count--
 	}
 }

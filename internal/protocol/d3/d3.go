@@ -99,7 +99,7 @@ func (st *linkState) request(now sim.Time, flow netsim.FlowID, desired int64) in
 	}
 	qBits := float64(st.link.QueueWaiting()) * 8
 	drain := beta * qBits * float64(sim.Second) / float64(2*protocol.InitRTT)
-	capacity := c*(1+alpha*head) - drain
+	capacity := float64(c*(1+float64(alpha*head))) - drain
 	if capacity > c {
 		capacity = c
 	}

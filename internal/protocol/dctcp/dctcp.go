@@ -108,7 +108,7 @@ func (snd *sender) HandleAck(pkt *netsim.Packet) {
 	}
 	if ackIdx > snd.windowEnd {
 		f := float64(snd.ackMarked) / float64(snd.ackTotal)
-		snd.alpha = (1-snd.sys.Cfg.G)*snd.alpha + snd.sys.Cfg.G*f
+		snd.alpha = float64((1-snd.sys.Cfg.G)*snd.alpha) + float64(snd.sys.Cfg.G*f)
 		if snd.ackMarked > 0 {
 			snd.ECNCut(snd.alpha)
 		}

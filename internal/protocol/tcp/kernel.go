@@ -137,7 +137,7 @@ func (k *Kernel) onRTO() {
 // response to an ECN-marked observation window): cwnd ← cwnd·(1−α/2)
 // floored at one segment, with ssthresh tracking the reduced window.
 func (k *Kernel) ECNCut(alpha float64) {
-	k.cwnd = maxf(k.cwnd*(1-alpha/2), 1)
+	k.cwnd = maxf(k.cwnd*(1-float64(alpha/2)), 1)
 	k.ssthresh = maxf(k.cwnd, 2)
 }
 

@@ -104,7 +104,7 @@ func summarize(xs []float64) (mean, stderr float64) {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return mean, math.Sqrt(ss/(n-1)) / math.Sqrt(n)
 }

@@ -51,13 +51,13 @@ func PercentileSorted(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return xs[len(xs)-1]
 	}
-	pos := p / 100 * float64(len(xs)-1)
+	pos := float64(p / 100 * float64(len(xs)-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= len(xs) {
 		return xs[lo]
 	}
-	return xs[lo]*(1-frac) + xs[lo+1]*frac
+	return float64(xs[lo]*(1-frac)) + float64(xs[lo+1]*frac)
 }
 
 // WeightedPercentileSorted returns the p-th weighted percentile
@@ -87,18 +87,18 @@ func WeightedPercentileSorted(xs, ws []float64, p float64) float64 {
 	if p >= 100 {
 		return xs[len(xs)-1]
 	}
-	target := p / 100 * total
+	target := float64(p / 100 * total)
 	cum := 0.0
 	prevPos, prevX := 0.0, xs[0]
 	for i, x := range xs {
-		pos := cum + ws[i]/2 // this sample's cumulative-weight midpoint
+		pos := cum + float64(ws[i]/2) // this sample's cumulative-weight midpoint
 		cum += ws[i]
 		if pos >= target {
 			if i == 0 || pos == prevPos {
 				return x
 			}
 			frac := (target - prevPos) / (pos - prevPos)
-			return prevX + frac*(x-prevX)
+			return prevX + float64(frac*(x-prevX))
 		}
 		prevPos, prevX = pos, x
 	}

@@ -195,7 +195,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 			if d >= n || math.Mod(n*d, 2) != 0 {
 				return fmt.Errorf("degree %v on %v switches: want degree < switches and an even switches×degree", d, n)
 			}
-			return cables(n * (p["hosts_per_switch"] + d/2))
+			return cables(n * (p["hosts_per_switch"] + float64(d/2)))
 		},
 	},
 })

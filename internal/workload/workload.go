@@ -109,7 +109,7 @@ type Pareto struct {
 func (p Pareto) Sample(rng *rand.Rand) int64 {
 	// For a Pareto with xm minimal value: mean = alpha*xm/(alpha-1).
 	xm := p.MeanSize * (p.Alpha - 1) / p.Alpha
-	x := xm / math.Pow(1-rng.Float64(), 1/p.Alpha)
+	x := xm / math.Pow(1-float64(rng.Float64()), 1/p.Alpha)
 	if x > 1000*p.MeanSize {
 		x = 1000 * p.MeanSize
 	}
@@ -140,7 +140,7 @@ func (VL2SizeDist) Sample(rng *rand.Rand) int64 {
 	case u < 0.99: // medium: 100 KB–1 MB
 		return 100<<10 + rng.Int63n((1<<20)-(100<<10))
 	default: // elephants: 1–100 MB, log-uniform
-		lg := rng.Float64() * 2 // 10^0..10^2 MB
+		lg := float64(rng.Float64()) * 2 // 10^0..10^2 MB
 		return int64(math.Pow(10, lg) * float64(1<<20))
 	}
 }
@@ -166,7 +166,7 @@ func (EDU1SizeDist) Sample(rng *rand.Rand) int64 {
 	case u < 0.95: // small: 4–64 KB
 		return 4<<10 + rng.Int63n(60<<10)
 	default: // tail: 64 KB–10 MB, log-uniform
-		lg := math.Log2(64<<10) + rng.Float64()*(math.Log2(10*(1<<20))-math.Log2(64<<10))
+		lg := math.Log2(64<<10) + float64(rng.Float64()*(math.Log2(10*(1<<20))-math.Log2(64<<10)))
 		return int64(math.Pow(2, lg))
 	}
 }
