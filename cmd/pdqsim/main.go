@@ -20,8 +20,8 @@
 // tables, telemetry, cache report and exit status. Giving both is a
 // usage error. -list prints the experiments and then every registry a
 // spec can name: topologies, patterns, size distributions, flow
-// generators, protocol runners, analytic baselines, metrics, custom
-// drivers and queue disciplines.
+// generators, protocol runners, metrics, custom drivers and queue
+// disciplines.
 //
 // Each experiment prints the same rows/series the paper reports (see
 // DESIGN.md §6–§8 for how the figure specs, the scenario layer and the
@@ -364,10 +364,6 @@ func listRegistries() {
 	fmt.Println("protocol runners:")
 	for _, r := range scenario.RunnerList() {
 		entry(fmt.Sprintf("%s [%s]", r.Name, r.Level), r.Doc, r.Params)
-	}
-	fmt.Println("analytic baselines:")
-	for _, a := range scenario.AnalyticList() {
-		entry(a.Name, a.Doc, a.Params)
 	}
 	fmt.Println("metrics:")
 	for _, m := range scenario.MetricList() {

@@ -72,7 +72,7 @@ func TestListNamesEveryRegistry(t *testing.T) {
 		t.Fatalf("-list: exit %d, stderr %q", code, stderr)
 	}
 	for _, heading := range []string{"available experiments:", "topologies:", "patterns:",
-		"size distributions:", "flow generators:", "protocol runners:", "analytic baselines:",
+		"size distributions:", "flow generators:", "protocol runners:",
 		"metrics:", "custom drivers:", "queue disciplines:"} {
 		if !strings.Contains(out, "\n"+heading+"\n") && !strings.HasPrefix(out, heading+"\n") {
 			t.Errorf("-list has no %q heading", heading)

@@ -21,10 +21,21 @@ import (
 // ProtoOrder is the paper's legend order for the full protocol set.
 var ProtoOrder = []string{"PDQ(Full)", "PDQ(ES+ET)", "PDQ(ES)", "PDQ(Basic)", "D3", "RCP", "TCP"}
 
-// fctProtos is the protocol set of the FCT figures (RCP ≡ D3 without
-// deadlines, so the paper plots them as one curve; the registry's
-// "RCP/D3" runner is that alias).
-var fctProtos = []string{"PDQ(Full)", "PDQ(ES)", "PDQ(Basic)", "RCP/D3", "TCP"}
+// fctProtos is the protocol rows of the FCT figures. RCP ≡ D3 without
+// deadlines (§5.1), so the paper plots them as one curve, RCP/D3.
+func fctProtos() []scenario.ProtoSpec {
+	return append(protoRows("PDQ(Full)", "PDQ(ES)", "PDQ(Basic)"),
+		scenario.ProtoSpec{Label: "RCP/D3", Runner: "RCP"}, scenario.ProtoSpec{Runner: "TCP"})
+}
+
+// deadlineProtos is the protocol rows of the deadline figures: the
+// paper's Optimal — the omniscient scheduler of §5.2.1, EDF with
+// Moore–Hodgson on the bottleneck, run on the same flows — then the
+// full protocol set.
+func deadlineProtos() []scenario.ProtoSpec {
+	optimal := scenario.ProtoSpec{Label: "Optimal", Runner: "flow:fluid", Params: map[string]float64{"policy": 2}}
+	return append([]scenario.ProtoSpec{optimal}, protoRows(ProtoOrder...)...)
+}
 
 // protoRows turns a protocol name list into spec rows.
 func protoRows(names ...string) []scenario.ProtoSpec {

@@ -69,7 +69,7 @@ func fig8FCTSpec(name string, topoName string, full, quick []scenario.SweepCase)
 		Protocols: []scenario.ProtoSpec{
 			{Label: "PDQ(Full); Pkt", Runner: "PDQ(Full)", Cols: 1},
 			{Label: "PDQ(Full); Flow", Runner: "flow:PDQ"},
-			{Label: "RCP/D3; Pkt", Runner: "RCP/D3", Cols: 1},
+			{Label: "RCP/D3; Pkt", Runner: "RCP", Cols: 1},
 			{Label: "RCP/D3; Flow", Runner: "flow:RCP"},
 		},
 		Sweep:     &scenario.SweepSpec{Cases: full, QuickCases: quick},
@@ -248,7 +248,7 @@ func Fig11cSpec() *scenario.Spec {
 // flows, compared with RCP. The RCP rows are fixed baselines: the axis
 // does not apply to them.
 func Fig12Spec() *scenario.Spec {
-	maxFCT := &scenario.MetricSpec{Name: "max-fct", Params: map[string]float64{"ms": 1}}
+	maxFCT := &scenario.MetricSpec{Name: "fct-quantile", Params: map[string]float64{"q": 100, "ms": 1}}
 	meanFCT := &scenario.MetricSpec{Name: "mean-fct", Params: map[string]float64{"ms": 1}}
 	return &scenario.Spec{
 		Name:     "fig12",

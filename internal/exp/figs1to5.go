@@ -34,7 +34,7 @@ func Fig3aSpec() *scenario.Spec {
 		Digits:    1,
 		Topology:  defaultTree(),
 		Workload:  aggWorkload(100, meanDeadlineMsDflt),
-		Protocols: append([]scenario.ProtoSpec{{Label: "Optimal", Analytic: "optimal-app-throughput"}}, protoRows(ProtoOrder...)...),
+		Protocols: deadlineProtos(),
 		Sweep: &scenario.SweepSpec{
 			Axis:        "flows",
 			Values:      []float64{2, 5, 10, 15, 20, 25},
@@ -58,7 +58,7 @@ func Fig3bSpec() *scenario.Spec {
 		Digits:    1,
 		Topology:  defaultTree(),
 		Workload:  w,
-		Protocols: append([]scenario.ProtoSpec{{Label: "Optimal", Analytic: "optimal-app-throughput"}}, protoRows(ProtoOrder...)...),
+		Protocols: deadlineProtos(),
 		Sweep: &scenario.SweepSpec{
 			Axis:        "mean-size-kb",
 			Values:      []float64{100, 150, 200, 250, 300, 350},
@@ -77,7 +77,7 @@ func Fig3cSpec() *scenario.Spec {
 		Desc:      "number of flows at 99% app throughput vs mean deadline [ms]",
 		Topology:  defaultTree(),
 		Workload:  aggWorkload(100, 0), // deadline comes from the sweep axis
-		Protocols: append([]scenario.ProtoSpec{{Label: "Optimal", Analytic: "optimal-app-throughput"}}, protoRows(ProtoOrder...)...),
+		Protocols: deadlineProtos(),
 		Sweep: &scenario.SweepSpec{
 			Axis:        "mean-deadline-ms",
 			Values:      []float64{20, 30, 40, 50, 60},
@@ -97,7 +97,7 @@ func Fig3dSpec() *scenario.Spec {
 		Desc:      "mean FCT normalized to optimal vs number of flows (no deadlines)",
 		Topology:  defaultTree(),
 		Workload:  aggWorkload(100, 0),
-		Protocols: protoRows(fctProtos...),
+		Protocols: fctProtos(),
 		Sweep: &scenario.SweepSpec{
 			Axis:        "flows",
 			Values:      []float64{1, 2, 5, 10, 15, 20, 25},
@@ -117,7 +117,7 @@ func Fig3eSpec() *scenario.Spec {
 		Desc:      "mean FCT normalized to optimal vs avg flow size [KB] (3 flows)",
 		Topology:  defaultTree(),
 		Workload:  w,
-		Protocols: protoRows(fctProtos...),
+		Protocols: fctProtos(),
 		Sweep: &scenario.SweepSpec{
 			Axis:        "mean-size-kb",
 			Values:      []float64{100, 150, 200, 250, 300, 350},
@@ -172,7 +172,7 @@ func Fig4bSpec() *scenario.Spec {
 		Desc:      "mean FCT per pattern (normalized to PDQ(Full), no deadlines)",
 		Topology:  defaultTree(),
 		Workload:  w,
-		Protocols: protoRows(fctProtos...),
+		Protocols: fctProtos(),
 		Sweep:     &scenario.SweepSpec{Cases: patternCases()},
 		Metric:    scenario.MetricSpec{Name: "mean-fct"},
 		HorizonMs: 2000,
@@ -224,7 +224,7 @@ func Fig5bSpec() *scenario.Spec {
 		Desc:      "long-flow FCT under VL2-like workload (normalized to PDQ(Full))",
 		Topology:  defaultTree(),
 		Workload:  vl2Workload(3000, 2000, 200, 60),
-		Protocols: protoRows(fctProtos...),
+		Protocols: fctProtos(),
 		ColLabel:  "norm",
 		Metric:    scenario.MetricSpec{Name: "mean-fct", Params: map[string]float64{"long_only": 1}},
 		HorizonMs: 2200, QuickHorizonMs: 2060, // arrival window + 2 s drain
@@ -247,7 +247,7 @@ func Fig5cSpec() *scenario.Spec {
 				WindowMs: 200, QuickWindowMs: 60,
 			},
 		},
-		Protocols: protoRows(fctProtos...),
+		Protocols: fctProtos(),
 		ColLabel:  "norm",
 		Metric:    scenario.MetricSpec{Name: "mean-fct"},
 		HorizonMs: 2200, QuickHorizonMs: 2060,

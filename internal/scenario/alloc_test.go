@@ -21,7 +21,6 @@ var runnerMallocs = map[string]float64{
 	"PDQ(Basic)": 350,
 	"D3":         442,
 	"RCP":        508,
-	"RCP/D3":     508,
 	"TCP":        323,
 	"DCTCP":      315,
 	"pFabric":    394,
@@ -38,7 +37,6 @@ var resetMallocs = map[string]float64{
 	"PDQ(Basic)": 91,
 	"D3":         184,
 	"RCP":        258,
-	"RCP/D3":     250,
 	"TCP":        64,
 	"DCTCP":      56,
 	"pFabric":    135,

@@ -100,8 +100,7 @@ func (p *topoPlan) equal(q *topoPlan) bool {
 // metric parameters can carry the sweep axis).
 type rowPlan struct {
 	Runner       string             `json:"runner,omitempty"`
-	Analytic     string             `json:"analytic,omitempty"`
-	Params       map[string]float64 `json:"params,omitempty"` // the runner's or the analytic's
+	Params       map[string]float64 `json:"params,omitempty"` // the runner's
 	Metric       string             `json:"metric,omitempty"`
 	MetricParams map[string]float64 `json:"metric_params,omitempty"`
 	Level        string             `json:"level,omitempty"` // runner simulator level: "packet" or "flow"
@@ -172,8 +171,8 @@ type row struct {
 	label string
 	fixed bool
 	cols  int
-	// bound holds the row resolved against each column; analytic and
-	// fixed rows have a single entry (see at).
+	// bound holds the row resolved against each column; a fixed row has
+	// a single entry (see at).
 	bound []binding
 }
 
@@ -188,11 +187,10 @@ func (r *row) at(ci int) *binding {
 // binding is a rowPlan and the registry entries rowPlan.bind looked up
 // for it; the entries' functions take their parameters from the plan.
 type binding struct {
-	plan     rowPlan
-	runner   RunnerEntry
-	metric   MetricEntry
-	analytic AnalyticEntry
-	qdisc    func() netsim.Qdisc // the row's `qdisc:` override factory, nil when unset
+	plan   rowPlan
+	runner RunnerEntry
+	metric MetricEntry
+	qdisc  func() netsim.Qdisc // the row's `qdisc:` override factory, nil when unset
 }
 
 // engine is a compiled spec: the bound cell grid and how to run it.
@@ -684,25 +682,8 @@ func compileFaults(specs []FaultSpec, hosts, switches int) ([]fault.Event, error
 // compileRow plans and binds one protocol row against every column.
 func compileRow(s *Spec, ps ProtoSpec, cols []column) (*row, error) {
 	r := &row{label: ps.Label, fixed: ps.Fixed, cols: ps.Cols}
-	if ps.Analytic != "" {
-		if ps.Runner != "" {
-			return nil, fmt.Errorf("row %q has both runner and analytic", r.label)
-		}
-		if ps.Qdisc != nil {
-			return nil, fmt.Errorf("row %q: analytic baselines run no simulation, qdisc has no effect", r.label)
-		}
-		if r.label == "" {
-			r.label = ps.Analytic
-		}
-		_, ap, err := analytics.Resolve(ps.Analytic, ps.Params)
-		if err != nil {
-			return nil, err
-		}
-		r.bound = []binding{rowPlan{Analytic: ps.Analytic, Params: ap}.bind()}
-		return r, nil
-	}
 	if ps.Runner == "" {
-		return nil, fmt.Errorf("row %q names neither runner nor analytic", r.label)
+		return nil, fmt.Errorf("row %q names no runner", r.label)
 	}
 	if r.label == "" {
 		r.label = ps.Runner
@@ -778,7 +759,6 @@ func (p rowPlan) bind() binding {
 	b := binding{plan: p}
 	b.runner, _ = runners.Lookup(p.Runner)
 	b.metric, _ = metrics.Lookup(p.Metric)
-	b.analytic, _ = analytics.Lookup(p.Analytic)
 	if p.Qdisc != "" {
 		b.qdisc, _, _ = netsim.MakeQdisc(p.Qdisc, p.QdiscParams) // resolved parameters resolve to themselves
 	}

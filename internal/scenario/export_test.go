@@ -32,9 +32,6 @@ func SearchCells(s *Spec, o Opts) ([]SearchCell, error) {
 	var cells []SearchCell
 	for ri := range e.rows {
 		r := &e.rows[ri]
-		if r.at(0).plan.Analytic != "" {
-			continue
-		}
 		for ci := range e.cols {
 			if r.cols > 0 && ci >= r.cols {
 				continue

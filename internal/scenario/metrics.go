@@ -52,28 +52,4 @@ var metrics = params.NewRegistry("metric", MetricEntry.decl, slices.Concat([]Met
 			return stats.MeanFCT(rs, nil) / opt
 		},
 	},
-	{
-		Name:   "max-fct",
-		Doc:    "worst flow completion time; ms=1 reports milliseconds",
-		Params: map[string]float64{"ms": 0},
-		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
-			v := stats.Percentile(stats.FCTs(rs), 100)
-			if p["ms"] != 0 {
-				v *= 1000
-			}
-			return v
-		},
-	},
 }, distMetrics, faultMetrics))
-
-// analytics is the table of closed-form baselines.
-var analytics = params.NewRegistry("analytic", AnalyticEntry.decl, []AnalyticEntry{
-	{
-		Name:   "optimal-app-throughput",
-		Doc:    "omniscient EDF + Moore–Hodgson bound on the bottleneck link (fluid model)",
-		Params: map[string]float64{"bottleneck_gbps": float64(netsim.DefaultRate) / 1e9},
-		Fn: func(flows []workload.Flow, p map[string]float64) float64 {
-			return fluid.OptimalAppThroughput(flows, int64(p["bottleneck_gbps"]*1e9))
-		},
-	},
-})

@@ -35,53 +35,11 @@ func fctSamples(rs []workload.Result) (fcts, sizes []float64) {
 	return fcts, sizes
 }
 
-// fctQuantile evaluates the q-th FCT percentile, optionally byte-weighted
-// and scaled to milliseconds.
-func fctQuantile(rs []workload.Result, q float64, p map[string]float64) float64 {
-	fcts, sizes := fctSamples(rs)
-	var v float64
-	if p["weight_by_size"] != 0 {
-		v = stats.WeightedPercentileSorted(fcts, sizes, q)
-	} else {
-		v = stats.PercentileSorted(fcts, q)
-	}
-	if p["ms"] != 0 {
-		v *= 1000
-	}
-	return v
-}
-
-// fctPercentileDoc is shared by the fixed-percentile FCT metrics.
-const fctPercentileDoc = "FCT percentile over completed flows; ms=1 reports milliseconds, weight_by_size=1 weights each flow by its bytes"
-
-// fctPercentileFn binds one fixed percentile into a MetricFunc.
-func fctPercentileFn(q float64) MetricFunc {
-	return func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
-		return fctQuantile(rs, q, p)
-	}
-}
-
-func fctPercentileParams() map[string]float64 {
-	return map[string]float64{"ms": 0, "weight_by_size": 0}
-}
-
 // distMetrics are the distribution metrics of the metric table.
 var distMetrics = []MetricEntry{
 	{
-		Name:   "fct-p95",
-		Doc:    fctPercentileDoc,
-		Params: fctPercentileParams(),
-		Fn:     fctPercentileFn(95),
-	},
-	{
-		Name:   "fct-p99",
-		Doc:    fctPercentileDoc,
-		Params: fctPercentileParams(),
-		Fn:     fctPercentileFn(99),
-	},
-	{
 		Name:   "fct-quantile",
-		Doc:    "q-th FCT percentile over completed flows; ms=1 reports milliseconds, weight_by_size=1 weights by bytes (pairs with the metric:q sweep axis for inverse-CDF curves)",
+		Doc:    "q-th FCT percentile over completed flows (q=100: the worst FCT); ms=1 reports milliseconds, weight_by_size=1 weights by bytes (pairs with the metric:q sweep axis for inverse-CDF curves)",
 		Params: map[string]float64{"q": 50, "ms": 0, "weight_by_size": 0},
 		Check: func(p map[string]float64) error {
 			if q := p["q"]; !(q >= 0 && q <= 100) {
@@ -90,7 +48,17 @@ var distMetrics = []MetricEntry{
 			return nil
 		},
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
-			return fctQuantile(rs, p["q"], p)
+			fcts, sizes := fctSamples(rs)
+			var v float64
+			if p["weight_by_size"] != 0 {
+				v = stats.WeightedPercentileSorted(fcts, sizes, p["q"])
+			} else {
+				v = stats.PercentileSorted(fcts, p["q"])
+			}
+			if p["ms"] != 0 {
+				v *= 1000
+			}
+			return v
 		},
 	},
 	{

@@ -16,10 +16,12 @@ import (
 
 // quickFigureKeysSHA is SHA-256 over the sorted, newline-joined cell keys
 // of all 25 figures at -quick -seed 1. It was computed with this test on
-// the commit before compile became spec → plan → cell, and re-pinned when
-// cacheSalt went to v3; a cache written by any build since stays
-// addressable as long as it does not move.
-const quickFigureKeysSHA = "865607b1174c05fea12867d904b98cfbe908723573bfa07559139e8e20464c47"
+// the commit before compile became spec → plan → cell, re-pinned when
+// cacheSalt went to v3, and again when the Optimal rows became flow:fluid
+// rows and the RCP/D3 and max-fct rows named RCP and fct-quantile; a
+// cache written by any build since stays addressable as long as it does
+// not move.
+const quickFigureKeysSHA = "a3c395e876c50f63160c2169dcd57a8cd2d031364e51f2d0a71fa0a7e56e06ea"
 
 // TestCellKeysDidNotMove pins every quick figure's cell keys at once.
 func TestCellKeysDidNotMove(t *testing.T) {

@@ -83,7 +83,7 @@ func TestPacketPoolBalance(t *testing.T) {
 			packet = append(packet, e.Name)
 		}
 	}
-	if len(packet) < 10 {
+	if len(packet) < 9 {
 		t.Fatalf("registry lists only %d packet runners: %v", len(packet), packet)
 	}
 	lossy := func() *topo.Topology {

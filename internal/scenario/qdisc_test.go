@@ -102,9 +102,6 @@ func TestQdiscSpecErrors(t *testing.T) {
 		{"qdisc on flow-level runner", func(s *Spec) {
 			s.Protocols = []ProtoSpec{{Runner: "flow:RCP", Qdisc: &QdiscSpec{Name: "prio"}}}
 		}, "needs a packet-level runner"},
-		{"qdisc on analytic row", func(s *Spec) {
-			s.Protocols = []ProtoSpec{{Analytic: "optimal-app-throughput", Qdisc: &QdiscSpec{Name: "prio"}}}
-		}, "qdisc has no effect"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -115,16 +115,6 @@ type MetricEntry struct {
 	Interval func(t workload.Tally, p map[string]float64) (lo, hi float64)
 }
 
-// AnalyticEntry is a registered closed-form baseline: a value computed
-// from the flow set alone, without running a simulator (e.g. the fluid
-// Optimal bound).
-type AnalyticEntry struct {
-	Name   string
-	Doc    string
-	Params map[string]float64
-	Fn     func(flows []workload.Flow, p map[string]float64) float64
-}
-
 // DriverFunc is a registered custom scenario: trace/dynamics shapes that
 // are not protocol×axis grids. Its table's columns and rows (Run stamps
 // the spec's name and description) must be a pure function of p, the
@@ -180,8 +170,6 @@ func (e MetricEntry) decl() params.Decl {
 	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
 }
 
-func (e AnalyticEntry) decl() params.Decl { return params.Decl{Name: e.Name, Params: e.Params} }
-
 func (e DriverEntry) decl() params.Decl {
 	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
 }
@@ -195,9 +183,6 @@ func RunnerList() []RunnerEntry { return runners.List() }
 
 // MetricList returns the registered metrics sorted by name.
 func MetricList() []MetricEntry { return metrics.List() }
-
-// AnalyticList returns the registered analytics sorted by name.
-func AnalyticList() []AnalyticEntry { return analytics.List() }
 
 // DriverList returns the registered custom drivers sorted by name.
 func DriverList() []DriverEntry { return drivers.List() }

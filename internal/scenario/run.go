@@ -237,9 +237,6 @@ func (e *engine) sharedRun(key simMemoKey, ci int, c *obsv.Cell, run func(*obsv.
 // Run-mode cells never come here: they report the value itself, and their
 // event counts are pinned. The probe and its verdict are counted into c.
 func (e *engine) value(r *row, b *binding, col *column, flows []workload.Flow, seed int64, colLabel string, run int, c *obsv.Cell) float64 {
-	if b.plan.Analytic != "" {
-		return b.analytic.Fn(flows, b.plan.Params)
-	}
 	var decided func(workload.Tally) bool
 	stopped := false
 	if interval := b.metric.Interval; interval != nil {
@@ -320,10 +317,6 @@ func (e *engine) compute(ri, ci int, c *obsv.Cell) float64 {
 	for s := 0; s < seeds; s++ {
 		s := s
 		flows := col.gen(seed+int64(s), 0, 0)
-		if b.plan.Analytic != "" {
-			sum += b.analytic.Fn(flows, b.plan.Params)
-			continue
-		}
 		var rs []workload.Result
 		if e.shareSims {
 			// Metric-only sweep: every column's simulation is

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"pdq/internal/core"
@@ -194,10 +195,12 @@ func etCheck(p map[string]float64) error { return intParam(p, "et", 0, 1) }
 // With spare nil, alloc builds a fresh allocator per invocation, matching
 // the packet-level runners' fresh-state-per-run semantics; otherwise the
 // run takes an allocator an earlier cell left in spare and hands it back
-// when it returns, as engine storage is handed on (spareStorage): RCP and
-// D3 keep no state a later call reads, only scratch sized to the largest
-// network they served. The flow-level simulator steps its own clock (no
-// event engine), so it records flows but takes no time-series probes.
+// when it returns, as engine storage is handed on (spareStorage): RCP
+// keeps its last call's filling and D3 its arrival order, but only for
+// the FlowStates they were built on, so a new Sim's first call rebuilds
+// and reuses no more than scratch sized to the largest network served.
+// The flow-level simulator steps its own clock (no event engine), so it
+// records flows but takes no time-series probes.
 func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator, spare *sync.Pool) func(p map[string]float64, seed int64) RunnerFunc {
 	return func(p map[string]float64, seed int64) RunnerFunc {
 		return func(build func() *topo.Topology, flows []workload.Flow, rc RunCtx) []workload.Result {
@@ -276,12 +279,6 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 		},
 	},
 	{
-		Name: "RCP/D3", Doc: "alias for RCP (D3 behaves identically without deadlines)", Level: "packet",
-		Make: func(map[string]float64, int64) RunnerFunc {
-			return mkPacket(func(t *topo.Topology) protocol.Installed { return rcp.Install(t, rcp.Config{}) })
-		},
-	},
-	{
 		Name: "TCP", Doc: "TCP NewReno-style baseline (packet level)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed { return tcp.Install(t, tcp.Config{}) })
@@ -355,7 +352,7 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 		Make:   flowMake(nil, &spareD3),
 	},
 	{
-		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal) 1=fair sharing 2=Moore-Hodgson deadline EDF; gbps is the bottleneck rate", Level: "flow",
+		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal without deadlines) 1=fair sharing 2=Moore-Hodgson deadline EDF (its Optimal with deadlines, §5.2.1); gbps is the bottleneck rate", Level: "flow",
 		Params: map[string]float64{"policy": 0, "gbps": 1},
 		Check: func(p map[string]float64) error {
 			return cmp.Or(intParam(p, "policy", 0, 2), minParam(p, "gbps", 1e-9))
@@ -375,15 +372,32 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 				default:
 					panic(fmt.Sprintf("flow:fluid: unknown policy %d", policy))
 				}
-				out := make([]workload.Result, len(flows))
-				for i, f := range flows {
-					out[i] = workload.Result{Flow: f, Finish: -1}
+				// The closed form is fed to a collector as a simulator
+				// would report it: in time order, ties by flow ID, so the
+				// deadline tally sees non-decreasing instants and a probe
+				// stops at its verdict.
+				c := workload.NewCollector()
+				var done []workload.Flow // those finishing within the horizon
+				for _, f := range flows {
+					c.Register(f)
 					if t, ok := comp[f.ID]; ok && t <= rc.Horizon {
-						out[i].Finish = t
-						out[i].BytesAcked = f.Size
+						done = append(done, f)
 					}
 				}
-				return out
+				slices.SortFunc(done, func(a, b workload.Flow) int {
+					return cmp.Or(cmp.Compare(comp[a.ID], comp[b.ID]), cmp.Compare(a.ID, b.ID))
+				})
+				halted := false
+				if !armVerdict(c, rc.Decided, func() { halted = true }) {
+					for _, f := range done {
+						if halted {
+							break
+						}
+						c.Finish(f.ID, comp[f.ID])
+					}
+				}
+				rc.Cell.CutFlows(c)
+				return c.Results()
 			}
 		},
 	},

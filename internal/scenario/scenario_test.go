@@ -64,7 +64,6 @@ func TestUnknownNamesError(t *testing.T) {
 		{"fractional subflows", func(s *Spec) {
 			s.Protocols = []ProtoSpec{{Runner: "PDQ(Basic)", Params: map[string]float64{"subflows": 2.5}}}
 		}, `row "PDQ(Basic)": parameter "subflows" = 2.5`},
-		{"analytic", func(s *Spec) { s.Protocols = []ProtoSpec{{Analytic: "nope"}} }, `unknown analytic "nope"`},
 		{"metric", func(s *Spec) { s.Metric.Name = "nope" }, `unknown metric "nope"`},
 		{"driver", func(s *Spec) { s.Driver = "nope" }, `unknown driver "nope"`},
 		{"flow generator", func(s *Spec) { s.Workload.Custom = "nope" }, `unknown flow generator "nope"`},

@@ -156,18 +156,15 @@ type QdiscSpec struct {
 	Params map[string]float64 `json:"params,omitempty"`
 }
 
-// ProtoSpec is one table row: a registered runner (packet- or flow-level)
-// or a registered analytic baseline. In JSON a bare string "PDQ(Full)" is
-// shorthand for {"runner": "PDQ(Full)"}.
+// ProtoSpec is one table row: a registered runner, packet- or flow-level.
+// In JSON a bare string "PDQ(Full)" is shorthand for {"runner":
+// "PDQ(Full)"}.
 type ProtoSpec struct {
-	// Label is the row label; defaults to the runner/analytic name.
+	// Label is the row label; defaults to the runner name.
 	Label string `json:"label,omitempty"`
 	// Runner names a registered protocol runner.
-	Runner string `json:"runner,omitempty"`
-	// Analytic names a registered closed-form baseline evaluated on the
-	// flow set alone (e.g. the fluid Optimal bound).
-	Analytic string             `json:"analytic,omitempty"`
-	Params   map[string]float64 `json:"params,omitempty"`
+	Runner string             `json:"runner,omitempty"`
+	Params map[string]float64 `json:"params,omitempty"`
 	// Metric overrides the spec-level metric for this row.
 	Metric *MetricSpec `json:"metric,omitempty"`
 	// Qdisc overrides the link queue discipline for this row's runs

@@ -166,8 +166,8 @@ func TestDistributionMetrics(t *testing.T) {
 		// Completed FCTs (ms): 10, 30, 50 → median 30, interpolated tails.
 		{"fct-quantile", map[string]float64{"q": 50, "ms": 1}, 30},
 		{"fct-quantile", map[string]float64{"q": 0, "ms": 1}, 10},
-		{"fct-p95", map[string]float64{"ms": 1}, 48},
-		{"fct-p99", map[string]float64{"ms": 1}, 49.6},
+		{"fct-quantile", map[string]float64{"q": 95, "ms": 1}, 48},
+		{"fct-quantile", map[string]float64{"q": 99, "ms": 1}, 49.6},
 		{"fct-cdf", map[string]float64{"at_ms": 30}, 2.0 / 3},
 		{"fct-cdf", map[string]float64{"at_ms": 5}, 0},
 		{"fct-cdf", map[string]float64{"at_ms": 50}, 1},

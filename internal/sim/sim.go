@@ -288,9 +288,9 @@ func (s *Sim) Pending() int {
 // the event currently executing, or — when no event is executing — the next
 // sequence number to be assigned, which is greater than every fired event's.
 // Together with Now it totally orders any observation against the (time,
-// seq) event order; netsim's lazy link accounting uses it to settle
-// exact-instant ties exactly as an eager event-per-transition model would
-// (DESIGN.md §3).
+// seq) event order. netsim's lazy link accounting settles exact-instant
+// ties with EventTa and EventTie alone (DESIGN.md §3); the engine's
+// differential test reads all four keys.
 func (s *Sim) EventSeq() uint64 {
 	if s.firing != 0 {
 		return s.firing - 1

@@ -1,8 +1,8 @@
 // Package stats provides the measurement and analysis helpers used by the
-// experiment harness: summary statistics, CDFs, means over probe series,
-// application throughput, and the binary search
-// the paper uses to find the maximum load sustaining 99% application
-// throughput (§5.2.1).
+// experiment harness: summary statistics, percentiles and empirical CDF
+// points of sorted samples, means over probe series, application
+// throughput, and the binary search the paper uses to find the maximum
+// load sustaining 99% application throughput (§5.2.1).
 package stats
 
 import (
@@ -24,19 +24,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation. It does not modify xs. Callers holding an already-sorted
-// sample — especially when querying several percentiles of it — should
-// use PercentileSorted to skip the per-call copy and sort.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return PercentileSorted(s, p)
 }
 
 // PercentileSorted returns the p-th percentile of the ascending-sorted xs
@@ -106,8 +93,7 @@ func WeightedPercentileSorted(xs, ws []float64, p float64) float64 {
 }
 
 // ECDFAtSorted evaluates the empirical CDF of the ascending-sorted xs at
-// x: the fraction of samples ≤ x, in [0, 1]. It is the sorted fast path
-// of CDFAt (binary search, no CDFPoint materialization).
+// x: the fraction of samples ≤ x, in [0, 1], found by binary search.
 func ECDFAtSorted(xs []float64, x float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -129,36 +115,6 @@ func Max(xs []float64) float64 {
 		return 0
 	}
 	return m
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // fraction of samples ≤ X
-}
-
-// CDF returns the empirical CDF of xs.
-func CDF(xs []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
-// CDFAt evaluates an empirical CDF at x.
-func CDFAt(cdf []CDFPoint, x float64) float64 {
-	p := 0.0
-	for _, pt := range cdf {
-		if pt.X <= x {
-			p = pt.P
-		} else {
-			break
-		}
-	}
-	return p
 }
 
 // AppThroughput returns the percentage of deadline-constrained flows that
@@ -206,17 +162,6 @@ func MeanFCT(rs []workload.Result, keep func(workload.Result) bool) float64 {
 		xs = append(xs, r.FCT().Seconds())
 	}
 	return Mean(xs)
-}
-
-// FCTs returns the completion times (seconds) of completed flows.
-func FCTs(rs []workload.Result) []float64 {
-	var xs []float64
-	for _, r := range rs {
-		if r.Done() {
-			xs = append(xs, r.FCT().Seconds())
-		}
-	}
-	return xs
 }
 
 // MaxN returns the largest n in [lo, hi] for which ok(n) is true, assuming

@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,23 +20,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{3, 1, 2, 5, 4}
-	cases := []struct{ p, want float64 }{{0, 1}, {50, 3}, {100, 5}, {25, 2}}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Must not mutate input.
-	if xs[0] != 3 {
-		t.Fatal("Percentile mutated input")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("Percentile(nil)")
-	}
-}
-
 func TestPercentileSorted(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{{0, 1}, {25, 2}, {50, 3}, {100, 5}, {-3, 1}, {110, 5}}
@@ -47,13 +30,6 @@ func TestPercentileSorted(t *testing.T) {
 	}
 	if PercentileSorted(nil, 50) != 0 {
 		t.Fatal("PercentileSorted(nil)")
-	}
-	// Must agree with Percentile on the unsorted equivalent.
-	unsorted := []float64{3, 1, 2, 5, 4}
-	for p := 0.0; p <= 100; p += 12.5 {
-		if a, b := Percentile(unsorted, p), PercentileSorted(xs, p); a != b {
-			t.Errorf("P%v: Percentile %v != PercentileSorted %v", p, a, b)
-		}
 	}
 }
 
@@ -66,19 +42,33 @@ func TestMax(t *testing.T) {
 	}
 }
 
+// TestCDF pins cdfAt, the reference TestECDFMatchesCDFAt holds
+// ECDFAtSorted to, at hand-computed points of an unsorted sample.
 func TestCDF(t *testing.T) {
-	cdf := CDF([]float64{1, 3, 2, 4})
-	if len(cdf) != 4 || cdf[0].X != 1 || cdf[3].X != 4 || cdf[3].P != 1 {
-		t.Fatalf("CDF = %+v", cdf)
+	xs := []float64{1, 3, 2, 4}
+	for _, c := range []struct{ x, want float64 }{{2.5, 0.5}, {0.5, 0}, {3, 0.75}, {10, 1}} {
+		if got := cdfAt(xs, c.x); got != c.want {
+			t.Errorf("cdfAt(%v) = %v, want %v", c.x, got, c.want)
+		}
 	}
-	if got := CDFAt(cdf, 2.5); got != 0.5 {
-		t.Errorf("CDFAt(2.5) = %v", got)
+}
+
+// TestPropertyCDFMonotone: the empirical CDF never falls as x grows.
+func TestPropertyCDFMonotone(t *testing.T) {
+	f := func(raw []float64, a, b uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		xs := slices.Clone(raw)
+		slices.Sort(xs)
+		lo, hi := xs[int(a)%len(xs)], xs[int(b)%len(xs)]
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		return ECDFAtSorted(xs, lo) <= ECDFAtSorted(xs, hi)
 	}
-	if got := CDFAt(cdf, 0.5); got != 0 {
-		t.Errorf("CDFAt(0.5) = %v", got)
-	}
-	if got := CDFAt(cdf, 10); got != 1 {
-		t.Errorf("CDFAt(10) = %v", got)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -91,19 +81,11 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 		if pa > pb {
 			pa, pb = pb, pa
 		}
-		return Percentile(raw, pa) <= Percentile(raw, pb)
+		xs := slices.Clone(raw)
+		slices.Sort(xs)
+		return PercentileSorted(xs, pa) <= PercentileSorted(xs, pb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyCDFMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		cdf := CDF(raw)
-		return sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].P < cdf[j].P || cdf[i].X <= cdf[j].X })
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -167,9 +149,6 @@ func TestMeanFCTAndFilter(t *testing.T) {
 	big := func(r workload.Result) bool { return r.Size > 150 }
 	if got := MeanFCT(rs, big); got != 3 {
 		t.Fatalf("filtered MeanFCT = %v, want 3", got)
-	}
-	if got := FCTs(rs); len(got) != 2 {
-		t.Fatalf("FCTs len = %d", len(got))
 	}
 }
 
