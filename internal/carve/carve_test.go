@@ -127,3 +127,113 @@ func TestAllocsPerChunk(t *testing.T) {
 		t.Errorf("carving 8+23+23 values allocates %.0f times, want 3 (one per chunk)", allocs)
 	}
 }
+
+// TestRewind carves values one and several at a time from an arena's
+// carver, marks them, rewinds and carves the same again: the carver hands
+// out the very same values in the same order, every one zero.
+func TestRewind(t *testing.T) {
+	var a Arena
+	c := Of[packet](&a)
+	takes := []int{1, 3, 1, 1, 5, 2, 1}
+	var first []*packet
+	for i := 0; i < 120; i++ {
+		for _, v := range slicesOf(c, takes[i%len(takes)]) {
+			v[0] = 1
+			first = append(first, v)
+		}
+	}
+	a.Rewind()
+	i := 0
+	for j := 0; j < 120; j++ {
+		for _, v := range slicesOf(c, takes[j%len(takes)]) {
+			if v != first[i] {
+				t.Fatalf("value %d after the rewind is not the one carved there before", i)
+			}
+			if *v != (packet{}) {
+				t.Fatalf("value %d after the rewind is not zero", i)
+			}
+			i++
+		}
+	}
+}
+
+// slicesOf takes n values from c and returns a pointer to each.
+func slicesOf(c *Chunks[packet], n int) []*packet {
+	vs := c.Take(n)
+	ps := make([]*packet, n)
+	for i := range vs {
+		ps[i] = &vs[i]
+	}
+	return ps
+}
+
+// TestRewindAllocs: a rewound carver allocates nothing up to its
+// high-water mark, and past it one chunk per chunk, which the next rewind
+// keeps: a run that carves as much as the largest before it allocates
+// nothing.
+func TestRewindAllocs(t *testing.T) {
+	var a Arena
+	c := Of[packet](&a)
+	carve := func(n int) func() {
+		return func() {
+			a.Rewind()
+			for i := 0; i < n; i++ {
+				c.Take(1 + i%3)
+			}
+		}
+	}
+	carve(100)()
+	if allocs := testing.AllocsPerRun(10, carve(100)); allocs != 0 {
+		t.Errorf("carving up to the high-water mark allocates %.1f times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, carve(40)); allocs != 0 {
+		t.Errorf("carving below the high-water mark allocates %.1f times per run, want 0", allocs)
+	}
+	var before, after int
+	for _, ch := range c.kept {
+		before += len(ch)
+	}
+	carve(300)()
+	for _, ch := range c.kept {
+		after += len(ch)
+	}
+	if after <= before {
+		t.Fatalf("carving past the high-water mark kept %d values, as many as before", after)
+	}
+	if allocs := testing.AllocsPerRun(10, carve(300)); allocs != 0 {
+		t.Errorf("carving up to the new high-water mark allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestArenaCarvers: an arena has one carver per type and rewinds them
+// all; a carver that carved nothing between two rewinds gives its chunks
+// up; and a nil arena gives a carver of its own each time, which keeps
+// nothing.
+func TestArenaCarvers(t *testing.T) {
+	var a Arena
+	p, w := Of[packet](&a), Of[uint64](&a)
+	if Of[packet](&a) != p || Of[uint64](&a) != w {
+		t.Fatal("an arena made a second carver of a type")
+	}
+	first, word := p.New(), w.New()
+	p.New()
+	a.Rewind()
+	if p.New() != first || w.New() != word {
+		t.Fatal("the arena's rewind missed a carver")
+	}
+	a.Rewind()
+	p.New()
+	a.Rewind() // w carved nothing since the last rewind
+	if len(w.kept) != 0 || len(p.kept) == 0 || p.New() != first {
+		t.Fatalf("an idle carver keeps %d chunks, a busy one %d", len(w.kept), len(p.kept))
+	}
+	own := Of[packet](nil)
+	if own == Of[packet](nil) || own.kept != nil {
+		t.Fatal("a nil arena's carver is shared or keeps its chunks")
+	}
+	v := own.New()
+	own.Rewind()
+	if own.New() == v {
+		t.Fatal("a carver outside an arena handed a value out twice")
+	}
+}

@@ -70,7 +70,7 @@ type linkState struct {
 // (TERM, eviction, stale expiry, a crash) goes to one spare list shared by
 // every link, and the next admission anywhere reuses it.
 type entries struct {
-	chunks carve.Chunks[flowInfo]
+	chunks *carve.Chunks[flowInfo]
 	spare  []*flowInfo
 }
 

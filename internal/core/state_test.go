@@ -21,7 +21,7 @@ func testState(t *testing.T, cfg Config) *linkState {
 	a := n.NewHost()
 	b := n.NewHost()
 	l := n.NewDuplexLink(a, b)
-	return NewSwitchLogic(&cfg, 0).state(l)
+	return NewSwitchLogic(&cfg, nil, 0).state(l)
 }
 
 // add admits key and returns its entry, or nil when admit refuses it.
@@ -403,7 +403,7 @@ func TestSuppressedProbingInterval(t *testing.T) {
 		l := n.NewDuplexLink(sw, h)
 		cfg := Full()
 		cfg.SuppressedProbing = sp
-		logic := NewSwitchLogic(&cfg, len(n.Links()))
+		logic := NewSwitchLogic(&cfg, n.Arena(), len(n.Links()))
 		send := func(kind netsim.Kind, id int, hdr netsim.SchedHeader) netsim.SchedHeader {
 			in, out := l, l
 			if !kind.Forward() {

@@ -15,8 +15,8 @@ type SwitchLogic struct {
 	// map, keeping the per-packet lookup on the hot path pointer-chase- and
 	// hash-free.
 	states  []*linkState
-	links   carve.Chunks[linkState] // what states are carved from
-	entries                         // every link's flowInfos
+	links   *carve.Chunks[linkState] // what states are carved from
+	entries                          // every link's flowInfos
 
 	// check, when set, is called with the link's state after every packet
 	// Process handles; tests use it to assert the list's invariants.
@@ -24,10 +24,12 @@ type SwitchLogic struct {
 }
 
 // NewSwitchLogic returns switch logic for one experiment covering nLinks
-// directed links. Clocks come from the links themselves (Link.Now), so the
-// logic needs no clock of its own.
-func NewSwitchLogic(cfg *Config, nLinks int) *SwitchLogic {
-	return &SwitchLogic{cfg: cfg, states: make([]*linkState, nLinks)}
+// directed links, carving its link states and flow entries from a, the
+// network's arena (nil: on its own). Clocks come from the links themselves
+// (Link.Now), so the logic needs no clock of its own.
+func NewSwitchLogic(cfg *Config, a *carve.Arena, nLinks int) *SwitchLogic {
+	return &SwitchLogic{cfg: cfg, states: make([]*linkState, nLinks), links: carve.Of[linkState](a),
+		entries: entries{chunks: carve.Of[flowInfo](a)}}
 }
 
 // state returns the PDQ state of a directed link, creating it on first

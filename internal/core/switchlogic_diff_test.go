@@ -88,7 +88,7 @@ func newSwitchDiff(tb testing.TB, cfg Config, m int) *switchDiff {
 		d.links = append(d.links, l)
 	}
 	got, ref := cfg, cfg
-	d.got = NewSwitchLogic(&got, len(n.Links()))
+	d.got = NewSwitchLogic(&got, n.Arena(), len(n.Links()))
 	d.ref = newRefSwitchLogic(&ref, len(n.Links()))
 	// Keep the queue's clock running: RunUntil advances to its end only
 	// while an event is pending.

@@ -23,7 +23,7 @@ type System struct {
 	Cfg   Config
 	Logic *SwitchLogic
 
-	ends carve.Chunks[endpoints]
+	ends *carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole: the receiver,
@@ -40,8 +40,8 @@ func Install(t *topo.Topology, cfg Config) *System {
 	if cfg.Subflows < 1 {
 		cfg.Subflows = 1
 	}
-	s := &System{Cfg: cfg}
-	s.Logic = NewSwitchLogic(&s.Cfg, len(t.Net.Links()))
+	s := &System{Cfg: cfg, ends: carve.Of[endpoints](t.Net.Arena())}
+	s.Logic = NewSwitchLogic(&s.Cfg, t.Net.Arena(), len(t.Net.Links()))
 	s.System = protocol.Install(t, s.Cfg.Subflows, s.Logic, s.launch)
 	return s
 }

@@ -244,6 +244,12 @@ func (o *order) sync(flows []*FlowState) {
 	o.ents = kept
 }
 
+// forget drops the list, and with it every FlowState it names.
+func (o *order) forget() {
+	clear(o.ents)
+	o.ents = o.ents[:0]
+}
+
 // sort restores ascending order. The list is near-sorted by construction
 // — under PDQ sending flows only move toward the front and paused flows
 // age by a common factor, under D3 keys never change and arrivals come in
@@ -289,9 +295,9 @@ type Sim struct {
 	ET bool
 
 	Collector *workload.Collector
-	states    carve.Chunks[FlowState] // what Start carves flow states from
-	pending   []*FlowState            // sorted by Start; admitted entries are nil
-	next      int                     // cursor into pending: first un-admitted flow
+	states    *carve.Chunks[FlowState] // what Start carves flow states from
+	pending   []*FlowState             // sorted by Start; admitted entries are nil
+	next      int                      // cursor into pending: first un-admitted flow
 	active    []*FlowState
 	now       sim.Time
 
@@ -307,9 +313,17 @@ type Sim struct {
 	check func([]*FlowState)
 }
 
-// New creates a flow-level simulation.
+// New creates a flow-level simulation on t. Its flow states and collector
+// cells are carved from t's network arena, so they are the run's: an RCP
+// or D3 allocator handed on from an earlier simulation (the scenario
+// runners pool them) forgets the flows it was last called with, which a
+// later run on that network carves again.
 func New(t *topo.Topology, alloc Allocator) *Sim {
-	return &Sim{Topo: t, Alloc: alloc, Collector: workload.NewCollector()}
+	if a, ok := alloc.(interface{ forget() }); ok {
+		a.forget()
+	}
+	a := t.Net.Arena()
+	return &Sim{Topo: t, Alloc: alloc, Collector: workload.NewCollectorIn(a), states: carve.Of[FlowState](a)}
 }
 
 // Start registers a flow.
@@ -652,6 +666,12 @@ func NewRCP() *RCP { return &RCP{} }
 // Name implements Allocator.
 func (*RCP) Name() string { return "RCP" }
 
+// forget drops the last call's flows: the next call fills from level 0.
+func (p *RCP) forget() {
+	clear(p.flows)
+	p.flows = p.flows[:0]
+}
+
 // Allocate implements Allocator with max-min fairness by water level,
 // respecting NIC limits. Every unfrozen flow holds one common level λ; a
 // link saturates at its residual after frozen flows over its unfrozen
@@ -920,6 +940,8 @@ func NewD3() *D3 { return &D3{} }
 
 // Name implements Allocator.
 func (*D3) Name() string { return "D3" }
+
+func (p *D3) forget() { p.ord.forget() }
 
 // Allocate implements Allocator.
 func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {

@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -184,4 +185,67 @@ func TestRCPResumeLevelLinkLost(t *testing.T) {
 	p := NewRCP()
 	sameAsFresh(t, p, flows, cap)
 	sameAsFresh(t, p, append(flows[:5:5], flows[6]), cap)
+}
+
+// TestPooledAllocatorOnRewoundArena runs two flow-level cells with the
+// same flows, one after the other, on one topology reset between them, as
+// a sweep runs them: the second cell's FlowStates are the first's, carved
+// again from the rewound arena at the same addresses and on the same
+// memoized paths. An RCP or D3 allocator handed from the first cell to the
+// second must give every call the rates of a fresh allocator, bit for bit
+// — through New, which makes it forget the first cell's flows, and handed
+// on without forgetting, where RCP's resume and the order list's marks
+// meet the same addresses again.
+func TestPooledAllocatorOnRewoundArena(t *testing.T) {
+	g := workload.NewGen(1, workload.UniformMean(100<<10), 20*sim.Millisecond)
+	tp := topo.FatTree(4, 1)
+	flows := g.Batch(48, workload.Permutation{}, len(tp.Hosts), nil, 5*sim.Millisecond)
+	for i := range flows {
+		flows[i].Start = sim.Time(i%6) * 2 * sim.Millisecond
+	}
+	// run returns the bits of every rate every Allocate call set, and the
+	// run's FlowStates.
+	run := func(tp *topo.Topology, a Allocator) (rates []uint64, states map[*FlowState]bool) {
+		tp.Reset(sim.New(), 1)
+		s := New(tp, a)
+		states = map[*FlowState]bool{}
+		s.check = func(active []*FlowState) {
+			for _, f := range active {
+				rates = append(rates, math.Float64bits(f.Rate))
+				states[f] = true
+			}
+		}
+		for _, f := range flows {
+			s.Start(f)
+		}
+		s.Run(2 * sim.Second)
+		return rates, states
+	}
+	// unforgetting hides an allocator's forget from New.
+	type unforgetting struct{ Allocator }
+	for name, mk := range map[string]func() Allocator{
+		"RCP": func() Allocator { return NewRCP() },
+		"D3":  func() Allocator { return NewD3() },
+	} {
+		want, _ := run(topo.FatTree(4, 1), mk())
+		if len(want) == 0 {
+			t.Fatal("no allocation was checked")
+		}
+		for _, handOn := range []func(Allocator) Allocator{
+			func(a Allocator) Allocator { return a },
+			func(a Allocator) Allocator { return unforgetting{a} },
+		} {
+			a := mk()
+			first, states := run(tp, handOn(a))
+			second, again := run(tp, handOn(a))
+			if !maps.Equal(states, again) {
+				t.Fatalf("%s: the second cell's FlowStates are not the first's: the test does not alias them", name)
+			}
+			for i, got := range [][]uint64{first, second} {
+				if !slices.Equal(got, want) {
+					t.Errorf("%s (%T): cell %d's rates differ from a fresh allocator's", name, handOn(a), i+1)
+				}
+			}
+		}
+	}
 }

@@ -90,6 +90,7 @@ type Link struct {
 	rng *rand.Rand
 
 	// Counters, settled as of the last advance; read via the methods below.
+	offered    uint64
 	txPackets  uint64
 	txBytes    uint64
 	drops      uint64
@@ -242,6 +243,32 @@ func (l *Link) TxBytes() uint64 {
 	return l.txBytes
 }
 
+// Offered returns the number of packets handed to Enqueue. Each was
+// dropped there (Drops, LossDrops, or FaultDrops on a down link), has been
+// transmitted (TxPackets) or is queued or in service (QueuedPackets); the
+// identity is DESIGN.md §3's.
+func (l *Link) Offered() uint64 { return l.offered }
+
+// QueuedPackets returns the number of packets queued or in service.
+func (l *Link) QueuedPackets() int {
+	if l.sched != nil {
+		n := l.sched.Len()
+		if l.serving != nil {
+			n++
+		}
+		return n
+	}
+	l.advance()
+	n := 0
+	for p := l.qHead; p != nil; p = p.qNext {
+		n++
+		if p == l.qTail {
+			break
+		}
+	}
+	return n
+}
+
 // Drops returns the number of tail-dropped packets.
 func (l *Link) Drops() uint64 { return l.drops }
 
@@ -321,6 +348,7 @@ func (l *Link) Enqueue(pkt *Packet) {
 	if pkt.free {
 		panic("netsim: Enqueue of a released packet")
 	}
+	l.offered++
 	if l.down {
 		l.faultDrops++
 		pkt.Release()

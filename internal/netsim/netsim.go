@@ -16,6 +16,7 @@ package netsim
 import (
 	"fmt"
 
+	"pdq/internal/carve"
 	"pdq/internal/sim"
 )
 
@@ -202,7 +203,7 @@ type Network struct {
 	nodes []Node
 	links []*Link
 
-	// pool is the packet free list (pool.go).
+	// pool is the packet free list and the network's arena (pool.go).
 	pool packetPool
 }
 
@@ -220,11 +221,13 @@ func NewNetwork(s *sim.Sim, seed int64) *Network {
 // topology once and runs cell after cell on it (DESIGN.md §3). The nodes,
 // the links and their parameters, and Host.Access stay; every link's run
 // state is cleared, hosts lose their Agent and Logic and switches their
-// Logic, and the packet pool starts empty. The previous run's packets go
-// with their pool, in flight or not: nothing may run on the network's old
-// engine afterwards.
+// Logic, and the packet pool starts empty. The arena is rewound: the
+// previous run's packets, in flight or not, and everything else it carved
+// from the arena are carved again by the next run, so nothing may run on
+// the network's old engine, or hold what the run carved, afterwards.
 func (n *Network) Reset(s *sim.Sim, seed int64) {
-	n.Sim, n.seed, n.pool = s, seed, packetPool{}
+	n.Sim, n.seed = s, seed
+	n.pool.reset()
 	for _, l := range n.links {
 		l.reset()
 	}
@@ -237,6 +240,11 @@ func (n *Network) Reset(s *sim.Sim, seed int64) {
 		}
 	}
 }
+
+// Arena is what a run on the network carves its run-scoped objects from —
+// packets, headers, flow endpoints and state, collector cells — so that
+// the next run, after Reset, carves the same memory again.
+func (n *Network) Arena() *carve.Arena { return &n.pool.arena }
 
 // AddNode registers n. Nodes must be registered in NodeID order; the helper
 // constructors (NewHost, NewSwitch) handle this.

@@ -21,10 +21,14 @@ import "pdq/internal/carve"
 // again.
 //
 // A pool does not allocate its packets one by one: it carves them, and
-// the headers HeaderOf attaches to them, from chunks (carve.Chunks, one
-// carver per type), so a network's packets cost one allocation per chunk.
-// Chunks die with their run (Network.Reset empties the pool); nothing
-// crosses cells.
+// the headers HeaderOf attaches to them, from its network's arena (carve,
+// one carver per type), so a network's packets cost one allocation per
+// chunk. The arena outlives the run: Network.Reset empties the free list
+// and rewinds the arena, so the next run on the network takes the same
+// packets and headers again, zeroed, in the order they were first carved,
+// and allocates only past the high-water mark of the runs before it.
+// Every packet of a run, in flight or not, dies at that reset: nothing
+// may touch one afterwards.
 
 // packetPool is a network's packet free list. It grows to the network's
 // in-flight high-water mark and no further.
@@ -32,11 +36,15 @@ type packetPool struct {
 	head            *Packet // LIFO free list, threaded through Packet.qNext
 	taken, released uint64
 
-	chunks carve.Chunks[Packet]
-	// hdrs holds one *carve.Chunks[H] per header type H attached so far.
-	// The pointer keeps the carver from being boxed when it is stored in
-	// the interface.
-	hdrs []any
+	packets *carve.Chunks[Packet] // arena's, once the pool has grown
+	arena   carve.Arena           // the network's (Network.Arena)
+}
+
+// reset starts the pool over for a new run: no packet is taken or free,
+// and everything carved from the arena is free to be carved again.
+func (pp *packetPool) reset() {
+	pp.head, pp.taken, pp.released, pp.packets = nil, 0, 0, nil
+	pp.arena.Rewind()
 }
 
 // get pops a free packet, zeroed except for the header value it last
@@ -55,7 +63,10 @@ func (pp *packetPool) get() *Packet {
 // grow is the cold side of get, kept apart so the pool's only packet
 // allocation reads as what it is: one per chunk of high-water packets.
 func (pp *packetPool) grow() *Packet {
-	p := pp.chunks.New()
+	if pp.packets == nil {
+		pp.packets = carve.Of[Packet](&pp.arena)
+	}
+	p := pp.packets.New()
 	p.pool = pp
 	return p
 }
@@ -117,8 +128,8 @@ func (p *Packet) TurnAround(rev []*Link) {
 // allocator, or last used under another header type) gets a zero one
 // attached. Storing the pointer in Hdr does not box: the header stays
 // with the packet for its whole pooled existence. A pooled packet's
-// header is carved from its pool's carver of that type; a literal packet's
-// is allocated alone.
+// header is carved from its network's arena; a literal packet's is
+// allocated alone.
 func HeaderOf[H any](pkt *Packet) *H {
 	if h, ok := pkt.Hdr.(*H); ok {
 		return h
@@ -131,22 +142,8 @@ func attachHeader[H any](pkt *Packet) *H {
 	if pkt.pool == nil {
 		h = new(H)
 	} else {
-		h = headerChunk[H](pkt.pool).New()
+		h = carve.Of[H](&pkt.pool.arena).New()
 	}
 	pkt.Hdr = h
 	return h
-}
-
-// headerChunk returns pp's carver of H headers, adding one the first
-// time H is attached. A network carries one or two header types, so the
-// scan is short.
-func headerChunk[H any](pp *packetPool) *carve.Chunks[H] {
-	for _, c := range pp.hdrs {
-		if c, ok := c.(*carve.Chunks[H]); ok {
-			return c
-		}
-	}
-	c := new(carve.Chunks[H])
-	pp.hdrs = append(pp.hdrs, c)
-	return c
 }

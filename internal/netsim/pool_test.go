@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"pdq/internal/carve"
 	"pdq/internal/sim"
 )
 
@@ -261,8 +262,8 @@ const (
 
 // TestPoolChunks walks a pool across chunk boundaries: every packet and
 // header it hands out is its own, a header stays with its packet across
-// lives, a second header type is carved from a chunk of its own, and
-// taken and released balance.
+// lives, headers of each type are carved by the arena's carver of that
+// type, and taken and released balance.
 func TestPoolChunks(t *testing.T) {
 	type other struct{ X, Y int64 }
 	n, a, b, path := line(t)
@@ -288,16 +289,22 @@ func TestPoolChunks(t *testing.T) {
 			t.Fatal("a recycled packet came back without the header it carried")
 		}
 	}
-	if len(n.pool.hdrs) != 1 {
-		t.Fatalf("one header type made %d header chunks", len(n.pool.hdrs))
+	last := HeaderOf[SchedHeader](pkts[count-1])
+	if !nextTo(last, carve.Of[SchedHeader](n.Arena()).New()) {
+		t.Fatal("headers are not carved by the arena's carver of their type")
 	}
 	o := HeaderOf[other](n.NewPacket())
-	if len(n.pool.hdrs) != 2 || *o != (other{}) {
-		t.Fatalf("a second header type: %d chunks, header %+v; want its own chunk and a zero header", len(n.pool.hdrs), *o)
+	if *o != (other{}) || !nextTo(o, carve.Of[other](n.Arena()).New()) {
+		t.Fatalf("a second header type: header %+v; want a zero one from the arena's carver of its type", *o)
 	}
 	if taken, released := n.PacketPoolStats(); int(taken) != 2*count+1 || int(released) != count {
 		t.Fatalf("pool: taken %d released %d, want %d and %d", taken, released, 2*count+1, count)
 	}
+}
+
+// nextTo reports whether b is the value carved right after a.
+func nextTo[T any](a, b *T) bool {
+	return unsafe.Add(unsafe.Pointer(a), unsafe.Sizeof(*a)) == unsafe.Pointer(b)
 }
 
 func indexOf(pkts []*Packet, p *Packet) int {
@@ -318,15 +325,15 @@ func TestLiteralPacketHeader(t *testing.T) {
 	if p.Hdr != any(h) || HeaderOf[SchedHeader](p) != h {
 		t.Fatal("literal packet did not keep its header")
 	}
-	if len(n.pool.hdrs) != 0 {
-		t.Error("a literal packet's header was carved from the pool")
+	if nextTo(h, carve.Of[SchedHeader](n.Arena()).New()) {
+		t.Error("a literal packet's header was carved from the arena")
 	}
 	poolUntouched(t, n)
 }
 
 // TestPoolGrowthAllocs pins what chunks buy: growing a pool to n packets,
 // each with a header, costs one allocation per chunk of each, plus the
-// header type's carver and the pool's list of carvers.
+// arena's carver of each type.
 func TestPoolGrowthAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -356,5 +363,49 @@ func TestPoolGrowthAllocs(t *testing.T) {
 	}
 	if want := float64(chunks + 2); allocs > want {
 		t.Errorf("growing a pool to %d packets with headers allocates %.0f times, want at most %.0f", count, allocs, want)
+	}
+}
+
+// TestResetRewindsArena: a run's packets and headers, in flight or
+// released, are carved again by the next run on the reset network, zeroed
+// and in the order they were first carved, so a run that takes as many as
+// the one before allocates nothing.
+func TestResetRewindsArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	n, a, b, path := line(t)
+	const count = firstChunk + 2*fullChunk + 5
+	s := n.Sim
+	first := make([]*Packet, count)
+	run := func(got []*Packet) {
+		n.Reset(s, 1)
+		for i := range got {
+			p := pooled(n, a, b, path, 1500)
+			HeaderOf[SchedHeader](p).Rate = int64(i + 1)
+			if i%2 == 0 {
+				p.Release()
+			}
+			got[i] = p
+		}
+	}
+	run(first)
+	again := make([]*Packet, count)
+	n.Reset(s, 1)
+	if taken, released := n.PacketPoolStats(); taken != 0 || released != 0 {
+		t.Fatalf("reset pool: taken %d released %d, want none", taken, released)
+	}
+	p := n.NewPacket()
+	if p != first[0] || !reflect.DeepEqual(*p, Packet{pool: p.pool}) {
+		t.Fatalf("the reset network's first packet is not the run's first, zeroed: %+v", *p)
+	}
+	run(again)
+	for i := range again {
+		if again[i] != first[i] {
+			t.Fatalf("packet %d of the second run is not the first run's packet %d", i, i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { run(again) }); allocs != 0 {
+		t.Errorf("a run on the reset network allocates %.0f times, want 0", allocs)
 	}
 }

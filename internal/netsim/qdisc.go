@@ -33,6 +33,8 @@ type Scheduler interface {
 	Push(pkt *Packet)
 	// Pop removes and returns the next packet to serialize, or nil.
 	Pop() *Packet
+	// Len returns the number of packets buffered.
+	Len() int
 }
 
 // TailDrop is the default discipline, identical to a nil qdisc: FIFO
@@ -95,6 +97,7 @@ type Prio struct {
 	TailDrop // admission stays shared-buffer tail drop at QueueCap
 
 	head, tail []*Packet // per-band intrusive FIFOs
+	n          int       // packets buffered
 }
 
 // NewPrio returns a strict-priority discipline with the given number of
@@ -122,6 +125,7 @@ func (q *Prio) Push(pkt *Packet) {
 		q.head[b] = pkt
 	}
 	q.tail[b] = pkt
+	q.n++
 }
 
 // Pop implements Scheduler: the head of the highest-priority non-empty
@@ -134,11 +138,15 @@ func (q *Prio) Pop() *Packet {
 				q.tail[b] = nil
 			}
 			p.qNext = nil
+			q.n--
 			return p
 		}
 	}
 	return nil
 }
+
+// Len implements Scheduler.
+func (q *Prio) Len() int { return q.n }
 
 // QdiscEntry is a registered queue discipline, constructible by name
 // from a declarative parameter map (the scenario layer's per-row

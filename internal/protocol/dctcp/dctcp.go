@@ -50,7 +50,7 @@ type System struct {
 	*protocol.System
 	Cfg Config
 
-	ends carve.Chunks[endpoints]
+	ends *carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole.
@@ -63,7 +63,7 @@ type endpoints struct {
 // with the ECN-threshold discipline. The discipline holds no state, so
 // every link shares one.
 func Install(t *topo.Topology, cfg Config) *System {
-	s := &System{Cfg: cfg.withDefaults()}
+	s := &System{Cfg: cfg.withDefaults(), ends: carve.Of[endpoints](t.Net.Arena())}
 	s.System = protocol.Install(t, 1, nil, s.launch)
 	q := &netsim.ECNFIFO{Threshold: s.Cfg.Threshold}
 	for _, l := range t.Net.Links() {

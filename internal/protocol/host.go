@@ -71,9 +71,8 @@ type System struct {
 	Collector *workload.Collector
 
 	agents   []agent
-	flows    []*flow            // by slot
-	entries  carve.Chunks[flow] // what flows' entries are carved from
-	arena    Arena
+	flows    []*flow             // by slot
+	entries  *carve.Chunks[flow] // what flows' entries are carved from
 	subflows int
 	launch   func(Launch) (Receiver, Sender)
 }
@@ -99,8 +98,6 @@ type Launch struct {
 	// when subflows > 1, and Rev the reverse of each: both memoized on
 	// the topology (topo.Topology.Routes), so shared and read-only.
 	Fwd, Rev [][]*netsim.Link
-	// Arena is the System's, for the flow's bitsets and send-time ring.
-	Arena *Arena
 }
 
 // Install hangs an agent on every host of t and sets logic, the protocol's
@@ -108,9 +105,11 @@ type Launch struct {
 // hosts relay in server-centric topologies. At a flow's start time launch
 // builds its receive side, then its send side, and sets the send side
 // going. Both report to the flow's collector entry, whose slot the sender
-// stamps on every packet.
+// stamps on every packet. The flows' entries, their endpoints and their
+// collector cells are carved from the network's arena (netsim.Network.Arena).
 func Install(t *topo.Topology, subflows int, logic netsim.SwitchLogic, launch func(Launch) (Receiver, Sender)) *System {
-	s := &System{Topo: t, Sim: t.Sim(), Collector: workload.NewCollector(), subflows: subflows, launch: launch}
+	a := t.Net.Arena()
+	s := &System{Topo: t, Sim: t.Sim(), Collector: workload.NewCollectorIn(a), entries: carve.Of[flow](a), subflows: subflows, launch: launch}
 	s.agents = make([]agent, len(t.Hosts))
 	for i, h := range t.Hosts {
 		s.agents[i] = agent{sys: s, host: i}
@@ -141,7 +140,7 @@ func (e *flow) RunEvent() {
 	s := e.sys
 	src, dst := s.Topo.Hosts[e.f.Src], s.Topo.Hosts[e.f.Dst]
 	fwd, rev := s.Topo.Routes(src, dst, s.subflows)
-	e.rcv, e.snd = s.launch(Launch{Flow: e.f, Tel: e.tel, Src: src, Dst: dst, Fwd: fwd, Rev: rev, Arena: &s.arena})
+	e.rcv, e.snd = s.launch(Launch{Flow: e.f, Tel: e.tel, Src: src, Dst: dst, Fwd: fwd, Rev: rev})
 }
 
 // Results returns a snapshot of all flow outcomes.
@@ -189,19 +188,6 @@ func (a *agent) Receive(pkt *netsim.Packet, ingress *netsim.Link) {
 	}
 	pkt.Release()
 }
-
-// Arena is a System's per-flow memory beside the endpoints themselves: the
-// words of the flows' bitsets and their first send-time rings.
-type Arena struct {
-	words carve.Chunks[uint64]
-	times carve.Chunks[sim.Time]
-}
-
-// Words returns n zero words.
-func (a *Arena) Words(n int) []uint64 { return a.words.Take(n) }
-
-// Times returns n zero times.
-func (a *Arena) Times(n int) []sim.Time { return a.times.Take(n) }
 
 // AckRoute is a receiver's way back: the path each acknowledgment
 // travels. A packet that came over one of its flow's memoized paths — that

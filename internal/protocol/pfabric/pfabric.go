@@ -76,7 +76,7 @@ type System struct {
 	*protocol.System
 	Cfg Config
 
-	ends carve.Chunks[endpoints]
+	ends *carve.Chunks[endpoints]
 	prio func(*tcp.Conn) uint8 // band, bound once for every connection
 }
 
@@ -89,7 +89,7 @@ type endpoints struct {
 // Install attaches pFabric to every host and puts every link's queue
 // under strict priority.
 func Install(t *topo.Topology, cfg Config) *System {
-	s := &System{Cfg: cfg.withDefaults()}
+	s := &System{Cfg: cfg.withDefaults(), ends: carve.Of[endpoints](t.Net.Arena())}
 	s.System = protocol.Install(t, 1, nil, s.launch)
 	s.prio = s.band
 	for _, l := range t.Net.Links() {

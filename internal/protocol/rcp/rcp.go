@@ -76,7 +76,7 @@ type System struct {
 	*protocol.System
 
 	states []*linkState // indexed by the dense link ID
-	ends   carve.Chunks[endpoints]
+	ends   *carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole.
@@ -88,7 +88,7 @@ type endpoints struct {
 
 // Install attaches RCP to every host and switch of the topology.
 func Install(t *topo.Topology, _ Config) *System {
-	s := &System{}
+	s := &System{ends: carve.Of[endpoints](t.Net.Arena())}
 	s.System = protocol.Install(t, 1, (*logic)(s), s.launch)
 	return s
 }

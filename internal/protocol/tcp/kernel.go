@@ -314,10 +314,10 @@ type Receiver struct {
 }
 
 // Init makes r, in place, the receive side of the flow l launches on its
-// destination host, its bitmap carved from l.Arena.
+// destination host, its bitmap carved from the network's arena.
 func (r *Receiver) Init(l protocol.Launch) {
 	n, net := numSegs(l.Flow.Size), l.Dst.Network()
-	*r = Receiver{Net: net, Coll: l.Tel, Flow: l.Flow, NumPkts: n, Sim: net.Sim, got: xfer.NewBitset(l.Arena, n)}
+	*r = Receiver{Net: net, Coll: l.Tel, Flow: l.Flow, NumPkts: n, Sim: net.Sim, got: xfer.NewBitset(net.Arena(), n)}
 	r.back.Init(l)
 }
 

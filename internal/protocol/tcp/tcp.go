@@ -51,7 +51,7 @@ type System struct {
 	*protocol.System
 	Cfg Config
 
-	ends carve.Chunks[endpoints]
+	ends *carve.Chunks[endpoints]
 }
 
 // endpoints is one flow's state at both ends, carved whole.
@@ -62,7 +62,7 @@ type endpoints struct {
 
 // Install attaches TCP to every host of the topology.
 func Install(t *topo.Topology, cfg Config) *System {
-	s := &System{Cfg: cfg.WithDefaults()}
+	s := &System{Cfg: cfg.WithDefaults(), ends: carve.Of[endpoints](t.Net.Arena())}
 	s.System = protocol.Install(t, 1, nil, s.launch)
 	return s
 }

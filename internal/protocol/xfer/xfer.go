@@ -19,6 +19,7 @@
 package xfer
 
 import (
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/sim"
@@ -64,9 +65,9 @@ type Window struct {
 	hdr int          // the protocol's scheduling-header bytes on data packets
 	tel workload.Ref // the flow's collector entry: counts, outcome, and its slot
 
-	arena *protocol.Arena // the first send-time ring's source
-	n     int             // packets in the flow
-	acked Bitset          // per packet
+	times *carve.Chunks[sim.Time] // the send-time rings' source
+	n     int                     // packets in the flow
+	acked Bitset                  // per packet
 	// sent is the last transmission time of each outstanding packet — the
 	// span [base, nextPkt) — packet i at sent[i&(len(sent)-1)]. Every read
 	// is of base and every write of base (a retransmission) or nextPkt-1
@@ -90,13 +91,13 @@ const ringMin = 32
 // Init makes w, in place, the send window of the flow l launches on its
 // source host. Data packets carry hdrBytes of the protocol's scheduling
 // header. Outcome counters go to l.Tel, and every packet carries its slot.
-// The bitmap and, at the first transmission, the send-time ring come from
-// l.Arena.
+// The bitmap and, from the first transmission on, the send-time ring are
+// carved from the network's arena.
 func (w *Window) Init(l protocol.Launch, hdrBytes int) {
 	n, net := numPackets(l.Flow.Size), l.Src.Network()
 	*w = Window{
 		Flow: l.Flow, eng: net.Sim, net: net, src: l.Src.ID(), hdr: hdrBytes, tel: l.Tel,
-		arena: l.Arena, n: n, acked: NewBitset(l.Arena, n),
+		times: carve.Of[sim.Time](net.Arena()), n: n, acked: NewBitset(net.Arena(), n),
 	}
 	w.pacers = w.one[:0]
 }
@@ -116,7 +117,7 @@ func payload(size int64, n, i int) int {
 type Bitset []uint64
 
 // NewBitset returns n cleared flags carved from a.
-func NewBitset(a *protocol.Arena, n int) Bitset { return a.Words((n + 63) >> 6) }
+func NewBitset(a *carve.Arena, n int) Bitset { return carve.Of[uint64](a).Take((n + 63) >> 6) }
 
 // Has reports flag i.
 func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
@@ -136,20 +137,19 @@ func (w *Window) sentAt(i int) sim.Time {
 // stamp records that packet i — base or nextPkt-1 — left at t. Only a
 // first transmission widens the span, by one packet, so a ring it
 // overflows doubles and re-homes the packets that were already outstanding
-// under the wider mask. The first ring is carved from the arena; a flow
+// under the wider mask. Every ring is carved from the arena, so an
+// outgrown one is space the next run on the network carves again; a flow
 // stopped before its first data packet never takes one.
 func (w *Window) stamp(i int, t sim.Time) {
 	if w.nextPkt-w.base > len(w.sent) {
-		var sent []sim.Time
-		if len(w.sent) > 0 {
-			sent = make([]sim.Time, 2*len(w.sent))
-		} else {
-			size := 1
+		size := 2 * len(w.sent)
+		if size == 0 {
+			size = 1
 			for size < ringMin && size < w.n {
 				size *= 2
 			}
-			sent = w.arena.Times(size)
 		}
+		sent := w.times.Take(size)
 		for j := w.base; j < w.nextPkt-1; j++ {
 			sent[j&(len(sent)-1)] = w.sent[j&(len(w.sent)-1)]
 		}
@@ -561,14 +561,15 @@ type Receiver struct {
 }
 
 // Init makes r, in place, the receive state of the flow l launches on its
-// destination host, its bitmap carved from l.Arena. The last byte's
-// arrival is reported to l.Tel. clamp lowers the rate granted in the
-// echoed header to the receiver's own capability, its NIC rate (§3.2).
+// destination host, its bitmap carved from the network's arena. The last
+// byte's arrival is reported to l.Tel. clamp lowers the rate granted in
+// the echoed header to the receiver's own capability, its NIC rate
+// (§3.2).
 func (r *Receiver) Init(l protocol.Launch, clamp func(pkt *netsim.Packet, nic int64)) {
 	n := numPackets(l.Flow.Size)
 	*r = Receiver{
 		size: l.Flow.Size, host: l.Dst, eng: l.Dst.Network().Sim, tel: l.Tel, clamp: clamp,
-		n: n, got: NewBitset(l.Arena, n),
+		n: n, got: NewBitset(l.Dst.Network().Arena(), n),
 	}
 	r.back.Init(l)
 }

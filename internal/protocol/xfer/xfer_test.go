@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/protocol"
 	"pdq/internal/sim"
@@ -58,7 +59,7 @@ func newRig(t *testing.T, tp *topo.Topology, src, dst int, size, rate int64, pat
 	for i, p := range paths {
 		revs[i] = netsim.ReversePath(p)
 	}
-	l := protocol.Launch{Flow: f, Tel: tel, Src: tp.Hosts[src], Dst: tp.Hosts[dst], Fwd: paths, Rev: revs, Arena: new(protocol.Arena)}
+	l := protocol.Launch{Flow: f, Tel: tel, Src: tp.Hosts[src], Dst: tp.Hosts[dst], Fwd: paths, Rev: revs}
 	r.recv, r.w = new(Receiver), new(Window)
 	r.recv.Init(l, func(*netsim.Packet, int64) {})
 	r.w.Init(l, netsim.SchedHdrWire)
@@ -335,11 +336,14 @@ func (r *refWindow) hole(ackedIdx int, now, rtt sim.Time) bool {
 // retransmit verdict and the send time of base must be the reference's.
 func TestWindowMatchesPerPacketReference(t *testing.T) {
 	var seen struct{ sends, retx, fast, wakes, reordered, dups, drops, grown int }
+	// One arena serves every trial, rewound between them as a network's
+	// is between runs, so the bitmaps and rings are carved again.
+	var arena carve.Arena
 	for trial := 0; trial < 400; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		size := 1 + rng.Int63n(700*netsim.MSS)
-		arena := new(protocol.Arena)
-		w := &Window{Flow: workload.Flow{Size: size}, arena: arena, n: numPackets(size), acked: NewBitset(arena, numPackets(size))}
+		arena.Rewind()
+		w := &Window{Flow: workload.Flow{Size: size}, times: carve.Of[sim.Time](&arena), n: numPackets(size), acked: NewBitset(&arena, numPackets(size))}
 		ref := newRefWindow(size)
 		var net []int // transmitted packets not yet acknowledged or lost, in send order
 		now, wake := sim.Time(1), sim.Time(0)

@@ -28,18 +28,20 @@ var runnerMallocs = map[string]float64{
 
 // resetMallocs is the same cell's budget on a topology an earlier cell ran
 // on and handed back, reset (topo.Topology.Reset), with its routes
-// memoized: what a sweep pays for every cell after the first on one
-// topology.
+// memoized and its arena rewound: what a sweep pays for every cell after
+// the first on one topology. The cell carves its packets, headers,
+// endpoints and collector cells from the chunks the earlier cell carved,
+// so what is left is per-run state that is not carved.
 var resetMallocs = map[string]float64{
-	"PDQ(Full)":  94,
-	"PDQ(ES+ET)": 94,
-	"PDQ(ES)":    102,
-	"PDQ(Basic)": 91,
-	"D3":         184,
-	"RCP":        258,
-	"TCP":        64,
-	"DCTCP":      56,
-	"pFabric":    135,
+	"PDQ(Full)":  47,
+	"PDQ(ES+ET)": 47,
+	"PDQ(ES)":    46,
+	"PDQ(Basic)": 44,
+	"D3":         156,
+	"RCP":        77,
+	"TCP":        23,
+	"DCTCP":      24,
+	"pFabric":    103,
 }
 
 func TestPacketRunnerAllocBudget(t *testing.T) {

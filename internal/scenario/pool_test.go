@@ -33,9 +33,10 @@ func poolFlows(hosts int) []workload.Flow {
 
 // checkPoolBalance runs one registered packet runner the way a sweep cell
 // does and requires the packet life cycle to close: every flow over, the
-// engine drained, and every packet taken from the network's pool
-// released exactly once — whatever mix of deliveries, drops and
-// turn-arounds the run went through.
+// engine drained, every packet taken from the network's pool released
+// exactly once — whatever mix of deliveries, drops and turn-arounds the
+// run went through — and every link and flow conserved (conservedLinks,
+// conservedFlows).
 func checkPoolBalance(t *testing.T, runner string, given map[string]float64, build func() *topo.Topology, rc RunCtx) {
 	t.Helper()
 	e, p, err := runners.Resolve(runner, given)
@@ -45,8 +46,12 @@ func checkPoolBalance(t *testing.T, runner string, given map[string]float64, bui
 	var tp *topo.Topology
 	pending := -1 // until the runner shows its engine
 	rc.Horizon = 5 * sim.Second
-	rc.inspect = func(tp *topo.Topology) { pending = tp.Sim().Pending() }
+	rc.inspect = func(tp *topo.Topology) {
+		pending = tp.Sim().Pending()
+		conservedLinks(t, tp)
+	}
 	rs := e.Make(p, 1)(func() *topo.Topology { tp = build(); return tp }, poolFlows(len(build().Hosts)), rc)
+	conservedFlows(t, tp, rs)
 	for _, r := range rs {
 		if !r.Done() && !r.Terminated {
 			t.Fatalf("flow %d neither finished nor terminated by the horizon", r.ID)
@@ -61,6 +66,43 @@ func checkPoolBalance(t *testing.T, runner string, given map[string]float64, bui
 	}
 	if taken != released {
 		t.Errorf("packets taken %d, released %d: %d leaked or released twice", taken, released, int64(taken)-int64(released))
+	}
+}
+
+// conservedLinks requires every link of tp, at the end of a run, to
+// account for every packet offered to it (DESIGN.md §3): each was dropped
+// at enqueue — by the queue, a loss coin or a down link — or transmitted,
+// or is still queued or in service. A packet a down link loses at
+// delivery was transmitted and counts in FaultDrops as well, so the
+// identity is exact on a run without link faults and bounds the rest.
+// No queue may hold more than its capacity.
+func conservedLinks(t *testing.T, tp *topo.Topology) {
+	t.Helper()
+	for _, l := range tp.Net.Links() {
+		offered := l.Offered()
+		counted := l.Drops() + l.LossDrops() + l.TxPackets() + uint64(l.QueuedPackets())
+		if counted > offered || offered > counted+l.FaultDrops() {
+			t.Errorf("%v: %d offered, %d tail-dropped + %d lost + %d transmitted + %d queued, %d fault drops",
+				l, offered, l.Drops(), l.LossDrops(), l.TxPackets(), l.QueuedPackets(), l.FaultDrops())
+		}
+		if q := l.QueueBytes(); q > l.QueueCap {
+			t.Errorf("%v: %d bytes queued, capacity %d", l, q, l.QueueCap)
+		}
+	}
+}
+
+// conservedFlows requires every flow of rs whose last byte arrived to have
+// taken at least its bytes' serialization at the slower of its two NICs.
+func conservedFlows(t *testing.T, tp *topo.Topology, rs []workload.Result) {
+	t.Helper()
+	for _, r := range rs {
+		if r.Finish < 0 {
+			continue
+		}
+		nic := min(tp.Hosts[r.Src].NICRate(), tp.Hosts[r.Dst].NICRate())
+		if least := float64(r.Size) * 8 * float64(sim.Second) / float64(nic); float64(r.Finish-r.Start) < least {
+			t.Errorf("flow %d: %d bytes in %v, less than %v at %d b/s", r.ID, r.Size, r.Finish-r.Start, sim.Time(least), nic)
+		}
 	}
 }
 
@@ -127,9 +169,10 @@ func TestPacketPoolBalance(t *testing.T) {
 // turning true at a flow outcome, packets in flight, most of them chained
 // behind another packet's delivery and known to no event. It requires the
 // cut-short run to be sound: the clock inside the horizon, the results read
-// with packets still in flight, and the very same engine, resumed, draining
-// to the balance, the clock and the event and packet counts of a run that
-// was never stopped — the stop cut a prefix and disturbed nothing.
+// with packets still in flight, every link and flow conserved at the stop,
+// and the very same engine, resumed, draining to the balance, the clock
+// and the event and packet counts of a run that was never stopped — the
+// stop cut a prefix and disturbed nothing.
 func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
 	const horizon = 5 * sim.Second
 	for _, e := range RunnerList() {
@@ -155,6 +198,7 @@ func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
 					return false
 				}, inspect: func(tp *topo.Topology) {
 					stop = readEngine(tp)
+					conservedLinks(t, tp)
 					tp.Sim().RunUntil(horizon)
 					resumed = readEngine(tp)
 				}})
@@ -170,6 +214,7 @@ func TestPacketPoolBalanceHaltedProbe(t *testing.T) {
 			if over == 0 || over == len(rs) {
 				t.Fatalf("%d of %d flows over at the stop, want some and not all", over, len(rs))
 			}
+			conservedFlows(t, tree(), rs)
 			if stop.released >= stop.taken {
 				t.Fatalf("stopped with packets taken %d, released %d: none in flight", stop.taken, stop.released)
 			}

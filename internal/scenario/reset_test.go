@@ -2,9 +2,13 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
+	"pdq/internal/carve"
+	"pdq/internal/netsim"
 	"pdq/internal/obsv"
+	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
 )
@@ -31,8 +35,9 @@ func resetSpec(ts TopoSpec) *Spec {
 // TestResetMatchesFreshBuild runs one cell through the engine on every
 // registered topology family at its defaults, and on a lossy tree, and
 // requires the topology the run handed back, reset, to equal a fresh build
-// at the same seed in every field its network holds. The routing caches
-// are not compared: they are what a reset keeps.
+// at the same seed in every field its network holds, and its arena to be
+// rewound: the reset network carves the run's packets again. The routing
+// caches and the arena are not compared: they are what a reset keeps.
 func TestResetMatchesFreshBuild(t *testing.T) {
 	cases := map[string]TopoSpec{"lossy-tree": {Name: "single-rooted-tree", Loss: &LossSpec{Host: -1, Rate: 0.05}}}
 	for _, b := range topo.BuilderList() {
@@ -46,13 +51,16 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 			}
 			// The run must leave something to reset.
 			var down bool
-			var inFlight uint64
+			var taken, inFlight uint64
+			var last *netsim.Packet
 			e.inspect = func(tp *topo.Topology) {
 				for _, l := range tp.Net.Links() {
 					down = down || l.Down()
 				}
-				taken, released := tp.Net.PacketPoolStats()
+				var released uint64
+				taken, released = tp.Net.PacketPoolStats()
 				inFlight = taken - released
+				last = tp.Net.NewPacket()
 			}
 			e.compute(0, 0, &obsv.Cell{Seed: 1})
 			if !down || inFlight == 0 {
@@ -64,6 +72,15 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("%d spare topologies after one run, want 1", len(spares))
 			}
 			got, want := spares[0], col.build(1)
+			rewound := false
+			for i := uint64(0); i <= taken && !rewound; i++ {
+				rewound = got.Net.NewPacket() == last
+			}
+			if !rewound {
+				t.Error("the reset network does not carve the run's packets again: its arena was not rewound")
+			}
+			got.Reset(sim.New(), 1)
+			*got.Net.Arena(), *want.Net.Arena() = carve.Arena{}, carve.Arena{}
 			if got.Name != want.Name || !reflect.DeepEqual(got.Net, want.Net) ||
 				!reflect.DeepEqual(got.Hosts, want.Hosts) || !reflect.DeepEqual(got.Switches, want.Switches) {
 				t.Error("the reset topology differs from a fresh build")
@@ -81,10 +98,14 @@ type replay struct {
 }
 
 // TestResetTopologyReplaysFreshRun runs one cell of every registered runner
-// twice through one engine: the second run takes the topology the first
-// handed back, and must show what the first showed — the same results, and
-// at packet level the same event counts and packet pool counts. A link
-// still down at the horizon has to come back up for the second run.
+// twice through one engine: the first run on a fresh build, the second on
+// the topology the first handed back, reset. The second must show what
+// the first showed — the same results, and at packet level the same event
+// counts and packet pool counts — and, carving from the rewound arena what
+// the first carved afresh, allocate less than the first. The build is not
+// counted, and the flows' routes are memoized before the first run. A
+// link still down at the horizon has to come back up for the second run.
+// A runner that takes no topology (flow:fluid) has no arena to rewind.
 func TestResetTopologyReplaysFreshRun(t *testing.T) {
 	for _, re := range RunnerList() {
 		t.Run(re.Name, func(t *testing.T) {
@@ -103,21 +124,27 @@ func TestResetTopologyReplaysFreshRun(t *testing.T) {
 			}
 			r, col, b := e.resolve(0, 0)
 			k := topoKey{col.topo, 1}
+			fresh := col.build(1)
+			for _, f := range col.gen(1, 0, 0) {
+				src, dst := fresh.Hosts[f.Src], fresh.Hosts[f.Dst]
+				fresh.Routes(src, dst, 1)
+				fresh.Path(src, dst)
+			}
+			e.putTopo(k, fresh)
 			var runs [2]replay
-			var spare *topo.Topology
+			var mallocs [2]uint64
+			var took [2]bool
 			for i := range runs {
 				rp := &runs[i]
+				eng := fresh.Sim() // a run that takes the topology hands it back on a new engine
 				e.inspect = func(tp *topo.Topology) { rp.taken, rp.released = tp.Net.PacketPoolStats() }
 				var rec obsv.Cell
-				rp.results = e.simulate(r, b, col, col.gen(1, 0, 0), 1, col.label, 0, nil, &rec)
+				flows := col.gen(1, 0, 0)
+				mallocs[i] = countMallocs(func() { rp.results = e.simulate(r, b, col, flows, 1, col.label, 0, nil, &rec) })
 				rp.engine = rec.Engine
-				switch {
-				case len(e.spares[k]) == 0 && spare == nil:
-					// The runner builds no topology (flow:fluid).
-				case len(e.spares[k]) != 1 || i > 0 && e.spares[k][0] != spare:
-					t.Fatalf("run %d: the second run did not take the topology the first handed back", i)
-				default:
-					spare = e.spares[k][0]
+				took[i] = fresh.Sim() != eng
+				if len(e.spares[k]) != 1 || e.spares[k][0] != fresh || took[i] != took[0] {
+					t.Fatalf("run %d: the runs did not share the one topology", i)
 				}
 			}
 			if len(runs[0].results) == 0 || re.Level == "packet" && runs[0].engine.Fired.Value() == 0 {
@@ -127,8 +154,26 @@ func TestResetTopologyReplaysFreshRun(t *testing.T) {
 				t.Errorf("the run on the reset topology differs from the first:\nfirst %+v %d/%d\nreset %+v %d/%d",
 					runs[0].engine, runs[0].taken, runs[0].released, runs[1].engine, runs[1].taken, runs[1].released)
 			}
+			if took[0] != (re.Name != "flow:fluid" && re.Name != "test:boom") {
+				t.Fatalf("took a topology: %v", took[0])
+			}
+			if took[0] && !raceEnabled && mallocs[1] >= mallocs[0] {
+				t.Errorf("the run on the reset topology allocates %d heap objects, the first %d: want fewer", mallocs[1], mallocs[0])
+			}
 		})
 	}
+}
+
+// countMallocs returns the heap objects f allocates, counted on one
+// processor as testing.AllocsPerRun counts them, but without its warm-up
+// call: a first run is what is measured.
+func countMallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestJellyfishSparesKeyTheSeed runs a Jellyfish column, whose graph is

@@ -27,9 +27,9 @@ import (
 // a binary search; only a collector whose IDs arrive out of order builds
 // an index.
 type Collector struct {
-	cells []*cell            // by slot
-	chunk carve.Chunks[cell] // what cells are carved from
-	index map[uint64]int32   // flow ID → slot; nil while IDs arrive in increasing order
+	cells []*cell             // by slot
+	chunk *carve.Chunks[cell] // what cells are carved from
+	index map[uint64]int32    // flow ID → slot; nil while IDs arrive in increasing order
 
 	// The deadline tally, kept only once Watch has armed it (watch != nil).
 	// due holds the deadline flows by ascending AbsDeadline; due[:passed]
@@ -71,8 +71,14 @@ type cell struct {
 	met      bool // counted in the collector's tally.Met
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{} }
+// NewCollector returns an empty collector that carves its cells on its
+// own.
+func NewCollector() *Collector { return NewCollectorIn(nil) }
+
+// NewCollectorIn returns an empty collector whose cells are carved from
+// a, a network's arena (nil: on its own). The cells are the run's:
+// results leave through the copies Results and Resolved make.
+func NewCollectorIn(a *carve.Arena) *Collector { return &Collector{chunk: carve.Of[cell](a)} }
 
 // Ref is one registered flow's handle on its collector: the collector and
 // the flow's slot. It is what a flow reports its outcome and counters
