@@ -78,6 +78,48 @@ func (freshRCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link
 // so that the configuration's own rates drive the stream's progress.
 func resumePair() allocPair { return allocPair{got: NewRCP(), ref: freshRCP{}} }
 
+// fresh is a PDQ or D3 that forgets every flow before each call, as one
+// built anew would: its ledger is empty, so every call lists every flow
+// and walks it from the capacities. A PDQ keeps its random stream across
+// calls, as a kept PDQ draws criticalities from one.
+type fresh struct {
+	Allocator
+	forget func()
+}
+
+func (a fresh) Name() string { return "fresh " + a.Allocator.Name() }
+
+func (a fresh) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
+	a.forget()
+	a.Allocator.Allocate(now, flows, cap)
+}
+
+// freshPairs hold a kept PDQ, in cfg's mode when cfg is a PDQ
+// configuration, and a kept D3 to ones rebuilt on every call, bit for
+// bit: a call that recomputes only the flows a change reaches must give
+// the rates a full walk gives. The drivers run them beside every
+// configuration, before it, as they run resumePair.
+func freshPairs(cfg diffCfg, seed int64) []allocPair {
+	mode, aging := CritPerfect, 0.0
+	if p, ok := cfg.mk(seed).got.(*PDQ); ok {
+		mode, aging = p.Mode, p.AgingRate
+	}
+	p, q := NewPDQ(mode, seed), NewPDQ(mode, seed)
+	p.AgingRate, q.AgingRate = aging, aging
+	d3 := NewD3()
+	return []allocPair{
+		{got: p, ref: fresh{q, q.forget}},
+		{got: NewD3(), ref: fresh{d3, d3.forget}},
+	}
+}
+
+// beside is the drivers' allocator list for cfg: resumePair, freshPairs,
+// then cfg's own pair, last, so that its rates drive the stream's
+// progress.
+func beside(cfg diffCfg, seed int64) []allocPair {
+	return append(append([]allocPair{resumePair()}, freshPairs(cfg, seed)...), cfg.mk(seed))
+}
+
 var diffCfgs = []diffCfg{
 	{"PDQ", false, pdqPair(CritPerfect, 0)},
 	{"PDQ-deadlines", true, pdqPair(CritPerfect, 0)},
@@ -370,7 +412,7 @@ func TestAllocatorsMatchReference(t *testing.T) {
 		for ci, cfg := range diffCfgs {
 			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) {
 				seed := int64(100*ti + ci + 1)
-				d := newDiffDriver(t, tc.build(), cfg.deadlines, resumePair(), cfg.mk(seed))
+				d := newDiffDriver(t, tc.build(), cfg.deadlines, beside(cfg, seed)...)
 				d.run(seededStream(seed), 600)
 				if d.rounds < 200 {
 					t.Fatalf("only %d rounds ran, want ≥ 200", d.rounds)
@@ -530,14 +572,16 @@ func TestFlowStateSize(t *testing.T) {
 // corpus under testdata/fuzz — a batch that arrives and drains, links
 // failing under RCP with failover and return, D3 deadlines expiring
 // mid-flow, a criticality reset with parked flows returning, aging with
-// re-admission, size estimation with out-of-band shrinks — replays as unit
-// cases under plain go test.
+// re-admission, size estimation with out-of-band shrinks, and for the
+// ledger D3 deadlines coming and going, a reset and aging that reorder
+// every flow, and a run of calls between which only a capacity changes —
+// replays as unit cases under plain go test.
 func FuzzAllocatorsMatchReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &opStream{b: data}
 		tc := diffTopos[int(in.next())%len(diffTopos)]
 		cfg := diffCfgs[int(in.next())%len(diffCfgs)]
-		d := newDiffDriver(t, tc.build(), cfg.deadlines, resumePair(), cfg.mk(int64(in.next())))
+		d := newDiffDriver(t, tc.build(), cfg.deadlines, beside(cfg, int64(in.next()))...)
 		d.run(in, 512)
 	})
 }

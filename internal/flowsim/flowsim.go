@@ -16,15 +16,21 @@
 //
 // A run makes a few hundred Allocate calls whose flow sets differ by a
 // completion or an arrival, so the allocators are built to cost what
-// changed rather than what exists: PDQ and D3 keep their service order
-// between calls and repair it, and RCP fills by water level over per-link
-// flow lists it keeps, with each flow's link IDs and NIC floor, resuming
-// below the lowest level a departed flow froze at. alloc_ref_test.go holds
-// the plain full-recompute allocators; the differential and fuzz tests
-// compare every PDQ and D3 rate bit for bit against them, every RCP rate
-// to a relative 1e-12, since a level rounds differently from the
-// reference's sum of shares, and every resumed RCP rate bit for bit
-// against an RCP rebuilt on every call (DESIGN.md §4).
+// changed rather than what exists. PDQ and D3 keep their service order
+// between calls and repair it, and keep one ledger (ledger.go): each
+// link's flows in service order, and what each flow saw on each link. A
+// call recomputes only the flows a departure, an arrival, a reordering, a
+// new capacity or a changed grant reaches, reading what the others saw
+// last call, and walks every flow from the capacities on a first call, a
+// reorder too large to repair, and while D3 reserves for deadlines. RCP
+// fills by water level over per-link flow lists it keeps, with each
+// flow's link IDs and NIC floor, resuming below the lowest level a
+// departed flow froze at. alloc_ref_test.go holds the plain full-recompute
+// allocators; the differential and fuzz tests compare every PDQ and D3
+// rate bit for bit against them and against allocators rebuilt on every
+// call, every RCP rate to a relative 1e-12, since a level rounds
+// differently from the reference's sum of shares, and every resumed RCP
+// rate bit for bit against an RCP rebuilt on every call (DESIGN.md §4).
 package flowsim
 
 import (
@@ -70,10 +76,9 @@ type FlowState struct {
 }
 
 // nicFloor is the rate a flow's own NICs cap it at, in bits/s: the sender
-// NIC is the first path link, the receiver NIC the last. PDQ and D3 derive
-// it per call, where they walk the path anyway, and not per round or per
-// comparison; RCP keeps it with the flow's link IDs until a call finds
-// the flow's Path replaced (failover).
+// NIC is the first path link, the receiver NIC the last. Every allocator
+// keeps it with the flow's link IDs until a call finds the flow's Path
+// replaced (failover).
 func nicFloor(path []*netsim.Link) float64 {
 	r := path[0].Rate
 	if last := path[len(path)-1].Rate; last < r {
@@ -84,9 +89,9 @@ func nicFloor(path []*netsim.Link) float64 {
 
 // Allocator assigns Rate to every active flow given per-link capacities.
 // Allocators carry reusable scratch and what they derived for the flows
-// they were last called with, PDQ and D3 the service order and RCP its
-// filling, so one instance belongs to one Sim and must not be shared
-// across concurrent simulations.
+// they were last called with, PDQ and D3 the service order and ledger and
+// RCP its filling, so one instance belongs to one Sim and must not be
+// shared across concurrent simulations.
 type Allocator interface {
 	Name() string
 	// Allocate sets f.Rate for every flow; cap maps each link to its
@@ -94,22 +99,47 @@ type Allocator interface {
 	Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64)
 }
 
+// stepAllocator is how Sim calls the package's allocators, saying what
+// may have changed since the last call. Allocate is allocate with
+// anyChange.
+type stepAllocator interface {
+	allocate(now sim.Time, flows []*FlowState, cap capFn, c change)
+}
+
+// change is what may have changed between two calls of one allocator
+// besides the flows themselves.
+type change uint8
+
+const (
+	// unchanged: a Sim's call between hooks. No capacity and no Path
+	// moved, and every Rate is the one the allocator set, so it reads
+	// capacities only for links it has not seen and sets only the rates
+	// it recomputes.
+	unchanged change = iota
+	// hooked: a Sim's call after a hook ran: capacities and Paths may
+	// have moved.
+	hooked
+	// anyChange: a call of Allocate. Capacities and Paths may have moved,
+	// and other allocators may have set the Rates of the same FlowStates.
+	anyChange
+)
+
 // linkSlot is one link's state during an allocation round. The fields an
 // allocator reads together sit together: links are visited in path order,
 // which is random in ID order, so a round costs one cache line per link
 // rather than one per field.
 type linkSlot struct {
 	residual float64 // remaining capacity, bits/s
-	floor    float64 // 1e-6 of the capacity: at or below it the link is exhausted (RCP)
-	count    int32   // flows still to be served on the link (RCP, D3)
+	floor    float64 // 1e-6 of the capacity: at or below it the link is exhausted
+	count    int32   // unfrozen flows on the link
 	stamp    uint32  // == scratch.epoch ⇒ the slot is live this round
 }
 
-// scratch is the dense per-link workspace an allocator reuses across
-// calls: links carry dense IDs, so per-link state lives in a flat slice
-// indexed by Link.ID instead of a per-step map. Slots are lazily opened
-// per round via an epoch stamp — no clearing, no rehashing, no
-// steady-state allocation (DESIGN.md §4).
+// scratch is the dense per-link workspace RCP reuses across calls: links
+// carry dense IDs, so per-link state lives in a flat slice indexed by
+// Link.ID instead of a per-step map. Slots are lazily opened per round via
+// an epoch stamp — no clearing, no rehashing, no steady-state allocation
+// (DESIGN.md §4).
 type scratch struct {
 	epoch   uint32
 	slots   []linkSlot
@@ -170,6 +200,7 @@ type ordEnt struct {
 	major sim.Time // PDQ: absolute deadline (0 in the inaccurate modes); D3: arrival time
 	minor float64  // PDQ: aged remaining size, or the cached criticality; D3: 0
 	f     *FlowState
+	rec   int32 // the flow's record in the allocator's ledger
 }
 
 // before is the strict total order on entries with distinct flow IDs.
@@ -209,16 +240,19 @@ type order struct {
 	// fresh FlowState's zero mark can equal an epoch, 0, once in 2³¹ calls,
 	// where it reads as a duplicate and costs a rebuild.
 	epoch uint32
+	gone  []int32 // the last sync's dropped entries' recs
+	moved []int32 // the last sort's entries moved toward the front, by rec
 }
 
 // sync makes ents hold exactly flows: entries whose flow left are dropped
-// in place, flows not yet listed are appended in the caller's order. Keys
-// are the caller's to fill. A slice that names one flow twice cannot be
-// told from the list by marks, so it rebuilds the list from scratch.
-func (o *order) sync(flows []*FlowState) {
+// in place, their recs kept in gone, and flows not yet listed are appended
+// in the caller's order; it returns where the appended entries start. Keys
+// and recs are the caller's to fill. A slice that names one flow twice
+// cannot be told from the list by marks, so it drops every entry and lists
+// the slice from scratch, and reports dup.
+func (o *order) sync(flows []*FlowState) (kept int, dup bool) {
 	o.epoch += 2
 	seen, listed := o.epoch, o.epoch+1
-	dup := false
 	for _, f := range flows {
 		if f.mark == seen {
 			dup = true
@@ -226,22 +260,27 @@ func (o *order) sync(flows []*FlowState) {
 		f.mark = seen
 	}
 	old := o.ents
-	kept := old[:0]
-	if !dup {
-		for _, e := range old {
-			if e.f.mark == seen {
-				e.f.mark = listed
-				kept = append(kept, e)
+	ents := old[:0]
+	o.gone = o.gone[:0]
+	for _, e := range old {
+		if e.f.mark == seen && !dup {
+			e.f.mark = listed
+			ents = append(ents, e)
+		} else {
+			o.gone = append(o.gone, e.rec)
+		}
+	}
+	kept = len(ents)
+	if kept < len(flows) { // arrivals: flows a pass over the list did not find
+		for _, f := range flows {
+			if f.mark == seen || dup {
+				f.mark = listed
+				ents = append(ents, ordEnt{f: f})
 			}
 		}
 	}
-	for _, f := range flows {
-		if f.mark == seen || dup {
-			f.mark = listed
-			kept = append(kept, ordEnt{f: f})
-		}
-	}
-	o.ents = kept
+	o.ents = ents
+	return kept, dup
 }
 
 // forget drops the list, and with it every FlowState it names.
@@ -253,11 +292,14 @@ func (o *order) forget() {
 // sort restores ascending order. The list is near-sorted by construction
 // — under PDQ sending flows only move toward the front and paused flows
 // age by a common factor, under D3 keys never change and arrivals come in
-// key order — so an insertion pass costs O(n + inversions); when a call
-// brings many unordered entries (the first one, a criticality reset) the
-// pass gives up after 8n moves and sorts.
-func (o *order) sort() {
+// key order — so an insertion pass costs O(n + inversions), and moved
+// lists the recs of the entries it moved toward the front: every other
+// pair kept its order. When a call brings many unordered entries (the
+// first one, a criticality reset) the pass gives up after 8n moves, sorts,
+// and returns false.
+func (o *order) sort() bool {
 	ents := o.ents
+	o.moved = o.moved[:0]
 	budget := 8 * len(ents)
 	for i := 1; i < len(ents); i++ {
 		if !ents[i].before(&ents[i-1]) {
@@ -270,11 +312,13 @@ func (o *order) sort() {
 			ents[j] = ents[j-1]
 		}
 		ents[j] = e
+		o.moved = append(o.moved, e.rec)
 		if budget -= i - j; budget < 0 {
 			slices.SortFunc(ents, cmpEnt)
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // Hook is a scheduled environment mutation — fault injection at the fluid
@@ -295,14 +339,17 @@ type Sim struct {
 	ET bool
 
 	Collector *workload.Collector
-	states    *carve.Chunks[FlowState] // what Start carves flow states from
-	pending   []*FlowState             // sorted by Start; admitted entries are nil
-	next      int                      // cursor into pending: first un-admitted flow
+	states    *carve.Chunks[FlowState]  // what Start carves flow states from
+	ptrs      *carve.Chunks[*FlowState] // what pending and active grow into
+	pending   []*FlowState              // sorted by Start; admitted entries are nil
+	next      int                       // cursor into pending: first un-admitted flow
 	active    []*FlowState
 	now       sim.Time
 
 	hooks    []Hook // sorted by At once AddHook settles; see ApplyFaults
 	nextHook int
+	hooked   bool          // a hook ran, or nothing was allocated yet: capacities and paths may have changed
+	fast     stepAllocator // Alloc, when it is one of the package's allocators; set by Run
 
 	halted      bool
 	interrupted atomic.Bool // set by Interrupt from any goroutine
@@ -323,7 +370,8 @@ func New(t *topo.Topology, alloc Allocator) *Sim {
 		a.forget()
 	}
 	a := t.Net.Arena()
-	return &Sim{Topo: t, Alloc: alloc, Collector: workload.NewCollectorIn(a), states: carve.Of[FlowState](a)}
+	return &Sim{Topo: t, Alloc: alloc, Collector: workload.NewCollectorIn(a),
+		states: carve.Of[FlowState](a), ptrs: carve.Of[*FlowState](a), hooked: true}
 }
 
 // Start registers a flow.
@@ -336,7 +384,16 @@ func (s *Sim) Start(f workload.Flow) {
 		Remaining: float64(f.Size),
 		Started:   f.Start + InitLatency,
 	}
-	s.pending = append(s.pending, fs)
+	s.pending = append(s.grow(s.pending), fs)
+}
+
+// grow returns ps with room for one more, carved from the run's arena, so
+// that the runs on a reset network take the same room again.
+func (s *Sim) grow(ps []*FlowState) []*FlowState {
+	if len(ps) < cap(ps) {
+		return ps
+	}
+	return append(s.ptrs.Take(2*len(ps) + 8)[:0], ps...)
 }
 
 func byStart(a, b *FlowState) int { return cmp.Compare(a.Start, b.Start) }
@@ -345,6 +402,7 @@ func byStart(a, b *FlowState) int { return cmp.Compare(a.Start, b.Start) }
 // until Halt is called. After Interrupt it panics with InterruptError.
 func (s *Sim) Run(horizon sim.Time) {
 	slices.SortStableFunc(s.pending[s.next:], byStart)
+	s.fast, _ = s.Alloc.(stepAllocator)
 	s.halted = false
 	for steps := uint64(0); !s.halted && s.now < horizon && (s.next < len(s.pending) || len(s.active) > 0); steps++ {
 		if s.interrupted.Load() {
@@ -404,13 +462,14 @@ func (s *Sim) step() {
 		h := s.hooks[s.nextHook]
 		s.nextHook++
 		h.Fn(s)
+		s.hooked = true
 	}
 	// Admit flows whose init completes within this step. The cursor (with
 	// admitted slots nilled out) lets long-running sims release admitted
 	// flows to the GC; re-slicing the queue instead would pin the whole
 	// backing array for the run.
 	for s.next < len(s.pending) && s.pending[s.next].Started < next {
-		s.active = append(s.active, s.pending[s.next])
+		s.active = append(s.grow(s.active), s.pending[s.next])
 		s.pending[s.next] = nil
 		s.next++
 	}
@@ -451,26 +510,31 @@ func (s *Sim) step() {
 	// equilibrium flow sending rates" at a 1 ms time scale.
 	t := s.now
 	for t < next && len(s.active) > 0 {
-		s.Alloc.Allocate(t, s.active, linkCap)
+		switch {
+		case s.fast == nil:
+			s.Alloc.Allocate(t, s.active, linkCap)
+		case s.hooked:
+			s.fast.allocate(t, s.active, linkCap, hooked)
+		default:
+			s.fast.allocate(t, s.active, linkCap, unchanged)
+		}
+		s.hooked = false
 		if s.check != nil {
 			s.check(s.active)
 		}
-		for _, f := range s.active {
-			if f.Rate > 0 {
-				f.sending = true
-			} else if f.sending {
-				f.sending = false
-				s.Collector.Of(f.ID).AddPreemption()
-			}
-		}
-		// Earliest completion at the current rates, capped by step end.
+		// Preemptions, and the earliest completion at the current rates,
+		// capped by step end.
 		dt := next - t
 		for _, f := range s.active {
 			if f.Rate > 0 {
+				f.sending = true
 				need := sim.Time(f.Remaining * 8 / (f.Rate * goodput) * float64(sim.Second))
 				if need < dt {
 					dt = need
 				}
+			} else if f.sending {
+				f.sending = false
+				s.Collector.Of(f.ID).AddPreemption()
 			}
 		}
 		if dt < 1 {
@@ -525,8 +589,8 @@ const (
 )
 
 // PDQ is the flow-level PDQ allocator. It keeps the criticality order of
-// the flows it saw last between calls, so one instance serves one flow set
-// at a time.
+// the flows it saw last and what each of them saw on every link (ledger)
+// between calls, so one instance serves one flow set at a time.
 type PDQ struct {
 	Mode CritMode
 	// AgingRate is the Fig. 12 α: a paused flow's expected transmission
@@ -534,8 +598,7 @@ type PDQ struct {
 	// 100 ms, preventing starvation. 0 disables aging.
 	AgingRate float64
 	rng       *rand.Rand
-	sc        scratch
-	ord       order
+	ledger
 }
 
 // NewPDQ returns a PDQ allocator with deterministic randomness (used only
@@ -544,12 +607,24 @@ func NewPDQ(mode CritMode, seed int64) *PDQ {
 	return &PDQ{Mode: mode, rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reset readies p for another run, as NewPDQ(mode, seed) with AgingRate
+// aging would be, keeping the storage its ledger grew.
+func (p *PDQ) Reset(mode CritMode, seed int64, aging float64) {
+	p.Mode, p.AgingRate = mode, aging
+	p.rng.Seed(seed)
+	p.forget()
+}
+
 // Name implements Allocator.
 func (p *PDQ) Name() string { return "PDQ" }
 
 // Allocate implements Allocator: order by criticality, then grant each flow
 // min(NIC rate, residual capacity along its path), in order (§3).
 func (p *PDQ) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
+	p.allocate(now, flows, cap, anyChange)
+}
+
+func (p *PDQ) allocate(now sim.Time, flows []*FlowState, cap capFn, c change) {
 	// Criticalities are drawn and re-estimated in the caller's order: the
 	// random mode's stream must not depend on the kept order.
 	switch p.Mode {
@@ -565,40 +640,41 @@ func (p *PDQ) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 			f.crit = math.Floor(sent/float64(50<<10)) + 1
 		}
 	}
-	// One key per flow per call — EDF, then SRPT on the aged remaining
-	// size; or the cached criticality alone — and a repair of the order.
-	p.ord.sync(flows)
-	ents := p.ord.ents
-	if p.Mode == CritPerfect {
+	// EDF, then SRPT on the aged remaining size; or the cached criticality
+	// alone. The deadline is set once, when the flow is listed.
+	g := &p.ledger
+	g.edf = p.Mode == CritPerfect
+	g.sync(flows, cap, c)
+	ents := g.ord.ents
+	if g.edf {
 		for i := range ents {
-			f := ents[i].f
-			ents[i].major, ents[i].minor = f.AbsDeadline(), p.aged(f)
+			ents[i].minor = p.aged(ents[i].f)
 		}
 	} else {
 		for i := range ents {
-			ents[i].major, ents[i].minor = 0, ents[i].f.crit
+			ents[i].minor = ents[i].f.crit
 		}
 	}
-	p.ord.sort()
+	g.settle()
+	if g.full {
+		g.resetRuns()
+	}
+	g.walk(pdqGrant)
+}
 
-	sc := &p.sc
-	sc.begin(flows)
-	for i := range ents {
-		f := ents[i].f
-		rate := nicFloor(f.Path)
-		for _, l := range f.Path {
-			if r := sc.slot(l, cap).residual; r < rate {
-				rate = r
-			}
-		}
-		if rate < 0 {
-			rate = 0
-		}
-		f.Rate = rate
-		for _, l := range f.Path {
-			sc.slots[l.ID].residual -= rate
+// pdqGrant is min(NIC floor, residual on every hop), never negative.
+func pdqGrant(_ *ledger, r *ledFlow) float64 {
+	rate := r.nic
+	for k := range r.hops {
+		if s := r.hops[k].seen; s < rate {
+			rate = s
 		}
 	}
+	if rate < 0 {
+		rate = 0
+	}
+	r.f.Rate = rate
+	return rate
 }
 
 // aged is the expected transmission time, reduced by the aging factor
@@ -684,7 +760,11 @@ func (p *RCP) forget() {
 // call costs only the paths. A rate is a level, not a sum of shares, so
 // it may differ from the reference's in the last bits (DESIGN.md §4).
 func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
-	left := p.replay(flows, cap)
+	p.allocate(now, flows, cap, anyChange)
+}
+
+func (p *RCP) allocate(now sim.Time, flows []*FlowState, cap capFn, c change) {
+	left := p.replay(flows, cap, c != unchanged)
 	if left < 0 {
 		p.build(flows, cap)
 		left = len(flows)
@@ -782,8 +862,8 @@ func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) 
 // round's level still gives it. Such a round freezes the same flows, and
 // replay subtracts in the original order, bit for bit (DESIGN.md §4). It
 // returns how many flows are left unfrozen, or -1 when the call must fill
-// from level 0.
-func (p *RCP) replay(flows []*FlowState, cap func(*netsim.Link) float64) int {
+// from level 0. Capacities are read again only when moved.
+func (p *RCP) replay(flows []*FlowState, cap capFn, moved bool) int {
 	fl := p.flows
 	if len(fl) == 0 || len(fl) > 2*len(flows) {
 		return -1 // a first call, or more departed flows than live ones to skip
@@ -805,11 +885,10 @@ func (p *RCP) replay(flows []*FlowState, cap func(*netsim.Link) float64) int {
 	slots := p.sc.slots
 	for _, id := range p.sc.touched {
 		if sp := &p.span[id]; sp.alive > 0 {
-			c := cap(sp.l)
-			if c != sp.cap {
+			if moved && cap(sp.l) != sp.cap {
 				return -1
 			}
-			slots[id].residual, slots[id].count = c, sp.alive
+			slots[id].residual, slots[id].count = sp.cap, sp.alive
 		}
 	}
 	r, end := 0, int32(0)
@@ -928,93 +1007,105 @@ func (p *RCP) take(lf *rcpFlow) {
 
 // D3 is the flow-level D3 allocator: deadline flows reserve r = s/d in
 // arrival order, then the leftover is shared max-min fairly. It keeps the
-// arrival order of the flows it saw last between calls, so one instance
-// serves one flow set at a time.
+// arrival order of the flows it saw last and what each saw on every link
+// (ledger) between calls, so one instance serves one flow set at a time.
 type D3 struct {
-	sc  scratch
-	ord order
+	ledger
+	reserved bool // the last call had a flow with a deadline
 }
 
 // NewD3 returns a D3 allocator.
-func NewD3() *D3 { return &D3{} }
+func NewD3() *D3 { return &D3{ledger: ledger{d3: true}} }
 
 // Name implements Allocator.
 func (*D3) Name() string { return "D3" }
 
-func (p *D3) forget() { p.ord.forget() }
-
 // Allocate implements Allocator.
 func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
-	sc := &p.sc
-	sc.begin(flows)
-	for _, f := range flows {
-		for _, l := range f.Path {
-			sc.slot(l, cap).count++ // pass 2's flows still to be served
-		}
-		f.Rate = 0
+	p.allocate(now, flows, cap, anyChange)
+}
+
+func (p *D3) allocate(now sim.Time, flows []*FlowState, cap capFn, c change) {
+	// First-come first-reserve: arrival time, ties by ID, set when a flow
+	// is listed. The caller admits flows in that order, so the kept list is
+	// almost always sorted as is.
+	g := &p.ledger
+	g.sync(flows, cap, c)
+	// A reservation moves with the clock, and pass 2 starts from what
+	// pass 1 left: while a flow has a deadline, and on the call after,
+	// every flow is recomputed.
+	dated := g.dated > 0
+	g.full = dated || p.reserved
+	p.reserved = dated
+	g.settle()
+	if g.full {
+		g.resetRuns()
+		p.reserve(now)
 	}
-	slots := sc.slots
-	// First-come first-reserve: arrival time, ties by ID. The caller admits
-	// flows in that order, so the kept list is almost always sorted as is.
-	p.ord.sync(flows)
+	g.walk(d3Grant)
+}
+
+// reserve is pass 1: reservations in arrival order, off the running
+// residuals, with every Rate zeroed first.
+func (p *D3) reserve(now sim.Time) {
 	ents := p.ord.ents
 	for i := range ents {
-		ents[i].major = ents[i].f.Start
+		ents[i].f.Rate = 0
 	}
-	p.ord.sort()
-	// Pass 1: reservations in arrival order.
-	for i := range ents {
-		f := ents[i].f
-		dl := f.AbsDeadline()
-		if dl == sim.MaxTime {
+	for _, e := range ents {
+		r := &p.recs[e.rec]
+		if r.dl == sim.MaxTime {
 			continue // no deadline, or one at the end of time: s/∞ reserves nothing
 		}
-		left := dl - now
+		left := r.dl - now
 		if left <= 0 {
 			continue
 		}
+		f := e.f
 		want := f.Remaining * 8 / left.Seconds() / goodput
-		if nic := nicFloor(f.Path); want > nic {
-			want = nic
+		if want > r.nic {
+			want = r.nic
 		}
 		grant := want
-		for _, l := range f.Path {
-			if r := slots[l.ID].residual; r < grant {
-				grant = r
+		for _, h := range r.hops {
+			if v := p.links[h.link].run; v < grant {
+				grant = v
 			}
 		}
 		if grant < 0 {
 			grant = 0
 		}
 		f.Rate = grant
-		for _, l := range f.Path {
-			slots[l.ID].residual -= grant
+		for _, h := range r.hops {
+			p.links[h.link].run -= grant
 		}
 	}
-	// Pass 2: fair share of the leftover — each flow gets the minimum
-	// over its path of residual/(flows still to be served on the link),
-	// the per-link equal split D3 computes as fs. Counts shrink as flows
-	// take their share so the split is equal, not geometric.
-	for i := range ents {
-		f := ents[i].f
-		grant := math.Inf(1)
-		for _, l := range f.Path {
-			s := &slots[l.ID]
-			if share := s.residual / float64(s.count); share < grant {
-				grant = share
-			}
-		}
-		if nic := nicFloor(f.Path); f.Rate+grant > nic {
-			grant = nic - f.Rate
-		}
-		if grant < 0 || math.IsInf(grant, 1) {
-			grant = 0
-		}
-		f.Rate += grant
-		for _, l := range f.Path {
-			s := &slots[l.ID]
-			s.residual -= grant
-			s.count--
+}
+
+// d3Grant is pass 2, the fair share of the leftover: the minimum over the
+// path of residual/(flows still to be served on the link), the per-link
+// equal split D3 computes as fs. Counts shrink as flows take their share
+// so the split is equal, not geometric. On a full call the flow's Rate
+// holds its reservation; on any other no flow reserves.
+func d3Grant(g *ledger, r *ledFlow) float64 {
+	grant := math.Inf(1)
+	for k := range r.hops {
+		h := &r.hops[k]
+		if share := h.seen / g.count(h); share < grant {
+			grant = share
 		}
 	}
+	f := r.f
+	base := 0.0
+	if g.full {
+		base = f.Rate
+	}
+	if nic := r.nic; base+grant > nic {
+		grant = nic - base
+	}
+	if grant < 0 || math.IsInf(grant, 1) {
+		grant = 0
+	}
+	f.Rate = base + grant
+	return grant
 }

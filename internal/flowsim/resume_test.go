@@ -191,8 +191,8 @@ func TestRCPResumeLevelLinkLost(t *testing.T) {
 // same flows, one after the other, on one topology reset between them, as
 // a sweep runs them: the second cell's FlowStates are the first's, carved
 // again from the rewound arena at the same addresses and on the same
-// memoized paths. An RCP or D3 allocator handed from the first cell to the
-// second must give every call the rates of a fresh allocator, bit for bit
+// memoized paths. A PDQ, RCP or D3 allocator handed from the first cell to
+// the second must give every call the rates of a fresh allocator, bit for bit
 // — through New, which makes it forget the first cell's flows, and handed
 // on without forgetting, where RCP's resume and the order list's marks
 // meet the same addresses again.
@@ -224,6 +224,7 @@ func TestPooledAllocatorOnRewoundArena(t *testing.T) {
 	// unforgetting hides an allocator's forget from New.
 	type unforgetting struct{ Allocator }
 	for name, mk := range map[string]func() Allocator{
+		"PDQ": func() Allocator { return NewPDQ(CritPerfect, 1) },
 		"RCP": func() Allocator { return NewRCP() },
 		"D3":  func() Allocator { return NewD3() },
 	} {

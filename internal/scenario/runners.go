@@ -192,23 +192,20 @@ func minParam(p map[string]float64, name string, lo float64) error {
 func etCheck(p map[string]float64) error { return intParam(p, "et", 0, 1) }
 
 // flowMake binds one flow-level allocator family into a Make function.
-// With spare nil, alloc builds a fresh allocator per invocation, matching
-// the packet-level runners' fresh-state-per-run semantics; otherwise the
-// run takes an allocator an earlier cell left in spare and hands it back
+// The run takes an allocator an earlier cell left in spare, readies it for
+// the run's parameters and seed when ready is not nil, and hands it back
 // when it returns, as engine storage is handed on (spareStorage): RCP
-// keeps its last call's filling and D3 its arrival order, but only for
-// the FlowStates they were built on, so a new Sim's first call rebuilds
-// and reuses no more than scratch sized to the largest network served.
-// The flow-level simulator steps its own clock (no event engine), so it
-// records flows but takes no time-series probes.
-func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator, spare *sync.Pool) func(p map[string]float64, seed int64) RunnerFunc {
+// keeps its last call's filling and PDQ and D3 their service order and
+// ledger, but only for the FlowStates they were built on, so a new Sim's
+// first call rebuilds and reuses no more than storage sized to the largest
+// network served. The flow-level simulator steps its own clock (no event
+// engine), so it records flows but takes no time-series probes.
+func flowMake(spare *sync.Pool, ready func(a flowsim.Allocator, p map[string]float64, seed int64)) func(p map[string]float64, seed int64) RunnerFunc {
 	return func(p map[string]float64, seed int64) RunnerFunc {
 		return func(build func() *topo.Topology, flows []workload.Flow, rc RunCtx) []workload.Result {
-			var a flowsim.Allocator
-			if spare != nil {
-				a = spare.Get().(flowsim.Allocator)
-			} else {
-				a = alloc(p, seed)
+			a := spare.Get().(flowsim.Allocator)
+			if ready != nil {
+				ready(a, p, seed)
 			}
 			s := flowsim.New(build(), a)
 			s.ET = p["et"] != 0
@@ -221,9 +218,7 @@ func flowMake(alloc func(p map[string]float64, seed int64) flowsim.Allocator, sp
 			}
 			rc.Cell.CutFlows(s.Collector)
 			rs := s.Results()
-			if spare != nil {
-				spare.Put(a)
-			}
+			spare.Put(a)
 			return rs
 		}
 	}
@@ -240,10 +235,11 @@ func runFlow(s *flowsim.Sim, rc RunCtx) {
 	s.Run(rc.Horizon)
 }
 
-// spareRCP and spareD3 hold the allocators finished flow-level cells leave
-// for later cells, shared by every sweep worker of the process; like
-// spareStorage they are emptied by the garbage collector.
+// sparePDQ, spareRCP and spareD3 hold the allocators finished flow-level
+// cells leave for later cells, shared by every sweep worker of the
+// process; like spareStorage they are emptied by the garbage collector.
 var (
+	sparePDQ = sync.Pool{New: func() any { return flowsim.NewPDQ(flowsim.CritPerfect, 0) }}
 	spareRCP = sync.Pool{New: func() any { return flowsim.NewRCP() }}
 	spareD3  = sync.Pool{New: func() any { return flowsim.NewD3() }}
 )
@@ -333,23 +329,21 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 		Check: func(p map[string]float64) error {
 			return cmp.Or(intParam(p, "crit", 0, 2), minParam(p, "aging", 0), etCheck(p))
 		},
-		Make: flowMake(func(p map[string]float64, seed int64) flowsim.Allocator {
-			a := flowsim.NewPDQ(flowsim.CritMode(int(p["crit"])), seed)
-			a.AgingRate = p["aging"]
-			return a
-		}, nil),
+		Make: flowMake(&sparePDQ, func(a flowsim.Allocator, p map[string]float64, seed int64) {
+			a.(*flowsim.PDQ).Reset(flowsim.CritMode(int(p["crit"])), seed, p["aging"])
+		}),
 	},
 	{
 		Name: "flow:RCP", Doc: "flow-level max-min fair sharing (RCP; also D3 without deadlines)", Level: "flow",
 		Params: map[string]float64{"et": 0},
 		Check:  etCheck,
-		Make:   flowMake(nil, &spareRCP),
+		Make:   flowMake(&spareRCP, nil),
 	},
 	{
 		Name: "flow:D3", Doc: "flow-level D3: arrival-order reservation plus fair share of the rest", Level: "flow",
 		Params: map[string]float64{"et": 0},
 		Check:  etCheck,
-		Make:   flowMake(nil, &spareD3),
+		Make:   flowMake(&spareD3, nil),
 	},
 	{
 		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal without deadlines) 1=fair sharing 2=Moore-Hodgson deadline EDF (its Optimal with deadlines, §5.2.1); gbps is the bottleneck rate", Level: "flow",
