@@ -49,9 +49,13 @@
 //
 // The observability plane (DESIGN.md §13) watches a run without
 // perturbing it: -progress renders a live stderr line (cells done/total,
-// failures, cache hits, throughput, ETA); -http serves Prometheus text
-// on /metrics, per-run sweep progress JSON on /runs and net/http/pprof
-// on /debug/pprof while the run executes (-http-linger holds the server
+// failures, cache hits, throughput, ETA); -http serves, while the run
+// executes, Prometheus text on /metrics, per-run sweep progress JSON on
+// /runs, the -metrics-out document on /metrics.json, and under
+// /debug/pprof/ a plain-text index, cmdline, profile?seconds=N (CPU),
+// trace?seconds=N and every runtime/pprof profile by name (heap, allocs,
+// goroutine, ...; ?debug=N for text), through a minimal HTTP/1.1
+// responder (http.go) rather than net/http (-http-linger holds the server
 // open afterwards for end-of-run scrapes); -metrics-out writes a JSON
 // snapshot of every counter when the run finishes. -cpuprofile and
 // -memprofile capture standard runtime profiles; the heap profile records
@@ -60,6 +64,12 @@
 // are byte-identical — the engines only ever touch plain in-memory
 // counters, merged at quiescent points. Diagnostics go through log/slog
 // (-log-level), each record tagged with a per-invocation run ID.
+//
+// The first SIGINT or SIGTERM interrupts the running cells, starts no
+// new simulation and skips the specs not begun, then prints the partial
+// tables, writes -metrics-out and the profiles, closes -http without
+// waiting out -http-linger and exits 3; a second signal exits at once
+// (interrupt.go).
 //
 // -scenario runs a JSON scenario spec (see README "Declarative
 // scenarios" for the schema): the paper's figures are such specs too, so
@@ -102,7 +112,7 @@ func main() {
 		cacheOn     = flag.Bool("cache", false, "memoize sweep cells and driver tables under the default cache dir (~/.cache/pdqsim)")
 		cacheDir    = flag.String("cache-dir", "", "memoize sweep cells and driver tables under this directory (implies -cache)")
 		progressOn  = flag.Bool("progress", false, "render a live progress line on stderr (cells done/total, failures, cache hits, ETA)")
-		httpAddr    = flag.String("http", "", "serve /metrics (Prometheus text), /runs (JSON sweep progress) and /debug/pprof on this address during the run")
+		httpAddr    = flag.String("http", "", "serve /metrics (Prometheus text), /runs (JSON sweep progress), /metrics.json and /debug/pprof/ (index, cmdline, profile, trace, named profiles) on this address during the run")
 		httpLinger  = flag.Duration("http-linger", 0, "keep the -http server alive this long after the run finishes (end-of-run scrapes)")
 		metricsOut  = flag.String("metrics-out", "", "write an end-of-run JSON metrics snapshot to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -141,6 +151,7 @@ func main() {
 		return
 	}
 	specs := loadSpecs(logger, *name, *scenFile)
+	intr := watchInterrupts(logger)
 
 	obs, finishObs := setupObsv(obsvConfig{
 		Progress:   *progressOn,
@@ -149,20 +160,22 @@ func main() {
 		MetricsOut: *metricsOut,
 		CPUProfile: *cpuProfile,
 		MemProfile: *memProfile,
-	}, logger)
+	}, intr, logger)
 
 	opts := scenario.Opts{Quick: *quick, Seed: *seed, Parallel: *parallel, Trials: *trials,
 		MaxEvents: *maxEvents, Obs: obs}
+	var timeout func(interrupt func()) (stop func())
 	if *cellTimeout > 0 {
 		// The engine never reads a wall clock (pdqlint enforces it); the
 		// watchdog factory injects one from out here. Each cell arms a
 		// timer that fires its interrupt, and stops it on completion.
 		d := time.Duration(*cellTimeout * float64(time.Millisecond))
-		opts.Watchdog = func(interrupt func()) (stop func()) {
+		timeout = func(interrupt func()) (stop func()) {
 			tm := time.AfterFunc(d, interrupt)
 			return func() { tm.Stop() }
 		}
 	}
+	opts.Watchdog = intr.watchdog(timeout)
 
 	if *traceOut != "" || *probeOut != "" || *faultOut != "" {
 		opts.Trace = tr
@@ -185,7 +198,11 @@ func main() {
 	}
 
 	var tables []*scenario.Table
-	for _, spec := range specs {
+	for i, spec := range specs {
+		if intr.fired() {
+			logger.Warn("interrupted: specs not run", "skipped", len(specs)-i)
+			break
+		}
 		start := time.Now()
 		table, err := scenario.Run(spec, opts)
 		if err != nil {
@@ -203,7 +220,7 @@ func main() {
 	writeTelemetry(logger, opts.Trace, *traceOut, *probeOut, *faultOut)
 	reportCache(logger, cache)
 	finishObs()
-	exitPartial(logger, tables)
+	exitPartial(logger, tables, intr.fired())
 }
 
 // loadSpecs returns the specs the command line names: one figure or all
@@ -257,19 +274,23 @@ func usage(format string, args ...any) {
 	os.Exit(2)
 }
 
-// exitPartial exits with status 3 when any table carries failed cells.
-// It runs after every table, telemetry file and metrics snapshot is
-// emitted, so the partial results are on disk and CI can both upload
-// and flag them.
-func exitPartial(log *slog.Logger, tables []*scenario.Table) {
+// exitPartial exits with status 3 when any table carries failed cells or
+// the run was interrupted. It runs after every table, telemetry file and
+// metrics snapshot is emitted, so the partial results are on disk and CI
+// can both upload and flag them.
+func exitPartial(log *slog.Logger, tables []*scenario.Table, interrupted bool) {
 	n := 0
 	for _, t := range tables {
 		n += len(t.Errors)
 	}
-	if n == 0 {
+	if n == 0 && !interrupted {
 		return
 	}
-	log.Warn("cell replicates failed; tables are partial (failed cells are NaN)", "failed", n)
+	msg := "cell replicates failed; tables are partial (failed cells are NaN)"
+	if interrupted {
+		msg = "interrupted; tables are partial (failed cells are NaN)"
+	}
+	log.Warn(msg, "failed", n)
 	os.Exit(3)
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pdq/internal/trace"
 )
@@ -253,5 +255,66 @@ func TestNewLoggerLevels(t *testing.T) {
 	}
 	if _, err := newLogger(&buf, "loud", "x"); err == nil {
 		t.Error("unknown level accepted")
+	}
+}
+
+// TestInterruptFlushes pins the first SIGINT's orderly stop: a full-size
+// fig5a interrupted once -http is listening still prints its table, with
+// the interrupted cells as null and each named in errors, writes
+// -metrics-out, does not wait out -http-linger, and exits 3.
+func TestInterruptFlushes(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	cmd := exec.Command(os.Args[0], "-exp", "fig5a", "-json", "-parallel", "2",
+		"-http", "127.0.0.1:0", "-http-linger", "10m", "-metrics-out", metrics)
+	cmd.Env = append(os.Environ(), "PDQSIM_MAIN=1")
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	pipe, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	timer := time.AfterFunc(2*time.Minute, func() { cmd.Process.Kill() })
+	defer timer.Stop()
+	var stderr strings.Builder
+	lines := bufio.NewScanner(pipe)
+	for lines.Scan() {
+		stderr.WriteString(lines.Text() + "\n")
+		if strings.Contains(lines.Text(), "observability server listening") {
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	err = cmd.Wait()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 3 {
+		t.Fatalf("exit %v, want status 3; stderr:\n%s", err, &stderr)
+	}
+	var tables []struct {
+		Name   string `json:"name"`
+		Errors []struct {
+			Row, Col, Msg string
+		} `json:"errors"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &tables); err != nil || len(tables) != 1 || tables[0].Name != "fig5a" {
+		t.Fatalf("stdout is not fig5a's JSON table (%v):\n%s", err, stdout.Bytes())
+	}
+	errs := tables[0].Errors
+	if len(errs) == 0 {
+		t.Fatalf("no cell is named as interrupted; stderr:\n%s", &stderr)
+	}
+	for _, e := range errs {
+		if e.Row == "" || e.Col == "" || !strings.Contains(e.Msg, "interrupted") {
+			t.Errorf("error %+v does not name an interrupted cell", e)
+		}
+	}
+	if _, err := os.Stat(metrics); err != nil {
+		t.Errorf("-metrics-out not written: %v", err)
+	}
+	if strings.Contains(stderr.String(), "holding observability server open") {
+		t.Error("an interrupted run waited out -http-linger")
 	}
 }

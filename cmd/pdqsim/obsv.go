@@ -9,7 +9,6 @@ package main
 import (
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,11 +36,12 @@ func (c obsvConfig) wantsObserver() bool {
 
 // setupObsv wires the run's observability plane: the wall-clocked
 // Observer that scenario.Opts.Obs hands every cell's record to, the live
-// -progress ticker, the /metrics + /runs + pprof HTTP server, and the
-// profilers. The returned finish must run after tables and telemetry
-// are emitted but before exitPartial — os.Exit skips defers, so the
-// profiles and the metrics snapshot would otherwise be lost.
-func setupObsv(cfg obsvConfig, log *slog.Logger) (*obsv.Observer, func()) {
+// -progress ticker, the -http server (http.go), and the profilers. The
+// returned finish must run after tables and telemetry are emitted but
+// before exitPartial — os.Exit skips defers, so the profiles and the
+// metrics snapshot would otherwise be lost. Once intr has fired, finish
+// no longer waits out -http-linger.
+func setupObsv(cfg obsvConfig, intr *interrupter, log *slog.Logger) (*obsv.Observer, func()) {
 	var obs *obsv.Observer
 	if cfg.wantsObserver() {
 		obs = obsv.New(obsv.WallClock)
@@ -73,21 +73,21 @@ func setupObsv(cfg obsvConfig, log *slog.Logger) (*obsv.Observer, func()) {
 		}
 		log.Info("observability server listening",
 			"addr", ln.Addr().String(),
-			"endpoints", "/metrics /runs /metrics.json /debug/pprof")
-		srv := &http.Server{Handler: obsv.Handler(obs)}
-		go func() {
-			if err := srv.Serve(ln); err != http.ErrServerClosed {
-				log.Error("observability server failed", "err", err)
-			}
-		}()
+			"endpoints", "/metrics /runs /metrics.json /debug/pprof/")
+		srv := &httpServer{obs: obs, ln: ln, timeout: requestTimeout, log: log}
+		go srv.serve()
 		stopHTTP = func() {
 			// Hold the endpoints open so scrapers can collect the final
-			// counters; everything they read is already in memory.
-			if cfg.HTTPLinger > 0 {
+			// counters; everything they read is already in memory. An
+			// interruption ends the wait, or skips it.
+			if cfg.HTTPLinger > 0 && !intr.fired() {
 				log.Info("holding observability server open", "linger", cfg.HTTPLinger.String())
-				time.Sleep(cfg.HTTPLinger)
+				select {
+				case <-time.After(cfg.HTTPLinger):
+				case <-intr.done:
+				}
 			}
-			srv.Close()
+			ln.Close()
 		}
 	}
 

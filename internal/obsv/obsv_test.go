@@ -3,7 +3,6 @@ package obsv
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -412,33 +411,55 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestHandlerEndpoints(t *testing.T) {
+// TestRouteEndpoints pins what the router serves without a transport:
+// each path's content type and body, every runtime/pprof profile by
+// name (gzipped protobuf, or text at ?debug=N), and no endpoint for any
+// other path.
+func TestRouteEndpoints(t *testing.T) {
 	o := New(nil)
 	s := o.StartRun("smoke")
 	s.AddTotal(1)
 	s.CellEnd(s.CellStart(), Cell{})
-	srv := httptest.NewServer(Handler(o))
-	defer srv.Close()
 
-	for path, want := range map[string]string{
-		"/metrics":      "pdq_sweep_cells_total",
-		"/runs":         `"cells_done": 1`,
-		"/metrics.json": `"runtime"`,
-	} {
-		res, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+	get := func(o *Observer, path string, query map[string]string) (string, string) {
+		t.Helper()
+		e, ok := o.Route(path, query)
+		if !ok {
+			t.Fatalf("Route(%q, %v): no endpoint", path, query)
 		}
 		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(res.Body); err != nil {
-			t.Fatal(err)
+		if err := e.Write(&buf); err != nil {
+			t.Fatalf("Route(%q, %v): %v", path, query, err)
 		}
-		res.Body.Close()
-		if res.StatusCode != 200 {
-			t.Errorf("GET %s: status %d", path, res.StatusCode)
+		return e.ContentType, buf.String()
+	}
+	gzipped := string([]byte{0x1f, 0x8b})
+	for _, c := range []struct {
+		path  string
+		query map[string]string
+		ctype string
+		want  string
+	}{
+		{"/metrics", nil, "text/plain; version=0.0.4; charset=utf-8", "pdq_sweep_cells_total"},
+		{"/runs", nil, "application/json", `"cells_done": 1`},
+		{"/metrics.json", nil, "application/json", `"runtime"`},
+		{"/debug/pprof/heap", nil, ContentBinary, gzipped},
+		{"/debug/pprof/allocs", map[string]string{"debug": "0"}, ContentBinary, gzipped},
+		{"/debug/pprof/heap", map[string]string{"debug": "1", "gc": "1"}, ContentText, "heap profile: "},
+		{"/debug/pprof/goroutine", map[string]string{"debug": "2"}, ContentText, "goroutine "},
+	} {
+		ctype, got := get(o, c.path, c.query)
+		if ctype != c.ctype || !strings.Contains(got, c.want) {
+			t.Errorf("%s %v: %q, %.60q; want %q holding %q", c.path, c.query, ctype, got, c.ctype, c.want)
 		}
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("GET %s: missing %q in %q", path, want, buf.String())
+	}
+	if _, got := get(New(nil), "/runs", nil); got != "[]\n" {
+		t.Errorf("/runs before any run: %q, want []", got)
+	}
+	for _, path := range []string{"/", "/metric", "/metrics/", "/debug/pprof/", "/debug/pprof/nosuch",
+		"/debug/pprof/profile", "/debug/pprof/symbol", "debug/pprof/heap"} {
+		if _, ok := o.Route(path, nil); ok {
+			t.Errorf("Route(%q) served; want no endpoint", path)
 		}
 	}
 }
