@@ -575,7 +575,12 @@ func TestFlowStateSize(t *testing.T) {
 // re-admission, size estimation with out-of-band shrinks, and for the
 // ledger D3 deadlines coming and going, a reset and aging that reorder
 // every flow, and a run of calls between which only a capacity changes —
-// replays as unit cases under plain go test.
+// replays as unit cases under plain go test. The rcp-resume-* seeds were
+// found by search, each the shortest stream that takes a resumed RCP call
+// down one path: a round dissolved for want of a clean tie, a new round
+// below the logged ones, and a hand-over to the scanning fill at a round
+// too large to dissolve, at a floor capture, and at a call that reached
+// half the flow-hops.
 func FuzzAllocatorsMatchReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &opStream{b: data}

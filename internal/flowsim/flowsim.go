@@ -23,13 +23,17 @@
 // new capacity or a changed grant reaches, reading what the others saw
 // last call, and walks every flow from the capacities on a first call, a
 // reorder too large to repair, and while D3 reserves for deadlines. RCP
-// fills by water level over per-link flow lists it keeps, with each
-// flow's link IDs and NIC floor, resuming below the lowest level a
-// departed flow froze at. alloc_ref_test.go holds the plain full-recompute
-// allocators; the differential and fuzz tests compare every PDQ and D3
-// rate bit for bit against them and against allocators rebuilt on every
-// call, every RCP rate to a relative 1e-12, since a level rounds
-// differently from the reference's sum of shares, and every resumed RCP
+// fills by water level and keeps its own ledger (rcp.go): each link's
+// freezes in order with the residual after each, and the rounds. A call
+// after departures replays the logged rounds and rewrites only the links
+// a departure or a moved freeze reaches, handing the rest to a scanning
+// fill where that is cheaper; a first call, an arrival, a replaced Path
+// or a moved capacity fills from level 0. Every allocator keeps its
+// per-link state for the links in use. alloc_ref_test.go holds the plain
+// full-recompute allocators; the differential and fuzz tests compare
+// every PDQ and D3 rate bit for bit against them and against allocators
+// rebuilt on every call, every RCP rate to a relative 1e-12, since a level
+// rounds differently from the reference's sum of shares, and every RCP
 // rate bit for bit against an RCP rebuilt on every call (DESIGN.md §4).
 package flowsim
 
@@ -90,8 +94,8 @@ func nicFloor(path []*netsim.Link) float64 {
 // Allocator assigns Rate to every active flow given per-link capacities.
 // Allocators carry reusable scratch and what they derived for the flows
 // they were last called with, PDQ and D3 the service order and ledger and
-// RCP its filling, so one instance belongs to one Sim and must not be
-// shared across concurrent simulations.
+// RCP its rounds and ledger, so one instance belongs to one Sim and must
+// not be shared across concurrent simulations.
 type Allocator interface {
 	Name() string
 	// Allocate sets f.Rate for every flow; cap maps each link to its
@@ -123,76 +127,6 @@ const (
 	// and other allocators may have set the Rates of the same FlowStates.
 	anyChange
 )
-
-// linkSlot is one link's state during an allocation round. The fields an
-// allocator reads together sit together: links are visited in path order,
-// which is random in ID order, so a round costs one cache line per link
-// rather than one per field.
-type linkSlot struct {
-	residual float64 // remaining capacity, bits/s
-	floor    float64 // 1e-6 of the capacity: at or below it the link is exhausted
-	count    int32   // unfrozen flows on the link
-	stamp    uint32  // == scratch.epoch ⇒ the slot is live this round
-}
-
-// scratch is the dense per-link workspace RCP reuses across calls: links
-// carry dense IDs, so per-link state lives in a flat slice indexed by
-// Link.ID instead of a per-step map. Slots are lazily opened per round via
-// an epoch stamp — no clearing, no rehashing, no steady-state allocation
-// (DESIGN.md §4).
-type scratch struct {
-	epoch   uint32
-	slots   []linkSlot
-	touched []int32      // IDs of the links opened this round, in touch order
-	flows   []*FlowState // the round's flows, for fit
-}
-
-// begin opens a new allocation round over flows, invalidating every slot.
-func (sc *scratch) begin(flows []*FlowState) {
-	sc.flows = flows
-	sc.touched = sc.touched[:0]
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stamps from 2³² rounds ago could collide
-		for i := range sc.slots {
-			sc.slots[i].stamp = 0
-		}
-		sc.epoch = 1
-	}
-}
-
-// slot returns l's slot, opening it on the first touch of the round:
-// residual from capFn, count zero. The pointer is good until the next
-// slot call, which may grow the slice.
-func (sc *scratch) slot(l *netsim.Link, capFn func(*netsim.Link) float64) *linkSlot {
-	if l.ID >= len(sc.slots) {
-		sc.fit()
-	}
-	s := &sc.slots[l.ID]
-	if s.stamp != sc.epoch {
-		c := capFn(l)
-		*s = linkSlot{residual: c, floor: 1e-6 * c, stamp: sc.epoch}
-		sc.touched = append(sc.touched, int32(l.ID))
-	}
-	return s
-}
-
-// fit sizes the slots for every link of the round's flows in one
-// allocation: a run builds a fresh allocator per cell, and doubling up from
-// nothing would allocate twice what the round needs. Later rounds that
-// reach a higher link ID grow by at least a quarter so that a run of
-// ever-higher IDs stays linear.
-func (sc *scratch) fit() {
-	n := len(sc.slots) + len(sc.slots)/4
-	for _, f := range sc.flows {
-		for _, l := range f.Path {
-			if l.ID >= n {
-				n = l.ID + 1
-			}
-		}
-	}
-	sc.slots = append(make([]linkSlot, 0, n), sc.slots...)[:n]
-	sc.touched = append(make([]int32, 0, n), sc.touched...) // a round opens a link once
-}
 
 // ordEnt is one flow in an allocator's kept service order, its sort key
 // beside it so that ordering reads contiguous memory, not the flows.
@@ -685,321 +619,6 @@ func (p *PDQ) aged(f *FlowState) float64 {
 		t /= math.Pow(2, p.AgingRate*float64(f.Waiting)/float64(100*sim.Millisecond))
 	}
 	return t
-}
-
-// ---------------------------------------------------------------------------
-// RCP allocator: max-min fairness.
-
-// RCP is the flow-level fair-sharing allocator (RCP; also D3 with no
-// deadlines, §5.1). Create instances with NewRCP: the allocator keeps the
-// last call's filling and its dense per-link scratch across steps, and may
-// be handed from one simulation to the next.
-type RCP struct {
-	sc    scratch
-	flows []rcpFlow  // the last call's flows in the caller's order, departed ones kept as gone
-	hops  []int32    // every flow's path as link IDs, flow after flow
-	span  []linkSpan // by link ID: the link, its capacity, where its flows sit in on
-	on    []int32    // indices into flows, link after link
-	log   []rcpRound // the last call's rounds, in order
-	froze []int32    // indices into flows in freeze order, round after round
-	scan  []int32    // the links a round scans
-	sat   []int32    // the round's saturated links
-}
-
-// rcpFlow is one flow of an RCP call: its NIC floor and where its path's
-// link IDs sit in RCP.hops, kept for as long as the flow keeps its Path,
-// and the rate it froze at in which round.
-type rcpFlow struct {
-	f      *FlowState
-	path   **netsim.Link // &f.Path[0] when the hops were copied
-	nic    float64
-	rate   float64
-	at     int32 // first link ID in hops
-	round  int32 // index into RCP.log
-	n      uint16
-	frozen bool
-	gone   bool // departed since the hops were copied
-}
-
-// linkSpan is one link's stretch of RCP.on, its capacity when the lists
-// were built and how many of its flows have not departed since.
-type linkSpan struct {
-	l               *netsim.Link
-	cap             float64
-	start, n, alive int32
-}
-
-// rcpRound is one round of progressive filling: its level, the link that
-// set it (-1 for a level of +Inf), and the end of its freezes in RCP.froze.
-type rcpRound struct {
-	level   float64
-	by, end int32
-}
-
-// NewRCP returns an RCP allocator.
-func NewRCP() *RCP { return &RCP{} }
-
-// Name implements Allocator.
-func (*RCP) Name() string { return "RCP" }
-
-// forget drops the last call's flows: the next call fills from level 0.
-func (p *RCP) forget() {
-	clear(p.flows)
-	p.flows = p.flows[:0]
-}
-
-// Allocate implements Allocator with max-min fairness by water level,
-// respecting NIC limits. Every unfrozen flow holds one common level λ; a
-// link saturates at its residual after frozen flows over its unfrozen
-// flows. Each round raises λ to the smallest such level and freezes the
-// flows on every link left within 1e-6 of its capacity, at λ, or at their
-// NIC floor where that is within 1e-9 of λ — the progressive filling of
-// alloc_ref_test.go, which grants the same shares one round at a time.
-// A round costs one scan over the links still carrying an unfrozen flow
-// plus the paths of the flows it freezes; a round replayed from the last
-// call costs only the paths. A rate is a level, not a sum of shares, so
-// it may differ from the reference's in the last bits (DESIGN.md §4).
-func (p *RCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
-	p.allocate(now, flows, cap, anyChange)
-}
-
-func (p *RCP) allocate(now sim.Time, flows []*FlowState, cap capFn, c change) {
-	left := p.replay(flows, cap, c != unchanged)
-	if left < 0 {
-		p.build(flows, cap)
-		left = len(flows)
-	}
-	fl, slots, span, on := p.flows, p.sc.slots, p.span, p.on
-	// build opened the flows' links in sc.touched. The first round drops
-	// those with no unfrozen flow left and finds the unfrozen flows'
-	// lowest NIC floor.
-	links := append(p.scan[:0], p.sc.touched...)
-	minNIC := math.Inf(-1)
-	for left > 0 {
-		// The lowest level a live link saturates at; a link whose level is
-		// within its floor of the running minimum is a candidate, and the
-		// minimum only falls, so every link saturated at the final level
-		// is among them.
-		level, by := math.Inf(1), int32(-1)
-		sat := p.sat[:0]
-		n := 0
-		for _, id := range links {
-			s := &slots[id]
-			if s.count == 0 {
-				continue
-			}
-			links[n] = id
-			n++
-			c := float64(s.count)
-			x := c * level
-			// residual/c < level implies residual <= c·level even
-			// rounded, so the division is taken only for a new minimum.
-			if s.residual <= x {
-				if v := s.residual / c; v < level {
-					level, by = v, id
-					x = c * level
-				}
-			}
-			if s.residual-x <= s.floor {
-				sat = append(sat, id)
-			}
-		}
-		links = links[:n]
-		before := left
-		// Flows whose NIC caps them at the level freeze there, before the
-		// saturation test, as the reference grants them less first.
-		if minNIC <= level+1e-9 {
-			minNIC = math.Inf(1)
-			for i := range fl {
-				switch lf := &fl[i]; {
-				case lf.frozen:
-				case lf.nic <= level+1e-9:
-					p.freeze(int32(i), lf.nic)
-					left--
-				default:
-					minNIC = min(minNIC, lf.nic)
-				}
-			}
-		}
-		k := 0
-		for _, id := range sat {
-			if s := &slots[id]; s.residual-float64(float64(s.count)*level) <= s.floor {
-				sat[k] = id
-				k++
-			}
-		}
-		sat = sat[:k]
-		for _, id := range sat {
-			sp := span[id]
-			for _, i := range on[sp.start : sp.start+sp.n] {
-				if !fl[i].frozen {
-					p.freeze(i, level)
-					left--
-				}
-			}
-		}
-		p.sat = sat
-		if left == before {
-			// No flow froze: every unfrozen flow holds the level.
-			for i := range fl {
-				if !fl[i].frozen {
-					p.freeze(int32(i), level)
-					left--
-				}
-			}
-		}
-		p.log = append(p.log, rcpRound{level: level, by: by, end: int32(len(p.froze))})
-	}
-	p.scan = links
-}
-
-// replay resumes from the last call's filling when flows are its flows
-// less some, in the same order, over the same paths and capacities. It
-// takes the departed flows off their links' counts and replays logged
-// rounds while two things hold: the round's level is below the cut, the
-// lowest level of a round in which a departed flow froze, so no departed
-// flow crossed a link the round saturated; and the link that set the
-// round's level still gives it. Such a round freezes the same flows, and
-// replay subtracts in the original order, bit for bit (DESIGN.md §4). It
-// returns how many flows are left unfrozen, or -1 when the call must fill
-// from level 0. Capacities are read again only when moved.
-func (p *RCP) replay(flows []*FlowState, cap capFn, moved bool) int {
-	fl := p.flows
-	if len(fl) == 0 || len(fl) > 2*len(flows) {
-		return -1 // a first call, or more departed flows than live ones to skip
-	}
-	cut := math.Inf(1)
-	j := 0
-	for _, f := range flows {
-		for ; j < len(fl) && (fl[j].gone || fl[j].f != f); j++ {
-			cut = p.depart(&fl[j], cut)
-		}
-		if j == len(fl) || fl[j].path != &f.Path[0] || int(fl[j].n) != len(f.Path) {
-			return -1 // an arrival, a readmitted flow or a replaced Path
-		}
-		j++
-	}
-	for ; j < len(fl); j++ {
-		cut = p.depart(&fl[j], cut)
-	}
-	slots := p.sc.slots
-	for _, id := range p.sc.touched {
-		if sp := &p.span[id]; sp.alive > 0 {
-			if moved && cap(sp.l) != sp.cap {
-				return -1
-			}
-			slots[id].residual, slots[id].count = sp.cap, sp.alive
-		}
-	}
-	r, end := 0, int32(0)
-	for ; r < len(p.log); r++ {
-		g := p.log[r]
-		if !(g.level < cut) {
-			break
-		}
-		if s := &slots[g.by]; s.residual/float64(s.count) != g.level {
-			break
-		}
-		for _, i := range p.froze[end:g.end] {
-			p.take(&fl[i])
-		}
-		end = g.end
-	}
-	for _, i := range p.froze[end:] {
-		fl[i].frozen = fl[i].gone
-	}
-	p.log, p.froze = p.log[:r], p.froze[:end]
-	return len(flows) - int(end)
-}
-
-// depart marks lf gone, takes it off its links' counts and returns cut
-// lowered to the level of the round lf froze in. That is the round's
-// level and not lf's rate: a NIC floor may freeze up to 1e-9 above it.
-func (p *RCP) depart(lf *rcpFlow, cut float64) float64 {
-	if lf.gone {
-		return cut
-	}
-	lf.gone = true
-	for _, id := range p.hops[lf.at : lf.at+int32(lf.n)] {
-		p.span[id].alive--
-	}
-	return min(cut, p.log[lf.round].level)
-}
-
-// build copies every flow's path as link IDs with its NIC floor, opens the
-// links and lists each link's flows, for a call that fills from level 0.
-func (p *RCP) build(flows []*FlowState, cap func(*netsim.Link) float64) {
-	sc := &p.sc
-	sc.begin(flows)
-	p.size(flows)
-	fl, hops := p.flows[:0], p.hops[:0]
-	for _, f := range flows {
-		fl = append(fl, rcpFlow{f: f, path: &f.Path[0], nic: nicFloor(f.Path), at: int32(len(hops)), n: uint16(len(f.Path))})
-		for _, l := range f.Path {
-			sc.slot(l, cap).count++
-			hops = append(hops, int32(l.ID))
-		}
-	}
-	p.flows, p.hops = fl, hops
-	p.log, p.froze = p.log[:0], p.froze[:0]
-	slots := sc.slots
-	if len(p.span) < len(slots) {
-		p.span = make([]linkSpan, len(slots))
-	}
-	span := p.span
-	var at int32
-	for _, id := range sc.touched {
-		s := &slots[id]
-		span[id] = linkSpan{cap: s.residual, start: at, alive: s.count}
-		at += s.count
-	}
-	on := p.on[:at]
-	for i, f := range flows {
-		for _, l := range f.Path {
-			sp := &span[l.ID]
-			sp.l = l
-			on[sp.start+sp.n] = int32(i)
-			sp.n++
-		}
-	}
-}
-
-// size grows RCP's per-flow arrays, once, to what a call over flows needs.
-func (p *RCP) size(flows []*FlowState) {
-	n := 0
-	for _, f := range flows {
-		n += len(f.Path)
-	}
-	if cap(p.flows) < len(flows) {
-		p.flows = make([]rcpFlow, 0, len(flows))
-		p.froze = make([]int32, 0, len(flows))
-		p.log = make([]rcpRound, 0, len(flows))
-	}
-	if cap(p.hops) < n {
-		p.hops = make([]int32, 0, n)
-		p.on = make([]int32, n)
-	}
-}
-
-// freeze fixes flow i's rate in the round being filled and takes it off
-// its links.
-func (p *RCP) freeze(i int32, rate float64) {
-	lf := &p.flows[i]
-	lf.frozen, lf.rate, lf.round = true, rate, int32(len(p.log))
-	p.froze = append(p.froze, i)
-	p.take(lf)
-}
-
-// take grants lf its rate: its links' residual loses the rate and their
-// count the flow.
-func (p *RCP) take(lf *rcpFlow) {
-	lf.f.Rate = lf.rate
-	slots := p.sc.slots
-	for _, id := range p.hops[lf.at : lf.at+int32(lf.n)] {
-		s := &slots[id]
-		s.residual -= lf.rate
-		s.count--
-	}
 }
 
 // ---------------------------------------------------------------------------

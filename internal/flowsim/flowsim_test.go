@@ -3,6 +3,7 @@ package flowsim
 import (
 	"testing"
 
+	"pdq/internal/fluid"
 	"pdq/internal/netsim"
 	"pdq/internal/sim"
 	"pdq/internal/stats"
@@ -267,5 +268,42 @@ func TestFlowLevelMatchesPacketLevelShape(t *testing.T) {
 	// ~960 Mbps goodput ⇒ mean FCT in the low milliseconds.
 	if flowLevel > 0.02 {
 		t.Errorf("flow-level mean FCT %.4fs implausible", flowLevel)
+	}
+}
+
+// TestRCPFairShareOneBottleneck holds flow:RCP to fluid processor sharing
+// on one bottleneck (fidelity rung 1): n flows with staggered starts
+// behind equal NICs, no deadlines. Each flow's completion, less
+// InitLatency, is fluid.FairShare's at the goodput rate, to within the
+// nanosecond rounding of the two: every completion, arrival and 1 ms step
+// boundary in a flow's life truncates one interval to whole nanoseconds in
+// the Sim or in FairShare, by less than 1 ns each.
+func TestRCPFairShareOneBottleneck(t *testing.T) {
+	const n = 6
+	tp := topo.SingleBottleneck(n, 1)
+	var flows []workload.Flow
+	for k := range n {
+		flows = append(flows, workload.Flow{ID: uint64(k + 1), Src: k, Dst: n,
+			Size:  int64(k%3+1)*300<<10 + int64(k)*1500,
+			Start: sim.Time(k+1)*sim.Millisecond - InitLatency}) // admitted on a step boundary
+	}
+	s := New(tp, NewRCP())
+	for _, f := range flows {
+		s.Start(f)
+	}
+	s.Run(sim.Second)
+	rate := tp.Hosts[n].NICRate()
+	want := fluid.FairShare(flows, int64(float64(rate)*goodput))
+	for _, r := range s.Results() {
+		if !r.Done() {
+			t.Fatalf("flow %d did not finish", r.ID)
+		}
+		got, w := r.Finish-InitLatency, want[r.ID]
+		life := w - r.Start
+		bound := sim.Time(2*n) + life/stepLen + 2
+		if d := got - w; d < -bound || d > bound {
+			t.Errorf("flow %d finished at %v less InitLatency, fair share at %v: %v apart, bound %v ns",
+				r.ID, got, w, d, int64(bound))
+		}
 	}
 }

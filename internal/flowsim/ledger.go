@@ -35,10 +35,11 @@ type ledger struct {
 	ord   order
 	recs  []ledFlow
 	free  []int32              // indices of recs no listed flow holds
-	links []ledLink            // by Link.ID
+	links []ledLink            // by local index: the links registered since the last forget, in first-sight order
 	hopsC carve.Chunks[ledHop] // recs' hops
 	entsC carve.Chunks[ledEnt] // links' lists
-	used  []*netsim.Link       // the links registered since the last forget
+	used  []*netsim.Link       // by local index: the link
+	local []int32              // by Link.ID: the link's local index, valid while used names the link there
 	work  []int32              // the links stamped this call
 	flags []uint64             // by rank: the flow is recomputed this call
 	rank  []int32              // by rec: the flow's index in the service order this call
@@ -95,7 +96,6 @@ type ledLink struct {
 	stamp   uint32 // == ledger.epoch: dirty, settled, moved and shift are this call's
 	moved   bool   // entries were removed, added or reordered this call
 	shift   bool   // entries were added or reordered: the list needs sorting
-	seen    bool   // registered, with its capacity, since the last forget
 }
 
 // ledEnt is one flow on a link: the rec, which of its hops this is, and
@@ -107,10 +107,10 @@ type ledEnt struct{ rec, hop, prev int32 }
 // or on this one rewound, starts from nothing.
 func (g *ledger) forget() {
 	g.ord.forget()
-	for _, l := range g.used {
-		L := &g.links[l.ID]
+	for i := range g.used {
+		L := &g.links[i]
 		clear(L.list)
-		L.list, L.seen = L.list[:0], false
+		L.list = L.list[:0]
 	}
 	clear(g.used)
 	g.used = g.used[:0]
@@ -146,14 +146,14 @@ func (g *ledger) sync(flows []*FlowState, cap capFn, c change) {
 		for i := range ents[:kept] {
 			e := &ents[i]
 			r := &g.recs[e.rec]
-			if !r.on(e.f.Path) {
+			if !g.on(r, e.f.Path) {
 				g.unlist(e.rec)
 				g.list(e)
 			}
 		}
-		for _, l := range g.used {
-			if cap(l) != g.links[l.ID].cap {
-				g.recap(l)
+		for i, l := range g.used {
+			if cap(l) != g.links[i].cap {
+				g.recap(int32(i))
 			}
 		}
 	}
@@ -168,29 +168,45 @@ func (g *ledger) sync(flows []*FlowState, cap capFn, c change) {
 	g.free = append(g.free, g.ord.gone...)
 }
 
-// recap reads l's capacity anew; every position of its list is dirty.
-func (g *ledger) recap(l *netsim.Link) {
-	L := &g.links[l.ID]
-	L.cap = g.cap(l)
-	g.stamp(int32(l.ID))
+// recap reads link i's capacity anew; every position of its list is dirty.
+func (g *ledger) recap(i int32) {
+	L := &g.links[i]
+	L.cap = g.cap(g.used[i])
+	g.stamp(i)
 	L.dirty = 0
 }
 
 // fit grows the recs and the links, once, to what listing the arrivals
 // needs: the first call of a run lists every flow, and doubling up to
-// that would allocate twice what it needs.
+// that would allocate twice what it needs. It registers the arrivals'
+// links, so the links hold those in use rather than every link ID.
 func (g *ledger) fit(arrivals []ordEnt) {
 	if n := len(g.recs) - len(g.free) + len(arrivals); n > cap(g.recs) {
 		g.recs = append(make([]ledFlow, 0, n), g.recs...)
 	}
-	n := len(g.links)
+	maxID := len(g.local) - 1
 	for _, e := range arrivals {
 		for _, l := range e.f.Path {
-			n = max(n, l.ID+1)
+			maxID = max(maxID, l.ID)
 		}
 	}
-	if n > len(g.links) {
-		g.links = append(make([]ledLink, 0, n), g.links...)[:n]
+	if maxID >= len(g.local) {
+		g.local = append(g.local, make([]int32, maxID+1-len(g.local))...)
+	}
+	n := len(g.used)
+	for _, e := range arrivals {
+		for _, l := range e.f.Path {
+			g.index(l)
+		}
+	}
+	if n := len(g.used); n > cap(g.links) {
+		if len(g.links) > 0 { // a later call: grow by a quarter at least
+			n = max(n, cap(g.links)+cap(g.links)/4)
+		}
+		g.links = append(make([]ledLink, 0, n), g.links...)
+	}
+	for i := n; i < len(g.used); i++ {
+		g.open(i)
 	}
 }
 
@@ -231,13 +247,14 @@ func (g *ledger) list(e *ordEnt) {
 	}
 	r.hops = r.hops[:0]
 	for k, l := range f.Path {
-		L := g.link(l)
+		i := g.link(l)
 		if !g.rebuild {
-			g.stamp(int32(l.ID))
+			g.stamp(i)
+			L := &g.links[i]
 			L.moved, L.shift = true, true
 			g.push(L, ledEnt{e.rec, int32(k), -2})
 		}
-		r.hops = append(r.hops, ledHop{link: int32(l.ID), pos: -1})
+		r.hops = append(r.hops, ledHop{link: i, pos: -1})
 	}
 	g.hops += len(f.Path)
 }
@@ -262,30 +279,52 @@ func (g *ledger) unlist(r int32) {
 
 // on reports whether path is the one r's hops were copied from: the same
 // links in the same order.
-func (r *ledFlow) on(path []*netsim.Link) bool {
+func (g *ledger) on(r *ledFlow, path []*netsim.Link) bool {
 	if len(path) != len(r.hops) {
 		return false
 	}
 	for k, l := range path {
-		if int32(l.ID) != r.hops[k].link {
+		if g.used[r.hops[k].link] != l {
 			return false
 		}
 	}
 	return true
 }
 
-// link returns l's ledger entry, registering l, with its capacity, on
-// first sight. Between forgets a ledger serves the links of one network.
-func (g *ledger) link(l *netsim.Link) *ledLink {
-	if l.ID >= len(g.links) { // a new Path's link fit did not see
-		g.links = append(g.links, make([]ledLink, l.ID+1-len(g.links))...)
+// index returns l's local index, registering l on first sight. Between
+// forgets a ledger serves the links of one network.
+func (g *ledger) index(l *netsim.Link) int32 {
+	if l.ID >= len(g.local) {
+		g.local = append(g.local, make([]int32, max(l.ID+1, 2*len(g.local))-len(g.local))...)
 	}
-	L := &g.links[l.ID]
-	if !L.seen {
-		g.used = append(g.used, l)
-		L.cap, L.seen = g.cap(l), true
+	if i := g.local[l.ID]; int(i) < len(g.used) && g.used[i] == l {
+		return i
 	}
-	return L
+	i := int32(len(g.used))
+	g.local[l.ID] = i
+	g.used = append(g.used, l)
+	return i
+}
+
+// link returns l's local index, registering l, with its capacity, on first
+// sight: a link of a new Path that fit did not see.
+func (g *ledger) link(l *netsim.Link) int32 {
+	n := len(g.used)
+	i := g.index(l)
+	if int(i) == n {
+		g.open(n)
+	}
+	return i
+}
+
+// open readies the entry of link i, the next to register: its capacity
+// read, its list empty, keeping the room an earlier link there grew.
+func (g *ledger) open(i int) {
+	if i == len(g.links) {
+		g.links = append(g.links, ledLink{})
+	}
+	L := &g.links[i]
+	*L = ledLink{cap: g.cap(g.used[i]), list: L.list[:0]}
 }
 
 // stamp opens link id for this call: clean, and settled throughout, until
@@ -381,16 +420,16 @@ func (g *ledger) push(L *ledLink, e ledEnt) {
 // relistAll lists every flow anew in service order, so every list is
 // sorted as built, and makes the call full.
 func (g *ledger) relistAll() {
-	for _, l := range g.used {
-		g.links[l.ID].dirty = 0 // counts the link's flows: a full call reads no dirty position
+	for i := range g.used {
+		g.links[i].dirty = 0 // counts the link's flows: a full call reads no dirty position
 	}
 	for _, e := range g.ord.ents {
 		for _, h := range g.recs[e.rec].hops {
 			g.links[h.link].dirty++
 		}
 	}
-	for _, l := range g.used {
-		L := &g.links[l.ID]
+	for i := range g.used {
+		L := &g.links[i]
 		if n := int(L.dirty); cap(L.list) < n {
 			L.list = g.entsC.Take(n)
 		}
@@ -521,8 +560,8 @@ func (g *ledger) moved(h *ledHop, grant float64) {
 // resetRuns starts every link's running residual at its capacity: the
 // first thing a full call does.
 func (g *ledger) resetRuns() {
-	for _, l := range g.used {
-		L := &g.links[l.ID]
+	for i := range g.used {
+		L := &g.links[i]
 		L.run = L.cap
 	}
 }

@@ -177,3 +177,34 @@ func TestSimHooksMatchFullWalk(t *testing.T) {
 		})
 	}
 }
+
+// TestRCPVisitsWhatChanged runs TestLedgerVisitsWhatChanged's draws on
+// RCP and bounds the flow-hops its calls visit against those a fill from
+// level 0 visits on every call. On the fat-tree a departure's last-bit
+// changes reach most links and most calls hand over to the scanning fill.
+func TestRCPVisitsWhatChanged(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tp    *topo.Topology
+		bound float64
+	}{
+		{"fat-tree-k8", topo.FatTree(8, 1), 0.8},
+		{"bcube-4-3", topo.BCube(4, 3, 1), 0.05},
+	} {
+		g := workload.NewGen(1, workload.UniformMean(100<<10), 0)
+		flows := g.Batch(5*len(tc.tp.Hosts)/2, workload.Permutation{}, len(tc.tp.Hosts), nil, 0)
+		p := NewRCP()
+		s := New(tc.tp, p)
+		for _, f := range flows {
+			s.Start(f)
+		}
+		s.Run(2 * sim.Second)
+		st := p.stats
+		share := float64(st.visited) / float64(st.hops)
+		t.Logf("%s RCP: %d calls, %d full; %d of %d flow-hops visited (%.3f)",
+			tc.name, st.calls, st.full, st.visited, st.hops, share)
+		if share > tc.bound {
+			t.Errorf("%s RCP visited %.3f of a full fill's flow-hops, want ≤ %v", tc.name, share, tc.bound)
+		}
+	}
+}

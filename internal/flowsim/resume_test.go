@@ -86,9 +86,9 @@ func TestRCPResumeNICAboveLevel(t *testing.T) {
 	d, e := flow(4, nic, s), flow(5, s)
 	p := NewRCP()
 	sameAsFresh(t, p, []*FlowState{a, b, c, d, e}, cap)
-	if level := a.Rate; !(d.Rate > level && d.Rate <= level+1e-9) || p.flows[3].round != p.flows[0].round {
+	if level := a.Rate; !(d.Rate > level && d.Rate <= level+1e-9) || p.flows[3].rnd != p.flows[0].rnd {
 		t.Fatalf("flow 4 froze at %v in round %d, the level of round %d is %v: want its NIC floor just above the level, in that round",
-			d.Rate, p.flows[3].round, p.flows[0].round, level)
+			d.Rate, p.flows[3].rnd, p.flows[0].rnd, level)
 	}
 	sameAsFresh(t, p, []*FlowState{a, b, c, e}, cap)
 	if e.Rate != 5e6 {
@@ -248,5 +248,66 @@ func TestPooledAllocatorOnRewoundArena(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRCPResumeFloorCapture departs a flow whose link then sets a level
+// just below a logged round's, within the floor of the clean link that set
+// that round: the fill from level 0 saturates the clean link at the new,
+// lower level too. The logged round cannot replay, nor can the new one
+// leave the clean link out: only a scan finds it.
+func TestRCPResumeFloorCapture(t *testing.T) {
+	link := func(id int) *netsim.Link { return &netsim.Link{ID: id, Rate: 1e12} } // NICs never bind
+	d, e, c := link(0), link(1), link(2)
+	caps := map[*netsim.Link]float64{d: 3e8, e: 3e8, c: 3e8 + 20}
+	cap := func(l *netsim.Link) float64 { return caps[l] }
+	var flows []*FlowState
+	for i, l := range []*netsim.Link{d, d, d, e, e, e, c, c} {
+		flows = append(flows, &FlowState{Flow: workload.Flow{ID: uint64(i + 1)}, Path: []*netsim.Link{l}})
+	}
+	// Bystanders, each alone on a link of its own, fill later rounds: the
+	// call visits too little of the fill to hand over before the round.
+	for i := range 40 {
+		l := link(3 + i)
+		caps[l] = 1e9 + float64(i)*1e6
+		flows = append(flows, &FlowState{Flow: workload.Flow{ID: uint64(len(flows) + 1)}, Path: []*netsim.Link{l}})
+	}
+	p := NewRCP()
+	sameAsFresh(t, p, flows, cap)
+	if got := flows[6].Rate; got != (3e8+20)/2 {
+		t.Fatalf("flow 7 froze at %v before the departure, want its link's level %v", got, (3e8+20)/2)
+	}
+	sameAsFresh(t, p, flows[1:], cap)
+	if got := flows[6].Rate; got != 1.5e8 {
+		t.Fatalf("flow 7 froze at %v after flow 1 left, want the departed flow's link's level 1.5e8, within its link's floor", got)
+	}
+}
+
+// TestRCPResumeNICThenLevel departs a flow that froze at its NIC floor in
+// the first round, so the call rewrites its link from there. In that round
+// the link also takes another flow's NIC freeze and two λ freezes; the
+// flow left on it afterwards holds the residual, whose last bit depends on
+// making the NIC freeze first, as the fill from level 0 does.
+func TestRCPResumeNICThenLevel(t *testing.T) {
+	link := func(id int, rate int64) *netsim.Link { return &netsim.Link{ID: id, Rate: rate} }
+	shared, b, c := link(0, 1e12), link(1, 1e12), link(2, 1e12)
+	nicA, nicD := link(3, 333333333), link(4, 333333332)
+	const level = 333333333.90392005
+	caps := map[*netsim.Link]float64{shared: 1700369955.166548, b: level, c: level, nicA: 1e12, nicD: 1e12}
+	cap := func(l *netsim.Link) float64 { return caps[l] }
+	flows := []*FlowState{
+		{Flow: workload.Flow{ID: 1}, Path: []*netsim.Link{nicA, shared}},
+		{Flow: workload.Flow{ID: 2}, Path: []*netsim.Link{b, shared}},
+		{Flow: workload.Flow{ID: 3}, Path: []*netsim.Link{c, shared}},
+		{Flow: workload.Flow{ID: 4}, Path: []*netsim.Link{nicD, shared}},
+		{Flow: workload.Flow{ID: 5}, Path: []*netsim.Link{shared}},
+	}
+	p := NewRCP()
+	sameAsFresh(t, p, flows, cap)
+	left := append(flows[:3:3], flows[4])
+	sameAsFresh(t, p, left, cap)
+	want := ((caps[shared] - 333333333) - level) - level
+	if swapped := ((caps[shared] - level) - level) - 333333333; want == swapped || flows[4].Rate != want {
+		t.Fatalf("flow 5 holds %v, want %v (λ freezes first: %v): the case does not tell the orders apart", flows[4].Rate, want, swapped)
 	}
 }
