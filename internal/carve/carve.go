@@ -81,8 +81,9 @@ func (c *Chunks[T]) Rewind() {
 	c.spare, c.carved, c.next = nil, 0, 0
 }
 
-// Arena is a set of carvers, one per type, that rewind together. The zero
-// Arena is ready to use; it must not be copied once used.
+// Arena is a set of carvers, one per type, that rewind together, and of
+// the values it keeps (Keep). The zero Arena is ready to use; it must not
+// be copied once used.
 type Arena struct {
 	carvers []interface{ Rewind() }
 	inline  [8]interface{ Rewind() } // carvers' first storage
@@ -115,6 +116,25 @@ func Of[T any](a *Arena) *Chunks[T] {
 	}
 	a.carvers = append(a.carvers, &k.Chunks)
 	return &k.Chunks
+}
+
+// Keep returns a's one T, made by mk the first time T is asked for. It
+// belongs to the arena from then on, for what the arena's runs use of it
+// between rewinds, such as a flow-level allocator: every Rewind of the
+// arena calls its Rewind, which readies it for the next run. Unlike a
+// carver it is kept while runs do not ask for it.
+func Keep[T interface{ Rewind() }](a *Arena, mk func() T) T {
+	for _, c := range a.carvers {
+		if v, ok := c.(T); ok {
+			return v
+		}
+	}
+	v := mk()
+	if a.carvers == nil {
+		a.carvers = a.inline[:0]
+	}
+	a.carvers = append(a.carvers, v)
+	return v
 }
 
 // Rewind rewinds every carver of a (Chunks.Rewind).

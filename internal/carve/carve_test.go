@@ -237,3 +237,31 @@ func TestArenaCarvers(t *testing.T) {
 		t.Fatal("a carver outside an arena handed a value out twice")
 	}
 }
+
+// rewound counts its rewinds.
+type rewound struct{ n int }
+
+func (r *rewound) Rewind() { r.n++ }
+
+// TestArenaKeeps pins Keep: an arena makes one value of a type, the first
+// time it is asked, rewinds it with its carvers and keeps it through
+// rewinds that did not ask for it; a carver of the same arena is not
+// taken for it.
+func TestArenaKeeps(t *testing.T) {
+	var a Arena
+	made := 0
+	mk := func() *rewound { made++; return new(rewound) }
+	p := Of[packet](&a)
+	r := Keep(&a, mk)
+	if Keep(&a, mk) != r || made != 1 {
+		t.Fatalf("an arena made %d values of one kept type", made)
+	}
+	if Of[packet](&a) != p {
+		t.Fatal("keeping a value made the arena a second carver")
+	}
+	a.Rewind()
+	a.Rewind()
+	if r.n != 2 || Keep(&a, mk) != r || made != 1 {
+		t.Fatalf("after two rewinds the kept value was rewound %d times, made %d times", r.n, made)
+	}
+}

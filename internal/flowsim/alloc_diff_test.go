@@ -108,8 +108,8 @@ func freshPairs(cfg diffCfg, seed int64) []allocPair {
 	p.AgingRate, q.AgingRate = aging, aging
 	d3 := NewD3()
 	return []allocPair{
-		{got: p, ref: fresh{q, q.forget}},
-		{got: NewD3(), ref: fresh{d3, d3.forget}},
+		{got: p, ref: fresh{q, q.Rewind}},
+		{got: NewD3(), ref: fresh{d3, d3.Rewind}},
 	}
 }
 

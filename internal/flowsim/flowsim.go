@@ -206,6 +206,7 @@ func (o *order) sync(flows []*FlowState) (kept int, dup bool) {
 	}
 	kept = len(ents)
 	if kept < len(flows) { // arrivals: flows a pass over the list did not find
+		ents = slices.Grow(ents, len(flows)-kept) // a batch arriving at once takes one allocation
 		for _, f := range flows {
 			if f.mark == seen || dup {
 				f.mark = listed
@@ -215,12 +216,6 @@ func (o *order) sync(flows []*FlowState) (kept int, dup bool) {
 	}
 	o.ents = ents
 	return kept, dup
-}
-
-// forget drops the list, and with it every FlowState it names.
-func (o *order) forget() {
-	clear(o.ents)
-	o.ents = o.ents[:0]
 }
 
 // sort restores ascending order. The list is near-sorted by construction
@@ -295,14 +290,12 @@ type Sim struct {
 }
 
 // New creates a flow-level simulation on t. Its flow states and collector
-// cells are carved from t's network arena, so they are the run's: an RCP
-// or D3 allocator handed on from an earlier simulation (the scenario
-// runners pool them) forgets the flows it was last called with, which a
-// later run on that network carves again.
+// cells are carved from t's network arena, so they are the run's, and the
+// next run on the network, after its reset, carves them again. An
+// allocator kept in that arena (carve.Keep, as the scenario runners keep
+// one of each kind) is rewound with it at the reset, so it never names
+// another network's flows.
 func New(t *topo.Topology, alloc Allocator) *Sim {
-	if a, ok := alloc.(interface{ forget() }); ok {
-		a.forget()
-	}
 	a := t.Net.Arena()
 	return &Sim{Topo: t, Alloc: alloc, Collector: workload.NewCollectorIn(a),
 		states: carve.Of[FlowState](a), ptrs: carve.Of[*FlowState](a), hooked: true}
@@ -546,7 +539,7 @@ func NewPDQ(mode CritMode, seed int64) *PDQ {
 func (p *PDQ) Reset(mode CritMode, seed int64, aging float64) {
 	p.Mode, p.AgingRate = mode, aging
 	p.rng.Seed(seed)
-	p.forget()
+	p.Rewind()
 }
 
 // Name implements Allocator.

@@ -1,6 +1,9 @@
 package flowsim
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"testing"
 
 	"pdq/internal/fluid"
@@ -268,6 +271,113 @@ func TestFlowLevelMatchesPacketLevelShape(t *testing.T) {
 	// ~960 Mbps goodput ⇒ mean FCT in the low milliseconds.
 	if flowLevel > 0.02 {
 		t.Errorf("flow-level mean FCT %.4fs implausible", flowLevel)
+	}
+}
+
+// TestPDQSRPTOneBottleneck holds flow:PDQ with perfect criticality to
+// the fluid optimum on one bottleneck (fidelity rung 1). Without
+// deadlines, n flows with staggered starts behind equal NICs finish in
+// fluid.SRPT's order, each instant, less InitLatency, within
+// TestRCPFairShareOneBottleneck's bound: every completion, arrival and
+// 1 ms step boundary in a flow's life truncates one interval to whole
+// nanoseconds in the Sim or in SRPT. With deadlines and Early
+// Termination, flows that all start together meet the deadlines EDF
+// meets when it serves no flow past its deadline, never more than
+// fluid.MooreHodgson's optimum; that is not always Moore-Hodgson's set
+// (DESIGN.md §4, fidelity).
+func TestPDQSRPTOneBottleneck(t *testing.T) {
+	const n = 6
+	tp := topo.SingleBottleneck(n, 1)
+	bps := int64(float64(tp.Hosts[n].NICRate()) * goodput)
+	run := func(flows []workload.Flow, et bool) []workload.Result {
+		tp.Reset(sim.New(), 1)
+		s := New(tp, NewPDQ(CritPerfect, 0))
+		s.ET = et
+		for _, f := range flows {
+			s.Start(f)
+		}
+		s.Run(sim.Second)
+		return s.Results()
+	}
+
+	var flows []workload.Flow
+	for k := range n {
+		flows = append(flows, workload.Flow{ID: uint64(k + 1), Src: k, Dst: n,
+			Size:  int64(n-k)*200<<10 + int64(k)*1500, // later flows are shorter, so they preempt
+			Start: sim.Time(k+1)*sim.Millisecond - InitLatency})
+	}
+	want := fluid.SRPT(flows, bps)
+	rs := run(flows, false)
+	finish := map[uint64]sim.Time{}
+	for _, r := range rs {
+		if !r.Done() {
+			t.Fatalf("flow %d did not finish", r.ID)
+		}
+		finish[r.ID] = r.Finish - InitLatency
+	}
+	inOrder := func(at map[uint64]sim.Time) []uint64 {
+		ids := slices.Collect(maps.Keys(at))
+		slices.SortFunc(ids, func(a, b uint64) int { return cmp.Or(cmp.Compare(at[a], at[b]), cmp.Compare(a, b)) })
+		return ids
+	}
+	if got, srpt := inOrder(finish), inOrder(want); !slices.Equal(got, srpt) {
+		t.Errorf("flow:PDQ finishes flows in the order %v, SRPT in %v", got, srpt)
+	}
+	for _, r := range rs {
+		w := want[r.ID]
+		life := w - r.Start
+		bound := sim.Time(2*n) + life/stepLen + 2
+		if d := finish[r.ID] - w; d < -bound || d > bound {
+			t.Errorf("flow %d finished at %v less InitLatency, SRPT at %v: %v apart, bound %v ns",
+				r.ID, finish[r.ID], w, d, int64(bound))
+		}
+	}
+
+	// Deadlines drawn as the paper's query traffic draws them, every flow
+	// starting at one step boundary. MooreHodgson schedules from that
+	// boundary, so a flow meets its deadline there when it completes
+	// within Deadline − InitLatency.
+	g := workload.NewGen(1, workload.UniformMean(400<<10), workload.MeanDeadlineDflt)
+	dated := make([]workload.Flow, n)
+	fromBoundary := make([]workload.Flow, n)
+	for k := range dated {
+		dated[k] = g.Flow(k, n, stepLen-InitLatency)
+		fromBoundary[k] = dated[k]
+		fromBoundary[k].Start = 0
+		fromBoundary[k].Deadline -= InitLatency
+	}
+	_, late := fluid.MooreHodgson(fromBoundary, bps)
+	var met, edf, optimal []uint64
+	for _, r := range run(dated, true) {
+		if r.MetDeadline() {
+			met = append(met, r.ID)
+		}
+	}
+	// EDF that drops a flow instead of serving it late.
+	byDeadline := slices.Clone(fromBoundary)
+	slices.SortStableFunc(byDeadline, func(a, b workload.Flow) int { return cmp.Compare(a.Deadline, b.Deadline) })
+	var at sim.Time
+	for _, f := range byDeadline {
+		if done := at + sim.Time(float64(f.Size)*8/float64(bps)*float64(sim.Second)); done <= f.Deadline {
+			at = done
+			edf = append(edf, f.ID)
+		}
+	}
+	for _, f := range dated {
+		if !slices.Contains(late, f.ID) {
+			optimal = append(optimal, f.ID)
+		}
+	}
+	slices.Sort(met)
+	slices.Sort(edf)
+	if len(late) == 0 || len(optimal) == 0 {
+		t.Fatalf("Moore-Hodgson meets %d deadlines and misses %d: the case does not tell schedules apart", len(optimal), len(late))
+	}
+	if !slices.Equal(met, edf) {
+		t.Errorf("flow:PDQ with Early Termination meets the deadlines of %v, EDF without late service those of %v", met, edf)
+	}
+	if len(met) > len(optimal) {
+		t.Errorf("flow:PDQ with Early Termination meets %d deadlines, more than Moore-Hodgson's optimum %v", len(met), optimal)
 	}
 }
 

@@ -35,7 +35,7 @@ type ledger struct {
 	ord   order
 	recs  []ledFlow
 	free  []int32              // indices of recs no listed flow holds
-	links []ledLink            // by local index: the links registered since the last forget, in first-sight order
+	links []ledLink            // by local index: the links registered since the last Rewind, in first-sight order
 	hopsC carve.Chunks[ledHop] // recs' hops
 	entsC carve.Chunks[ledEnt] // links' lists
 	used  []*netsim.Link       // by local index: the link
@@ -103,10 +103,12 @@ type ledLink struct {
 // newly listed).
 type ledEnt struct{ rec, hop, prev int32 }
 
-// forget drops every listed flow and every link: a Sim on another network,
-// or on this one rewound, starts from nothing.
-func (g *ledger) forget() {
-	g.ord.forget()
+// Rewind drops every listed flow and every link, so the next call starts
+// from nothing: the arena its flows were carved from was rewound (an
+// allocator kept there, carve.Keep, is rewound with it), or the next
+// flows are another network's.
+func (g *ledger) Rewind() {
+	g.ord.ents = g.ord.ents[:0]
 	for i := range g.used {
 		L := &g.links[i]
 		clear(L.list)
@@ -292,7 +294,7 @@ func (g *ledger) on(r *ledFlow, path []*netsim.Link) bool {
 }
 
 // index returns l's local index, registering l on first sight. Between
-// forgets a ledger serves the links of one network.
+// rewinds a ledger serves the links of one network.
 func (g *ledger) index(l *netsim.Link) int32 {
 	if l.ID >= len(g.local) {
 		g.local = append(g.local, make([]int32, max(l.ID+1, 2*len(g.local))-len(g.local))...)

@@ -162,9 +162,9 @@ func TestSimHooksMatchFullWalk(t *testing.T) {
 			var rebuilt Allocator = freshRCP{}
 			switch a := cfg.mk(1).got.(type) {
 			case *PDQ:
-				rebuilt = fresh{a, a.forget}
+				rebuilt = fresh{a, a.Rewind}
 			case *D3:
-				rebuilt = fresh{a, a.forget}
+				rebuilt = fresh{a, a.Rewind}
 			}
 			want, hooks := run(rebuilt)
 			got, _ := run(cfg.mk(1).got)

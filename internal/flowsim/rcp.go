@@ -225,8 +225,11 @@ func NewRCP() *RCP { return &RCP{} }
 // Name implements Allocator.
 func (*RCP) Name() string { return "RCP" }
 
-// forget drops the last call's flows: the next call fills from level 0.
-func (p *RCP) forget() {
+// Rewind drops the last call's flows, so the next call fills from level
+// 0: the arena they were carved from was rewound (an allocator kept
+// there, carve.Keep, is rewound with it), or the next flows are another
+// network's.
+func (p *RCP) Rewind() {
 	clear(p.flows)
 	clear(p.paths)
 	clear(p.ptrs)

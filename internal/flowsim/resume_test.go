@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
@@ -193,9 +194,9 @@ func TestRCPResumeLevelLinkLost(t *testing.T) {
 // again from the rewound arena at the same addresses and on the same
 // memoized paths. A PDQ, RCP or D3 allocator handed from the first cell to
 // the second must give every call the rates of a fresh allocator, bit for bit
-// — through New, which makes it forget the first cell's flows, and handed
-// on without forgetting, where RCP's resume and the order list's marks
-// meet the same addresses again.
+// — kept in the network's arena (carve.Keep), which the reset rewinds, as
+// the scenario runners keep it, and handed on without a Rewind, where
+// RCP's resume and the order list's marks meet the same addresses again.
 func TestPooledAllocatorOnRewoundArena(t *testing.T) {
 	g := workload.NewGen(1, workload.UniformMean(100<<10), 20*sim.Millisecond)
 	tp := topo.FatTree(4, 1)
@@ -221,30 +222,33 @@ func TestPooledAllocatorOnRewoundArena(t *testing.T) {
 		s.Run(2 * sim.Second)
 		return rates, states
 	}
-	// unforgetting hides an allocator's forget from New.
-	type unforgetting struct{ Allocator }
-	for name, mk := range map[string]func() Allocator{
-		"PDQ": func() Allocator { return NewPDQ(CritPerfect, 1) },
-		"RCP": func() Allocator { return NewRCP() },
-		"D3":  func() Allocator { return NewD3() },
+	type allocator interface {
+		Allocator
+		Rewind()
+	}
+	for name, mk := range map[string]func() allocator{
+		"PDQ": func() allocator { return NewPDQ(CritPerfect, 1) },
+		"RCP": func() allocator { return NewRCP() },
+		"D3":  func() allocator { return NewD3() },
 	} {
 		want, _ := run(topo.FatTree(4, 1), mk())
 		if len(want) == 0 {
 			t.Fatal("no allocation was checked")
 		}
-		for _, handOn := range []func(Allocator) Allocator{
-			func(a Allocator) Allocator { return a },
-			func(a Allocator) Allocator { return unforgetting{a} },
-		} {
+		for _, kept := range []bool{true, false} {
+			tp := topo.FatTree(4, 1)
 			a := mk()
-			first, states := run(tp, handOn(a))
-			second, again := run(tp, handOn(a))
+			if kept {
+				a = carve.Keep(tp.Net.Arena(), func() allocator { return a })
+			}
+			first, states := run(tp, a)
+			second, again := run(tp, a)
 			if !maps.Equal(states, again) {
 				t.Fatalf("%s: the second cell's FlowStates are not the first's: the test does not alias them", name)
 			}
 			for i, got := range [][]uint64{first, second} {
 				if !slices.Equal(got, want) {
-					t.Errorf("%s (%T): cell %d's rates differ from a fresh allocator's", name, handOn(a), i+1)
+					t.Errorf("%s (kept in the arena: %v): cell %d's rates differ from a fresh allocator's", name, kept, i+1)
 				}
 			}
 		}

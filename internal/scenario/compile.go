@@ -15,6 +15,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -43,7 +44,9 @@ const driverSalt = "pdqsim-driver-v2"
 // The plan structs marshal into the cache key: their field order, JSON
 // names and omitempty tags are its bytes, and changing any of them
 // orphans every cached cell. Parameter maps marshal with sorted keys, so
-// the JSON form is canonical.
+// the JSON form is canonical. With a cache attached, compile encodes each
+// part once (engine.encodeKeys) and a cell's key is assembled from the
+// parts' bytes (cellKey); nothing writes a plan after compile.
 
 // engPlan is the run-level plan shared by every cell.
 type engPlan struct {
@@ -108,20 +111,27 @@ type rowPlan struct {
 	QdiscParams  map[string]float64 `json:"qdisc_params,omitempty"`
 }
 
-// cellPlan is everything that determines one grid cell's value.
-type cellPlan struct {
-	Eng  *engPlan `json:"eng"`
-	Col  *colPlan `json:"col"`
-	Row  *rowPlan `json:"row"`
-	Seed int64    `json:"seed"`
+// cellKey content-addresses one grid cell: the hash of
+// {"eng":E,"col":C,"row":R,"seed":N} from its plan parts' JSON, which is
+// byte for byte the JSON of one struct holding the three parts and the
+// replicate seed, so keys written before the parts were encoded apart
+// still hit.
+func cellKey(eng, col, row []byte, seed int64) string {
+	var buf [1024]byte // on the stack: the shipped specs' material is at most about 450 bytes
+	m := append(buf[:0], `{"eng":`...)
+	m = append(m, eng...)
+	m = append(m, `,"col":`...)
+	m = append(m, col...)
+	m = append(m, `,"row":`...)
+	m = append(m, row...)
+	m = append(m, `,"seed":`...)
+	m = strconv.AppendInt(m, seed, 10)
+	return trace.Key(append(m, '}'))
 }
 
-// key content-addresses the cell.
-func (p cellPlan) key() string { return planKey(p) }
-
 // driverPlan is everything that determines a custom driver's table, and
-// so the key of the whole table, as cellPlan is a grid cell's: a driver
-// is handed the plan and nothing else that may shape its result
+// so the key of the whole table, as the plan parts are a grid cell's: a
+// driver is handed the plan and nothing else that may shape its result
 // (DriverFunc).
 type driverPlan struct {
 	Salt   string             `json:"salt"`
@@ -135,12 +145,15 @@ type driverPlan struct {
 func (p driverPlan) key() string { return planKey(p) }
 
 // planKey hashes a plan's canonical JSON.
-func planKey(plan any) string {
+func planKey(plan any) string { return trace.Key(planJSON(plan)) }
+
+// planJSON is a plan's canonical JSON.
+func planJSON(plan any) []byte {
 	material, err := json.Marshal(plan)
 	if err != nil {
 		panic(fmt.Sprintf("scenario: marshaling cache key: %v", err))
 	}
-	return trace.Key(material)
+	return material
 }
 
 // column is one compiled sweep point: its plan, and the topology
@@ -153,6 +166,9 @@ type column struct {
 	// topo numbers the column's topoPlan among the engine's columns:
 	// columns that build the same topology share its spares (topoKey).
 	topo int
+	// enc is plan's JSON, the column's part of its cells' keys; nil
+	// unless encodeKeys ran.
+	enc []byte
 	colBound
 }
 
@@ -188,6 +204,7 @@ func (r *row) at(ci int) *binding {
 // for it; the entries' functions take their parameters from the plan.
 type binding struct {
 	plan   rowPlan
+	enc    []byte // plan's JSON, the binding's part of its cells' keys; nil unless encodeKeys ran
 	runner RunnerEntry
 	metric MetricEntry
 	qdisc  func() netsim.Qdisc // the row's `qdisc:` override factory, nil when unset
@@ -197,6 +214,7 @@ type binding struct {
 type engine struct {
 	spec    *Spec
 	plan    engPlan
+	enc     []byte // plan's JSON, every cell's part of its key; nil unless encodeKeys ran
 	cols    []column
 	baseCol column // the spec without any axis applied; fixed rows use it
 	rows    []row
@@ -310,7 +328,32 @@ func compile(s *Spec, o Opts) (*engine, error) {
 		}
 		e.rows = append(e.rows, *r)
 	}
+	if e.cache != nil {
+		e.encodeKeys()
+	}
 	return e, nil
+}
+
+// encodeKeys encodes every plan part a cell key is made of, once: the
+// engine's plan, each column's, the base column's among them, and each
+// binding's. A spec without a sweep runs its base column, whose JSON the
+// single column shares.
+func (e *engine) encodeKeys() {
+	e.enc = planJSON(&e.plan)
+	e.baseCol.enc = planJSON(&e.baseCol.plan)
+	for i := range e.cols {
+		if e.spec.Sweep == nil {
+			e.cols[i].enc = e.baseCol.enc
+		} else {
+			e.cols[i].enc = planJSON(&e.cols[i].plan)
+		}
+	}
+	for ri := range e.rows {
+		for bi := range e.rows[ri].bound {
+			b := &e.rows[ri].bound[bi]
+			b.enc = planJSON(&b.plan)
+		}
+	}
 }
 
 // numberTopologies sets every column's topo, the base column's among

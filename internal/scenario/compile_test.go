@@ -9,13 +9,26 @@ import (
 	"testing"
 )
 
+// cellPlan is everything that determines one grid cell's value, as one
+// struct: its JSON is the material a cell key hashes (cellKey assembles the
+// same bytes from the parts compile encoded), and json.Marshal of it is
+// how keys were derived before the parts were encoded apart.
+type cellPlan struct {
+	Eng  *engPlan `json:"eng"`
+	Col  *colPlan `json:"col"`
+	Row  *rowPlan `json:"row"`
+	Seed int64    `json:"seed"`
+}
+
 // TestPlanIsTheKey walks the plan structs by reflection: every field, at
 // any depth, is exported and marshalled, and changing it alone changes the
-// cell's key. A field added to a plan is key material by construction; one
-// hidden from JSON would let two different cells share a cache entry.
+// cell's key as compile and cellKey derive it. A field added to a plan is
+// key material by construction; one hidden from JSON would let two
+// different cells share a cache entry.
 func TestPlanIsTheKey(t *testing.T) {
 	newPlan := func() *cellPlan { return &cellPlan{Eng: &engPlan{}, Col: &colPlan{}, Row: &rowPlan{}} }
-	if leaves := walkKey(t, "cell", newPlan, (*cellPlan).key); leaves < 40 {
+	key := func(p *cellPlan) string { return cellKey(planJSON(p.Eng), planJSON(p.Col), planJSON(p.Row), p.Seed) }
+	if leaves := walkKey(t, "cell", newPlan, key); leaves < 40 {
 		t.Errorf("walked %d fields, the plans have more", leaves)
 	}
 }

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"encoding/json"
+
 	"pdq/internal/obsv"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
+	"pdq/internal/trace"
 	"pdq/internal/workload"
 )
 
@@ -136,6 +139,9 @@ func CellKeys(s *Spec, o Opts) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	if e.enc == nil {
+		e.encodeKeys() // compile encodes only for a cache
+	}
 	var keys []string
 	for ri := range e.rows {
 		for ci := range e.cols {
@@ -146,4 +152,33 @@ func CellKeys(s *Spec, o Opts) ([]string, error) {
 		}
 	}
 	return keys, nil
+}
+
+// CellKeyPairs compiles a grid spec under o, which must attach a cache,
+// and returns for every cell CellKeys lists, at each seed, the key the
+// engine derives from its encoded plan parts (got) and the hash of
+// json.Marshal of the whole cell plan (want): the derivation every cached
+// cell was written under before the parts were encoded apart.
+func CellKeyPairs(s *Spec, o Opts, seeds ...int64) (got, want []string, err error) {
+	e, err := compile(s, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	for ri := range e.rows {
+		for ci := range e.cols {
+			if n := e.rows[ri].cols; n > 0 && ci >= n {
+				continue
+			}
+			_, col, b := e.resolve(ri, ci)
+			for _, seed := range seeds {
+				material, err := json.Marshal(cellPlan{&e.plan, &col.plan, &b.plan, seed})
+				if err != nil {
+					return nil, nil, err
+				}
+				got = append(got, e.cellKeyHash(ri, ci, seed))
+				want = append(want, trace.Key(material))
+			}
+		}
+	}
+	return got, want, nil
 }

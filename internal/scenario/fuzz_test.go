@@ -5,12 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pdq/internal/trace"
 )
 
 // FuzzSpecCompile feeds arbitrary bytes through Load and compile, at quick
 // and at full scale. Any input is an error or a plan, never a panic; every
 // cell a plan holds marshals to valid JSON, and compiling the spec again
-// gives every cell the same key. The corpus is seeded with the shipped
+// gives every cell the same key, the hash of that JSON. The corpus is seeded with the shipped
 // example and benchmark specs.
 func FuzzSpecCompile(f *testing.F) {
 	for _, glob := range []string{"../../examples/scenarios/*.json", "../../benchmark/workloads/*.json"} {
@@ -41,6 +43,8 @@ func FuzzSpecCompile(f *testing.F) {
 			if err != nil {
 				t.Fatalf("quick=%v: the second compile failed: %v", quick, err)
 			}
+			e.encodeKeys()
+			again.encodeKeys()
 			for ri := range e.rows {
 				for ci := range e.cols {
 					_, col, b := e.resolve(ri, ci)
@@ -48,8 +52,12 @@ func FuzzSpecCompile(f *testing.F) {
 					if err != nil || !json.Valid(material) {
 						t.Fatalf("quick=%v: cell (%d, %d) does not marshal to JSON: %v", quick, ri, ci, err)
 					}
-					if k, k2 := e.cellKeyHash(ri, ci, 1), again.cellKeyHash(ri, ci, 1); k != k2 {
+					k, k2 := e.cellKeyHash(ri, ci, 1), again.cellKeyHash(ri, ci, 1)
+					if k != k2 {
 						t.Fatalf("quick=%v: cell (%d, %d) keyed %s, then %s", quick, ri, ci, k, k2)
+					}
+					if want := trace.Key(material); k != want {
+						t.Fatalf("quick=%v: cell (%d, %d) keyed %s, its plan's JSON hashes to %s", quick, ri, ci, k, want)
 					}
 				}
 			}

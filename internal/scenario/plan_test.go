@@ -6,12 +6,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"pdq/internal/exp"
 	"pdq/internal/scenario"
+	"pdq/internal/trace"
 )
 
 // quickFigureKeysSHA is SHA-256 over the sorted, newline-joined cell keys
@@ -41,6 +43,62 @@ func TestCellKeysDidNotMove(t *testing.T) {
 	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
 	if got := hex.EncodeToString(sum[:]); got != quickFigureKeysSHA {
 		t.Errorf("%d cell keys hash to %s, want %s", len(keys), got, quickFigureKeysSHA)
+	}
+}
+
+// TestCellKeysAreWholePlans checks every cell key the engine assembles
+// from its encoded plan parts against the hash of the whole cell plan's
+// JSON, at two replicate seeds: all 25 figures at quick and at full size,
+// the benchmark workloads' specs and every example spec. TestCellKeysDidNotMove
+// pins the quick figures' keys; this holds every other key a cache may
+// already hold where it was.
+func TestCellKeysAreWholePlans(t *testing.T) {
+	specs := map[string]*scenario.Spec{}
+	for _, name := range exp.FigureNames() {
+		specs[name] = exp.Specs[name]()
+	}
+	for _, glob := range []string{"../../benchmark/workloads/*.json", "../../examples/scenarios/*.json"} {
+		files, err := filepath.Glob(glob)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: %v", glob, err)
+		}
+		for _, name := range files {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := scenario.Load(data)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			specs[name] = s
+		}
+	}
+	cache, err := trace.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for name, s := range specs {
+		if s.Driver != "" {
+			continue
+		}
+		for _, quick := range []bool{true, false} {
+			o := scenario.Opts{Quick: quick, Seed: 1, Cache: cache}
+			got, want, err := scenario.CellKeyPairs(s, o, o.BaseSeed(), o.BaseSeed()+scenario.TrialSeedStride)
+			if err != nil {
+				t.Fatalf("%s, quick=%v: %v", name, quick, err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s, quick=%v: cell key %d is %s, the whole plan hashes to %s", name, quick, i, got[i], want[i])
+				}
+			}
+			cells += len(got)
+		}
+	}
+	if cells < 1000 {
+		t.Errorf("compared %d cell keys, want every cell's", cells)
 	}
 }
 

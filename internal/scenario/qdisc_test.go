@@ -70,6 +70,7 @@ func TestRowQdiscOverride(t *testing.T) {
 	if k := eng.rows[1].at(0).plan; k.Qdisc != "prio" || k.QdiscParams["bands"] != 4 {
 		t.Errorf("override row key %+v, want prio/bands=4", k)
 	}
+	eng.encodeKeys()
 	seen := map[string]bool{}
 	for ri := range eng.rows {
 		h := eng.cellKeyHash(ri, 0, 1)

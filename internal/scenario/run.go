@@ -265,11 +265,11 @@ func (e *engine) resolve(ri, ci int) (*row, *column, *binding) {
 	return r, &e.cols[ci], r.at(ci)
 }
 
-// cellKeyHash content-addresses one grid cell: its plan at the replicate
-// seed.
+// cellKeyHash content-addresses one grid cell: its plan parts, encoded
+// at compile (encodeKeys), at the replicate seed.
 func (e *engine) cellKeyHash(ri, ci int, seed int64) string {
 	_, col, b := e.resolve(ri, ci)
-	return cellPlan{&e.plan, &col.plan, &b.plan, seed}.key()
+	return cellKey(e.enc, col.enc, b.enc, seed)
 }
 
 // cell evaluates one grid cell at its record's base seed, memoized

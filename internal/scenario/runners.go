@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"pdq/internal/carve"
 	"pdq/internal/core"
 	"pdq/internal/flowsim"
 	"pdq/internal/fluid"
@@ -192,22 +193,17 @@ func minParam(p map[string]float64, name string, lo float64) error {
 func etCheck(p map[string]float64) error { return intParam(p, "et", 0, 1) }
 
 // flowMake binds one flow-level allocator family into a Make function.
-// The run takes an allocator an earlier cell left in spare, readies it for
-// the run's parameters and seed when ready is not nil, and hands it back
-// when it returns, as engine storage is handed on (spareStorage): RCP
-// keeps its last call's filling and PDQ and D3 their service order and
-// ledger, but only for the FlowStates they were built on, so a new Sim's
-// first call rebuilds and reuses no more than storage sized to the largest
-// network served. The flow-level simulator steps its own clock (no event
+// The run takes its network's allocator of the family, which alloc returns
+// readied for the run's parameters and seed: one per network and kind,
+// kept in the network's arena (carve.Keep), so it grows to that network's
+// runs once and is rewound with the arena at every reset, when the flows
+// it names die. The flow-level simulator steps its own clock (no event
 // engine), so it records flows but takes no time-series probes.
-func flowMake(spare *sync.Pool, ready func(a flowsim.Allocator, p map[string]float64, seed int64)) func(p map[string]float64, seed int64) RunnerFunc {
+func flowMake(alloc func(a *carve.Arena, p map[string]float64, seed int64) flowsim.Allocator) func(p map[string]float64, seed int64) RunnerFunc {
 	return func(p map[string]float64, seed int64) RunnerFunc {
 		return func(build func() *topo.Topology, flows []workload.Flow, rc RunCtx) []workload.Result {
-			a := spare.Get().(flowsim.Allocator)
-			if ready != nil {
-				ready(a, p, seed)
-			}
-			s := flowsim.New(build(), a)
+			t := build()
+			s := flowsim.New(t, alloc(t.Net.Arena(), p, seed))
 			s.ET = p["et"] != 0
 			s.ApplyFaults(rc.Faults, rc.Cell)
 			for _, f := range flows {
@@ -217,9 +213,7 @@ func flowMake(spare *sync.Pool, ready func(a flowsim.Allocator, p map[string]flo
 				runFlow(s, rc)
 			}
 			rc.Cell.CutFlows(s.Collector)
-			rs := s.Results()
-			spare.Put(a)
-			return rs
+			return s.Results()
 		}
 	}
 }
@@ -235,14 +229,8 @@ func runFlow(s *flowsim.Sim, rc RunCtx) {
 	s.Run(rc.Horizon)
 }
 
-// sparePDQ, spareRCP and spareD3 hold the allocators finished flow-level
-// cells leave for later cells, shared by every sweep worker of the
-// process; like spareStorage they are emptied by the garbage collector.
-var (
-	sparePDQ = sync.Pool{New: func() any { return flowsim.NewPDQ(flowsim.CritPerfect, 0) }}
-	spareRCP = sync.Pool{New: func() any { return flowsim.NewRCP() }}
-	spareD3  = sync.Pool{New: func() any { return flowsim.NewD3() }}
-)
+// newPDQ makes a network's PDQ allocator, which every run resets.
+func newPDQ() *flowsim.PDQ { return flowsim.NewPDQ(flowsim.CritPerfect, 0) }
 
 // runners is the table of protocol runners, packet and flow level.
 var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
@@ -329,21 +317,27 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 		Check: func(p map[string]float64) error {
 			return cmp.Or(intParam(p, "crit", 0, 2), minParam(p, "aging", 0), etCheck(p))
 		},
-		Make: flowMake(&sparePDQ, func(a flowsim.Allocator, p map[string]float64, seed int64) {
-			a.(*flowsim.PDQ).Reset(flowsim.CritMode(int(p["crit"])), seed, p["aging"])
+		Make: flowMake(func(a *carve.Arena, p map[string]float64, seed int64) flowsim.Allocator {
+			pdq := carve.Keep(a, newPDQ)
+			pdq.Reset(flowsim.CritMode(int(p["crit"])), seed, p["aging"])
+			return pdq
 		}),
 	},
 	{
 		Name: "flow:RCP", Doc: "flow-level max-min fair sharing (RCP; also D3 without deadlines)", Level: "flow",
 		Params: map[string]float64{"et": 0},
 		Check:  etCheck,
-		Make:   flowMake(&spareRCP, nil),
+		Make: flowMake(func(a *carve.Arena, _ map[string]float64, _ int64) flowsim.Allocator {
+			return carve.Keep(a, flowsim.NewRCP)
+		}),
 	},
 	{
 		Name: "flow:D3", Doc: "flow-level D3: arrival-order reservation plus fair share of the rest", Level: "flow",
 		Params: map[string]float64{"et": 0},
 		Check:  etCheck,
-		Make:   flowMake(&spareD3, nil),
+		Make: flowMake(func(a *carve.Arena, _ map[string]float64, _ int64) flowsim.Allocator {
+			return carve.Keep(a, flowsim.NewD3)
+		}),
 	},
 	{
 		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal without deadlines) 1=fair sharing 2=Moore-Hodgson deadline EDF (its Optimal with deadlines, §5.2.1); gbps is the bottleneck rate", Level: "flow",

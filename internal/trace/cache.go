@@ -25,7 +25,9 @@ import (
 // The cache is strictly best-effort: unreadable, corrupt or unwritable
 // entries degrade to recomputation and are never an error. It is safe
 // for concurrent use (distinct keys write distinct files; same-key
-// writers race to an atomic rename of identical content).
+// writers race to an atomic rename of identical content). A warm sweep's
+// cost is its lookups, so an entry is read without an os.File: one open,
+// one read into a small buffer and one close (readEntry).
 type Cache struct {
 	dir                  string
 	hits, misses, errors atomic.Uint64
@@ -82,7 +84,9 @@ func (c *Cache) Errors() uint64 { return c.errors.Load() }
 // Key hashes arbitrary key material to a content address.
 func Key(material []byte) string {
 	sum := sha256.Sum256(material)
-	return hex.EncodeToString(sum[:])
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // path maps a key to its entry file, sharded by the first hex byte so no
@@ -133,7 +137,7 @@ func (c *Cache) PutFloat(key string, v float64) {
 // backoff before degrading to recomputation.
 func (c *Cache) read(key string) ([]byte, bool) {
 	for attempt := 1; ; attempt++ {
-		data, err := os.ReadFile(c.path(key))
+		data, err := readEntry(c.path(key))
 		if err == nil {
 			return data, true
 		}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -145,5 +146,31 @@ func TestCacheMissingEntryNotRetried(t *testing.T) {
 	}
 	if c.Errors() != 0 || c.Misses() != 1 {
 		t.Errorf("Errors = %d, Misses = %d, want 0, 1", c.Errors(), c.Misses())
+	}
+}
+
+// TestCacheEntryAroundReadBuffer reads entries one byte shorter than the
+// buffer an entry is read into, exactly as long, and one byte longer:
+// each must reach the decoder whole, and an entry that fills the buffer
+// is not served cut off at it.
+func TestCacheEntryAroundReadBuffer(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{entryBuf - 1, entryBuf, entryBuf + 1} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = 'a' + byte(i%26)
+		}
+		key := Key(data)
+		c.Put(key, data)
+		var got []byte
+		if !c.Get(key, func(b []byte) bool { got = b; return true }) || !bytes.Equal(got, data) {
+			t.Errorf("a %d-byte entry (read buffer %d bytes) reached the decoder as %q", n, entryBuf, got)
+		}
+	}
+	if c.Hits() != 3 || c.Errors() != 0 {
+		t.Errorf("Hits = %d, Errors = %d, want 3, 0", c.Hits(), c.Errors())
 	}
 }

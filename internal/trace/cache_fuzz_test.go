@@ -51,8 +51,9 @@ func TestCachePutGetBitExact(t *testing.T) {
 // Get hands its decoder the very bytes on disk, and a decoder's refusal
 // is such a miss too. The leading bytes, as float bit patterns, must then
 // round-trip through PutFloat exactly. The corpus is seeded with a real
-// grid-cell entry and a real driver table entry (whose codec is
-// scenario's, fuzzed there).
+// grid-cell entry, a real driver table entry (whose codec is scenario's,
+// fuzzed there) and an entry one byte longer than the buffer an entry is
+// read into (fills-read-buffer), which must not be served cut off.
 func FuzzCacheEntry(f *testing.F) {
 	seeds, err := filepath.Glob("testdata/entries/*")
 	if err != nil || len(seeds) == 0 {
