@@ -20,8 +20,7 @@
 // tables, telemetry, cache report and exit status. Giving both is a
 // usage error. -list prints the experiments and then every registry a
 // spec can name: topologies, patterns, size distributions, flow
-// generators, protocol runners, metrics, custom drivers and queue
-// disciplines.
+// generators, protocol runners, metrics and queue disciplines.
 //
 // Each experiment prints the same rows/series the paper reports (see
 // DESIGN.md §6–§8 for how the figure specs, the scenario layer and the
@@ -38,14 +37,14 @@
 // the log counts any dropped. -probe writes a CSV time series of every
 // link's queue depth and utilization plus the active-flow count, sampled
 // each -probe-stride-us (at least 0.001, else exit 2). -fault-log writes
-// the injected fault transitions. All three capture the grid scenarios;
-// custom drivers (fig1/6/7/8e) report their own rows.
+// the injected fault transitions; a simulation that several cells read
+// is captured once.
 //
-// -cache (or -cache-dir) memoizes grid-cell results, and each custom
-// driver's whole table, content-addressed by their resolved spec
-// material, seed and engine version, so re-running a sweep recomputes
-// only what changed and a warm rerun simulates nothing; hits reproduce
-// the recomputed output byte for byte. Tracing bypasses the cache.
+// -cache (or -cache-dir) memoizes grid-cell results, content-addressed by
+// their resolved spec material, seed and engine version, so re-running a
+// sweep recomputes only what changed and a warm rerun simulates nothing;
+// hits reproduce the recomputed output byte for byte. Tracing bypasses
+// the cache.
 //
 // The observability plane (DESIGN.md §13) watches a run without
 // perturbing it: -progress renders a live stderr line (cells done/total,
@@ -109,8 +108,8 @@ func main() {
 		faultOut    = flag.String("fault-log", "", "write injected fault/recovery transitions to this JSONL file")
 		maxEvents   = flag.Uint64("max-events", 0, "per-cell packet-engine event budget (0 = unlimited); an exceeding cell fails with a diagnostic; flow-level cells are bounded by their horizon")
 		cellTimeout = flag.Float64("cell-timeout-ms", 0, "per-cell wall-clock limit in ms (0 = none); a timed-out cell fails with a diagnostic")
-		cacheOn     = flag.Bool("cache", false, "memoize sweep cells and driver tables under the default cache dir (~/.cache/pdqsim)")
-		cacheDir    = flag.String("cache-dir", "", "memoize sweep cells and driver tables under this directory (implies -cache)")
+		cacheOn     = flag.Bool("cache", false, "memoize sweep cells under the default cache dir (~/.cache/pdqsim)")
+		cacheDir    = flag.String("cache-dir", "", "memoize sweep cells under this directory (implies -cache)")
 		progressOn  = flag.Bool("progress", false, "render a live progress line on stderr (cells done/total, failures, cache hits, ETA)")
 		httpAddr    = flag.String("http", "", "serve /metrics (Prometheus text), /runs (JSON sweep progress), /metrics.json and /debug/pprof/ (index, cmdline, profile, trace, named profiles) on this address during the run")
 		httpLinger  = flag.Duration("http-linger", 0, "keep the -http server alive this long after the run finishes (end-of-run scrapes)")
@@ -389,10 +388,6 @@ func listRegistries() {
 	fmt.Println("metrics:")
 	for _, m := range scenario.MetricList() {
 		entry(m.Name, m.Doc, m.Params)
-	}
-	fmt.Println("custom drivers:")
-	for _, d := range scenario.DriverList() {
-		entry(d.Name, d.Doc, d.Params)
 	}
 	fmt.Println("queue disciplines:")
 	for _, q := range scenario.QdiscList() {

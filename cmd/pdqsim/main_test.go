@@ -75,7 +75,7 @@ func TestListNamesEveryRegistry(t *testing.T) {
 	}
 	for _, heading := range []string{"available experiments:", "topologies:", "patterns:",
 		"size distributions:", "flow generators:", "protocol runners:",
-		"metrics:", "custom drivers:", "queue disciplines:"} {
+		"metrics:", "queue disciplines:"} {
 		if !strings.Contains(out, "\n"+heading+"\n") && !strings.HasPrefix(out, heading+"\n") {
 			t.Errorf("-list has no %q heading", heading)
 		}

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"pdq/internal/obsv"
@@ -44,8 +47,8 @@ func TestCacheGoldenByteIdentity(t *testing.T) {
 
 // TestWarmRunSimulatesNothing runs every quick figure twice against one
 // cache with the observability plane attached: the second pass fires no
-// event, serves every cell — each custom driver's table included — from
-// the cache, and prints the first pass's bytes.
+// event, serves every cell from the cache — a cell equal to an earlier one
+// through it — and prints the first pass's bytes.
 func TestWarmRunSimulatesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every quick figure twice")
@@ -83,6 +86,40 @@ func TestWarmRunSimulatesNothing(t *testing.T) {
 	}
 	if !bytes.Equal(tables[0], tables[1]) {
 		t.Error("the warm pass's tables differ from the cold pass's")
+	}
+}
+
+// TestEqualCellsReadTheCacheOnce pins that cells with equal keys — fig12's
+// fixed RCP/D3 rows in every α column — compute one value, which only the
+// first of them in grid order reads or writes: a cold cached run hits
+// nothing and keeps the same records at 1 and 4 workers.
+func TestEqualCellsReadTheCacheOnce(t *testing.T) {
+	var want []string
+	for _, workers := range []int{1, 4} {
+		cache, err := trace.NewCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := obsv.New(nil)
+		Figures["fig12"](scenario.Opts{Quick: true, Seed: 1, Cache: cache, Obs: obs, Parallel: workers})
+		if cache.Hits() != 0 || cache.Misses() != 8 {
+			t.Errorf("%d workers: hits=%d misses=%d, want 0 and the 8 distinct cells", workers, cache.Hits(), cache.Misses())
+		}
+		var recs []string
+		for _, c := range obs.Runs()[0].Cells {
+			c.WallNs = 0
+			line, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, string(line))
+		}
+		sort.Strings(recs)
+		if want == nil {
+			want = recs
+		} else if !slices.Equal(recs, want) {
+			t.Errorf("%d workers: records\n%s\nwant\n%s", workers, strings.Join(recs, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 

@@ -46,6 +46,17 @@ func protoRows(names ...string) []scenario.ProtoSpec {
 	return rows
 }
 
+// metricRow is a labelled row of runner whose cells report the named
+// metric; rows of one runner share its simulation.
+func metricRow(label, runner, metric string, p map[string]float64) scenario.ProtoSpec {
+	return scenario.ProtoSpec{Label: label, Runner: runner, Metric: &scenario.MetricSpec{Name: metric, Params: p}}
+}
+
+// bottleneck is the single-bottleneck topology with the given senders.
+func bottleneck(senders float64) scenario.TopoSpec {
+	return scenario.TopoSpec{Name: "single-bottleneck", Params: map[string]float64{"senders": senders}}
+}
+
 // treeHosts is the server count of the paper's default topology
 // (Fig. 2a): the two-level 12-server single-rooted tree the registry
 // builds as "single-rooted-tree" with default parameters.
@@ -83,7 +94,7 @@ var Specs = map[string]func() *scenario.Spec{
 	"fig12": Fig12Spec,
 }
 
-// Figures is the registry of all reproduced figures as runnable drivers.
+// Figures is the registry of all reproduced figures, each run by its spec.
 var Figures = map[string]func(scenario.Opts) *scenario.Table{}
 
 func init() {

@@ -116,16 +116,38 @@ func Fig8dSpec() *scenario.Spec {
 }
 
 // Fig8eSpec: the per-flow CDF of RCP FCT / PDQ FCT at ~128 servers
-// (flow-level, random permutation), via the paired-run CDF driver. The
-// paper reports ≈40% of flows at ratio ≥2, only 5–15% below 1, and a
-// worst-case PDQ inflation of 2.57.
+// (flow-level, random permutation): every row is a statistic of one
+// flow:PDQ run's FCTs against flow:RCP's on the same flows. The paper
+// reports ≈40% of flows at ratio ≥2, only 5–15% below 1, and a worst-case
+// PDQ inflation of 2.57.
 func Fig8eSpec() *scenario.Spec {
+	row := func(label string, stat, at float64) scenario.ProtoSpec {
+		r := metricRow(label, "flow:PDQ", "fct-ratio", map[string]float64{"stat": stat, "at": at})
+		r.Ref = "flow:RCP"
+		return r
+	}
+	quick := scenario.TopoSpec{Name: "fat-tree", Params: map[string]float64{"k": 4}}
 	return &scenario.Spec{
-		Name:        "fig8e",
-		Desc:        "CDF of RCP FCT / PDQ FCT (flow-level, fat-tree)",
-		Driver:      "fct-ratio-cdf",
-		Params:      map[string]float64{"k": 8, "flows_per": 10},
-		QuickParams: map[string]float64{"k": 4, "flows_per": 5},
+		Name:     "fig8e",
+		Desc:     "CDF of RCP FCT / PDQ FCT (flow-level, fat-tree)",
+		Topology: scenario.TopoSpec{Name: "fat-tree", Params: map[string]float64{"k": 8}},
+		Workload: scenario.WorkloadSpec{
+			Pattern: permutation(), Sizes: uniformMeanKB(100),
+			CountPerHost: 10, QuickCountPerHost: 5,
+		},
+		Protocols: []scenario.ProtoSpec{
+			row("flows", 0, 1),
+			row("% with ratio >= 2 (PDQ 2x faster)", 1, 2),
+			row("% with ratio < 1 (PDQ slower)", 2, 1),
+			row("% with ratio < 0.5", 2, 0.5),
+			row("median ratio", 3, 1),
+			row("worst PDQ inflation", 4, 1),
+		},
+		Sweep: &scenario.SweepSpec{
+			Cases:      []scenario.SweepCase{{Label: "value"}},
+			QuickCases: []scenario.SweepCase{{Label: "value", Topology: &quick}},
+		},
+		HorizonMs: 20000,
 	}
 }
 

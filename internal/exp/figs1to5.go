@@ -2,15 +2,29 @@ package exp
 
 import "pdq/internal/scenario"
 
-// Fig1Spec reproduces the motivating example (Fig. 1) via the fluid
-// custom driver: three flows of sizes 1, 2, 3 units with deadlines 1, 4,
-// 6 on one unit-rate bottleneck, under fair sharing, SJF/EDF, and D3
-// with arrival order fB, fA, fC.
+// Fig1Spec reproduces the motivating example (Fig. 1) on the fluid model:
+// three flows of sizes 1, 2, 3 units with deadlines 1, 4, 6 on one
+// unit-rate bottleneck, under fair sharing, SJF/EDF, and D3 with arrival
+// order fB, fA, fC. The columns are metrics of one run per row.
 func Fig1Spec() *scenario.Spec {
+	fluid := func(label string, policy float64) scenario.ProtoSpec {
+		return scenario.ProtoSpec{Label: label, Runner: "flow:fluid", Params: map[string]float64{"policy": policy}}
+	}
+	metric := func(label, name string, p map[string]float64) scenario.SweepCase {
+		return scenario.SweepCase{Label: label, Metric: &scenario.MetricSpec{Name: name, Params: p}}
+	}
 	return &scenario.Spec{
-		Name:   "fig1",
-		Desc:   "motivating example: completion times (s), mean FCT, deadlines met",
-		Driver: "fluid-example",
+		Name:      "fig1",
+		Desc:      "motivating example: completion times (s), mean FCT, deadlines met",
+		Topology:  bottleneck(3),
+		Workload:  scenario.WorkloadSpec{Custom: "deadline-trio"},
+		Protocols: []scenario.ProtoSpec{fluid("FairSharing", 1), fluid("SJF/EDF", 0), fluid("D3(fB;fA;fC)", 3)},
+		Sweep: &scenario.SweepSpec{Cases: []scenario.SweepCase{
+			metric("fA", "finish", map[string]float64{"id": 1}), metric("fB", "finish", map[string]float64{"id": 2}),
+			metric("fC", "finish", map[string]float64{"id": 3}), metric("meanFCT", "mean-fct", nil),
+			metric("met", "flows-done", map[string]float64{"met": 1}),
+		}},
+		HorizonMs: 10000,
 	}
 }
 

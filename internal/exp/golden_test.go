@@ -18,8 +18,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden figure tables 
 // before the scenario-layer refactor — together they pin every scenario
 // engine feature (pattern/scale/sizes cases, max-flows and max-rate
 // searches, Poisson arrivals, base-row and first-cell normalization,
-// load and runner-parameter axes, fixed baseline rows, custom drivers
-// and flow generators) byte-identical to the legacy drivers. Regenerate
+// load and runner-parameter axes, fixed baseline rows, shared runs, link
+// and pair metrics, and flow generators) byte-identical to the legacy
+// drivers. Regenerate
 // with `go test ./internal/exp -run Golden -update` only when a
 // deliberate semantic change is being made.
 func TestGoldenFigures(t *testing.T) {

@@ -22,10 +22,10 @@ import (
 // any At/After/Cancel call is added, dropped or turned into a no-op, so a
 // change that claims to move no event leaves testdata/ledger.jsonl as it
 // is, and one that moves events shows which counts moved. It holds no wall
-// time and no cache flag, and runs with no cache: fig12's fixed rows share
-// one key, so under a cache which column hits depends on scheduling. The
-// test compares at 4 workers; `go test ./internal/exp -run Ledger -update`
-// rewrites the file at 1.
+// time and no cache flag; a simulation several cells read is counted in
+// the first reader's record (DESIGN.md §7). The test compares at 4
+// workers; `go test ./internal/exp -run Ledger -update` rewrites the file
+// at 1.
 func TestLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every quick figure")

@@ -8,13 +8,15 @@
 //     Moore–Hodgson algorithm (Pinedo, Algorithm 3.3.1) that discards the
 //     minimum number of flows that cannot meet their deadlines;
 //   - fluid processor sharing (fair sharing), the behavior TCP/RCP/DCTCP
-//     approximate, used in the Fig. 1 motivating example.
+//     approximate, used in the Fig. 1 motivating example;
+//   - D3's greedy reservations in arrival order, Fig. 1's third scheduler.
 //
 // Sizes are in bytes, rates in bits per second, times in sim.Time; the
 // fluid model has no packetization or feedback delay.
 package fluid
 
 import (
+	"math"
 	"sort"
 
 	"pdq/internal/sim"
@@ -30,117 +32,104 @@ func xmit(size int64, bps int64) sim.Time {
 	return sim.Time(float64(size) * 8 / float64(bps) * float64(sim.Second))
 }
 
-// SRPT serves flows on one link of the given rate in
-// shortest-remaining-processing-time order, preemptively; this minimizes
-// mean flow completion time. Flows may have distinct start times.
-func SRPT(flows []workload.Flow, bps int64) Completion {
-	type job struct {
-		f    workload.Flow
-		rem  sim.Time // remaining service time
-		done bool
-	}
+// job is one flow of a fluid schedule: the service time it has left at
+// the link's full rate, in ns, and its share of the link.
+type job struct {
+	f         workload.Flow
+	rem, rate float64
+}
+
+// serve runs flows through one link of the given rate. At every arrival
+// and completion, grant sets the shares of the active flows, given in
+// arrival order (start time, then slice order); they sum to at most 1,
+// with at least one above 0, and hold until the next arrival or
+// completion. Flows may have distinct start times.
+func serve(flows []workload.Flow, bps int64, grant func(now sim.Time, active []*job)) Completion {
 	jobs := make([]*job, len(flows))
 	for i, f := range flows {
-		jobs[i] = &job{f: f, rem: xmit(f.Size, bps)}
+		jobs[i] = &job{f: f, rem: float64(xmit(f.Size, bps))}
 	}
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].f.Start < jobs[j].f.Start })
 	out := Completion{}
-	now := sim.Time(0)
-	arrived := 0
-	remainingJobs := len(jobs)
-	for remainingJobs > 0 {
-		// Admit arrivals.
-		for arrived < len(jobs) && jobs[arrived].f.Start <= now {
-			arrived++
+	var active []*job
+	for now, next := sim.Time(0), 0; next < len(jobs) || len(active) > 0; {
+		if len(active) == 0 {
+			now = max(now, jobs[next].f.Start) // idle until the next arrival
 		}
-		// Pick the active job with the smallest remaining time.
-		var cur *job
-		for _, j := range jobs[:arrived] {
-			if !j.done && (cur == nil || j.rem < cur.rem || (j.rem == cur.rem && j.f.ID < cur.f.ID)) {
-				cur = j
+		for ; next < len(jobs) && jobs[next].f.Start <= now; next++ {
+			active = append(active, jobs[next])
+		}
+		grant(now, active)
+		dt := math.Inf(1) // until the first completion or the next arrival
+		if next < len(jobs) {
+			dt = float64(jobs[next].f.Start - now)
+		}
+		for _, j := range active {
+			if j.rate > 0 {
+				dt = min(dt, j.rem/j.rate)
 			}
 		}
-		if cur == nil {
-			// Idle until the next arrival.
-			now = jobs[arrived].f.Start
-			continue
+		now += sim.Time(dt)
+		kept := active[:0]
+		for _, j := range active {
+			if j.rem <= 0 || j.rate > 0 && j.rem/j.rate <= dt {
+				out[j.f.ID] = now
+			} else {
+				j.rem -= float64(j.rate * dt)
+				kept = append(kept, j)
+			}
 		}
-		// Serve until cur completes or the next arrival preempts.
-		horizon := now + cur.rem
-		if arrived < len(jobs) && jobs[arrived].f.Start < horizon {
-			next := jobs[arrived].f.Start
-			cur.rem -= next - now
-			now = next
-			continue
-		}
-		now = horizon
-		cur.rem = 0
-		cur.done = true
-		out[cur.f.ID] = now
-		remainingJobs--
+		active = kept
 	}
 	return out
 }
 
+// SRPT serves flows on one link of the given rate in
+// shortest-remaining-processing-time order, preemptively (ties by flow
+// ID); this minimizes mean flow completion time. Service times are whole
+// nanoseconds and shares 0 or 1, so every step is exact.
+func SRPT(flows []workload.Flow, bps int64) Completion {
+	return serve(flows, bps, func(_ sim.Time, active []*job) {
+		cur := active[0]
+		for _, j := range active {
+			j.rate = 0
+			if j.rem < cur.rem || j.rem == cur.rem && j.f.ID < cur.f.ID {
+				cur = j
+			}
+		}
+		cur.rate = 1
+	})
+}
+
 // FairShare serves flows on one link of the given rate by fluid processor
-// sharing: each active flow receives rate/n. Flows may have distinct
-// start times.
+// sharing: each active flow receives rate/n.
 func FairShare(flows []workload.Flow, bps int64) Completion {
-	type job struct {
-		f    workload.Flow
-		rem  sim.Time
-		done bool
-	}
-	jobs := make([]*job, len(flows))
-	for i, f := range flows {
-		jobs[i] = &job{f: f, rem: xmit(f.Size, bps)}
-	}
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].f.Start < jobs[j].f.Start })
-	out := Completion{}
-	now := sim.Time(0)
-	arrived := 0
-	left := len(jobs)
-	for left > 0 {
-		var active []*job
-		for _, j := range jobs[:arrived] {
-			if !j.done {
-				active = append(active, j)
-			}
+	return serve(flows, bps, func(_ sim.Time, active []*job) {
+		for _, j := range active {
+			j.rate = 1 / float64(len(active))
 		}
-		if len(active) == 0 {
-			now = jobs[arrived].f.Start
-			arrived++
-			continue
-		}
-		n := sim.Time(len(active))
-		// Time until first completion at 1/n rate each.
-		min := active[0]
-		for _, j := range active[1:] {
-			if j.rem < min.rem {
-				min = j
+	})
+}
+
+// D3 serves flows on one link of the given rate as D3 reserves it
+// (Wilson et al.), in the fluid limit: the active flows, in arrival
+// order, are granted remaining/(deadline − now) of the link, or what is
+// left of it, and what no request takes is shared equally among them. A
+// flow without a deadline, or past it, requests nothing.
+func D3(flows []workload.Flow, bps int64) Completion {
+	return serve(flows, bps, func(now sim.Time, active []*job) {
+		left := 1.0
+		for _, j := range active {
+			j.rate = 0
+			if dl := j.f.AbsDeadline(); dl > now && j.f.HasDeadline() {
+				j.rate = min(j.rem/float64(dl-now), left)
+				left -= j.rate
 			}
-		}
-		dt := min.rem * n
-		// Or until the next arrival.
-		if arrived < len(jobs) && jobs[arrived].f.Start-now < dt {
-			dt = jobs[arrived].f.Start - now
-			for _, j := range active {
-				j.rem -= dt / n
-			}
-			now += dt
-			arrived++
-			continue
 		}
 		for _, j := range active {
-			j.rem -= dt / n
+			j.rate += left / float64(len(active))
 		}
-		now += dt
-		min.rem = 0
-		min.done = true
-		out[min.f.ID] = now
-		left--
-	}
-	return out
+	})
 }
 
 // MooreHodgson schedules flows that all arrive at time 0 on one link in

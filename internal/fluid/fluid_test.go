@@ -53,6 +53,30 @@ func TestFig1SJF(t *testing.T) {
 	}
 }
 
+// TestD3 is Fig. 1d: D3 with the flows arriving fB, fA, fC. fB reserves
+// 2/4 of the link, fA gets the half left and misses its 1 s deadline at
+// 2 s, fC waits, takes fA's half at 2 s and the whole link at 4 s, when fB
+// finishes at its deadline, and finishes at 6 s: two deadlines met, bit
+// for bit.
+func TestD3(t *testing.T) {
+	fl := fig1Flows()
+	c := D3([]workload.Flow{fl[1], fl[0], fl[2]}, gbps)
+	for id, want := range map[uint64]sim.Time{1: 2 * sim.Second, 2: 4 * sim.Second, 3: 6 * sim.Second} {
+		if c[id] != want {
+			t.Errorf("flow %d finishes at %v, want %v", id, c[id], want)
+		}
+	}
+	met := 0
+	for _, f := range fl {
+		if c[f.ID] <= f.AbsDeadline() {
+			met++
+		}
+	}
+	if met != 2 {
+		t.Errorf("%d deadlines met, want 2", met)
+	}
+}
+
 func TestFig1EDFMeetsAllDeadlines(t *testing.T) {
 	flows := fig1Flows()
 	c, tardy := MooreHodgson(flows, gbps)

@@ -12,9 +12,9 @@ var cellSecondsBounds = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300,
 }
 
-// Cell is the record of one sweep cell: a grid cell's replicate, or a
-// custom driver's whole table (Col "*"). The worker running the cell
-// fills it — its engines count into Engine — and hands it to
+// Cell is the record of one sweep cell: a grid cell's replicate. The
+// worker running the cell fills it — its engines count into Engine, and
+// a simulation cells share counts into its first reader's — and hands it to
 // SweepStats.CellEnd once; every aggregate is a read of the finished
 // records (DESIGN.md §13).
 type Cell struct {

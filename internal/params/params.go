@@ -1,6 +1,6 @@
 // Package params validates the declarative parameter maps of the
 // registry entries (topologies, patterns, size distributions, runners,
-// metrics, drivers): defaults fill in, unknown names fail loudly.
+// metrics, flow generators): defaults fill in, unknown names fail loudly.
 package params
 
 import (

@@ -10,10 +10,13 @@
 package scenario
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -35,11 +38,6 @@ import (
 // v3: flow:RCP fills by water level (DESIGN.md §4), so its rates may move
 // in the last bits.
 const cacheSalt = "pdqsim-cell-v3"
-
-// driverSalt versions custom drivers' cached tables the way cacheSalt
-// versions grid cells: bump it whenever a driver's table changes for the
-// same plan. v2: fig8e's driver runs flow:RCP (cacheSalt v3).
-const driverSalt = "pdqsim-driver-v2"
 
 // The plan structs marshal into the cache key: their field order, JSON
 // names and omitempty tags are its bytes, and changing any of them
@@ -109,6 +107,15 @@ type rowPlan struct {
 	Level        string             `json:"level,omitempty"` // runner simulator level: "packet" or "flow"
 	Qdisc        string             `json:"qdisc,omitempty"`
 	QdiscParams  map[string]float64 `json:"qdisc_params,omitempty"`
+	Ref          string             `json:"ref,omitempty"` // the pair metric's reference runner
+	RefParams    map[string]float64 `json:"ref_params,omitempty"`
+}
+
+// sameRun reports whether p and q run the same simulation on one column:
+// the same runner, parameters and link discipline, whatever the metric.
+func (p *rowPlan) sameRun(q *rowPlan) bool {
+	return p.Runner == q.Runner && maps.Equal(p.Params, q.Params) &&
+		p.Qdisc == q.Qdisc && maps.Equal(p.QdiscParams, q.QdiscParams)
 }
 
 // cellKey content-addresses one grid cell: the hash of
@@ -129,24 +136,6 @@ func cellKey(eng, col, row []byte, seed int64) string {
 	return trace.Key(append(m, '}'))
 }
 
-// driverPlan is everything that determines a custom driver's table, and
-// so the key of the whole table, as the plan parts are a grid cell's: a
-// driver is handed the plan and nothing else that may shape its result
-// (DriverFunc).
-type driverPlan struct {
-	Salt   string             `json:"salt"`
-	Driver string             `json:"driver"`
-	Params map[string]float64 `json:"params"` // resolved, quick overlay applied
-	Seed   int64              `json:"seed"`
-	Trials int                `json:"trials"`
-}
-
-// key content-addresses the driver's table.
-func (p driverPlan) key() string { return planKey(p) }
-
-// planKey hashes a plan's canonical JSON.
-func planKey(plan any) string { return trace.Key(planJSON(plan)) }
-
 // planJSON is a plan's canonical JSON.
 func planJSON(plan any) []byte {
 	material, err := json.Marshal(plan)
@@ -163,6 +152,7 @@ type column struct {
 	plan        colPlan
 	runnerPatch map[string]float64 // "runner:<param>" axis value, nil otherwise
 	metricPatch map[string]float64 // "metric:<param>" axis value, nil otherwise
+	metric      *MetricSpec        // the sweep case's metric, nil otherwise
 	// topo numbers the column's topoPlan among the engine's columns:
 	// columns that build the same topology share its spares (topoKey).
 	topo int
@@ -208,6 +198,8 @@ type binding struct {
 	runner RunnerEntry
 	metric MetricEntry
 	qdisc  func() netsim.Qdisc // the row's `qdisc:` override factory, nil when unset
+	ref    *binding            // the Ref runner's, nil without one
+	host   int                 // a link metric's host, counted from host 0
 }
 
 // engine is a compiled spec: the bound cell grid and how to run it.
@@ -218,17 +210,18 @@ type engine struct {
 	cols    []column
 	baseCol column // the spec without any axis applied; fixed rows use it
 	rows    []row
-	env     Env
+	guards  RunCtx // every run's MaxEvents and Watchdog
 	trace   *trace.Trace
 	cache   *trace.Cache
 
-	// shareSims is set when the sweep axis is metric-only: every column
-	// runs the identical simulation and differs only in the metric
-	// reduction, so one run per (row, replicate) is shared across the
-	// whole column axis through simMemo.
-	shareSims bool
-	simMu     sync.Mutex
-	simMemo   map[simMemoKey]*simEntry
+	// cells holds what each grid cell shares, in grid order (ri·len(cols)
+	// + ci; engine.share), and sims the simulations the computing cells
+	// of a run-mode grid read (engine.claim).
+	cells []cellShare
+	sims  []simGroup
+	// memo holds one run's simulations while its cells read them
+	// (engine.claim); read-only while cells run.
+	memo map[simKey]*simEntry
 
 	// spares holds the topologies finished runs handed back, for later
 	// runs of this Run to reset instead of rebuilding (takeTopo). It dies
@@ -254,9 +247,9 @@ func compile(s *Spec, o Opts) (*engine, error) {
 			RateStep: s.Eval.RateStep,
 			Horizon:  msTime(quickFloat(s.HorizonMs, s.QuickHorizonMs, o.Quick)),
 		},
-		env:   o.env(),
-		trace: o.Trace,
-		cache: o.Cache,
+		guards: RunCtx{MaxEvents: o.MaxEvents, Watchdog: o.Watchdog},
+		trace:  o.Trace,
+		cache:  o.Cache,
 	}
 	if e.trace != nil {
 		// A cache hit skips the simulation that would emit the records, so
@@ -285,19 +278,6 @@ func compile(s *Spec, o Opts) (*engine, error) {
 		return nil, err
 	}
 	e.numberTopologies()
-	if !p.search() {
-		share := len(e.cols) > 1
-		for _, c := range e.cols {
-			if c.metricPatch == nil {
-				share = false
-				break
-			}
-		}
-		if share {
-			e.shareSims = true
-			e.simMemo = map[simMemoKey]*simEntry{}
-		}
-	}
 
 	// Search modes need usable bounds, or MaxN panics mid-sweep — and a
 	// threshold, or every probe passes and the search simulates log₂(hi)+1
@@ -322,7 +302,7 @@ func compile(s *Spec, o Opts) (*engine, error) {
 	}
 
 	for _, ps := range s.Protocols {
-		r, err := compileRow(s, ps, e.cols)
+		r, err := compileRow(s, ps, e.cols, &e.baseCol, p.search())
 		if err != nil {
 			return nil, err
 		}
@@ -331,6 +311,7 @@ func compile(s *Spec, o Opts) (*engine, error) {
 	if e.cache != nil {
 		e.encodeKeys()
 	}
+	e.share()
 	return e, nil
 }
 
@@ -468,7 +449,7 @@ func planColumn(s *Spec, o Opts, axis string, v float64, cs *SweepCase) (*column
 		p.WindowMs = quickFloat(w.Arrival.WindowMs, w.Arrival.QuickWindowMs, o.Quick)
 	}
 	if cs != nil {
-		col.label = cs.Label
+		col.label, col.metric = cs.Label, cs.Metric
 		if cs.Topology != nil {
 			ts = *cs.Topology
 			if col.label == "" {
@@ -493,7 +474,7 @@ func planColumn(s *Spec, o Opts, axis string, v float64, cs *SweepCase) (*column
 	case "flows-per-host":
 		p.CountPerHost = v
 	case "mean-size-kb":
-		p.Sizes.Params = overlay(p.Sizes.Params, map[string]float64{"mean_kb": v}, true)
+		p.Sizes.Params = overlay(p.Sizes.Params, map[string]float64{"mean_kb": v})
 	case "mean-deadline-ms":
 		p.MeanDeadlineMs = v
 	case "loss-rate":
@@ -722,23 +703,18 @@ func compileFaults(specs []FaultSpec, hosts, switches int) ([]fault.Event, error
 	return sch.Events, nil
 }
 
-// compileRow plans and binds one protocol row against every column.
-func compileRow(s *Spec, ps ProtoSpec, cols []column) (*row, error) {
-	r := &row{label: ps.Label, fixed: ps.Fixed, cols: ps.Cols}
+// compileRow plans and binds one protocol row against every column; a
+// fixed row binds once, against the axis-free base. search reports
+// whether the cells are read off a search's probes.
+func compileRow(s *Spec, ps ProtoSpec, cols []column, base *column, search bool) (*row, error) {
+	r := &row{label: cmp.Or(ps.Label, ps.Runner), fixed: ps.Fixed, cols: ps.Cols}
 	if ps.Runner == "" {
 		return nil, fmt.Errorf("row %q names no runner", r.label)
-	}
-	if r.label == "" {
-		r.label = ps.Runner
-	}
-	ms := s.Metric
-	if ps.Metric != nil {
-		ms = *ps.Metric
 	}
 	if s.HorizonMs <= 0 {
 		return nil, fmt.Errorf("row %q needs horizon_ms > 0", r.label)
 	}
-	p := rowPlan{Runner: ps.Runner, Metric: ms.Name}
+	p := rowPlan{Runner: ps.Runner, Ref: ps.Ref}
 	if ps.Qdisc != nil {
 		var err error
 		if _, p.QdiscParams, err = netsim.MakeQdisc(ps.Qdisc.Name, ps.Qdisc.Params); err != nil {
@@ -746,16 +722,29 @@ func compileRow(s *Spec, ps ProtoSpec, cols []column) (*row, error) {
 		}
 		p.Qdisc = ps.Qdisc.Name
 	}
+	var ref RunnerEntry
+	if ps.Ref != "" {
+		var err error
+		if ref, p.RefParams, err = runners.Resolve(ps.Ref, nil); err != nil {
+			return nil, fmt.Errorf("row %q: ref: %w", r.label, err)
+		}
+	}
 	n := len(cols)
 	if ps.Fixed {
 		n = 1
 	}
-	for c := 0; c < n; c++ {
-		var err error
-		if _, p.MetricParams, err = metrics.Resolve(ms.Name, overlay(ms.Params, cols[c].metricPatch, !ps.Fixed)); err != nil {
+	r.bound = make([]binding, 0, n)
+	for c := range n {
+		col := &cols[c]
+		if ps.Fixed {
+			col = base
+		}
+		ms := cmp.Or(ps.Metric, col.metric, &s.Metric)
+		m, mp, err := metrics.Resolve(ms.Name, overlay(ms.Params, col.metricPatch))
+		if err != nil {
 			return nil, err
 		}
-		e, rp, err := runners.Resolve(ps.Runner, overlay(ps.Params, cols[c].runnerPatch, !ps.Fixed))
+		e, rp, err := runners.Resolve(ps.Runner, overlay(ps.Params, col.runnerPatch))
 		if err != nil {
 			return nil, fmt.Errorf("row %q: %w", r.label, err)
 		}
@@ -763,15 +752,32 @@ func compileRow(s *Spec, ps ProtoSpec, cols []column) (*row, error) {
 			return nil, fmt.Errorf("row %q: qdisc %q needs a packet-level runner, %q is %s-level",
 				r.label, ps.Qdisc.Name, ps.Runner, e.Level)
 		}
-		if e.Level == "flow" {
-			lossy := cols[c].plan.HasLoss || ps.Fixed && s.Topology.Loss != nil
-			if block := unmodelled(s, ps.Runner, lossy); block != "" {
+		for _, run := range []RunnerEntry{e, ref} {
+			if block := unmodelled(s, run.Name, col.plan.HasLoss); run.Level == "flow" && block != "" {
 				return nil, fmt.Errorf("row %q: flow-level runner %q does not model %s; the table would equal the one without it",
-					r.label, ps.Runner, block)
+					r.label, run.Name, block)
 			}
 		}
-		p.Params, p.Level = rp, e.Level
-		r.bound = append(r.bound, p.bind())
+		switch {
+		case search && (m.Link != nil || m.Pair != nil):
+			return nil, fmt.Errorf("row %q: metric %q reads one whole run, and a search's probes are cut short", r.label, ms.Name)
+		case m.Link != nil && e.Level != "packet":
+			return nil, fmt.Errorf("row %q: link metric %q needs a packet-level runner, %q is %s-level", r.label, ms.Name, ps.Runner, e.Level)
+		case m.Pair != nil && ps.Ref == "":
+			return nil, fmt.Errorf("row %q: pair metric %q needs a ref runner", r.label, ms.Name)
+		case m.Pair == nil && ps.Ref != "":
+			return nil, fmt.Errorf("row %q: ref %q is read by no metric: %q is not a pair metric", r.label, ps.Ref, ms.Name)
+		}
+		p.Params, p.Level, p.Metric, p.MetricParams = rp, e.Level, ms.Name, mp
+		b := p.bind()
+		if m.Link != nil {
+			tb, _ := topo.LookupBuilder(col.plan.Topo)
+			hosts := tb.Hosts(col.plan.TopoParams)
+			if b.host = fault.HostIndex(int(mp["host"]), hosts); b.host < 0 || b.host >= hosts {
+				return nil, fmt.Errorf("row %q: link metric %q: host %v out of range (topology has %d hosts)", r.label, ms.Name, mp["host"], hosts)
+			}
+		}
+		r.bound = append(r.bound, b)
 	}
 	return r, nil
 }
@@ -805,5 +811,72 @@ func (p rowPlan) bind() binding {
 	if p.Qdisc != "" {
 		b.qdisc, _, _ = netsim.MakeQdisc(p.Qdisc, p.QdiscParams) // resolved parameters resolve to themselves
 	}
+	if p.Ref != "" {
+		b.ref = &binding{plan: rowPlan{Runner: p.Ref, Params: p.RefParams}}
+		b.ref.runner, _ = runners.Lookup(p.Ref)
+	}
 	return b
+}
+
+// cellShare is what one grid cell shares with others. Cells with equal
+// keys compute one value: lead is the first of them in grid order (−1
+// for a cell beyond its row's reach), and only it reads or writes the
+// cache. A run-mode cell that computes reads sim, its row's run, and with
+// a Ref ref, the Ref's (−1 without); probe is a link metric's index among
+// sim's probes (engine.claim sets the three).
+type cellShare struct{ lead, sim, ref, probe int }
+
+// simGroup is one simulation of a run-mode grid: a runner with its
+// parameters on one column plan, all a simulation reads. Every cell that
+// reads it at one seed shares one run of it (engine.read), which attaches
+// every reader's link metric (probes, in grid order). row and
+// colLabel tag its telemetry: its first reader's row label (the Ref's
+// name for a Ref) and column label, "*" when readers span columns.
+type simGroup struct {
+	b             *binding // the run's runner, parameters and qdisc
+	col           *column
+	probes        []*binding
+	row, colLabel string
+}
+
+// share fills cells in grid order. With a cache attached a cell leads
+// unless an earlier lead has its key, its column's plan and binding's
+// bytes; without one every cell leads, and cells with equal keys still
+// read one simulation (engine.simOf).
+func (e *engine) share() {
+	n := len(e.cols)
+	e.cells = make([]cellShare, len(e.rows)*n)
+	for i := range e.cells {
+		cs := &e.cells[i]
+		*cs = cellShare{lead: -1, sim: -1, ref: -1, probe: -1}
+		if r := &e.rows[i/n]; r.cols > 0 && i%n >= r.cols {
+			continue // not a cell
+		}
+		_, col, b := e.resolve(i/n, i%n)
+		if cs.lead = i; e.cache == nil {
+			continue
+		}
+		for j := range i {
+			if _, lcol, lb := e.resolve(j/n, j%n); e.cells[j].lead == j && bytes.Equal(lcol.enc, col.enc) && bytes.Equal(lb.enc, b.enc) {
+				cs.lead = j
+				break
+			}
+		}
+	}
+}
+
+// simOf returns the index of b's run on col among the engine's sims —
+// the same run (rowPlan.sameRun) on an equal column plan — adding it for
+// a reader in column ci of the row labelled row.
+func (e *engine) simOf(b *binding, col *column, row string, ci int) int {
+	for g := range e.sims {
+		if s := &e.sims[g]; s.b.plan.sameRun(&b.plan) && (s.col == col || reflect.DeepEqual(&s.col.plan, &col.plan)) {
+			if s.colLabel != e.cols[ci].label {
+				s.colLabel = "*"
+			}
+			return g
+		}
+	}
+	e.sims = append(e.sims, simGroup{b: b, col: col, row: row, colLabel: e.cols[ci].label})
+	return len(e.sims) - 1
 }

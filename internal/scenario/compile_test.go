@@ -33,15 +33,6 @@ func TestPlanIsTheKey(t *testing.T) {
 	}
 }
 
-// TestDriverPlanIsTheKey is TestPlanIsTheKey for a custom driver's plan,
-// the key of its whole table.
-func TestDriverPlanIsTheKey(t *testing.T) {
-	newPlan := func() *driverPlan { return &driverPlan{} }
-	if leaves := walkKey(t, "driver", newPlan, (*driverPlan).key); leaves != 5 {
-		t.Errorf("walked %d fields, want the plan's 5", leaves)
-	}
-}
-
 // walkKey checks every leaf field of the plan P, at any depth, and
 // returns how many it changed: each must be exported, marshalled, and
 // move key when set alone on a fresh plan.
@@ -172,7 +163,7 @@ func TestRunnerParamsChecked(t *testing.T) {
 		{"flow:PDQ", map[string]float64{"crit": 2, "aging": 0, "et": 1}, ""},
 		{"flow:RCP", map[string]float64{"et": 2}, `parameter "et" = 2`},
 		{"flow:D3", map[string]float64{"et": -1}, `parameter "et" = -1`},
-		{"flow:fluid", map[string]float64{"policy": 3}, `parameter "policy" = 3`},
+		{"flow:fluid", map[string]float64{"policy": 4}, `parameter "policy" = 4`},
 		{"flow:fluid", map[string]float64{"policy": 0.5}, `parameter "policy" = 0.5`},
 		{"flow:fluid", map[string]float64{"gbps": -1}, `parameter "gbps" = -1`},
 		{"flow:fluid", map[string]float64{"gbps": 1e-10}, `parameter "gbps" = 1e-10`},

@@ -55,7 +55,7 @@ func TestPacedSenderEventSequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tab.Partial() {
+			if len(tab.Errors) > 0 {
 				t.Fatalf("partial table:\n%s", tab)
 			}
 			rt := o.Obs.Runtime.Snapshot()

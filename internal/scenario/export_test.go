@@ -54,6 +54,19 @@ func SearchCells(s *Spec, o Opts) ([]SearchCell, error) {
 // Compute is the cell's value as the sweep computes it.
 func (c SearchCell) Compute() float64 { return c.e.compute(c.ri, c.ci, &obsv.Cell{Seed: c.seed}) }
 
+// computeAlone is compute for one run-mode cell evaluated alone, its
+// simulations claimed for it as run claims them for the cells it
+// evaluates.
+func (e *engine) computeAlone(ri, ci int, c *obsv.Cell) float64 {
+	i := ri*len(e.cols) + ci
+	recs := make([]obsv.Cell, len(e.cells))
+	recs[i] = *c
+	defer func() { *c = recs[i] }()
+	e.memo = nil
+	e.claim([]int{i}, recs, 1)
+	return e.compute(ri, ci, &recs[i])
+}
+
 // ProbeRun is what one simulation of a probe left behind.
 type ProbeRun struct {
 	OK      bool     // the verdict: metric >= threshold
@@ -107,7 +120,7 @@ func (c SearchCell) Reference(n int, notes bool) ProbeRun {
 			return false
 		}
 	}
-	rs := c.e.simulate(r, b, col, flows, c.seed, c.Col, 0, decided, &obsv.Cell{})
+	rs, _ := c.e.simulate(b, col, flows, c.seed, r.label, c.Col, 0, decided, nil, &obsv.Cell{})
 	run.Metric = b.metric.Fn(rs, flows, b.plan.MetricParams)
 	run.OK = run.Metric >= c.e.plan.Threshold
 	return run
@@ -121,15 +134,6 @@ func (c SearchCell) observe(run *ProbeRun) func() {
 		c.e.inspect = func(tp *topo.Topology) { run.Now, run.Events = tp.Sim().Now(), tp.Sim().Processed() }
 	}
 	return func() { c.e.inspect = nil }
-}
-
-// DriverKey is the cache key of a custom-driver spec's table under o.
-func DriverKey(s *Spec, o Opts) (string, error) {
-	_, p, err := planDriver(s, o)
-	if err != nil {
-		return "", err
-	}
-	return p.key(), nil
 }
 
 // CellKeys compiles a grid spec and lists the cache key of every cell the

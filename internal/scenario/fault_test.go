@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -64,7 +65,7 @@ func TestFaultGoldenAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab.Partial() {
+		if len(tab.Errors) > 0 {
 			t.Fatalf("parallel=%d: unexpected failed cells:\n%s", workers, tab)
 		}
 		if golden == "" {
@@ -125,7 +126,7 @@ func TestFlowFailoverAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab.Partial() {
+		if len(tab.Errors) > 0 {
 			t.Fatalf("parallel=%d: unexpected failed cells:\n%s", workers, tab)
 		}
 		if golden == "" {
@@ -186,7 +187,7 @@ func TestSwitchRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Partial() {
+	if len(tab.Errors) > 0 {
 		t.Fatalf("unexpected failed cells:\n%s", tab)
 	}
 	// Recovery time is measurable through the metric...
@@ -307,7 +308,7 @@ func TestPanickingCellYieldsPartialTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Partial() {
+	if len(tab.Errors) == 0 {
 		t.Fatalf("no errors captured:\n%s", tab)
 	}
 	if v := tab.Rows[0].Vals[0]; math.IsNaN(v) || v <= 0 {
@@ -364,7 +365,7 @@ func TestRunawayCellTripsEventBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Partial() {
+	if len(tab.Errors) == 0 {
 		t.Fatalf("50-event budget did not trip:\n%s", tab)
 	}
 	if !strings.Contains(tab.Errors[0].Msg, "event budget exhausted") {
@@ -395,7 +396,7 @@ func TestWatchdogInterrupt(t *testing.T) {
 	if !fired {
 		t.Fatal("watchdog factory never armed")
 	}
-	if !tab.Partial() {
+	if len(tab.Errors) == 0 {
 		t.Fatalf("immediate interrupt did not fail the cell:\n%s", tab)
 	}
 	if !strings.Contains(tab.Errors[0].Msg, "interrupted") {
@@ -407,22 +408,27 @@ func TestWatchdogInterrupt(t *testing.T) {
 // the watchdog too: with a factory that interrupts at once, every cell of
 // every flowsim row, at every replicate, fails with the interrupt
 // diagnostic. (flow:fluid is closed-form and runs no loop to interrupt.)
-// A driver that runs only flowsim (fig8e's) fails its one cell the same way.
+// A pair metric's cells, whose runs several rows share, fail the same way.
 func TestFlowWatchdogInterrupt(t *testing.T) {
 	o := Opts{Parallel: 2, Trials: 2,
 		Watchdog: func(interrupt func()) (stop func()) { interrupt(); return func() {} }}
-	drv, err := Run(&Spec{Name: "t", Driver: "fct-ratio-cdf", Params: map[string]float64{"k": 4, "flows_per": 1}}, o)
-	if err != nil {
-		t.Fatalf("driver: a guard trip is a failed cell, not the error: %v", err)
+	pair := minimalSpec()
+	ratio := func(stat float64) ProtoSpec {
+		return ProtoSpec{Label: fmt.Sprint(stat), Runner: "flow:PDQ", Ref: "flow:RCP",
+			Metric: &MetricSpec{Name: "fct-ratio", Params: map[string]float64{"stat": stat}}}
 	}
-	if len(drv.Errors) != 1 || !strings.Contains(drv.Errors[0].Msg, "flowsim: run interrupted after 0 steps") {
-		t.Fatalf("driver: want one interrupted cell:\n%s", drv)
+	pair.Protocols = []ProtoSpec{ratio(0), ratio(3)}
+	tab, err := Run(pair, o)
+	if err != nil {
+		t.Fatalf("pair: a guard trip is a failed cell, not the error: %v", err)
+	}
+	if len(tab.Errors) != 2*2 || !strings.Contains(tab.Errors[0].Msg, "flowsim: run interrupted after 0 steps") {
+		t.Fatalf("pair: want every cell replicate interrupted:\n%s", tab)
 	}
 	s := minimalSpec()
 	s.Protocols = []ProtoSpec{{Runner: "flow:PDQ"}, {Runner: "flow:RCP"}, {Runner: "flow:D3"}}
 	s.Sweep = &SweepSpec{Axis: "flows", Values: []float64{2, 4}}
-	tab, err := Run(s, o)
-	if err != nil {
+	if tab, err = Run(s, o); err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Errors) != 3*2*2 {

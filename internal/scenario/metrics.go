@@ -1,17 +1,19 @@
 package scenario
 
 import (
+	"math"
 	"slices"
 
 	"pdq/internal/fluid"
 	"pdq/internal/netsim"
 	"pdq/internal/params"
+	"pdq/internal/sim"
 	"pdq/internal/stats"
 	"pdq/internal/workload"
 )
 
 // metrics is the table of metrics: the ones below, then the
-// distribution and fault-experiment ones.
+// distribution, fault-experiment and link ones.
 var metrics = params.NewRegistry("metric", MetricEntry.decl, slices.Concat([]MetricEntry{
 	{
 		Name: "app-throughput",
@@ -52,4 +54,55 @@ var metrics = params.NewRegistry("metric", MetricEntry.decl, slices.Concat([]Met
 			return stats.MeanFCT(rs, nil) / opt
 		},
 	},
-}, distMetrics, faultMetrics))
+	{
+		Name:   "finish",
+		Doc:    "finish time [s] of the flow with ID `id`, NaN if there is none; id=0 takes the latest finish over completed flows under hi_kb (all when hi_kb=0), 0 when none; ms=1 reports milliseconds",
+		Params: map[string]float64{"id": 0, "hi_kb": 0, "ms": 0},
+		Check:  func(p map[string]float64) error { return intParam(p, "id", 0, 1<<53) },
+		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
+			var t sim.Time
+			if id := uint64(p["id"]); id == 0 {
+				t = lastFinish(rs, p)
+			} else if i := slices.IndexFunc(rs, func(r workload.Result) bool { return r.ID == id }); i >= 0 {
+				t = rs[i].Finish
+			} else {
+				return math.NaN()
+			}
+			if p["ms"] != 0 {
+				return t.Millis()
+			}
+			return t.Seconds()
+		},
+	},
+	{
+		Name:   "flows-done",
+		Doc:    "number of completed flows under hi_kb (all when hi_kb=0); met=1 counts only deadline flows that met their deadline",
+		Params: map[string]float64{"hi_kb": 0, "met": 0},
+		Check:  func(p map[string]float64) error { return intParam(p, "met", 0, 1) },
+		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
+			n := 0
+			for _, r := range rs {
+				if r.Done() && under(r, p) && (p["met"] == 0 || r.MetDeadline()) {
+					n++
+				}
+			}
+			return float64(n)
+		},
+	},
+}, distMetrics, faultMetrics, linkMetrics))
+
+// under reports whether r's flow is under p["hi_kb"] KB, or hi_kb is 0.
+func under(r workload.Result, p map[string]float64) bool {
+	return p["hi_kb"] == 0 || r.Size < int64(p["hi_kb"]*1024)
+}
+
+// lastFinish is the latest finish over completed flows under p["hi_kb"].
+func lastFinish(rs []workload.Result, p map[string]float64) sim.Time {
+	var last sim.Time
+	for _, r := range rs {
+		if r.Done() && under(r, p) && r.Finish > last {
+			last = r.Finish
+		}
+	}
+	return last
+}

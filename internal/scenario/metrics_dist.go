@@ -1,5 +1,6 @@
 // Distribution metrics over the per-flow record stream: quantiles, CDF
-// points, slowdowns and size-binned deadline misses. Together with the
+// points, slowdowns, size-binned deadline misses and the per-flow FCT
+// ratio against a reference run. Together with the
 // "metric:<param>" sweep axis these make CDF-style figures (FCT tails,
 // miss breakdowns by flow class) declarative — a spec names them, no new
 // Go per experiment.
@@ -35,8 +36,48 @@ func fctSamples(rs []workload.Result) (fcts, sizes []float64) {
 	return fcts, sizes
 }
 
+// fctRatio is the fct-ratio pair metric: a statistic of ref FCT ÷ row FCT
+// over the flows both runs completed (Fig. 8e's RCP/PDQ ratio).
+func fctRatio(rs, ref []workload.Result, p map[string]float64) float64 {
+	var ratios []float64
+	for i := range rs {
+		if rs[i].Done() && ref[i].Done() {
+			ratios = append(ratios, ref[i].FCT().Seconds()/rs[i].FCT().Seconds())
+		}
+	}
+	sort.Float64s(ratios)
+	stat, at, n, worst := p["stat"], p["at"], 0, 0.0
+	for _, r := range ratios {
+		if stat == 1 && r >= at || stat == 2 && r < at {
+			n++
+		}
+		worst = max(worst, 1/r)
+	}
+	switch {
+	case stat == 0:
+		return float64(len(ratios))
+	case stat == 3:
+		return stats.PercentileSorted(ratios, 50)
+	case stat == 4:
+		return worst
+	case len(ratios) == 0:
+		return 0 // no paired completions: 0%, not NaN
+	}
+	return 100 * float64(n) / float64(len(ratios))
+}
+
 // distMetrics are the distribution metrics of the metric table.
 var distMetrics = []MetricEntry{
+	{
+		Name:   "fct-ratio",
+		Doc:    "per-flow FCT ratio ref ÷ row over flows both runs completed (a pair metric: the row names a ref runner); stat 0=pairs 1=% with ratio >= at 2=% with ratio < at 3=median ratio 4=worst inverse ratio",
+		Params: map[string]float64{"stat": 0, "at": 1},
+		Check:  func(p map[string]float64) error { return intParam(p, "stat", 0, 4) },
+		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
+			return fctRatio(rs, rs, p)
+		},
+		Pair: fctRatio,
+	},
 	{
 		Name:   "fct-quantile",
 		Doc:    "q-th FCT percentile over completed flows (q=100: the worst FCT); ms=1 reports milliseconds, weight_by_size=1 weights by bytes (pairs with the metric:q sweep axis for inverse-CDF curves)",

@@ -131,7 +131,7 @@ func TestFailedCellMergesEngineStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Partial() || !math.IsNaN(tab.Rows[0].Vals[0]) {
+	if len(tab.Errors) == 0 || !math.IsNaN(tab.Rows[0].Vals[0]) {
 		t.Fatalf("50-event budget did not trip:\n%s", tab)
 	}
 	snap := o.Obs.Runs()[0]

@@ -54,7 +54,7 @@ func TestOptimalRowIsOptimalAppThroughput(t *testing.T) {
 		}
 		for ci := range e.cols {
 			c := obsv.Cell{Seed: o.BaseSeed()}
-			got := e.compute(0, ci, &c)
+			got := e.computeAlone(0, ci, &c)
 			flows := e.cols[ci].gen(c.Seed, 0, 0)
 			for _, f := range flows {
 				if !f.HasDeadline() {

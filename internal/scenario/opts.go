@@ -14,10 +14,9 @@ import (
 )
 
 // DefaultSeed is the base RNG seed used when Opts.Seed is zero. Zero is
-// the single documented sentinel for "use the default seed": the figure
-// drivers, the sweep executor and the pdqsim -seed flag all resolve it
-// through Opts.BaseSeed, so Opts{} and Opts{Seed: DefaultSeed} are
-// byte-identical.
+// the single documented sentinel for "use the default seed": the sweep
+// executor and the pdqsim -seed flag resolve it through Opts.BaseSeed, so
+// Opts{} and Opts{Seed: DefaultSeed} are byte-identical.
 const DefaultSeed int64 = 1
 
 // Opts controls experiment scale and sweep execution.
@@ -34,13 +33,11 @@ type Opts struct {
 
 	// Cache, when non-nil, memoizes grid-cell results content-addressed
 	// by their resolved spec material, seed and engine version salt, so
-	// re-running a sweep only recomputes cells whose inputs changed. A
-	// custom driver's whole table is memoized the same way, under its
-	// plan: the resolved parameters, seed and trial count.
+	// re-running a sweep only recomputes cells whose inputs changed; of
+	// cells with equal keys, only the first in grid order reads or writes.
 	Cache *trace.Cache
 
-	// MaxEvents bounds each packet-level cell's event count, and each
-	// packet engine a custom driver runs the same way; it is a
+	// MaxEvents bounds each packet-level simulation's event count; it is a
 	// packet-engine budget only — flow-level cells step a clock with no
 	// events and are bounded by their horizon. A cell exceeding it fails
 	// with a diagnostic instead of running away; the budget is
@@ -81,12 +78,6 @@ func (o Opts) BaseSeed() int64 {
 	}
 	return o.Seed
 }
-
-// env extracts the settings every run of the scenario receives.
-func (o Opts) env() Env { return Env{MaxEvents: o.MaxEvents, Watchdog: o.Watchdog} }
-
-// seed is the internal shorthand for BaseSeed.
-func (o Opts) seed() int64 { return o.BaseSeed() }
 
 // workers resolves Opts.Parallel: 0 means one worker per core.
 func (o Opts) workers() int {

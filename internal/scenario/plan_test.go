@@ -17,32 +17,45 @@ import (
 )
 
 // quickFigureKeysSHA is SHA-256 over the sorted, newline-joined cell keys
-// of all 25 figures at -quick -seed 1. It was computed with this test on
-// the commit before compile became spec → plan → cell, re-pinned when
-// cacheSalt went to v3, and again when the Optimal rows became flow:fluid
-// rows and the RCP/D3 and max-fct rows named RCP and fct-quantile; a
-// cache written by any build since stays addressable as long as it does
-// not move.
-const quickFigureKeysSHA = "a3c395e876c50f63160c2169dcd57a8cd2d031364e51f2d0a71fa0a7e56e06ea"
+// of the 21 figures that were grids from the start, at -quick -seed 1. It
+// was computed with this test on the commit before compile became spec →
+// plan → cell, re-pinned when cacheSalt went to v3, and again when the
+// Optimal rows became flow:fluid rows and the RCP/D3 and max-fct rows named
+// RCP and fct-quantile; a cache written by any build since stays
+// addressable as long as it does not move. sharedFigureKeysSHA pins the
+// same for fig1, fig6, fig7 and fig8e, whose cells read shared
+// simulations, since they became grids.
+const (
+	quickFigureKeysSHA  = "a3c395e876c50f63160c2169dcd57a8cd2d031364e51f2d0a71fa0a7e56e06ea"
+	sharedFigureKeysSHA = "f9c8f0bc5441b5a63dabc9842cf05c9c52ec2484fe8b30f050f50eaba0c1ce48"
+)
+
+// sharedFigures are the figures sharedFigureKeysSHA pins.
+var sharedFigures = []string{"fig1", "fig6", "fig7", "fig8e"}
 
 // TestCellKeysDidNotMove pins every quick figure's cell keys at once.
 func TestCellKeysDidNotMove(t *testing.T) {
-	var keys []string
+	var keys, shared []string
 	for _, name := range exp.FigureNames() {
-		s := exp.Specs[name]()
-		if s.Driver != "" {
-			continue // custom drivers have no cells
-		}
-		ks, err := scenario.CellKeys(s, scenario.Opts{Quick: true, Seed: 1})
+		ks, err := scenario.CellKeys(exp.Specs[name](), scenario.Opts{Quick: true, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		keys = append(keys, ks...)
+		if slices.Contains(sharedFigures, name) {
+			shared = append(shared, ks...)
+		} else {
+			keys = append(keys, ks...)
+		}
 	}
-	slices.Sort(keys)
-	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
-	if got := hex.EncodeToString(sum[:]); got != quickFigureKeysSHA {
-		t.Errorf("%d cell keys hash to %s, want %s", len(keys), got, quickFigureKeysSHA)
+	for _, pin := range []struct {
+		keys []string
+		want string
+	}{{keys, quickFigureKeysSHA}, {shared, sharedFigureKeysSHA}} {
+		slices.Sort(pin.keys)
+		sum := sha256.Sum256([]byte(strings.Join(pin.keys, "\n")))
+		if got := hex.EncodeToString(sum[:]); got != pin.want {
+			t.Errorf("%d cell keys hash to %s, want %s", len(pin.keys), got, pin.want)
+		}
 	}
 }
 
@@ -80,9 +93,6 @@ func TestCellKeysAreWholePlans(t *testing.T) {
 	}
 	cells := 0
 	for name, s := range specs {
-		if s.Driver != "" {
-			continue
-		}
 		for _, quick := range []bool{true, false} {
 			o := scenario.Opts{Quick: quick, Seed: 1, Cache: cache}
 			got, want, err := scenario.CellKeyPairs(s, o, o.BaseSeed(), o.BaseSeed()+scenario.TrialSeedStride)
@@ -102,60 +112,16 @@ func TestCellKeysAreWholePlans(t *testing.T) {
 	}
 }
 
-// quickDriverKeys are the four custom-driver figures' table keys at
-// -quick -seed 1: the driver-table half of what TestCellKeysDidNotMove
-// pins for grid cells, re-pinned when driverSalt went to v2.
-var quickDriverKeys = map[string]string{
-	"fig1":  "39be19b508378508de8c746735b18b5d209aec6e6831c9fb646dc3d7507d5c86",
-	"fig6":  "074c2313f79b7bcc48196341dfec8099ea5477d1f6d7216429a12581a1f40ad0",
-	"fig7":  "532630b5c14ffeb05d9a03d261156eabf602afe5f91b827669a0ff6de713f2bb",
-	"fig8e": "da1c8994d35c2109f1de9f2e571b8f0975e8af49c6867e4cad35abe837252a55",
-}
-
-// TestDriverKeysDidNotMove pins every custom-driver figure's table key.
-func TestDriverKeysDidNotMove(t *testing.T) {
-	n := 0
-	for _, name := range exp.FigureNames() {
-		s := exp.Specs[name]()
-		if s.Driver == "" {
-			continue
-		}
-		n++
-		got, err := scenario.DriverKey(s, scenario.Opts{Quick: true, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if want, ok := quickDriverKeys[name]; !ok || got != want {
-			t.Errorf("%s: table key %s, want %q", name, got, want)
-		}
-	}
-	if n != len(quickDriverKeys) {
-		t.Errorf("%d figures run a driver, %d keys are pinned", n, len(quickDriverKeys))
-	}
-}
-
-// TestDriversIgnoreWorkers pins the half of the driver purity contract a
-// test can reach: every registered driver's table is the same bytes at 1
-// and at 4 workers, with and without replicates.
-func TestDriversIgnoreWorkers(t *testing.T) {
-	byDriver := map[string]*scenario.Spec{}
-	for _, name := range exp.FigureNames() {
-		if s := exp.Specs[name](); s.Driver != "" {
-			byDriver[s.Driver] = s
-		}
-	}
-	for _, d := range scenario.DriverList() {
-		s, ok := byDriver[d.Name]
-		if !ok {
-			if d.Name != "test-panics" {
-				t.Errorf("driver %s runs in no figure", d.Name)
-			}
-			continue
-		}
+// TestSharedSimulationsIgnoreWorkers pins that the figures whose cells
+// share simulations (fig1, fig6, fig7, fig8e and fig12) give the same
+// table bytes at 1 and at 4 workers, with and without replicates, though
+// which cell's goroutine runs a shared simulation depends on the workers.
+func TestSharedSimulationsIgnoreWorkers(t *testing.T) {
+	for _, name := range append(sharedFigures, "fig12") {
 		for _, trials := range []int{1, 3} {
 			var want []byte
 			for _, workers := range []int{1, 4} {
-				tab, err := scenario.Run(s, scenario.Opts{Quick: true, Seed: 1, Trials: trials, Parallel: workers})
+				tab, err := scenario.Run(exp.Specs[name](), scenario.Opts{Quick: true, Seed: 1, Trials: trials, Parallel: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +132,7 @@ func TestDriversIgnoreWorkers(t *testing.T) {
 				if want == nil {
 					want = got
 				} else if !bytes.Equal(got, want) {
-					t.Errorf("%s, %d trials: the table at 4 workers differs from 1 worker's:\n%s\n%s", d.Name, trials, got, want)
+					t.Errorf("%s, %d trials: the table at 4 workers differs from 1 worker's:\n%s\n%s", name, trials, got, want)
 				}
 			}
 		}

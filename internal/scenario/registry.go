@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"pdq/internal/fault"
 	"pdq/internal/netsim"
 	"pdq/internal/obsv"
@@ -14,11 +12,16 @@ import (
 )
 
 // RunCtx is the per-run context handed to a runner beyond its inputs:
-// the scenario's run-level settings (Env), the plan's horizon, and what
-// belongs to this one run. The zero Cell means tracing is off
-// and the runner must add no telemetry work to the simulation.
+// the runaway-cell guards, the plan's horizon, and what belongs to this
+// one run. The zero Cell means tracing is off and the runner must add no
+// telemetry work to the simulation.
 type RunCtx struct {
-	Env
+	// MaxEvents and Watchdog are the runaway-cell guards (Opts fields of
+	// the same names), the same for every run of a scenario and never
+	// shaping a result: every packet engine runs under both (runEngine),
+	// and every flow-level simulation under the watchdog (runFlow).
+	MaxEvents uint64
+	Watchdog  func(interrupt func()) (stop func())
 
 	// Horizon is how long to simulate.
 	Horizon sim.Time
@@ -46,6 +49,10 @@ type RunCtx struct {
 	// goes to the horizon.
 	Decided func(workload.Tally) bool
 
+	// link, when non-nil, attaches link metrics' probes (MetricEntry.Link)
+	// after the flows start and before the engine runs.
+	link func(*topo.Topology)
+
 	// inspect, when non-nil, sees a packet-level run's topology after the
 	// run and before its engine hands its storage on: the last point at
 	// which a test can read the engine's clock and queue, or resume it.
@@ -54,18 +61,6 @@ type RunCtx struct {
 	// stats is the instrument block of the cell record the run counts
 	// into; runEngine attaches it to the engine (DESIGN.md §13).
 	stats *obsv.EngineStats
-}
-
-// Env is the run-level settings every run of a scenario receives
-// unchanged: Opts hands it to the engine (Opts.env) and the engine hands
-// it to each runner inside RunCtx. None of it may shape a result.
-type Env struct {
-	// MaxEvents and Watchdog are the runaway-cell guards (Opts fields of
-	// the same names); every packet engine, a packet-level runner's or a
-	// custom driver's, runs under both (runEngine), and every flow-level
-	// simulation under the watchdog (runFlow).
-	MaxEvents uint64
-	Watchdog  func(interrupt func()) (stop func())
 }
 
 // RunnerFunc runs one protocol over a set of flows on the topology build
@@ -113,34 +108,15 @@ type MetricEntry struct {
 	// interval no longer straddles the threshold (engine.value); a metric
 	// without one is always run to the horizon.
 	Interval func(t workload.Tally, p map[string]float64) (lo, hi float64)
-}
-
-// DriverFunc is a registered custom scenario: trace/dynamics shapes that
-// are not protocol×axis grids. Its table's columns and rows (Run stamps
-// the spec's name and description) must be a pure function of p, the
-// table's cache key (DESIGN.md §8); rc carries only what must not shape
-// them.
-type DriverFunc func(p driverPlan, rc DriverCtx) (*Table, error)
-
-// DriverCtx is what a driver gets beside its plan: the scenario's Env,
-// which every engine the driver runs receives (runEngine), the worker
-// count for its independent runs (Gather), and the instrument block of
-// the driver's cell record, which its packet engines count into.
-type DriverCtx struct {
-	Env
-	Workers int
-	stats   *obsv.EngineStats
-}
-
-// DriverEntry is a registered custom scenario driver.
-type DriverEntry struct {
-	Name   string
-	Doc    string
-	Params map[string]float64
-	// Check, if set, validates the resolved parameter values before Fn
-	// runs (see RunnerEntry.Check).
-	Check func(p map[string]float64) error
-	Fn    DriverFunc
+	// Pair, if set, is a pair metric's value of the row's results and its
+	// Ref runner's on the same flows (ProtoSpec.Ref); its Fn compares a
+	// run with itself.
+	Pair func(rs, ref []workload.Result, p map[string]float64) float64
+	// Link, if set, makes a link metric of a packet-level run's link into
+	// host p["host"]: it gets that link after the flows start and before
+	// the engine runs, to attach its probes, and the func it returns gives
+	// the cell's value once the engine stops, before the topology is reset.
+	Link func(s *sim.Sim, l *netsim.Link, p map[string]float64) (read func(rs []workload.Result) float64)
 }
 
 // FlowGenEntry is a registered custom flow generator for hand-built flow
@@ -170,10 +146,6 @@ func (e MetricEntry) decl() params.Decl {
 	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
 }
 
-func (e DriverEntry) decl() params.Decl {
-	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
-}
-
 func (e FlowGenEntry) decl() params.Decl {
 	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
 }
@@ -184,9 +156,6 @@ func RunnerList() []RunnerEntry { return runners.List() }
 // MetricList returns the registered metrics sorted by name.
 func MetricList() []MetricEntry { return metrics.List() }
 
-// DriverList returns the registered custom drivers sorted by name.
-func DriverList() []DriverEntry { return drivers.List() }
-
 // FlowGenList returns the registered flow generators sorted by name.
 func FlowGenList() []FlowGenEntry { return flowGens.List() }
 
@@ -194,13 +163,3 @@ func FlowGenList() []FlowGenEntry { return flowGens.List() }
 // by name, so commands can enumerate it without importing the engine
 // directly.
 func QdiscList() []netsim.QdiscEntry { return netsim.QdiscList() }
-
-// MakeRunner resolves a runner name and binds validated params and the
-// base seed into a ready-to-call RunnerFunc.
-func MakeRunner(name string, given map[string]float64, seed int64) (RunnerFunc, error) {
-	e, p, err := runners.Resolve(name, given)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return e.Make(p, seed), nil
-}

@@ -22,9 +22,8 @@ type resolvable struct {
 }
 
 // everyRegistry lists the entries of every registry: runners, metrics,
-// drivers, flow generators, topologies, patterns, size distributions and
-// qdiscs. Drivers and flow generators stop at Check: their constructors
-// run whole simulations or draw whole flow sets.
+// flow generators, topologies, patterns, size distributions and qdiscs.
+// Flow generators stop at Check: their constructors draw whole flow sets.
 func everyRegistry() []resolvable {
 	var out []resolvable
 	add := func(kind, name string, declared map[string]float64, try func(map[string]float64) error) {
@@ -42,12 +41,6 @@ func everyRegistry() []resolvable {
 	for _, e := range MetricList() {
 		add("metric", e.Name, e.Params, func(p map[string]float64) error {
 			_, _, err := metrics.Resolve(e.Name, p)
-			return err
-		})
-	}
-	for _, e := range DriverList() {
-		add("driver", e.Name, e.Params, func(p map[string]float64) error {
-			_, _, err := drivers.Resolve(e.Name, p)
 			return err
 		})
 	}

@@ -62,7 +62,7 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 				inFlight = taken - released
 				last = tp.Net.NewPacket()
 			}
-			e.compute(0, 0, &obsv.Cell{Seed: 1})
+			e.computeAlone(0, 0, &obsv.Cell{Seed: 1})
 			if !down || inFlight == 0 {
 				t.Fatalf("the run left no link down (%v) or no packet in flight (%d)", down, inFlight)
 			}
@@ -140,7 +140,7 @@ func TestResetTopologyReplaysFreshRun(t *testing.T) {
 				e.inspect = func(tp *topo.Topology) { rp.taken, rp.released = tp.Net.PacketPoolStats() }
 				var rec obsv.Cell
 				flows := col.gen(1, 0, 0)
-				mallocs[i] = countMallocs(func() { rp.results = e.simulate(r, b, col, flows, 1, col.label, 0, nil, &rec) })
+				mallocs[i] = countMallocs(func() { rp.results, _ = e.simulate(b, col, flows, 1, r.label, col.label, 0, nil, nil, &rec) })
 				rp.engine = rec.Engine
 				took[i] = fresh.Sim() != eng
 				if len(e.spares[k]) != 1 || e.spares[k][0] != fresh || took[i] != took[0] {

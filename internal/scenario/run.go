@@ -1,18 +1,17 @@
 // Execution: Run compiles a Spec (compile.go) into a protocol ×
-// sweep-point cell grid and evaluates it on the parallel sweep executor,
-// or runs its custom driver as one cell. With Opts.Cache set, cell
-// scalars and driver tables are memoized under their plans' keys and a
+// sweep-point cell grid and evaluates it on the parallel sweep executor;
+// cells that read the same simulation share one run of it. With
+// Opts.Cache set, cell scalars are memoized under their plans' keys and a
 // rerun recomputes only what a changed plan addresses (DESIGN.md §8).
 
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
-	"pdq/internal/flowsim"
 	"pdq/internal/obsv"
 	"pdq/internal/sim"
 	"pdq/internal/stats"
@@ -24,84 +23,17 @@ import (
 // Run executes a spec and returns its result table.
 func Run(s *Spec, o Opts) (*Table, error) {
 	if o.Obs != nil && o.Progress == nil {
-		// One sweep run per scenario: drivers and the grid engine inherit
-		// the handle through Opts, and the run is stamped finished however
-		// the scenario exits.
+		// One sweep run per scenario: the grid engine inherits the handle
+		// through Opts, and the run is stamped finished however the
+		// scenario exits.
 		o.Progress = o.Obs.StartRun(s.Name)
 		defer o.Progress.Finish()
-	}
-	if s.Driver != "" {
-		return runDriver(s, o)
 	}
 	eng, err := compile(s, o)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return eng.run(o), nil
-}
-
-// runDriver runs a custom-driver spec as one cell: its plan keys the
-// whole table in the cell cache (DESIGN.md §8), and it hands Opts.Progress
-// one record, Col "*", like a grid cell does; the driver's packet engines
-// count into it.
-func runDriver(s *Spec, o Opts) (*Table, error) {
-	e, plan, err := planDriver(s, o)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	cache := o.Cache
-	if o.Trace != nil {
-		cache = nil // as in the grid (compile)
-	}
-	o.Progress.AddTotal(1)
-	rec := obsv.Cell{Row: s.Driver, Col: "*", Seed: plan.Seed}
-	start := o.Progress.CellStart()
-	defer func() { o.Progress.CellEnd(start, rec) }()
-
-	var t *Table
-	var key string
-	if cache != nil {
-		key = plan.key()
-		rec.Cached = cache.Get(key, func(data []byte) bool { t = decodeTable(data); return t != nil })
-	}
-	if t == nil {
-		if t, err = plan.call(e.Fn, DriverCtx{Env: o.env(), Workers: o.workers(), stats: &rec.Engine}); err != nil {
-			rec.Err = err.Error()
-			return nil, fmt.Errorf("scenario %s: driver %s: %w", s.Name, s.Driver, err)
-		}
-		if cache != nil && !t.Partial() {
-			cache.Put(key, encodeTable(t))
-		}
-	}
-	if t.Partial() {
-		rec.Err = t.Errors[0].Msg
-	}
-	t.Name, t.Desc = s.Name, s.Desc
-	return t, nil
-}
-
-// planDriver resolves a custom-driver spec's entry and plan under o.
-func planDriver(s *Spec, o Opts) (DriverEntry, driverPlan, error) {
-	e, p, err := drivers.Resolve(s.Driver, overlay(s.Params, s.QuickParams, o.Quick))
-	return e, driverPlan{Salt: driverSalt, Driver: s.Driver, Params: p, Seed: o.BaseSeed(), Trials: o.trials()}, err
-}
-
-// call runs the driver. A run guard tripping in one of its engines
-// (Opts.MaxEvents, the watchdog) fails the driver's one cell: the table
-// holds that error and no rows. A driver has no other cells to fail into,
-// so any other panic (a parameter value its simulation cannot take) is
-// the error returned.
-func (p driverPlan) call(fn DriverFunc, rc DriverCtx) (t *Table, err error) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case sim.EventLimitError, sim.InterruptError, flowsim.InterruptError:
-			t, err = &Table{Errors: []CellError{{Row: p.Driver, Col: "*", Seed: p.Seed, Msg: panicMsg(r)}}}, nil
-		default:
-			t, err = nil, errors.New(panicMsg(r))
-		}
-	}()
-	return fn(p, rc)
 }
 
 // MustRun is Run for specs authored in Go, where an invalid spec is a
@@ -114,41 +46,58 @@ func MustRun(s *Spec, o Opts) *Table {
 	return t
 }
 
-// simMemoKey identifies one shareable simulation: the row, the
-// within-cell replicate index, and the replicate base seed.
-type simMemoKey struct {
-	row, rep int
-	seed     int64
-}
+// simKey names one run of a simulation group (engine.sims): at the
+// replicate rep's seed, with the cell's seed offset s (SeedsPerCell).
+type simKey struct{ sim, rep, s int }
 
+// simEntry is one run of a simulation group, read by every cell that
+// shares it. owner is the record credited with its counts, rec: its first
+// reader in grid order that the cache did not serve.
 type simEntry struct {
-	once sync.Once
-	rs   []workload.Result
-	rec  obsv.Cell // what the shared simulation counted
+	once    sync.Once
+	owner   *obsv.Cell
+	readers atomic.Int32 // readers yet to read it; the last drops the results
+	flows   []workload.Flow
+	rs      []workload.Result
+	vals    []float64 // the group's probes' values
+	failed  any       // the run's panic, raised again in every reader
+	rec     obsv.Cell
 }
 
 // simulate executes one simulation for a row binding on col's topology
-// built at seed, tagging its telemetry capture with (colLabel, run) — run
-// distinguishes replicates and search probes sharing one grid-cell tag.
-// decided is the run's RunCtx.Decided: nil except for a search probe. The
-// run's engine and flow outcomes are counted into c.
+// built at seed, tagging its telemetry capture with (row, colLabel, run) —
+// run distinguishes seed offsets and search probes sharing one grid-cell
+// tag. decided is the run's RunCtx.Decided: nil except for a search probe.
+// The link metrics probes read go into vals. The run's engine and flow
+// outcomes are counted into c.
 //
 // The runner's build takes the topology from the engine's spares; a run
 // that returns hands it back, and one that panics drops it.
-func (e *engine) simulate(r *row, b *binding, col *column, flows []workload.Flow, seed int64, colLabel string, run int, decided func(workload.Tally) bool, c *obsv.Cell) []workload.Result {
-	rc := RunCtx{Env: e.env, Horizon: e.plan.Horizon,
-		Qdisc: b.qdisc, Faults: col.faults, Decided: decided, inspect: e.inspect, stats: &c.Engine}
+func (e *engine) simulate(b *binding, col *column, flows []workload.Flow, seed int64, row, colLabel string, run int, decided func(workload.Tally) bool, probes []*binding, c *obsv.Cell) (rs []workload.Result, vals []float64) {
+	rc := e.guards
+	rc.Horizon, rc.Qdisc, rc.Faults, rc.Decided, rc.inspect, rc.stats = e.plan.Horizon, b.qdisc, col.faults, decided, e.inspect, &c.Engine
 	if e.trace != nil {
 		rc.Cell = e.trace.OpenCell(trace.Cell{
-			Scenario: e.spec.Name, Row: r.label, Col: colLabel, Seed: seed, Run: run,
+			Scenario: e.spec.Name, Row: row, Col: colLabel, Seed: seed, Run: run,
 		})
+	}
+	reads := make([]func([]workload.Result) float64, len(probes))
+	if len(probes) > 0 {
+		rc.link = func(t *topo.Topology) {
+			for i, p := range probes {
+				reads[i] = p.metric.Link(t.Sim(), t.Hosts[p.host].Access.Peer, p.plan.MetricParams)
+			}
+		}
 	}
 	k := topoKey{col.topo, seed}
 	var t *topo.Topology
-	rs := b.runner.Make(b.plan.Params, seed)(func() *topo.Topology {
+	rs = b.runner.Make(b.plan.Params, seed)(func() *topo.Topology {
 		t = e.takeTopo(k, col)
 		return t
 	}, flows, rc)
+	for _, read := range reads {
+		vals = append(vals, read(rs))
+	}
 	if t != nil {
 		e.putTopo(k, t)
 	}
@@ -159,7 +108,7 @@ func (e *engine) simulate(r *row, b *binding, col *column, flows []workload.Flow
 			c.FlowsTerminated++
 		}
 	}
-	return rs
+	return rs, vals
 }
 
 // topoKey names a set of interchangeable topologies: the column's
@@ -199,26 +148,74 @@ func (e *engine) putTopo(k topoKey, t *topo.Topology) {
 	e.topoMu.Unlock()
 }
 
-// sharedRun memoizes one simulation across the columns of a metric-only
-// sweep. Whichever cell goroutine arrives first runs it, counting into the
-// memo entry; the simulation is deterministic in its inputs, so the
-// winner's results are the results. The entry's counts are credited to
-// column 0's cell c alone, whichever goroutine won.
-func (e *engine) sharedRun(key simMemoKey, ci int, c *obsv.Cell, run func(*obsv.Cell) []workload.Result) []workload.Result {
-	e.simMu.Lock()
-	ent, ok := e.simMemo[key]
-	if !ok {
-		ent = &simEntry{}
-		e.simMemo[key] = ent
+// claim makes the memo entry of every run the records todo read, each
+// owned by its first reader in grid order; k is the replicate count. It
+// first groups the cells into sims (engine.simOf), in grid order, each
+// link metric's probe joining its run's.
+func (e *engine) claim(todo []int, recs []obsv.Cell, k int) {
+	if len(todo) == 0 || e.plan.search() {
+		return
 	}
-	e.simMu.Unlock()
-	ent.once.Do(func() { ent.rs = run(&ent.rec) })
-	if ci == 0 {
+	e.memo = map[simKey]*simEntry{}
+	for _, i := range todo {
+		cell, n := i/k, len(e.cols)
+		cs := &e.cells[cell]
+		if cs.sim < 0 {
+			_, col, b := e.resolve(cell/n, cell%n)
+			cs.sim = e.simOf(b, col, e.rows[cell/n].label, cell%n)
+			if b.ref != nil {
+				cs.ref = e.simOf(b.ref, col, b.plan.Ref, cell%n)
+			}
+			if b.metric.Link != nil { // distinct: leads reading one run differ in their metric
+				g := &e.sims[cs.sim]
+				cs.probe = len(g.probes)
+				g.probes = append(g.probes, b)
+			}
+		}
+		for s := range e.sims[cs.sim].col.plan.SeedsPerCell {
+			for _, g := range [2]int{cs.sim, cs.ref} {
+				if g < 0 {
+					continue
+				}
+				key := simKey{g, i % k, s}
+				ent := e.memo[key]
+				if ent == nil {
+					ent = &simEntry{owner: &recs[i]}
+					e.memo[key] = ent
+				}
+				ent.readers.Add(1)
+			}
+		}
+	}
+}
+
+// read returns run k of a simulation group at seed — its flows, results
+// and probe values — for the cell whose record is c. Whichever reader
+// arrives first runs it, counting into the entry; the simulation is
+// deterministic in its inputs, so the winner's results are the results.
+// The counts go to the owner's record alone, whichever goroutine ran it,
+// and a run that panicked fails every reader with its panic.
+func (e *engine) read(k simKey, seed int64, c *obsv.Cell) ([]workload.Flow, []workload.Result, []float64) {
+	ent := e.memo[k]
+	ent.once.Do(func() {
+		defer func() { ent.failed = recover() }()
+		g := &e.sims[k.sim]
+		ent.flows = g.col.gen(seed+int64(k.s), 0, 0)
+		ent.rs, ent.vals = e.simulate(g.b, g.col, ent.flows, seed, g.row, g.colLabel, k.s, nil, g.probes, &ent.rec)
+	})
+	if ent.owner == c {
 		c.Engine.Add(&ent.rec.Engine)
 		c.FlowsDone += ent.rec.FlowsDone
 		c.FlowsTerminated += ent.rec.FlowsTerminated
 	}
-	return ent.rs
+	if ent.failed != nil {
+		panic(ent.failed)
+	}
+	flows, rs, vals := ent.flows, ent.rs, ent.vals
+	if ent.readers.Add(-1) == 0 {
+		ent.flows, ent.rs, ent.vals = nil, nil, nil
+	}
+	return flows, rs, vals
 }
 
 // value evaluates one search probe: one row binding on one flow set, for
@@ -247,7 +244,7 @@ func (e *engine) value(r *row, b *binding, col *column, flows []workload.Flow, s
 			return stopped
 		}
 	}
-	rs := e.simulate(r, b, col, flows, seed, colLabel, run, decided, c)
+	rs, _ := e.simulate(b, col, flows, seed, r.label, colLabel, run, decided, nil, c)
 	c.Probes++
 	if stopped {
 		c.Decided++
@@ -270,22 +267,6 @@ func (e *engine) resolve(ri, ci int) (*row, *column, *binding) {
 func (e *engine) cellKeyHash(ri, ci int, seed int64) string {
 	_, col, b := e.resolve(ri, ci)
 	return cellKey(e.enc, col.enc, b.enc, seed)
-}
-
-// cell evaluates one grid cell at its record's base seed, memoized
-// through the cell cache when one is attached.
-func (e *engine) cell(ri, ci int, c *obsv.Cell) float64 {
-	if e.cache == nil {
-		return e.compute(ri, ci, c)
-	}
-	key := e.cellKeyHash(ri, ci, c.Seed)
-	if v, ok := e.cache.GetFloat(key); ok {
-		c.Cached = true
-		return v
-	}
-	v := e.compute(ri, ci, c)
-	e.cache.PutFloat(key, v)
-	return v
 }
 
 // compute runs one grid cell at its record's base seed, counting into the
@@ -312,25 +293,21 @@ func (e *engine) compute(ri, ci int, c *obsv.Cell) float64 {
 		return float64(n) * step
 	}
 	// "" or "run".
-	seeds := col.plan.SeedsPerCell
+	cs := &e.cells[ri*len(e.cols)+ci]
 	sum := 0.0
-	for s := 0; s < seeds; s++ {
-		s := s
-		flows := col.gen(seed+int64(s), 0, 0)
-		var rs []workload.Result
-		if e.shareSims {
-			// Metric-only sweep: every column's simulation is
-			// identical, so one run per (row, replicate) serves the
-			// whole axis (traced cells carry Col "*").
-			rs = e.sharedRun(simMemoKey{row: ri, rep: s, seed: seed}, ci, c, func(shared *obsv.Cell) []workload.Result {
-				return e.simulate(r, b, col, flows, seed, "*", s, nil, shared)
-			})
-		} else {
-			rs = e.simulate(r, b, col, flows, seed, colLabel, s, nil, c)
+	for s := range col.plan.SeedsPerCell {
+		flows, rs, vals := e.read(simKey{cs.sim, c.Rep, s}, seed, c)
+		switch {
+		case cs.probe >= 0:
+			sum += vals[cs.probe]
+		case cs.ref >= 0:
+			_, ref, _ := e.read(simKey{cs.ref, c.Rep, s}, seed, c)
+			sum += b.metric.Pair(rs, ref, b.plan.MetricParams)
+		default:
+			sum += b.metric.Fn(rs, flows, b.plan.MetricParams)
 		}
-		sum += b.metric.Fn(rs, flows, b.plan.MetricParams)
 	}
-	return sum / float64(seeds)
+	return sum / float64(col.plan.SeedsPerCell)
 }
 
 // run executes the compiled grid and assembles the table. Every cell runs
@@ -343,6 +320,12 @@ func (e *engine) compute(ri, ci int, c *obsv.Cell) float64 {
 // Errors are the failed records, in grid order (DESIGN.md §11). A cell
 // beyond its row's reach (ProtoSpec.Cols) is not a cell: it runs nothing,
 // has no record and shows NaN.
+//
+// Only the cells that lead their equal cells (cellShare.lead) are
+// evaluated: the cache is read for all of them first, then the rest run,
+// and each other cell takes its lead's value, cache flag and failure, with
+// no counts of its own. So which cells compute, and which record a shared
+// simulation is credited to, do not depend on the workers.
 func (e *engine) run(o Opts) *Table {
 	nCols, k := len(e.cols), o.trials()
 	t := &Table{Name: e.spec.Name, Desc: e.spec.Desc, Digits: e.spec.Digits}
@@ -351,37 +334,62 @@ func (e *engine) run(o Opts) *Table {
 	}
 	samples := make([]float64, len(e.rows)*nCols*k)
 	recs := make([]obsv.Cell, len(samples))
-	var fns []func() float64
-	var at []int // the sample each fn fills
+	todo := make([]int, 0, len(samples)) // the records of cells that lead their equal cells
+	var follow []int                     // and of the others
 	p := o.Progress
-	for ri, r := range e.rows {
-		for ci := range nCols {
-			for rep := range k {
-				i := (ri*nCols+ci)*k + rep
-				if r.cols > 0 && ci >= r.cols {
-					samples[i] = math.NaN()
-					continue
-				}
-				ri, ci := ri, ci // copied, or the closure moves the outer loops' variables to the heap
-				rec := &recs[i]
-				*rec = obsv.Cell{Row: r.label, Col: e.cols[ci].label, Rep: rep, Seed: o.seed() + int64(rep)*TrialSeedStride}
-				at = append(at, i)
-				fns = append(fns, func() (v float64) {
-					start := p.CellStart()
-					defer func() {
-						if r := recover(); r != nil {
-							rec.Err, v = panicMsg(r), math.NaN()
-						}
-						p.CellEnd(start, *rec)
-					}()
-					return e.cell(ri, ci, rec)
-				})
+	for i := range samples {
+		cell, rep := i/k, i%k
+		switch e.cells[cell].lead {
+		case -1: // beyond its row's reach
+			samples[i] = math.NaN()
+			continue
+		case cell:
+			todo = append(todo, i)
+		default:
+			follow = append(follow, i)
+		}
+		recs[i] = obsv.Cell{Row: e.rows[cell/nCols].label, Col: e.cols[cell%nCols].label, Rep: rep, Seed: o.BaseSeed() + int64(rep)*TrialSeedStride}
+	}
+	p.AddTotal(len(todo) + len(follow))
+	if e.cache != nil {
+		miss := todo[:0]
+		for _, i := range todo {
+			if v, ok := e.cache.GetFloat(e.cellKeyHash(i/k/nCols, i/k%nCols, recs[i].Seed)); ok {
+				samples[i], recs[i].Cached = v, true
+				p.CellEnd(p.CellStart(), recs[i])
+				continue
 			}
+			miss = append(miss, i)
+		}
+		todo = miss
+	}
+	e.claim(todo, recs, k)
+	fns := make([]func() float64, len(todo))
+	for j, i := range todo {
+		rec := &recs[i]
+		fns[j] = func() (v float64) {
+			start := p.CellStart()
+			defer func() {
+				if r := recover(); r != nil {
+					rec.Err, v = panicMsg(r), math.NaN()
+				}
+				p.CellEnd(start, *rec)
+			}()
+			ri, ci := i/k/nCols, i/k%nCols
+			v = e.compute(ri, ci, rec)
+			if e.cache != nil {
+				e.cache.PutFloat(e.cellKeyHash(ri, ci, rec.Seed), v)
+			}
+			return v
 		}
 	}
-	p.AddTotal(len(fns))
 	for j, v := range Gather(o.workers(), fns) {
-		samples[at[j]] = v
+		samples[todo[j]] = v
+	}
+	for _, i := range follow {
+		lead := e.cells[i/k].lead*k + i%k
+		samples[i], recs[i].Cached, recs[i].Err = samples[lead], recs[lead].Cached, recs[lead].Err
+		p.CellEnd(p.CellStart(), recs[i])
 	}
 	for _, r := range recs {
 		if r.Err != "" {

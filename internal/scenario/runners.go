@@ -87,6 +87,9 @@ func mkPacket(install func(t *topo.Topology) protocol.Installed) RunnerFunc {
 		for _, f := range flows {
 			sys.Start(f)
 		}
+		if rc.link != nil {
+			rc.link(t)
+		}
 		if !armVerdict(sys.FlowCollector(), rc.Decided, t.Sim().Halt) {
 			runEngine(t.Sim(), rc)
 		}
@@ -132,7 +135,7 @@ func armVerdict(c *workload.Collector, decided func(workload.Tally) bool, halt f
 // reached), with the runaway-cell guards armed: the deterministic event
 // budget and, when the command layer injected one, the wall-clock
 // watchdog. Both trip by panicking; the sweep executor recovers the panic
-// into NaN plus a diagnostic, and runDriver into the driver cell's.
+// into NaN plus a diagnostic.
 func runEngine(s *sim.Sim, rc RunCtx) {
 	if rc.MaxEvents > 0 {
 		s.SetMaxEvents(rc.MaxEvents)
@@ -340,10 +343,10 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 		}),
 	},
 	{
-		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal without deadlines) 1=fair sharing 2=Moore-Hodgson deadline EDF (its Optimal with deadlines, §5.2.1); gbps is the bottleneck rate", Level: "flow",
+		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal without deadlines) 1=fair sharing 2=Moore-Hodgson deadline EDF (its Optimal with deadlines, §5.2.1) 3=D3's reservations in arrival order (Fig. 1); gbps is the bottleneck rate", Level: "flow",
 		Params: map[string]float64{"policy": 0, "gbps": 1},
 		Check: func(p map[string]float64) error {
-			return cmp.Or(intParam(p, "policy", 0, 2), minParam(p, "gbps", 1e-9))
+			return cmp.Or(intParam(p, "policy", 0, 3), minParam(p, "gbps", 1e-9))
 		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
 			policy := int(p["policy"])
@@ -357,6 +360,8 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 					comp = fluid.FairShare(flows, bps)
 				case 2:
 					comp, _ = fluid.MooreHodgson(flows, bps)
+				case 3:
+					comp = fluid.D3(flows, bps)
 				default:
 					panic(fmt.Sprintf("flow:fluid: unknown policy %d", policy))
 				}

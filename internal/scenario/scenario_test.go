@@ -2,13 +2,10 @@ package scenario
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
-
-	"pdq/internal/params"
 )
 
 // minimalSpec is a valid one-cell grid spec the error tests mutate.
@@ -21,13 +18,6 @@ func minimalSpec() *Spec {
 		Metric:    MetricSpec{Name: "mean-fct"},
 		HorizonMs: 100,
 	}
-}
-
-func init() {
-	drivers = params.NewRegistry("driver", DriverEntry.decl, append(drivers.List(), DriverEntry{
-		Name: "test-panics",
-		Fn:   func(driverPlan, DriverCtx) (*Table, error) { panic(errors.New("boom")) },
-	}))
 }
 
 func TestRunMinimalSpec(t *testing.T) {
@@ -65,7 +55,6 @@ func TestUnknownNamesError(t *testing.T) {
 			s.Protocols = []ProtoSpec{{Runner: "PDQ(Basic)", Params: map[string]float64{"subflows": 2.5}}}
 		}, `row "PDQ(Basic)": parameter "subflows" = 2.5`},
 		{"metric", func(s *Spec) { s.Metric.Name = "nope" }, `unknown metric "nope"`},
-		{"driver", func(s *Spec) { s.Driver = "nope" }, `unknown driver "nope"`},
 		{"flow generator", func(s *Spec) { s.Workload.Custom = "nope" }, `unknown flow generator "nope"`},
 		{"axis", func(s *Spec) { s.Sweep = &SweepSpec{Axis: "nope", Values: []float64{1}} }, `unknown sweep axis "nope"`},
 		{"eval mode", func(s *Spec) { s.Eval.Mode = "nope" }, `unknown eval mode "nope"`},
@@ -114,18 +103,29 @@ func TestUnknownNamesError(t *testing.T) {
 		{"label mismatch", func(s *Spec) {
 			s.Sweep = &SweepSpec{Axis: "flows", Values: []float64{1, 2}, Labels: []string{"a"}}
 		}, "1 labels for 2 values"},
-		{"driver size under a byte", func(s *Spec) {
-			s.Driver, s.Params = "burst-trace", map[string]float64{"short_kb": 0.5} // shorts draw from short_kb ± 1 KB
+		{"burst size under a byte", func(s *Spec) {
+			s.Topology.Params = map[string]float64{"senders": 3}
+			s.Workload.Custom, s.Workload.Params = "burst", map[string]float64{"short_kb": 0.5} // shorts draw from short_kb ± 1 KB
 		}, `parameter "short_kb" = 0.5 is 512 bytes`},
 		{"flow generator size under a byte", func(s *Spec) {
 			s.Topology.Params = map[string]float64{"senders": 3}
 			s.Workload.Custom, s.Workload.Params = "long-vs-shorts", map[string]float64{"long_mb": 1e-7}
 		}, `parameter "long_mb" = 1e-07 is 0 bytes`},
-		// A driver has no cells to fail into: its panic is the scenario's error.
-		{"driver's simulation panics", func(s *Spec) {
-			s.Driver, s.Params = "burst-trace", map[string]float64{"shorts": -1}
-		}, "scenario t: driver burst-trace: protocol: flow 100000 of 20971520 bytes from host 0 to host 0"},
-		{"driver panics", func(s *Spec) { s.Driver = "test-panics" }, "scenario t: driver test-panics: boom"},
+		{"link metric on a flow-level row", func(s *Spec) { s.Metric = MetricSpec{Name: "link-drops"} },
+			`row "flow:RCP": link metric "link-drops" needs a packet-level runner, "flow:RCP" is flow-level`},
+		{"link host out of range", func(s *Spec) {
+			s.Protocols = []ProtoSpec{{Runner: "TCP", Metric: &MetricSpec{Name: "link-drops", Params: map[string]float64{"host": 9}}}}
+		}, `row "TCP": link metric "link-drops": host 9 out of range (topology has 6 hosts)`},
+		{"link metric in a search", func(s *Spec) {
+			s.Protocols = []ProtoSpec{{Runner: "TCP"}}
+			s.Metric = MetricSpec{Name: "link-queue-max"}
+			s.Eval = EvalSpec{Mode: "max-flows", Hi: 8, Threshold: 1}
+		}, `row "TCP": metric "link-queue-max" reads one whole run, and a search's probes are cut short`},
+		{"pair metric without a ref", func(s *Spec) { s.Metric = MetricSpec{Name: "fct-ratio"} },
+			`row "flow:RCP": pair metric "fct-ratio" needs a ref runner`},
+		{"ref without a pair metric", func(s *Spec) { s.Protocols[0].Ref = "flow:PDQ" },
+			`row "flow:RCP": ref "flow:PDQ" is read by no metric: "mean-fct" is not a pair metric`},
+		{"unknown ref", func(s *Spec) { s.Protocols[0].Ref = "nope" }, `row "flow:RCP": ref: unknown runner "nope"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,7 +145,9 @@ func TestUnknownNamesError(t *testing.T) {
 // TestFractionalSizeParams pins that a size parameter is scaled to bytes
 // before it is truncated: half a megabyte is 512 KiB, not zero bytes.
 func TestFractionalSizeParams(t *testing.T) {
-	s, err := Load([]byte(`{"name":"half","driver":"convergence-trace","params":{"flows":3,"size_mb":0.5}}`))
+	s, err := Load([]byte(`{"name":"half","topology":{"name":"single-bottleneck","params":{"senders":3}},
+		"workload":{"custom":"equal-flows","params":{"size_mb":0.5}},"protocols":["PDQ(Full)"],
+		"metric":{"name":"finish","params":{"ms":1}},"col_label":"all done [ms]","horizon_ms":100}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +157,8 @@ func TestFractionalSizeParams(t *testing.T) {
 	}
 	// Three flows of 512 KiB share a 1 Gbps bottleneck back to back:
 	// 3 × 4.19 ms of payload plus headers and the handshakes.
-	if done := tab.Get("all done [ms]", "value"); done < 12.6 || done > 15 {
+	if done := tab.Get("PDQ(Full)", "all done [ms]"); done < 12.6 || done > 15 {
 		t.Errorf("three 512 KiB flows all done at %v ms, want ≈ 13:\n%s", done, tab)
-	}
-	for i := 0; i < 3; i++ {
-		if tab.Rows[i].Vals[0] <= 0 {
-			t.Errorf("%s = %v: the flow did not finish", tab.Rows[i].Label, tab.Rows[i].Vals[0])
-		}
 	}
 
 	g, p, err := flowGens.Resolve("long-vs-shorts", map[string]float64{"shorts": 1, "short_kb": 0.5, "long_mb": 1.5})

@@ -22,14 +22,6 @@ type Spec struct {
 	Desc   string `json:"desc,omitempty"`
 	Digits int    `json:"digits,omitempty"` // table formatting precision; 0 = default 2
 
-	// Driver selects a registered custom scenario (trace/dynamics shapes
-	// that are not protocol×axis grids, e.g. the paper's Fig. 6
-	// convergence timeline). When set, the grid fields below are unused
-	// and Params/QuickParams configure the driver.
-	Driver      string             `json:"driver,omitempty"`
-	Params      map[string]float64 `json:"params,omitempty"`
-	QuickParams map[string]float64 `json:"quick_params,omitempty"`
-
 	Topology  TopoSpec     `json:"topology,omitempty"`
 	Workload  WorkloadSpec `json:"workload,omitempty"`
 	Protocols []ProtoSpec  `json:"protocols,omitempty"`
@@ -165,8 +157,13 @@ type ProtoSpec struct {
 	// Runner names a registered protocol runner.
 	Runner string             `json:"runner,omitempty"`
 	Params map[string]float64 `json:"params,omitempty"`
-	// Metric overrides the spec-level metric for this row.
+	// Metric overrides the spec-level metric, and a sweep case's, for
+	// this row.
 	Metric *MetricSpec `json:"metric,omitempty"`
+	// Ref names a reference runner: it runs on the same flows, column and
+	// seed as the row, and a pair metric (fct-ratio) compares the row's
+	// results with its results.
+	Ref string `json:"ref,omitempty"`
 	// Qdisc overrides the link queue discipline for this row's runs
 	// (packet-level runners only): every link of the built topology gets
 	// a fresh instance after protocol installation, replacing both the
@@ -229,6 +226,9 @@ type SweepCase struct {
 	Topology *TopoSpec    `json:"topology,omitempty"`
 	Pattern  *PatternSpec `json:"pattern,omitempty"`
 	Sizes    *DistSpec    `json:"sizes,omitempty"`
+	// Metric is the column's metric, for every non-fixed row that names
+	// none of its own.
+	Metric *MetricSpec `json:"metric,omitempty"`
 }
 
 // EvalSpec selects how each cell turns a flow set into a scalar.
@@ -264,11 +264,11 @@ func quickFloat(full, quick float64, q bool) float64 {
 	return full
 }
 
-// overlay returns base with over's entries laid on top when on is set
-// (quick parameters in quick mode, a sweep axis value on a row's
-// parameters); base itself when there is nothing to lay on.
-func overlay(base, over map[string]float64, on bool) map[string]float64 {
-	if !on || len(over) == 0 {
+// overlay returns base with over's entries laid on top (a sweep axis
+// value on a row's or a size distribution's parameters); base itself when
+// there is nothing to lay on.
+func overlay(base, over map[string]float64) map[string]float64 {
+	if len(over) == 0 {
 		return base
 	}
 	p := make(map[string]float64, len(base)+len(over))

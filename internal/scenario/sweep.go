@@ -22,9 +22,7 @@ import (
 const TrialSeedStride = 1 << 16
 
 // Gather evaluates fns concurrently on up to `workers` goroutines
-// (0 means GOMAXPROCS) and returns their results in input order. It is
-// the executor's primitive; scenarios whose cells produce non-scalar
-// results (e.g. paired per-flow result sets) use it directly. A panic in
+// (0 means GOMAXPROCS) and returns their results in input order. A panic in
 // any fn is raised again on the caller's goroutine once every fn has
 // returned — the lowest-indexed one's, as a serial run would raise.
 func Gather[T any](workers int, fns []func() T) []T {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -20,17 +19,25 @@ type Row struct {
 // MarshalJSON writes a row as JSON, with NaN and ±Inf — a failed cell's
 // value and stderr — as null, which JSON has in their place.
 func (r Row) MarshalJSON() ([]byte, error) {
-	null := func(x float64) *float64 {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil
-		}
-		return &x
-	}
 	return json.Marshal(struct {
 		Label string     `json:"label"`
 		Vals  []*float64 `json:"vals"`
 		Errs  []*float64 `json:"errs,omitempty"`
-	}{r.Label, mapNil(r.Vals, null), mapNil(r.Errs, null)})
+	}{r.Label, nulls(r.Vals), nulls(r.Errs)})
+}
+
+// nulls points at each of xs, nil for NaN and ±Inf, keeping nil nil.
+func nulls(xs []float64) []*float64 {
+	if xs == nil {
+		return nil
+	}
+	out := make([]*float64, len(xs))
+	for i := range xs {
+		if !math.IsNaN(xs[i]) && !math.IsInf(xs[i], 0) {
+			out[i] = &xs[i]
+		}
+	}
+	return out
 }
 
 // CellError is one failed grid-cell replicate attached to an otherwise
@@ -55,64 +62,6 @@ type Table struct {
 	// Errors lists the cells whose replicates failed (panic, event
 	// budget, watchdog); empty for a clean run.
 	Errors []CellError `json:"errors,omitempty"`
-}
-
-// Partial reports whether any cell failed.
-func (t *Table) Partial() bool { return len(t.Errors) > 0 }
-
-// tableEntry is a driver table's cell-cache entry: its columns and rows,
-// every float as its IEEE-754 bits, so NaN payloads, -0, ±Inf and
-// subnormals round-trip exactly.
-type tableEntry struct {
-	Cols []string   `json:"cols"`
-	Rows []rowEntry `json:"rows"`
-}
-
-type rowEntry struct {
-	Label string   `json:"label"`
-	Vals  []uint64 `json:"vals"`
-	Errs  []uint64 `json:"errs"`
-}
-
-// encodeTable is t's cache entry. Labels must be valid UTF-8 to come back
-// unchanged.
-func encodeTable(t *Table) []byte {
-	e := tableEntry{Cols: t.Cols, Rows: mapNil(t.Rows, func(r Row) rowEntry {
-		return rowEntry{Label: r.Label, Vals: mapNil(r.Vals, math.Float64bits), Errs: mapNil(r.Errs, math.Float64bits)}
-	})}
-	data, err := json.Marshal(e)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: marshaling a table entry: %v", err)) // strings and integers always marshal
-	}
-	return append(data, '\n')
-}
-
-// decodeTable is the table a cache entry holds, or nil when data is not
-// exactly the bytes encodeTable writes for the table it decodes to.
-func decodeTable(data []byte) *Table {
-	var e tableEntry
-	if json.Unmarshal(data, &e) != nil {
-		return nil
-	}
-	t := &Table{Cols: e.Cols, Rows: mapNil(e.Rows, func(r rowEntry) Row {
-		return Row{Label: r.Label, Vals: mapNil(r.Vals, math.Float64frombits), Errs: mapNil(r.Errs, math.Float64frombits)}
-	})}
-	if !bytes.Equal(encodeTable(t), data) {
-		return nil
-	}
-	return t
-}
-
-// mapNil applies f to every element of xs, keeping a nil slice nil.
-func mapNil[A, B any](xs []A, f func(A) B) []B {
-	if xs == nil {
-		return nil
-	}
-	out := make([]B, len(xs))
-	for i, x := range xs {
-		out[i] = f(x)
-	}
-	return out
 }
 
 // Get returns the value at (rowLabel, col), panicking if absent — the

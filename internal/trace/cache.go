@@ -17,8 +17,7 @@ import (
 // Cache is a content-addressed store for sweep results: the caller
 // hashes everything that determines a result (resolved spec material,
 // seed, version salt) into a key, and the cache persists the result's
-// bytes under that key — a scalar for a grid cell (GetFloat/PutFloat), a
-// whole table for a custom driver, whose codec is the caller's (Get/Put).
+// bytes under that key: a grid cell's scalar (GetFloat/PutFloat).
 // Scalars round-trip through their exact IEEE-754 bit pattern, so a cache
 // hit reproduces the recomputed figure byte for byte.
 //
@@ -95,11 +94,11 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key[2:])
 }
 
-// Get looks up the entry under key and hands its bytes to decode, which
+// get looks up the entry under key and hands its bytes to decode, which
 // reports whether they are well-formed. A missing, unreadable or
 // malformed entry is a miss, never an error; a malformed one is deleted,
 // so the recomputed value can take its place.
-func (c *Cache) Get(key string, decode func(data []byte) bool) bool {
+func (c *Cache) get(key string, decode func(data []byte) bool) bool {
 	data, ok := c.read(key)
 	if !ok {
 		return false
@@ -114,7 +113,7 @@ func (c *Cache) Get(key string, decode func(data []byte) bool) bool {
 
 // GetFloat looks up a cached scalar.
 func (c *Cache) GetFloat(key string) (v float64, ok bool) {
-	ok = c.Get(key, func(data []byte) bool {
+	ok = c.get(key, func(data []byte) bool {
 		s := strings.TrimSpace(string(data))
 		bits, err := strconv.ParseUint(s, 16, 64)
 		if err != nil || len(s) != 16 {
@@ -128,7 +127,7 @@ func (c *Cache) GetFloat(key string) (v float64, ok bool) {
 
 // PutFloat stores a scalar under key as the 16 hex digits of its bits.
 func (c *Cache) PutFloat(key string, v float64) {
-	c.Put(key, fmt.Appendf(nil, "%016x\n", math.Float64bits(v)))
+	c.put(key, fmt.Appendf(nil, "%016x\n", math.Float64bits(v)))
 }
 
 // read returns an entry's bytes, counting a miss when there are none. A
@@ -163,11 +162,11 @@ func (c *Cache) corrupt(key string) {
 	c.misses.Add(1)
 }
 
-// Put stores data under key atomically (write temp + rename) so readers
+// put stores data under key atomically (write temp + rename) so readers
 // never observe a torn entry. Transient failures are retried with
 // backoff; persistent failures are silently dropped beyond the error
 // counter — a cache that cannot write simply does not accelerate.
-func (c *Cache) Put(key string, data []byte) {
+func (c *Cache) put(key string, data []byte) {
 	for attempt := 1; ; attempt++ {
 		if c.putOnce(key, data) {
 			return

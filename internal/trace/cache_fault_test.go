@@ -164,9 +164,9 @@ func TestCacheEntryAroundReadBuffer(t *testing.T) {
 			data[i] = 'a' + byte(i%26)
 		}
 		key := Key(data)
-		c.Put(key, data)
+		c.put(key, data)
 		var got []byte
-		if !c.Get(key, func(b []byte) bool { got = b; return true }) || !bytes.Equal(got, data) {
+		if !c.get(key, func(b []byte) bool { got = b; return true }) || !bytes.Equal(got, data) {
 			t.Errorf("a %d-byte entry (read buffer %d bytes) reached the decoder as %q", n, entryBuf, got)
 		}
 	}

@@ -48,12 +48,12 @@ func TestCachePutGetBitExact(t *testing.T) {
 // FuzzCacheEntry writes arbitrary bytes into an entry file and reads them
 // as a scalar and as raw bytes: a scalar read is a value or a miss, never
 // a panic, and a miss on a present entry deletes it and counts an error;
-// Get hands its decoder the very bytes on disk, and a decoder's refusal
+// get hands its decoder the very bytes on disk, and a decoder's refusal
 // is such a miss too. The leading bytes, as float bit patterns, must then
 // round-trip through PutFloat exactly. The corpus is seeded with a real
-// grid-cell entry, a real driver table entry (whose codec is scenario's,
-// fuzzed there) and an entry one byte longer than the buffer an entry is
-// read into (fills-read-buffer), which must not be served cut off.
+// grid-cell entry, a 657-byte JSON entry GetFloat refuses, and an entry
+// one byte longer than the buffer an entry is read into
+// (fills-read-buffer), which must not be served cut off.
 func FuzzCacheEntry(f *testing.F) {
 	seeds, err := filepath.Glob("testdata/entries/*")
 	if err != nil || len(seeds) == 0 {
@@ -98,13 +98,13 @@ func FuzzCacheEntry(f *testing.F) {
 		errs := c.Errors()
 		write()
 		var got []byte
-		if !c.Get(key, func(b []byte) bool { got = b; return true }) || !bytes.Equal(got, data) {
-			t.Fatalf("Get handed its decoder %q for an entry holding %q", got, data)
+		if !c.get(key, func(b []byte) bool { got = b; return true }) || !bytes.Equal(got, data) {
+			t.Fatalf("get handed its decoder %q for an entry holding %q", got, data)
 		}
-		if c.Get(key, func([]byte) bool { return false }) {
-			t.Fatal("Get hit on an entry its decoder refused")
+		if c.get(key, func([]byte) bool { return false }) {
+			t.Fatal("get hit on an entry its decoder refused")
 		}
-		miss("Get", errs+1)
+		miss("get", errs+1)
 
 		var vals []float64 // up to 8: every write is a file, and any bits will do
 		for b := data; len(b) >= 8 && len(vals) < 8; b = b[8:] {

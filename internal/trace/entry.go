@@ -6,8 +6,8 @@ import (
 )
 
 // entryBuf is the size of the buffer an entry is read into: a scalar
-// entry's 17 bytes fit with room to spare. An entry that fills it (a
-// driver's table) is read again whole.
+// entry's 17 bytes fit with room to spare. An entry that fills it (not a
+// scalar's) is read again whole.
 const entryBuf = 32
 
 // readEntry returns the entry file's bytes. It opens, reads and closes

@@ -34,8 +34,8 @@ const MaxFlowRecords = 1 << 16
 // cell can execute — replicate index when a cell averages several
 // generator seeds, probe ordinal during a max-flows/max-rate search — so
 // record sets from different runs under one tag never blur together.
-// Col is "*" when a single simulation is shared by every column of a
-// metric-only sweep.
+// Col is "*" when a single simulation is shared by cells in several
+// columns, and Row then the first reader's.
 type Cell struct {
 	Scenario string `json:"scenario"`
 	Row      string `json:"row"`
