@@ -33,29 +33,37 @@ const (
 // sharedFigures are the figures sharedFigureKeysSHA pins.
 var sharedFigures = []string{"fig1", "fig6", "fig7", "fig8e"}
 
-// TestCellKeysDidNotMove pins every quick figure's cell keys at once.
+// TestCellKeysDidNotMove pins the cell keys of every quick figure that
+// was a grid from the start at once.
 func TestCellKeysDidNotMove(t *testing.T) {
-	var keys, shared []string
+	pinCellKeys(t, quickFigureKeysSHA, func(name string) bool { return !slices.Contains(sharedFigures, name) })
+}
+
+// TestDriverKeysDidNotMove pins the quick cell keys of fig1, fig6, fig7
+// and fig8e, the figures that custom drivers ran before they became grids.
+func TestDriverKeysDidNotMove(t *testing.T) {
+	pinCellKeys(t, sharedFigureKeysSHA, func(name string) bool { return slices.Contains(sharedFigures, name) })
+}
+
+// pinCellKeys checks the sorted quick cell keys of the figures pick
+// selects against one hash.
+func pinCellKeys(t *testing.T, want string, pick func(name string) bool) {
+	t.Helper()
+	var keys []string
 	for _, name := range exp.FigureNames() {
+		if !pick(name) {
+			continue
+		}
 		ks, err := scenario.CellKeys(exp.Specs[name](), scenario.Opts{Quick: true, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if slices.Contains(sharedFigures, name) {
-			shared = append(shared, ks...)
-		} else {
-			keys = append(keys, ks...)
-		}
+		keys = append(keys, ks...)
 	}
-	for _, pin := range []struct {
-		keys []string
-		want string
-	}{{keys, quickFigureKeysSHA}, {shared, sharedFigureKeysSHA}} {
-		slices.Sort(pin.keys)
-		sum := sha256.Sum256([]byte(strings.Join(pin.keys, "\n")))
-		if got := hex.EncodeToString(sum[:]); got != pin.want {
-			t.Errorf("%d cell keys hash to %s, want %s", len(pin.keys), got, pin.want)
-		}
+	slices.Sort(keys)
+	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("%d cell keys hash to %s, want %s", len(keys), got, want)
 	}
 }
 
@@ -63,7 +71,7 @@ func TestCellKeysDidNotMove(t *testing.T) {
 // from its encoded plan parts against the hash of the whole cell plan's
 // JSON, at two replicate seeds: all 25 figures at quick and at full size,
 // the benchmark workloads' specs and every example spec. TestCellKeysDidNotMove
-// pins the quick figures' keys; this holds every other key a cache may
+// and TestDriverKeysDidNotMove pin the quick figures' keys; this holds every other key a cache may
 // already hold where it was.
 func TestCellKeysAreWholePlans(t *testing.T) {
 	specs := map[string]*scenario.Spec{}
