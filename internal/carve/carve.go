@@ -4,7 +4,8 @@
 // one allocation instead of one of its own (DESIGN.md §3). A network
 // keeps one Arena for everything its runs carve, and a reset rewinds it:
 // the next run carves the same chunks again. Nothing carved may outlive
-// its run.
+// its run. A carver outside an arena serves longer lives: a network's
+// hosts, switches and links and a topology's routes live as long as it.
 package carve
 
 import "unsafe"
@@ -47,6 +48,19 @@ func (c *Chunks[T]) Take(n int) []T {
 	v := c.spare[:n:n]
 	c.spare = c.spare[n:]
 	return v
+}
+
+// Reserve makes the next n values carved come from one chunk of exactly
+// n, unless the current chunk still holds them: a caller that knows its
+// count pays one allocation and leaves no tail. A carver of an arena does
+// not reserve, since the chunk would not be kept.
+func (c *Chunks[T]) Reserve(n int) {
+	if c.kept != nil {
+		panic("carve: Reserve on a carver of an arena")
+	}
+	if n > len(c.spare) {
+		c.spare = make([]T, n)
+	}
 }
 
 // chunk returns the chunk to carve on once the current one cannot hold n

@@ -111,6 +111,40 @@ func TestOversizeTake(t *testing.T) {
 	}
 }
 
+// TestReserve: a reserved count is carved from one chunk of exactly that
+// size, one allocation with no tail, and carving past it goes on by the
+// schedule.
+func TestReserve(t *testing.T) {
+	var c Chunks[packet]
+	var first, last *packet
+	allocs := testing.AllocsPerRun(1, func() {
+		c = Chunks[packet]{}
+		c.Reserve(100)
+		first = c.New()
+		for range 98 {
+			c.New()
+		}
+		last = c.New()
+	})
+	if allocs != 1 {
+		t.Errorf("reserving and carving 100 values allocates %.0f times, want 1", allocs)
+	}
+	if len(c.spare) != 0 || unsafe.Add(unsafe.Pointer(first), 99*unsafe.Sizeof(packet{})) != unsafe.Pointer(last) {
+		t.Error("the 100 reserved values are not one chunk of exactly 100")
+	}
+	c.New()
+	if len(c.spare) != 22 { // 4 KiB of packets, less the one just carved
+		t.Errorf("past the reserve the chunk has %d values left, want 22", len(c.spare))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reserve on an arena's carver did not panic")
+		}
+	}()
+	var a Arena
+	Of[packet](&a).Reserve(1)
+}
+
 // TestAllocsPerChunk: carving costs one allocation per chunk and nothing
 // per value.
 func TestAllocsPerChunk(t *testing.T) {

@@ -27,9 +27,10 @@ func (s *subflow) ttrans() sim.Time { return xfer.RateTime(s.Window().Remaining(
 // attaches to every outgoing packet: R_H = R^max (§3.1), the rest from
 // sender state. The header riding with the packet is overwritten whole.
 func (s *subflow) Stamp(pkt *netsim.Packet) {
+	// The flow's fields are read in place: its value methods copy it.
 	var deadline sim.Time // 0 encodes "none"
-	if f := &s.Window().Flow; f.HasDeadline() {
-		deadline = f.AbsDeadline()
+	if f := &s.Window().Flow; f.Deadline > 0 {
+		deadline = f.Start + f.Deadline // Flow.AbsDeadline
 	}
 	*netsim.HeaderOf[netsim.SchedHeader](pkt) = netsim.SchedHeader{
 		Rate:     s.rmax,

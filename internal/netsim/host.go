@@ -28,7 +28,8 @@ type Host struct {
 
 // NewHost creates and registers a host.
 func (n *Network) NewHost() *Host {
-	h := &Host{id: n.NextNodeID(), net: n}
+	h := n.hostSlab.New()
+	*h = Host{id: n.NextNodeID(), net: n}
 	n.AddNode(h)
 	return h
 }
@@ -60,7 +61,9 @@ func (h *Host) Receive(pkt *Packet, ingress *Link) {
 		return
 	}
 	egress := pkt.Path[pkt.Hop+1]
-	if egress.From != Node(h) {
+	// Pointers, not interfaces, are compared: an interface comparison is
+	// a runtime call on every hop.
+	if from, _ := egress.From.(*Host); from != h {
 		panic("netsim: path link does not start at this relay host")
 	}
 	if h.Logic != nil && !h.Logic.Process(h, pkt, ingress, egress) {

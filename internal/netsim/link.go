@@ -100,7 +100,8 @@ type Link struct {
 
 // NewLink creates a single directed link with default parameters.
 func (n *Network) NewLink(from, to Node) *Link {
-	l := &Link{
+	l := n.linkSlab.New()
+	*l = Link{
 		ID:        len(n.links),
 		From:      from,
 		To:        to,

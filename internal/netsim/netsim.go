@@ -15,6 +15,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"pdq/internal/carve"
 	"pdq/internal/sim"
@@ -203,6 +204,13 @@ type Network struct {
 	nodes []Node
 	links []*Link
 
+	// NewHost, NewSwitch and NewLink carve from these, outside the arena:
+	// nodes and links live as long as the network. Reserve sizes each
+	// to its count, so a built topology holds one slab of each.
+	hostSlab   carve.Chunks[Host]
+	switchSlab carve.Chunks[Switch]
+	linkSlab   carve.Chunks[Link]
+
 	// pool is the packet free list and the network's arena (pool.go).
 	pool packetPool
 }
@@ -214,6 +222,19 @@ type Network struct {
 // other links interleave.
 func NewNetwork(s *sim.Sim, seed int64) *Network {
 	return &Network{Sim: s, seed: seed}
+}
+
+// Reserve readies the network for that many more hosts, switches and
+// directed links: each kind is carved from one slab of exactly its
+// count, and the node and link tables grow once. A builder that knows
+// its counts calls it first; past them, or without it, nodes and links
+// come from growing chunks.
+func (n *Network) Reserve(hosts, switches, links int) {
+	n.hostSlab.Reserve(hosts)
+	n.switchSlab.Reserve(switches)
+	n.linkSlab.Reserve(links)
+	n.nodes = slices.Grow(n.nodes, hosts+switches)
+	n.links = slices.Grow(n.links, links)
 }
 
 // Reset returns a used network to its just-built state, driven by s and
@@ -280,8 +301,11 @@ func (n *Network) Send(pkt *Packet) {
 
 // ReversePath returns the reverse of path (each link replaced by its peer),
 // for routing acknowledgments. It allocates a new slice.
-func ReversePath(path []*Link) []*Link {
-	rev := make([]*Link, len(path))
+func ReversePath(path []*Link) []*Link { return ReverseInto(make([]*Link, len(path)), path) }
+
+// ReverseInto writes the reverse of path into rev, which must be as long,
+// and returns rev.
+func ReverseInto(rev, path []*Link) []*Link {
 	for i, l := range path {
 		if l.Peer == nil {
 			panic("netsim: ReversePath over unidirectional link")

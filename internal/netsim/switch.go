@@ -22,7 +22,8 @@ type Switch struct {
 
 // NewSwitch creates and registers a switch.
 func (n *Network) NewSwitch() *Switch {
-	s := &Switch{id: n.NextNodeID(), net: n}
+	s := n.switchSlab.New()
+	*s = Switch{id: n.NextNodeID(), net: n}
 	n.AddNode(s)
 	return s
 }
@@ -40,7 +41,9 @@ func (s *Switch) Receive(pkt *Packet, ingress *Link) {
 		panic("netsim: packet path ends at a switch")
 	}
 	egress := pkt.Path[pkt.Hop+1]
-	if egress.From != Node(s) {
+	// Pointers, not interfaces, are compared: an interface comparison is
+	// a runtime call on every hop.
+	if from, _ := egress.From.(*Switch); from != s {
 		panic("netsim: path link does not start at this switch")
 	}
 	if s.Logic != nil && !s.Logic.Process(s, pkt, ingress, egress) {

@@ -2,16 +2,39 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"pdq/internal/netsim"
 )
 
+// size is what a topology family builds: hosts, switches and duplex links
+// (cables). One function per family gives it, for the registry's counts
+// and Check and for the builder's slabs (newSized); it is float64 so that
+// Check can apply it to any parameter value.
+type size struct{ hosts, switches, cables float64 }
+
+func singleBottleneckSize(senders float64) size { return size{senders + 1, 1, senders + 1} }
+
+func singleRootedTreeSize(tors, perTor float64) size {
+	return size{tors * perTor, tors + 1, tors * (perTor + 1)}
+}
+
+func fatTreeSize(k float64) size { return size{k * k * k / 4, 5 * k * k / 4, 3 * k * k * k / 4} }
+
+func bcubeSize(n, k float64) size {
+	return size{math.Pow(n, k+1), (k + 1) * math.Pow(n, k), (k + 1) * math.Pow(n, k+1)}
+}
+
+func jellyfishSize(switches, degree, hostsPer float64) size {
+	return size{switches * hostsPer, switches, switches * (hostsPer + degree/2)}
+}
+
 // SingleBottleneck builds Fig. 2b: nSenders hosts attached to one switch,
 // plus one receiver host; the switch→receiver link is the bottleneck.
 // Hosts[0..nSenders-1] are the senders, Hosts[nSenders] is the receiver.
 func SingleBottleneck(nSenders int, seed int64) *Topology {
-	t := New("single-bottleneck", seed)
+	t := newSized("single-bottleneck", seed, singleBottleneckSize(float64(nSenders)))
 	sw := t.addSwitch()
 	for i := 0; i < nSenders; i++ {
 		t.connect(t.addHost(), sw)
@@ -24,7 +47,7 @@ func SingleBottleneck(nSenders int, seed int64) *Topology {
 // and perTor servers per ToR; all links 1 Gbps. The paper's default is
 // tors=4, perTor=3 (17 nodes, 12 servers).
 func SingleRootedTree(tors, perTor int, seed int64) *Topology {
-	t := New("single-rooted-tree", seed)
+	t := newSized("single-rooted-tree", seed, singleRootedTreeSize(float64(tors), float64(perTor)))
 	root := t.addSwitch()
 	for i := 0; i < tors; i++ {
 		tor := t.addSwitch()
@@ -43,7 +66,7 @@ func FatTree(k int, seed int64) *Topology {
 	if k < 2 || k%2 != 0 {
 		panic(fmt.Sprintf("topo: fat-tree k=%d must be even and >= 2", k))
 	}
-	t := New(fmt.Sprintf("fat-tree-k%d", k), seed)
+	t := newSized(fmt.Sprintf("fat-tree-k%d", k), seed, fatTreeSize(float64(k)))
 	half := k / 2
 	// Core switches indexed [row][col]; aggregation switch i of every pod
 	// connects to all core switches in row i.
@@ -93,13 +116,11 @@ func FatTreeOversub(k int, factor float64, seed int64) *Topology {
 	for _, sw := range t.Switches[:half*half] {
 		isCore[sw.ID()] = true
 	}
-	for _, links := range t.adj {
-		for _, l := range links {
-			// Each duplex pair appears in adj once per direction and
-			// SetRate covers the peer, so derate one direction only.
-			if l.From.ID() < l.To.ID() && (isCore[l.From.ID()] || isCore[l.To.ID()]) {
-				l.SetRate(int64(float64(l.Rate) / factor))
-			}
+	for _, l := range t.Net.Links() {
+		// Each duplex pair is two directed links and SetRate covers the
+		// peer, so derate one direction only.
+		if l.From.ID() < l.To.ID() && (isCore[l.From.ID()] || isCore[l.To.ID()]) {
+			l.SetRate(int64(float64(l.Rate) / factor))
 		}
 	}
 	return t
@@ -113,7 +134,7 @@ func BCube(n, k int, seed int64) *Topology {
 	if n < 2 || k < 0 {
 		panic(fmt.Sprintf("topo: bcube n=%d k=%d invalid", n, k))
 	}
-	t := New(fmt.Sprintf("bcube-n%d-k%d", n, k), seed)
+	t := newSized(fmt.Sprintf("bcube-n%d-k%d", n, k), seed, bcubeSize(float64(n), float64(k)))
 	nHosts := pow(n, k+1)
 	for i := 0; i < nHosts; i++ {
 		t.addHost()
@@ -156,7 +177,8 @@ func Jellyfish(nSwitches, netDegree, hostsPerSwitch int, seed int64) *Topology {
 	if netDegree >= nSwitches {
 		panic("topo: jellyfish degree must be < switch count")
 	}
-	t := New(fmt.Sprintf("jellyfish-%dsw", nSwitches), seed)
+	t := newSized(fmt.Sprintf("jellyfish-%dsw", nSwitches), seed,
+		jellyfishSize(float64(nSwitches), float64(netDegree), float64(hostsPerSwitch)))
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < nSwitches; i++ {
 		sw := t.addSwitch()

@@ -8,20 +8,31 @@ import (
 	"pdq/internal/sim"
 )
 
+// refAdjacent is the adjacency the reference routes on, read straight off
+// the link table: each node's outgoing links in link-ID order.
+func refAdjacent(t *Topology) [][]*netsim.Link {
+	adj := make([][]*netsim.Link, t.Net.NumNodes())
+	for _, l := range t.Net.Links() {
+		adj[l.From.ID()] = append(adj[l.From.ID()], l)
+	}
+	return adj
+}
+
 // refPathVia is the routing pathVia replaced: one breadth-first search from
 // the destination itself, for every destination, and a descent of that
-// field. It shares nothing with pathVia but the adjacency lists.
+// field. It shares nothing with pathVia, not even the adjacency rows.
 func refPathVia(t *Topology, a, b netsim.NodeID, pick func([]*netsim.Link) *netsim.Link) []*netsim.Link {
 	if a == b {
 		return nil
 	}
+	adj := refAdjacent(t)
 	d := make([]int32, t.Net.NumNodes())
 	for i := range d {
 		d[i] = -1
 	}
 	d[b] = 0
 	for queue := []netsim.NodeID{b}; len(queue) > 0; queue = queue[1:] {
-		for _, l := range t.Adjacent(queue[0]) {
+		for _, l := range adj[queue[0]] {
 			if v := l.To.ID(); d[v] < 0 {
 				d[v] = d[queue[0]] + 1
 				queue = append(queue, v)
@@ -34,7 +45,7 @@ func refPathVia(t *Topology, a, b netsim.NodeID, pick func([]*netsim.Link) *nets
 	var path []*netsim.Link
 	for u := a; u != b; {
 		var cands []*netsim.Link
-		for _, l := range t.Adjacent(u) {
+		for _, l := range adj[u] {
 			if d[l.To.ID()] == d[u]-1 {
 				cands = append(cands, l)
 			}
@@ -86,7 +97,7 @@ func hostLine() *Topology {
 // same-switch pairs and a source that is the destination's attachment.
 // Path and Paths are memoized: a second call, before or after Reset,
 // returns the very slices of the first, and Routes' reverses are the
-// reverses of those paths.
+// reverses of those paths. Every adjacency row is the link table's.
 func TestPathsMatchPerHostBFS(t *testing.T) {
 	for _, tp := range []*Topology{
 		SingleRootedTree(4, 3, 1),
@@ -100,6 +111,11 @@ func TestPathsMatchPerHostBFS(t *testing.T) {
 		type memo struct {
 			path  []*netsim.Link
 			paths [][]*netsim.Link
+		}
+		for u, row := range refAdjacent(tp) {
+			if got := tp.Adjacent(netsim.NodeID(u)); !pathEqual(got, row) {
+				t.Fatalf("%s: Adjacent(%d) = %v, want the link table's %v", tp.Name, u, got, row)
+			}
 		}
 		first := map[[2]int]memo{}
 		for pass := 0; pass < 3; pass++ {

@@ -105,13 +105,13 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return SingleBottleneck(int(p["senders"]), seed)
 		},
-		Hosts:    func(p map[string]float64) int { return int(p["senders"]) + 1 },
-		Switches: func(map[string]float64) int { return 1 },
+		Hosts:    func(p map[string]float64) int { return int(singleBottleneckSize(p["senders"]).hosts) },
+		Switches: func(p map[string]float64) int { return int(singleBottleneckSize(p["senders"]).switches) },
 		Check: func(p map[string]float64) error {
 			if err := whole(p, "senders", 1); err != nil {
 				return err
 			}
-			return cables(p["senders"] + 1)
+			return cables(singleBottleneckSize(p["senders"]).cables)
 		},
 	},
 	{
@@ -121,15 +121,15 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return SingleRootedTree(int(p["tors"]), int(p["per_tor"]), seed)
 		},
-		Hosts:    func(p map[string]float64) int { return int(p["tors"]) * int(p["per_tor"]) },
-		Switches: func(p map[string]float64) int { return int(p["tors"]) + 1 },
+		Hosts:    func(p map[string]float64) int { return int(singleRootedTreeSize(p["tors"], p["per_tor"]).hosts) },
+		Switches: func(p map[string]float64) int { return int(singleRootedTreeSize(p["tors"], p["per_tor"]).switches) },
 		Check: func(p map[string]float64) error {
 			for _, name := range []string{"tors", "per_tor"} {
 				if err := whole(p, name, 1); err != nil {
 					return err
 				}
 			}
-			return cables(p["tors"] * (p["per_tor"] + 1))
+			return cables(singleRootedTreeSize(p["tors"], p["per_tor"]).cables)
 		},
 		RackOf: func(p map[string]float64) func(int) int {
 			per := int(p["per_tor"])
@@ -143,8 +143,8 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return FatTreeOversub(int(p["k"]), p["oversub"], seed)
 		},
-		Hosts:    func(p map[string]float64) int { k := int(p["k"]); return k * k * k / 4 },
-		Switches: func(p map[string]float64) int { k := int(p["k"]); return 5 * k * k / 4 },
+		Hosts:    func(p map[string]float64) int { return int(fatTreeSize(p["k"]).hosts) },
+		Switches: func(p map[string]float64) int { return int(fatTreeSize(p["k"]).switches) },
 		Check: func(p map[string]float64) error {
 			if err := whole(p, "k", 2); err != nil {
 				return err
@@ -152,7 +152,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 			if k := p["k"]; math.Mod(k, 2) != 0 {
 				return fmt.Errorf("parameter \"k\" = %v: want an even integer", k)
 			}
-			return cables(3 * math.Pow(p["k"], 3) / 4)
+			return cables(fatTreeSize(p["k"]).cables)
 		},
 	},
 	{
@@ -162,8 +162,8 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return BCube(int(p["n"]), int(p["k"]), seed)
 		},
-		Hosts:    func(p map[string]float64) int { return pow(int(p["n"]), int(p["k"])+1) },
-		Switches: func(p map[string]float64) int { return (int(p["k"]) + 1) * pow(int(p["n"]), int(p["k"])) },
+		Hosts:    func(p map[string]float64) int { return int(bcubeSize(p["n"], p["k"]).hosts) },
+		Switches: func(p map[string]float64) int { return int(bcubeSize(p["n"], p["k"]).switches) },
 		Check: func(p map[string]float64) error {
 			if err := whole(p, "n", 2); err != nil {
 				return err
@@ -171,7 +171,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 			if err := whole(p, "k", 0); err != nil {
 				return err
 			}
-			return cables((p["k"] + 1) * math.Pow(p["n"], p["k"]+1))
+			return cables(bcubeSize(p["n"], p["k"]).cables)
 		},
 	},
 	{
@@ -182,7 +182,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 			return Jellyfish(int(p["switches"]), int(p["degree"]), int(p["hosts_per_switch"]), seed)
 		},
 		Hosts: func(p map[string]float64) int {
-			return int(p["switches"]) * int(p["hosts_per_switch"])
+			return int(jellyfishSize(p["switches"], p["degree"], p["hosts_per_switch"]).hosts)
 		},
 		Switches: func(p map[string]float64) int { return int(p["switches"]) },
 		Check: func(p map[string]float64) error {
@@ -195,7 +195,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 			if d >= n || math.Mod(n*d, 2) != 0 {
 				return fmt.Errorf("degree %v on %v switches: want degree < switches and an even switches×degree", d, n)
 			}
-			return cables(n * (p["hosts_per_switch"] + float64(d/2)))
+			return cables(jellyfishSize(n, d, p["hosts_per_switch"]).cables)
 		},
 	},
 })

@@ -89,8 +89,20 @@ func TestFatTreeOversub(t *testing.T) {
 	}
 }
 
-// TestBuilderCountsMatchBuild pins every family's Hosts and Switches to
-// what Build makes, at its defaults and at a second size.
+// sizes gives each family's size function, which sizes its slabs.
+var sizes = map[string]func(p map[string]float64) size{
+	"single-bottleneck":  func(p map[string]float64) size { return singleBottleneckSize(p["senders"]) },
+	"single-rooted-tree": func(p map[string]float64) size { return singleRootedTreeSize(p["tors"], p["per_tor"]) },
+	"fat-tree":           func(p map[string]float64) size { return fatTreeSize(p["k"]) },
+	"bcube":              func(p map[string]float64) size { return bcubeSize(p["n"], p["k"]) },
+	"jellyfish": func(p map[string]float64) size {
+		return jellyfishSize(p["switches"], p["degree"], p["hosts_per_switch"])
+	},
+}
+
+// TestBuilderCountsMatchBuild pins every family's Hosts and Switches, and
+// the cables its size function counts, to what Build makes, at its
+// defaults and at a second size: the slabs are sized by those counts.
 func TestBuilderCountsMatchBuild(t *testing.T) {
 	other := map[string]map[string]float64{
 		"single-bottleneck":  {"senders": 9},
@@ -112,6 +124,9 @@ func TestBuilderCountsMatchBuild(t *testing.T) {
 			if len(tp.Hosts) != b.Hosts(p) || len(tp.Switches) != b.Switches(p) {
 				t.Errorf("%s %v: built %d hosts and %d switches, counted %d and %d",
 					b.Name, given, len(tp.Hosts), len(tp.Switches), b.Hosts(p), b.Switches(p))
+			}
+			if got, want := len(tp.Net.Links()), 2*int(sizes[b.Name](p).cables); got != want {
+				t.Errorf("%s %v: built %d directed links, its size counts %d", b.Name, given, got, want)
 			}
 		}
 	}

@@ -10,9 +10,13 @@ import (
 )
 
 // FuzzRoutes builds a random registered family at parameters its Check
-// accepts (each parameter a small integer, at most 256 hosts), picks a
-// host pair and k in 1..4, and requires the memoized Paths to equal
-// refPaths — none when the pair is disconnected — and to come back as the
+// accepts (each parameter a small integer, at most 256 hosts) and routes
+// several host pairs on it, each with its own k in 1..4, starting from the
+// pair (ai, bi). Every memoized Paths must equal refPaths — none when the
+// pair is disconnected — and Routes' reverses must be netsim.ReversePath
+// of its paths. Paths are carved from stores the later routes carve from
+// too, so once every pair is routed each earlier path must still hold
+// the links it was returned with, and every pair must come back as the
 // same slices, before and after Reset. The seeds are one valid build per
 // family.
 func FuzzRoutes(f *testing.F) {
@@ -35,28 +39,55 @@ func FuzzRoutes(f *testing.F) {
 		}
 		tp := b.Build(p, seed)
 		n := len(tp.Hosts)
-		src, dst := tp.Hosts[int(ai)%n], tp.Hosts[int(bi)%n]
-		if src == dst {
-			return
+		type routed struct {
+			src, dst *netsim.Host
+			maxK     int
+			got      [][]*netsim.Link // the slices Paths returned
+			links    [][]*netsim.Link // copies of their links then
 		}
-		maxK := 1 + int(k)%4
-		want := refPaths(tp, src, dst, maxK)
-		if want[0] == nil {
-			want = nil // disconnected: Paths offers none
+		var all []routed
+		for i := 0; i < 8; i++ {
+			src, dst := tp.Hosts[(int(ai)+i)%n], tp.Hosts[(int(bi)+3*i)%n]
+			if src == dst {
+				continue
+			}
+			maxK := 1 + (int(k)+i)%4
+			want := refPaths(tp, src, dst, maxK)
+			if want[0] == nil {
+				want = nil // disconnected: Paths offers none
+			}
+			got := tp.Paths(src, dst, maxK)
+			if !pathsEqual(got, want) {
+				t.Fatalf("%s %v seed %d: Paths(%d, %d, %d) = %v, reference %v", b.Name, p, seed, src.ID(), dst.ID(), maxK, got, want)
+			}
+			if len(got) > 0 {
+				fwd, rev := tp.Routes(src, dst, maxK)
+				if !sameRoutes(fwd, got) || len(rev) != len(fwd) {
+					t.Fatalf("%s %v: Routes(%d, %d, %d) does not return Paths' slices", b.Name, p, src.ID(), dst.ID(), maxK)
+				}
+				for j := range fwd {
+					if !pathEqual(rev[j], netsim.ReversePath(fwd[j])) {
+						t.Fatalf("%s %v: Routes(%d, %d, %d) reverse %d = %v, want the reverse of %v", b.Name, p, src.ID(), dst.ID(), maxK, j, rev[j], fwd[j])
+					}
+				}
+			}
+			links := make([][]*netsim.Link, len(got))
+			for j, q := range got {
+				links[j] = slices.Clone(q)
+			}
+			all = append(all, routed{src, dst, maxK, got, links})
 		}
-		var first [][]*netsim.Link
 		for pass := 0; pass < 2; pass++ {
 			if pass == 1 {
 				tp.Reset(sim.New(), seed)
 			}
-			got := tp.Paths(src, dst, maxK)
-			if !pathsEqual(got, want) {
-				t.Fatalf("%s %v seed %d pass %d: Paths(%d, %d, %d) = %v, reference %v", b.Name, p, seed, pass, src.ID(), dst.ID(), maxK, got, want)
-			}
-			if pass == 0 {
-				first = got
-			} else if !sameRoutes(got, first) {
-				t.Fatalf("%s %v: Paths(%d, %d, %d) recomputed after Reset", b.Name, p, src.ID(), dst.ID(), maxK)
+			for _, r := range all {
+				if !pathsEqual(r.got, r.links) {
+					t.Fatalf("%s %v: a path of (%d, %d, %d) changed after later routes: %v, was %v", b.Name, p, r.src.ID(), r.dst.ID(), r.maxK, r.got, r.links)
+				}
+				if again := tp.Paths(r.src, r.dst, r.maxK); !sameRoutes(again, r.got) {
+					t.Fatalf("%s %v pass %d: Paths(%d, %d, %d) recomputed", b.Name, p, pass, r.src.ID(), r.dst.ID(), r.maxK)
+				}
 			}
 		}
 	})

@@ -8,7 +8,9 @@ package topo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
+	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/sim"
 )
@@ -20,13 +22,25 @@ type Topology struct {
 	Hosts    []*netsim.Host
 	Switches []*netsim.Switch
 
-	adj  [][]*netsim.Link // outgoing links per NodeID
-	dist [][]int32        // BFS hop counts to each routed-to node, lazy (distTo)
+	// Adjacency in compressed rows, built from the link table on first use
+	// (adjacency): node u's outgoing links are adj[off[u]:off[u+1]], in
+	// link-ID order.
+	off []int32
+	adj []*netsim.Link
 
-	candBuf  []*netsim.Link  // reusable equal-cost candidate buffer (pathVia)
-	queueBuf []netsim.NodeID // reusable BFS queue (distancesFrom)
-	pathRng  *rand.Rand      // Paths' tie-breaker, reseeded per computation
+	dist     [][]int32 // BFS hop counts to each routed-to node, lazy (distTo)
+	fields   []int32   // the distance store's uncarved rest (field)
+	unrouted int       // routing targets without a field yet (targets)
+
+	walk     []*netsim.Link   // pathVia's path, reused
+	found    [][]*netsim.Link // paths' accepted paths, reused
+	candBuf  []*netsim.Link   // reusable equal-cost candidate buffer (pathVia)
+	queueBuf []netsim.NodeID  // reusable BFS queue (distancesFrom)
+	pathRng  *rand.Rand       // Paths' tie-breaker, reseeded per computation
 	routes   map[routeKey]*routes
+	entries  carve.Chunks[routes]         // every memo entry
+	hops     carve.Chunks[*netsim.Link]   // every memoized path, either way
+	sets     carve.Chunks[[]*netsim.Link] // every memoized path set
 }
 
 // routeKey names one memoized route set: up to k paths from a to b.
@@ -42,8 +56,17 @@ type routes struct {
 }
 
 // New creates an empty topology over a fresh network.
-func New(name string, seed int64) *Topology {
-	return &Topology{Name: name, Net: netsim.NewNetwork(sim.New(), seed)}
+func New(name string, seed int64) *Topology { return newSized(name, seed, size{}) }
+
+// newSized creates an empty topology over a fresh network whose node and
+// link tables are sized for s (netsim.Network.Reserve).
+func newSized(name string, seed int64, s size) *Topology {
+	t := &Topology{Name: name, Net: netsim.NewNetwork(sim.New(), seed)}
+	hosts, switches := int(s.hosts), int(s.switches)
+	t.Net.Reserve(hosts, switches, 2*int(s.cables))
+	t.Hosts = make([]*netsim.Host, 0, hosts)
+	t.Switches = make([]*netsim.Switch, 0, switches)
+	return t
 }
 
 // Reset returns a used topology to its just-built state on engine s, its
@@ -67,11 +90,10 @@ func (t *Topology) addSwitch() *netsim.Switch {
 	return s
 }
 
-// connect creates a duplex link between a and b and records adjacency.
+// connect creates a duplex link between a and b and records host access.
 func (t *Topology) connect(a, b netsim.Node) *netsim.Link {
 	l := t.Net.NewDuplexLink(a, b)
-	t.note(l)
-	t.note(l.Peer)
+	t.off = nil // a link added after routing began rebuilds the rows
 	if h, ok := a.(*netsim.Host); ok && h.Access == nil {
 		h.Access = l
 	}
@@ -81,26 +103,45 @@ func (t *Topology) connect(a, b netsim.Node) *netsim.Link {
 	return l
 }
 
-func (t *Topology) note(l *netsim.Link) {
-	id := int(l.From.ID())
-	for len(t.adj) <= id {
-		t.adj = append(t.adj, nil)
-	}
-	t.adj[id] = append(t.adj[id], l)
-}
-
-// Adjacent returns the outgoing links of node id.
+// Adjacent returns the outgoing links of node id, in link-ID order. The
+// row is shared and read-only.
 func (t *Topology) Adjacent(id netsim.NodeID) []*netsim.Link {
-	if int(id) >= len(t.adj) {
+	if t.off == nil {
+		t.adjacency()
+	}
+	if int(id) >= len(t.off)-1 {
 		return nil
 	}
-	return t.adj[id]
+	lo, hi := t.off[id], t.off[id+1]
+	return t.adj[lo:hi:hi]
 }
 
-// distancesFrom computes BFS hop counts from node src to every node.
+// adjacency builds the rows from the link table: a count per source node,
+// then one pass in link-ID order, so every row keeps that order.
+func (t *Topology) adjacency() {
+	links := t.Net.Links()
+	off := make([]int32, t.Net.NumNodes()+1)
+	for _, l := range links {
+		off[l.From.ID()+1]++
+	}
+	for u := 1; u < len(off); u++ {
+		off[u] += off[u-1]
+	}
+	adj := make([]*netsim.Link, len(links))
+	for _, l := range links { // off[u] walks row u, ending where row u+1 starts
+		u := l.From.ID()
+		adj[off[u]] = l
+		off[u]++
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	t.off, t.adj = off, adj
+}
+
+// distancesFrom computes BFS hop counts from node src to every node, in a
+// field of the distance store.
 func (t *Topology) distancesFrom(src netsim.NodeID) []int32 {
-	n := t.Net.NumNodes()
-	d := make([]int32, n)
+	d := t.field()
 	for i := range d {
 		d[i] = -1
 	}
@@ -120,16 +161,62 @@ func (t *Topology) distancesFrom(src netsim.NodeID) []int32 {
 	return d
 }
 
+// distBlock bounds, in bytes, the blocks the distance store is cut in.
+const distBlock = 64 << 10
+
+// field carves one node-indexed distance field from the distance store.
+// The store is cut in blocks of up to distBlock bytes, none holding more
+// fields than routing targets still lack one, so a topology routed to
+// everywhere leaves no tail.
+func (t *Topology) field() []int32 {
+	n := t.Net.NumNodes()
+	if len(t.fields) < n {
+		k := max(1, min(t.unrouted, distBlock/(4*n)))
+		t.fields = make([]int32, k*n)
+	}
+	t.unrouted--
+	d := t.fields[:n:n]
+	t.fields = t.fields[n:]
+	return d
+}
+
+// targets counts the nodes routing searches from: one per host, its
+// attachment when it has one (via), shared by the hosts it serves.
+func (t *Topology) targets() int {
+	vias := t.queueBuf[:0]
+	for _, h := range t.Hosts {
+		v, _ := t.via(h.ID())
+		vias = append(vias, v)
+	}
+	slices.Sort(vias)
+	t.queueBuf = vias[:0]
+	return len(slices.Compact(vias))
+}
+
 // distTo returns (cached) BFS distances from every node TO dst, computed by
 // BFS from dst (links are symmetric duplex pairs, so distances agree).
 func (t *Topology) distTo(dst netsim.NodeID) []int32 {
 	if t.dist == nil {
 		t.dist = make([][]int32, t.Net.NumNodes())
+		t.unrouted = t.targets()
 	}
 	if t.dist[dst] == nil {
 		t.dist[dst] = t.distancesFrom(dst)
 	}
 	return t.dist[dst]
+}
+
+// via returns the node whose distance field routes to b, and the last hop
+// from it to b, nil when it is b itself. A destination with a single
+// duplex link is reached only through that link's far end, so the
+// single-homed hosts of a rack share one field. The test is on the
+// adjacency row, so multi-homed servers (BCube, DCell) keep a field of
+// their own.
+func (t *Topology) via(b netsim.NodeID) (netsim.NodeID, *netsim.Link) {
+	if out := t.Adjacent(b); len(out) == 1 && out[0].Peer != nil {
+		return out[0].To.ID(), out[0].Peer
+	}
+	return b, nil
 }
 
 // Path returns a deterministic shortest path of directed links from host a
@@ -147,9 +234,9 @@ func (t *Topology) Routes(a, b *netsim.Host, k int) (fwd, rev [][]*netsim.Link) 
 	r := t.route(a, b, k)
 	t.reachable(a, b, r.fwd)
 	if r.rev == nil {
-		r.rev = make([][]*netsim.Link, len(r.fwd))
+		r.rev = t.sets.Take(len(r.fwd))
 		for i, p := range r.fwd {
-			r.rev[i] = netsim.ReversePath(p)
+			r.rev[i] = netsim.ReverseInto(t.hops.Take(len(p)), p)
 		}
 	}
 	return r.fwd, r.rev
@@ -166,34 +253,22 @@ func (t *Topology) reachable(a, b *netsim.Host, paths [][]*netsim.Link) [][]*net
 // pathVia walks the shortest-path DAG from a to b, using pick to choose
 // among equal-cost next hops (candidates are sorted by link ID). The
 // candidate buffer is reused across calls — pick must not retain it — and
-// the returned path is sized exactly to the hop count, so building a path
-// costs one allocation.
+// so is the returned path: it is valid until the next call, and a caller
+// that keeps it keeps a copy (paths carves one).
 //
-// A destination with a single link is reached only through that link's far
-// end, so the walk descends the neighbour's distance field and the last hop
-// is appended: the single-homed hosts of a rack share one BFS instead of
-// running one each. The test is on the adjacency list, so multi-homed
-// servers (BCube, DCell) keep a field of their own. pick still sees the
-// last hop as a one-candidate choice, as it would at the end of a walk on
-// b's own field.
+// The walk descends the distance field of b's via node and appends the
+// last hop from there. pick still sees the last hop as a one-candidate
+// choice, as it would at the end of a walk on b's own field.
 func (t *Topology) pathVia(a, b netsim.NodeID, pick func([]*netsim.Link) *netsim.Link) []*netsim.Link {
 	if a == b {
 		return nil
 	}
-	via := b
-	var last *netsim.Link
-	if out := t.Adjacent(b); len(out) == 1 && out[0].Peer != nil {
-		via, last = out[0].To.ID(), out[0].Peer
-	}
+	via, last := t.via(b)
 	d := t.distTo(via)
 	if d[a] < 0 {
 		return nil
 	}
-	hops := int(d[a])
-	if last != nil {
-		hops++
-	}
-	path := make([]*netsim.Link, 0, hops)
+	path := t.walk[:0]
 	u := a
 	for u != via {
 		cands := t.candBuf[:0]
@@ -214,6 +289,7 @@ func (t *Topology) pathVia(a, b netsim.NodeID, pick func([]*netsim.Link) *netsim
 		t.candBuf = append(t.candBuf[:0], last)
 		path = append(path, pick(t.candBuf))
 	}
+	t.walk = path
 	return path
 }
 
@@ -288,13 +364,14 @@ func (t *Topology) PathExcluding(a, b *netsim.Host, blocked func(*netsim.Link) b
 // shares one route. The returned slices are therefore shared and
 // read-only. A caller that needs another path assigns a fresh slice
 // (PathExcluding's, on failover); nothing may write a returned path in
-// place.
+// place. Paths are carved side by side in the topology's stores, each
+// capacity-capped, so an append copies instead of reaching the next.
 func (t *Topology) Paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
 	return t.route(a, b, maxK).fwd
 }
 
 // route returns the memo entry for (a, b, k), computing its paths on a
-// miss.
+// miss. Entries are carved: a map of pointers keeps its slots small.
 func (t *Topology) route(a, b *netsim.Host, k int) *routes {
 	key := routeKey{a.ID(), b.ID(), k}
 	if r, ok := t.routes[key]; ok {
@@ -303,14 +380,17 @@ func (t *Topology) route(a, b *netsim.Host, k int) *routes {
 	if t.routes == nil {
 		t.routes = make(map[routeKey]*routes)
 	}
-	r := &routes{fwd: t.paths(a, b, k)}
+	r := t.entries.New()
+	r.fwd = t.paths(a, b, k)
 	t.routes[key] = r
 	return r
 }
 
-// paths computes Paths' answer; pathVia is the only walk it runs.
+// paths computes Paths' answer; pathVia is the only walk it runs. Only
+// accepted paths, and their set, are carved from the topology's stores;
+// a candidate walk already found stays in pathVia's scratch.
 func (t *Topology) paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
-	var out [][]*netsim.Link
+	found := t.found[:0]
 	add := func(p []*netsim.Link) bool {
 		if p == nil {
 			return false
@@ -320,16 +400,18 @@ func (t *Topology) paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
 		// "ID,ID,..." string key without the per-candidate allocations.
 		// The candidate set is tiny (≤ maxK accepted + misses), so the
 		// quadratic scan is cheaper than hashing.
-		for _, q := range out {
+		for _, q := range found {
 			if pathEqual(p, q) {
 				return false
 			}
 		}
-		out = append(out, p)
+		q := t.hops.Take(len(p))
+		copy(q, p)
+		found = append(found, q)
 		return true
 	}
 	if add(t.pathVia(a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] })) && maxK <= 1 {
-		return out
+		return t.keep(found)
 	}
 	if t.pathRng == nil {
 		t.pathRng = rand.New(rand.NewSource(0))
@@ -339,13 +421,25 @@ func (t *Topology) paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
 	rng := t.pathRng
 	rng.Seed(int64(a.ID())<<20 ^ int64(b.ID()) ^ 0x5bd1e995)
 	misses := 0
-	for len(out) < maxK && misses < 64 {
+	for len(found) < maxK && misses < 64 {
 		p := t.pathVia(a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[rng.Intn(len(c))] })
 		if !add(p) {
 			misses++
 		}
 	}
-	return out
+	return t.keep(found)
+}
+
+// keep carves the set of found paths, nil when there are none, and hands
+// the scratch back.
+func (t *Topology) keep(found [][]*netsim.Link) [][]*netsim.Link {
+	t.found = found[:0]
+	if len(found) == 0 {
+		return nil
+	}
+	set := t.sets.Take(len(found))
+	copy(set, found)
+	return set
 }
 
 // pathEqual reports whether two paths traverse the same links in the same

@@ -59,8 +59,9 @@ type Staggered struct{ P float64 }
 // Pairs implements Pattern.
 func (p Staggered) Pairs(hosts int, rackOf func(int) int, rng *rand.Rand) [][2]int {
 	out := make([][2]int, 0, hosts)
+	var sameRack, others []int // reused across sources; pool aliases one
 	for s := 0; s < hosts; s++ {
-		var sameRack, others []int
+		sameRack, others = sameRack[:0], others[:0]
 		for d := 0; d < hosts; d++ {
 			if d == s {
 				continue
