@@ -62,11 +62,11 @@ func (s *subflow) ProbeRTTs() float64 { return s.interProbe }
 // deadline timer runs the same check.
 func (s *subflow) AfterAck() bool {
 	w := s.Window()
-	if !s.sys.Cfg.EarlyTermination || w.Over() || !w.Flow.HasDeadline() {
+	if !s.sys.Cfg.EarlyTermination || w.Over() || w.Flow.Deadline <= 0 {
 		return false
 	}
 	now := w.Sim().Now()
-	dl := w.Flow.AbsDeadline()
+	dl := w.Flow.Start + w.Flow.Deadline // Flow.AbsDeadline, read in place as in Stamp
 	expired := now > dl
 	hopeless := now+s.ttrans() > dl
 	pausedTooLate := s.Rate() == 0 && now+s.RTT() > dl

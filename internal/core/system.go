@@ -65,8 +65,8 @@ func (s *System) launch(l protocol.Launch) (protocol.Receiver, protocol.Sender) 
 	}
 	for i := range subs {
 		subs[i].Start()
-		if i == 0 && s.Cfg.EarlyTermination && l.Flow.HasDeadline() {
-			w.Sim().AtRunner(l.Flow.AbsDeadline()+1, (*deadlineTimer)(&subs[0]))
+		if i == 0 && s.Cfg.EarlyTermination && l.Flow.Deadline > 0 {
+			w.Sim().AtRunner(l.Flow.Start+l.Flow.Deadline+1, (*deadlineTimer)(&subs[0]))
 		}
 	}
 	return &e.rcv, w
@@ -99,7 +99,7 @@ func (s *System) failover(w *xfer.Window, l *netsim.Link) {
 		}
 		if fresh == nil {
 			src, dst := s.Topo.Hosts[w.Flow.Src], s.Topo.Hosts[w.Flow.Dst]
-			fresh = s.Topo.PathExcluding(src, dst, (*netsim.Link).Down)
+			fresh = s.Topo.Detour(src, dst)
 			if fresh == nil {
 				return // no surviving route; stall and recover by RTO
 			}

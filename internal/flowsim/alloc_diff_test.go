@@ -66,8 +66,6 @@ func d3Pair(int64) allocPair  { return allocPair{got: NewD3(), ref: newRefD3()} 
 // time, where the production allocator resumes from its last call.
 type freshRCP struct{}
 
-func (freshRCP) Name() string { return "fresh RCP" }
-
 func (freshRCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	NewRCP().Allocate(now, flows, cap)
 }
@@ -86,8 +84,6 @@ type fresh struct {
 	Allocator
 	forget func()
 }
-
-func (a fresh) Name() string { return "fresh " + a.Allocator.Name() }
 
 func (a fresh) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	a.forget()
@@ -307,7 +303,7 @@ func (d *diffDriver) reroute(k, which byte) {
 	src, dst := d.tp.Hosts[p.got.Src], d.tp.Hosts[p.got.Dst]
 	var np []*netsim.Link
 	if which%2 == 0 {
-		np = d.tp.PathExcluding(src, dst, (*netsim.Link).Down)
+		np = d.tp.Detour(src, dst)
 	} else if alts := d.tp.Paths(src, dst, 4); len(alts) > 0 {
 		np = alts[int(which/2)%len(alts)]
 	}
@@ -368,8 +364,8 @@ func (d *diffDriver) compare(a allocPair) {
 	for i, g := range d.got {
 		r := d.ref[i]
 		if !near(g.Rate, r.Rate, a.tol) {
-			d.tb.Fatalf("round %d, %s, flow %d (%d of %d): rate %v (%#x), reference %v (%#x)",
-				d.rounds, a.got.Name(), g.ID, i, len(d.got),
+			d.tb.Fatalf("round %d, %T, flow %d (%d of %d): rate %v (%#x), reference %v (%#x)",
+				d.rounds, a.got, g.ID, i, len(d.got),
 				g.Rate, math.Float64bits(g.Rate), r.Rate, math.Float64bits(r.Rate))
 		}
 	}
@@ -380,7 +376,7 @@ func (d *diffDriver) compare(a allocPair) {
 func (d *diffDriver) invariants(a allocPair) {
 	d.tb.Helper()
 	if err := d.check.violation(d.got); err != nil {
-		d.tb.Fatalf("round %d, %s: %v", d.rounds, a.got.Name(), err)
+		d.tb.Fatalf("round %d, %T: %v", d.rounds, a.got, err)
 	}
 }
 

@@ -136,9 +136,6 @@ func newRefPDQ(mode CritMode, seed int64) *refPDQ {
 	return p
 }
 
-// Name implements Allocator.
-func (p *refPDQ) Name() string { return "PDQ" }
-
 // ensureLess binds the criticality comparator for a refPDQ built as a
 // literal rather than via newRefPDQ. Binding a method value allocates, so
 // it happens once here — outside the allocation loop.
@@ -240,9 +237,6 @@ type refRCP struct {
 // newRefRCP returns an refRCP allocator.
 func newRefRCP() *refRCP { return &refRCP{} }
 
-// Name implements Allocator.
-func (*refRCP) Name() string { return "RCP" }
-
 // Allocate implements Allocator by progressive filling (max-min fairness),
 // respecting NIC limits.
 func (p *refRCP) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
@@ -335,9 +329,6 @@ type refD3 struct {
 
 // newRefD3 returns a refD3 allocator.
 func newRefD3() *refD3 { return &refD3{} }
-
-// Name implements Allocator.
-func (*refD3) Name() string { return "D3" }
 
 // refArrivalLess orders flows first-come first-reserve (ties by ID).
 func refArrivalLess(a, b *FlowState) bool {

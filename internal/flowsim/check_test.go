@@ -69,7 +69,7 @@ func newCheckedSim(tb testing.TB, t *topo.Topology, alloc Allocator) *Sim {
 	s.check = func(flows []*FlowState) {
 		calls++
 		if err := c.violation(flows); err != nil {
-			tb.Fatalf("%s, Allocate call %d at %v: %v", alloc.Name(), calls, s.now, err)
+			tb.Fatalf("%T, Allocate call %d at %v: %v", alloc, calls, s.now, err)
 		}
 	}
 	return s

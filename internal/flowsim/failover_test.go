@@ -24,8 +24,6 @@ type shadowAlloc struct {
 	calls, downCalls, replaced int
 }
 
-func (a *shadowAlloc) Name() string { return a.got.Name() }
-
 func (a *shadowAlloc) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
 	a.calls++
 	a.refFlows = a.refFlows[:0]
@@ -49,7 +47,7 @@ func (a *shadowAlloc) Allocate(now sim.Time, flows []*FlowState, cap func(*netsi
 	anyDown := false
 	for i, f := range flows {
 		if r := a.refFlows[i]; !near(f.Rate, r.Rate, a.tol) {
-			a.t.Fatalf("%s call %d at %v, flow %d: rate %v, reference %v", a.Name(), a.calls, now, f.ID, f.Rate, r.Rate)
+			a.t.Fatalf("%T call %d at %v, flow %d: rate %v, reference %v", a.got, a.calls, now, f.ID, f.Rate, r.Rate)
 		}
 		for _, l := range f.Path {
 			anyDown = anyDown || l.Down()

@@ -61,7 +61,7 @@ func (s *Sim) rerouteAll(flows []*FlowState, l *netsim.Link) {
 			continue
 		}
 		src, dst := s.Topo.Hosts[f.Src], s.Topo.Hosts[f.Dst]
-		if np := s.Topo.PathExcluding(src, dst, (*netsim.Link).Down); np != nil {
+		if np := s.Topo.Detour(src, dst); np != nil {
 			f.Path = np
 		}
 	}

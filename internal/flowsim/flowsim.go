@@ -97,7 +97,6 @@ func nicFloor(path []*netsim.Link) float64 {
 // RCP its rounds and ledger, so one instance belongs to one Sim and must
 // not be shared across concurrent simulations.
 type Allocator interface {
-	Name() string
 	// Allocate sets f.Rate for every flow; cap maps each link to its
 	// capacity in bits/s and must not be mutated.
 	Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64)
@@ -375,9 +374,6 @@ func (s *Sim) AddHook(at sim.Time, fn func(*Sim)) {
 // Results returns a snapshot of flow outcomes.
 func (s *Sim) Results() []workload.Result { return s.Collector.Results() }
 
-// FlowCollector exposes the collector for telemetry attachment.
-func (s *Sim) FlowCollector() *workload.Collector { return s.Collector }
-
 // step advances the fluid simulation by one allocation interval.
 func (s *Sim) step() {
 	next := s.now + stepLen
@@ -542,9 +538,6 @@ func (p *PDQ) Reset(mode CritMode, seed int64, aging float64) {
 	p.Rewind()
 }
 
-// Name implements Allocator.
-func (p *PDQ) Name() string { return "PDQ" }
-
 // Allocate implements Allocator: order by criticality, then grant each flow
 // min(NIC rate, residual capacity along its path), in order (§3).
 func (p *PDQ) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {
@@ -628,9 +621,6 @@ type D3 struct {
 
 // NewD3 returns a D3 allocator.
 func NewD3() *D3 { return &D3{ledger: ledger{d3: true}} }
-
-// Name implements Allocator.
-func (*D3) Name() string { return "D3" }
 
 // Allocate implements Allocator.
 func (p *D3) Allocate(now sim.Time, flows []*FlowState, cap func(*netsim.Link) float64) {

@@ -243,7 +243,7 @@ func TestNoLinkOversubscribed(t *testing.T) {
 		load := map[*netsim.Link]float64{}
 		for _, f := range states {
 			if f.Rate < 0 {
-				t.Fatalf("%s: negative rate", alloc.Name())
+				t.Fatalf("%T: negative rate", alloc)
 			}
 			for _, l := range f.Path {
 				load[l] += f.Rate
@@ -251,7 +251,7 @@ func TestNoLinkOversubscribed(t *testing.T) {
 		}
 		for l, v := range load {
 			if v > float64(l.Rate)*(1+capTol) {
-				t.Errorf("%s: link %v oversubscribed: %.0f > %d", alloc.Name(), l, v, l.Rate)
+				t.Errorf("%T: link %v oversubscribed: %.0f > %d", alloc, l, v, l.Rate)
 			}
 		}
 	}

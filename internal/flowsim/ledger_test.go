@@ -72,10 +72,10 @@ func TestLedgerVisitsWhatChanged(t *testing.T) {
 			s.Run(2 * sim.Second)
 			st := ledgerOf(a).stats
 			share, bound := float64(st.visited)/float64(st.hops), [2]float64{tc.pdq, tc.d3}[i]
-			t.Logf("%s %s: %d calls, %d full; %d of %d flow-hops visited (%.3f)",
-				tc.name, a.Name(), st.calls, st.full, st.visited, st.hops, share)
+			t.Logf("%s %T: %d calls, %d full; %d of %d flow-hops visited (%.3f)",
+				tc.name, a, st.calls, st.full, st.visited, st.hops, share)
 			if share > bound {
-				t.Errorf("%s %s visited %.3f of a full walk's flow-hops, want ≤ %v", tc.name, a.Name(), share, bound)
+				t.Errorf("%s %T visited %.3f of a full walk's flow-hops, want ≤ %v", tc.name, a, share, bound)
 			}
 		}
 	}

@@ -222,9 +222,6 @@ type rcpStats struct {
 // NewRCP returns an RCP allocator.
 func NewRCP() *RCP { return &RCP{} }
 
-// Name implements Allocator.
-func (*RCP) Name() string { return "RCP" }
-
 // Rewind drops the last call's flows, so the next call fills from level
 // 0: the arena they were carved from was rewound (an allocator kept
 // there, carve.Keep, is rewound with it), or the next flows are another

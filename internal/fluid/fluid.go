@@ -121,7 +121,7 @@ func D3(flows []workload.Flow, bps int64) Completion {
 		left := 1.0
 		for _, j := range active {
 			j.rate = 0
-			if dl := j.f.AbsDeadline(); dl > now && j.f.HasDeadline() {
+			if dl := j.f.Start + j.f.Deadline; j.f.Deadline > 0 && dl > now { // Flow.AbsDeadline
 				j.rate = min(j.rem/float64(dl-now), left)
 				left -= j.rate
 			}

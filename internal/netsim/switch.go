@@ -16,23 +16,19 @@ type SwitchLogic interface {
 // link is read from the packet's path.
 type Switch struct {
 	id    NodeID
-	net   *Network
 	Logic SwitchLogic // protocol hook; may be nil (plain forwarding)
 }
 
 // NewSwitch creates and registers a switch.
 func (n *Network) NewSwitch() *Switch {
 	s := n.switchSlab.New()
-	*s = Switch{id: n.NextNodeID(), net: n}
+	*s = Switch{id: n.NextNodeID()}
 	n.AddNode(s)
 	return s
 }
 
 // ID implements Node.
 func (s *Switch) ID() NodeID { return s.id }
-
-// Network returns the network the switch belongs to.
-func (s *Switch) Network() *Network { return s.net }
 
 // Receive implements Node: it advances the packet to its next hop, invoking
 // the protocol logic first.

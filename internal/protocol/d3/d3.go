@@ -164,13 +164,15 @@ type sender struct {
 	nic int64
 }
 
-// desired is r = remaining / time-to-deadline for deadline flows.
+// desired is r = remaining / time-to-deadline for deadline flows. Like
+// quench and launch, it reads the flow's fields in place: the value
+// methods of workload.Flow copy it.
 func (sd *sender) desired() int64 {
 	w := sd.Window()
-	if !w.Flow.HasDeadline() {
+	if w.Flow.Deadline <= 0 {
 		return 0
 	}
-	left := w.Flow.AbsDeadline() - sd.sys.Sim.Now()
+	left := w.Flow.Start + w.Flow.Deadline - sd.sys.Sim.Now() // Flow.AbsDeadline
 	if left <= 0 {
 		return 0
 	}
@@ -180,11 +182,11 @@ func (sd *sender) desired() int64 {
 // quench terminates a flow that can no longer meet its deadline.
 func (sd *sender) quench() bool {
 	w := sd.Window()
-	if w.Over() || !w.Flow.HasDeadline() {
+	if w.Over() || w.Flow.Deadline <= 0 {
 		return false
 	}
 	now := sd.sys.Sim.Now()
-	if now > w.Flow.AbsDeadline() {
+	if now > w.Flow.Start+w.Flow.Deadline {
 		w.Terminate()
 		return true
 	}
@@ -227,8 +229,8 @@ func (s *System) launch(l protocol.Launch) (protocol.Receiver, protocol.Sender) 
 	e.w.Init(l, HdrWire)
 	e.sd = sender{sys: s, nic: l.Src.NICRate()}
 	e.w.Attach(&e.sd.Pacer, l.Fwd[0], &e.sd)
-	if l.Flow.HasDeadline() {
-		s.Sim.AtRunner(l.Flow.AbsDeadline()+1, (*quenchTimer)(&e.sd))
+	if l.Flow.Deadline > 0 {
+		s.Sim.AtRunner(l.Flow.Start+l.Flow.Deadline+1, (*quenchTimer)(&e.sd))
 	}
 	e.sd.Start()
 	return &e.rcv, &e.w

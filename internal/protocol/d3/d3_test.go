@@ -3,6 +3,7 @@ package d3
 import (
 	"testing"
 
+	"pdq/internal/netsim"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
@@ -102,5 +103,34 @@ func TestReservationReleasedOnTERM(t *testing.T) {
 	}
 	if rs[1].FCT() > 30*sim.Millisecond {
 		t.Errorf("long flow FCT %v: reservation not released?", rs[1].FCT())
+	}
+}
+
+// TestResetLinkStateRebuilds crashes a link's controller between packets,
+// as a switch crash does (fault.SoftStateResetter): the reservation a
+// first flow holds on the link is gone, so the next forward packet finds
+// the whole link free and is its only reservation.
+func TestResetLinkStateRebuilds(t *testing.T) {
+	tp := topo.SingleBottleneck(2, 1)
+	l := (*logic)(Install(tp, Config{}))
+	link := tp.Hosts[2].Access.Peer
+	forward := func(flow netsim.FlowID) int64 {
+		pkt := &netsim.Packet{Flow: flow, Kind: netsim.DATA, Hdr: &Header{Desired: link.Rate / 4, Grant: link.Rate}}
+		l.Process(nil, pkt, nil, link)
+		return pkt.Hdr.(*Header).Grant
+	}
+	var before, after int64
+	sm := tp.Sim()
+	sm.At(sim.Millisecond, func() { forward(1); before = forward(2) })
+	sm.At(2*sim.Millisecond, func() {
+		l.ResetLinkState(link)
+		after = forward(3)
+	})
+	sm.Run()
+	if before != 0 {
+		t.Fatalf("a second flow gets %d while the first holds the link, want 0", before)
+	}
+	if st := l.states[link.ID]; after != link.Rate || len(st.allocs) != 1 || st.sum != link.Rate {
+		t.Errorf("after the crash: grant %d, %d reservations summing to %d; want one of %d", after, len(st.allocs), st.sum, link.Rate)
 	}
 }

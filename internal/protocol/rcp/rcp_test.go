@@ -3,6 +3,7 @@ package rcp
 import (
 	"testing"
 
+	"pdq/internal/netsim"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
@@ -122,5 +123,35 @@ func TestDeterministic(t *testing.T) {
 		if a[i].Finish != b[i].Finish {
 			t.Fatalf("nondeterministic RCP run at flow %d", i)
 		}
+	}
+}
+
+// TestResetLinkStateRebuilds crashes a link's controller between packets,
+// as a switch crash does (fault.SoftStateResetter): the link's next
+// forward packet must find a fresh flow count and fair rate, one flow at
+// the full link rate, not the two flows and half rate standing before.
+func TestResetLinkStateRebuilds(t *testing.T) {
+	tp := topo.SingleBottleneck(2, 1)
+	l := (*logic)(Install(tp, Config{}))
+	link := tp.Hosts[2].Access.Peer
+	forward := func(flow netsim.FlowID) int64 {
+		pkt := &netsim.Packet{Flow: flow, Kind: netsim.DATA, Hdr: &Header{Rate: link.Rate}}
+		l.Process(nil, pkt, nil, link)
+		return pkt.Hdr.(*Header).Rate
+	}
+	var before, after int64
+	sm := tp.Sim()
+	sm.At(updatePeriod, func() { forward(1); forward(2) })
+	sm.At(2*updatePeriod, func() { before = forward(1) })
+	sm.At(2*updatePeriod+1, func() {
+		l.ResetLinkState(link)
+		after = forward(3)
+	})
+	sm.Run()
+	if before != link.Rate/2 {
+		t.Fatalf("two flows before the crash get %d, want half of %d", before, link.Rate)
+	}
+	if st := l.states[link.ID]; after != link.Rate || len(st.flows) != 1 || st.rate != link.Rate {
+		t.Errorf("after the crash: rate %d, %d flows counted at fair rate %d; want one flow at %d", after, len(st.flows), st.rate, link.Rate)
 	}
 }

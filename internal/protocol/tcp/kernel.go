@@ -70,9 +70,6 @@ func (k *Kernel) SndNext() int { return k.sndNext }
 // NumPkts returns the flow's segment count.
 func (k *Kernel) NumPkts() int { return k.numPkts }
 
-// Done reports whether every segment has been acknowledged.
-func (k *Kernel) Done() bool { return k.done }
-
 func (k *Kernel) rto() sim.Time {
 	var r sim.Time
 	if k.srtt == 0 {

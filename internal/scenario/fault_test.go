@@ -89,7 +89,7 @@ func TestFaultGoldenAcrossWorkers(t *testing.T) {
 // flowFailoverSpec crashes a fat-tree aggregation switch, with a restart
 // window, under the three flow-level allocators. linkFailSpec's single
 // bottleneck has no second route, so its faults only ever stall flows;
-// here PathExcluding finds one and the flow-level reroute hook replaces
+// here Detour finds one and the flow-level reroute hook replaces
 // paths mid-run (internal/flowsim's TestFailoverReroutesFlows checks the
 // allocators call by call on the same topology). Switch 4 is pod 0's
 // first aggregation switch: lowest-ID routing sends all of the pod's

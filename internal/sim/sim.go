@@ -165,10 +165,6 @@ type EventRef struct {
 	gen  uint32
 }
 
-// Valid reports whether r refers to a scheduled (possibly already fired)
-// event.
-func (r EventRef) Valid() bool { return r.slot != 0 }
-
 // Sim is a discrete-event simulator. The zero value is ready to use.
 // Sim is not safe for concurrent use; the whole simulation runs in one
 // goroutine by design (see DESIGN.md §5).

@@ -15,7 +15,7 @@ func pathHas(p []*netsim.Link, l *netsim.Link) bool {
 	return false
 }
 
-func TestPathExcludingFindsAlternate(t *testing.T) {
+func TestDetourFindsAlternate(t *testing.T) {
 	tp := FatTree(4, 1)
 	a, b := tp.Hosts[0], tp.Hosts[len(tp.Hosts)-1] // different pods: core crossing
 	orig := tp.Path(a, b)
@@ -23,7 +23,8 @@ func TestPathExcludingFindsAlternate(t *testing.T) {
 	// Fail a core-facing hop of the original path; the fat tree has
 	// parallel cores, so a detour must exist.
 	failed := orig[2]
-	alt := tp.PathExcluding(a, b, func(l *netsim.Link) bool { return l == failed || l == failed.Peer })
+	failed.SetDuplexDown(true)
+	alt := tp.Detour(a, b)
 	if alt == nil {
 		t.Fatal("no alternate path found in a fat tree with parallel cores")
 	}
@@ -34,39 +35,35 @@ func TestPathExcludingFindsAlternate(t *testing.T) {
 	if len(alt) != len(orig) {
 		t.Errorf("alternate path length %d, want %d (ECMP detour keeps distance)", len(alt), len(orig))
 	}
+	if again := tp.Path(a, b); !sameSlice(again, orig) {
+		t.Errorf("Path(%d, %d) = %v after a detour, want the memoized %v", a.ID(), b.ID(), again, orig)
+	}
 }
 
-func TestPathExcludingDeterministic(t *testing.T) {
+func TestDetourDeterministic(t *testing.T) {
 	tp := FatTree(4, 1)
 	a, b := tp.Hosts[0], tp.Hosts[len(tp.Hosts)-1]
-	failed := tp.Path(a, b)[2]
-	blocked := func(l *netsim.Link) bool { return l == failed || l == failed.Peer }
-	first := tp.PathExcluding(a, b, blocked)
+	tp.Path(a, b)[2].SetDuplexDown(true)
+	first := tp.Detour(a, b)
 	for i := 0; i < 5; i++ {
-		again := tp.PathExcluding(a, b, blocked)
-		if len(again) != len(first) {
-			t.Fatal("PathExcluding not deterministic")
-		}
-		for j := range again {
-			if again[j] != first[j] {
-				t.Fatal("PathExcluding not deterministic")
-			}
+		if again := tp.Detour(a, b); !pathEqual(again, first) {
+			t.Fatalf("Detour not deterministic: %v, then %v", first, again)
 		}
 	}
 }
 
-func TestPathExcludingNoRoute(t *testing.T) {
+func TestDetourNoRoute(t *testing.T) {
 	tp := SingleBottleneck(2, 1)
 	a, b := tp.Hosts[0], tp.Hosts[2]
-	acc := a.Access
-	if p := tp.PathExcluding(a, b, func(l *netsim.Link) bool { return l == acc || l == acc.Peer }); p != nil {
+	a.Access.SetDuplexDown(true)
+	if p := tp.Detour(a, b); p != nil {
 		t.Fatalf("got a path around the only access link: %v", p)
 	}
 }
 
-func TestPathExcludingNothingBlocked(t *testing.T) {
+func TestDetourNothingDown(t *testing.T) {
 	tp := SingleBottleneck(3, 1)
 	a, b := tp.Hosts[0], tp.Hosts[3]
-	p := tp.PathExcluding(a, b, func(*netsim.Link) bool { return false })
+	p := tp.Detour(a, b)
 	validatePath(t, tp, a, b, p)
 }

@@ -20,8 +20,10 @@ func refAdjacent(t *Topology) [][]*netsim.Link {
 
 // refPathVia is the routing pathVia replaced: one breadth-first search from
 // the destination itself, for every destination, and a descent of that
-// field. It shares nothing with pathVia, not even the adjacency rows.
-func refPathVia(t *Topology, a, b netsim.NodeID, pick func([]*netsim.Link) *netsim.Link) []*netsim.Link {
+// field. It shares nothing with pathVia, not even the adjacency rows. With
+// down set it is a failover detour: the search skips a link whose peer is
+// down and the descent never takes a down link.
+func refPathVia(t *Topology, a, b netsim.NodeID, pick func([]*netsim.Link) *netsim.Link, down bool) []*netsim.Link {
 	if a == b {
 		return nil
 	}
@@ -33,6 +35,9 @@ func refPathVia(t *Topology, a, b netsim.NodeID, pick func([]*netsim.Link) *nets
 	d[b] = 0
 	for queue := []netsim.NodeID{b}; len(queue) > 0; queue = queue[1:] {
 		for _, l := range adj[queue[0]] {
+			if down && l.Peer.Down() {
+				continue
+			}
 			if v := l.To.ID(); d[v] < 0 {
 				d[v] = d[queue[0]] + 1
 				queue = append(queue, v)
@@ -46,7 +51,7 @@ func refPathVia(t *Topology, a, b netsim.NodeID, pick func([]*netsim.Link) *nets
 	for u := a; u != b; {
 		var cands []*netsim.Link
 		for _, l := range adj[u] {
-			if d[l.To.ID()] == d[u]-1 {
+			if d[l.To.ID()] == d[u]-1 && !(down && l.Down()) {
 				cands = append(cands, l)
 			}
 		}
@@ -69,10 +74,10 @@ func refPaths(t *Topology, a, b *netsim.Host, maxK int) [][]*netsim.Link {
 		out = append(out, p)
 		return true
 	}
-	add(refPathVia(t, a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] }))
+	add(refPathVia(t, a.ID(), b.ID(), lowestID, false))
 	rng := rand.New(rand.NewSource(int64(a.ID())<<20 ^ int64(b.ID()) ^ 0x5bd1e995))
 	for misses := 0; len(out) < maxK && misses < 64; {
-		if !add(refPathVia(t, a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[rng.Intn(len(c))] })) {
+		if !add(refPathVia(t, a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[rng.Intn(len(c))] }, false)) {
 			misses++
 		}
 	}
@@ -90,8 +95,8 @@ func hostLine() *Topology {
 	return t
 }
 
-// TestPathsMatchPerHostBFS checks Path, Paths and an unblocked
-// PathExcluding link for link against the per-destination reference, for
+// TestPathsMatchPerHostBFS checks Path, Paths and a Detour with no link
+// down link for link against the per-destination reference, for
 // every ordered host pair: single-homed hosts (routed through their
 // attachment's shared field), multi-homed BCube servers (their own field),
 // same-switch pairs and a source that is the destination's attachment.
@@ -99,15 +104,7 @@ func hostLine() *Topology {
 // returns the very slices of the first, and Routes' reverses are the
 // reverses of those paths. Every adjacency row is the link table's.
 func TestPathsMatchPerHostBFS(t *testing.T) {
-	for _, tp := range []*Topology{
-		SingleRootedTree(4, 3, 1),
-		SingleBottleneck(5, 1),
-		FatTree(4, 1),
-		BCube(2, 2, 1),
-		BCube(4, 1, 1),
-		Jellyfish(8, 4, 2, 42),
-		hostLine(),
-	} {
+	for _, tp := range refTopologies() {
 		type memo struct {
 			path  []*netsim.Link
 			paths [][]*netsim.Link
@@ -127,14 +124,13 @@ func TestPathsMatchPerHostBFS(t *testing.T) {
 					if a == b {
 						continue
 					}
-					want := refPathVia(tp, a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] })
+					want := refPathVia(tp, a.ID(), b.ID(), lowestID, false)
 					path := tp.Path(a, b)
 					if !pathEqual(path, want) {
 						t.Fatalf("%s pass %d: Path(%d, %d) = %v, reference %v", tp.Name, pass, a.ID(), b.ID(), path, want)
 					}
-					none := func(*netsim.Link) bool { return false }
-					if got := tp.PathExcluding(a, b, none); !pathEqual(got, want) {
-						t.Fatalf("%s: PathExcluding(%d, %d) = %v, reference %v", tp.Name, a.ID(), b.ID(), got, want)
+					if got := tp.Detour(a, b); !pathEqual(got, want) {
+						t.Fatalf("%s: Detour(%d, %d) = %v, reference %v", tp.Name, a.ID(), b.ID(), got, want)
 					}
 					paths, wantK := tp.Paths(a, b, 4), refPaths(tp, a, b, 4)
 					if !pathsEqual(paths, wantK) {
@@ -159,6 +155,56 @@ func TestPathsMatchPerHostBFS(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// refTopologies are the topologies routing is checked on against the
+// reference.
+func refTopologies() []*Topology {
+	return []*Topology{
+		SingleRootedTree(4, 3, 1),
+		SingleBottleneck(5, 1),
+		FatTree(4, 1),
+		BCube(2, 2, 1),
+		BCube(4, 1, 1),
+		Jellyfish(8, 4, 2, 42),
+		hostLine(),
+	}
+}
+
+// TestDetoursMatchReference checks Detour link for link against the
+// reference detour, for every ordered host pair, with random sets of
+// cables down on every topology: none to a few, so some pairs detour at
+// equal cost, some take a longer way and some are cut off. A detour's
+// field is its own: the distance store gives out no field for it.
+func TestDetoursMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tp := range refTopologies() {
+		links := tp.Net.Links()
+		tp.Path(tp.Hosts[0], tp.Hosts[1]) // start the distance store
+		fields, unrouted := len(tp.fields), tp.unrouted
+		for trial := 0; trial < 8; trial++ {
+			var down []*netsim.Link
+			for n := rng.Intn(4); len(down) < n; {
+				l := links[rng.Intn(len(links))]
+				l.SetDuplexDown(true)
+				down = append(down, l)
+			}
+			for _, a := range tp.Hosts {
+				for _, b := range tp.Hosts {
+					want := refPathVia(tp, a.ID(), b.ID(), lowestID, true)
+					if got := tp.Detour(a, b); !pathEqual(got, want) {
+						t.Fatalf("%s, %v down: Detour(%d, %d) = %v, reference %v", tp.Name, down, a.ID(), b.ID(), got, want)
+					}
+				}
+			}
+			for _, l := range down {
+				l.SetDuplexDown(false)
+			}
+		}
+		if len(tp.fields) != fields || tp.unrouted != unrouted {
+			t.Errorf("%s: detours took fields from the distance store", tp.Name)
 		}
 	}
 }

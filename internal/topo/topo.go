@@ -32,10 +32,10 @@ type Topology struct {
 	fields   []int32   // the distance store's uncarved rest (field)
 	unrouted int       // routing targets without a field yet (targets)
 
-	walk     []*netsim.Link   // pathVia's path, reused
+	walk     []*netsim.Link   // descend's path, reused
 	found    [][]*netsim.Link // paths' accepted paths, reused
-	candBuf  []*netsim.Link   // reusable equal-cost candidate buffer (pathVia)
-	queueBuf []netsim.NodeID  // reusable BFS queue (distancesFrom)
+	candBuf  []*netsim.Link   // reusable equal-cost candidate buffer (descend)
+	queueBuf []netsim.NodeID  // reusable BFS queue (search)
 	pathRng  *rand.Rand       // Paths' tie-breaker, reseeded per computation
 	routes   map[routeKey]*routes
 	entries  carve.Chunks[routes]         // every memo entry
@@ -138,10 +138,12 @@ func (t *Topology) adjacency() {
 	t.off, t.adj = off, adj
 }
 
-// distancesFrom computes BFS hop counts from node src to every node, in a
-// field of the distance store.
-func (t *Topology) distancesFrom(src netsim.NodeID) []int32 {
-	d := t.field()
+// search fills d with breadth-first hop counts from node src, -1 where
+// src is out of reach, and returns it. It is the only search routing runs:
+// distTo fills the cached fields with it, and Detour a fresh one. A
+// detour's search skips every link whose peer is down, since a walk down
+// the field crosses a link's peer, not the link.
+func (t *Topology) search(d []int32, src netsim.NodeID, detour bool) []int32 {
 	for i := range d {
 		d[i] = -1
 	}
@@ -150,8 +152,10 @@ func (t *Topology) distancesFrom(src netsim.NodeID) []int32 {
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, l := range t.Adjacent(u) {
-			v := l.To.ID()
-			if d[v] < 0 {
+			if detour && (l.Peer == nil || l.Peer.Down()) {
+				continue
+			}
+			if v := l.To.ID(); d[v] < 0 {
 				d[v] = d[u] + 1
 				queue = append(queue, v)
 			}
@@ -201,7 +205,7 @@ func (t *Topology) distTo(dst netsim.NodeID) []int32 {
 		t.unrouted = t.targets()
 	}
 	if t.dist[dst] == nil {
-		t.dist[dst] = t.distancesFrom(dst)
+		t.dist[dst] = t.search(t.field(), dst, false)
 	}
 	return t.dist[dst]
 }
@@ -264,94 +268,62 @@ func (t *Topology) pathVia(a, b netsim.NodeID, pick func([]*netsim.Link) *netsim
 		return nil
 	}
 	via, last := t.via(b)
-	d := t.distTo(via)
-	if d[a] < 0 {
+	if !t.descend(t.distTo(via), a, pick, false) {
 		return nil
 	}
-	path := t.walk[:0]
-	u := a
-	for u != via {
+	if last != nil {
+		t.candBuf = append(t.candBuf[:0], last)
+		t.walk = append(t.walk, pick(t.candBuf))
+	}
+	return t.walk
+}
+
+// descend walks field d down from node u to the node it was searched from,
+// into t.walk, choosing among the equal-cost next hops with pick. It is
+// the only descent routing runs. A detour's descent never takes a down
+// link. It reports false when u is out of reach or the walk is cut.
+func (t *Topology) descend(d []int32, u netsim.NodeID, pick func([]*netsim.Link) *netsim.Link, detour bool) bool {
+	t.walk = t.walk[:0]
+	if d[u] < 0 {
+		return false
+	}
+	for d[u] > 0 {
 		cands := t.candBuf[:0]
 		for _, l := range t.Adjacent(u) {
-			if d[l.To.ID()] == d[u]-1 {
+			if d[l.To.ID()] == d[u]-1 && !(detour && l.Down()) {
 				cands = append(cands, l)
 			}
 		}
 		t.candBuf = cands[:0]
 		if len(cands) == 0 {
-			return nil
+			return false
 		}
 		l := pick(cands)
-		path = append(path, l)
+		t.walk = append(t.walk, l)
 		u = l.To.ID()
 	}
-	if last != nil {
-		t.candBuf = append(t.candBuf[:0], last)
-		path = append(path, pick(t.candBuf))
-	}
-	t.walk = path
-	return path
+	return true
 }
 
-// PathExcluding returns a deterministic shortest path of directed links
-// from host a to host b that avoids every link for which blocked returns
-// true — failover route recomputation around failed links (DESIGN.md §11).
-// It runs a fresh BFS on the surviving subgraph (the cached distance
-// tables assume the full topology), so it allocates; call it on fault
-// events, not per packet. Ties are broken by lowest link ID, matching
-// Path. It returns nil when no route survives.
-func (t *Topology) PathExcluding(a, b *netsim.Host, blocked func(*netsim.Link) bool) []*netsim.Link {
-	src, dst := a.ID(), b.ID()
-	if src == dst {
+// lowestID is the deterministic pick: the equal-cost next hop with the
+// lowest link ID.
+func lowestID(c []*netsim.Link) *netsim.Link { return c[0] }
+
+// Detour returns a shortest path of directed links from host a to host b
+// that crosses no down link — failover route recomputation around failed
+// links (DESIGN.md §11), nil when no route survives. It is Path's search
+// and descent on a fresh field from b, ties broken by the lowest link ID;
+// the cached fields assume no link is down, so a detour never touches
+// them. It allocates: call it on fault events, not per packet.
+func (t *Topology) Detour(a, b *netsim.Host) []*netsim.Link {
+	if a == b {
 		return nil
 	}
-	// BFS from dst, like distTo, so the forward walk below can descend the
-	// distance field. Expanding node u here traverses the u→v link, but the
-	// forward path through that edge uses its reverse direction — the
-	// peer — so the peer is what must survive the block predicate.
-	n := t.Net.NumNodes()
-	d := make([]int32, n)
-	for i := range d {
-		d[i] = -1
-	}
-	d[dst] = 0
-	queue := make([]netsim.NodeID, 0, n)
-	queue = append(queue, dst)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, l := range t.Adjacent(u) {
-			if l.Peer == nil || blocked(l.Peer) {
-				continue
-			}
-			if v := l.To.ID(); d[v] < 0 {
-				d[v] = d[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	if d[src] < 0 {
+	d := t.search(make([]int32, t.Net.NumNodes()), b.ID(), true)
+	if !t.descend(d, a.ID(), lowestID, true) {
 		return nil
 	}
-	path := make([]*netsim.Link, 0, d[src])
-	u := src
-	for u != dst {
-		var next *netsim.Link
-		// Adjacency lists are in link-creation order, i.e. ascending link
-		// ID, so the first admissible descent is the lowest-ID tie-break.
-		for _, l := range t.Adjacent(u) {
-			if !blocked(l) && d[l.To.ID()] == d[u]-1 {
-				next = l
-				break
-			}
-		}
-		if next == nil {
-			return nil
-		}
-		path = append(path, next)
-		u = next.To.ID()
-	}
-	return path
+	return slices.Clone(t.walk)
 }
 
 // Paths returns up to maxK distinct equal-cost shortest paths from a to b,
@@ -363,7 +335,7 @@ func (t *Topology) PathExcluding(a, b *netsim.Host, blocked func(*netsim.Link) b
 // included, since the graph never changes: every flow between two hosts
 // shares one route. The returned slices are therefore shared and
 // read-only. A caller that needs another path assigns a fresh slice
-// (PathExcluding's, on failover); nothing may write a returned path in
+// (Detour's, on failover); nothing may write a returned path in
 // place. Paths are carved side by side in the topology's stores, each
 // capacity-capped, so an append copies instead of reaching the next.
 func (t *Topology) Paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
@@ -410,7 +382,7 @@ func (t *Topology) paths(a, b *netsim.Host, maxK int) [][]*netsim.Link {
 		found = append(found, q)
 		return true
 	}
-	if add(t.pathVia(a.ID(), b.ID(), func(c []*netsim.Link) *netsim.Link { return c[0] })) && maxK <= 1 {
+	if add(t.pathVia(a.ID(), b.ID(), lowestID)) && maxK <= 1 {
 		return t.keep(found)
 	}
 	if t.pathRng == nil {

@@ -232,7 +232,7 @@ func TestJellyfishGrownGraphs(t *testing.T) {
 				t.Fatalf("%d switches: switch %d has network degree %d, want %d", c.switches, sw.ID(), len(peers), c.degree)
 			}
 		}
-		for _, d := range tp.distancesFrom(tp.Hosts[0].ID()) {
+		for _, d := range tp.distTo(tp.Hosts[0].ID()) {
 			if d < 0 {
 				t.Fatalf("%d switches: graph is not connected", c.switches)
 			}

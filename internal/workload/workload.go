@@ -70,7 +70,6 @@ const (
 // SizeDist draws flow sizes in bytes.
 type SizeDist interface {
 	Sample(rng *rand.Rand) int64
-	Mean() float64
 }
 
 // Uniform draws sizes uniformly from [Lo, Hi].
@@ -83,9 +82,6 @@ func (u Uniform) Sample(rng *rand.Rand) int64 {
 	}
 	return u.Lo + rng.Int63n(u.Hi-u.Lo+1)
 }
-
-// Mean implements SizeDist.
-func (u Uniform) Mean() float64 { return float64(u.Lo+u.Hi) / 2 }
 
 // UniformMean returns the paper's uniform size distribution with the given
 // mean: [2 KB, 2·mean−2 KB], e.g. mean 100 KB gives [2 KB, 198 KB].
@@ -119,9 +115,6 @@ func (p Pareto) Sample(rng *rand.Rand) int64 {
 	return int64(x)
 }
 
-// Mean implements SizeDist (nominal mean before clamping).
-func (p Pareto) Mean() float64 { return p.MeanSize }
-
 // VL2SizeDist is the synthetic equivalent of the flow-size distribution
 // measured by Greenberg et al. in a large commercial cloud data center
 // ([12]; DESIGN.md §6): the vast majority of flows are mice of a few KB
@@ -144,9 +137,6 @@ func (VL2SizeDist) Sample(rng *rand.Rand) int64 {
 		return int64(math.Pow(10, lg) * float64(1<<20))
 	}
 }
-
-// Mean implements SizeDist (approximate; the elephant tail dominates).
-func (VL2SizeDist) Mean() float64 { return 300 << 10 }
 
 // ShortFlowCutoff is the size below which the paper treats VL2 flows as
 // deadline-constrained query traffic (§5.3: "<40 KByte").
@@ -171,9 +161,6 @@ func (EDU1SizeDist) Sample(rng *rand.Rand) int64 {
 	}
 }
 
-// Mean implements SizeDist (approximate).
-func (EDU1SizeDist) Mean() float64 { return 40 << 10 }
-
 // WebSearchSizeDist is a synthetic equivalent of the web-search workload
 // measured by Alizadeh et al. (DCTCP): partition/aggregate query traffic
 // of a few KB to ~1 MB alongside large background transfers of 1–30 MB
@@ -196,9 +183,6 @@ func (WebSearchSizeDist) Sample(rng *rand.Rand) int64 {
 		return int64(math.Pow(10, lg) * float64(1<<20))
 	}
 }
-
-// Mean implements SizeDist (approximate; the background tail dominates).
-func (WebSearchSizeDist) Mean() float64 { return 1 << 20 }
 
 // ExpDeadline draws a deadline from an exponential distribution with the
 // given mean, clamped below at the paper's 3 ms floor (§5.1).
