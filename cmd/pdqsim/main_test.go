@@ -259,7 +259,7 @@ func TestNewLoggerLevels(t *testing.T) {
 }
 
 // TestInterruptFlushes pins the first SIGINT's orderly stop: a full-size
-// fig5a interrupted once -http is listening still prints its table, with
+// fig5a interrupted once -http lists its run still prints its table, with
 // the interrupted cells as null and each named in errors, writes
 // -metrics-out, does not wait out -http-linger, and exits 3.
 func TestInterruptFlushes(t *testing.T) {
@@ -282,7 +282,13 @@ func TestInterruptFlushes(t *testing.T) {
 	lines := bufio.NewScanner(pipe)
 	for lines.Scan() {
 		stderr.WriteString(lines.Text() + "\n")
-		if strings.Contains(lines.Text(), "observability server listening") {
+		if _, addr, ok := strings.Cut(lines.Text(), " addr="); ok {
+			// Signal once fig5a has started: a signal before it would
+			// rightly leave it unrun, with no table to print.
+			addr, _, _ = strings.Cut(addr, " ")
+			for !strings.Contains(string(exchange(t, addr, "GET /runs HTTP/1.1\r\nHost: x\r\n\r\n").body), "fig5a") {
+				time.Sleep(time.Millisecond)
+			}
 			if err := cmd.Process.Signal(os.Interrupt); err != nil {
 				t.Fatal(err)
 			}

@@ -89,22 +89,18 @@ func TestWarmRunSimulatesNothing(t *testing.T) {
 	}
 }
 
-// TestEqualCellsReadTheCacheOnce pins that cells with equal keys — fig12's
-// fixed RCP/D3 rows in every α column — compute one value, which only the
-// first of them in grid order reads or writes: a cold cached run hits
-// nothing and keeps the same records at 1 and 4 workers.
-func TestEqualCellsReadTheCacheOnce(t *testing.T) {
-	var want []string
-	for _, workers := range []int{1, 4} {
-		cache, err := trace.NewCache(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
+// TestEqualCellsReadTheirOwnKeys pins that every cell reads and writes its
+// own key, cells with equal keys — fig12's fixed RCP/D3 rows in every α
+// column — included, while cells with equal plans still read one
+// simulation: a cold cached run misses all 12 cells and keeps, at 1 and 4
+// workers, the uncached run's records, and a warm rerun serves all 12 and
+// fires no event.
+func TestEqualCellsReadTheirOwnKeys(t *testing.T) {
+	// records runs fig12 quick and returns its cell records, sorted, with
+	// their wall times dropped, and the events the run fired.
+	records := func(cache *trace.Cache, workers int) ([]string, uint64) {
 		obs := obsv.New(nil)
 		Figures["fig12"](scenario.Opts{Quick: true, Seed: 1, Cache: cache, Obs: obs, Parallel: workers})
-		if cache.Hits() != 0 || cache.Misses() != 8 {
-			t.Errorf("%d workers: hits=%d misses=%d, want 0 and the 8 distinct cells", workers, cache.Hits(), cache.Misses())
-		}
 		var recs []string
 		for _, c := range obs.Runs()[0].Cells {
 			c.WallNs = 0
@@ -115,10 +111,23 @@ func TestEqualCellsReadTheCacheOnce(t *testing.T) {
 			recs = append(recs, string(line))
 		}
 		sort.Strings(recs)
-		if want == nil {
-			want = recs
-		} else if !slices.Equal(recs, want) {
-			t.Errorf("%d workers: records\n%s\nwant\n%s", workers, strings.Join(recs, "\n"), strings.Join(want, "\n"))
+		return recs, obs.Runtime.Snapshot().Fired
+	}
+	want, _ := records(nil, 1)
+	for _, workers := range []int{1, 4} {
+		cache, err := trace.NewCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := records(cache, workers)
+		if cache.Hits() != 0 || cache.Misses() != 12 {
+			t.Errorf("%d workers, cold: hits=%d misses=%d, want 0 and every one of the 12 cells", workers, cache.Hits(), cache.Misses())
+		}
+		if !slices.Equal(recs, want) {
+			t.Errorf("%d workers, cold: records\n%s\nwant the uncached run's\n%s", workers, strings.Join(recs, "\n"), strings.Join(want, "\n"))
+		}
+		if _, fired := records(cache, workers); fired != 0 || cache.Hits() != 12 {
+			t.Errorf("%d workers, warm: hits=%d and %d events fired, want 12 and none", workers, cache.Hits(), fired)
 		}
 	}
 }

@@ -300,8 +300,10 @@ func New(t *topo.Topology, alloc Allocator) *Sim {
 		states: carve.Of[FlowState](a), ptrs: carve.Of[*FlowState](a), hooked: true}
 }
 
-// Start registers a flow.
+// Start registers a flow. It refuses the flows the packet simulator
+// refuses (workload.Flow.CheckStart).
 func (s *Sim) Start(f workload.Flow) {
+	f.CheckStart()
 	s.Collector.Register(f)
 	fs := s.states.New()
 	*fs = FlowState{

@@ -13,8 +13,6 @@
 package protocol
 
 import (
-	"fmt"
-
 	"pdq/internal/carve"
 	"pdq/internal/netsim"
 	"pdq/internal/sim"
@@ -123,12 +121,10 @@ func Install(t *topo.Topology, subflows int, logic netsim.SwitchLogic, launch fu
 }
 
 // Start registers flow f and schedules its launch at f.Start. A flow with
-// no bytes or no second host is refused here, once for every protocol; the
-// scenario layer reports the panic as the cell's failure.
+// no bytes or no second host is refused here, once for every protocol
+// (workload.Flow.CheckStart).
 func (s *System) Start(f workload.Flow) {
-	if f.Size <= 0 || f.Src == f.Dst {
-		panic(fmt.Sprintf("protocol: flow %d of %d bytes from host %d to host %d: a flow needs a positive size and two distinct hosts", f.ID, f.Size, f.Src, f.Dst))
-	}
+	f.CheckStart()
 	e := s.entries.New()
 	*e = flow{sys: s, f: f, tel: s.Collector.Register(f)}
 	s.flows = append(s.flows, e)

@@ -10,7 +10,6 @@
 package scenario
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -215,8 +214,8 @@ type engine struct {
 	cache   *trace.Cache
 
 	// cells holds what each grid cell shares, in grid order (ri·len(cols)
-	// + ci; engine.share), and sims the simulations the computing cells
-	// of a run-mode grid read (engine.claim).
+	// + ci), and sims the simulations the computing cells of a run-mode
+	// grid read (engine.claim).
 	cells []cellShare
 	sims  []simGroup
 	// memo holds one run's simulations while its cells read them
@@ -311,7 +310,10 @@ func compile(s *Spec, o Opts) (*engine, error) {
 	if e.cache != nil {
 		e.encodeKeys()
 	}
-	e.share()
+	e.cells = make([]cellShare, len(e.rows)*len(e.cols))
+	for i := range e.cells {
+		e.cells[i] = cellShare{sim: -1, ref: -1, probe: -1}
+	}
 	return e, nil
 }
 
@@ -818,13 +820,11 @@ func (p rowPlan) bind() binding {
 	return b
 }
 
-// cellShare is what one grid cell shares with others. Cells with equal
-// keys compute one value: lead is the first of them in grid order (−1
-// for a cell beyond its row's reach), and only it reads or writes the
-// cache. A run-mode cell that computes reads sim, its row's run, and with
-// a Ref ref, the Ref's (−1 without); probe is a link metric's index among
-// sim's probes (engine.claim sets the three).
-type cellShare struct{ lead, sim, ref, probe int }
+// cellShare is what one run-mode grid cell shares with others
+// (engine.claim sets it): it reads sim, its row's run, and with a Ref ref,
+// the Ref's (−1 without); probe is a link metric's index among sim's
+// probes.
+type cellShare struct{ sim, ref, probe int }
 
 // simGroup is one simulation of a run-mode grid: a runner with its
 // parameters on one column plan, all a simulation reads. Every cell that
@@ -837,32 +837,6 @@ type simGroup struct {
 	col           *column
 	probes        []*binding
 	row, colLabel string
-}
-
-// share fills cells in grid order. With a cache attached a cell leads
-// unless an earlier lead has its key, its column's plan and binding's
-// bytes; without one every cell leads, and cells with equal keys still
-// read one simulation (engine.simOf).
-func (e *engine) share() {
-	n := len(e.cols)
-	e.cells = make([]cellShare, len(e.rows)*n)
-	for i := range e.cells {
-		cs := &e.cells[i]
-		*cs = cellShare{lead: -1, sim: -1, ref: -1, probe: -1}
-		if r := &e.rows[i/n]; r.cols > 0 && i%n >= r.cols {
-			continue // not a cell
-		}
-		_, col, b := e.resolve(i/n, i%n)
-		if cs.lead = i; e.cache == nil {
-			continue
-		}
-		for j := range i {
-			if _, lcol, lb := e.resolve(j/n, j%n); e.cells[j].lead == j && bytes.Equal(lcol.enc, col.enc) && bytes.Equal(lb.enc, b.enc) {
-				cs.lead = j
-				break
-			}
-		}
-	}
 }
 
 // simOf returns the index of b's run on col among the engine's sims —

@@ -329,30 +329,34 @@ func TestPanickingCellYieldsPartialTable(t *testing.T) {
 	}
 }
 
-// TestZeroByteFlowFailsEveryPacketCell: a size distribution that yields
-// empty flows fails the cell the same way under all six packet protocols —
-// the host scaffold's one refusal — and no row prints a number. (TCP, DCTCP
-// and pFabric used to run a flow of zero segments that never finished and
-// report 0.00.)
+// TestZeroByteFlowFailsEveryPacketCell: a size distribution that would
+// yield empty flows is refused when the spec compiles, naming its
+// parameter, and an empty flow handed to a runner anyway fails the run the
+// same way under all six packet protocols and the three flow-level
+// simulator runners — the one refusal both simulators make at Start
+// (workload.Flow.CheckStart). (TCP, DCTCP and pFabric used to run a flow of
+// zero segments that never finished and report 0.00, and flow:PDQ finished
+// one at once.)
 func TestZeroByteFlowFailsEveryPacketCell(t *testing.T) {
 	s := minimalSpec()
 	s.Workload.Sizes = DistSpec{Name: "uniform", Params: map[string]float64{"lo_kb": 0, "hi_kb": 0}}
-	s.Protocols = []ProtoSpec{{Runner: "PDQ(Full)"}, {Runner: "RCP"}, {Runner: "D3"}, {Runner: "TCP"}, {Runner: "DCTCP"}, {Runner: "pFabric"}}
-	tab, err := Run(s, Opts{})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Run(s, Opts{}); err == nil || !strings.Contains(err.Error(), `"lo_kb"`) {
+		t.Fatalf("a spec of empty flows: error %v, want lo_kb refused", err)
 	}
-	if len(tab.Errors) != len(s.Protocols) {
-		t.Fatalf("captured %d errors, want one per row:\n%s", len(tab.Errors), tab)
-	}
-	for i, r := range tab.Rows {
-		if !math.IsNaN(r.Vals[0]) {
-			t.Errorf("row %s = %v, want NaN", r.Label, r.Vals[0])
+	for _, name := range []string{"PDQ(Full)", "RCP", "D3", "TCP", "DCTCP", "pFabric", "flow:PDQ", "flow:RCP", "flow:D3"} {
+		e, p, err := runners.Resolve(name, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		e := tab.Errors[i]
-		if e.Row != r.Label || e.Msg != tab.Errors[0].Msg || !strings.Contains(e.Msg, "positive size") {
-			t.Errorf("row %s: diagnostic %+v, want the refusal %q", r.Label, e, tab.Errors[0].Msg)
-		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "positive size and two distinct hosts") {
+					t.Errorf("%s: recovered %q, want the refusal of an empty flow", name, msg)
+				}
+			}()
+			build := func() *topo.Topology { return topo.SingleBottleneck(1, 1) }
+			e.Make(p, 1)(build, []workload.Flow{{ID: 1, Src: 0, Dst: 1}}, RunCtx{Horizon: 10 * sim.Millisecond})
+		}()
 	}
 }
 

@@ -33,8 +33,8 @@ type Opts struct {
 
 	// Cache, when non-nil, memoizes grid-cell results content-addressed
 	// by their resolved spec material, seed and engine version salt, so
-	// re-running a sweep only recomputes cells whose inputs changed; of
-	// cells with equal keys, only the first in grid order reads or writes.
+	// re-running a sweep only recomputes cells whose inputs changed. Every
+	// cell reads and writes its own key.
 	Cache *trace.Cache
 
 	// MaxEvents bounds each packet-level simulation's event count; it is a

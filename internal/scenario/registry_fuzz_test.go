@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"fmt"
 	"maps"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"pdq/internal/netsim"
+	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/workload"
 )
@@ -40,7 +43,13 @@ func everyRegistry() []resolvable {
 	}
 	for _, e := range MetricList() {
 		add("metric", e.Name, e.Params, func(p map[string]float64) error {
-			_, _, err := metrics.Resolve(e.Name, p)
+			e, p, err := metrics.Resolve(e.Name, p)
+			if err == nil {
+				e.Fn(fourResults, fourFlows, p)
+				if e.Pair != nil {
+					e.Pair(fourResults, fourResults, p)
+				}
+			}
 			return err
 		})
 	}
@@ -74,7 +83,15 @@ func everyRegistry() []resolvable {
 	}
 	for _, m := range workload.SizeDistList() {
 		add("size distribution", m.Name, m.Params, func(p map[string]float64) error {
-			_, err := workload.MakeSizeDist(m.Name, p)
+			d, err := workload.MakeSizeDist(m.Name, p)
+			if err == nil {
+				rng := rand.New(rand.NewSource(1))
+				for range 64 {
+					if n := d.Sample(rng); n < 1 {
+						panic(fmt.Sprintf("size distribution %q accepted %v and drew a flow of %d bytes", m.Name, p, n))
+					}
+				}
+			}
 			return err
 		})
 	}
@@ -90,13 +107,33 @@ func everyRegistry() []resolvable {
 	return out
 }
 
+// fourFlows are four deadline flows, and fourResults their outcomes: met,
+// missed, terminated and unfinished. Every metric an input resolves is
+// read off them.
+var (
+	fourFlows = []workload.Flow{
+		{ID: 1, Src: 0, Dst: 1, Size: 10 << 10, Deadline: 5 * sim.Millisecond},
+		{ID: 2, Src: 1, Dst: 2, Size: 20 << 10, Start: sim.Millisecond, Deadline: 5 * sim.Millisecond},
+		{ID: 3, Src: 2, Dst: 0, Size: 2 << 20, Deadline: 3 * sim.Millisecond},
+		{ID: 4, Src: 0, Dst: 2, Size: 1 << 20, Start: 2 * sim.Millisecond, Deadline: 20 * sim.Millisecond},
+	}
+	fourResults = []workload.Result{
+		{Flow: fourFlows[0], Finish: 2 * sim.Millisecond, BytesAcked: 10 << 10},
+		{Flow: fourFlows[1], Finish: 9 * sim.Millisecond, BytesAcked: 20 << 10, Retransmits: 1},
+		{Flow: fourFlows[2], Finish: 1 * sim.Millisecond, Terminated: true, BytesAcked: 4 << 10},
+		{Flow: fourFlows[3], Finish: -1, BytesAcked: 1 << 10, Preemptions: 2},
+	}
+)
+
 // FuzzRegistryResolve gives a random entry of any registry arbitrary
 // parameter values — NaN, infinities, negatives, fractions, huge numbers
 // — on a random subset of its declared parameters, sometimes with an
 // undeclared one besides. Every input is refused with an error or
 // constructs without a panic (everyRegistry), and an undeclared parameter
-// is always refused. The seeds give every entry its defaults, then each
-// special value on every parameter.
+// is always refused. What an input constructs is exercised: every size
+// distribution draws flows of at least one byte, and every metric reads
+// fourResults without a panic. The seeds give every entry its defaults,
+// then each special value on every parameter.
 func FuzzRegistryResolve(f *testing.F) {
 	all := everyRegistry()
 	for i := range all {

@@ -166,7 +166,7 @@ func (e *engine) claim(todo []int, recs []obsv.Cell, k int) {
 			if b.ref != nil {
 				cs.ref = e.simOf(b.ref, col, b.plan.Ref, cell%n)
 			}
-			if b.metric.Link != nil { // distinct: leads reading one run differ in their metric
+			if b.metric.Link != nil { // one probe per reader: readers of one run may differ in their metric
 				g := &e.sims[cs.sim]
 				cs.probe = len(g.probes)
 				g.probes = append(g.probes, b)
@@ -321,11 +321,12 @@ func (e *engine) compute(ri, ci int, c *obsv.Cell) float64 {
 // beyond its row's reach (ProtoSpec.Cols) is not a cell: it runs nothing,
 // has no record and shows NaN.
 //
-// Only the cells that lead their equal cells (cellShare.lead) are
-// evaluated: the cache is read for all of them first, then the rest run,
-// and each other cell takes its lead's value, cache flag and failure, with
-// no counts of its own. So which cells compute, and which record a shared
-// simulation is credited to, do not depend on the workers.
+// With a cache, every cell reads its own key first, and the cells it does
+// not serve compute and write theirs. Cells with equal plans have equal
+// keys, so they are served or computed together, and computing run-mode
+// cells read one simulation (engine.claim), credited to the first of them
+// in grid order. So which cells compute, and which record a shared
+// simulation is credited to, do not depend on the workers or the cache.
 func (e *engine) run(o Opts) *Table {
 	nCols, k := len(e.cols), o.trials()
 	t := &Table{Name: e.spec.Name, Desc: e.spec.Desc, Digits: e.spec.Digits}
@@ -334,23 +335,18 @@ func (e *engine) run(o Opts) *Table {
 	}
 	samples := make([]float64, len(e.rows)*nCols*k)
 	recs := make([]obsv.Cell, len(samples))
-	todo := make([]int, 0, len(samples)) // the records of cells that lead their equal cells
-	var follow []int                     // and of the others
+	todo := make([]int, 0, len(samples)) // the records of the cells
 	p := o.Progress
 	for i := range samples {
 		cell, rep := i/k, i%k
-		switch e.cells[cell].lead {
-		case -1: // beyond its row's reach
+		if r := &e.rows[cell/nCols]; r.cols > 0 && cell%nCols >= r.cols { // beyond its row's reach
 			samples[i] = math.NaN()
 			continue
-		case cell:
-			todo = append(todo, i)
-		default:
-			follow = append(follow, i)
 		}
+		todo = append(todo, i)
 		recs[i] = obsv.Cell{Row: e.rows[cell/nCols].label, Col: e.cols[cell%nCols].label, Rep: rep, Seed: o.BaseSeed() + int64(rep)*TrialSeedStride}
 	}
-	p.AddTotal(len(todo) + len(follow))
+	p.AddTotal(len(todo))
 	if e.cache != nil {
 		miss := todo[:0]
 		for _, i := range todo {
@@ -385,11 +381,6 @@ func (e *engine) run(o Opts) *Table {
 	}
 	for j, v := range Gather(o.workers(), fns) {
 		samples[todo[j]] = v
-	}
-	for _, i := range follow {
-		lead := e.cells[i/k].lead*k + i%k
-		samples[i], recs[i].Cached, recs[i].Err = samples[lead], recs[lead].Cached, recs[lead].Err
-		p.CellEnd(p.CellStart(), recs[i])
 	}
 	for _, r := range recs {
 		if r.Err != "" {

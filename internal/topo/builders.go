@@ -10,8 +10,8 @@ import (
 
 // size is what a topology family builds: hosts, switches and duplex links
 // (cables). One function per family gives it, for the registry's counts
-// and Check and for the builder's slabs (newSized); it is float64 so that
-// Check can apply it to any parameter value.
+// and cable bound (Builder.Size) and for the builder's slabs (newSized);
+// it is float64 so that the bound can apply it to any parameter value.
 type size struct{ hosts, switches, cables float64 }
 
 func singleBottleneckSize(senders float64) size { return size{senders + 1, 1, senders + 1} }

@@ -13,23 +13,27 @@ type Builder struct {
 	Name string
 	Doc  string
 	// Params documents the accepted parameter names with their defaults.
-	// Build/Hosts/RackOf receive a map that has been defaulted and
+	// Build/Size/RackOf receive a map that has been defaulted and
 	// validated against it.
 	Params map[string]float64
 	// Build constructs the topology.
 	Build func(p map[string]float64, seed int64) *Topology
-	// Hosts and Switches return the host and switch counts the family
-	// produces for p, without building (workload sizing and fault targets
-	// need them up front).
-	Hosts    func(p map[string]float64) int
-	Switches func(p map[string]float64) int
+	// Size gives what the family builds for p, without building: workload
+	// sizing and fault targets need the counts up front (Hosts, Switches),
+	// and the registry refuses more than maxCables links.
+	Size func(p map[string]float64) size
 	// RackOf returns the host→rack mapping for p, or nil when the family
 	// has no rack structure the workload patterns should see.
 	RackOf func(p map[string]float64) func(int) int
-	// Check rejects parameter values Build cannot honour, or that would
-	// build more than maxCables links.
+	// Check rejects parameter values Build cannot honour.
 	Check func(p map[string]float64) error
 }
+
+// Hosts returns the host count the family builds for p.
+func (b Builder) Hosts(p map[string]float64) int { return int(b.Size(p).hosts) }
+
+// Switches returns the switch count the family builds for p.
+func (b Builder) Switches(p map[string]float64) int { return int(b.Size(p).switches) }
 
 // maxCables bounds the duplex links of a registered topology: every cell
 // builds its topology in memory, and past this size a mistyped parameter
@@ -44,16 +48,18 @@ func whole(p map[string]float64, name string, lo float64) error {
 	return nil
 }
 
-// cables rejects a topology of n duplex links past maxCables.
-func cables(n float64) error {
-	if n > maxCables {
-		return fmt.Errorf("%.0f links: more than the %d a topology may have", n, maxCables)
-	}
-	return nil
-}
-
+// decl declares the family to the registry, whose check runs the family's
+// Check and then refuses a topology of more than maxCables duplex links.
 func (b Builder) decl() params.Decl {
-	return params.Decl{Name: b.Name, Params: b.Params, Check: b.Check}
+	return params.Decl{Name: b.Name, Params: b.Params, Check: func(p map[string]float64) error {
+		if err := b.Check(p); err != nil {
+			return err
+		}
+		if n := b.Size(p).cables; n > maxCables {
+			return fmt.Errorf("%.0f links: more than the %d a topology may have", n, maxCables)
+		}
+		return nil
+	}}
 }
 
 // BuilderList returns the registered families sorted by name.
@@ -105,14 +111,8 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return SingleBottleneck(int(p["senders"]), seed)
 		},
-		Hosts:    func(p map[string]float64) int { return int(singleBottleneckSize(p["senders"]).hosts) },
-		Switches: func(p map[string]float64) int { return int(singleBottleneckSize(p["senders"]).switches) },
-		Check: func(p map[string]float64) error {
-			if err := whole(p, "senders", 1); err != nil {
-				return err
-			}
-			return cables(singleBottleneckSize(p["senders"]).cables)
-		},
+		Size:  func(p map[string]float64) size { return singleBottleneckSize(p["senders"]) },
+		Check: func(p map[string]float64) error { return whole(p, "senders", 1) },
 	},
 	{
 		Name:   "single-rooted-tree",
@@ -121,15 +121,14 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return SingleRootedTree(int(p["tors"]), int(p["per_tor"]), seed)
 		},
-		Hosts:    func(p map[string]float64) int { return int(singleRootedTreeSize(p["tors"], p["per_tor"]).hosts) },
-		Switches: func(p map[string]float64) int { return int(singleRootedTreeSize(p["tors"], p["per_tor"]).switches) },
+		Size: func(p map[string]float64) size { return singleRootedTreeSize(p["tors"], p["per_tor"]) },
 		Check: func(p map[string]float64) error {
 			for _, name := range []string{"tors", "per_tor"} {
 				if err := whole(p, name, 1); err != nil {
 					return err
 				}
 			}
-			return cables(singleRootedTreeSize(p["tors"], p["per_tor"]).cables)
+			return nil
 		},
 		RackOf: func(p map[string]float64) func(int) int {
 			per := int(p["per_tor"])
@@ -143,8 +142,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return FatTreeOversub(int(p["k"]), p["oversub"], seed)
 		},
-		Hosts:    func(p map[string]float64) int { return int(fatTreeSize(p["k"]).hosts) },
-		Switches: func(p map[string]float64) int { return int(fatTreeSize(p["k"]).switches) },
+		Size: func(p map[string]float64) size { return fatTreeSize(p["k"]) },
 		Check: func(p map[string]float64) error {
 			if err := whole(p, "k", 2); err != nil {
 				return err
@@ -152,7 +150,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 			if k := p["k"]; math.Mod(k, 2) != 0 {
 				return fmt.Errorf("parameter \"k\" = %v: want an even integer", k)
 			}
-			return cables(fatTreeSize(p["k"]).cables)
+			return nil
 		},
 	},
 	{
@@ -162,16 +160,12 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return BCube(int(p["n"]), int(p["k"]), seed)
 		},
-		Hosts:    func(p map[string]float64) int { return int(bcubeSize(p["n"], p["k"]).hosts) },
-		Switches: func(p map[string]float64) int { return int(bcubeSize(p["n"], p["k"]).switches) },
+		Size: func(p map[string]float64) size { return bcubeSize(p["n"], p["k"]) },
 		Check: func(p map[string]float64) error {
 			if err := whole(p, "n", 2); err != nil {
 				return err
 			}
-			if err := whole(p, "k", 0); err != nil {
-				return err
-			}
-			return cables(bcubeSize(p["n"], p["k"]).cables)
+			return whole(p, "k", 0)
 		},
 	},
 	{
@@ -181,21 +175,19 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		Build: func(p map[string]float64, seed int64) *Topology {
 			return Jellyfish(int(p["switches"]), int(p["degree"]), int(p["hosts_per_switch"]), seed)
 		},
-		Hosts: func(p map[string]float64) int {
-			return int(jellyfishSize(p["switches"], p["degree"], p["hosts_per_switch"]).hosts)
+		Size: func(p map[string]float64) size {
+			return jellyfishSize(p["switches"], p["degree"], p["hosts_per_switch"])
 		},
-		Switches: func(p map[string]float64) int { return int(p["switches"]) },
 		Check: func(p map[string]float64) error {
 			for _, name := range []string{"switches", "degree", "hosts_per_switch"} {
 				if err := whole(p, name, 0); err != nil {
 					return err
 				}
 			}
-			n, d := p["switches"], p["degree"]
-			if d >= n || math.Mod(n*d, 2) != 0 {
+			if n, d := p["switches"], p["degree"]; d >= n || math.Mod(n*d, 2) != 0 {
 				return fmt.Errorf("degree %v on %v switches: want degree < switches and an even switches×degree", d, n)
 			}
-			return cables(jellyfishSize(n, d, p["hosts_per_switch"]).cables)
+			return nil
 		},
 	},
 })

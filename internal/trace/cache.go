@@ -2,6 +2,7 @@ package trace
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -9,24 +10,23 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync/atomic"
+	"syscall"
 )
 
-// Cache is a content-addressed store for sweep results: the caller
-// hashes everything that determines a result (resolved spec material,
-// seed, version salt) into a key, and the cache persists the result's
-// bytes under that key: a grid cell's scalar (GetFloat/PutFloat).
-// Scalars round-trip through their exact IEEE-754 bit pattern, so a cache
-// hit reproduces the recomputed figure byte for byte.
+// Cache is a content-addressed store of sweep scalars: the caller hashes
+// everything that determines a grid cell's value (resolved spec material,
+// seed, version salt) into a key, and the cache persists the value under
+// that key (GetFloat/PutFloat). An entry is 17 bytes, the 16 hex digits of
+// the value's exact IEEE-754 bit pattern and a newline, so a cache hit
+// reproduces the recomputed figure byte for byte.
 //
-// The cache is strictly best-effort: unreadable, corrupt or unwritable
+// The cache is strictly best-effort: unreadable, malformed or unwritable
 // entries degrade to recomputation and are never an error. It is safe
 // for concurrent use (distinct keys write distinct files; same-key
 // writers race to an atomic rename of identical content). A warm sweep's
 // cost is its lookups, so an entry is read without an os.File: one open,
-// one read into a small buffer and one close (readEntry).
+// one read into an 18-byte buffer and one close (readEntry).
 type Cache struct {
 	dir                  string
 	hits, misses, errors atomic.Uint64
@@ -76,8 +76,8 @@ func (c *Cache) Hits() uint64 { return c.hits.Load() }
 // Misses returns how many lookups fell through to recomputation.
 func (c *Cache) Misses() uint64 { return c.misses.Load() }
 
-// Errors returns how many entries were unreadable or corrupt (each also
-// counts as a miss).
+// Errors returns how many entries were unreadable or not in PutFloat's
+// form (each also counts as a miss).
 func (c *Cache) Errors() uint64 { return c.errors.Load() }
 
 // Key hashes arbitrary key material to a content address.
@@ -94,81 +94,50 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key[2:])
 }
 
-// get looks up the entry under key and hands its bytes to decode, which
-// reports whether they are well-formed. A missing, unreadable or
-// malformed entry is a miss, never an error; a malformed one is deleted,
-// so the recomputed value can take its place.
-func (c *Cache) get(key string, decode func(data []byte) bool) bool {
-	data, ok := c.read(key)
-	if !ok {
-		return false
-	}
-	if !decode(data) {
-		c.corrupt(key)
-		return false
-	}
-	c.hits.Add(1)
-	return true
-}
-
-// GetFloat looks up a cached scalar.
-func (c *Cache) GetFloat(key string) (v float64, ok bool) {
-	ok = c.get(key, func(data []byte) bool {
-		s := strings.TrimSpace(string(data))
-		bits, err := strconv.ParseUint(s, 16, 64)
-		if err != nil || len(s) != 16 {
-			return false
+// GetFloat looks up a cached scalar. Only an entry in PutFloat's form,
+// exactly 16 hex digits and a newline, is a hit. A missing entry is the
+// ordinary miss and is not retried; any other read error is treated as
+// transient (NFS hiccup, EMFILE) and retried with backoff before
+// degrading to recomputation. An entry in any other form is deleted, so
+// the recomputed value can take its place, and counted as an error; it is
+// not retried, as re-reading the same bytes cannot help.
+func (c *Cache) GetFloat(key string) (float64, bool) {
+	var buf [scalarLen + 1]byte // a longer entry fills it
+	for attempt := 1; ; attempt++ {
+		n, err := readEntry(c.path(key), buf[:])
+		switch {
+		case err == nil:
+			var bits [8]byte
+			if _, herr := hex.Decode(bits[:], buf[:16]); herr == nil && n == scalarLen && buf[16] == '\n' {
+				c.hits.Add(1)
+				return math.Float64frombits(binary.BigEndian.Uint64(bits[:])), true
+			}
+			os.Remove(c.path(key))
+		case errors.Is(err, fs.ErrNotExist):
+			c.misses.Add(1)
+			return 0, false
+		case attempt < cacheAttempts:
+			c.backoff(attempt)
+			continue
 		}
-		v = math.Float64frombits(bits)
-		return true
-	})
-	return v, ok
+		c.errors.Add(1)
+		c.misses.Add(1)
+		return 0, false
+	}
 }
 
-// PutFloat stores a scalar under key as the 16 hex digits of its bits.
+// scalarLen is the length of an entry in PutFloat's form.
+const scalarLen = 17
+
+// PutFloat stores a scalar under key as the 16 hex digits of its bits and
+// a newline, atomically (write temp + rename) so readers never observe a
+// torn entry. Transient failures are retried with backoff; persistent
+// failures are silently dropped beyond the error counter — a cache that
+// cannot write simply does not accelerate.
 func (c *Cache) PutFloat(key string, v float64) {
-	c.put(key, fmt.Appendf(nil, "%016x\n", math.Float64bits(v)))
-}
-
-// read returns an entry's bytes, counting a miss when there are none. A
-// missing entry is the ordinary miss and is not retried; any other read
-// error is treated as transient (NFS hiccup, EMFILE) and retried with
-// backoff before degrading to recomputation.
-func (c *Cache) read(key string) ([]byte, bool) {
+	entry := fmt.Appendf(nil, "%016x\n", math.Float64bits(v))
 	for attempt := 1; ; attempt++ {
-		data, err := readEntry(c.path(key))
-		if err == nil {
-			return data, true
-		}
-		if errors.Is(err, fs.ErrNotExist) {
-			c.misses.Add(1)
-			return nil, false
-		}
-		if attempt >= cacheAttempts {
-			c.errors.Add(1)
-			c.misses.Add(1)
-			return nil, false
-		}
-		c.backoff(attempt)
-	}
-}
-
-// corrupt drops an entry whose bytes do not decode, so the recomputed
-// value can take its place, and counts the lookup as a miss. No retry —
-// re-reading the same bytes cannot help.
-func (c *Cache) corrupt(key string) {
-	os.Remove(c.path(key))
-	c.errors.Add(1)
-	c.misses.Add(1)
-}
-
-// put stores data under key atomically (write temp + rename) so readers
-// never observe a torn entry. Transient failures are retried with
-// backoff; persistent failures are silently dropped beyond the error
-// counter — a cache that cannot write simply does not accelerate.
-func (c *Cache) put(key string, data []byte) {
-	for attempt := 1; ; attempt++ {
-		if c.putOnce(key, data) {
+		if c.putOnce(key, entry) {
 			return
 		}
 		if attempt >= cacheAttempts {
@@ -200,4 +169,28 @@ func (c *Cache) putOnce(key string, data []byte) bool {
 		return false
 	}
 	return true
+}
+
+// readEntry reads the entry file into buf and returns the bytes read. It
+// opens, reads and closes the file through syscall: three system calls,
+// without the os.File os.ReadFile sets up (poller registration, a stat
+// for the size) for an entry that is 17 bytes long. One read suffices: an
+// entry is renamed into place whole (putOnce), and a read of a regular
+// file returns fewer bytes than asked only at its end, so an entry longer
+// than buf fills it. The errors are the calls' own, so a missing entry is
+// fs.ErrNotExist.
+func readEntry(name string, buf []byte) (int, error) {
+	fd, err := syscall.Open(name, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(name, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return 0, err
+	}
+	n, err := syscall.Read(fd, buf)
+	for err == syscall.EINTR {
+		n, err = syscall.Read(fd, buf)
+	}
+	syscall.Close(fd)
+	return n, err
 }

@@ -149,28 +149,35 @@ func TestCacheMissingEntryNotRetried(t *testing.T) {
 	}
 }
 
-// TestCacheEntryAroundReadBuffer reads entries one byte shorter than the
-// buffer an entry is read into, exactly as long, and one byte longer:
-// each must reach the decoder whole, and an entry that fills the buffer
-// is not served cut off at it.
+// TestCacheEntryAroundReadBuffer reads a scalar entry cut one byte
+// short, whole, one byte longer (the 18-byte buffer an entry is read into
+// is full), and 32 and 33 bytes long: only the 17-byte entry is a hit, and
+// every other is deleted and counted as an error, not served cut off.
 func TestCacheEntryAroundReadBuffer(t *testing.T) {
 	c, err := NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{entryBuf - 1, entryBuf, entryBuf + 1} {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = 'a' + byte(i%26)
-		}
+	entry := []byte("4059000000000000\n") // 100
+	for _, n := range []int{16, 17, 18, 32, 33} {
+		data := append(entry[:min(n, len(entry)):min(n, len(entry))], bytes.Repeat([]byte{'0'}, max(n-len(entry), 0))...)
 		key := Key(data)
-		c.put(key, data)
-		var got []byte
-		if !c.get(key, func(b []byte) bool { got = b; return true }) || !bytes.Equal(got, data) {
-			t.Errorf("a %d-byte entry (read buffer %d bytes) reached the decoder as %q", n, entryBuf, got)
+		p := filepath.Join(c.Dir(), key[:2], key[2:])
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		v, ok := c.GetFloat(key)
+		if want := n == len(entry); ok != want || ok && v != 100 {
+			t.Errorf("a %d-byte entry %q: (%v, %v), want a hit %v", n, data, v, ok, want)
+		}
+		if _, err := os.Stat(p); ok == os.IsNotExist(err) {
+			t.Errorf("a %d-byte entry: hit %v, yet the entry's stat says %v", n, ok, err)
 		}
 	}
-	if c.Hits() != 3 || c.Errors() != 0 {
-		t.Errorf("Hits = %d, Errors = %d, want 3, 0", c.Hits(), c.Errors())
+	if c.Hits() != 1 || c.Errors() != 4 || c.Misses() != 4 {
+		t.Errorf("Hits = %d, Errors = %d, Misses = %d, want 1, 4, 4", c.Hits(), c.Errors(), c.Misses())
 	}
 }

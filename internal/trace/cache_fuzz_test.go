@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -46,14 +46,14 @@ func TestCachePutGetBitExact(t *testing.T) {
 }
 
 // FuzzCacheEntry writes arbitrary bytes into an entry file and reads them
-// as a scalar and as raw bytes: a scalar read is a value or a miss, never
-// a panic, and a miss on a present entry deletes it and counts an error;
-// get hands its decoder the very bytes on disk, and a decoder's refusal
-// is such a miss too. The leading bytes, as float bit patterns, must then
-// round-trip through PutFloat exactly. The corpus is seeded with a real
-// grid-cell entry, a 657-byte JSON entry GetFloat refuses, and an entry
-// one byte longer than the buffer an entry is read into
-// (fills-read-buffer), which must not be served cut off.
+// as a scalar: the read is a hit if and only if the entry is in
+// PutFloat's form, 16 hex digits and a newline, and then gives the value
+// those digits spell; any other present entry is a miss that deletes it
+// and counts an error, never a panic. The leading bytes, as float bit
+// patterns, must then round-trip through PutFloat exactly. The corpus is
+// seeded with a real grid-cell entry, a 657-byte JSON table, 33 hex-digit
+// bytes (fills-read-buffer), and a scalar entry followed by more bytes
+// (scalar-then-more), which must not be served cut off.
 func FuzzCacheEntry(f *testing.F) {
 	seeds, err := filepath.Glob("testdata/entries/*")
 	if err != nil || len(seeds) == 0 {
@@ -73,38 +73,36 @@ func FuzzCacheEntry(f *testing.F) {
 			t.Fatal(err)
 		}
 		key := Key([]byte("entry"))
-		write := func() {
-			if err := os.MkdirAll(filepath.Dir(c.path(key)), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.MkdirAll(filepath.Dir(c.path(key)), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		// miss checks a getter's miss on the present entry.
-		miss := func(getter string, errors uint64) {
-			if c.Errors() != errors {
-				t.Fatalf("%s missed on a present entry with Errors() = %d, want %d", getter, c.Errors(), errors)
+		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want uint64
+		inForm := len(data) == 17 && data[16] == '\n'
+		if inForm {
+			want, err = strconv.ParseUint(string(data[:16]), 16, 64)
+			inForm = err == nil
+		}
+		v, ok := c.GetFloat(key)
+		switch {
+		case ok != inForm:
+			t.Fatalf("GetFloat hit %v on an entry %q (in PutFloat's form: %v)", ok, data, inForm)
+		case ok && math.Float64bits(v) != want:
+			t.Fatalf("GetFloat read %#x from an entry %q", math.Float64bits(v), data)
+		case ok:
+			if c.Errors() != 0 {
+				t.Fatalf("a hit with Errors() = %d", c.Errors())
+			}
+		default:
+			if c.Errors() != 1 {
+				t.Fatalf("GetFloat missed on a present entry with Errors() = %d, want 1", c.Errors())
 			}
 			if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
-				t.Fatalf("%s missed and left the entry: %v", getter, err)
+				t.Fatalf("GetFloat missed and left the entry: %v", err)
 			}
 		}
-
-		write()
-		if _, ok := c.GetFloat(key); !ok {
-			miss("GetFloat", 1)
-		}
-		errs := c.Errors()
-		write()
-		var got []byte
-		if !c.get(key, func(b []byte) bool { got = b; return true }) || !bytes.Equal(got, data) {
-			t.Fatalf("get handed its decoder %q for an entry holding %q", got, data)
-		}
-		if c.get(key, func([]byte) bool { return false }) {
-			t.Fatal("get hit on an entry its decoder refused")
-		}
-		miss("get", errs+1)
 
 		var vals []float64 // up to 8: every write is a file, and any bits will do
 		for b := data; len(b) >= 8 && len(vals) < 8; b = b[8:] {

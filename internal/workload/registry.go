@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"pdq/internal/params"
 )
@@ -84,6 +85,20 @@ var patterns = params.NewRegistry("pattern", PatternMaker.decl, []PatternMaker{
 	},
 })
 
+// maxKB bounds a size in KB: 2^63 bytes do not fit a flow's int64 size.
+const maxKB = 0x1p53
+
+// sizeKB rejects a size parameter, in KB, that is NaN or outside [lo,
+// hi): a flow is at least one byte, and the paper's distributions take
+// their floor at 2 KB (MinFlowSize), so a mean below it would be clamped
+// to it.
+func sizeKB(p map[string]float64, name string, lo, hi float64) error {
+	if v := p[name]; !(v >= lo && v < hi) {
+		return fmt.Errorf("parameter %q = %v: want a size in [%v, %v) KB", name, v, lo, hi)
+	}
+	return nil
+}
+
 // sizeDists is the table of flow-size-distribution families.
 var sizeDists = params.NewRegistry("size distribution", SizeDistMaker.decl, []SizeDistMaker{
 	{
@@ -91,6 +106,11 @@ var sizeDists = params.NewRegistry("size distribution", SizeDistMaker.decl, []Si
 		Doc:    "uniform sizes in [lo_kb, hi_kb]",
 		Params: map[string]float64{"lo_kb": 2, "hi_kb": 198},
 		Check: func(p map[string]float64) error {
+			for _, name := range []string{"lo_kb", "hi_kb"} {
+				if err := sizeKB(p, name, 1.0/1024, maxKB); err != nil {
+					return err
+				}
+			}
 			if lo, hi := p["lo_kb"], p["hi_kb"]; lo > hi {
 				return fmt.Errorf("parameters \"lo_kb\" = %v, \"hi_kb\" = %v: want lo_kb <= hi_kb", lo, hi)
 			}
@@ -104,12 +124,19 @@ var sizeDists = params.NewRegistry("size distribution", SizeDistMaker.decl, []Si
 		Name:   "uniform-mean",
 		Doc:    "the paper's uniform distribution [2 KB, 2·mean−2 KB]",
 		Params: map[string]float64{"mean_kb": 100},
+		Check:  func(p map[string]float64) error { return sizeKB(p, "mean_kb", 2, maxKB/2) },
 		Make:   func(p map[string]float64) SizeDist { return UniformMean(int64(p["mean_kb"] * 1024)) },
 	},
 	{
 		Name:   "pareto",
 		Doc:    "bounded Pareto heavy tail with tail index alpha, scaled to mean_kb",
 		Params: map[string]float64{"alpha": 1.1, "mean_kb": 100},
+		Check: func(p map[string]float64) error {
+			if a := p["alpha"]; !(a > 1 && a <= math.MaxFloat64) {
+				return fmt.Errorf("parameter \"alpha\" = %v: want a finite tail index > 1 (the mean is infinite at or below 1)", a)
+			}
+			return sizeKB(p, "mean_kb", 2, maxKB/1000) // samples reach 1000×mean
+		},
 		Make: func(p map[string]float64) SizeDist {
 			return Pareto{Alpha: p["alpha"], MeanSize: p["mean_kb"] * 1024}
 		},

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -53,6 +54,42 @@ func TestMakeSizeDistByName(t *testing.T) {
 	}
 	if got, want := d.(Uniform), UniformMean(100<<10); got != want {
 		t.Errorf("uniform-mean built %+v, want %+v", got, want)
+	}
+}
+
+// TestSizeDistRefusals pins the parameters a size distribution refuses
+// rather than reinterpret: NaN, a size under one byte, a mean under the
+// 2 KB floor, a tail index at or below 1, and a size past int64. Each
+// refusal names the parameter; the boundary values pass.
+func TestSizeDistRefusals(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name   string
+		params map[string]float64
+		bad    string // the parameter refused, "" when the values pass
+	}{
+		{"uniform", map[string]float64{"lo_kb": -50, "hi_kb": 10}, "lo_kb"},
+		{"uniform", map[string]float64{"lo_kb": 0.5 / 1024}, "lo_kb"},
+		{"uniform", map[string]float64{"lo_kb": nan}, "lo_kb"},
+		{"uniform", map[string]float64{"hi_kb": nan}, "hi_kb"},
+		{"uniform", map[string]float64{"hi_kb": 0x1p53}, "hi_kb"},
+		{"uniform", map[string]float64{"lo_kb": 1.0 / 1024, "hi_kb": 1.0 / 1024}, ""},
+		{"uniform-mean", map[string]float64{"mean_kb": 1.9}, "mean_kb"},
+		{"uniform-mean", map[string]float64{"mean_kb": nan}, "mean_kb"},
+		{"uniform-mean", map[string]float64{"mean_kb": 0x1p52}, "mean_kb"},
+		{"uniform-mean", map[string]float64{"mean_kb": 2}, ""},
+		{"pareto", map[string]float64{"alpha": 0.5}, "alpha"},
+		{"pareto", map[string]float64{"alpha": 1}, "alpha"},
+		{"pareto", map[string]float64{"alpha": nan}, "alpha"},
+		{"pareto", map[string]float64{"alpha": math.Inf(1)}, "alpha"},
+		{"pareto", map[string]float64{"mean_kb": 1}, "mean_kb"},
+		{"pareto", map[string]float64{"mean_kb": 1e13}, "mean_kb"},
+		{"pareto", map[string]float64{"alpha": 1.0001, "mean_kb": 2}, ""},
+	} {
+		_, err := MakeSizeDist(tc.name, tc.params)
+		if tc.bad == "" && err != nil || tc.bad != "" && (err == nil || !strings.Contains(err.Error(), `"`+tc.bad+`"`)) {
+			t.Errorf("%s %v: error %v, want one naming %q", tc.name, tc.params, err, tc.bad)
+		}
 	}
 }
 

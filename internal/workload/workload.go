@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -20,6 +21,15 @@ type Flow struct {
 	Size     int64    // bytes
 	Start    sim.Time // arrival time
 	Deadline sim.Time // relative to Start; 0 = deadline-unconstrained
+}
+
+// CheckStart panics unless f has bytes to send and two distinct hosts.
+// Both simulators call it as they register a flow, so they refuse the
+// same flows; the scenario layer reports the panic as the cell's failure.
+func (f Flow) CheckStart() {
+	if f.Size <= 0 || f.Src == f.Dst {
+		panic(fmt.Sprintf("workload: flow %d of %d bytes from host %d to host %d: a flow needs a positive size and two distinct hosts", f.ID, f.Size, f.Src, f.Dst))
+	}
 }
 
 // HasDeadline reports whether the flow is deadline-constrained.
