@@ -196,23 +196,7 @@ func main() {
 		opts.Cache = cache
 	}
 
-	var tables []*scenario.Table
-	for i, spec := range specs {
-		if intr.fired() {
-			logger.Warn("interrupted: specs not run", "skipped", len(specs)-i)
-			break
-		}
-		start := time.Now()
-		table, err := scenario.Run(spec, opts)
-		if err != nil {
-			fail(logger, err)
-		}
-		tables = append(tables, table)
-		if !*jsonOut {
-			fmt.Println(table)
-			fmt.Printf("(%s in %v)\n\n", spec.Name, time.Since(start).Round(time.Millisecond))
-		}
-	}
+	tables := runSpecs(logger, specs, opts, intr, !*jsonOut)
 	if *jsonOut {
 		writeJSON(logger, tables)
 	}
@@ -220,6 +204,29 @@ func main() {
 	reportCache(logger, cache)
 	finishObs()
 	exitPartial(logger, tables, intr.fired())
+}
+
+// runSpecs runs specs until an interrupt, printing each table when text is
+// set, and returns the tables made: not nil, so -json prints at least [].
+func runSpecs(log *slog.Logger, specs []*scenario.Spec, opts scenario.Opts, intr *interrupter, text bool) []*scenario.Table {
+	tables := make([]*scenario.Table, 0, len(specs))
+	for i, spec := range specs {
+		if intr.fired() {
+			log.Warn("interrupted: specs not run", "skipped", len(specs)-i)
+			break
+		}
+		start := time.Now()
+		table, err := scenario.Run(spec, opts)
+		if err != nil {
+			fail(log, err)
+		}
+		tables = append(tables, table)
+		if text {
+			fmt.Println(table)
+			fmt.Printf("(%s in %v)\n\n", spec.Name, time.Since(start).Round(time.Millisecond))
+		}
+	}
+	return tables
 }
 
 // loadSpecs returns the specs the command line names: one figure or all

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"pdq/internal/exp"
+	"pdq/internal/scenario"
 	"pdq/internal/trace"
 )
 
@@ -322,5 +324,21 @@ func TestInterruptFlushes(t *testing.T) {
 	}
 	if strings.Contains(stderr.String(), "holding observability server open") {
 		t.Error("an interrupted run waited out -http-linger")
+	}
+}
+
+// TestInterruptBeforeTheFirstSpec pins that a run interrupted before its
+// first spec starts runs none, says so, and gives -json an empty list to
+// print, [] and not null.
+func TestInterruptBeforeTheFirstSpec(t *testing.T) {
+	intr := &interrupter{done: make(chan struct{})}
+	close(intr.done)
+	var log bytes.Buffer
+	tables := runSpecs(goldenLogger(&log), []*scenario.Spec{exp.Specs["fig3a"]()}, scenario.Opts{Quick: true}, intr, false)
+	if b, err := json.Marshal(tables); err != nil || string(b) != "[]" {
+		t.Errorf("tables marshal to %s (%v), want []", b, err)
+	}
+	if want := `level=WARN msg="interrupted: specs not run" run=test skipped=1` + "\n"; log.String() != want {
+		t.Errorf("log %q, want %q", log.String(), want)
 	}
 }

@@ -1,6 +1,10 @@
 package netsim
 
-import "pdq/internal/params"
+import (
+	"math"
+
+	"pdq/internal/params"
+)
 
 // Qdisc is a link queueing discipline: the policy points carved out of
 // the link's serializer (DESIGN.md §9). A discipline owns two decisions
@@ -82,6 +86,10 @@ func (q *ECNFIFO) OnEnqueue(l *Link, pkt *Packet, backlog int) {
 // expose).
 const DefaultPrioBands = 8
 
+// MaxPrioBands bounds Prio's bands: pFabric, the one protocol that sets
+// priorities, never picks a band past 63, so more would stay empty.
+const MaxPrioBands = 64
+
 // Prio is a strict-priority multi-band queue keyed by Packet.Prio:
 // band 0 is served first, and a lower band never transmits while a
 // higher one holds a packet. Within a band order is FIFO. Priorities
@@ -101,11 +109,8 @@ type Prio struct {
 }
 
 // NewPrio returns a strict-priority discipline with the given number of
-// bands (DefaultPrioBands when bands <= 0).
+// bands, at least one.
 func NewPrio(bands int) *Prio {
-	if bands <= 0 {
-		bands = DefaultPrioBands
-	}
 	return &Prio{head: make([]*Packet, bands), tail: make([]*Packet, bands)}
 }
 
@@ -156,13 +161,17 @@ type QdiscEntry struct {
 	Doc  string
 	// Params documents the accepted parameter names with defaults.
 	Params map[string]float64
+	// Check, if set, rejects resolved values Make would reinterpret.
+	Check func(p map[string]float64) error
 	// Make binds resolved params into a per-link factory: every link of
 	// a topology gets its own instance, because disciplines may hold
 	// per-link state (the priority bands).
 	Make func(p map[string]float64) func() Qdisc
 }
 
-func (e QdiscEntry) decl() params.Decl { return params.Decl{Name: e.Name, Params: e.Params} }
+func (e QdiscEntry) decl() params.Decl {
+	return params.Decl{Name: e.Name, Params: e.Params, Check: e.Check}
+}
 
 // QdiscList returns the registered disciplines sorted by name.
 func QdiscList() []QdiscEntry { return qdiscs.List() }
@@ -191,6 +200,10 @@ var qdiscs = params.NewRegistry("qdisc", QdiscEntry.decl, []QdiscEntry{
 		Name:   "ecn",
 		Doc:    "tail-drop FIFO that sets the CE bit on packets arriving above `threshold_kb` of backlog (DCTCP switch side)",
 		Params: map[string]float64{"threshold_kb": float64(DefaultECNThreshold) / 1024},
+		// Under one byte the threshold would truncate to the default.
+		Check: func(p map[string]float64) error {
+			return params.In("threshold_kb", p["threshold_kb"], 1.0/1024, math.Inf(1))
+		},
 		Make: func(p map[string]float64) func() Qdisc {
 			k := int(p["threshold_kb"] * 1024)
 			return func() Qdisc { return &ECNFIFO{Threshold: k} }
@@ -200,6 +213,7 @@ var qdiscs = params.NewRegistry("qdisc", QdiscEntry.decl, []QdiscEntry{
 		Name:   "prio",
 		Doc:    "strict-priority multi-band queue over Packet.Prio (`bands` bands, band 0 first; pFabric switch side)",
 		Params: map[string]float64{"bands": DefaultPrioBands},
+		Check:  func(p map[string]float64) error { return params.Int("bands", p["bands"], 1, MaxPrioBands) },
 		Make: func(p map[string]float64) func() Qdisc {
 			b := int(p["bands"])
 			return func() Qdisc { return NewPrio(b) }

@@ -1,10 +1,11 @@
-// Package params validates the declarative parameter maps of the
-// registry entries (topologies, patterns, size distributions, runners,
-// metrics, flow generators): defaults fill in, unknown names fail loudly.
+// Package params validates the registry entries' declarative parameter
+// maps (topologies, patterns, size distributions, runners, metrics, flow
+// generators, qdiscs): defaults fill in, unknown names fail loudly.
 package params
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -25,6 +26,24 @@ func Resolve(kind, name string, declared, given map[string]float64) (map[string]
 		p[k] = given[k]
 	}
 	return p, nil
+}
+
+// Int refuses v, the value of parameter name, unless it is an integer in
+// [lo, hi]: an int conversion would truncate a fraction.
+func Int(name string, v, lo, hi float64) error {
+	if !(v >= lo && v <= hi) || v != math.Trunc(v) {
+		return fmt.Errorf("parameter %q = %v: want an integer in [%v, %v]", name, v, lo, hi)
+	}
+	return nil
+}
+
+// In refuses v, the value of parameter name, unless lo <= v <= hi, so NaN
+// is always refused; hi may be +Inf.
+func In(name string, v, lo, hi float64) error {
+	if !(v >= lo && v <= hi) {
+		return fmt.Errorf("parameter %q = %v: want a value in [%v, %v]", name, v, lo, hi)
+	}
+	return nil
 }
 
 // SortedKeys returns the map's keys in sorted order.

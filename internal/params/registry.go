@@ -71,7 +71,8 @@ func (r *Registry[E]) Lookup(name string) (E, bool) {
 
 // Resolve looks name up and validates given against the entry's declared
 // parameters (the package-level Resolve) and its check, returning the
-// entry and its default-filled parameters.
+// entry and its default-filled parameters; past the lookup, an error
+// names the kind and the entry.
 func (r *Registry[E]) Resolve(name string, given map[string]float64) (E, map[string]float64, error) {
 	e, ok := r.entries[name]
 	if !ok {
@@ -79,7 +80,9 @@ func (r *Registry[E]) Resolve(name string, given map[string]float64) (E, map[str
 	}
 	p, err := Resolve(r.kind, name, e.Params, given)
 	if err == nil && e.Check != nil {
-		err = e.Check(p)
+		if err = e.Check(p); err != nil {
+			err = fmt.Errorf("%s %q: %w", r.kind, name, err)
+		}
 	}
 	return e.entry, p, err
 }

@@ -2,6 +2,7 @@ package params
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -79,7 +80,7 @@ func TestRegistryResolve(t *testing.T) {
 	}{
 		{"nope", nil, `unknown widget "nope" (available: [a b c])`},
 		{"b", map[string]float64{"z": 1, "q": 1}, `widget "b": unknown parameter "q" (accepts [x y])`},
-		{"c", map[string]float64{"n": -1}, "n is negative"},
+		{"c", map[string]float64{"n": -1}, `widget "c": n is negative`},
 	} {
 		if _, _, err := r.Resolve(tc.name, tc.given); err == nil || err.Error() != tc.want {
 			t.Errorf("Resolve(%s, %v) error = %v, want %s", tc.name, tc.given, err, tc.want)
@@ -87,5 +88,39 @@ func TestRegistryResolve(t *testing.T) {
 	}
 	if _, _, err := r.Resolve("c", nil); err != nil {
 		t.Errorf("check rejected the defaults: %v", err)
+	}
+}
+
+// TestIntAndIn pins the two domain checks at and past their bounds: a
+// fraction fails Int only, and NaN and ±Inf fail both where they fall
+// outside [lo, hi].
+func TestIntAndIn(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		v, lo, hi float64
+		isInt, in bool // accepted by Int, by In
+	}{
+		{0, 0, 1, true, true},
+		{1, 0, 1, true, true},
+		{0.5, 0, 1, false, true},
+		{-1, 0, 1, false, false},
+		{1.5, 0, 1, false, false},
+		{nan, 0, 1, false, false},
+		{inf, 0, 1e300, false, false},
+		{-inf, -1e300, 0, false, false},
+		{1e300, 0, inf, true, true},
+	} {
+		if err := Int("x", tc.v, tc.lo, tc.hi); (err == nil) != tc.isInt {
+			t.Errorf("Int(%v in [%v, %v]) = %v", tc.v, tc.lo, tc.hi, err)
+		}
+		if err := In("x", tc.v, tc.lo, tc.hi); (err == nil) != tc.in {
+			t.Errorf("In(%v in [%v, %v]) = %v", tc.v, tc.lo, tc.hi, err)
+		}
+	}
+	if err := Int("n", 0.5, 0, 2); err == nil || err.Error() != `parameter "n" = 0.5: want an integer in [0, 2]` {
+		t.Errorf("Int error = %v", err)
+	}
+	if err := In("q", 150, 0, 100); err == nil || err.Error() != `parameter "q" = 150: want a value in [0, 100]` {
+		t.Errorf("In error = %v", err)
 	}
 }

@@ -23,6 +23,7 @@ import (
 
 	"pdq/internal/fault"
 	"pdq/internal/netsim"
+	"pdq/internal/params"
 	"pdq/internal/sim"
 	"pdq/internal/topo"
 	"pdq/internal/trace"
@@ -238,13 +239,17 @@ func compile(s *Spec, o Opts) (*engine, error) {
 	if len(s.Protocols) == 0 {
 		return nil, fmt.Errorf("no protocols")
 	}
+	horizon, err := msTime("horizon_ms", quickFloat(s.HorizonMs, s.QuickHorizonMs, o.Quick))
+	if err != nil {
+		return nil, err
+	}
 	e := &engine{
 		spec: s,
 		plan: engPlan{
 			Salt: cacheSalt, Mode: s.Eval.Mode, Threshold: s.Eval.Threshold,
 			Steps:    quickInt(s.Eval.Steps, s.Eval.QuickSteps, o.Quick),
 			RateStep: s.Eval.RateStep,
-			Horizon:  msTime(quickFloat(s.HorizonMs, s.QuickHorizonMs, o.Quick)),
+			Horizon:  horizon,
 		},
 		guards: RunCtx{MaxEvents: o.MaxEvents, Watchdog: o.Watchdog},
 		trace:  o.Trace,
@@ -370,6 +375,10 @@ func compileSweep(s *Spec, o Opts, base *column) ([]column, error) {
 		return []column{c}, nil
 	}
 	sw := s.Sweep
+	if len(sw.Cases)+len(sw.QuickCases) > 0 && (sw.Axis != "" ||
+		len(sw.Values)+len(sw.QuickValues)+len(sw.Labels)+len(sw.QuickLabels) > 0) {
+		return nil, fmt.Errorf("sweep sets cases and axis, values or labels: cases ignore the others")
+	}
 	cases := sw.Cases
 	if o.Quick && len(sw.QuickCases) > 0 {
 		cases = sw.QuickCases
@@ -575,6 +584,11 @@ func planColumn(s *Spec, o Opts, axis string, v float64, cs *SweepCase) (*column
 // planned as the spec wrote them and resolved here.
 func (p colPlan) bind() (colBound, error) {
 	var b colBound
+	meanDl, err := msTime("mean_deadline_ms", p.MeanDeadlineMs)
+	window, werr := msTime("window_ms", p.WindowMs)
+	if err := cmp.Or(err, werr); err != nil {
+		return b, err
+	}
 	tb, _ := topo.LookupBuilder(p.Topo)
 	b.build = func(seed int64) *topo.Topology {
 		t := tb.Build(p.TopoParams, seed)
@@ -605,7 +619,6 @@ func (p colPlan) bind() (colBound, error) {
 	if err != nil {
 		return b, err
 	}
-	meanDl, window := msTime(p.MeanDeadlineMs), msTime(p.WindowMs)
 	b.pattern = pat
 	b.gen = func(seed int64, n int, rate float64) []workload.Flow {
 		rng := genSources.Get().(*rand.Rand)
@@ -643,12 +656,19 @@ func (p colPlan) bind() (colBound, error) {
 // allocating 4.9 KB per draw.
 var genSources = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// msTime converts a spec-level millisecond value to simulator time.
-func msTime(v float64) sim.Time { return sim.Time(v * float64(sim.Millisecond)) }
+// maxMs bounds a spec time: about 32 years, past any horizon, and small
+// enough that two summed (a crash and its restart) still fit sim.Time.
+const maxMs = 1e12
 
-// maxFaultMs bounds a fault's times: about 32 years, past any horizon, and
-// small enough that a crash instant plus its restart still fits sim.Time.
-const maxFaultMs = 1e12
+// msTime converts the spec time name, v ms, to simulator time, refusing
+// NaN, a negative time and one past maxMs. A metric's Fn calls it on the
+// window bounds its Check holds to [0, maxMs].
+func msTime(name string, v float64) (sim.Time, error) {
+	if err := params.In(name, v, 0, maxMs); err != nil {
+		return 0, err
+	}
+	return sim.Time(v * float64(sim.Millisecond)), nil
+}
 
 // faultReads lists the FaultSpec fields each fault kind reads, by JSON
 // name.
@@ -682,17 +702,19 @@ func compileFaults(specs []FaultSpec, hosts, switches int) ([]fault.Event, error
 				return nil, fmt.Errorf("fault %d (%s): %s is not read by this kind (it reads %s)", i, fs.Kind, f.name, strings.Join(reads, ", "))
 			}
 		}
-		if late := max(fs.DownMs, fs.UpMs, fs.AtMs, fs.RestartMs); late > maxFaultMs {
-			return nil, fmt.Errorf("fault %d (%s): %v ms is past the %v ms a fault time may be", i, fs.Kind, late, maxFaultMs)
+		down, err1 := msTime("down_ms", fs.DownMs)
+		up, err2 := msTime("up_ms", fs.UpMs)
+		at, err3 := msTime("at_ms", fs.AtMs)
+		restart, err4 := msTime("restart_ms", fs.RestartMs)
+		if err := cmp.Or(err1, err2, err3, err4); err != nil {
+			return nil, fmt.Errorf("fault %d (%s): %w", i, fs.Kind, err)
 		}
 		var ev fault.Event
 		switch fs.Kind {
 		case "link-down":
-			ev = fault.Event{Kind: fault.LinkDown, Host: fs.Host,
-				Down: msTime(fs.DownMs), Up: msTime(fs.UpMs)}
+			ev = fault.Event{Kind: fault.LinkDown, Host: fs.Host, Down: down, Up: up}
 		case "switch-crash":
-			ev = fault.Event{Kind: fault.SwitchCrash, Switch: fs.Switch,
-				At: msTime(fs.AtMs), Restart: msTime(fs.RestartMs)}
+			ev = fault.Event{Kind: fault.SwitchCrash, Switch: fs.Switch, At: at, Restart: restart}
 		case "gilbert-loss":
 			ev = fault.Event{Kind: fault.GilbertLoss, Host: fs.Host,
 				PGB: fs.PGB, PBG: fs.PBG, LossGood: fs.LossGood, LossBad: fs.LossBad}

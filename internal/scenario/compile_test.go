@@ -145,17 +145,21 @@ func TestFlowRowsRefuseUnmodelledBlocks(t *testing.T) {
 
 // TestRunnerParamsChecked pins that a runner parameter its Make would
 // truncate, replace by a default or fail on is refused at compile, naming
-// the row and the parameter, and that the edge of each accepted range and
-// every shipped example and workload spec still compile. A metric or
-// size-distribution parameter its function would silently reinterpret is
-// refused the same way.
+// the row, the runner and the parameter, and that the edge of each
+// accepted range and every shipped example and workload spec still
+// compile. A metric, size-distribution, qdisc, pattern or flow-generator
+// parameter its entry would silently reinterpret is refused the same way,
+// naming the entry. Only compile runs: no case simulates its values.
 func TestRunnerParamsChecked(t *testing.T) {
 	cases := []struct {
-		runner string // or "metric <name>" / "sizes <name>"
+		runner string // or "<kind> <name>": metric, sizes, qdisc, pattern or gen
 		params map[string]float64
 		want   string // "" when the spec must compile
 	}{
 		{"PDQ(Full)", map[string]float64{"subflows": -1}, `parameter "subflows" = -1`},
+		{"PDQ(Full)", map[string]float64{"subflows": 65}, `parameter "subflows" = 65`},
+		{"PDQ(ES)", map[string]float64{"subflows": 1e9}, `parameter "subflows" = 1e+09`},
+		{"PDQ(Basic)", map[string]float64{"subflows": 64}, ""},
 		{"flow:PDQ", map[string]float64{"crit": 5}, `parameter "crit" = 5`},
 		{"flow:PDQ", map[string]float64{"crit": 0.7}, `parameter "crit" = 0.7`},
 		{"flow:PDQ", map[string]float64{"aging": -0.5}, `parameter "aging" = -0.5`},
@@ -178,27 +182,61 @@ func TestRunnerParamsChecked(t *testing.T) {
 		{"pFabric", map[string]float64{"init_cwnd": 0.5}, `parameter "init_cwnd" = 0.5`},
 		{"pFabric", map[string]float64{"rtomin_us": 0}, `parameter "rtomin_us" = 0`},
 		{"pFabric", map[string]float64{"bands": 64, "init_cwnd": 1, "rtomin_us": 0.001}, ""},
-		{"metric goodput-gbps", map[string]float64{"from_ms": 10, "to_ms": 5}, `"from_ms" = 10, "to_ms" = 5`},
-		{"metric goodput-gbps", map[string]float64{"from_ms": 5, "to_ms": 5}, `"from_ms" = 5, "to_ms" = 5`},
+		{"metric goodput-gbps", map[string]float64{"from_ms": 10, "to_ms": 5}, `parameters "from_ms" = 10, "to_ms" = 5`},
+		{"metric goodput-gbps", map[string]float64{"from_ms": 5, "to_ms": 5}, `parameters "from_ms" = 5, "to_ms" = 5`},
 		{"metric goodput-gbps", map[string]float64{"from_ms": 10, "to_ms": 0}, ""},
 		{"metric goodput-gbps", map[string]float64{"from_ms": 5, "to_ms": 10}, ""},
 		{"metric fct-quantile", map[string]float64{"q": 150}, `parameter "q" = 150`},
 		{"metric fct-quantile", map[string]float64{"q": -1}, `parameter "q" = -1`},
 		{"metric fct-quantile", map[string]float64{"q": 100}, ""},
 		{"metric fct-quantile", map[string]float64{"q": 0}, ""},
-		{"sizes uniform", map[string]float64{"lo_kb": 200, "hi_kb": 2}, `"lo_kb" = 200, "hi_kb" = 2`},
+		{"sizes uniform", map[string]float64{"lo_kb": 200, "hi_kb": 2}, `parameters "lo_kb" = 200, "hi_kb" = 2`},
 		{"sizes uniform", map[string]float64{"lo_kb": 50, "hi_kb": 50}, ""},
+		{"sizes pareto", map[string]float64{"alpha": 0.5}, `parameter "alpha" = 0.5`},
+		{"metric goodput-gbps", map[string]float64{"from_ms": -1}, `parameter "from_ms" = -1`},
+		{"metric goodput-gbps", map[string]float64{"to_ms": 1e13}, `parameter "to_ms" = 1e+13`},
+		{"metric recovery-ms", map[string]float64{"after_ms": 1e13}, `parameter "after_ms" = 1e+13`},
+		{"metric recovery-ms", map[string]float64{"after_ms": 1e12}, ""},
+		{"metric link-util", map[string]float64{"from_ms": -1}, `parameter "from_ms" = -1`},
+		{"qdisc prio", map[string]float64{"bands": 0}, `parameter "bands" = 0`},
+		{"qdisc prio", map[string]float64{"bands": 2.5}, `parameter "bands" = 2.5`},
+		{"qdisc prio", map[string]float64{"bands": 1e9}, `parameter "bands" = 1e+09`},
+		{"qdisc prio", map[string]float64{"bands": 64}, ""},
+		{"qdisc ecn", map[string]float64{"threshold_kb": 0}, `parameter "threshold_kb" = 0`},
+		{"qdisc ecn", map[string]float64{"threshold_kb": -1}, `parameter "threshold_kb" = -1`},
+		{"qdisc ecn", map[string]float64{"threshold_kb": 1.0 / 1024}, ""},
+		{"pattern stride", map[string]float64{"i": 2.5}, `parameter "i" = 2.5`},
+		{"pattern stride", map[string]float64{"i": -1}, `parameter "i" = -1`},
+		{"pattern stride", map[string]float64{"i": 0}, ""},
+		{"pattern staggered", map[string]float64{"p": -0.1}, `parameter "p" = -0.1`},
+		{"pattern staggered", map[string]float64{"p": 1.5}, `parameter "p" = 1.5`},
+		{"pattern staggered", map[string]float64{"p": 1}, ""},
+		{"gen long-vs-shorts", map[string]float64{"shorts": 2.5}, `parameter "shorts" = 2.5`},
+		{"gen long-vs-shorts", map[string]float64{"shorts": -1}, `parameter "shorts" = -1`},
+		{"gen long-vs-shorts", map[string]float64{"spacing_ms": -1}, `parameter "spacing_ms" = -1`},
+		{"gen long-vs-shorts", map[string]float64{"spacing_ms": 1e11}, `parameter "spacing_ms" = 1e+11`},
+		{"gen long-vs-shorts", map[string]float64{"shorts": 0, "spacing_ms": 1e12}, ""},
 	}
+	kinds := map[string]string{"metric": "metric", "sizes": "size distribution", "qdisc": "qdisc", "pattern": "pattern", "gen": "flow generator"}
 	for _, tc := range cases {
 		s := minimalSpec()
-		want := fmt.Sprintf("row %q: %s", tc.runner, tc.want)
-		switch kind, name, _ := strings.Cut(tc.runner, " "); kind {
+		kind, name, _ := strings.Cut(tc.runner, " ")
+		want := fmt.Sprintf("%s %q: %s", kinds[kind], name, tc.want)
+		switch kind {
 		case "metric":
-			s.Metric, want = MetricSpec{Name: name, Params: tc.params}, tc.want
+			s.Metric = MetricSpec{Name: name, Params: tc.params}
 		case "sizes":
-			s.Workload.Sizes, want = DistSpec{Name: name, Params: tc.params}, tc.want
+			s.Workload.Sizes = DistSpec{Name: name, Params: tc.params}
+		case "qdisc":
+			s.Protocols = []ProtoSpec{{Runner: "TCP", Qdisc: &QdiscSpec{Name: name, Params: tc.params}}}
+			want = `row "TCP": ` + want
+		case "pattern":
+			s.Workload.Pattern = PatternSpec{Name: name, Params: tc.params}
+		case "gen":
+			s.Workload.Custom, s.Workload.Params = name, tc.params
 		default:
 			s.Protocols = []ProtoSpec{{Runner: tc.runner, Params: tc.params}}
+			want = fmt.Sprintf("row %q: runner %q: %s", tc.runner, tc.runner, tc.want)
 		}
 		_, err := compile(s, Opts{})
 		switch {

@@ -5,7 +5,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strings"
 
 	"pdq/internal/params"
@@ -20,7 +22,12 @@ var flowGens = params.NewRegistry("flow generator", FlowGenEntry.decl, []FlowGen
 		Doc:      "Fig. 12 contention: one `long_mb` flow from host 0 plus `shorts` `short_kb` flows arriving every `spacing_ms` from the remaining senders",
 		Params:   map[string]float64{"shorts": 100, "short_kb": 100, "long_mb": 2, "spacing_ms": 1},
 		MinHosts: 3, // host 0 sends the long flow, the last host receives, the rest send shorts
-		Check:    minBytes(map[string]float64{"short_kb": 1, "long_mb": 1}),
+		Check: func(p map[string]float64) error {
+			// The last short starts by shorts × spacing_ms ≤ maxMs.
+			return cmp.Or(minBytes(map[string]float64{"short_kb": 1, "long_mb": 1})(p),
+				params.Int("shorts", p["shorts"], 0, math.MaxInt32),
+				params.In("spacing_ms", p["spacing_ms"], 0, maxMs/max(1, p["shorts"])))
+		},
 		Gen: func(p map[string]float64, hosts int, _ int64) []workload.Flow {
 			dst := hosts - 1
 			fl := []workload.Flow{{ID: 1, Src: 0, Dst: dst, Size: sizeBytes(p, "long_mb")}}

@@ -10,10 +10,11 @@ import (
 )
 
 // FuzzSpecCompile feeds arbitrary bytes through Load and compile, at quick
-// and at full scale. Any input is an error or a plan, never a panic; every
-// cell a plan holds marshals to valid JSON, and compiling the spec again
-// gives every cell the same key, the hash of that JSON. The corpus is seeded with the shipped
-// example and benchmark specs.
+// and at full scale. Any input is an error or a plan, never a panic; no
+// plan holds a negative time (negativeTime); every cell a plan holds
+// marshals to valid JSON, and compiling the spec again gives every cell
+// the same key, the hash of that JSON. The corpus is seeded with the
+// shipped example and benchmark specs.
 func FuzzSpecCompile(f *testing.F) {
 	for _, glob := range []string{"../../examples/scenarios/*.json", "../../benchmark/workloads/*.json"} {
 		files, err := filepath.Glob(glob)
@@ -39,6 +40,9 @@ func FuzzSpecCompile(f *testing.F) {
 			if err != nil {
 				continue
 			}
+			if name := negativeTime(e); name != "" {
+				t.Fatalf("quick=%v: the plan holds a negative %s", quick, name)
+			}
 			again, err := compile(s, o)
 			if err != nil {
 				t.Fatalf("quick=%v: the second compile failed: %v", quick, err)
@@ -63,6 +67,41 @@ func FuzzSpecCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// negativeTime names a time of e's plan that is negative, or returns "":
+// the horizon, the deadlines' mean, the Poisson window, every fault time,
+// the long-vs-shorts spacing and every metric window.
+func negativeTime(e *engine) string {
+	if e.plan.Horizon < 0 {
+		return "horizon"
+	}
+	for _, c := range append([]column{e.baseCol}, e.cols...) {
+		p := &c.plan
+		switch {
+		case p.MeanDeadlineMs < 0:
+			return "mean_deadline_ms"
+		case p.WindowMs < 0:
+			return "window_ms"
+		case p.CustomParams["spacing_ms"] < 0:
+			return "spacing_ms"
+		}
+		for _, ev := range p.Faults {
+			if min(ev.Down, ev.Up, ev.At, ev.Restart) < 0 {
+				return "fault time"
+			}
+		}
+	}
+	for _, r := range e.rows {
+		for _, b := range r.bound {
+			for _, name := range []string{"after_ms", "from_ms", "to_ms"} {
+				if b.plan.MetricParams[name] < 0 {
+					return name
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // FuzzFaultSchedule runs one fuzzed fault — a link-down window, a switch

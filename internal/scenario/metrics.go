@@ -58,7 +58,7 @@ var metrics = params.NewRegistry("metric", MetricEntry.decl, slices.Concat([]Met
 		Name:   "finish",
 		Doc:    "finish time [s] of the flow with ID `id`, NaN if there is none; id=0 takes the latest finish over completed flows under hi_kb (all when hi_kb=0), 0 when none; ms=1 reports milliseconds",
 		Params: map[string]float64{"id": 0, "hi_kb": 0, "ms": 0},
-		Check:  func(p map[string]float64) error { return intParam(p, "id", 0, 1<<53) },
+		Check:  func(p map[string]float64) error { return params.Int("id", p["id"], 0, 1<<53) },
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
 			var t sim.Time
 			if id := uint64(p["id"]); id == 0 {
@@ -78,7 +78,7 @@ var metrics = params.NewRegistry("metric", MetricEntry.decl, slices.Concat([]Met
 		Name:   "flows-done",
 		Doc:    "number of completed flows under hi_kb (all when hi_kb=0); met=1 counts only deadline flows that met their deadline",
 		Params: map[string]float64{"hi_kb": 0, "met": 0},
-		Check:  func(p map[string]float64) error { return intParam(p, "met", 0, 1) },
+		Check:  func(p map[string]float64) error { return params.Int("met", p["met"], 0, 1) },
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
 			n := 0
 			for _, r := range rs {

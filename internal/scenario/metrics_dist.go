@@ -8,10 +8,10 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
 
 	"pdq/internal/netsim"
+	"pdq/internal/params"
 	"pdq/internal/stats"
 	"pdq/internal/workload"
 )
@@ -72,7 +72,7 @@ var distMetrics = []MetricEntry{
 		Name:   "fct-ratio",
 		Doc:    "per-flow FCT ratio ref ÷ row over flows both runs completed (a pair metric: the row names a ref runner); stat 0=pairs 1=% with ratio >= at 2=% with ratio < at 3=median ratio 4=worst inverse ratio",
 		Params: map[string]float64{"stat": 0, "at": 1},
-		Check:  func(p map[string]float64) error { return intParam(p, "stat", 0, 4) },
+		Check:  func(p map[string]float64) error { return params.Int("stat", p["stat"], 0, 4) },
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
 			return fctRatio(rs, rs, p)
 		},
@@ -82,12 +82,7 @@ var distMetrics = []MetricEntry{
 		Name:   "fct-quantile",
 		Doc:    "q-th FCT percentile over completed flows (q=100: the worst FCT); ms=1 reports milliseconds, weight_by_size=1 weights by bytes (pairs with the metric:q sweep axis for inverse-CDF curves)",
 		Params: map[string]float64{"q": 50, "ms": 0, "weight_by_size": 0},
-		Check: func(p map[string]float64) error {
-			if q := p["q"]; !(q >= 0 && q <= 100) {
-				return fmt.Errorf("parameter \"q\" = %v: want a percentile in [0, 100]", q)
-			}
-			return nil
-		},
+		Check:  func(p map[string]float64) error { return params.In("q", p["q"], 0, 100) },
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
 			fcts, sizes := fctSamples(rs)
 			var v float64

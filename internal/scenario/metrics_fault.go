@@ -4,8 +4,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 
+	"pdq/internal/params"
 	"pdq/internal/sim"
 	"pdq/internal/workload"
 )
@@ -18,8 +20,9 @@ var faultMetrics = []MetricEntry{
 		Params: map[string]float64{
 			"after_ms": 0,
 		},
+		Check: func(p map[string]float64) error { return params.In("after_ms", p["after_ms"], 0, maxMs) },
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
-			after := sim.Time(p["after_ms"] * float64(sim.Millisecond))
+			after, _ := msTime("after_ms", p["after_ms"]) // Check held it to [0, maxMs]
 			best := sim.Time(-1)
 			for _, r := range rs {
 				if r.Finish < after {
@@ -46,11 +49,11 @@ var faultMetrics = []MetricEntry{
 			if from, to := p["from_ms"], p["to_ms"]; to > 0 && to <= from {
 				return fmt.Errorf("parameters \"from_ms\" = %v, \"to_ms\" = %v: want to_ms = 0 or to_ms > from_ms", from, to)
 			}
-			return nil
+			return cmp.Or(params.In("from_ms", p["from_ms"], 0, maxMs), params.In("to_ms", p["to_ms"], 0, maxMs))
 		},
 		Fn: func(rs []workload.Result, _ []workload.Flow, p map[string]float64) float64 {
-			from := sim.Time(p["from_ms"] * float64(sim.Millisecond))
-			to := sim.Time(p["to_ms"] * float64(sim.Millisecond))
+			from, _ := msTime("from_ms", p["from_ms"]) // Check held it to [0, maxMs]
+			to, _ := msTime("to_ms", p["to_ms"])
 			if to <= from {
 				// Whole run: window ends at the last completion.
 				for _, r := range rs {

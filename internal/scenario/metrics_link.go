@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"pdq/internal/netsim"
+	"pdq/internal/params"
 	"pdq/internal/sim"
 	"pdq/internal/stats"
 	"pdq/internal/trace"
@@ -20,19 +21,24 @@ var linkMetrics = []MetricEntry{
 		Name:   "link-util",
 		Doc:    "mean utilization [%] of the link into host `host` over [from_ms, to_ms), sampled every stride_us; to_ms=0 ends the window at the latest finish over completed flows under hi_kb (all when hi_kb=0)",
 		Params: map[string]float64{"host": -1, "stride_us": 500, "from_ms": 0, "to_ms": 0, "hi_kb": 0},
-		Check:  strideCheck,
-		Fn:     noLink,
+		Check: func(p map[string]float64) error {
+			return cmp.Or(params.Int("host", p["host"], math.MinInt32, math.MaxInt32),
+				params.In("stride_us", p["stride_us"], 0.001, math.Inf(1)),
+				params.In("from_ms", p["from_ms"], 0, maxMs), params.In("to_ms", p["to_ms"], 0, maxMs))
+		},
+		Fn: noLink,
 		Link: func(s *sim.Sim, l *netsim.Link, p map[string]float64) func([]workload.Result) float64 {
 			stride := sim.Time(p["stride_us"] * float64(sim.Microsecond))
 			pr := trace.NewProber(s, stride)
 			util := pr.Add("util", utilSampler(l, stride))
 			pr.Start()
 			return func(rs []workload.Result) float64 {
-				to := msTime(p["to_ms"])
+				to, _ := msTime("to_ms", p["to_ms"]) // Check held it to [0, maxMs]
 				if to == 0 {
 					to = lastFinish(rs, p)
 				}
-				return stats.MeanOver(util, msTime(p["from_ms"]), to)
+				from, _ := msTime("from_ms", p["from_ms"])
+				return stats.MeanOver(util, from, to)
 			}
 		},
 	},
@@ -40,8 +46,11 @@ var linkMetrics = []MetricEntry{
 		Name:   "link-queue-max",
 		Doc:    "largest queue [MTU-sized packets] of the link into host `host`, sampled every stride_us",
 		Params: map[string]float64{"host": -1, "stride_us": 500},
-		Check:  strideCheck,
-		Fn:     noLink,
+		Check: func(p map[string]float64) error {
+			return cmp.Or(params.Int("host", p["host"], math.MinInt32, math.MaxInt32),
+				params.In("stride_us", p["stride_us"], 0.001, math.Inf(1)))
+		},
+		Fn: noLink,
 		Link: func(s *sim.Sim, l *netsim.Link, p map[string]float64) func([]workload.Result) float64 {
 			pr := trace.NewProber(s, sim.Time(p["stride_us"]*float64(sim.Microsecond)))
 			queue := pr.Add("qdepth", queueSampler(l))
@@ -53,7 +62,7 @@ var linkMetrics = []MetricEntry{
 		Name:   "link-drops",
 		Doc:    "packets the link into host `host` dropped",
 		Params: map[string]float64{"host": -1},
-		Check:  hostCheck,
+		Check:  func(p map[string]float64) error { return params.Int("host", p["host"], math.MinInt32, math.MaxInt32) },
 		Fn:     noLink,
 		Link: func(_ *sim.Sim, l *netsim.Link, _ map[string]float64) func([]workload.Result) float64 {
 			return func([]workload.Result) float64 { return float64(l.Drops()) }
@@ -63,11 +72,3 @@ var linkMetrics = []MetricEntry{
 
 // noLink is a link metric's Fn: a run no link was probed on has no value.
 func noLink([]workload.Result, []workload.Flow, map[string]float64) float64 { return math.NaN() }
-
-// hostCheck rejects a host index that is not an integer; strideCheck also
-// a stride under a nanosecond.
-func hostCheck(p map[string]float64) error { return intParam(p, "host", -1<<31, 1<<31-1) }
-
-func strideCheck(p map[string]float64) error {
-	return cmp.Or(hostCheck(p), minParam(p, "stride_us", 0.001))
-}

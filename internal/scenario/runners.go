@@ -147,53 +147,22 @@ func runEngine(s *sim.Sim, rc RunCtx) {
 	s.RunUntil(rc.Horizon)
 }
 
-// pdqMake binds one PDQ variant's config constructor into a Make
-// function. Every variant accepts a `subflows` parameter (Multipath
-// PDQ, §6); 0 leaves the config default of one subflow.
-func pdqMake(cfg func() core.Config) func(p map[string]float64, seed int64) RunnerFunc {
-	return func(p map[string]float64, _ int64) RunnerFunc {
-		c := cfg()
-		c.Subflows = int(p["subflows"])
-		return mkPacket(func(t *topo.Topology) protocol.Installed { return core.Install(t, c) })
+// pdqEntry registers one PDQ variant. Every variant accepts a `subflows`
+// parameter (Multipath PDQ, §6); 0 leaves the config default of one
+// subflow, and 64 bounds it: every flow builds that many pacers, and the
+// paper's sweep stops at 8 (Fig. 11b).
+func pdqEntry(name, doc string, cfg func() core.Config) RunnerEntry {
+	return RunnerEntry{
+		Name: name, Doc: doc, Level: "packet",
+		Params: map[string]float64{"subflows": 0},
+		Check:  func(p map[string]float64) error { return params.Int("subflows", p["subflows"], 0, 64) },
+		Make: func(p map[string]float64, _ int64) RunnerFunc {
+			c := cfg()
+			c.Subflows = int(p["subflows"])
+			return mkPacket(func(t *topo.Topology) protocol.Installed { return core.Install(t, c) })
+		},
 	}
 }
-
-// pdqParams returns the parameter surface every PDQ variant accepts.
-func pdqParams() map[string]float64 {
-	return map[string]float64{"subflows": 0}
-}
-
-// pdqCheck rejects a subflow count pdqMake's int conversion would
-// truncate or core could not build.
-func pdqCheck(p map[string]float64) error {
-	if n := p["subflows"]; n < 0 || n != math.Trunc(n) {
-		return fmt.Errorf("parameter \"subflows\" = %v: want a non-negative integer", n)
-	}
-	return nil
-}
-
-// intParam rejects a parameter that is not an integer in [lo, hi]: a Make
-// function's int conversion would truncate it, or the runner has no mode
-// for it.
-func intParam(p map[string]float64, name string, lo, hi float64) error {
-	if v := p[name]; !(v >= lo && v <= hi) || v != math.Trunc(v) {
-		return fmt.Errorf("parameter %q = %v: want an integer in [%v, %v]", name, v, lo, hi)
-	}
-	return nil
-}
-
-// minParam rejects a parameter below lo. For a value a Make function
-// scales and truncates, lo is the least that does not truncate to zero,
-// which the protocol would read as "use the default".
-func minParam(p map[string]float64, name string, lo float64) error {
-	if v := p[name]; !(v >= lo) {
-		return fmt.Errorf("parameter %q = %v: want at least %v", name, v, lo)
-	}
-	return nil
-}
-
-// etCheck rejects an Early Termination switch other than 0 or 1.
-func etCheck(p map[string]float64) error { return intParam(p, "et", 0, 1) }
 
 // flowMake binds one flow-level allocator family into a Make function.
 // The run takes its network's allocator of the family, which alloc returns
@@ -237,22 +206,10 @@ func newPDQ() *flowsim.PDQ { return flowsim.NewPDQ(flowsim.CritPerfect, 0) }
 
 // runners is the table of protocol runners, packet and flow level.
 var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
-	{
-		Name: "PDQ(Full)", Doc: "PDQ with Early Start, Early Termination and Suppressed Probing", Level: "packet",
-		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.Full),
-	},
-	{
-		Name: "PDQ(ES+ET)", Doc: "PDQ with Early Start and Early Termination", Level: "packet",
-		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.ESET),
-	},
-	{
-		Name: "PDQ(ES)", Doc: "PDQ with Early Start only", Level: "packet",
-		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.ES),
-	},
-	{
-		Name: "PDQ(Basic)", Doc: "preemptive scheduling without the §4 optimizations", Level: "packet",
-		Params: pdqParams(), Check: pdqCheck, Make: pdqMake(core.Basic),
-	},
+	pdqEntry("PDQ(Full)", "PDQ with Early Start, Early Termination and Suppressed Probing", core.Full),
+	pdqEntry("PDQ(ES+ET)", "PDQ with Early Start and Early Termination", core.ESET),
+	pdqEntry("PDQ(ES)", "PDQ with Early Start only", core.ES),
+	pdqEntry("PDQ(Basic)", "preemptive scheduling without the §4 optimizations", core.Basic),
 	{
 		Name: "D3", Doc: "Deadline-Driven Delivery (packet level)", Level: "packet",
 		Make: func(map[string]float64, int64) RunnerFunc {
@@ -281,7 +238,8 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 			if g := p["g"]; !(g > 0 && g <= 1) {
 				return fmt.Errorf("parameter \"g\" = %v: want 0 < g <= 1", g)
 			}
-			return minParam(p, "threshold_kb", 1.0/1024)
+			// Under one byte the threshold would truncate to the default.
+			return params.In("threshold_kb", p["threshold_kb"], 1.0/1024, math.Inf(1))
 		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed {
@@ -297,9 +255,8 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 			"rtomin_us": float64(pfabric.DefaultRTOmin) / float64(sim.Microsecond),
 		},
 		Check: func(p map[string]float64) error {
-			// BandFor never picks a band past 63, so more than 64 bands
-			// would only allocate queues nothing fills.
-			return cmp.Or(intParam(p, "bands", 1, 64), minParam(p, "init_cwnd", 1), minParam(p, "rtomin_us", 0.001))
+			return cmp.Or(params.Int("bands", p["bands"], 1, netsim.MaxPrioBands),
+				params.In("init_cwnd", p["init_cwnd"], 1, math.Inf(1)), params.In("rtomin_us", p["rtomin_us"], 0.001, math.Inf(1)))
 		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
 			return mkPacket(func(t *topo.Topology) protocol.Installed {
@@ -318,7 +275,7 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 		Name: "flow:PDQ", Doc: "flow-level PDQ: crit 0=perfect 1=random 2=size-estimation; aging is Fig. 12's α; et enables Early Termination", Level: "flow",
 		Params: map[string]float64{"crit": 0, "aging": 0, "et": 0},
 		Check: func(p map[string]float64) error {
-			return cmp.Or(intParam(p, "crit", 0, 2), minParam(p, "aging", 0), etCheck(p))
+			return cmp.Or(params.Int("crit", p["crit"], 0, 2), params.In("aging", p["aging"], 0, math.Inf(1)), params.Int("et", p["et"], 0, 1))
 		},
 		Make: flowMake(func(a *carve.Arena, p map[string]float64, seed int64) flowsim.Allocator {
 			pdq := carve.Keep(a, newPDQ)
@@ -329,7 +286,7 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 	{
 		Name: "flow:RCP", Doc: "flow-level max-min fair sharing (RCP; also D3 without deadlines)", Level: "flow",
 		Params: map[string]float64{"et": 0},
-		Check:  etCheck,
+		Check:  func(p map[string]float64) error { return params.Int("et", p["et"], 0, 1) },
 		Make: flowMake(func(a *carve.Arena, _ map[string]float64, _ int64) flowsim.Allocator {
 			return carve.Keep(a, flowsim.NewRCP)
 		}),
@@ -337,7 +294,7 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 	{
 		Name: "flow:D3", Doc: "flow-level D3: arrival-order reservation plus fair share of the rest", Level: "flow",
 		Params: map[string]float64{"et": 0},
-		Check:  etCheck,
+		Check:  func(p map[string]float64) error { return params.Int("et", p["et"], 0, 1) },
 		Make: flowMake(func(a *carve.Arena, _ map[string]float64, _ int64) flowsim.Allocator {
 			return carve.Keep(a, flowsim.NewD3)
 		}),
@@ -346,7 +303,7 @@ var runners = params.NewRegistry("runner", RunnerEntry.decl, []RunnerEntry{
 		Name: "flow:fluid", Doc: "idealized single-bottleneck fluid model: policy 0=SRPT (the paper's Optimal without deadlines) 1=fair sharing 2=Moore-Hodgson deadline EDF (its Optimal with deadlines, §5.2.1) 3=D3's reservations in arrival order (Fig. 1); gbps is the bottleneck rate", Level: "flow",
 		Params: map[string]float64{"policy": 0, "gbps": 1},
 		Check: func(p map[string]float64) error {
-			return cmp.Or(intParam(p, "policy", 0, 3), minParam(p, "gbps", 1e-9))
+			return cmp.Or(params.Int("policy", p["policy"], 0, 3), params.In("gbps", p["gbps"], 1e-9, math.Inf(1)))
 		},
 		Make: func(p map[string]float64, _ int64) RunnerFunc {
 			policy := int(p["policy"])

@@ -50,10 +50,10 @@ func TestUnknownNamesError(t *testing.T) {
 		{"runner param", func(s *Spec) { s.Protocols = []ProtoSpec{{Runner: "flow:RCP", Params: map[string]float64{"nope": 1}}} }, `unknown parameter "nope"`},
 		{"negative subflows", func(s *Spec) {
 			s.Protocols = []ProtoSpec{{Label: "mp", Runner: "PDQ(Full)", Params: map[string]float64{"subflows": -1}}}
-		}, `row "mp": parameter "subflows" = -1`},
+		}, `row "mp": runner "PDQ(Full)": parameter "subflows" = -1`},
 		{"fractional subflows", func(s *Spec) {
 			s.Protocols = []ProtoSpec{{Runner: "PDQ(Basic)", Params: map[string]float64{"subflows": 2.5}}}
-		}, `row "PDQ(Basic)": parameter "subflows" = 2.5`},
+		}, `row "PDQ(Basic)": runner "PDQ(Basic)": parameter "subflows" = 2.5`},
 		{"metric", func(s *Spec) { s.Metric.Name = "nope" }, `unknown metric "nope"`},
 		{"flow generator", func(s *Spec) { s.Workload.Custom = "nope" }, `unknown flow generator "nope"`},
 		{"axis", func(s *Spec) { s.Sweep = &SweepSpec{Axis: "nope", Values: []float64{1}} }, `unknown sweep axis "nope"`},
@@ -126,6 +126,19 @@ func TestUnknownNamesError(t *testing.T) {
 		{"ref without a pair metric", func(s *Spec) { s.Protocols[0].Ref = "flow:PDQ" },
 			`row "flow:RCP": ref "flow:PDQ" is read by no metric: "mean-fct" is not a pair metric`},
 		{"unknown ref", func(s *Spec) { s.Protocols[0].Ref = "nope" }, `row "flow:RCP": ref: unknown runner "nope"`},
+		{"cases with an axis", func(s *Spec) {
+			s.Sweep = &SweepSpec{Axis: "flows", Values: []float64{1, 2}, Cases: []SweepCase{{Label: "a"}}}
+		}, "sweep sets cases and axis, values or labels"},
+		{"cases with quick labels", func(s *Spec) {
+			s.Sweep = &SweepSpec{QuickCases: []SweepCase{{Label: "a"}}, QuickLabels: []string{"b"}}
+		}, "sweep sets cases and axis, values or labels"},
+		{"horizon past sim.Time", func(s *Spec) { s.HorizonMs = 1e13 }, `parameter "horizon_ms" = 1e+13`},
+		{"mean deadline past sim.Time", func(s *Spec) { s.Workload.MeanDeadlineMs = 1e13 }, `parameter "mean_deadline_ms" = 1e+13`},
+		{"negative mean deadline", func(s *Spec) { s.Workload.MeanDeadlineMs = -5 }, `parameter "mean_deadline_ms" = -5`},
+		{"window past sim.Time", func(s *Spec) {
+			s.Workload.Count = 0
+			s.Workload.Arrival = &ArrivalSpec{Rate: 100, WindowMs: 1e13}
+		}, `parameter "window_ms" = 1e+13`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -207,7 +207,7 @@ type SweepSpec struct {
 	// "poisson-rate", "runner:<param>" (sets <param> on every non-fixed
 	// row's runner), or "metric:<param>" (sets <param> on every non-fixed
 	// row's metric — e.g. sweeping fct-cdf's at_ms plots a CDF curve).
-	// With Cases, Axis is ignored.
+	// A sweep with Cases sets none of Axis, Values and Labels.
 	Axis        string    `json:"axis,omitempty"`
 	Values      []float64 `json:"values,omitempty"`
 	QuickValues []float64 `json:"quick_values,omitempty"`

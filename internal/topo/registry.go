@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -39,14 +40,6 @@ func (b Builder) Switches(p map[string]float64) int { return int(b.Size(p).switc
 // builds its topology in memory, and past this size a mistyped parameter
 // is likelier than an experiment. A k=64 fat-tree has 196 608.
 const maxCables = 1 << 18
-
-// whole rejects a parameter that is not an integer in [lo, maxCables].
-func whole(p map[string]float64, name string, lo float64) error {
-	if v := p[name]; !(v >= lo && v <= maxCables) || v != math.Trunc(v) {
-		return fmt.Errorf("parameter %q = %v: want an integer in [%v, %d]", name, v, lo, maxCables)
-	}
-	return nil
-}
 
 // decl declares the family to the registry, whose check runs the family's
 // Check and then refuses a topology of more than maxCables duplex links.
@@ -112,7 +105,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 			return SingleBottleneck(int(p["senders"]), seed)
 		},
 		Size:  func(p map[string]float64) size { return singleBottleneckSize(p["senders"]) },
-		Check: func(p map[string]float64) error { return whole(p, "senders", 1) },
+		Check: func(p map[string]float64) error { return params.Int("senders", p["senders"], 1, maxCables) },
 	},
 	{
 		Name:   "single-rooted-tree",
@@ -123,12 +116,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		},
 		Size: func(p map[string]float64) size { return singleRootedTreeSize(p["tors"], p["per_tor"]) },
 		Check: func(p map[string]float64) error {
-			for _, name := range []string{"tors", "per_tor"} {
-				if err := whole(p, name, 1); err != nil {
-					return err
-				}
-			}
-			return nil
+			return cmp.Or(params.Int("tors", p["tors"], 1, maxCables), params.Int("per_tor", p["per_tor"], 1, maxCables))
 		},
 		RackOf: func(p map[string]float64) func(int) int {
 			per := int(p["per_tor"])
@@ -144,13 +132,10 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		},
 		Size: func(p map[string]float64) size { return fatTreeSize(p["k"]) },
 		Check: func(p map[string]float64) error {
-			if err := whole(p, "k", 2); err != nil {
-				return err
-			}
 			if k := p["k"]; math.Mod(k, 2) != 0 {
 				return fmt.Errorf("parameter \"k\" = %v: want an even integer", k)
 			}
-			return nil
+			return params.Int("k", p["k"], 2, maxCables)
 		},
 	},
 	{
@@ -162,10 +147,7 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 		},
 		Size: func(p map[string]float64) size { return bcubeSize(p["n"], p["k"]) },
 		Check: func(p map[string]float64) error {
-			if err := whole(p, "n", 2); err != nil {
-				return err
-			}
-			return whole(p, "k", 0)
+			return cmp.Or(params.Int("n", p["n"], 2, maxCables), params.Int("k", p["k"], 0, maxCables))
 		},
 	},
 	{
@@ -179,15 +161,11 @@ var builders = params.NewRegistry("topology", Builder.decl, []Builder{
 			return jellyfishSize(p["switches"], p["degree"], p["hosts_per_switch"])
 		},
 		Check: func(p map[string]float64) error {
-			for _, name := range []string{"switches", "degree", "hosts_per_switch"} {
-				if err := whole(p, name, 0); err != nil {
-					return err
-				}
-			}
 			if n, d := p["switches"], p["degree"]; d >= n || math.Mod(n*d, 2) != 0 {
 				return fmt.Errorf("degree %v on %v switches: want degree < switches and an even switches×degree", d, n)
 			}
-			return nil
+			return cmp.Or(params.Int("switches", p["switches"], 0, maxCables), params.Int("degree", p["degree"], 0, maxCables),
+				params.Int("hosts_per_switch", p["hosts_per_switch"], 0, maxCables))
 		},
 	},
 })

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -15,7 +16,9 @@ type PatternMaker struct {
 	Name   string
 	Doc    string
 	Params map[string]float64 // accepted parameters with defaults
-	Make   func(p map[string]float64) Pattern
+	// Check, if set, rejects resolved values Make would reinterpret.
+	Check func(p map[string]float64) error
+	Make  func(p map[string]float64) Pattern
 }
 
 // SizeDistMaker is a registered flow-size-distribution family.
@@ -28,7 +31,9 @@ type SizeDistMaker struct {
 	Make  func(p map[string]float64) SizeDist
 }
 
-func (m PatternMaker) decl() params.Decl { return params.Decl{Name: m.Name, Params: m.Params} }
+func (m PatternMaker) decl() params.Decl {
+	return params.Decl{Name: m.Name, Params: m.Params, Check: m.Check}
+}
 
 func (m SizeDistMaker) decl() params.Decl {
 	return params.Decl{Name: m.Name, Params: m.Params, Check: m.Check}
@@ -70,12 +75,14 @@ var patterns = params.NewRegistry("pattern", PatternMaker.decl, []PatternMaker{
 		Name:   "stride",
 		Doc:    "host x sends to host (x+i) mod N",
 		Params: map[string]float64{"i": 1},
+		Check:  func(p map[string]float64) error { return params.Int("i", p["i"], 0, math.MaxInt32) },
 		Make:   func(p map[string]float64) Pattern { return Stride{I: int(p["i"])} },
 	},
 	{
 		Name:   "staggered",
 		Doc:    "same-rack destination with probability p, random otherwise",
 		Params: map[string]float64{"p": 0.5},
+		Check:  func(p map[string]float64) error { return params.In("p", p["p"], 0, 1) },
 		Make:   func(p map[string]float64) Pattern { return Staggered{P: p["p"]} },
 	},
 	{
@@ -85,19 +92,11 @@ var patterns = params.NewRegistry("pattern", PatternMaker.decl, []PatternMaker{
 	},
 })
 
-// maxKB bounds a size in KB: 2^63 bytes do not fit a flow's int64 size.
-const maxKB = 0x1p53
-
-// sizeKB rejects a size parameter, in KB, that is NaN or outside [lo,
-// hi): a flow is at least one byte, and the paper's distributions take
-// their floor at 2 KB (MinFlowSize), so a mean below it would be clamped
-// to it.
-func sizeKB(p map[string]float64, name string, lo, hi float64) error {
-	if v := p[name]; !(v >= lo && v < hi) {
-		return fmt.Errorf("parameter %q = %v: want a size in [%v, %v) KB", name, v, lo, hi)
-	}
-	return nil
-}
+// maxKB bounds a size in KB: the most whose bytes fit a flow's int64
+// size. A flow is at least one byte (1/1024 KB), and the paper's
+// distributions take their floor at 2 KB (MinFlowSize), so a mean below
+// it would be clamped to it.
+const maxKB = 0x1p53 - 1
 
 // sizeDists is the table of flow-size-distribution families.
 var sizeDists = params.NewRegistry("size distribution", SizeDistMaker.decl, []SizeDistMaker{
@@ -106,15 +105,10 @@ var sizeDists = params.NewRegistry("size distribution", SizeDistMaker.decl, []Si
 		Doc:    "uniform sizes in [lo_kb, hi_kb]",
 		Params: map[string]float64{"lo_kb": 2, "hi_kb": 198},
 		Check: func(p map[string]float64) error {
-			for _, name := range []string{"lo_kb", "hi_kb"} {
-				if err := sizeKB(p, name, 1.0/1024, maxKB); err != nil {
-					return err
-				}
-			}
 			if lo, hi := p["lo_kb"], p["hi_kb"]; lo > hi {
 				return fmt.Errorf("parameters \"lo_kb\" = %v, \"hi_kb\" = %v: want lo_kb <= hi_kb", lo, hi)
 			}
-			return nil
+			return cmp.Or(params.In("lo_kb", p["lo_kb"], 1.0/1024, maxKB), params.In("hi_kb", p["hi_kb"], 1.0/1024, maxKB))
 		},
 		Make: func(p map[string]float64) SizeDist {
 			return Uniform{Lo: int64(p["lo_kb"] * 1024), Hi: int64(p["hi_kb"] * 1024)}
@@ -124,7 +118,7 @@ var sizeDists = params.NewRegistry("size distribution", SizeDistMaker.decl, []Si
 		Name:   "uniform-mean",
 		Doc:    "the paper's uniform distribution [2 KB, 2·mean−2 KB]",
 		Params: map[string]float64{"mean_kb": 100},
-		Check:  func(p map[string]float64) error { return sizeKB(p, "mean_kb", 2, maxKB/2) },
+		Check:  func(p map[string]float64) error { return params.In("mean_kb", p["mean_kb"], 2, maxKB/2) },
 		Make:   func(p map[string]float64) SizeDist { return UniformMean(int64(p["mean_kb"] * 1024)) },
 	},
 	{
@@ -135,7 +129,7 @@ var sizeDists = params.NewRegistry("size distribution", SizeDistMaker.decl, []Si
 			if a := p["alpha"]; !(a > 1 && a <= math.MaxFloat64) {
 				return fmt.Errorf("parameter \"alpha\" = %v: want a finite tail index > 1 (the mean is infinite at or below 1)", a)
 			}
-			return sizeKB(p, "mean_kb", 2, maxKB/1000) // samples reach 1000×mean
+			return params.In("mean_kb", p["mean_kb"], 2, maxKB/1000) // samples reach 1000×mean
 		},
 		Make: func(p map[string]float64) SizeDist {
 			return Pareto{Alpha: p["alpha"], MeanSize: p["mean_kb"] * 1024}
